@@ -94,9 +94,15 @@ def _require(cfg: dict, key: str, pointer: str, kind=None):
     return value
 
 
-def _expression_param(cfg: dict, key: str, pointer: str) -> str:
-    value = _require(cfg, key, pointer, str)
-    return value
+def _expression_param(cfg: dict, key: str, pointer: str, dim=None, fiber_var=None):
+    """Parse cfg[key] over x1..x<dim>, plus fiber_var when given."""
+    source = _require(cfg, key, pointer, str)
+    try:
+        if fiber_var is None:
+            return expression.coordinate_expr(source, dim=dim)
+        return expression.profile_expr(source, fiber_var=fiber_var, dim=dim)
+    except ParseError as exc:
+        raise ConfigError(f"bad expression: {exc}", pointer=f"{pointer}/{key}") from exc
 
 
 def build_chart(cfg: dict):
@@ -128,7 +134,8 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
         raise ConfigError(str(exc), pointer="/integrator") from exc
 
 
-def build_lagrangian(system: dict, pointer: str = "/system"):
+def build_lagrangian(system: dict, pointer: str = "/system", *, dim: int | None = None):
+    """The configured Lagrangian; dim, when given, bounds the coordinates its expressions use."""
     family = _require(system, "family", pointer, str)
     if family not in _LAGRANGIAN_FAMILIES:
         known = ", ".join(_LAGRANGIAN_FAMILIES)
@@ -140,21 +147,25 @@ def build_lagrangian(system: dict, pointer: str = "/system"):
             return dynamics_lagrange.kinetic_lagrangian()
         if family == "kinetic-potential":
             return dynamics_lagrange.kinetic_minus_potential(
-                _expression_param(system, "U", pointer)
+                _expression_param(system, "U", pointer, dim)
             )
         if family == "conformal-kinetic":
             return dynamics_lagrange.conformal_kinetic_lagrangian(
-                _expression_param(system, "f", pointer)
+                _expression_param(system, "f", pointer, dim)
             )
+        c_expr = _expression_param(system, "C", pointer, dim) if "C" in system else "1"
         return dynamics_lagrange.fiberwise_phi_lagrangian(
-            _expression_param(system, "phi", pointer), system.get("C", "1")
+            _expression_param(system, "phi", pointer, dim, fiber_var="w"), c_expr
         )
-    except ParseError as exc:
-        raise ConfigError(f"bad expression: {exc}", pointer=pointer) from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc), pointer=pointer) from exc
 
 
-def build_force(system: dict, pointer: str = "/system"):
-    """Force field plus an optional conserved-energy callback."""
+def build_force(system: dict, pointer: str = "/system", *, dim: int | None = None):
+    """Force field plus an optional conserved-energy callback.
+
+    dim, when given, bounds the coordinates the force's expressions use.
+    """
     force_cfg = _require(system, "force", pointer, dict)
     kind = _require(force_cfg, "type", f"{pointer}/force", str)
     fp = f"{pointer}/force"
@@ -162,8 +173,7 @@ def build_force(system: dict, pointer: str = "/system"):
         if kind == "geodesic":
             return dynamics_newton.geodesic_system(), _kinetic_energy
         if kind == "potential":
-            u_src = _expression_param(force_cfg, "U", fp)
-            u_expr = expression.coordinate_expr(u_src)
+            u_expr = _expression_param(force_cfg, "U", fp, dim)
             force = dynamics_newton.force_from_potential(u_expr)
 
             def energy(chart, point, u_expr=u_expr):
@@ -171,8 +181,7 @@ def build_force(system: dict, pointer: str = "/system"):
 
             return force, energy
         if kind == "conformal":
-            f_src = _expression_param(force_cfg, "f", fp)
-            f_expr = expression.coordinate_expr(f_src)
+            f_expr = _expression_param(force_cfg, "f", fp, dim)
             force = normal_shift.conformal_force_field(f_expr)
 
             def energy(chart, point, f_expr=f_expr):
@@ -182,7 +191,7 @@ def build_force(system: dict, pointer: str = "/system"):
             return force, energy
         if kind == "spherical":
             profile = normal_shift.profile_from_expression(
-                _expression_param(force_cfg, "T", fp)
+                _expression_param(force_cfg, "T", fp, dim, fiber_var="w")
             )
             wrapper = normal_shift.FiberwiseSymmetricLagrangian(profile, name=profile.name)
             force = normal_shift.spherical_force_field(wrapper)
@@ -194,13 +203,15 @@ def build_force(system: dict, pointer: str = "/system"):
             return force, energy
         if kind == "normal-shift":
             profile = normal_shift.profile_from_expression(
-                _expression_param(force_cfg, "W", fp)
+                _expression_param(force_cfg, "W", fp, dim, fiber_var="w")
             )
-            h_fn = normal_shift.h_function(force_cfg.get("h"))
+            h_src = _require(force_cfg, "h", fp, str) if "h" in force_cfg else None
+            try:
+                h_fn = normal_shift.h_function(h_src)
+            except (ParseError, ValueError) as exc:
+                raise ConfigError(f"bad expression: {exc}", pointer=f"{fp}/h") from exc
             shift = normal_shift.NormalShiftForce(profile, h_fn=h_fn, name=profile.name)
             return normal_shift.normal_shift_force_field(shift), None
-    except ParseError as exc:
-        raise ConfigError(f"bad expression: {exc}", pointer=fp) from exc
     except ValueError as exc:
         raise ConfigError(str(exc), pointer=fp) from exc
     known = "geodesic, potential, conformal, spherical, normal-shift"
@@ -247,13 +258,13 @@ def cmd_simulate(args) -> int:
     report_path = os.path.join(out_dir, f"{basename}.json")
 
     if kind == "newton":
-        force, energy_fn = build_force(system)
+        force, energy_fn = build_force(system, dim=chart.dim)
         x0, v0 = _initial_arrays(cfg, chart, "v")
         trajectory = dynamics_newton.integrate(
             chart, force, TangentPoint(x0, v0), config, energy_fn=energy_fn
         )
     elif kind == "lagrange":
-        lag = build_lagrangian(system)
+        lag = build_lagrangian(system, dim=chart.dim)
         x0, v0 = _initial_arrays(cfg, chart, "v")
         trajectory = dynamics_lagrange.integrate_lagrangian(
             chart,
@@ -263,7 +274,7 @@ def cmd_simulate(args) -> int:
             energy_fn=lambda c, q: dynamics_hamilton.energy_h(c, lag, q),
         )
     elif kind == "hamilton":
-        lag = build_lagrangian(system)
+        lag = build_lagrangian(system, dim=chart.dim)
         ctx = dynamics_hamilton.LegendreContext(lag)
         ham = dynamics_hamilton.hamiltonian_from_lagrangian(ctx)
         initial = _require(cfg, "initial", "", dict)
@@ -353,7 +364,7 @@ def cmd_legendre(args) -> int:
     cfg = _load_config(args.config)
     chart = build_chart(cfg)
     system = _require(cfg, "system", "", dict)
-    lag = build_lagrangian(system)
+    lag = build_lagrangian(system, dim=chart.dim)
     ctx = dynamics_hamilton.LegendreContext(lag)
     x, fiber = _parse_state(args.state, chart.dim)
     if not manifold.in_domain(chart, x):

@@ -7,17 +7,21 @@ associative, real exponents), unary minus, parentheses, decimal and
 scientific literals, and the functions sin, cos, tan, exp, log, sqrt,
 cosh, sinh. Precedence from tightest to loosest: ^, unary -, * /, + -.
 
-Derivatives come from a forward-mode hyper-dual evaluation, which is
-exact to rounding for first and mixed second partials. A central
-finite-difference fallback is provided for every derivative entry point
-so the two routes can be checked against each other.
+Values and exact first and mixed second partials are compiled once per
+expression and seed pair, on first use, into straight-line Python code:
+the forward-mode hyper-dual arithmetic unrolled over the tree by source
+transformation, with components that are always zero dropped and every
+domain check kept. The hyper-dual tree walker these functions replace
+lives on in tests/ as the oracle they are compared against, and a central
+finite-difference fallback for every derivative entry point is the
+independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import EvalDomainError, ParseError, UnboundVariableError
@@ -89,15 +93,21 @@ class ScalarExpr:
     root: Node
     source: str
     variables: tuple[str, ...]
+    # Position in a coordinate array of each variable (-1 for non-coordinates).
+    _slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # Compiled functions by seed pair, built on first use (see _code).
+    _code: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        slots = []
+        for name in self.variables:
+            m = re.fullmatch(r"x([1-9]\d*)", name)
+            slots.append(int(m.group(1)) - 1 if m else -1)
+        object.__setattr__(self, "_slots", tuple(slots))
 
     def coordinate_indexes(self) -> tuple[int, ...]:
         """0-based indexes of every x<k> variable referenced."""
-        out = []
-        for name in self.variables:
-            m = re.fullmatch(r"x([1-9]\d*)", name)
-            if m:
-                out.append(int(m.group(1)) - 1)
-        return tuple(sorted(out))
+        return tuple(sorted(k for k in self._slots if k >= 0))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +219,15 @@ class _Parser:
     def atom(self) -> Node:
         tok = self.peek()
         if tok.kind == "number":
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ParseError(
+                    f"number {tok.text!r} at offset {tok.start} is not finite",
+                    offset=tok.start,
+                    expected=("finite number",),
+                )
             self.advance()
-            return Num(float(tok.text))
+            return Num(value)
         if tok.kind == "ident":
             self.advance()
             if self.peek().text == "(":
@@ -350,7 +367,7 @@ def unparse(expr: ScalarExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Plain evaluation
+# Scalar rules shared by the compiled code
 
 
 def _pow_val(base: float, exponent: float) -> float:
@@ -368,153 +385,9 @@ def _pow_val(base: float, exponent: float) -> float:
         return math.inf
 
 
-def _call_val(func: str, a: float) -> float:
-    if func == "log":
-        if a <= 0.0:
-            raise EvalDomainError(f"log of non-positive value {a!r}")
-        return math.log(a)
-    if func == "sqrt":
-        if a < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {a!r}")
-        return math.sqrt(a)
-    try:
-        return getattr(math, func)(a)
-    except OverflowError:
-        return math.inf
-
-
-def _eval(node: Node, env: Mapping[str, float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return float(env[node.name])
-        except KeyError:
-            raise UnboundVariableError(f"variable {node.name!r} is not bound") from None
-    if isinstance(node, Unary):
-        return -_eval(node.operand, env)
-    if isinstance(node, Call):
-        return _call_val(node.func, _eval(node.arg, env))
-    left = _eval(node.left, env)
-    right = _eval(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        if right == 0.0:
-            raise EvalDomainError("division by zero")
-        return left / right
-    return _pow_val(left, right)
-
-
-def evaluate_env(expr: ScalarExpr, env: Mapping[str, float]) -> float:
-    """Evaluate with variables bound by name."""
-    return _eval(expr.root, env)
-
-
-def _coord_env(x) -> dict[str, float]:
-    return {f"x{k + 1}": float(val) for k, val in enumerate(x)}
-
-
-def evaluate(expr: ScalarExpr, x) -> float:
-    """Evaluate with x1..xn bound to the entries of x (0-based array)."""
-    return _eval(expr.root, _coord_env(x))
-
-
-# ---------------------------------------------------------------------------
-# Hyper-dual forward-mode derivatives
-#
-# A hyper-dual number tracks (f, df/ds, df/dt, d2f/dsdt) along two seed
-# directions s and t, giving exact first and mixed second derivatives in
-# one evaluation pass.
-
-
-class _HD:
-    __slots__ = ("a", "a1", "a2", "a12")
-
-    def __init__(self, a: float, a1: float = 0.0, a2: float = 0.0, a12: float = 0.0):
-        self.a = a
-        self.a1 = a1
-        self.a2 = a2
-        self.a12 = a12
-
-
-def _hd_add(u: _HD, v: _HD) -> _HD:
-    return _HD(u.a + v.a, u.a1 + v.a1, u.a2 + v.a2, u.a12 + v.a12)
-
-
-def _hd_sub(u: _HD, v: _HD) -> _HD:
-    return _HD(u.a - v.a, u.a1 - v.a1, u.a2 - v.a2, u.a12 - v.a12)
-
-
-def _hd_mul(u: _HD, v: _HD) -> _HD:
-    return _HD(
-        u.a * v.a,
-        u.a1 * v.a + u.a * v.a1,
-        u.a2 * v.a + u.a * v.a2,
-        u.a12 * v.a + u.a1 * v.a2 + u.a2 * v.a1 + u.a * v.a12,
-    )
-
-
-def _hd_div(u: _HD, v: _HD) -> _HD:
-    if v.a == 0.0:
-        raise EvalDomainError("division by zero")
-    b = v.a
-    inv = _HD(
-        1.0 / b,
-        -v.a1 / (b * b),
-        -v.a2 / (b * b),
-        (2.0 * v.a1 * v.a2 / b - v.a12) / (b * b),
-    )
-    return _hd_mul(u, inv)
-
-
-def _hd_chain(u: _HD, f: float, d1: float, d2: float) -> _HD:
-    """Lift a scalar function with value f, slope d1, curvature d2 at u.a."""
-    return _HD(
-        f,
-        d1 * u.a1,
-        d1 * u.a2,
-        d1 * u.a12 + d2 * u.a1 * u.a2,
-    )
-
-
-def _hd_call(func: str, u: _HD) -> _HD:
-    a = u.a
-    val = _call_val(func, a)
-    needs_deriv = u.a1 != 0.0 or u.a2 != 0.0 or u.a12 != 0.0
-    if func == "sin":
-        return _hd_chain(u, val, math.cos(a), -val)
-    if func == "cos":
-        return _hd_chain(u, val, -math.sin(a), -val)
-    if func == "tan":
-        sec2 = 1.0 + val * val
-        return _hd_chain(u, val, sec2, 2.0 * val * sec2)
-    if func == "exp":
-        return _hd_chain(u, val, val, val)
-    if func == "log":
-        return _hd_chain(u, val, 1.0 / a, -1.0 / (a * a))
-    if func == "sqrt":
-        if a == 0.0:
-            if needs_deriv:
-                raise EvalDomainError("derivative of sqrt at zero")
-            return _HD(0.0)
-        return _hd_chain(u, val, 0.5 / val, -0.25 / (val * a))
-    if func == "cosh":
-        return _hd_chain(u, val, math.sinh(a), val)
-    if func == "sinh":
-        return _hd_chain(u, val, math.cosh(a), val)
-    raise EvalDomainError(f"unknown function {func!r}")
-
-
 def _pow_deriv_coeff(a: float, r: float, order: int) -> float:
-    """d^order/da^order of a^r as coeff * a^(r - order), handled at a = 0."""
-    coeff = 1.0
-    for k in range(order):
-        coeff *= r - k
+    """d^order/da^order of a^r for order 1 or 2, as coeff * a^(r - order), handled at a = 0."""
+    coeff = r if order == 1 else r * (r - 1.0)
     if coeff == 0.0:
         return 0.0
     if a == 0.0:
@@ -527,86 +400,376 @@ def _pow_deriv_coeff(a: float, r: float, order: int) -> float:
     return coeff * _pow_val(a, r - order)
 
 
-def _hd_pow(u: _HD, node_right: Node, v: _HD) -> _HD:
-    if isinstance(node_right, Num) or (v.a1 == 0.0 and v.a2 == 0.0 and v.a12 == 0.0):
-        r = v.a
-        val = _pow_val(u.a, r)
-        needs_deriv = u.a1 != 0.0 or u.a2 != 0.0 or u.a12 != 0.0
-        if not needs_deriv:
-            return _HD(val)
-        d1 = _pow_deriv_coeff(u.a, r, 1)
-        d2 = _pow_deriv_coeff(u.a, r, 2)
-        return _hd_chain(u, val, d1, d2)
-    if u.a <= 0.0:
-        raise EvalDomainError(
-            f"variable exponent requires a positive base, got {u.a!r}"
-        )
-    return _hd_call("exp", _hd_mul(v, _hd_call("log", u)))
-
-
-def _eval_hd(node: Node, env: Mapping[str, _HD]) -> _HD:
-    if isinstance(node, Num):
-        return _HD(node.value)
-    if isinstance(node, Var):
+def _overflow_to_inf(fn):
+    def value(a: float) -> float:
         try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable {node.name!r} is not bound") from None
-    if isinstance(node, Unary):
-        u = _eval_hd(node.operand, env)
-        return _HD(-u.a, -u.a1, -u.a2, -u.a12)
-    if isinstance(node, Call):
-        return _hd_call(node.func, _eval_hd(node.arg, env))
-    left = _eval_hd(node.left, env)
-    right = _eval_hd(node.right, env)
-    if node.op == "+":
-        return _hd_add(left, right)
-    if node.op == "-":
-        return _hd_sub(left, right)
-    if node.op == "*":
-        return _hd_mul(left, right)
-    if node.op == "/":
-        return _hd_div(left, right)
-    return _hd_pow(left, node.right, right)
+            return fn(a)
+        except OverflowError:
+            return math.inf
+
+    return value
 
 
-def _hd_env(env: Mapping[str, float], seed1: str | None, seed2: str | None) -> dict[str, _HD]:
-    out = {}
-    for name, value in env.items():
-        out[name] = _HD(
-            float(value),
-            1.0 if name == seed1 else 0.0,
-            1.0 if name == seed2 else 0.0,
+def _log_val(a: float) -> float:
+    if a <= 0.0:
+        raise EvalDomainError(f"log of non-positive value {a!r}")
+    return math.log(a)
+
+
+def _sqrt_val(a: float) -> float:
+    if a < 0.0:
+        raise EvalDomainError(f"sqrt of negative value {a!r}")
+    return math.sqrt(a)
+
+
+def _pow_base_error(base: float) -> EvalDomainError:
+    return EvalDomainError(f"variable exponent requires a positive base, got {base!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compilation to straight-line derivative code
+#
+# For each seed pair (s, t) the hyper-dual arithmetic (f, df/ds, df/dt,
+# d2f/dsdt) is unrolled over the tree, in the tree walker's evaluation
+# order, into one flat Python function (source transformation, Griewank &
+# Walther, "Evaluating Derivatives", SIAM 2008, ch. 6). A component that is
+# zero for every input is dropped while compiling; one that is zero only at
+# some inputs keeps the run-time tests the hyper-dual rules make on it
+# (sqrt at zero, constant versus variable exponents). So every domain check
+# runs at the same point of the evaluation, and a partial with respect to a
+# variable the expression lacks still runs the value's checks.
+#
+# A component is None (zero), the seed literal "1.0", or the name of a
+# local: vK for the K-th variable, cK for the K-th numeric constant, tK for
+# a temporary. Generated source holds no user text: variables are bound by
+# position and constants come from a table.
+
+_SEED = "1.0"
+_DERIV_AT_ZERO = "derivative of sqrt at zero"
+
+# Value of each function, and its first and second derivatives as source
+# templates over the argument {a}, the value {f} and the first derivative
+# {d1}. They repeat the hyper-dual chain rules term for term.
+_CALLS = {
+    "sin": ("_sin", "_cos({a})", "-{f}"),
+    "cos": ("_cos", "-_sin({a})", "-{f}"),
+    "tan": ("_tan", "1.0 + {f} * {f}", "2.0 * {f} * {d1}"),
+    "exp": ("_exp_val", "{f}", "{f}"),
+    "log": ("_log_val", "1.0 / {a}", "-1.0 / ({a} * {a})"),
+    "sqrt": ("_sqrt_val", "0.5 / {f}", "-0.25 / ({f} * {a})"),
+    "cosh": ("_cosh_val", "_sinh({a})", "{f}"),
+    "sinh": ("_sinh_val", "_cosh({a})", "{f}"),
+}
+
+_RUNTIME = {
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_tan": math.tan,
+    "_sinh": math.sinh,
+    "_cosh": math.cosh,
+    "_exp_val": _overflow_to_inf(math.exp),
+    "_cosh_val": _overflow_to_inf(math.cosh),
+    "_sinh_val": _overflow_to_inf(math.sinh),
+    "_log_val": _log_val,
+    "_sqrt_val": _sqrt_val,
+    "_pow_val": _pow_val,
+    "_pow_deriv_coeff": _pow_deriv_coeff,
+    "_pow_base_error": _pow_base_error,
+    "_domain": EvalDomainError,
+}
+
+
+class _Emitter:
+    """Writes the straight-line code of one (seed1, seed2) pair."""
+
+    def __init__(self, variables: tuple[str, ...], seed1: str | None, seed2: str | None):
+        self.variables = variables
+        self.seeds = (seed1, seed2)
+        self.namespace = dict(_RUNTIME)
+        self.namespace["_unbound"] = lambda k: UnboundVariableError(
+            f"variable {variables[k]!r} is not bound"
         )
-    return out
+        self.lines: list[str] = []
+        self.depth = 1
+        self.bound: set[int] = set()
+        self.count = 0
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def fresh(self) -> str:
+        self.count += 1
+        return f"t{self.count}"
+
+    def tmp(self, rhs: str) -> str:
+        """A new local holding rhs."""
+        name = self.fresh()
+        self.line(f"{name} = {rhs}")
+        return name
+
+    def const(self, value: float) -> str:
+        name = f"c{self.count}"
+        self.count += 1
+        self.namespace[name] = value
+        return name
+
+    # -- component arithmetic --------------------------------------------
+
+    def neg(self, c):
+        return None if c is None else self.tmp(f"-{c}")
+
+    def prod(self, *factors):
+        """Product text, or None if any factor is zero."""
+        if any(f is None for f in factors):
+            return None
+        return " * ".join(factors)
+
+    def total(self, *terms):
+        """Left-to-right sum of the non-zero terms in a local, None if all are zero."""
+        kept = [t for t in terms if t is not None]
+        return self.tmp(" + ".join(kept)) if kept else None
+
+    def sub(self, x, y):
+        if y is None:
+            return x
+        if x is None:
+            return self.neg(y)
+        return self.tmp(f"{x} - {y}")
+
+    def nonzero_test(self, comps):
+        """Source of a run-time test that some component is non-zero, None if all are zero."""
+        live = [c for c in comps if c is not None]
+        return " or ".join(f"{c} != 0.0" for c in live) if live else None
+
+    # -- hyper-dual rules ------------------------------------------------
+
+    def mul(self, u, v):
+        ua, u1, u2, u12 = u
+        va, v1, v2, v12 = v
+        return (
+            self.tmp(f"{ua} * {va}"),
+            self.total(self.prod(u1, va), self.prod(ua, v1)),
+            self.total(self.prod(u2, va), self.prod(ua, v2)),
+            self.total(
+                self.prod(u12, va), self.prod(u1, v2), self.prod(u2, v1), self.prod(ua, v12)
+            ),
+        )
+
+    def div(self, u, v):
+        va, v1, v2, v12 = v
+        self.line(f"if {va} == 0.0: raise _domain('division by zero')")
+        if self.seeds == (None, None):
+            # The plain value divides directly, so it is correctly rounded.
+            return (self.tmp(f"{u[0]} / {va}"), None, None, None)
+        inv = [self.tmp(f"1.0 / {va}"), None, None, None]
+        if v1 is not None or v2 is not None or v12 is not None:
+            bb = self.tmp(f"{va} * {va}")
+            inv[1] = v1 and self.tmp(f"-{v1} / {bb}")
+            inv[2] = v2 and self.tmp(f"-{v2} / {bb}")
+            cross = self.prod("2.0", v1, v2)
+            if cross is not None and v12 is not None:
+                inv[3] = self.tmp(f"({cross} / {va} - {v12}) / {bb}")
+            elif cross is not None:
+                inv[3] = self.tmp(f"{cross} / {va} / {bb}")
+            elif v12 is not None:
+                inv[3] = self.tmp(f"-{v12} / {bb}")
+        return self.mul(u, inv)
+
+    def chain(self, u, f, d1, d2):
+        """Lift a scalar function with value f, slope d1 and curvature d2 (None if unused)."""
+        _, u1, u2, u12 = u
+        return (
+            f,
+            self.total(self.prod(d1, u1)),
+            self.total(self.prod(d1, u2)),
+            self.total(self.prod(d1, u12), self.prod(d2, u1, u2)),
+        )
+
+    def call(self, func, u):
+        ua, u1, u2, u12 = u
+        value_fn, d1_src, d2_src = _CALLS[func]
+        f = self.tmp(f"{value_fn}({ua})")
+        needs_deriv = self.nonzero_test((u1, u2, u12))
+        if needs_deriv is None:
+            return (f, None, None, None)
+
+        def lifted():
+            d1 = self.tmp(d1_src.format(a=ua, f=f))
+            # d2 is left out when unused: for log and sqrt it divides by a
+            # product that underflows to zero at tiny arguments.
+            d2 = d2_src.format(a=ua, f=f, d1=d1)
+            d2 = self.tmp(d2) if u1 is not None and u2 is not None else None
+            return self.chain(u, f, d1, d2)
+
+        if func != "sqrt":
+            return lifted()
+
+        def at_zero():
+            self.line(f"if {needs_deriv}: raise _domain('{_DERIV_AT_ZERO}')")
+            return (f, None, None, None)
+
+        return self.branch(f"{ua} == 0.0", at_zero, lifted)
+
+    def const_power(self, u, r):
+        ua = u[0]
+        f = self.tmp(f"_pow_val({ua}, {r})")
+        needs_deriv = self.nonzero_test(u[1:])
+        if needs_deriv is None:
+            return (f, None, None, None)
+
+        def lifted():
+            d1 = self.tmp(f"_pow_deriv_coeff({ua}, {r}, 1)")
+            d2 = self.tmp(f"_pow_deriv_coeff({ua}, {r}, 2)")
+            return self.chain(u, f, d1, d2)
+
+        return self.branch(needs_deriv, lifted, lambda: (f, None, None, None))
+
+    def var_power(self, u, v):
+        self.line(f"if {u[0]} <= 0.0: raise _pow_base_error({u[0]})")
+        return self.call("exp", self.mul(v, self.call("log", u)))
+
+    def power(self, u, v):
+        variable = self.nonzero_test(v[1:])
+        if variable is None:
+            return self.const_power(u, v[0])
+        return self.branch(
+            variable, lambda: self.var_power(u, v), lambda: self.const_power(u, v[0])
+        )
+
+    def branch(self, test, then, otherwise):
+        """if test: then() else: otherwise(), merging their components."""
+        arms = []
+        outer_lines = self.lines
+        self.depth += 1
+        for build in (then, otherwise):
+            self.lines = []
+            arms.append((self.lines, build()))
+        self.lines = outer_lines
+        merged = []
+        for k in range(4):
+            first, second = arms[0][1][k], arms[1][1][k]
+            merged.append(first if first == second else self.fresh())
+        self.depth -= 1
+        self.line(f"if {test}:")
+        for index, (lines, comps) in enumerate(arms):
+            if index:
+                self.line("else:")
+            self.lines.extend(lines)
+            for name, c in zip(merged, comps):
+                if name != c:
+                    self.lines.append("    " * (self.depth + 1) + f"{name} = {c or '0.0'}")
+        return tuple(merged)
+
+    # -- tree walk -------------------------------------------------------
+
+    def visit(self, node: Node):
+        if isinstance(node, Num):
+            return (self.const(node.value), None, None, None)
+        if isinstance(node, Var):
+            k = self.variables.index(node.name)
+            v = f"v{k}"
+            if k not in self.bound:
+                self.bound.add(k)
+                self.line(f"if {v} is None: raise _unbound({k})")
+                self.line(f"{v} = float({v})")
+            seed1, seed2 = self.seeds
+            return (
+                v,
+                _SEED if node.name == seed1 else None,
+                _SEED if node.name == seed2 else None,
+                None,
+            )
+        if isinstance(node, Unary):
+            return tuple(self.neg(c) for c in self.visit(node.operand))
+        if isinstance(node, Call):
+            return self.call(node.func, self.visit(node.arg))
+        u = self.visit(node.left)
+        v = self.visit(node.right)
+        if node.op == "+":
+            return tuple(self.total(x, y) for x, y in zip(u, v))
+        if node.op == "-":
+            return tuple(self.sub(x, y) for x, y in zip(u, v))
+        if node.op == "*":
+            return self.mul(u, v)
+        if node.op == "/":
+            return self.div(u, v)
+        return self.power(u, v)
+
+
+def _compile(expr: ScalarExpr, seed1: str | None, seed2: str | None):
+    """The function of expr's variables returning f, df/ds or d2f/dsdt."""
+    emitter = _Emitter(expr.variables, seed1, seed2)
+    comps = emitter.visit(expr.root)
+    result = comps[0] if seed1 is None else comps[1] if seed2 is None else comps[3]
+    params = ", ".join(f"v{k}" for k in range(len(expr.variables)))
+    source = "\n".join(
+        [f"def compiled({params}):", *emitter.lines, f"    return {result or '0.0'}", ""]
+    )
+    exec(compile(source, "<riemdyn.expression>", "exec"), emitter.namespace)
+    # Popped so the function and its globals do not form a reference cycle.
+    return emitter.namespace.pop("compiled")
+
+
+def _code(expr: ScalarExpr, seed1: str | None = None, seed2: str | None = None):
+    """The compiled function for a seed pair, built on first use."""
+    key = (seed1, seed2)
+    fn = expr._code.get(key)
+    if fn is None:
+        fn = expr._code[key] = _compile(expr, seed1, seed2)
+    return fn
+
+
+def _env_args(expr: ScalarExpr, env: Mapping[str, float]) -> list:
+    """Arguments of a compiled function: each variable's value, None if unbound."""
+    return [env.get(name) for name in expr.variables]
+
+
+def _coord_args(expr: ScalarExpr, x) -> list:
+    """Arguments of a compiled function with x1..xn taken from the array x."""
+    n = len(x)
+    return [x[k] if 0 <= k < n else None for k in expr._slots]
+
+
+# ---------------------------------------------------------------------------
+# Evaluation and exact derivatives
+
+
+def evaluate_env(expr: ScalarExpr, env: Mapping[str, float]) -> float:
+    """Evaluate with variables bound by name."""
+    return _code(expr)(*_env_args(expr, env))
+
+
+def evaluate(expr: ScalarExpr, x) -> float:
+    """Evaluate with x1..xn bound to the entries of x (0-based array)."""
+    return _code(expr)(*_coord_args(expr, x))
 
 
 def partial_env(expr: ScalarExpr, env: Mapping[str, float], name: str) -> float:
     """Exact first partial with respect to a named variable."""
-    return _eval_hd(expr.root, _hd_env(env, name, None)).a1
+    return _code(expr, name)(*_env_args(expr, env))
 
 
 def second_partial_env(
     expr: ScalarExpr, env: Mapping[str, float], name1: str, name2: str
 ) -> float:
     """Exact mixed second partial with respect to two named variables."""
-    return _eval_hd(expr.root, _hd_env(env, name1, name2)).a12
+    return _code(expr, name1, name2)(*_env_args(expr, env))
 
 
 def partial(expr: ScalarExpr, x, q: int) -> float:
     """Exact partial d/dx^q at x (q is 0-based, so q=0 means x1)."""
-    return partial_env(expr, _coord_env(x), f"x{q + 1}")
+    return _code(expr, f"x{q + 1}")(*_coord_args(expr, x))
 
 
 def second_partial(expr: ScalarExpr, x, q: int, r: int) -> float:
     """Exact second partial d2/dx^q dx^r at x (0-based indexes)."""
-    return second_partial_env(expr, _coord_env(x), f"x{q + 1}", f"x{r + 1}")
+    return _code(expr, f"x{q + 1}", f"x{r + 1}")(*_coord_args(expr, x))
 
 
 def gradient(expr: ScalarExpr, x) -> list[float]:
     """All first partials d/dx^q for q = 0..len(x)-1."""
-    env = _coord_env(x)
-    return [partial_env(expr, env, f"x{q + 1}") for q in range(len(x))]
+    args = _coord_args(expr, x)
+    return [_code(expr, f"x{q + 1}")(*args) for q in range(len(x))]
 
 
 # ---------------------------------------------------------------------------
@@ -619,28 +782,30 @@ def _fd_step(value: float, scale: float) -> float:
 
 def partial_fd(expr: ScalarExpr, x, q: int) -> float:
     """Central-difference estimate of d/dx^q, for cross-checking."""
-    env = _coord_env(x)
-    name = f"x{q + 1}"
-    h = _fd_step(env[name], _FD_STEP_SCALE)
-    hi = dict(env, **{name: env[name] + h})
-    lo = dict(env, **{name: env[name] - h})
-    return (_eval(expr.root, hi) - _eval(expr.root, lo)) / (2.0 * h)
+    at = _shifted_value(expr, x, q, q)
+    h = _fd_step(float(x[q]), _FD_STEP_SCALE)
+    return (at(h, 0.0) - at(-h, 0.0)) / (2.0 * h)
 
 
 def second_partial_fd(expr: ScalarExpr, x, q: int, r: int) -> float:
     """Central-difference estimate of d2/dx^q dx^r, for cross-checking."""
-    env = _coord_env(x)
-    nq, nr = f"x{q + 1}", f"x{r + 1}"
-    hq = _fd_step(env[nq], _FD2_STEP_SCALE)
+    at = _shifted_value(expr, x, q, r)
+    hq = _fd_step(float(x[q]), _FD2_STEP_SCALE)
     if q == r:
-        hi = dict(env, **{nq: env[nq] + hq})
-        lo = dict(env, **{nq: env[nq] - hq})
-        center = _eval(expr.root, env)
-        return (_eval(expr.root, hi) - 2.0 * center + _eval(expr.root, lo)) / (hq * hq)
-    hr = _fd_step(env[nr], _FD2_STEP_SCALE)
+        return (at(hq, 0.0) - 2.0 * at(0.0, 0.0) + at(-hq, 0.0)) / (hq * hq)
+    hr = _fd_step(float(x[r]), _FD2_STEP_SCALE)
+    return (at(hq, hr) - at(hq, -hr) - at(-hq, hr) + at(-hq, -hr)) / (4.0 * hq * hr)
+
+
+def _shifted_value(expr: ScalarExpr, x, q: int, r: int):
+    """The value at x with x^q and x^r moved by (dq, dr)."""
+    value = _code(expr)
+    xs = [float(val) for val in x]
 
     def at(dq: float, dr: float) -> float:
-        shifted = dict(env, **{nq: env[nq] + dq, nr: env[nr] + dr})
-        return _eval(expr.root, shifted)
+        shifted = list(xs)
+        shifted[q] += dq
+        shifted[r] += dr
+        return value(*_coord_args(expr, shifted))
 
-    return (at(hq, hr) - at(hq, -hr) - at(-hq, hr) + at(-hq, -hr)) / (4.0 * hq * hr)
+    return at

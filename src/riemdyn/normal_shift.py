@@ -105,9 +105,9 @@ class NormalShiftForce:
     name: str = ""
 
 
-def profile_from_expression(source: str, fiber_var: str = "w") -> RadialProfile:
-    """Profile from an expression over x1..xn and one fiber variable."""
-    expr = expression.profile_expr(source, fiber_var=fiber_var)
+def profile_from_expression(source, fiber_var: str = "w") -> RadialProfile:
+    """Profile from an expression (source or parsed) over x1..xn and one fiber variable."""
+    expr = expression.profile_expr(source, fiber_var=fiber_var) if isinstance(source, str) else source
 
     def env(x, w):
         e = {f"x{k + 1}": float(val) for k, val in enumerate(x)}
@@ -138,7 +138,7 @@ def profile_from_expression(source: str, fiber_var: str = "w") -> RadialProfile:
             ]
         )
 
-    return RadialProfile(value, d_w, d2_w, x_partials, x_partials_d_w, name=source)
+    return RadialProfile(value, d_w, d2_w, x_partials, x_partials_d_w, name=expr.source)
 
 
 def phi_profile(phi, c) -> RadialProfile:

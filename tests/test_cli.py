@@ -85,6 +85,27 @@ def test_simulate_reports_leaving_the_chart(tmp_path, capsys):
     [
         (lambda cfg: cfg.pop("schema"), "/schema"),
         (lambda cfg: cfg["system"].update(U="sin("), "/system"),
+        (lambda cfg: cfg["system"].update(U="x3"), "/system/U"),
+        (
+            lambda cfg: cfg["system"].update(
+                kind="newton", force={"type": "potential", "U": "x3"}
+            ),
+            "/system/force/U",
+        ),
+        (
+            lambda cfg: cfg["system"].update(
+                kind="newton", force={"type": "normal-shift", "W": "w^2/2", "h": "sin("}
+            ),
+            "/system/force/h",
+        ),
+        (
+            lambda cfg: cfg["system"].update(family="fiberwise-phi", phi="w^2/2", C=5),
+            "/system/C",
+        ),
+        (
+            lambda cfg: cfg["system"].update(family="fiberwise-phi", phi="x1 * w^2"),
+            "/system:",
+        ),
         (lambda cfg: cfg["system"].update(kind="quantum"), "/system/kind"),
         (lambda cfg: cfg["chart"].update(name="torus9"), "/chart"),
         (lambda cfg: cfg["initial"].update(x=[0.0, 0.0]), "/initial/x"),

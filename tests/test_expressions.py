@@ -1,29 +1,80 @@
 """Parser, evaluator and derivative checks for scalar expressions."""
 
+import itertools
 import math
+import re
 
+import hyperdual_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemdyn import expression as ex
-from riemdyn.errors import EvalDomainError, ParseError
+from riemdyn.errors import EvalDomainError, ParseError, UnboundVariableError
 
+EVALUATE_CASES = [
+    ("2^3^2", {}, 512.0),
+    ("-x1^2", {"x1": 3.0}, -9.0),
+    ("2*-x1", {"x1": 3.0}, -6.0),
+    ("(x1+1)*x2", {"x1": 3.0, "x2": 2.0}, 8.0),
+    ("x1/x2/2", {"x1": 3.0, "x2": 2.0}, 0.75),
+    ("x1 - x2 - 1", {"x1": 10.0, "x2": 3.0}, 6.0),
+    ("0^0", {}, 1.0),
+    ("exp(log(x1))", {"x1": 2.5}, 2.5),
+    ("sqrt(x1^2)", {"x1": 4.0}, 4.0),
+    ("sinh(x1) - (exp(x1) - exp(-x1))/2", {"x1": 0.7}, 0.0),
+]
 
-@pytest.mark.parametrize(
-    "source, env, expected",
-    [
-        ("2^3^2", {}, 512.0),
-        ("-x1^2", {"x1": 3.0}, -9.0),
-        ("2*-x1", {"x1": 3.0}, -6.0),
-        ("(x1+1)*x2", {"x1": 3.0, "x2": 2.0}, 8.0),
-        ("x1/x2/2", {"x1": 3.0, "x2": 2.0}, 0.75),
-        ("x1 - x2 - 1", {"x1": 10.0, "x2": 3.0}, 6.0),
-        ("0^0", {}, 1.0),
-        ("exp(log(x1))", {"x1": 2.5}, 2.5),
-        ("sqrt(x1^2)", {"x1": 4.0}, 4.0),
-        ("sinh(x1) - (exp(x1) - exp(-x1))/2", {"x1": 0.7}, 0.0),
-    ],
+DOMAIN_ERROR_CASES = [
+    ("log(x1)", {"x1": -1.0}),
+    ("sqrt(x1)", {"x1": -2.0}),
+    ("1/x1", {"x1": 0.0}),
+    ("0^x1", {"x1": -1.0}),
+    ("(-2)^x1", {"x1": 0.5}),
+]
+
+ROUND_TRIP_SOURCES = [
+    "x1^2 + 3*x2",
+    "sin(x1)*cos(x2) - x1/x2",
+    "exp(-x1^2/2)*sqrt(x2+3)",
+    "(x1 - x2)^3/(1 + x1^2)",
+    "log(x2 + 3) + tan(x1/4)",
+    "cosh(x1)*sinh(x2/2)",
+    "x1^x2",
+    "2*-x1 + x2^-2",
+]
+
+FD_SOURCES = [
+    "x1^2*x2 + sin(x1*x2)",
+    "exp(x1)*cos(x2) + x1^3",
+    "sqrt(x1^2 + x2^2 + 1)",
+    "x1^x2",
+    "log(1 + x1^2) - x2/x1",
+]
+
+# Every expression of this file, plus three that stress powers and sqrt.
+ORACLE_SOURCES = sorted(
+    {source for source, _, _ in EVALUATE_CASES}
+    | {source for source, _ in DOMAIN_ERROR_CASES}
+    | set(ROUND_TRIP_SOURCES)
+    | set(FD_SOURCES)
+    | {
+        "-2^2",
+        "sin(x1*x2)*exp(x1) + x2^3/x1",
+        "x1^2*x2",
+        "x1^3",
+        "x1 + w",
+        "x3",
+        "x1*w^2",
+        "x2 + x1*x10",
+        "x1 + x2",
+    }
+    | {"x1^x2", "(x1^2)^0.5", "sqrt(x1^2+x2^2)"}
 )
+
+
+@pytest.mark.parametrize("source, env, expected", EVALUATE_CASES)
 def test_evaluate(source, env, expected):
     value = ex.evaluate_env(ex.parse(source), env)
     assert value == pytest.approx(expected, abs=1e-15)
@@ -41,6 +92,7 @@ def test_power_binds_tighter_than_unary_minus():
         ("foo(x1)", 0, ("cos", "cosh", "exp", "log", "sin", "sinh", "sqrt", "tan")),
         ("(x1", 3, ("')'",)),
         ("1..2", 2, ("'*'", "'+'", "'-'", "'/'", "'^'", "end of input")),
+        ("x1 + 1e400", 5, ("finite number",)),
     ],
 )
 def test_parse_error_offsets(source, offset, expected_tokens):
@@ -50,34 +102,13 @@ def test_parse_error_offsets(source, offset, expected_tokens):
     assert info.value.expected == expected_tokens
 
 
-@pytest.mark.parametrize(
-    "source, env",
-    [
-        ("log(x1)", {"x1": -1.0}),
-        ("sqrt(x1)", {"x1": -2.0}),
-        ("1/x1", {"x1": 0.0}),
-        ("0^x1", {"x1": -1.0}),
-        ("(-2)^x1", {"x1": 0.5}),
-    ],
-)
+@pytest.mark.parametrize("source, env", DOMAIN_ERROR_CASES)
 def test_eval_domain_errors(source, env):
     with pytest.raises(EvalDomainError):
         ex.evaluate_env(ex.parse(source), env)
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        "x1^2 + 3*x2",
-        "sin(x1)*cos(x2) - x1/x2",
-        "exp(-x1^2/2)*sqrt(x2+3)",
-        "(x1 - x2)^3/(1 + x1^2)",
-        "log(x2 + 3) + tan(x1/4)",
-        "cosh(x1)*sinh(x2/2)",
-        "x1^x2",
-        "2*-x1 + x2^-2",
-    ],
-)
+@pytest.mark.parametrize("source", ROUND_TRIP_SOURCES)
 def test_unparse_round_trip(source):
     """unparse output must reparse to the same values everywhere."""
     expr = ex.parse(source)
@@ -88,16 +119,7 @@ def test_unparse_round_trip(source):
         assert ex.evaluate_env(again, env) == ex.evaluate_env(expr, env)
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        "x1^2*x2 + sin(x1*x2)",
-        "exp(x1)*cos(x2) + x1^3",
-        "sqrt(x1^2 + x2^2 + 1)",
-        "x1^x2",
-        "log(1 + x1^2) - x2/x1",
-    ],
-)
+@pytest.mark.parametrize("source", FD_SOURCES)
 def test_partials_match_finite_differences(source):
     expr = ex.parse(source)
     rng = np.random.default_rng(7)
@@ -160,3 +182,121 @@ def test_variables_collected_sorted():
     # zero-based, matching the partial() axis convention
     assert ex.parse("x1 + x2").coordinate_indexes() == (0, 1)
     assert expr.coordinate_indexes() == (0, 1, 9)
+
+
+# ---------------------------------------------------------------------------
+# The compiled route against the tree-walking oracle
+
+_EPS = math.ulp(1.0)
+_EDGE_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 2.0)
+_RANDOM_BOXES = ((0.2, 2.0), (0.3, 1.8), (0.4, 1.6))
+_UNRELATED = "y"  # a seed no expression contains
+_DOMAIN_CLASSES = (EvalDomainError, UnboundVariableError)
+
+
+def _routes(expr):
+    """(label, compiled route, oracle route, seeds) for the value and every partial."""
+    seeds = expr.variables + (_UNRELATED,)
+    yield "value", ex.evaluate_env, oracle.evaluate_env, ()
+    for s in seeds:
+        yield f"d/d{s}", ex.partial_env, oracle.partial_env, (s,)
+    for s, t in itertools.product(seeds, seeds):
+        yield f"d2/d{s}d{t}", ex.second_partial_env, oracle.second_partial_env, (s, t)
+
+
+def _check_against_oracle(expr, env, skip_other_errors=False):
+    for label, compiled, reference, seeds in _routes(expr):
+        try:
+            ref = reference(expr, env, *seeds)
+        except _DOMAIN_CLASSES as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                compiled(expr, env, *seeds)
+            continue
+        except (ArithmeticError, ValueError):
+            if skip_other_errors:
+                continue
+            raise
+        got = compiled(expr, env, *seeds)
+        where = f"{label} of {expr.source!r} at {env}"
+        if math.isnan(ref):
+            assert math.isnan(got), where
+        elif not seeds:
+            assert got == ref, (where, got, ref)  # plain values match bit for bit
+        else:
+            assert abs(got - ref) <= 4.0 * _EPS * max(1.0, abs(ref)), (where, got, ref)
+
+
+def _oracle_points(names):
+    for values in itertools.product(_EDGE_VALUES, repeat=len(names)):
+        yield dict(zip(names, values))
+    rng = np.random.default_rng(11)
+    for lo, hi in _RANDOM_BOXES:
+        for _ in range(20):
+            yield dict(zip(names, rng.uniform(lo, hi, len(names))))
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES)
+def test_compiled_matches_hyperdual_oracle(source):
+    expr = ex.parse(source)
+    for env in _oracle_points(expr.variables):
+        _check_against_oracle(expr, env)
+        for missing in expr.variables:
+            unbound = {k: v for k, v in env.items() if k != missing}
+            _check_against_oracle(expr, unbound)
+
+
+def test_plain_value_division_is_correctly_rounded():
+    assert ex.evaluate(ex.parse("x1/10"), [3.0]) == 3.0 / 10.0
+    assert ex.evaluate(ex.parse("x1/x2"), [1e-300, 1e-310]) == 1e-300 / 1e-310
+
+
+def _nodes(node):
+    yield node
+    for child in (getattr(node, "operand", None), getattr(node, "arg", None),
+                  getattr(node, "left", None), getattr(node, "right", None)):
+        if child is not None:
+            yield from _nodes(child)
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([ex.Var("x1"), ex.Var("x2")]),
+    st.floats(min_value=0.0, max_value=10.0).map(lambda v: ex.Num(abs(v))),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        sub.map(ex.Unary),
+        st.builds(ex.Binary, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(ex.Call, st.sampled_from(ex.FUNCTION_NAMES), sub),
+    ),
+    max_leaves=6,
+)
+_PROPERTY_POINTS = ({"x1": 0.7, "x2": 1.3}, {"x1": -1.5, "x2": 0.4}, {"x1": 0.0, "x2": 2.0})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_TREES)
+def test_round_trip_keeps_compiled_derivatives(root):
+    seen = set()
+    ex._collect_variables(root, seen)
+    expr = ex.ScalarExpr(root=root, source=ex._unparse(root), variables=tuple(sorted(seen)))
+    again = ex.parse(ex.unparse(expr))
+    for env in _PROPERTY_POINTS:
+        try:
+            finite = all(math.isfinite(oracle._eval(n, env)) for n in _nodes(root))
+        except _DOMAIN_CLASSES:
+            finite = True  # both routes must raise; checked below
+        except (ArithmeticError, ValueError):
+            finite = False
+        if not finite:
+            continue  # hyper-dual zero components turn into NaN past infinities
+        for label, compiled, _, seeds in _routes(expr):
+            try:
+                want = compiled(expr, env, *seeds)
+            except _DOMAIN_CLASSES as exc:
+                with pytest.raises(type(exc)):
+                    compiled(again, env, *seeds)
+                continue
+            got = compiled(again, env, *seeds)
+            assert got == want or (math.isnan(got) and math.isnan(want)), label
+        _check_against_oracle(expr, env, skip_other_errors=True)
