@@ -127,7 +127,12 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
         span = int_cfg["t_span"]
         if not (isinstance(span, list) and len(span) == 2):
             raise ConfigError("t_span must be [t0, t1]", pointer="/integrator/t_span")
-        kwargs["t_span"] = (float(span[0]), float(span[1]))
+        try:
+            kwargs["t_span"] = (float(span[0]), float(span[1]))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                "t_span entries must be numbers", pointer="/integrator/t_span"
+            ) from None
     try:
         return IntegratorConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -30,12 +30,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expression, extended_fields, manifold, normal_shift
-from .dynamics_lagrange import Lagrangian, a_matrix, momentum_field
+from .dynamics_lagrange import Lagrangian, _require_regular, a_matrix, momentum_field
 from .dynamics_newton import IntegratorConfig, format_float, integrate_ode
 from .errors import (
     DegenerateLagrangianError,
     NonConvergenceError,
-    SingularAError,
     ZeroVelocityError,
 )
 from .extended_fields import (
@@ -178,12 +177,7 @@ def legendre_inverse(
             return TangentPoint(x, v)
         point = TangentPoint(x, v)
         a = a_matrix(chart, lag, point)
-        det = float(np.linalg.det(a))
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if abs(det) <= 1e-10 * scale ** a.shape[0]:
-            raise SingularAError(
-                f"fiber Hessian singular during Legendre inversion (det {det:.3e})"
-            )
+        _require_regular(a, "fiber Hessian singular during Legendre inversion (det {det:.3e})")
         step = np.linalg.solve(a, -r)
         lam = 1.0
         for _ in range(ctx.max_damping + 1):

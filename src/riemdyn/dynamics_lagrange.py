@@ -161,6 +161,17 @@ def _det_tolerance(a: np.ndarray) -> float:
     return 1e-10 * scale ** a.shape[0]
 
 
+def _require_regular(a: np.ndarray, message: str) -> None:
+    """Raise SingularAError when |det A| is within _det_tolerance.
+
+    message is formatted with the keywords det and tol.
+    """
+    tol = _det_tolerance(a)
+    det = float(np.linalg.det(a))
+    if abs(det) <= tol:
+        raise SingularAError(message.format(det=det, tol=tol))
+
+
 def regularity(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> RegularityReport:
     """Classify the fiber Hessian at a state as regular / positive definite."""
     a = a_matrix(chart, lagrangian, point)
@@ -187,12 +198,7 @@ def force_from_lagrangian(
     motion of the Lagrangian.
     """
     a = a_matrix(chart, lagrangian, point)
-    tol = _det_tolerance(a)
-    det = float(np.linalg.det(a))
-    if abs(det) <= tol:
-        raise SingularAError(
-            f"fiber Hessian is singular (det {det:.3e}, tolerance {tol:.3e})"
-        )
+    _require_regular(a, "fiber Hessian is singular (det {det:.3e}, tolerance {tol:.3e})")
     grad_l = extended_fields.spatial_gradient(chart, lagrangian.field, point).data
     grad_p = extended_fields.spatial_gradient(chart, momentum_field(lagrangian), point).data
     rhs = grad_l - grad_p @ point.v
@@ -244,8 +250,7 @@ def classical_el_residual(chart: ManifoldChart, lagrangian: Lagrangian, trajecto
     stripped = dataclasses.replace(
         lagrangian.field, x_partials_fn=None, fiber_partials_fn=None
     )
-    ts = np.array([s.t for s in samples])
-    dt = float(ts[1] - ts[0])
+    dt = extended_fields._check_uniform_times(samples)
     momenta = np.stack(
         [extended_fields.fiber_partials(chart, stripped, s.point) for s in samples]
     )
@@ -278,12 +283,7 @@ def integrate_lagrangian(
         point = TangentPoint(y[:n], y[n:])
         manifold.check_point(chart, point.x)
         a = a_matrix(chart, lagrangian, point)
-        tol = _det_tolerance(a)
-        det = float(np.linalg.det(a))
-        if abs(det) <= tol:
-            raise SingularAError(
-                f"fiber Hessian is singular (det {det:.3e}) during integration"
-            )
+        _require_regular(a, "fiber Hessian is singular (det {det:.3e}) during integration")
         dldx = extended_fields.x_partials(chart, lagrangian.field, point)
         mixed = extended_fields.x_partials(chart, p_field, point)
         vdot = np.linalg.solve(a, dldx - mixed @ point.v)

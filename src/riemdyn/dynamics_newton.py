@@ -17,6 +17,7 @@ the solution exits the chart domain, and both record the metric speed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -86,9 +87,8 @@ def newtonian_rhs(
     chart: ManifoldChart, force: ForceField, point: TangentPoint
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side (dx/dt, dv/dt) at a tangent state."""
-    x = manifold.check_point(chart, point.x)
     v = point.v
-    gamma = manifold.christoffel_at(chart, x)
+    gamma = manifold.christoffel_at(chart, point.x)
     f = force_vector(chart, force, point)
     dv = f - np.einsum("kij,i,j->k", gamma, v, v)
     return v.copy(), dv
@@ -119,11 +119,16 @@ class IntegratorConfig:
         object.__setattr__(self, "method", method)
         if method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("dt", "rtol", "atol", "dt_min", "dt_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(math.isfinite(t) for t in self.t_span):
+            raise ValueError("t_span must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.t_span[1] <= self.t_span[0]:
             raise ValueError("t_span must have t1 > t0")
-        if self.record_every < 1:
+        if not self.record_every >= 1:
             raise ValueError("record_every must be >= 1")
         if not (0.0 < self.dt_min <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_max")
@@ -281,13 +286,11 @@ def integrate(
         return np.concatenate([dx, dv])
 
     def y_in_domain(y):
-        if not manifold.in_domain(chart, y[:n]):
-            return False
-        # A point where the metric degenerates numerically is unusable even
-        # when it sits inside the nominal open domain, so refuse to record it.
+        # metric_at refuses points outside the domain, and also points where
+        # the metric degenerates numerically inside the nominal open domain.
         try:
             manifold.metric_at(chart, y[:n])
-        except SingularMetricError:
+        except _LEAVE_CHART_ERRORS:
             return False
         return True
 

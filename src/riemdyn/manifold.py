@@ -11,6 +11,14 @@ central differences and Christoffel symbols from
 Index conventions used across the package: christoffel_at(chart, x)[k, i, j]
 is Gamma^k_ij, and metric_partials_at(chart, x)[i, j, q] is d g_ij / d x^q
 (the derivative axis always comes last).
+
+metric_at validates a point once. Each chart keeps the last point it
+validated (keyed by the bytes of the float coordinates) with its metric, so
+the repeated queries at one x made by a Newton solve or a line search skip
+the domain test, the symmetrisation and the Cholesky factorisation. One
+point per chart is kept, errors are never kept, and the returned matrix is
+read-only because the next call at the same point returns the same array.
+This is exact only because metric_fn and domain_fn are pure functions of x.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -71,6 +79,12 @@ class ManifoldChart:
     True for points inside the open coordinate domain. sample_box is an
     optional (dim, 2) array of per-coordinate bounds used by the random
     state samplers in the verification suites.
+
+    metric_fn and domain_fn must be pure functions of x: metric_at keeps
+    the last validated point and its metric in _last and returns that
+    matrix again for the same coordinates without calling either. _last is
+    not an init argument, so dataclasses.replace copies start empty, and
+    it takes no part in equality or repr.
     """
 
     name: str
@@ -80,21 +94,32 @@ class ManifoldChart:
     christoffel_fn: Callable[[np.ndarray], np.ndarray] | None = None
     domain_fn: Callable[[np.ndarray], bool] | None = None
     sample_box: np.ndarray | None = None
+    _last: tuple[bytes, np.ndarray] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
-def in_domain(chart: ManifoldChart, x) -> bool:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (chart.dim,) or not np.all(np.isfinite(x)):
+def _inside(chart: ManifoldChart, x: np.ndarray) -> bool:
+    """in_domain for coordinates already converted to a float array."""
+    if x.shape != (chart.dim,) or not np.isfinite(x).all():
         return False
     if chart.domain_fn is not None and not chart.domain_fn(x):
         return False
     return True
 
 
+def _require_inside(chart: ManifoldChart, x: np.ndarray) -> None:
+    if not _inside(chart, x):
+        raise ChartDomainError(f"point {x!r} is outside chart {chart.name!r}")
+
+
+def in_domain(chart: ManifoldChart, x) -> bool:
+    return _inside(chart, np.asarray(x, dtype=float))
+
+
 def check_point(chart: ManifoldChart, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not in_domain(chart, x):
-        raise ChartDomainError(f"point {x!r} is outside chart {chart.name!r}")
+    _require_inside(chart, x)
     return x
 
 
@@ -104,8 +129,18 @@ def _det_tolerance(g: np.ndarray) -> float:
 
 
 def metric_at(chart: ManifoldChart, x) -> np.ndarray:
-    """Metric matrix at x, validated symmetric positive definite."""
-    x = check_point(chart, x)
+    """Metric matrix at x, validated symmetric positive definite.
+
+    The result is read-only: a repeated call at the same coordinates
+    returns the chart's stored matrix without validating again.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape == (chart.dim,):
+        key = x.tobytes()
+        last = chart._last
+        if last is not None and last[0] == key:
+            return last[1]
+    _require_inside(chart, x)
     g = np.asarray(chart.metric_fn(x), dtype=float)
     if g.shape != (chart.dim, chart.dim):
         raise SingularMetricError(
@@ -124,6 +159,8 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
         raise SingularMetricError(
             f"metric on {chart.name!r} at {x!r} is singular (det {det:.3e})"
         )
+    g.flags.writeable = False
+    object.__setattr__(chart, "_last", (key, g))
     return g
 
 

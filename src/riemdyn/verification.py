@@ -189,12 +189,7 @@ def _angle_diff(a, b):
 
 
 def _charts_for(default_names, chart_name):
-    if chart_name is None:
-        names = default_names
-    elif chart_name in default_names or chart_name.startswith("euclidean"):
-        names = (chart_name,)
-    else:
-        names = (chart_name,)
+    names = default_names if chart_name is None else (chart_name,)
     return [(name, manifold.builtin_chart(name)) for name in names]
 
 

@@ -1,5 +1,6 @@
 """Chart catalog: metrics, Christoffel symbols, domains, rescaling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -113,6 +114,61 @@ def test_near_degenerate_metric_rejected():
     polar = builtin_chart("polar2d")
     with pytest.raises(SingularMetricError):
         manifold.metric_at(polar, np.array([1e-9, 0.0]))
+
+
+def test_repeated_metric_query_is_read_only_and_equals_a_fresh_chart():
+    chart = builtin_chart("sphere2d")
+    x = np.array([1.1, 0.3])
+    manifold.metric_at(chart, x)
+    again = manifold.metric_at(chart, [1.1, 0.3])
+    assert np.array_equal(again, manifold.metric_at(builtin_chart("sphere2d"), x))
+    with pytest.raises(ValueError):
+        again[0, 0] = 5.0
+
+
+def test_invalid_points_raise_on_every_call():
+    polar = builtin_chart("polar2d")
+    valid = np.array([1.0, 0.0])
+    for bad, error in [
+        (np.array([1e-9, 0.0]), SingularMetricError),
+        (np.array([-1.0, 0.0]), ChartDomainError),
+        (np.array([np.nan, 0.0]), ChartDomainError),
+    ]:
+        for _ in range(2):
+            with pytest.raises(error):
+                manifold.metric_at(polar, bad)
+        manifold.metric_at(polar, valid)
+        with pytest.raises(error):
+            manifold.metric_at(polar, bad)
+    with pytest.raises(ChartDomainError):
+        manifold.metric_at(polar, valid.reshape(1, 2))
+
+
+def test_metric_query_sees_in_place_changes_to_the_point():
+    chart = builtin_chart("polar2d")
+    x = np.array([1.0, 0.0])
+    assert manifold.metric_at(chart, x)[1, 1] == 1.0
+    x[0] = 2.0
+    assert manifold.metric_at(chart, x)[1, 1] == 4.0
+    x[0] = 0.0
+    with pytest.raises(ChartDomainError):
+        manifold.metric_at(chart, x)
+
+
+def test_derived_charts_do_not_share_the_stored_metric():
+    chart = builtin_chart("polar2d")
+    x = np.array([1.5, 0.2])
+    g = manifold.metric_at(chart, x)
+    stripped = manifold.strip_analytic(chart)
+    rescaled = manifold.conformal_rescale(chart, "x1/2")
+    assert stripped._last is None and rescaled._last is None
+    assert dataclasses.replace(chart) == chart
+    g_stripped = manifold.metric_at(stripped, x)
+    assert np.array_equal(g_stripped, g) and g_stripped is not g
+    g2 = manifold.metric_at(rescaled, x)
+    assert np.allclose(g2, math.exp(-1.5) * g, rtol=1e-13)
+    assert g2 is not g
+    assert manifold.metric_at(chart, x) is g
 
 
 def test_raise_lower_round_trip():

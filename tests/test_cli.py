@@ -110,6 +110,8 @@ def test_simulate_reports_leaving_the_chart(tmp_path, capsys):
         (lambda cfg: cfg["chart"].update(name="torus9"), "/chart"),
         (lambda cfg: cfg["initial"].update(x=[0.0, 0.0]), "/initial/x"),
         (lambda cfg: cfg["integrator"].update(dt=0.0), "/integrator"),
+        (lambda cfg: cfg["integrator"].update(dt=float("nan")), "/integrator: dt must be finite"),
+        (lambda cfg: cfg["integrator"].update(t_span=["a", 1]), "/integrator/t_span"),
     ],
 )
 def test_bad_configs_point_at_the_offending_key(tmp_path, capsys, mutate, pointer):

@@ -6,7 +6,7 @@ import pytest
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
 from riemdyn import extended_fields, manifold, verification
-from riemdyn.errors import SingularAError, ZeroVelocityError
+from riemdyn.errors import InsufficientSamplesError, SingularAError, ZeroVelocityError
 from riemdyn.extended_fields import CurveSample, TangentPoint
 
 
@@ -105,6 +105,18 @@ def test_classical_and_covariant_residuals_agree():
     # are an order less accurate.
     assert np.max(np.abs(covariant[2:-2])) < 1e-5
     assert np.max(np.abs(classical[2:-2])) < 1e-4
+
+
+@pytest.mark.parametrize("residual", [dl.el_residual, dl.classical_el_residual])
+def test_residuals_refuse_a_non_uniform_time_grid(residual):
+    chart = manifold.builtin_chart("euclidean2")
+    lag = dl.kinetic_lagrangian()
+    samples = [
+        CurveSample(t, TangentPoint(np.array([t, 0.0]), np.array([1.0, 0.0])))
+        for t in (0.0, 0.1, 0.15, 0.4)
+    ]
+    with pytest.raises(InsufficientSamplesError, match="uniformly"):
+        residual(chart, lag, samples)
 
 
 @pytest.mark.parametrize(

@@ -137,6 +137,27 @@ def test_integrator_config_validation():
         dn.IntegratorConfig(dt_min=1.0, dt_max=0.1)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"dt": math.nan},
+        {"dt": math.inf},
+        {"t_span": (0.0, math.inf)},
+        {"t_span": (math.nan, 1.0)},
+        {"rtol": math.nan},
+        {"atol": math.inf},
+        {"dt_min": math.nan},
+        {"dt_max": math.inf},
+        {"record_every": math.nan},
+    ],
+)
+def test_integrator_config_refuses_non_finite_settings(settings):
+    # A NaN dt used to pass: rk45 then looped forever on a NaN error
+    # estimate, and rk4 stopped at once as "left_chart".
+    with pytest.raises(ValueError):
+        dn.IntegratorConfig(method="rk45", **settings)
+
+
 def test_energy_column_and_speed():
     chart = manifold.builtin_chart("polar2d")
     q0 = TangentPoint(np.array([1.5, 0.2]), np.array([0.2, 0.5]))
