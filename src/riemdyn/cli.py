@@ -245,6 +245,32 @@ def _initial_arrays(cfg: dict, chart, fiber_key: str):
     return x, fiber
 
 
+def _output_paths(cfg: dict, out_dir: str | None) -> tuple[str, str]:
+    """CSV and report paths from "output"; creates the directory.
+
+    out_dir, the --out-dir option, replaces output.directory when given.
+    """
+    output = cfg.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError("output must be an object", pointer="/output")
+    for key in ("directory", "basename"):
+        if key in output and not (isinstance(output[key], str) and output[key]):
+            raise ConfigError(f"{key} must be a non-empty string", pointer=f"/output/{key}")
+    basename = output.get("basename", "trajectory")
+    if os.sep in basename or (os.altsep and os.altsep in basename):
+        raise ConfigError("basename must not contain a directory", pointer="/output/basename")
+    pointer = "--out-dir" if out_dir else "/output/directory"
+    out_dir = out_dir or output.get("directory", ".")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}", pointer=pointer) from exc
+    return (
+        os.path.join(out_dir, f"{basename}.csv"),
+        os.path.join(out_dir, f"{basename}.json"),
+    )
+
+
 def _json_dump(obj, path):
     with open(path, "w") as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
@@ -256,11 +282,7 @@ def cmd_simulate(args) -> int:
     system = _require(cfg, "system", "", dict)
     kind = _require(system, "kind", "/system", str)
     config = build_integrator(cfg)
-    out_dir = args.out_dir or cfg.get("output", {}).get("directory", ".")
-    basename = cfg.get("output", {}).get("basename", "trajectory")
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{basename}.csv")
-    report_path = os.path.join(out_dir, f"{basename}.json")
+    csv_path, report_path = _output_paths(cfg, args.out_dir)
 
     if kind == "newton":
         force, energy_fn = build_force(system, dim=chart.dim)

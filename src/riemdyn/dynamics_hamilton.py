@@ -31,7 +31,7 @@ import numpy as np
 
 from . import expression, extended_fields, manifold, normal_shift
 from .dynamics_lagrange import Lagrangian, _require_regular, a_matrix, momentum_field
-from .dynamics_newton import IntegratorConfig, format_float, integrate_ode
+from .dynamics_newton import IntegratorConfig, _write_table, integrate_ode
 from .errors import (
     DegenerateLagrangianError,
     NonConvergenceError,
@@ -547,12 +547,8 @@ def write_cotangent_csv(trajectory: CotangentTrajectory, path) -> None:
         + [f"p{k + 1}" for k in range(n)]
         + ["H"]
     )
-    lines = [",".join(header)]
-    for i in range(len(trajectory.ts)):
-        row = [trajectory.ts[i], *trajectory.xs[i], *trajectory.ps[i], trajectory.h_values[i]]
-        lines.append(",".join(format_float(val) for val in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [trajectory.ts, trajectory.xs, trajectory.ps, trajectory.h_values]
+    _write_table(path, header, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expression, extended_fields, manifold, normal_shift
-from .dynamics_newton import ForceField, IntegratorConfig, Trajectory, integrate_ode
+from .dynamics_newton import (
+    ForceField,
+    IntegratorConfig,
+    Trajectory,
+    _tangent_trajectory,
+    integrate_ode,
+)
 from .errors import SingularAError, ZeroVelocityError
 from .extended_fields import CurveSample, ExtendedField, TangentPoint
 from .manifold import ManifoldChart
@@ -293,23 +299,7 @@ def integrate_lagrangian(
     ts, ys, status = integrate_ode(
         rhs, y0, config, lambda y: manifold.in_domain(chart, y[:n])
     )
-    xs = np.array([y[:n] for y in ys])
-    vs = np.array([y[n:] for y in ys])
-    speeds = np.array([manifold.speed(chart, x, v) for x, v in zip(xs, vs)])
-    energies = None
-    if energy_fn is not None:
-        energies = np.array(
-            [energy_fn(chart, TangentPoint(x, v)) for x, v in zip(xs, vs)]
-        )
-    return Trajectory(
-        ts=np.array(ts),
-        xs=xs,
-        vs=vs,
-        speeds=speeds,
-        energies=energies,
-        status=status,
-        chart_name=chart.name,
-    )
+    return _tangent_trajectory(chart, ts, ys, status, energy_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,24 @@ classic RK4 with a fixed step and an embedded Dormand-Prince 5(4) pair
 with proportional step control. Both halt with status "left_chart" when
 the solution exits the chart domain, and both record the metric speed
 (plus an optional energy diagnostic) at every recorded sample.
+
+A Dormand-Prince step keeps its seven stages in one (7, m) array and
+forms each stage input, the 5th-order solution and the 4th-order
+estimate as one axis-0 reduction of coefficient column times stage
+rows. numpy reduces axis 0 row by row from +0, the order of a Python
+sum over the stages, so the results are bit-identical to summing the
+stages one at a time (tests/dp_oracle.py keeps that form as the
+oracle). A matrix product would be faster but rounds differently. The
+step does not reuse its last stage as the next step's first (FSAL),
+nor the first stage after a rejection: every attempt evaluates all
+seven stages, and perfbench/spans.py counts an attempted step by the
+right-hand side call on its start state.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -101,8 +114,8 @@ class IntegratorConfig:
     method "rk4" uses the fixed step dt. method "rk45" (alias
     "rk45-adaptive") uses dt as the initial step and adapts it within
     [dt_min, dt_max] against the mixed tolerance atol + rtol * |y|.
-    record_every keeps every k-th accepted step (the first and last
-    samples are always kept).
+    record_every, an integer (not a bool), keeps every k-th accepted
+    step (the first and last samples are always kept).
     """
 
     method: str = "rk4"
@@ -128,6 +141,10 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if self.t_span[1] <= self.t_span[0]:
             raise ValueError("t_span must have t1 > t0")
+        if isinstance(self.record_every, bool) or not isinstance(
+            self.record_every, numbers.Integral
+        ):
+            raise ValueError("record_every must be an integer")
         if not self.record_every >= 1:
             raise ValueError("record_every must be >= 1")
         if not (0.0 < self.dt_min <= self.dt_max):
@@ -175,6 +192,11 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# Column forms of the rows above: stage i weights the first i rows of
+# the (7, m) stage array and sums them down axis 0.
+_DP_A_COLS = [a[:, None] for a in _DP_A]
+_DP_B5_COL = _DP_B5[:, None]
+_DP_B4_COL = _DP_B4[:, None]
 
 
 def _rk4_step(f, t, y, dt):
@@ -186,12 +208,12 @@ def _rk4_step(f, t, y, dt):
 
 
 def _dp_step(f, t, y, dt):
-    ks = []
-    for i in range(7):
-        yi = y if i == 0 else y + dt * sum(a * k for a, k in zip(_DP_A[i], ks))
-        ks.append(f(t + _DP_C[i] * dt, yi))
-    y5 = y + dt * sum(b * k for b, k in zip(_DP_B5, ks))
-    y4 = y + dt * sum(b * k for b, k in zip(_DP_B4, ks))
+    ks = np.empty((7, y.size))
+    ks[0] = f(t, y)
+    for i in range(1, 7):
+        ks[i] = f(t + _DP_C[i] * dt, y + dt * (_DP_A_COLS[i] * ks[:i]).sum(axis=0))
+    y5 = y + dt * (_DP_B5_COL * ks).sum(axis=0)
+    y4 = y + dt * (_DP_B4_COL * ks).sum(axis=0)
     return y5, y5 - y4
 
 
@@ -250,7 +272,9 @@ def integrate_ode(
                     break
                 continue
             scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            q = err_vec / scale
+            # RMS of q: the same sum and division as np.mean, without its Python layer.
+            err = math.sqrt(float((q * q).sum()) / q.size)
             if err <= 1.0:
                 if not in_domain(y_new):
                     status = "left_chart"
@@ -297,15 +321,24 @@ def integrate(
     y0 = np.concatenate([q0.x, q0.v])
     ts, ys, status = integrate_ode(rhs, y0, config, y_in_domain)
 
-    m = len(ts)
+    return _tangent_trajectory(chart, ts, ys, status, energy_fn)
+
+
+def _tangent_trajectory(chart, ts, ys, status, energy_fn) -> Trajectory:
+    """Split the flat states into x and v and add the per-sample diagnostics.
+
+    Each sample's speed and energy are taken back to back, so energy_fn
+    finds that sample's metric in metric_at's memo.
+    """
+    n = chart.dim
     xs = np.array([y[:n] for y in ys])
     vs = np.array([y[n:] for y in ys])
-    speeds = np.array([manifold.speed(chart, xs[i], vs[i]) for i in range(m)])
-    energies = None
-    if energy_fn is not None:
-        energies = np.array(
-            [energy_fn(chart, TangentPoint(xs[i], vs[i])) for i in range(m)]
-        )
+    speeds = np.empty(len(ts))
+    energies = None if energy_fn is None else np.empty(len(ts))
+    for i, (x, v) in enumerate(zip(xs, vs)):
+        speeds[i] = manifold.speed(chart, x, v)
+        if energies is not None:
+            energies[i] = energy_fn(chart, TangentPoint(x, v))
     return Trajectory(
         ts=np.array(ts),
         xs=xs,
@@ -329,6 +362,21 @@ def format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_table(path, header: list[str], columns: Sequence[np.ndarray]) -> None:
+    """Write a header line, then one row per sample in format_float's form.
+
+    columns are stacked side by side once; each row is then formatted by
+    a single printf string, which renders a Python float exactly as
+    format_float does (inf, nan and -0 included). Rows are converted and
+    written one at a time, so no second copy of the table is held.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % tuple(values.tolist()) for values in table)
+
+
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Write t, coordinates, velocities, speed and optional energy column."""
     n = trajectory.xs.shape[1]
@@ -338,13 +386,8 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         + [f"v{k + 1}" for k in range(n)]
         + ["speed"]
     )
+    columns = [trajectory.ts, trajectory.xs, trajectory.vs, trajectory.speeds]
     if trajectory.energies is not None:
         header.append("h")
-    lines = [",".join(header)]
-    for i in range(len(trajectory.ts)):
-        row = [trajectory.ts[i], *trajectory.xs[i], *trajectory.vs[i], trajectory.speeds[i]]
-        if trajectory.energies is not None:
-            row.append(trajectory.energies[i])
-        lines.append(",".join(format_float(val) for val in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        columns.append(trajectory.energies)
+    _write_table(path, header, columns)

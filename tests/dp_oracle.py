@@ -1,0 +1,41 @@
+"""Reference Dormand-Prince step for riemdyn.dynamics_newton, kept as a test oracle.
+
+The package combines the seven stages of a step in array form, one axis-0
+reduction over a (7, m) stage array per combination. This is the step it
+replaced, unchanged: each combination is a Python ``sum`` over a generator
+of coefficient-times-stage products. The tests require the two to agree
+bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["dp_step"]
+
+# Dormand-Prince 5(4) tableau; the first error row is the 5th-order
+# propagated solution, the second the embedded 4th-order estimate.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+
+
+def dp_step(f, t, y, dt):
+    ks = []
+    for i in range(7):
+        yi = y if i == 0 else y + dt * sum(a * k for a, k in zip(_DP_A[i], ks))
+        ks.append(f(t + _DP_C[i] * dt, yi))
+    y5 = y + dt * sum(b * k for b, k in zip(_DP_B5, ks))
+    y4 = y + dt * sum(b * k for b, k in zip(_DP_B4, ks))
+    return y5, y5 - y4

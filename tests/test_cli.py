@@ -112,6 +112,17 @@ def test_simulate_reports_leaving_the_chart(tmp_path, capsys):
         (lambda cfg: cfg["integrator"].update(dt=0.0), "/integrator"),
         (lambda cfg: cfg["integrator"].update(dt=float("nan")), "/integrator: dt must be finite"),
         (lambda cfg: cfg["integrator"].update(t_span=["a", 1]), "/integrator/t_span"),
+        (
+            lambda cfg: cfg["integrator"].update(record_every=2.5),
+            "/integrator: record_every must be an integer",
+        ),
+        (lambda cfg: cfg.update(output=[1]), "/output"),
+        (lambda cfg: cfg["output"].update(directory=5), "/output/directory"),
+        (lambda cfg: cfg["output"].update(basename=None), "/output/basename"),
+        (
+            lambda cfg: cfg["output"].update(basename="sub/orbit"),
+            "/output/basename: basename must not contain a directory",
+        ),
     ],
 )
 def test_bad_configs_point_at_the_offending_key(tmp_path, capsys, mutate, pointer):
@@ -121,6 +132,27 @@ def test_bad_configs_point_at_the_offending_key(tmp_path, capsys, mutate, pointe
     err = capsys.readouterr().err
     assert code == 2
     assert f"config error at {pointer}" in err
+
+
+def test_refused_output_writes_nothing(tmp_path, capsys):
+    cfg = orbit_config(str(tmp_path / "out"))
+    cfg["output"]["basename"] = None
+    assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 2
+    capsys.readouterr()
+    # A null basename used to run and write None.csv.
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_output_directory_that_cannot_be_made_is_refused(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    cfg = orbit_config(str(taken))
+    assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 2
+    assert "config error at /output/directory: cannot create" in capsys.readouterr().err
+    cfg = orbit_config(str(tmp_path / "out"))
+    argv = ["simulate", "-c", write_config(tmp_path, cfg), "--out-dir", str(taken)]
+    assert cli.main(argv) == 2
+    assert "config error at --out-dir: cannot create" in capsys.readouterr().err
 
 
 def test_unknown_force_type(tmp_path, capsys):

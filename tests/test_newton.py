@@ -2,12 +2,14 @@
 
 import math
 
+import dp_oracle
 import numpy as np
 import pytest
 
+from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_newton as dn
 from riemdyn import manifold, verification
-from riemdyn.errors import StepSizeUnderflowError
+from riemdyn.errors import ChartDomainError, StepSizeUnderflowError
 from riemdyn.extended_fields import TangentPoint
 
 
@@ -158,6 +160,18 @@ def test_integrator_config_refuses_non_finite_settings(settings):
         dn.IntegratorConfig(method="rk45", **settings)
 
 
+@pytest.mark.parametrize("record_every", [2.5, 3.0, True, False, "2", None])
+def test_integrator_config_refuses_a_non_integer_record_every(record_every):
+    # 2.5 used to pass and record only every fifth step; True passed as 1.
+    with pytest.raises(ValueError, match="record_every must be an integer"):
+        dn.IntegratorConfig(record_every=record_every)
+
+
+@pytest.mark.parametrize("record_every", [1, 10**9, np.int64(3), np.uint8(2)])
+def test_integrator_config_accepts_integer_record_every(record_every):
+    assert dn.IntegratorConfig(record_every=record_every).record_every == record_every
+
+
 def test_energy_column_and_speed():
     chart = manifold.builtin_chart("polar2d")
     q0 = TangentPoint(np.array([1.5, 0.2]), np.array([0.2, 0.5]))
@@ -209,3 +223,163 @@ def test_max_coordinate_distance_guards_time_grids():
     c = dn.integrate(chart, dn.geodesic_system(), q0, shorter)
     with pytest.raises(ValueError):
         dn.max_coordinate_distance(a, c)
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def _geodesic_rhs(chart):
+    n = chart.dim
+
+    def rhs(t, y):
+        dx, dv = dn.newtonian_rhs(chart, dn.geodesic_system(), TangentPoint(y[:n], y[n:]))
+        return np.concatenate([dx, dv])
+
+    return rhs
+
+
+def test_dp_step_matches_the_generator_sum_oracle_on_the_sphere():
+    chart = manifold.builtin_chart("sphere2d")
+    rhs = _geodesic_rhs(chart)
+    rng = np.random.default_rng(20260)
+    lo, hi = chart.sample_box[:, 0], chart.sample_box[:, 1]
+    compared = 0
+    for _ in range(1200):
+        y = np.concatenate([rng.uniform(lo, hi), rng.normal(scale=2.0, size=2)])
+        t = float(rng.uniform(0.0, 50.0))
+        dt = float(10.0 ** rng.uniform(-5.0, -0.3))
+        try:
+            want = dp_oracle.dp_step(rhs, t, y, dt)
+        except ChartDomainError:
+            # A stage left the chart; the array form must fail there too.
+            with pytest.raises(ChartDomainError):
+                dn._dp_step(rhs, t, y, dt)
+            continue
+        assert _bits(*dn._dp_step(rhs, t, y, dt)) == _bits(*want)
+        compared += 1
+    assert compared >= 1000
+
+
+def test_dp_step_matches_the_oracle_on_the_blow_up_system():
+    """The scalar dy/dt = 1/(1 - y) of test_step_size_underflow."""
+
+    def rhs(t, y):
+        return 1.0 / (1.0 - y)
+
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        y = np.array([rng.uniform(-3.0, 0.999)])
+        dt = float(10.0 ** rng.uniform(-9.0, 0.0))
+        assert _bits(*dn._dp_step(rhs, 0.0, y, dt)) == _bits(*dp_oracle.dp_step(rhs, 0.0, y, dt))
+
+
+def test_dp_step_keeps_the_oracle_sign_of_zero():
+    # Python's sum starts from +0, so a sum of -0.0 terms is +0.0; so is an
+    # axis-0 reduction, and -0.0 + dt * 0.0 then gives +0.0 in both.
+    def rhs(t, y):
+        return y * 0.0
+
+    y = np.array([-0.0, 0.0, -1.0])
+    assert _bits(*dn._dp_step(rhs, 0.0, y, 0.1)) == _bits(*dp_oracle.dp_step(rhs, 0.0, y, 0.1))
+
+
+def test_rk45_trajectory_is_bitwise_that_of_the_oracle_step(monkeypatch):
+    chart = manifold.builtin_chart("sphere2d")
+    q0 = TangentPoint(np.array([1.0, 0.3]), np.array([0.3, 0.9]))
+    config = dn.IntegratorConfig(method="rk45", t_span=(0.0, 10.0), rtol=1e-9, atol=1e-11)
+
+    def energy(c, q):
+        return 0.5 * manifold.speed(c, q.x, q.v) ** 2
+
+    got = dn.integrate(chart, dn.geodesic_system(), q0, config, energy_fn=energy)
+    monkeypatch.setattr(dn, "_dp_step", dp_oracle.dp_step)
+    want = dn.integrate(chart, dn.geodesic_system(), q0, config, energy_fn=energy)
+    assert got.status == want.status == "completed"
+    assert len(got.ts) > 100
+    assert _bits(got.ts, got.xs, got.vs, got.speeds, got.energies) == _bits(
+        want.ts, want.xs, want.vs, want.speeds, want.energies
+    )
+    # Speed and energy share each sample's metric; each matches a fresh chart's.
+    fresh = manifold.builtin_chart("sphere2d")
+    speeds = [manifold.speed(fresh, x, v) for x, v in zip(got.xs, got.vs)]
+    assert _bits(got.speeds) == _bits(speeds)
+    energies = [energy(fresh, TangentPoint(x, v)) for x, v in zip(got.xs, got.vs)]
+    assert _bits(got.energies) == _bits(energies)
+
+
+# The writers as they were before they shared one table writer: one
+# format_float call per value, row by row.
+
+
+def _oracle_trajectory_csv(trajectory, path):
+    n = trajectory.xs.shape[1]
+    header = (
+        ["t"]
+        + [f"x{k + 1}" for k in range(n)]
+        + [f"v{k + 1}" for k in range(n)]
+        + ["speed"]
+    )
+    if trajectory.energies is not None:
+        header.append("h")
+    lines = [",".join(header)]
+    for i in range(len(trajectory.ts)):
+        row = [trajectory.ts[i], *trajectory.xs[i], *trajectory.vs[i], trajectory.speeds[i]]
+        if trajectory.energies is not None:
+            row.append(trajectory.energies[i])
+        lines.append(",".join(dn.format_float(val) for val in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _oracle_cotangent_csv(trajectory, path):
+    n = trajectory.xs.shape[1]
+    header = (
+        ["t"]
+        + [f"x{k + 1}" for k in range(n)]
+        + [f"p{k + 1}" for k in range(n)]
+        + ["H"]
+    )
+    lines = [",".join(header)]
+    for i in range(len(trajectory.ts)):
+        row = [trajectory.ts[i], *trajectory.xs[i], *trajectory.ps[i], trajectory.h_values[i]]
+        lines.append(",".join(dn.format_float(val) for val in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _awkward_columns(rows, width):
+    """Special values first, then random bit patterns (subnormals and NaN payloads too)."""
+    special = [math.inf, -math.inf, math.nan, -math.nan, -0.0, 0.0, 5e-324, -5e-324,
+               1e300, -1e300, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+    rng = np.random.default_rng(99)
+    values = rng.integers(0, 2**64, size=rows * width, dtype=np.uint64).view(np.float64)
+    values[: len(special)] = special
+    rng.shuffle(values[: 4 * len(special)])
+    return values.reshape(rows, width)
+
+
+@pytest.mark.parametrize("with_energy", [True, False])
+def test_trajectory_csv_bytes_match_the_row_by_row_oracle(tmp_path, with_energy):
+    table = _awkward_columns(40, 8)
+    trajectory = dn.Trajectory(
+        ts=table[:, 0],
+        xs=table[:, 1:4],
+        vs=table[:, 4:7],
+        speeds=table[:, 7],
+        energies=table[:, 0][::-1].copy() if with_energy else None,
+        status="completed",
+    )
+    dn.write_trajectory_csv(trajectory, tmp_path / "new.csv")
+    _oracle_trajectory_csv(trajectory, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_cotangent_csv_bytes_match_the_row_by_row_oracle(tmp_path):
+    table = _awkward_columns(40, 6)
+    trajectory = dh.CotangentTrajectory(
+        ts=table[:, 0], xs=table[:, 1:3], ps=table[:, 3:5], h_values=table[:, 5], status="completed"
+    )
+    dh.write_cotangent_csv(trajectory, tmp_path / "new.csv")
+    _oracle_cotangent_csv(trajectory, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
