@@ -5,8 +5,8 @@ Subcommands:
   riemdyn simulate -c config.json [--out-dir DIR]
       Integrate the configured system and write a trajectory CSV plus a
       JSON run report. Exit 0 when the run completes, 3 when the
-      trajectory leaves the chart or the stepper gives up, 2 on config
-      errors.
+      trajectory leaves the chart, the system turns singular or the
+      stepper gives up, 2 on config errors.
 
   riemdyn verify --suite NAME [--chart C] [--seed N] [--report FILE]
       Run a named verification suite and print one line per check.

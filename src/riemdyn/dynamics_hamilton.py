@@ -31,7 +31,7 @@ import numpy as np
 
 from . import expression, extended_fields, manifold, normal_shift
 from .dynamics_lagrange import Lagrangian, _require_regular, a_matrix, momentum_field
-from .dynamics_newton import IntegratorConfig, _write_table, integrate_ode
+from .dynamics_newton import IntegratorConfig, _integrate_split, _write_table
 from .errors import (
     DegenerateLagrangianError,
     NonConvergenceError,
@@ -61,9 +61,6 @@ __all__ = [
     "write_cotangent_csv",
     "identity_suite",
 ]
-
-_EPS = float(np.finfo(float).eps)
-_FD2_STEP_SCALE = _EPS ** 0.25
 
 
 @dataclass
@@ -377,14 +374,8 @@ def hamiltonian_from_lagrangian(ctx: LegendreContext) -> Hamiltonian:
     lag = ctx.lagrangian
     family = lag.family
     second_fiber = None
-    if family == "kinetic":
-        field = _quadratic_h_field(None)
-
-        def second_fiber(chart, state):
-            return manifold.inverse_metric_at(chart, state.x)
-
-    elif family == "kinetic-potential":
-        field = _quadratic_h_field(lag.params["U"])
+    if family in ("kinetic", "kinetic-potential"):
+        field = _quadratic_h_field(lag.params.get("U"))
 
         def second_fiber(chart, state):
             return manifold.inverse_metric_at(chart, state.x)
@@ -428,39 +419,7 @@ def b_matrix(chart: ManifoldChart, hamiltonian: Hamiltonian, state: CotangentPoi
     """B^ij = d2H/dp_i dp_j, the inverse of A at matched states."""
     if hamiltonian.second_fiber_fn is not None:
         return np.asarray(hamiltonian.second_fiber_fn(chart, state), dtype=float)
-    if hamiltonian.field.fiber_partials_fn is not None:
-        return extended_fields.fiber_partials(
-            chart,
-            ExtendedField(
-                (0, 1),
-                "p",
-                lambda c, s: hamiltonian.field.fiber_partials_fn(c, s),
-                name="dH/dp",
-            ),
-            state,
-        )
-    n = chart.dim
-    p = state.p
-    steps = _FD2_STEP_SCALE * np.maximum(1.0, np.abs(p))
-
-    def val(dp):
-        return float(hamiltonian.field.eval_fn(chart, CotangentPoint(state.x, p + dp)))
-
-    out = np.empty((n, n))
-    center = val(np.zeros(n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        out[i, i] = (val(ei) - 2.0 * center + val(-ei)) / (steps[i] ** 2)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = steps[j]
-            mixed = (
-                val(ei + ej) - val(ei - ej) - val(-ei + ej) + val(-ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-            out[i, j] = mixed
-            out[j, i] = mixed
-    return out
+    return extended_fields.fiber_hessian(chart, hamiltonian.field, state)
 
 
 def hamilton_rhs(
@@ -512,24 +471,18 @@ def integrate_hamiltonian(
 ) -> CotangentTrajectory:
     """Integrate the canonical equations from state0 over config.t_span."""
     n = chart.dim
-    manifold.check_point(chart, state0.x)
 
     def rhs(t, y):
         state = CotangentPoint(y[:n], y[n:])
         dx, dp = hamilton_rhs(chart, hamiltonian, state)
         return np.concatenate([dx, dp])
 
-    y0 = np.concatenate([state0.x, state0.p])
-    ts, ys, status = integrate_ode(
-        rhs, y0, config, lambda y: manifold.in_domain(chart, y[:n])
-    )
-    xs = np.array([y[:n] for y in ys])
-    ps = np.array([y[n:] for y in ys])
+    ts, xs, ps, status = _integrate_split(chart, rhs, state0.x, state0.p, config)
     h_values = np.array(
         [hamiltonian.value(chart, CotangentPoint(x, p)) for x, p in zip(xs, ps)]
     )
     return CotangentTrajectory(
-        ts=np.array(ts),
+        ts=ts,
         xs=xs,
         ps=ps,
         h_values=h_values,

@@ -35,8 +35,8 @@ from .dynamics_newton import (
     ForceField,
     IntegratorConfig,
     Trajectory,
+    _integrate_split,
     _tangent_trajectory,
-    integrate_ode,
 )
 from .errors import SingularAError, ZeroVelocityError
 from .extended_fields import CurveSample, ExtendedField, TangentPoint
@@ -67,9 +67,6 @@ __all__ = [
     "classical_el_residual",
     "integrate_lagrangian",
 ]
-
-_EPS = float(np.finfo(float).eps)
-_FD2_STEP_SCALE = _EPS ** 0.25
 
 
 @dataclass(frozen=True)
@@ -120,35 +117,7 @@ def a_matrix(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) 
     """Fiber Hessian A_ij = d2L/dv^i dv^j, analytic when available."""
     if lagrangian.second_fiber_fn is not None:
         return np.asarray(lagrangian.second_fiber_fn(chart, point), dtype=float)
-    if lagrangian.field.fiber_partials_fn is not None:
-        return extended_fields.fiber_partials(chart, momentum_field(lagrangian), point)
-    return _fd2_fiber(chart, lagrangian.field, point)
-
-
-def _fd2_fiber(chart: ManifoldChart, field: ExtendedField, point: TangentPoint) -> np.ndarray:
-    """Second fiber differences of a scalar field, step eps^(1/4)."""
-    n = chart.dim
-    v = point.v
-    steps = _FD2_STEP_SCALE * np.maximum(1.0, np.abs(v))
-
-    def val(dv):
-        return float(field.eval_fn(chart, TangentPoint(point.x, v + dv)))
-
-    out = np.empty((n, n))
-    center = val(np.zeros(n))
-    for k in range(n):
-        ek = np.zeros(n)
-        ek[k] = steps[k]
-        out[k, k] = (val(ek) - 2.0 * center + val(-ek)) / (steps[k] ** 2)
-        for b in range(k + 1, n):
-            eb = np.zeros(n)
-            eb[b] = steps[b]
-            mixed = (
-                val(ek + eb) - val(ek - eb) - val(-ek + eb) + val(-ek - eb)
-            ) / (4.0 * steps[k] * steps[b])
-            out[k, b] = mixed
-            out[b, k] = mixed
-    return out
+    return extended_fields.fiber_hessian(chart, lagrangian.field, point)
 
 
 @dataclass(frozen=True)
@@ -282,7 +251,6 @@ def integrate_lagrangian(
     independent leg against the Newtonian reduction.
     """
     n = chart.dim
-    manifold.check_point(chart, q0.x)
     p_field = momentum_field(lagrangian)
 
     def rhs(t, y):
@@ -295,33 +263,32 @@ def integrate_lagrangian(
         vdot = np.linalg.solve(a, dldx - mixed @ point.v)
         return np.concatenate([point.v, vdot])
 
-    y0 = np.concatenate([q0.x, q0.v])
-    ts, ys, status = integrate_ode(
-        rhs, y0, config, lambda y: manifold.in_domain(chart, y[:n])
-    )
-    return _tangent_trajectory(chart, ts, ys, status, energy_fn)
+    ts, xs, vs, status = _integrate_split(chart, rhs, q0.x, q0.v, config)
+    return _tangent_trajectory(chart, ts, xs, vs, status, energy_fn)
 
 
 # ---------------------------------------------------------------------------
 # Catalog
 
 
+# A_ij = g_ij and M[k, s] = d g_kj / dx^s v^j of both kinetic families.
+def _kinetic_second_fiber(chart, point):
+    return manifold.metric_at(chart, point.x)
+
+
+def _kinetic_mixed(chart, point):
+    dg = manifold.metric_partials_at(chart, point.x)
+    return np.einsum("kjs,j->ks", dg, point.v)
+
+
 def kinetic_lagrangian() -> Lagrangian:
     """L = (1/2) g_ij v^i v^j; its trajectories are geodesics."""
     field = extended_fields.kinetic_energy_scalar()
-
-    def second_fiber(chart, point):
-        return manifold.metric_at(chart, point.x)
-
-    def mixed(chart, point):
-        dg = manifold.metric_partials_at(chart, point.x)
-        return np.einsum("kjs,j->ks", dg, point.v)
-
     return Lagrangian(
         field=field,
         family="kinetic",
-        second_fiber_fn=second_fiber,
-        mixed_partials_fn=mixed,
+        second_fiber_fn=_kinetic_second_fiber,
+        mixed_partials_fn=_kinetic_mixed,
         profile=kinetic_profile(),
         name="kinetic",
     )
@@ -347,13 +314,6 @@ def kinetic_minus_potential(u) -> Lagrangian:
 
     field = ExtendedField((0, 0), "v", ev, dx, dfib, name=f"kinetic-U({u_expr.source})")
 
-    def second_fiber(chart, point):
-        return manifold.metric_at(chart, point.x)
-
-    def mixed(chart, point):
-        dg = manifold.metric_partials_at(chart, point.x)
-        return np.einsum("kjs,j->ks", dg, point.v)
-
     def profile_x_partials(x, w):
         return -np.array(expression.gradient(u_expr, x))
 
@@ -369,8 +329,8 @@ def kinetic_minus_potential(u) -> Lagrangian:
         field=field,
         family="kinetic-potential",
         params={"U": u_expr},
-        second_fiber_fn=second_fiber,
-        mixed_partials_fn=mixed,
+        second_fiber_fn=_kinetic_second_fiber,
+        mixed_partials_fn=_kinetic_mixed,
         profile=profile,
         name=f"kinetic-potential[{u_expr.source}]",
     )

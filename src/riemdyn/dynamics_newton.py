@@ -10,9 +10,14 @@ bundle:
 where the Christoffel term converts the plain derivative of v into the
 covariant acceleration, so F = 0 integrates geodesics. Integrators are
 classic RK4 with a fixed step and an embedded Dormand-Prince 5(4) pair
-with proportional step control. Both halt with status "left_chart" when
-the solution exits the chart domain, and both record the metric speed
-(plus an optional energy diagnostic) at every recorded sample.
+with proportional step control.
+
+One driver, _integrate_split, runs the three legs (integrate,
+integrate_lagrangian, integrate_hamiltonian) with one stop rule: a state
+is accepted while metric_at accepts its x. A refused state or a chart
+error from the right-hand side ends the run "left_chart"; a singular
+fiber Hessian (SingularAError) ends it "singular". Under rk45 both errors
+first halve the trial step, down to dt_min.
 
 A Dormand-Prince step keeps its seven stages in one (7, m) array and
 forms each stage input, the 5th-order solution and the 4th-order
@@ -37,11 +42,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expression, manifold
-from .errors import ChartDomainError, SingularMetricError, StepSizeUnderflowError
-
-_LEAVE_CHART_ERRORS = (ChartDomainError, SingularMetricError)
+from .errors import (
+    ChartDomainError,
+    SingularAError,
+    SingularMetricError,
+    StepSizeUnderflowError,
+)
 from .extended_fields import CurveSample, TangentPoint
 from .manifold import ManifoldChart
+
+_LEAVE_CHART_ERRORS = (ChartDomainError, SingularMetricError)
+_STOP_ERRORS = _LEAVE_CHART_ERRORS + (SingularAError,)
 
 __all__ = [
     "ForceField",
@@ -217,6 +228,10 @@ def _dp_step(f, t, y, dt):
     return y5, y5 - y4
 
 
+def _stop_status(exc: Exception) -> str:
+    return "singular" if isinstance(exc, SingularAError) else "left_chart"
+
+
 def integrate_ode(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -227,9 +242,10 @@ def integrate_ode(
 
     Generic over the state vector: the tangent, classical Lagrangian and
     canonical cotangent systems all flatten their states through here.
-    ChartDomainError or SingularMetricError from rhs (the chart stops
-    being usable there), or in_domain turning false at an accepted step,
-    ends the run with status "left_chart".
+    in_domain turning false at an accepted step, or ChartDomainError or
+    SingularMetricError from rhs, ends the run with status "left_chart";
+    SingularAError from rhs ends it with "singular". Under rk45 an error
+    from rhs first halves the trial step, down to dt_min.
     """
     t0, t1 = config.t_span
     ts = [t0]
@@ -249,8 +265,8 @@ def integrate_ode(
             dt = min(config.dt, t1 - t)
             try:
                 y_new = _rk4_step(rhs, t, y, dt)
-            except _LEAVE_CHART_ERRORS:
-                status = "left_chart"
+            except _STOP_ERRORS as exc:
+                status = _stop_status(exc)
                 break
             if not in_domain(y_new):
                 status = "left_chart"
@@ -264,11 +280,11 @@ def integrate_ode(
             dt = min(dt, t1 - t)
             try:
                 y_new, err_vec = _dp_step(rhs, t, y, dt)
-            except _LEAVE_CHART_ERRORS:
-                # A trial stage overshot the domain; try a shorter step.
+            except _STOP_ERRORS as exc:
+                # A trial stage left the chart or the system; try a shorter step.
                 dt *= 0.5
                 if dt < config.dt_min:
-                    status = "left_chart"
+                    status = _stop_status(exc)
                     break
                 continue
             scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -302,37 +318,45 @@ def integrate(
 ) -> Trajectory:
     """Integrate the Newtonian system from q0 over config.t_span."""
     n = chart.dim
-    manifold.check_point(chart, q0.x)
 
     def rhs(t, y):
         point = TangentPoint(y[:n], y[n:])
         dx, dv = newtonian_rhs(chart, force, point)
         return np.concatenate([dx, dv])
 
-    def y_in_domain(y):
-        # metric_at refuses points outside the domain, and also points where
-        # the metric degenerates numerically inside the nominal open domain.
+    ts, xs, vs, status = _integrate_split(chart, rhs, q0.x, q0.v, config)
+    return _tangent_trajectory(chart, ts, xs, vs, status, energy_fn)
+
+
+def _integrate_split(chart, rhs, x0, fiber0, config):
+    """Integrate rhs over the flat state (x, fiber) from (x0, fiber0).
+
+    Returns (ts, xs, fibers, status). A state is accepted while metric_at
+    accepts its x, which also refuses a metric that degenerates inside
+    the nominal open domain.
+    """
+    n = chart.dim
+    manifold.check_point(chart, x0)
+
+    def accepted(y):
         try:
             manifold.metric_at(chart, y[:n])
         except _LEAVE_CHART_ERRORS:
             return False
         return True
 
-    y0 = np.concatenate([q0.x, q0.v])
-    ts, ys, status = integrate_ode(rhs, y0, config, y_in_domain)
+    ts, ys, status = integrate_ode(rhs, np.concatenate([x0, fiber0]), config, accepted)
+    xs = np.array([y[:n] for y in ys])
+    fibers = np.array([y[n:] for y in ys])
+    return np.array(ts), xs, fibers, status
 
-    return _tangent_trajectory(chart, ts, ys, status, energy_fn)
 
-
-def _tangent_trajectory(chart, ts, ys, status, energy_fn) -> Trajectory:
-    """Split the flat states into x and v and add the per-sample diagnostics.
+def _tangent_trajectory(chart, ts, xs, vs, status, energy_fn) -> Trajectory:
+    """Add the per-sample diagnostics to a split tangent run.
 
     Each sample's speed and energy are taken back to back, so energy_fn
     finds that sample's metric in metric_at's memo.
     """
-    n = chart.dim
-    xs = np.array([y[:n] for y in ys])
-    vs = np.array([y[n:] for y in ys])
     speeds = np.empty(len(ts))
     energies = None if energy_fn is None else np.empty(len(ts))
     for i, (x, v) in enumerate(zip(xs, vs)):
@@ -340,7 +364,7 @@ def _tangent_trajectory(chart, ts, ys, status, energy_fn) -> Trajectory:
         if energies is not None:
             energies[i] = energy_fn(chart, TangentPoint(x, v))
     return Trajectory(
-        ts=np.array(ts),
+        ts=ts,
         xs=xs,
         vs=vs,
         speeds=speeds,

@@ -41,6 +41,7 @@ from .errors import (
     MissingAccelError,
     RankMismatchError,
 )
+from .expression import _FD2_STEP_SCALE, _FD_STEP_SCALE
 from .manifold import FD_TOLERANCE, ManifoldChart
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "TensorComponents",
     "x_partials",
     "fiber_partials",
+    "fiber_hessian",
     "spatial_gradient",
     "velocity_gradient",
     "velocity_gradient_lowered",
@@ -65,9 +67,6 @@ __all__ = [
     "metric_tensor_field",
     "momentum_kinetic_scalar",
 ]
-
-_EPS = float(np.finfo(float).eps)
-_FD_STEP_SCALE = _EPS ** (1.0 / 3.0)
 
 
 def _as_vector(value, dim: int, label: str) -> np.ndarray:
@@ -241,6 +240,34 @@ def fiber_partials(chart: ManifoldChart, field: ExtendedField, point) -> np.ndar
         f_hi = _eval_components(chart, field, _with_fiber(point, hi))
         f_lo = _eval_components(chart, field, _with_fiber(point, lo))
         out[..., b] = (f_hi - f_lo) / (2.0 * h)
+    return out
+
+
+def fiber_hessian(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
+    """Finite-difference fiber Hessian d2X/dv dv (or d2X/dp dp) of a scalar field.
+
+    Central differences of fiber_partials_fn when the field has one,
+    otherwise second differences of the value with step eps^(1/4).
+    """
+    if field.fiber_partials_fn is not None:
+        gradient = ExtendedField((0, 1), field.rep, field.fiber_partials_fn, name=f"d{field.name}")
+        return fiber_partials(chart, gradient, point)
+    fiber = _fiber_of(field, point)
+    n = chart.dim
+    shifts = np.diag(_FD2_STEP_SCALE * np.maximum(1.0, np.abs(fiber)))
+
+    def val(shift):
+        return float(field.eval_fn(chart, _with_fiber(point, fiber + shift)))
+
+    out = np.empty((n, n))
+    center = val(np.zeros(n))
+    for a, ea in enumerate(shifts):
+        out[a, a] = (val(ea) - 2.0 * center + val(-ea)) / (ea[a] ** 2)
+        for b in range(a + 1, n):
+            eb = shifts[b]
+            out[a, b] = out[b, a] = (
+                val(ea + eb) - val(ea - eb) - val(-ea + eb) + val(-ea - eb)
+            ) / (4.0 * ea[a] * eb[b])
     return out
 
 

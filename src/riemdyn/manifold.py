@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import expression
+from .expression import _FD_STEP_SCALE
 from .errors import (
     ChartDomainError,
     FDStepError,
@@ -60,9 +61,6 @@ __all__ = [
     "speed",
     "FD_TOLERANCE",
 ]
-
-_EPS = float(np.finfo(float).eps)
-_FD_STEP_SCALE = _EPS ** (1.0 / 3.0)
 
 # Agreement tolerance between exact and finite-difference derivative routes.
 FD_TOLERANCE = 1e-6
@@ -168,17 +166,13 @@ def inverse_metric_at(chart: ManifoldChart, x) -> np.ndarray:
     return np.linalg.inv(metric_at(chart, x))
 
 
-def _fd_steps(x: np.ndarray) -> np.ndarray:
-    return _FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
-
-
 def metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:
     """dg[i, j, q] = d g_ij / d x^q, analytic when available, else central FD."""
     x = check_point(chart, x)
     if chart.metric_partials_fn is not None:
         return np.asarray(chart.metric_partials_fn(x), dtype=float)
     n = chart.dim
-    steps = _fd_steps(x)
+    steps = _FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
     dg = np.empty((n, n, n))
     for q in range(n):
         hi = x.copy()

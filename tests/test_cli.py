@@ -80,6 +80,26 @@ def test_simulate_reports_leaving_the_chart(tmp_path, capsys):
     assert report["t_final"] < 0.7
 
 
+def test_simulate_reports_a_singular_system(tmp_path, capsys):
+    """A singular fiber Hessian mid-run ends the run; both files are written."""
+    out = tmp_path / "out"
+    cfg = {
+        "schema": 1,
+        "chart": {"name": "polar2d"},
+        "system": {"kind": "lagrange", "family": "kinetic"},
+        "integrator": {"method": "rk45", "dt": 1e-3, "t_span": [0.0, 2.0]},
+        "initial": {"x": [0.6, 0.0], "v": [-1.0, 0.0]},
+        "output": {"directory": str(out), "basename": "inward"},
+    }
+    assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 3
+    capsys.readouterr()
+    report = json.loads((out / "inward.json").read_text())
+    assert report["status"] == "singular"
+    assert report["t_final"] < 0.7
+    rows = (out / "inward.csv").read_text().splitlines()
+    assert len(rows) == report["samples"] + 1
+
+
 @pytest.mark.parametrize(
     "mutate,pointer",
     [

@@ -92,10 +92,16 @@ def test_modulus_lagrangian_has_zero_energy():
 
 @pytest.mark.parametrize("family,params", _FAMILIES)
 def test_b_matrix_inverts_fiber_hessian(family, params):
+    """Closed-form B, and the generic fallback's second differences of the
+    Newton-inverted H, both invert A."""
     chart = manifold.builtin_chart("polar2d")
     lag = dl.catalog_lagrangian(family, **params)
     ctx = dh.LegendreContext(lag)
     ham = dh.hamiltonian_from_lagrangian(ctx)
+    generic = dh.hamiltonian_from_lagrangian(
+        dh.LegendreContext(dataclasses.replace(lag, family="bespoke"))
+    )
+    assert generic.second_fiber_fn is None and generic.field.fiber_partials_fn is None
     rng = np.random.default_rng(43)
     eye = np.eye(chart.dim)
     for q in verification.sample_tangent_states(chart, 6, rng, min_speed=0.3):
@@ -103,6 +109,7 @@ def test_b_matrix_inverts_fiber_hessian(family, params):
         a = dl.a_matrix(chart, lag, q)
         b = dh.b_matrix(chart, ham, state)
         assert np.max(np.abs(a @ b - eye)) < 1e-10
+        assert np.max(np.abs(a @ dh.b_matrix(chart, generic, state) - eye)) < 1e-5
 
 
 def test_generic_fallback_hamiltonian_matches_closed_form():

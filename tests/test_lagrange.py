@@ -1,5 +1,7 @@
 """Euler-Lagrange force extraction, residuals, and the catalog families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,31 @@ def test_regularity_classification():
     degenerate = dl.fiberwise_phi_lagrangian("w")
     report = dl.regularity(chart, degenerate, point)
     assert not report.is_regular
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("kinetic", {}),
+        ("kinetic-potential", {"U": "sin(x1) + x2^2/2"}),
+        ("conformal-kinetic", {"f": "x1/2"}),
+        ("fiberwise-phi", {"phi": "w^2/2 + w^4/10", "C": "exp(-x1/4)"}),
+    ],
+)
+def test_finite_difference_fiber_hessian_matches_closed_form(family, params):
+    """Both FD routes of a_matrix: central differences of dL/dv, and
+    second differences of L once that hook is stripped too."""
+    chart = manifold.builtin_chart("polar2d")
+    lag = dl.catalog_lagrangian(family, **params)
+    no_second = dataclasses.replace(lag, second_fiber_fn=None)
+    no_hooks = dataclasses.replace(
+        no_second, field=dataclasses.replace(lag.field, fiber_partials_fn=None)
+    )
+    rng = np.random.default_rng(43)
+    for point in verification.sample_tangent_states(chart, 6, rng, min_speed=0.3):
+        exact = dl.a_matrix(chart, lag, point)
+        for stripped in (no_second, no_hooks):
+            assert np.max(np.abs(dl.a_matrix(chart, stripped, point) - exact)) < 1e-5
 
 
 def test_singular_fiber_hessian_raises():

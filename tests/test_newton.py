@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from riemdyn import dynamics_hamilton as dh
+from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
 from riemdyn import manifold, verification
 from riemdyn.errors import ChartDomainError, StepSizeUnderflowError
@@ -94,7 +95,13 @@ def test_rk45_alias_accepted():
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_leaving_the_chart_is_reported(method):
-    """A polar geodesic aimed at the origin must stop with left_chart."""
+    """A polar run aimed at the origin must stop on every leg, never raise.
+
+    The geodesic ends left_chart. The three legs of a Lagrangian share one
+    stop rule: under rk4 all end left_chart at the same sample; under rk45
+    the two Lagrangian-driven legs meet a singular fiber Hessian first and
+    end "singular", within 1e-4 of the canonical leg's left_chart.
+    """
     chart = manifold.builtin_chart("polar2d")
     q0 = TangentPoint(np.array([0.6, 0.0]), np.array([-1.0, 0.0]))
     config = dn.IntegratorConfig(method=method, dt=1e-3, t_span=(0.0, 2.0), record_every=1)
@@ -102,6 +109,26 @@ def test_leaving_the_chart_is_reported(method):
     assert trajectory.status == "left_chart"
     assert trajectory.ts[-1] < 0.7
     assert np.all(trajectory.xs[:, 0] > 0.0)
+
+    for lag in (
+        dl.kinetic_lagrangian(),
+        dl.fiberwise_phi_lagrangian("w^2/2 + w^4/10", "exp(-x1/4)"),
+    ):
+        ctx = dh.LegendreContext(lag)
+        ham = dh.hamiltonian_from_lagrangian(ctx)
+        legs = [
+            dn.integrate(chart, dl.lagrangian_force_field(lag), q0, config),
+            dl.integrate_lagrangian(chart, lag, q0, config),
+            dh.integrate_hamiltonian(chart, ham, dh.legendre_forward(ctx, chart, q0), config),
+        ]
+        if method == "rk4":
+            assert [leg.status for leg in legs] == ["left_chart"] * 3
+            for leg in legs[1:]:
+                assert np.array_equal(leg.ts, legs[0].ts)
+        else:
+            assert [leg.status for leg in legs] == ["singular", "singular", "left_chart"]
+            ends = [leg.ts[-1] for leg in legs]
+            assert max(ends) - min(ends) < 1e-4
 
 
 def test_step_size_underflow():
