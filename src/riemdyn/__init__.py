@@ -34,7 +34,6 @@ from .errors import (
     SingularAError,
     SingularMetricError,
     SingularSetError,
-    StepSizeUnderflowError,
     UnboundVariableError,
     ZeroVelocityError,
 )
@@ -55,6 +54,7 @@ from .manifold import (
     christoffel_at,
     conformal_rescale,
     inverse_metric_at,
+    inverse_metric_partials_at,
     lower_index,
     metric_at,
     metric_partials_at,

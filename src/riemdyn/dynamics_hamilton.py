@@ -231,13 +231,6 @@ class Hamiltonian:
         return extended_fields.fiber_partials(chart, self.field, state)
 
 
-def _dginv_at(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
-    g = manifold.metric_at(chart, x)
-    dg = manifold.metric_partials_at(chart, x)
-    ginv = np.linalg.inv(g)
-    return -np.einsum("ia,abq,bj->ijq", ginv, dg, ginv)
-
-
 def _quadratic_h_field(u_expr) -> ExtendedField:
     """H = (1/2) g^ij p_i p_j [+ U(x)] with analytic hooks."""
 
@@ -249,7 +242,7 @@ def _quadratic_h_field(u_expr) -> ExtendedField:
         return np.array(h)
 
     def dx(chart, point):
-        dginv = _dginv_at(chart, point.x)
+        dginv = manifold.inverse_metric_partials_at(chart, point.x)
         out = 0.5 * np.einsum("ijq,i,j->q", dginv, point.p, point.p)
         if u_expr is not None:
             out = out + np.array(expression.gradient(u_expr, point.x))
@@ -275,7 +268,7 @@ def _conformal_h_field(f_expr) -> ExtendedField:
     def dx(chart, point):
         x, p = point.x, point.p
         ginv = manifold.inverse_metric_at(chart, x)
-        dginv = _dginv_at(chart, x)
+        dginv = manifold.inverse_metric_partials_at(chart, x)
         df = np.array(expression.gradient(f_expr, x))
         quad = float(p @ ginv @ p)
         return factor(x) * (quad * df + 0.5 * np.einsum("ijq,i,j->q", dginv, p, p))
@@ -356,7 +349,7 @@ def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
     def dx(chart, point):
         ginv, pm, c, z = pieces(chart, point)
         x, p = point.x, point.p
-        dginv = _dginv_at(chart, x)
+        dginv = manifold.inverse_metric_partials_at(chart, x)
         dpm = 0.5 * np.einsum("ijq,i,j->q", dginv, p, p) / pm
         dc = np.array(expression.gradient(c_expr, x))
         return z * (dpm / c - pm * dc / (c * c))

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import expression, extended_fields, manifold, normal_shift
+from . import expression, extended_fields, manifold
 from .dynamics_newton import (
     ForceField,
     IntegratorConfig,
@@ -38,7 +38,7 @@ from .dynamics_newton import (
     _integrate_split,
     _tangent_trajectory,
 )
-from .errors import SingularAError, ZeroVelocityError
+from .errors import SingularAError
 from .extended_fields import CurveSample, ExtendedField, TangentPoint
 from .manifold import ManifoldChart
 from .normal_shift import (
@@ -47,7 +47,8 @@ from .normal_shift import (
     conformal_kinetic_profile,
     kinetic_profile,
     phi_profile,
-    zero_velocity_floor,
+    symmetric_a_matrix,
+    velocity_modulus,
 )
 
 __all__ = [
@@ -313,25 +314,13 @@ def kinetic_minus_potential(u) -> Lagrangian:
         return manifold.metric_at(chart, point.x) @ point.v
 
     field = ExtendedField((0, 0), "v", ev, dx, dfib, name=f"kinetic-U({u_expr.source})")
-
-    def profile_x_partials(x, w):
-        return -np.array(expression.gradient(u_expr, x))
-
-    profile = RadialProfile(
-        value=lambda x, w: 0.5 * w * w - expression.evaluate(u_expr, x),
-        d_w=lambda x, w: w,
-        d2_w=lambda x, w: 1.0,
-        x_partials=profile_x_partials,
-        x_partials_d_w=lambda x, w: np.zeros(len(x)),
-        name=f"kinetic-U({u_expr.source})",
-    )
     return Lagrangian(
         field=field,
         family="kinetic-potential",
         params={"U": u_expr},
         second_fiber_fn=_kinetic_second_fiber,
         mixed_partials_fn=_kinetic_mixed,
-        profile=profile,
+        profile=kinetic_profile(u_expr),
         name=f"kinetic-potential[{u_expr.source}]",
     )
 
@@ -393,18 +382,10 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     Value evaluation is defined everywhere, but derivative hooks raise
     ZeroVelocityError below the zero-velocity floor.
     """
-    phi_expr = expression.profile_expr(phi, fiber_var="w") if isinstance(phi, str) else phi
+    phi_expr = expression.profile_expr(phi) if isinstance(phi, str) else phi
     c_expr = expression.coordinate_expr(c) if isinstance(c, str) else c
     profile = phi_profile(phi_expr, c_expr)
     wrapper = FiberwiseSymmetricLagrangian(profile, name=profile.name)
-
-    def modulus(chart, point):
-        w = manifold.speed(chart, point.x, point.v)
-        if w <= zero_velocity_floor(point.x):
-            raise ZeroVelocityError(
-                f"Lagrangian {profile.name!r} is singular at |v|={w:.3e}"
-            )
-        return w
 
     def ev(chart, point):
         w = manifold.speed(chart, point.x, point.v)
@@ -415,23 +396,22 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
         return np.einsum("ijs,i,j->s", dg, point.v, point.v) / (2.0 * w)
 
     def dx(chart, point):
-        w = modulus(chart, point)
+        w = velocity_modulus(chart, point)
         w_s = modulus_x_partials(chart, point, w)
         return profile.x_partials(point.x, w) + profile.d_w(point.x, w) * w_s
 
     def dfib(chart, point):
-        w = modulus(chart, point)
+        w = velocity_modulus(chart, point)
         v_low = manifold.lower_index(chart, point.x, point.v)
         return profile.d_w(point.x, w) * v_low / w
 
     field = ExtendedField((0, 0), "v", ev, dx, dfib, name=profile.name)
 
     def second_fiber(chart, point):
-        modulus(chart, point)
-        return normal_shift.symmetric_a_matrix(chart, wrapper, point)
+        return symmetric_a_matrix(chart, wrapper, point)
 
     def mixed(chart, point):
-        w = modulus(chart, point)
+        w = velocity_modulus(chart, point)
         x, v = point.x, point.v
         d1 = profile.d_w(x, w)
         d2 = profile.d2_w(x, w)

@@ -17,7 +17,8 @@ integrate_lagrangian, integrate_hamiltonian) with one stop rule: a state
 is accepted while metric_at accepts its x. A refused state or a chart
 error from the right-hand side ends the run "left_chart"; a singular
 fiber Hessian (SingularAError) ends it "singular". Under rk45 both errors
-first halve the trial step, down to dt_min.
+first halve the trial step, down to dt_min, and step control that takes
+the step below dt_min ends the run "step_underflow".
 
 A Dormand-Prince step keeps its seven stages in one (7, m) array and
 forms each stage input, the 5th-order solution and the 4th-order
@@ -42,12 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expression, manifold
-from .errors import (
-    ChartDomainError,
-    SingularAError,
-    SingularMetricError,
-    StepSizeUnderflowError,
-)
+from .errors import ChartDomainError, SingularAError, SingularMetricError
 from .extended_fields import CurveSample, TangentPoint
 from .manifold import ManifoldChart
 
@@ -245,7 +241,10 @@ def integrate_ode(
     in_domain turning false at an accepted step, or ChartDomainError or
     SingularMetricError from rhs, ends the run with status "left_chart";
     SingularAError from rhs ends it with "singular". Under rk45 an error
-    from rhs first halves the trial step, down to dt_min.
+    from rhs first halves the trial step, down to dt_min, and step control
+    that takes the next step below dt_min, after a rejected or an accepted
+    step, ends the run with "step_underflow". The states accepted before
+    any stop are kept.
     """
     t0, t1 = config.t_span
     ts = [t0]
@@ -302,10 +301,10 @@ def integrate_ode(
                 dt = min(dt * factor, config.dt_max)
             else:
                 dt *= max(0.2, 0.9 * err**-0.2)
-                if dt < config.dt_min:
-                    raise StepSizeUnderflowError(
-                        f"adaptive step fell below dt_min={config.dt_min} at t={t}"
-                    )
+            # Accepted steps shrink dt too, by up to 0.9 each, as a solution blows up.
+            if dt < config.dt_min and t < t1 - span_eps:
+                status = "step_underflow"
+                break
     return ts, ys, status
 
 

@@ -105,10 +105,6 @@ class NonConvergenceError(RiemdynError):
         self.iterations = iterations
 
 
-class StepSizeUnderflowError(RiemdynError):
-    """The adaptive integrator pushed dt below dt_min."""
-
-
 class ConfigError(RiemdynError):
     """A CLI configuration document is malformed.
 

@@ -1,11 +1,13 @@
 """Scalar expression language for chart data.
 
 Expressions are real-valued formulas over named variables. Coordinate
-formulas use x1, x2, ... while fiber profiles may add one extra variable
-(conventionally "w"). The grammar supports +, -, *, /, ^ (right
-associative, real exponents), unary minus, parentheses, decimal and
-scientific literals, and the functions sin, cos, tan, exp, log, sqrt,
-cosh, sinh. Precedence from tightest to loosest: ^, unary -, * /, + -.
+formulas use x1, x2, ... while fiber profiles add the fiber variable "w".
+The grammar supports +, -, *, /, ^ (right associative, real exponents),
+unary minus, parentheses, decimal and scientific literals, and the
+functions sin, cos, tan, exp, log, sqrt, cosh, sinh. Precedence from
+tightest to loosest: ^, unary -, * /, + -. substitute composes
+expressions by replacing variables with trees; evaluate_fiber and
+gradient also bind the fiber variable.
 
 Values and exact first and mixed second partials are compiled once per
 expression and seed pair, on first use, into straight-line Python code:
@@ -32,7 +34,9 @@ __all__ = [
     "coordinate_expr",
     "profile_expr",
     "unparse",
+    "substitute",
     "evaluate",
+    "evaluate_fiber",
     "evaluate_env",
     "partial",
     "partial_env",
@@ -93,7 +97,8 @@ class ScalarExpr:
     root: Node
     source: str
     variables: tuple[str, ...]
-    # Position in a coordinate array of each variable (-1 for non-coordinates).
+    # Position in a coordinate array of each variable: -1 for the fiber
+    # variable "w", -2 for any other non-coordinate.
     _slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # Compiled functions by seed pair, built on first use (see _code).
     _code: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -102,7 +107,7 @@ class ScalarExpr:
         slots = []
         for name in self.variables:
             m = re.fullmatch(r"x([1-9]\d*)", name)
-            slots.append(int(m.group(1)) - 1 if m else -1)
+            slots.append(int(m.group(1)) - 1 if m else -1 if name == "w" else -2)
         object.__setattr__(self, "_slots", tuple(slots))
 
     def coordinate_indexes(self) -> tuple[int, ...]:
@@ -273,7 +278,10 @@ def parse(source: str) -> ScalarExpr:
     Raises ParseError with the byte offset of the first bad token and
     the set of tokens that would have been legal there.
     """
-    root = _Parser(source).parse()
+    return _expr(_Parser(source).parse(), source)
+
+
+def _expr(root: Node, source: str) -> ScalarExpr:
     seen: set[str] = set()
     _collect_variables(root, seen)
     return ScalarExpr(root=root, source=source, variables=tuple(sorted(seen)))
@@ -364,6 +372,28 @@ def _unparse(node: Node) -> str:
 def unparse(expr: ScalarExpr) -> str:
     """Render the tree back to source text that reparses identically."""
     return _unparse(expr.root)
+
+
+def _substitute(node: Node, roots: Mapping[str, Node]) -> Node:
+    if isinstance(node, Var):
+        return roots.get(node.name, node)
+    if isinstance(node, Unary):
+        return Unary(_substitute(node.operand, roots))
+    if isinstance(node, Binary):
+        return Binary(node.op, _substitute(node.left, roots), _substitute(node.right, roots))
+    if isinstance(node, Call):
+        return Call(node.func, _substitute(node.arg, roots))
+    return node
+
+
+def substitute(expr: ScalarExpr, mapping: Mapping[str, ScalarExpr]) -> ScalarExpr:
+    """expr with each variable named in mapping replaced by that expression's tree.
+
+    Variables not in mapping are kept. The result's source is the unparsed
+    composed tree, so it reparses to the same tree.
+    """
+    root = _substitute(expr.root, {name: sub.root for name, sub in mapping.items()})
+    return _expr(root, _unparse(root))
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +754,10 @@ def _env_args(expr: ScalarExpr, env: Mapping[str, float]) -> list:
     return [env.get(name) for name in expr.variables]
 
 
-def _coord_args(expr: ScalarExpr, x) -> list:
-    """Arguments of a compiled function with x1..xn taken from the array x."""
+def _coord_args(expr: ScalarExpr, x, w: float | None = None) -> list:
+    """Arguments of a compiled function with x1..xn taken from the array x and "w" bound to w."""
     n = len(x)
-    return [x[k] if 0 <= k < n else None for k in expr._slots]
+    return [x[k] if 0 <= k < n else w if k == -1 else None for k in expr._slots]
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +772,11 @@ def evaluate_env(expr: ScalarExpr, env: Mapping[str, float]) -> float:
 def evaluate(expr: ScalarExpr, x) -> float:
     """Evaluate with x1..xn bound to the entries of x (0-based array)."""
     return _code(expr)(*_coord_args(expr, x))
+
+
+def evaluate_fiber(expr: ScalarExpr, x, w: float, *seeds: str) -> float:
+    """Value, or exact partial by one or two named seeds, with x1..xn from x and "w" bound to w."""
+    return _code(expr, *seeds)(*_coord_args(expr, x, w))
 
 
 def partial_env(expr: ScalarExpr, env: Mapping[str, float], name: str) -> float:
@@ -766,10 +801,13 @@ def second_partial(expr: ScalarExpr, x, q: int, r: int) -> float:
     return _code(expr, f"x{q + 1}", f"x{r + 1}")(*_coord_args(expr, x))
 
 
-def gradient(expr: ScalarExpr, x) -> list[float]:
-    """All first partials d/dx^q for q = 0..len(x)-1."""
-    args = _coord_args(expr, x)
-    return [_code(expr, f"x{q + 1}")(*args) for q in range(len(x))]
+def gradient(expr: ScalarExpr, x, w: float | None = None, seed: str | None = None) -> list[float]:
+    """All first partials d/dx^q for q = 0..len(x)-1, with the fiber variable "w" at w.
+
+    With a seed, each partial is differentiated by that variable too.
+    """
+    args = _coord_args(expr, x, w)
+    return [_code(expr, f"x{q + 1}", seed)(*args) for q in range(len(x))]
 
 
 # ---------------------------------------------------------------------------

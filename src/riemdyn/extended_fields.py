@@ -567,10 +567,7 @@ def momentum_kinetic_scalar() -> ExtendedField:
         return np.array(0.5 * point.p @ ginv @ point.p)
 
     def dx(chart, point):
-        g = manifold.metric_at(chart, point.x)
-        dg = manifold.metric_partials_at(chart, point.x)
-        ginv = np.linalg.inv(g)
-        dginv = -np.einsum("ia,abq,bj->ijq", ginv, dg, ginv)
+        dginv = manifold.inverse_metric_partials_at(chart, point.x)
         return 0.5 * np.einsum("ijq,i,j->q", dginv, point.p, point.p)
 
     def dfib(chart, point):

@@ -54,6 +54,7 @@ __all__ = [
     "check_point",
     "metric_at",
     "inverse_metric_at",
+    "inverse_metric_partials_at",
     "metric_partials_at",
     "christoffel_at",
     "lower_index",
@@ -164,6 +165,13 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
 
 def inverse_metric_at(chart: ManifoldChart, x) -> np.ndarray:
     return np.linalg.inv(metric_at(chart, x))
+
+
+def inverse_metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:
+    """dginv[i, j, q] = d g^ij / d x^q = -(g^-1 (d g / d x^q) g^-1)^ij."""
+    ginv = inverse_metric_at(chart, x)
+    dg = metric_partials_at(chart, x)
+    return -np.einsum("ia,abq,bj->ijq", ginv, dg, ginv)
 
 
 def metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:

@@ -2,9 +2,15 @@
 
 A scalar on the tangent bundle is fiberwise spherically symmetric when
 it depends on the velocity only through the metric modulus |v|, so it is
-fully described by a radial profile T(x, w) evaluated at w = |v|. For
-such scalars the covariant spatial gradient reduces to the plain partial
-of the profile at fixed w, and the fiber Hessian has the closed form
+fully described by a radial profile T(x, w) evaluated at w = |v|. Every
+profile is one expression over x1..xn and w. The catalog profiles are
+fixed templates such as exp(-2*f)*w^2/2 or phi(C*w) with the coordinate
+expressions substituted into the tree, and every partial a profile
+offers is the expression compiler's exact derivative.
+
+For fiberwise symmetric scalars the covariant spatial gradient reduces
+to the plain partial of the profile at fixed w, and the fiber Hessian
+has the closed form
 
     A = T'' Q + (T'/|v|) P
 
@@ -72,20 +78,34 @@ _DEGENERACY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A scalar profile T(x, w) of position and fiber modulus.
+    """A scalar profile T(x, w) of position and fiber modulus: one expression over x1..xn and w.
 
-    Callables take (x: ndarray, w: float). x_partials returns the array
-    of plain partials dT/dx^s at fixed w, which for fiberwise symmetric
-    scalars equals the covariant spatial gradient. x_partials_d_w is the
-    mixed derivative d/dx^s of dT/dw.
+    Methods take (x: ndarray, w: float) and run the expression's compiled
+    code. x_partials returns the array of plain partials dT/dx^s at fixed
+    w, which for fiberwise symmetric scalars equals the covariant spatial
+    gradient. x_partials_d_w is the mixed derivative d/dx^s of dT/dw.
     """
 
-    value: Callable[[np.ndarray, float], float]
-    d_w: Callable[[np.ndarray, float], float]
-    d2_w: Callable[[np.ndarray, float], float]
-    x_partials: Callable[[np.ndarray, float], np.ndarray]
-    x_partials_d_w: Callable[[np.ndarray, float], np.ndarray]
-    name: str = ""
+    expr: expression.ScalarExpr
+
+    @property
+    def name(self) -> str:
+        return self.expr.source
+
+    def value(self, x, w):
+        return expression.evaluate_fiber(self.expr, x, w)
+
+    def d_w(self, x, w):
+        return expression.evaluate_fiber(self.expr, x, w, "w")
+
+    def d2_w(self, x, w):
+        return expression.evaluate_fiber(self.expr, x, w, "w", "w")
+
+    def x_partials(self, x, w):
+        return np.array(expression.gradient(self.expr, x, w))
+
+    def x_partials_d_w(self, x, w):
+        return np.array(expression.gradient(self.expr, x, w, "w"))
 
 
 @dataclass(frozen=True)
@@ -105,157 +125,57 @@ class NormalShiftForce:
     name: str = ""
 
 
-def profile_from_expression(source, fiber_var: str = "w") -> RadialProfile:
-    """Profile from an expression (source or parsed) over x1..xn and one fiber variable."""
-    expr = expression.profile_expr(source, fiber_var=fiber_var) if isinstance(source, str) else source
+def profile_from_expression(source) -> RadialProfile:
+    """Profile from an expression (source or parsed) over x1..xn and w."""
+    return RadialProfile(expression.profile_expr(source) if isinstance(source, str) else source)
 
-    def env(x, w):
-        e = {f"x{k + 1}": float(val) for k, val in enumerate(x)}
-        e[fiber_var] = float(w)
-        return e
 
-    def value(x, w):
-        return expression.evaluate_env(expr, env(x, w))
-
-    def d_w(x, w):
-        return expression.partial_env(expr, env(x, w), fiber_var)
-
-    def d2_w(x, w):
-        return expression.second_partial_env(expr, env(x, w), fiber_var, fiber_var)
-
-    def x_partials(x, w):
-        e = env(x, w)
-        return np.array(
-            [expression.partial_env(expr, e, f"x{s + 1}") for s in range(len(x))]
-        )
-
-    def x_partials_d_w(x, w):
-        e = env(x, w)
-        return np.array(
-            [
-                expression.second_partial_env(expr, e, f"x{s + 1}", fiber_var)
-                for s in range(len(x))
-            ]
-        )
-
-    return RadialProfile(value, d_w, d2_w, x_partials, x_partials_d_w, name=expr.source)
+def _composed(template: str, **parts) -> expression.ScalarExpr:
+    """A fixed template with each named part replaced by a coordinate expression (source or parsed)."""
+    trees = {
+        name: expression.coordinate_expr(part) if isinstance(part, str) else part
+        for name, part in parts.items()
+    }
+    return expression.substitute(expression.parse(template), trees)
 
 
 def phi_profile(phi, c) -> RadialProfile:
     """Profile phi(C(x) * w) from a one-variable phi and a coordinate C.
 
     phi is an expression in the variable "w"; c an expression in x1..xn.
-    Derivatives follow the chain rule through the product z = C(x) w.
     """
-    phi_expr = expression.profile_expr(phi, fiber_var="w") if isinstance(phi, str) else phi
-    c_expr = expression.coordinate_expr(c) if isinstance(c, str) else c
+    phi_expr = expression.profile_expr(phi) if isinstance(phi, str) else phi
     if any(name != "w" for name in phi_expr.variables):
         raise ValueError("phi must be an expression in the single variable 'w'")
-
-    def pieces(x, w):
-        cval = expression.evaluate(c_expr, x)
-        z = cval * w
-        env = {"w": z}
-        return cval, z, env
-
-    def value(x, w):
-        _, _, env = pieces(x, w)
-        return expression.evaluate_env(phi_expr, env)
-
-    def d_w(x, w):
-        cval, _, env = pieces(x, w)
-        return expression.partial_env(phi_expr, env, "w") * cval
-
-    def d2_w(x, w):
-        cval, _, env = pieces(x, w)
-        return expression.second_partial_env(phi_expr, env, "w", "w") * cval * cval
-
-    def x_partials(x, w):
-        cval, _, env = pieces(x, w)
-        dphi = expression.partial_env(phi_expr, env, "w")
-        dc = np.array(expression.gradient(c_expr, x))
-        return dphi * w * dc
-
-    def x_partials_d_w(x, w):
-        cval, _, env = pieces(x, w)
-        dphi = expression.partial_env(phi_expr, env, "w")
-        ddphi = expression.second_partial_env(phi_expr, env, "w", "w")
-        dc = np.array(expression.gradient(c_expr, x))
-        return (ddphi * cval * w + dphi) * dc
-
-    name = f"phi({phi_expr.source}; C={c_expr.source})"
-    return RadialProfile(value, d_w, d2_w, x_partials, x_partials_d_w, name=name)
+    return RadialProfile(expression.substitute(phi_expr, {"w": _composed("C*w", C=c)}))
 
 
-def kinetic_profile() -> RadialProfile:
-    """Profile w^2 / 2 of the free kinetic scalar."""
-    zeros = lambda x, w: np.zeros(len(x))
-    return RadialProfile(
-        value=lambda x, w: 0.5 * w * w,
-        d_w=lambda x, w: w,
-        d2_w=lambda x, w: 1.0,
-        x_partials=zeros,
-        x_partials_d_w=zeros,
-        name="kinetic",
-    )
+# Parsed at import, so that building the kinetic family runs no expression code.
+_KINETIC = expression.parse("w^2/2")
+
+
+def kinetic_profile(u=None) -> RadialProfile:
+    """Profile w^2 / 2 of the free kinetic scalar, less a potential U(x) when given."""
+    if u is None:
+        return RadialProfile(_KINETIC)
+    return RadialProfile(_composed("w^2/2 - U", U=u))
 
 
 def conformal_kinetic_profile(f) -> RadialProfile:
     """Profile (1/2) e^(-2 f(x)) w^2."""
-    f_expr = expression.coordinate_expr(f) if isinstance(f, str) else f
-
-    def factor(x):
-        return math.exp(-2.0 * expression.evaluate(f_expr, x))
-
-    def df(x):
-        return np.array(expression.gradient(f_expr, x))
-
-    return RadialProfile(
-        value=lambda x, w: 0.5 * factor(x) * w * w,
-        d_w=lambda x, w: factor(x) * w,
-        d2_w=lambda x, w: factor(x),
-        x_partials=lambda x, w: -factor(x) * w * w * df(x),
-        x_partials_d_w=lambda x, w: -2.0 * factor(x) * w * df(x),
-        name=f"conformal_kinetic({f_expr.source})",
-    )
+    return RadialProfile(_composed("exp(-2*f)*w^2/2", f=f))
 
 
 def conformal_shift_profile(f) -> RadialProfile:
     """Shift profile W = w e^(-f(x)), the conformal special case."""
-    f_expr = expression.coordinate_expr(f) if isinstance(f, str) else f
-
-    def factor(x):
-        return math.exp(-expression.evaluate(f_expr, x))
-
-    def df(x):
-        return np.array(expression.gradient(f_expr, x))
-
-    return RadialProfile(
-        value=lambda x, w: w * factor(x),
-        d_w=lambda x, w: factor(x),
-        d2_w=lambda x, w: 0.0,
-        x_partials=lambda x, w: -w * factor(x) * df(x),
-        x_partials_d_w=lambda x, w: -factor(x) * df(x),
-        name=f"w*exp(-({f_expr.source}))",
-    )
-
-
-_H_BUILTINS = {
-    "0": None,
-    "w": lambda w: w,
-    "w^2": lambda w: w * w,
-    "sin w": math.sin,
-    "sin(w)": math.sin,
-}
+    return RadialProfile(_composed("w*exp(-f)", f=f))
 
 
 def h_function(source: str | None) -> Callable[[float], float] | None:
-    """Resolve an h term: builtin name, expression in w, or None for zero."""
-    if source is None:
+    """Resolve an h term: None or "0" for zero, else an expression in w ("sin w" is kept as an alias)."""
+    if source is None or source == "0":
         return None
-    if source in _H_BUILTINS:
-        return _H_BUILTINS[source]
-    expr = expression.profile_expr(source, fiber_var="w")
+    expr = expression.profile_expr("sin(w)" if source == "sin w" else source)
     if any(name != "w" for name in expr.variables):
         raise ValueError("h must be an expression in the single variable 'w'")
     return lambda w: expression.evaluate_env(expr, {"w": w})

@@ -100,6 +100,29 @@ def test_simulate_reports_a_singular_system(tmp_path, capsys):
     assert len(rows) == report["samples"] + 1
 
 
+def test_simulate_reports_a_step_underflow(tmp_path, capsys):
+    """x'' = x^3 from x = v = 1 blows up near t = 1.311; rk45 gives up with a status."""
+    out = tmp_path / "out"
+    cfg = {
+        "schema": 1,
+        "chart": {"name": "euclidean2"},
+        "system": {"kind": "newton", "force": {"type": "potential", "U": "-x1^4/4"}},
+        "integrator": {"method": "rk45", "t_span": [0.0, 5.0], "rtol": 1e-8, "atol": 1e-10, "dt_min": 1e-9},
+        "initial": {"x": [1.0, 0.0], "v": [1.0, 0.0]},
+        "output": {"directory": str(out), "basename": "blowup"},
+    }
+    assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 3
+    capsys.readouterr()
+    report = json.loads((out / "blowup.json").read_text())
+    assert report["status"] == "step_underflow"
+    assert 1.31 < report["t_final"] < 1.312
+    rows = (out / "blowup.csv").read_text().splitlines()[1:]
+    assert len(rows) == report["samples"]
+    times = [float(row.split(",", 1)[0]) for row in rows]
+    # No accepted step is shorter than dt_min (up to the rounding of t).
+    assert all(b - a > 0.99e-9 for a, b in zip(times, times[1:]))
+
+
 @pytest.mark.parametrize(
     "mutate,pointer",
     [

@@ -250,6 +250,52 @@ def test_plain_value_division_is_correctly_rounded():
     assert ex.evaluate(ex.parse("x1/x2"), [1e-300, 1e-310]) == 1e-300 / 1e-310
 
 
+# (template, {variable: replacement}) pairs, the catalog profiles among them.
+SUBSTITUTE_CASES = [
+    ("w^2/2 + w^4/10", {"w": "exp(-x1/4)*w"}),
+    ("exp(-2*f)*w^2/2", {"f": "x1/3 + x2/5"}),
+    ("w*exp(-f)", {"f": "sin(x1)*x2"}),
+    ("w^2/2 - U", {"U": "sin(x1) + x2^2/2"}),
+    ("x1/x2 - sqrt(x2)", {"x2": "x1^2 + 1"}),
+    ("-x1^x2", {"x1": "x2 + 1", "x2": "-x1"}),
+]
+
+
+def _substituted(template, parts):
+    return ex.substitute(ex.parse(template), {k: ex.parse(v) for k, v in parts.items()})
+
+
+@pytest.mark.parametrize("template, parts", SUBSTITUTE_CASES)
+def test_substitute_matches_hyperdual_oracle(template, parts):
+    composed = _substituted(template, parts)
+    for env in _oracle_points(composed.variables):
+        _check_against_oracle(composed, env)
+
+
+@pytest.mark.parametrize("template, parts", SUBSTITUTE_CASES)
+def test_substitute_source_reparses_to_the_same_tree(template, parts):
+    composed = _substituted(template, parts)
+    assert composed.source == ex.unparse(composed)
+    assert ex.parse(composed.source).root == composed.root
+
+
+def test_substitute_replaces_every_variable_at_once():
+    # x1 and x2 swap roles in one pass; the inserted trees are not rewritten again.
+    assert _substituted("-x1^x2", {"x1": "x2 + 1", "x2": "-x1"}).root == ex.parse("-(x2+1)^-x1").root
+    assert _substituted("w^2/2", {"w": "C*w"}).root == ex.parse("(C*w)^2/2").root
+
+
+def test_substitute_leaves_other_variables_alone():
+    expr = ex.parse("x1 + w*x2")
+    composed = ex.substitute(expr, {"x1": ex.parse("x3^2")})
+    assert composed.variables == ("w", "x2", "x3")
+    env = {"w": 0.7, "x2": -1.3, "x3": 1.9}
+    assert ex.evaluate_env(composed, env) == 1.9**2 + 0.7 * -1.3
+    assert ex.partial_env(composed, env, "x2") == 0.7
+    assert ex.substitute(expr, {}).root == expr.root
+    assert ex.substitute(expr, {"y": ex.parse("x1")}).root == expr.root
+
+
 def _nodes(node):
     yield node
     for child in (getattr(node, "operand", None), getattr(node, "arg", None),
@@ -300,3 +346,11 @@ def test_round_trip_keeps_compiled_derivatives(root):
             got = compiled(again, env, *seeds)
             assert got == want or (math.isnan(got) and math.isnan(want)), label
         _check_against_oracle(expr, env, skip_other_errors=True)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_TREES, _TREES)
+def test_substitute_reparses_for_random_trees(outer, inner):
+    expr, part = (ex._expr(root, ex._unparse(root)) for root in (outer, inner))
+    composed = ex.substitute(expr, {"x1": part})
+    assert ex.parse(composed.source).root == composed.root

@@ -10,7 +10,7 @@ from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
 from riemdyn import manifold, verification
-from riemdyn.errors import ChartDomainError, StepSizeUnderflowError
+from riemdyn.errors import ChartDomainError
 from riemdyn.extended_fields import TangentPoint
 
 
@@ -132,14 +132,22 @@ def test_leaving_the_chart_is_reported(method):
 
 
 def test_step_size_underflow():
-    """dy/dt = 1/(1 - y) blows up at t = 0.5; the controller must give up."""
+    """dy/dt = 1/(1 - y) blows up at t = 0.5; the controller gives up with a status."""
     config = dn.IntegratorConfig(method="rk45", t_span=(0.0, 1.0), dt_min=1e-9)
 
     def rhs(t, y):
         return 1.0 / (1.0 - y)
 
-    with pytest.raises(StepSizeUnderflowError):
-        dn.integrate_ode(rhs, np.array([0.0]), config, lambda y: True)
+    ts, ys, status = dn.integrate_ode(rhs, np.array([0.0]), config, lambda y: True)
+    assert status == "step_underflow"
+    # Every step accepted on the way to the blow-up is kept.
+    ts = np.array(ts)
+    assert np.all(np.diff(ts) > 0)
+    assert abs(ts[-1] - 0.5) < 1e-6
+    before = ts < 0.45
+    assert np.count_nonzero(before) > 10
+    exact = 1.0 - np.sqrt(1.0 - 2.0 * ts[before])
+    assert np.max(np.abs(np.concatenate(ys)[before] - exact)) < 1e-6
 
 
 def test_record_every_and_forced_final_sample():

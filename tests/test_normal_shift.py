@@ -126,6 +126,12 @@ def test_h_function_resolution():
         ns.h_function("x1 + w")
 
 
+def test_phi_profile_refuses_variables_other_than_w():
+    with pytest.raises(ValueError):
+        ns.phi_profile("w^2/2 + x1", "1")
+    assert ns.phi_profile("w^2/2", "exp(-x1/4)").expr.variables == ("w", "x1")
+
+
 def test_conformal_flow_traces_rescaled_geodesics():
     chart = manifold.builtin_chart("euclidean2")
     q0 = TangentPoint(np.array([0.0, 0.0]), np.array([0.4, 0.3]))
