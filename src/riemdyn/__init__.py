@@ -97,7 +97,6 @@ from .dynamics_newton import (
 )
 from .normal_shift import (
     ConformalCheckReport,
-    FiberwiseSymmetricLagrangian,
     NormalShiftForce,
     RadialProfile,
     conformal_force_field,

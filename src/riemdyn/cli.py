@@ -94,13 +94,13 @@ def _require(cfg: dict, key: str, pointer: str, kind=None):
     return value
 
 
-def _expression_param(cfg: dict, key: str, pointer: str, dim=None, fiber_var=None):
-    """Parse cfg[key] over x1..x<dim>, plus fiber_var when given."""
+def _expression_param(
+    cfg: dict, key: str, pointer: str, dim=None, parse=expression.coordinate_expr
+):
+    """cfg[key] parsed over x1..x<dim> (parse=expression.profile_expr also admits w)."""
     source = _require(cfg, key, pointer, str)
     try:
-        if fiber_var is None:
-            return expression.coordinate_expr(source, dim=dim)
-        return expression.profile_expr(source, fiber_var=fiber_var, dim=dim)
+        return parse(source, dim=dim)
     except ParseError as exc:
         raise ConfigError(f"bad expression: {exc}", pointer=f"{pointer}/{key}") from exc
 
@@ -160,7 +160,7 @@ def build_lagrangian(system: dict, pointer: str = "/system", *, dim: int | None 
             )
         c_expr = _expression_param(system, "C", pointer, dim) if "C" in system else "1"
         return dynamics_lagrange.fiberwise_phi_lagrangian(
-            _expression_param(system, "phi", pointer, dim, fiber_var="w"), c_expr
+            _expression_param(system, "phi", pointer, dim, expression.profile_expr), c_expr
         )
     except ValueError as exc:
         raise ConfigError(str(exc), pointer=pointer) from exc
@@ -196,10 +196,9 @@ def build_force(system: dict, pointer: str = "/system", *, dim: int | None = Non
             return force, energy
         if kind == "spherical":
             profile = normal_shift.profile_from_expression(
-                _expression_param(force_cfg, "T", fp, dim, fiber_var="w")
+                _expression_param(force_cfg, "T", fp, dim, expression.profile_expr)
             )
-            wrapper = normal_shift.FiberwiseSymmetricLagrangian(profile, name=profile.name)
-            force = normal_shift.spherical_force_field(wrapper)
+            force = normal_shift.spherical_force_field(profile)
 
             def energy(chart, point, profile=profile):
                 w = manifold.speed(chart, point.x, point.v)
@@ -208,7 +207,7 @@ def build_force(system: dict, pointer: str = "/system", *, dim: int | None = Non
             return force, energy
         if kind == "normal-shift":
             profile = normal_shift.profile_from_expression(
-                _expression_param(force_cfg, "W", fp, dim, fiber_var="w")
+                _expression_param(force_cfg, "W", fp, dim, expression.profile_expr)
             )
             h_src = _require(force_cfg, "h", fp, str) if "h" in force_cfg else None
             try:

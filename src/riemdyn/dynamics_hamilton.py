@@ -7,12 +7,13 @@ Hessian A. The Hamiltonian is H(x, p) = sum_k p_k v*^k - L(x, v*) at
 v* = lambda^(-1)(x, p); for every catalog family H and its partials are
 also attached in closed form, derived directly from the family formula
 rather than from the Newton inverse, so the identity suite checks a
-genuinely independent construction:
+genuinely independent construction. There are two closed forms:
 
-    kinetic:            H = (1/2) g^ij p_i p_j
-    kinetic-potential:  H = (1/2) g^ij p_i p_j + U(x)
-    conformal-kinetic:  H = (1/2) e^(2f) g^ij p_i p_j
-    fiberwise-phi:      H = z phi'(z) - phi(z) at phi'(z) = |p|/C(x)
+    kinetic, kinetic-potential, conformal-kinetic (f and U optional):
+        H = (1/2) e^(2f) g^ij p_i p_j + U(x), with B = e^(2f) g^ij,
+        from extended_fields.momentum_kinetic_scalar
+    fiberwise-phi:
+        H = z phi'(z) - phi(z) at phi'(z) = |p|/C(x)
 
 Canonical motion integrates dx/dt = dH/dp, dp/dt = -dH/dx in plain
 coordinates; the covariant form of the momentum equation differs by two
@@ -37,11 +38,7 @@ from .errors import (
     NonConvergenceError,
     ZeroVelocityError,
 )
-from .extended_fields import (
-    CotangentPoint,
-    ExtendedField,
-    TangentPoint,
-)
+from .extended_fields import CotangentPoint, ExtendedField, TangentPoint, _conformal_factor
 from .manifold import ManifoldChart
 
 __all__ = [
@@ -231,55 +228,6 @@ class Hamiltonian:
         return extended_fields.fiber_partials(chart, self.field, state)
 
 
-def _quadratic_h_field(u_expr) -> ExtendedField:
-    """H = (1/2) g^ij p_i p_j [+ U(x)] with analytic hooks."""
-
-    def ev(chart, point):
-        ginv = manifold.inverse_metric_at(chart, point.x)
-        h = 0.5 * float(point.p @ ginv @ point.p)
-        if u_expr is not None:
-            h += expression.evaluate(u_expr, point.x)
-        return np.array(h)
-
-    def dx(chart, point):
-        dginv = manifold.inverse_metric_partials_at(chart, point.x)
-        out = 0.5 * np.einsum("ijq,i,j->q", dginv, point.p, point.p)
-        if u_expr is not None:
-            out = out + np.array(expression.gradient(u_expr, point.x))
-        return out
-
-    def dfib(chart, point):
-        return manifold.inverse_metric_at(chart, point.x) @ point.p
-
-    name = "H_kinetic" if u_expr is None else f"H_kinetic+U({u_expr.source})"
-    return ExtendedField((0, 0), "p", ev, dx, dfib, name=name)
-
-
-def _conformal_h_field(f_expr) -> ExtendedField:
-    """H = (1/2) e^(2f) g^ij p_i p_j with analytic hooks."""
-
-    def factor(x):
-        return math.exp(2.0 * expression.evaluate(f_expr, x))
-
-    def ev(chart, point):
-        ginv = manifold.inverse_metric_at(chart, point.x)
-        return np.array(0.5 * factor(point.x) * point.p @ ginv @ point.p)
-
-    def dx(chart, point):
-        x, p = point.x, point.p
-        ginv = manifold.inverse_metric_at(chart, x)
-        dginv = manifold.inverse_metric_partials_at(chart, x)
-        df = np.array(expression.gradient(f_expr, x))
-        quad = float(p @ ginv @ p)
-        return factor(x) * (quad * df + 0.5 * np.einsum("ijq,i,j->q", dginv, p, p))
-
-    def dfib(chart, point):
-        ginv = manifold.inverse_metric_at(chart, point.x)
-        return factor(point.x) * (ginv @ point.p)
-
-    return ExtendedField((0, 0), "p", ev, dx, dfib, name=f"H_conformal({f_expr.source})")
-
-
 def _invert_phi_prime(phi_expr, target: float) -> float:
     """Solve phi'(z) = target for z > 0, assuming phi' is increasing."""
 
@@ -367,27 +315,20 @@ def hamiltonian_from_lagrangian(ctx: LegendreContext) -> Hamiltonian:
     lag = ctx.lagrangian
     family = lag.family
     second_fiber = None
-    if family in ("kinetic", "kinetic-potential"):
-        field = _quadratic_h_field(lag.params.get("U"))
+    if family in ("kinetic", "kinetic-potential", "conformal-kinetic"):
+        f_expr = lag.params.get("f")
+        field = extended_fields.momentum_kinetic_scalar(f_expr, lag.params.get("U"))
 
         def second_fiber(chart, state):
-            return manifold.inverse_metric_at(chart, state.x)
-
-    elif family == "conformal-kinetic":
-        f_expr = lag.params["f"]
-        field = _conformal_h_field(f_expr)
-
-        def second_fiber(chart, state):
-            factor = math.exp(2.0 * expression.evaluate(f_expr, state.x))
-            return factor * manifold.inverse_metric_at(chart, state.x)
+            ginv = manifold.inverse_metric_at(chart, state.x)
+            return ginv if f_expr is None else _conformal_factor(f_expr, state.x, 2.0) * ginv
 
     elif family == "fiberwise-phi":
         field = _fiberwise_h_field(lag)
-        wrapper = normal_shift.FiberwiseSymmetricLagrangian(lag.profile, name=lag.name)
 
         def second_fiber(chart, state):
             v = field.fiber_partials_fn(chart, state)
-            return normal_shift.symmetric_b_matrix(chart, wrapper, TangentPoint(state.x, v))
+            return normal_shift.symmetric_b_matrix(chart, lag.profile, TangentPoint(state.x, v))
 
     else:
 

@@ -16,15 +16,17 @@ covariant machinery and analytic hooks; classical_el_residual evaluates
 d/dt (dL/dv) - dL/dx using finite differences only, so the two routes
 stay independent down to their derivative plumbing.
 
-The builtin catalog covers the kinetic scalar (1/2)|v|^2, kinetic minus
-a potential U(x), the conformal kinetic scalar (1/2) e^(-2f(x)) |v|^2,
-and the fiberwise symmetric family phi(C(x) |v|).
+The builtin catalog has two closed forms. The kinetic, kinetic-potential
+and conformal-kinetic families are one quadratic Lagrangian
+(1/2) e^(-2f(x)) |v|^2 - U(x) with f and U optional, whose value and
+partials come from extended_fields.kinetic_energy_scalar and whose fiber
+Hessian is A = e^(-2f) g. The fiberwise symmetric family phi(C(x) |v|)
+has its own radial-profile formulas.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -39,10 +41,9 @@ from .dynamics_newton import (
     _tangent_trajectory,
 )
 from .errors import SingularAError
-from .extended_fields import CurveSample, ExtendedField, TangentPoint
+from .extended_fields import CurveSample, ExtendedField, TangentPoint, _conformal_factor
 from .manifold import ManifoldChart
 from .normal_shift import (
-    FiberwiseSymmetricLagrangian,
     RadialProfile,
     conformal_kinetic_profile,
     kinetic_profile,
@@ -272,107 +273,55 @@ def integrate_lagrangian(
 # Catalog
 
 
-# A_ij = g_ij and M[k, s] = d g_kj / dx^s v^j of both kinetic families.
-def _kinetic_second_fiber(chart, point):
-    return manifold.metric_at(chart, point.x)
+def _quadratic_lagrangian(family: str, params: dict, profile: RadialProfile) -> Lagrangian:
+    """L = (1/2) e^(-2f) g_ij v^i v^j - U with the optional f and U of params.
 
+    Adds the closed forms A = e^(-2f) g and M[k, s] = e^(-2f) (d g_kj/dx^s v^j
+    - 2 g_kj v^j df/dx^s); without f and U no expression code runs. The name
+    is the family followed by each expression's source in brackets.
+    """
+    f_expr = params.get("f")
 
-def _kinetic_mixed(chart, point):
-    dg = manifold.metric_partials_at(chart, point.x)
-    return np.einsum("kjs,j->ks", dg, point.v)
+    def second_fiber(chart, point):
+        g = manifold.metric_at(chart, point.x)
+        return g if f_expr is None else _conformal_factor(f_expr, point.x, -2.0) * g
+
+    def mixed(chart, point):
+        x, v = point.x, point.v
+        dgv = np.einsum("kjs,j->ks", manifold.metric_partials_at(chart, x), v)
+        if f_expr is None:
+            return dgv
+        v_low = manifold.metric_at(chart, x) @ v
+        df = np.array(expression.gradient(f_expr, x))
+        return _conformal_factor(f_expr, x, -2.0) * (dgv - 2.0 * np.outer(v_low, df))
+
+    return Lagrangian(
+        field=extended_fields.kinetic_energy_scalar(f_expr, params.get("U")),
+        family=family,
+        params=params,
+        second_fiber_fn=second_fiber,
+        mixed_partials_fn=mixed,
+        profile=profile,
+        name=family + "".join(f"[{e.source}]" for e in params.values()),
+    )
 
 
 def kinetic_lagrangian() -> Lagrangian:
     """L = (1/2) g_ij v^i v^j; its trajectories are geodesics."""
-    field = extended_fields.kinetic_energy_scalar()
-    return Lagrangian(
-        field=field,
-        family="kinetic",
-        second_fiber_fn=_kinetic_second_fiber,
-        mixed_partials_fn=_kinetic_mixed,
-        profile=kinetic_profile(),
-        name="kinetic",
-    )
+    return _quadratic_lagrangian("kinetic", {}, kinetic_profile())
 
 
 def kinetic_minus_potential(u) -> Lagrangian:
     """L = (1/2)|v|^2 - U(x)."""
     u_expr = expression.coordinate_expr(u) if isinstance(u, str) else u
-    kinetic = extended_fields.kinetic_energy_scalar()
-
-    def ev(chart, point):
-        return np.array(
-            float(kinetic.eval_fn(chart, point)) - expression.evaluate(u_expr, point.x)
-        )
-
-    def dx(chart, point):
-        return kinetic.x_partials_fn(chart, point) - np.array(
-            expression.gradient(u_expr, point.x)
-        )
-
-    def dfib(chart, point):
-        return manifold.metric_at(chart, point.x) @ point.v
-
-    field = ExtendedField((0, 0), "v", ev, dx, dfib, name=f"kinetic-U({u_expr.source})")
-    return Lagrangian(
-        field=field,
-        family="kinetic-potential",
-        params={"U": u_expr},
-        second_fiber_fn=_kinetic_second_fiber,
-        mixed_partials_fn=_kinetic_mixed,
-        profile=kinetic_profile(u_expr),
-        name=f"kinetic-potential[{u_expr.source}]",
-    )
+    return _quadratic_lagrangian("kinetic-potential", {"U": u_expr}, kinetic_profile(u_expr))
 
 
 def conformal_kinetic_lagrangian(f) -> Lagrangian:
     """L = (1/2) e^(-2 f(x)) g_ij v^i v^j."""
     f_expr = expression.coordinate_expr(f) if isinstance(f, str) else f
-
-    def factor(x):
-        return math.exp(-2.0 * expression.evaluate(f_expr, x))
-
-    def df(x):
-        return np.array(expression.gradient(f_expr, x))
-
-    def ev(chart, point):
-        g = manifold.metric_at(chart, point.x)
-        return np.array(0.5 * factor(point.x) * point.v @ g @ point.v)
-
-    def dx(chart, point):
-        x, v = point.x, point.v
-        g = manifold.metric_at(chart, x)
-        dg = manifold.metric_partials_at(chart, x)
-        quad = float(v @ g @ v)
-        return factor(x) * (0.5 * np.einsum("ijs,i,j->s", dg, v, v) - quad * df(x))
-
-    def dfib(chart, point):
-        g = manifold.metric_at(chart, point.x)
-        return factor(point.x) * (g @ point.v)
-
-    field = ExtendedField((0, 0), "v", ev, dx, dfib, name=f"conformal({f_expr.source})")
-
-    def second_fiber(chart, point):
-        return factor(point.x) * manifold.metric_at(chart, point.x)
-
-    def mixed(chart, point):
-        x, v = point.x, point.v
-        g = manifold.metric_at(chart, x)
-        dg = manifold.metric_partials_at(chart, x)
-        v_low = g @ v
-        return factor(x) * (
-            np.einsum("kjs,j->ks", dg, v) - 2.0 * np.outer(v_low, df(x))
-        )
-
-    return Lagrangian(
-        field=field,
-        family="conformal-kinetic",
-        params={"f": f_expr},
-        second_fiber_fn=second_fiber,
-        mixed_partials_fn=mixed,
-        profile=conformal_kinetic_profile(f_expr),
-        name=f"conformal-kinetic[{f_expr.source}]",
-    )
+    profile = conformal_kinetic_profile(f_expr)
+    return _quadratic_lagrangian("conformal-kinetic", {"f": f_expr}, profile)
 
 
 def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
@@ -385,7 +334,6 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     phi_expr = expression.profile_expr(phi) if isinstance(phi, str) else phi
     c_expr = expression.coordinate_expr(c) if isinstance(c, str) else c
     profile = phi_profile(phi_expr, c_expr)
-    wrapper = FiberwiseSymmetricLagrangian(profile, name=profile.name)
 
     def ev(chart, point):
         w = manifold.speed(chart, point.x, point.v)
@@ -408,7 +356,7 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     field = ExtendedField((0, 0), "v", ev, dx, dfib, name=profile.name)
 
     def second_fiber(chart, point):
-        return symmetric_a_matrix(chart, wrapper, point)
+        return symmetric_a_matrix(chart, profile, point)
 
     def mixed(chart, point):
         w = velocity_modulus(chart, point)

@@ -307,18 +307,18 @@ def coordinate_expr(source: str, dim: int | None = None) -> ScalarExpr:
     return expr
 
 
-def profile_expr(source: str, fiber_var: str = "w", dim: int | None = None) -> ScalarExpr:
-    """Parse an expression over x1..xn plus one named fiber variable."""
+def profile_expr(source: str, dim: int | None = None) -> ScalarExpr:
+    """Parse an expression over x1..xn plus the fiber variable w."""
     expr = parse(source)
     for name in expr.variables:
-        if name == fiber_var:
+        if name == "w":
             continue
         m = re.fullmatch(r"x([1-9]\d*)", name)
         if m is None or (dim is not None and int(m.group(1)) > dim):
             raise ParseError(
-                f"variable {name!r} not allowed here (expected {fiber_var!r} or x1..x{dim or 'n'})",
+                f"variable {name!r} not allowed here (expected 'w' or x1..x{dim or 'n'})",
                 offset=expr.source.find(name),
-                expected=(fiber_var, "x<k>"),
+                expected=("w", "x<k>"),
             )
     return expr
 
@@ -452,6 +452,14 @@ def _sqrt_val(a: float) -> float:
     return math.sqrt(a)
 
 
+def _nonzero_square(a: float) -> float:
+    """a * a for a derivative to divide by, refused when it underflows to zero."""
+    square = a * a
+    if square == 0.0:
+        raise EvalDomainError(f"square of {a!r} underflows to zero in a derivative")
+    return square
+
+
 def _pow_base_error(base: float) -> EvalDomainError:
     return EvalDomainError(f"variable exponent requires a positive base, got {base!r}")
 
@@ -485,7 +493,7 @@ _CALLS = {
     "cos": ("_cos", "-_sin({a})", "-{f}"),
     "tan": ("_tan", "1.0 + {f} * {f}", "2.0 * {f} * {d1}"),
     "exp": ("_exp_val", "{f}", "{f}"),
-    "log": ("_log_val", "1.0 / {a}", "-1.0 / ({a} * {a})"),
+    "log": ("_log_val", "1.0 / {a}", "-1.0 / _nonzero_square({a})"),
     "sqrt": ("_sqrt_val", "0.5 / {f}", "-0.25 / ({f} * {a})"),
     "cosh": ("_cosh_val", "_sinh({a})", "{f}"),
     "sinh": ("_sinh_val", "_cosh({a})", "{f}"),
@@ -504,6 +512,7 @@ _RUNTIME = {
     "_sqrt_val": _sqrt_val,
     "_pow_val": _pow_val,
     "_pow_deriv_coeff": _pow_deriv_coeff,
+    "_nonzero_square": _nonzero_square,
     "_pow_base_error": _pow_base_error,
     "_domain": EvalDomainError,
 }
@@ -593,7 +602,7 @@ class _Emitter:
             return (self.tmp(f"{u[0]} / {va}"), None, None, None)
         inv = [self.tmp(f"1.0 / {va}"), None, None, None]
         if v1 is not None or v2 is not None or v12 is not None:
-            bb = self.tmp(f"{va} * {va}")
+            bb = self.tmp(f"_nonzero_square({va})")
             inv[1] = v1 and self.tmp(f"-{v1} / {bb}")
             inv[2] = v2 and self.tmp(f"-{v2} / {bb}")
             cross = self.prod("2.0", v1, v2)
@@ -626,7 +635,8 @@ class _Emitter:
         def lifted():
             d1 = self.tmp(d1_src.format(a=ua, f=f))
             # d2 is left out when unused: for log and sqrt it divides by a
-            # product that underflows to zero at tiny arguments.
+            # product that underflows to zero at tiny arguments, which must
+            # not stop a derivative that does not need d2.
             d2 = d2_src.format(a=ua, f=f, d1=d1)
             d2 = self.tmp(d2) if u1 is not None and u2 is not None else None
             return self.chain(u, f, d1, d2)

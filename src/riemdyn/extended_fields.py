@@ -29,6 +29,7 @@ Gamma[k, i, j] = Gamma^k_ij.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -480,9 +481,14 @@ def check_analytic_partials(
 # Field catalog used by checks and higher layers
 
 
+def _coordinate(source):
+    """A coordinate expression from source text; parsed expressions and None pass through."""
+    return expression.coordinate_expr(source) if isinstance(source, str) else source
+
+
 def potential_scalar(u) -> ExtendedField:
     """Scalar U(x) on the tangent bundle, constant along fibers."""
-    u_expr = expression.coordinate_expr(u) if isinstance(u, str) else u
+    u_expr = _coordinate(u)
 
     def ev(chart, point):
         return np.array(expression.evaluate(u_expr, point.x))
@@ -496,19 +502,39 @@ def potential_scalar(u) -> ExtendedField:
     return ExtendedField((0, 0), "v", ev, dx, dfib, name=f"U({u_expr.source})")
 
 
-def kinetic_energy_scalar() -> ExtendedField:
-    """Scalar (1/2) g_ij v^i v^j."""
+def _conformal_factor(f_expr, x, scale: float) -> float:
+    """e^(scale f(x)): e^(-2f) scales the quadratic Lagrangian, e^(2f) its Hamiltonian."""
+    return math.exp(scale * expression.evaluate(f_expr, x))
+
+
+def kinetic_energy_scalar(f=None, u=None) -> ExtendedField:
+    """Scalar L = (1/2) e^(-2 f(x)) g_ij v^i v^j - U(x) on the tangent bundle.
+
+    f and U are optional, and without them no expression code runs.
+    """
+    f_expr, u_expr = _coordinate(f), _coordinate(u)
 
     def ev(chart, point):
-        g = manifold.metric_at(chart, point.x)
-        return np.array(0.5 * point.v @ g @ point.v)
+        c = 0.5 if f_expr is None else 0.5 * _conformal_factor(f_expr, point.x, -2.0)
+        value = c * point.v @ manifold.metric_at(chart, point.x) @ point.v
+        if u_expr is not None:
+            value = float(value) - expression.evaluate(u_expr, point.x)
+        return np.array(value)
 
     def dx(chart, point):
-        dg = manifold.metric_partials_at(chart, point.x)
-        return 0.5 * np.einsum("ijq,i,j->q", dg, point.v, point.v)
+        x, v = point.x, point.v
+        out = 0.5 * np.einsum("ijq,i,j->q", manifold.metric_partials_at(chart, x), v, v)
+        if f_expr is not None:
+            quad = float(v @ manifold.metric_at(chart, x) @ v)
+            df = np.array(expression.gradient(f_expr, x))
+            out = _conformal_factor(f_expr, x, -2.0) * (out - quad * df)
+        if u_expr is not None:
+            out = out - np.array(expression.gradient(u_expr, x))
+        return out
 
     def dfib(chart, point):
-        return manifold.metric_at(chart, point.x) @ point.v
+        v_low = manifold.metric_at(chart, point.x) @ point.v
+        return v_low if f_expr is None else _conformal_factor(f_expr, point.x, -2.0) * v_low
 
     return ExtendedField((0, 0), "v", ev, dx, dfib, name="kinetic_energy")
 
@@ -559,18 +585,34 @@ def metric_tensor_field() -> ExtendedField:
     return ExtendedField((0, 2), "v", ev, dx, dfib, name="metric")
 
 
-def momentum_kinetic_scalar() -> ExtendedField:
-    """Scalar (1/2) g^ij p_i p_j on the cotangent bundle."""
+def momentum_kinetic_scalar(f=None, u=None) -> ExtendedField:
+    """Scalar H = (1/2) e^(2 f(x)) g^ij p_i p_j + U(x) on the cotangent bundle.
+
+    The Hamiltonian of kinetic_energy_scalar(f, u); f and U are optional,
+    and without them no expression code runs.
+    """
+    f_expr, u_expr = _coordinate(f), _coordinate(u)
 
     def ev(chart, point):
-        ginv = manifold.inverse_metric_at(chart, point.x)
-        return np.array(0.5 * point.p @ ginv @ point.p)
+        c = 0.5 if f_expr is None else 0.5 * _conformal_factor(f_expr, point.x, 2.0)
+        value = c * point.p @ manifold.inverse_metric_at(chart, point.x) @ point.p
+        if u_expr is not None:
+            value = float(value) + expression.evaluate(u_expr, point.x)
+        return np.array(value)
 
     def dx(chart, point):
-        dginv = manifold.inverse_metric_partials_at(chart, point.x)
-        return 0.5 * np.einsum("ijq,i,j->q", dginv, point.p, point.p)
+        x, p = point.x, point.p
+        out = 0.5 * np.einsum("ijq,i,j->q", manifold.inverse_metric_partials_at(chart, x), p, p)
+        if f_expr is not None:
+            quad = float(p @ manifold.inverse_metric_at(chart, x) @ p)
+            df = np.array(expression.gradient(f_expr, x))
+            out = _conformal_factor(f_expr, x, 2.0) * (quad * df + out)
+        if u_expr is not None:
+            out = out + np.array(expression.gradient(u_expr, x))
+        return out
 
     def dfib(chart, point):
-        return manifold.inverse_metric_at(chart, point.x) @ point.p
+        p_up = manifold.inverse_metric_at(chart, point.x) @ point.p
+        return p_up if f_expr is None else _conformal_factor(f_expr, point.x, 2.0) * p_up
 
     return ExtendedField((0, 0), "p", ev, dx, dfib, name="momentum_kinetic")

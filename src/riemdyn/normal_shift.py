@@ -49,7 +49,6 @@ from .manifold import ManifoldChart
 
 __all__ = [
     "RadialProfile",
-    "FiberwiseSymmetricLagrangian",
     "NormalShiftForce",
     "ConformalCheckReport",
     "profile_from_expression",
@@ -106,14 +105,6 @@ class RadialProfile:
 
     def x_partials_d_w(self, x, w):
         return np.array(expression.gradient(self.expr, x, w, "w"))
-
-
-@dataclass(frozen=True)
-class FiberwiseSymmetricLagrangian:
-    """A Lagrangian L(x, v) = profile(x, |v|)."""
-
-    profile: RadialProfile
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -207,11 +198,10 @@ def projectors(chart: ManifoldChart, point: TangentPoint) -> tuple[TensorCompone
 
 
 def symmetric_a_matrix(
-    chart: ManifoldChart, lagrangian: FiberwiseSymmetricLagrangian, point: TangentPoint
+    chart: ManifoldChart, profile: RadialProfile, point: TangentPoint
 ) -> np.ndarray:
     """Closed-form fiber Hessian A_ij = T'' Q_ij + (T'/|v|) P_ij (lower indexes)."""
     w = velocity_modulus(chart, point)
-    profile = lagrangian.profile
     g = manifold.metric_at(chart, point.x)
     v_low = g @ point.v
     q_low = np.outer(v_low, v_low) / (w * w)
@@ -220,11 +210,10 @@ def symmetric_a_matrix(
 
 
 def symmetric_b_matrix(
-    chart: ManifoldChart, lagrangian: FiberwiseSymmetricLagrangian, point: TangentPoint
+    chart: ManifoldChart, profile: RadialProfile, point: TangentPoint
 ) -> np.ndarray:
     """Closed-form inverse B^ij = (1/T'') Q^ij + (|v|/T') P^ij (upper indexes)."""
     w = velocity_modulus(chart, point)
-    profile = lagrangian.profile
     d1 = profile.d_w(point.x, w)
     d2 = profile.d2_w(point.x, w)
     if abs(d1) < _DEGENERACY_TOL or abs(d2) < _DEGENERACY_TOL:
@@ -238,7 +227,7 @@ def symmetric_b_matrix(
 
 
 def force_spherical(
-    chart: ManifoldChart, lagrangian: FiberwiseSymmetricLagrangian, point: TangentPoint
+    chart: ManifoldChart, profile: RadialProfile, point: TangentPoint
 ) -> np.ndarray:
     """Covariant force F_r of a fiberwise symmetric Lagrangian system.
 
@@ -247,7 +236,6 @@ def force_spherical(
     """
     w = velocity_modulus(chart, point)
     x, v = point.x, point.v
-    profile = lagrangian.profile
     d1 = profile.d_w(x, w)
     d2 = profile.d2_w(x, w)
     if abs(d1) < _DEGENERACY_TOL or abs(d2) < _DEGENERACY_TOL:
@@ -300,11 +288,11 @@ def force_conformal(chart: ManifoldChart, f, point: TangentPoint) -> np.ndarray:
     return -w_sq * df + 2.0 * float(df @ v) * v_low
 
 
-def spherical_force_field(lagrangian: FiberwiseSymmetricLagrangian) -> ForceField:
+def spherical_force_field(profile: RadialProfile) -> ForceField:
     return ForceField(
-        lambda chart, point: force_spherical(chart, lagrangian, point),
+        lambda chart, point: force_spherical(chart, profile, point),
         covariant=True,
-        name=f"spherical({lagrangian.profile.name})",
+        name=f"spherical({profile.name})",
     )
 
 
@@ -325,7 +313,7 @@ def conformal_force_field(f) -> ForceField:
     )
 
 
-def as_extended_field(lagrangian: FiberwiseSymmetricLagrangian) -> ExtendedField:
+def as_extended_field(profile: RadialProfile) -> ExtendedField:
     """The profile as a plain scalar extended field (no analytic hooks).
 
     Useful for cross-checking the fixed-modulus reduction against the
@@ -334,9 +322,9 @@ def as_extended_field(lagrangian: FiberwiseSymmetricLagrangian) -> ExtendedField
 
     def ev(chart, point):
         w = manifold.speed(chart, point.x, point.v)
-        return np.array(lagrangian.profile.value(point.x, w))
+        return np.array(profile.value(point.x, w))
 
-    return ExtendedField((0, 0), "v", ev, name=lagrangian.profile.name)
+    return ExtendedField((0, 0), "v", ev, name=profile.name)
 
 
 @dataclass(frozen=True)

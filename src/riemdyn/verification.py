@@ -193,18 +193,36 @@ def _charts_for(default_names, chart_name):
     return [(name, manifold.builtin_chart(name)) for name in names]
 
 
-def _lagrangian_systems():
+# The catalog Lagrangians of the suites, in the order the suites run them.
+_SYSTEMS = {
+    "kinetic": {},
+    "kinetic-potential": {"U": _POTENTIAL},
+    "conformal-kinetic": {"f": _CONFORMAL_F},
+    "fiberwise-phi": {"phi": _PHI, "C": "exp(-x1/4)"},
+}
+
+
+def _systems(*families):
+    """(family, Lagrangian) pairs of _SYSTEMS in table order, only the named families if any."""
     return [
-        ("kinetic", dynamics_lagrange.kinetic_lagrangian()),
-        ("kinetic-potential", dynamics_lagrange.kinetic_minus_potential(_POTENTIAL)),
-        ("conformal-kinetic", dynamics_lagrange.conformal_kinetic_lagrangian(_CONFORMAL_F)),
+        (family, dynamics_lagrange.catalog_lagrangian(family, **params))
+        for family, params in _SYSTEMS.items()
+        if not families or family in families
     ]
 
 
-def _all_systems():
-    return _lagrangian_systems() + [
-        ("fiberwise-phi", dynamics_lagrange.fiberwise_phi_lagrangian(_PHI, "exp(-x1/4)")),
-    ]
+def _system(family):
+    return dynamics_lagrange.catalog_lagrangian(family, **_SYSTEMS[family])
+
+
+def _scenarios_on(suite, scenarios, chart_name):
+    """The scenarios whose second entry, the chart, is chart_name; all of them when it is None."""
+    if chart_name is None:
+        return scenarios
+    kept = [s for s in scenarios if s[1] == chart_name]
+    if not kept:
+        raise ValueError(f"suite {suite!r} has no scenario on chart {chart_name!r}")
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +235,7 @@ def suite_identities(chart_name=None, seed=0):
     checks = []
     for name, chart in _charts_for(_IDENTITY_CHARTS, chart_name):
         states = sample_tangent_states(chart, 50, rng)
-        for family, lag in _lagrangian_systems():
+        for family, lag in _systems("kinetic", "kinetic-potential", "conformal-kinetic"):
             ctx = dynamics_hamilton.LegendreContext(lag)
             report = dynamics_hamilton.identity_suite(ctx, chart, states)
             for identity, value in report.residuals.items():
@@ -236,17 +254,11 @@ def suite_theorem81(chart_name=None, seed=0):
     """
     rng = np.random.default_rng(seed)
     scenarios = [
-        ("euclidean2", "x1", np.array([0.0, 0.0]), np.array([0.4, 0.3]), CONFORMAL_FLAT_TOL),
-        ("sphere2d", "x1/2", np.array([1.0, 0.3]), np.array([0.3, 0.9]), CONFORMAL_SPHERE_TOL),
+        ("x1", "euclidean2", np.array([0.0, 0.0]), np.array([0.4, 0.3]), CONFORMAL_FLAT_TOL),
+        ("x1/2", "sphere2d", np.array([1.0, 0.3]), np.array([0.3, 0.9]), CONFORMAL_SPHERE_TOL),
     ]
-    if chart_name is not None:
-        scenarios = [s for s in scenarios if s[0] == chart_name]
-        if not scenarios:
-            raise ValueError(
-                f"suite 'theorem81' has no scenario on chart {chart_name!r}"
-            )
     checks = []
-    for name, f, x0, v0, sup_tol in scenarios:
+    for f, name, x0, v0, sup_tol in _scenarios_on("theorem81", scenarios, chart_name):
         chart = manifold.builtin_chart(name)
         shift = normal_shift.NormalShiftForce(
             normal_shift.conformal_shift_profile(f), h_fn=None
@@ -316,23 +328,11 @@ _STARTS = {
 }
 
 
-def _system(family):
-    for name, lag in _all_systems():
-        if name == family:
-            return lag
-    raise ValueError(f"unknown system family {family!r}")
-
-
 def suite_elcompare(chart_name=None, seed=0):
     """Covariant vs classical Euler-Lagrange residuals on true motion."""
-    pairs = _EL_PAIRS
-    if chart_name is not None:
-        pairs = tuple(p for p in pairs if p[1] == chart_name)
-        if not pairs:
-            raise ValueError(f"suite 'elcompare' has no scenario on chart {chart_name!r}")
     checks = []
     config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=1)
-    for family, name in pairs:
+    for family, name in _scenarios_on("elcompare", _EL_PAIRS, chart_name):
         chart = manifold.builtin_chart(name)
         lag = _system(family)
         x0, v0 = _STARTS[name]
@@ -373,14 +373,9 @@ def suite_threeway(chart_name=None, seed=0):
     check is the pairwise sup distance over the recorded samples, with
     Hamiltonian velocities read off dH/dp.
     """
-    pairs = _THREEWAY_PAIRS
-    if chart_name is not None:
-        pairs = tuple(p for p in pairs if p[1] == chart_name)
-        if not pairs:
-            raise ValueError(f"suite 'threeway' has no scenario on chart {chart_name!r}")
     checks = []
     config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
-    for family, name in pairs:
+    for family, name in _scenarios_on("threeway", _THREEWAY_PAIRS, chart_name):
         chart = manifold.builtin_chart(name)
         lag = _system(family)
         x0, v0 = _STARTS[name]
@@ -420,11 +415,7 @@ def suite_threeway(chart_name=None, seed=0):
 def suite_projectors(chart_name=None, seed=0):
     """Projector algebra and the closed fiber Hessian with its inverse."""
     rng = np.random.default_rng(seed)
-    profiles = [
-        ("kinetic", dynamics_lagrange.kinetic_lagrangian()),
-        ("conformal-kinetic", dynamics_lagrange.conformal_kinetic_lagrangian(_CONFORMAL_F)),
-        ("fiberwise-phi", dynamics_lagrange.fiberwise_phi_lagrangian(_PHI, "exp(-x1/4)")),
-    ]
+    profiles = _systems("kinetic", "conformal-kinetic", "fiberwise-phi")
     checks = []
     for name, chart in _charts_for(_IDENTITY_CHARTS, chart_name):
         states = sample_tangent_states(chart, 30, rng, min_speed=0.3)
@@ -446,8 +437,7 @@ def suite_projectors(chart_name=None, seed=0):
             fd_gap = 0.0
             for state in states:
                 a = dynamics_lagrange.a_matrix(chart, lag, state)
-                wrapper = normal_shift.FiberwiseSymmetricLagrangian(lag.profile)
-                b = normal_shift.symmetric_b_matrix(chart, wrapper, state)
+                b = normal_shift.symmetric_b_matrix(chart, lag.profile, state)
                 inverse_gap = max(inverse_gap, float(np.max(np.abs(a @ b - eye))))
                 a_fd = dynamics_lagrange.a_matrix(chart, stripped, state)
                 fd_gap = max(fd_gap, float(np.max(np.abs(a - a_fd))))
@@ -470,13 +460,9 @@ def suite_conservation(chart_name=None, seed=0):
         ("conformal-kinetic", "euclidean2"),
         ("fiberwise-phi", "euclidean2"),
     ]
-    if chart_name is not None:
-        runs = [r for r in runs if r[1] == chart_name]
-        if not runs:
-            raise ValueError(f"suite 'conservation' has no scenario on chart {chart_name!r}")
     checks = []
     config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=5)
-    for family, name in runs:
+    for family, name in _scenarios_on("conservation", runs, chart_name):
         chart = manifold.builtin_chart(name)
         lag = _system(family)
         ctx = dynamics_hamilton.LegendreContext(lag)
@@ -514,7 +500,7 @@ def suite_legendre(chart_name=None, seed=0):
     rng = np.random.default_rng(seed)
     checks = []
     for name, chart in _charts_for(_IDENTITY_CHARTS, chart_name):
-        for family, lag in _all_systems():
+        for family, lag in _systems():
             forward_gap = 0.0
             backward_gap = 0.0
             worst_iterations = 0
@@ -553,10 +539,7 @@ def suite_cancellation(chart_name=None, seed=0):
     charts = ("polar2d", "sphere2d")
     if chart_name is not None:
         charts = (chart_name,)
-    families = [
-        ("kinetic", dynamics_lagrange.kinetic_lagrangian()),
-        ("fiberwise-phi", dynamics_lagrange.fiberwise_phi_lagrangian(_PHI, "exp(-x1/4)")),
-    ]
+    families = _systems("kinetic", "fiberwise-phi")
     checks = []
     for name in charts:
         chart = manifold.builtin_chart(name)

@@ -1,10 +1,12 @@
 """Reference evaluators for riemdyn.expression, kept as test oracles.
 
 The package evaluates every expression through code compiled once per
-expression and seed pair. These are the tree walkers it replaced,
-unchanged: ``_eval`` for plain values and the hyper-dual evaluator
-``_eval_hd`` (Fike & Alonso, AIAA 2011-886) for exact first and mixed
-second partials. The tests compare the compiled route against them.
+expression and seed pair. These are the tree walkers it replaced:
+``_eval`` for plain values and the hyper-dual evaluator ``_eval_hd``
+(Fike & Alonso, AIAA 2011-886) for exact first and mixed second partials.
+The tests compare the compiled route against them. Like the compiled
+code, a quotient's derivative and log's curvature divide by a square only
+when the derivative needs it, and refuse a square that underflows to zero.
 """
 
 from __future__ import annotations
@@ -13,7 +15,16 @@ import math
 from typing import Mapping
 
 from riemdyn.errors import EvalDomainError, UnboundVariableError
-from riemdyn.expression import Call, Node, Num, Unary, Var, _pow_deriv_coeff, _pow_val
+from riemdyn.expression import (
+    Call,
+    Node,
+    Num,
+    Unary,
+    Var,
+    _nonzero_square,
+    _pow_deriv_coeff,
+    _pow_val,
+)
 
 __all__ = ["evaluate_env", "partial_env", "second_partial_env"]
 
@@ -103,11 +114,14 @@ def _hd_div(u: _HD, v: _HD) -> _HD:
     if v.a == 0.0:
         raise EvalDomainError("division by zero")
     b = v.a
+    if v.a1 == 0.0 and v.a2 == 0.0 and v.a12 == 0.0:
+        return _hd_mul(u, _HD(1.0 / b))
+    bb = _nonzero_square(b)
     inv = _HD(
         1.0 / b,
-        -v.a1 / (b * b),
-        -v.a2 / (b * b),
-        (2.0 * v.a1 * v.a2 / b - v.a12) / (b * b),
+        -v.a1 / bb,
+        -v.a2 / bb,
+        (2.0 * v.a1 * v.a2 / b - v.a12) / bb,
     )
     return _hd_mul(u, inv)
 
@@ -136,7 +150,9 @@ def _hd_call(func: str, u: _HD) -> _HD:
     if func == "exp":
         return _hd_chain(u, val, val, val)
     if func == "log":
-        return _hd_chain(u, val, 1.0 / a, -1.0 / (a * a))
+        # The curvature is only formed when both seeds reach the argument.
+        d2 = -1.0 / _nonzero_square(a) if u.a1 != 0.0 and u.a2 != 0.0 else 0.0
+        return _hd_chain(u, val, 1.0 / a, d2)
     if func == "sqrt":
         if a == 0.0:
             if needs_deriv:

@@ -1,6 +1,9 @@
 """End-to-end coverage of the command line front end via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +101,28 @@ def test_simulate_reports_a_singular_system(tmp_path, capsys):
     assert report["t_final"] < 0.7
     rows = (out / "inward.csv").read_text().splitlines()
     assert len(rows) == report["samples"] + 1
+
+
+def test_simulate_refuses_an_underflowing_derivative_without_a_traceback(tmp_path):
+    # dU/dx2 of x1/(x2*1e-200) divides by a square that underflows to zero.
+    cfg = {
+        "schema": 1,
+        "chart": {"name": "euclidean2"},
+        "system": {"kind": "newton", "force": {"type": "potential", "U": "x1/(x2*1e-200)"}},
+        "integrator": {"method": "rk4", "dt": 1e-3, "t_span": [0.0, 0.1]},
+        "initial": {"x": [1.0, 0.4], "v": [0.0, 0.0]},
+        "output": {"directory": str(tmp_path / "out"), "basename": "quotient"},
+    }
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "riemdyn.cli", "simulate", "-c", write_config(tmp_path, cfg)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert "underflows to zero" in done.stderr
 
 
 def test_simulate_reports_a_step_underflow(tmp_path, capsys):

@@ -172,7 +172,7 @@ def test_coordinate_expr_rejects_foreign_variables():
 
 
 def test_profile_expr_allows_fiber_variable():
-    expr = ex.profile_expr("x1*w^2", fiber_var="w")
+    expr = ex.profile_expr("x1*w^2")
     assert ex.evaluate_env(expr, {"x1": 2.0, "w": 3.0}) == 18.0
 
 
@@ -224,6 +224,27 @@ def _check_against_oracle(expr, env, skip_other_errors=False):
             assert got == ref, (where, got, ref)  # plain values match bit for bit
         else:
             assert abs(got - ref) <= 4.0 * _EPS * max(1.0, abs(ref)), (where, got, ref)
+
+
+def test_underflowing_squares_are_domain_errors():
+    # The derivative of a quotient and the curvature of log divide by a square
+    # that underflows to zero here. Both routes refuse it, and the derivatives
+    # that need no square still run.
+    quotient = ex.parse("x1/(x2*1e-200)")
+    env = {"x1": 1.0, "x2": 0.4}
+    log = ex.parse("log(x1)")
+    tiny = {"x1": 1e-170}
+    for route in (ex, oracle):
+        with pytest.raises(EvalDomainError, match="underflows to zero"):
+            route.partial_env(quotient, env, "x2")
+        with pytest.raises(EvalDomainError, match="underflows to zero"):
+            route.second_partial_env(quotient, env, "x2", "x2")
+        with pytest.raises(EvalDomainError, match="underflows to zero"):
+            route.second_partial_env(log, tiny, "x1", "x1")
+        assert route.partial_env(quotient, env, "x1") == pytest.approx(2.5e200, rel=1e-15)
+        assert route.partial_env(log, tiny, "x1") == pytest.approx(1e170, rel=1e-15)
+    _check_against_oracle(quotient, env)
+    _check_against_oracle(log, tiny)
 
 
 def _oracle_points(names):

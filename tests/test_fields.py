@@ -161,19 +161,42 @@ def test_time_derivative_needs_uniform_grid():
         ef.covariant_time_derivative(chart, samples[:1], values[:1], ("l",))
 
 
+_F = "x1/2"
+_U = "sin(x1) + x2^2/2"
+_QUADRATIC_PARAMS = ({}, {"f": _F}, {"u": _U}, {"f": _F, "u": _U})
+
+
 @pytest.mark.parametrize("name", CHARTS)
 def test_catalog_analytic_partials(name):
     """Every catalog field's hooks agree with finite differences."""
     chart = manifold.builtin_chart(name)
     points = tangent_states(chart, 6, seed=5)
     for field in (
-        ef.kinetic_energy_scalar(),
+        *(ef.kinetic_energy_scalar(**params) for params in _QUADRATIC_PARAMS),
         ef.velocity_vector_field(),
         ef.lowered_velocity_field(),
         ef.metric_tensor_field(),
-        ef.potential_scalar("sin(x1) + x2^2/2"),
+        ef.potential_scalar(_U),
     ):
         ef.check_analytic_partials(chart, field, points, tol=1e-6)
     rng = np.random.default_rng(6)
     co_points = verification.sample_cotangent_states(chart, 6, rng)
-    ef.check_analytic_partials(chart, ef.momentum_kinetic_scalar(), co_points, tol=1e-6)
+    for params in _QUADRATIC_PARAMS:
+        ef.check_analytic_partials(chart, ef.momentum_kinetic_scalar(**params), co_points, tol=1e-6)
+
+
+@pytest.mark.parametrize("name", CHARTS)
+@pytest.mark.parametrize("params", _QUADRATIC_PARAMS)
+def test_quadratic_scalars_are_legendre_duals(name, params):
+    """At p = dL/dv: H = v . p - L, dH/dp = v and dH/dx = -dL/dx."""
+    chart = manifold.builtin_chart(name)
+    lag = ef.kinetic_energy_scalar(**params)
+    ham = ef.momentum_kinetic_scalar(**params)
+    for q in tangent_states(chart, 6, seed=7):
+        p = ef.fiber_partials(chart, lag, q)
+        state = CotangentPoint(q.x, p)
+        energy = float(q.v @ p - lag.eval_fn(chart, q))
+        assert float(ham.eval_fn(chart, state)) == pytest.approx(energy, rel=1e-12, abs=1e-12)
+        assert np.allclose(ef.fiber_partials(chart, ham, state), q.v, rtol=1e-12, atol=1e-12)
+        dh_dx = ef.x_partials(chart, ham, state)
+        assert np.allclose(dh_dx, -ef.x_partials(chart, lag, q), rtol=1e-12, atol=1e-12)

@@ -39,14 +39,13 @@ def test_projector_algebra(chart_name):
 def test_closed_form_hessian_inverse(family, params):
     """B must invert A exactly for every profile-carrying family."""
     lag = dl.catalog_lagrangian(family, **params)
-    wrapper = ns.FiberwiseSymmetricLagrangian(lag.profile, name=lag.name)
     rng = np.random.default_rng(13)
     for chart_name in ["polar2d", "sphere2d"]:
         chart = manifold.builtin_chart(chart_name)
         eye = np.eye(chart.dim)
         for point in verification.sample_tangent_states(chart, 6, rng, min_speed=0.3):
-            a = ns.symmetric_a_matrix(chart, wrapper, point)
-            b = ns.symmetric_b_matrix(chart, wrapper, point)
+            a = ns.symmetric_a_matrix(chart, lag.profile, point)
+            b = ns.symmetric_b_matrix(chart, lag.profile, point)
             assert np.max(np.abs(a @ b - eye)) < 1e-10
 
 
@@ -56,10 +55,9 @@ def test_spherical_force_matches_lagrangian_extraction(family, params, chart_nam
     """The radial-profile force formula and the generic A F = ... solve agree."""
     chart = manifold.builtin_chart(chart_name)
     lag = dl.catalog_lagrangian(family, **params)
-    wrapper = ns.FiberwiseSymmetricLagrangian(lag.profile, name=lag.name)
     rng = np.random.default_rng(29)
     for point in verification.sample_tangent_states(chart, 8, rng, min_speed=0.3):
-        lowered = ns.force_spherical(chart, wrapper, point)
+        lowered = ns.force_spherical(chart, lag.profile, point)
         raised = manifold.raise_index(chart, point.x, lowered)
         generic = dl.force_from_lagrangian(chart, lag, point)
         assert np.max(np.abs(raised - generic)) < 1e-10
@@ -148,8 +146,7 @@ def test_profile_x_partials_are_the_spatial_gradient(family, params):
     the covariant gradient computed by the generic field machinery."""
     chart = manifold.builtin_chart("sphere2d")
     lag = dl.catalog_lagrangian(family, **params)
-    wrapper = ns.FiberwiseSymmetricLagrangian(lag.profile, name=lag.name)
-    field = ns.as_extended_field(wrapper)
+    field = ns.as_extended_field(lag.profile)
     rng = np.random.default_rng(41)
     for point in verification.sample_tangent_states(chart, 6, rng, min_speed=0.3):
         w = manifold.speed(chart, point.x, point.v)
