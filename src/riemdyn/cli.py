@@ -5,8 +5,10 @@ Subcommands:
   riemdyn simulate -c config.json [--out-dir DIR]
       Integrate the configured system and write a trajectory CSV plus a
       JSON run report. Exit 0 when the run completes, 3 when the
-      trajectory leaves the chart, the system turns singular or the
-      stepper gives up, 2 on config errors.
+      trajectory leaves the chart, the system turns singular, an
+      expression leaves its domain or the stepper gives up (the partial
+      outputs are still written, and the error that ended the run goes
+      to stderr), 2 on config errors.
 
   riemdyn verify --suite NAME [--chart C] [--seed N] [--report FILE]
       Run a named verification suite and print one line per check.
@@ -347,6 +349,8 @@ def cmd_simulate(args) -> int:
     }
     _json_dump(report, report_path)
     print(f"{trajectory.status}: {len(trajectory.ts)} samples -> {csv_path}")
+    if trajectory.status.error:
+        print(f"error: {trajectory.status.error}", file=sys.stderr)
     return _EXIT_OK if trajectory.status == "completed" else _EXIT_INTEGRATION
 
 

@@ -15,6 +15,11 @@ genuinely independent construction. There are two closed forms:
     fiberwise-phi:
         H = z phi'(z) - phi(z) at phi'(z) = |p|/C(x)
 
+The fiberwise H solves phi'(z) = |p|/C(x) by a safeguarded Newton
+iteration that takes phi' and phi'' from one compiled call per iterate.
+Its field carries a jet hook, and hamilton_rhs reads dH/dp and dH/dx from
+one jet, so each right-hand side inverts phi' once per state.
+
 Canonical motion integrates dx/dt = dH/dp, dp/dt = -dH/dx in plain
 coordinates; the covariant form of the momentum equation differs by two
 Christoffel contractions that cancel identically by the symmetry of
@@ -231,15 +236,9 @@ class Hamiltonian:
 def _invert_phi_prime(phi_expr, target: float) -> float:
     """Solve phi'(z) = target for z > 0, assuming phi' is increasing."""
 
-    def fp(z):
-        return expression.partial_env(phi_expr, {"w": z}, "w")
-
-    def fpp(z):
-        return expression.second_partial_env(phi_expr, {"w": z}, "w", "w")
-
     lo, hi = 0.0, max(abs(target), 1.0)
     for _ in range(200):
-        if fp(hi) >= target:
+        if expression.partial_env(phi_expr, {"w": hi}, "w") >= target:
             break
         hi *= 2.0
     else:
@@ -247,14 +246,14 @@ def _invert_phi_prime(phi_expr, target: float) -> float:
     z = min(max(target, 1e-8), hi)
     tol = 1e-14 * max(1.0, abs(target))
     for _ in range(100):
-        err = fp(z) - target
+        fp, slope = expression.partial_and_second_env(phi_expr, {"w": z}, "w")
+        err = fp - target
         if abs(err) <= tol:
             return z
         if err > 0.0:
             hi = z
         else:
             lo = z
-        slope = fpp(z)
         z_new = z - err / slope if slope > 0.0 else 0.5 * (lo + hi)
         if not (lo < z_new < hi):
             z_new = 0.5 * (lo + hi)
@@ -263,7 +262,10 @@ def _invert_phi_prime(phi_expr, target: float) -> float:
 
 
 def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
-    """H for L = phi(C(x) |v|), via scalar inversion of phi'."""
+    """H for L = phi(C(x) |v|), via scalar inversion of phi'.
+
+    Each hook inverts phi' once; the jet hook inverts it once for all three.
+    """
     phi_expr = lagrangian.params["phi"]
     c_expr = lagrangian.params["C"]
 
@@ -284,25 +286,34 @@ def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
         z = _invert_phi_prime(phi_expr, pm / c)
         return ginv, pm, c, z
 
-    def ev(chart, point):
-        _, pm, c, z = pieces(chart, point)
+    def value(chart, point, ginv, pm, c, z):
         phi_val = expression.evaluate_env(phi_expr, {"w": z})
         return np.array(z * (pm / c) - phi_val)
 
-    def dfib(chart, point):
-        ginv, pm, c, z = pieces(chart, point)
-        p_up = ginv @ point.p
-        return (z / c) * p_up / pm
-
-    def dx(chart, point):
-        ginv, pm, c, z = pieces(chart, point)
+    def spatial(chart, point, ginv, pm, c, z):
         x, p = point.x, point.p
         dginv = manifold.inverse_metric_partials_at(chart, x)
         dpm = 0.5 * np.einsum("ijq,i,j->q", dginv, p, p) / pm
         dc = np.array(expression.gradient(c_expr, x))
         return z * (dpm / c - pm * dc / (c * c))
 
-    return ExtendedField((0, 0), "p", ev, dx, dfib, name=f"H[{lagrangian.name}]")
+    def fiber(chart, point, ginv, pm, c, z):
+        p_up = ginv @ point.p
+        return (z / c) * p_up / pm
+
+    def hook(part):
+        return lambda chart, point: part(chart, point, *pieces(chart, point))
+
+    def jet(chart, point):
+        parts = pieces(chart, point)
+        return (
+            value(chart, point, *parts),
+            spatial(chart, point, *parts),
+            fiber(chart, point, *parts),
+        )
+
+    hooks = (hook(value), hook(spatial), hook(fiber))
+    return ExtendedField((0, 0), "p", *hooks, name=f"H[{lagrangian.name}]", jet_fn=jet)
 
 
 def hamiltonian_from_lagrangian(ctx: LegendreContext) -> Hamiltonian:
@@ -359,9 +370,10 @@ def b_matrix(chart: ManifoldChart, hamiltonian: Hamiltonian, state: CotangentPoi
 def hamilton_rhs(
     chart: ManifoldChart, hamiltonian: Hamiltonian, state: CotangentPoint
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical equations dx/dt = dH/dp, dp/dt = -dH/dx."""
+    """Canonical equations dx/dt = dH/dp, dp/dt = -dH/dx, from one jet of H."""
     manifold.check_point(chart, state.x)
-    return hamiltonian.dp(chart, state), -hamiltonian.dx(chart, state)
+    _, dx, dp = extended_fields.jet(chart, hamiltonian.field, state)
+    return dp, -dx
 
 
 def covariant_momentum_residual(

@@ -15,10 +15,14 @@ with proportional step control.
 One driver, _integrate_split, runs the three legs (integrate,
 integrate_lagrangian, integrate_hamiltonian) with one stop rule: a state
 is accepted while metric_at accepts its x. A refused state or a chart
-error from the right-hand side ends the run "left_chart"; a singular
-fiber Hessian (SingularAError) ends it "singular". Under rk45 both errors
-first halve the trial step, down to dt_min, and step control that takes
-the step below dt_min ends the run "step_underflow".
+error from the right-hand side ends the run "left_chart". A singular
+fiber Hessian (SingularAError) or a force undefined at the state
+(ForceSingularError, such as a zero velocity) ends it "singular", and an
+expression evaluated outside its domain (EvalDomainError) ends it
+"non_finite". Under rk45 each of these errors first halves the trial
+step, down to dt_min, and step control that takes the step below dt_min
+ends the run "step_underflow". The status is a RunStatus: a str that
+also carries the message of the error that ended the run.
 
 A Dormand-Prince step keeps its seven stages in one (7, m) array and
 forms each stage input, the 5th-order solution and the 4th-order
@@ -43,16 +47,31 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expression, manifold
-from .errors import ChartDomainError, SingularAError, SingularMetricError
+from .errors import (
+    ChartDomainError,
+    EvalDomainError,
+    ForceSingularError,
+    SingularAError,
+    SingularMetricError,
+)
 from .extended_fields import CurveSample, TangentPoint
 from .manifold import ManifoldChart
 
 _LEAVE_CHART_ERRORS = (ChartDomainError, SingularMetricError)
-_STOP_ERRORS = _LEAVE_CHART_ERRORS + (SingularAError,)
+# Each error from a right-hand side that ends a run, with the status it ends it with.
+_STOP_STATUS = {
+    ChartDomainError: "left_chart",
+    SingularMetricError: "left_chart",
+    SingularAError: "singular",
+    ForceSingularError: "singular",
+    EvalDomainError: "non_finite",
+}
+_STOP_ERRORS = tuple(_STOP_STATUS)
 
 __all__ = [
     "ForceField",
     "IntegratorConfig",
+    "RunStatus",
     "Trajectory",
     "geodesic_system",
     "force_from_potential",
@@ -224,8 +243,22 @@ def _dp_step(f, t, y, dt):
     return y5, y5 - y4
 
 
+class RunStatus(str):
+    """How a run ended: completed, left_chart, singular, non_finite or step_underflow.
+
+    error is the message of the error that ended the run, "" when none did.
+    """
+
+    error: str
+
+    def __new__(cls, word: str, error: str = ""):
+        status = super().__new__(cls, word)
+        status.error = error
+        return status
+
+
 def _stop_status(exc: Exception) -> str:
-    return "singular" if isinstance(exc, SingularAError) else "left_chart"
+    return next(word for cls, word in _STOP_STATUS.items() if isinstance(exc, cls))
 
 
 def integrate_ode(
@@ -233,24 +266,26 @@ def integrate_ode(
     y0: np.ndarray,
     config: IntegratorConfig,
     in_domain: Callable[[np.ndarray], bool],
-) -> tuple[list[float], list[np.ndarray], str]:
+) -> tuple[list[float], list[np.ndarray], RunStatus]:
     """Drive either stepper over t_span; returns (times, states, status).
 
     Generic over the state vector: the tangent, classical Lagrangian and
     canonical cotangent systems all flatten their states through here.
     in_domain turning false at an accepted step, or ChartDomainError or
     SingularMetricError from rhs, ends the run with status "left_chart";
-    SingularAError from rhs ends it with "singular". Under rk45 an error
-    from rhs first halves the trial step, down to dt_min, and step control
-    that takes the next step below dt_min, after a rejected or an accepted
+    SingularAError or ForceSingularError from rhs ends it with "singular",
+    and EvalDomainError with "non_finite". Under rk45 an error from rhs
+    first halves the trial step, down to dt_min, and step control that
+    takes the next step below dt_min, after a rejected or an accepted
     step, ends the run with "step_underflow". The states accepted before
-    any stop are kept.
+    any stop are kept, and status.error holds the message of the rhs
+    error that ended the run.
     """
     t0, t1 = config.t_span
     ts = [t0]
     ys = [y0.copy()]
     t, y = t0, y0.copy()
-    status = "completed"
+    status, error = "completed", ""
     span_eps = 1e-12 * (t1 - t0)
     accepted = 0
 
@@ -265,7 +300,7 @@ def integrate_ode(
             try:
                 y_new = _rk4_step(rhs, t, y, dt)
             except _STOP_ERRORS as exc:
-                status = _stop_status(exc)
+                status, error = _stop_status(exc), str(exc)
                 break
             if not in_domain(y_new):
                 status = "left_chart"
@@ -283,7 +318,7 @@ def integrate_ode(
                 # A trial stage left the chart or the system; try a shorter step.
                 dt *= 0.5
                 if dt < config.dt_min:
-                    status = _stop_status(exc)
+                    status, error = _stop_status(exc), str(exc)
                     break
                 continue
             scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -305,7 +340,7 @@ def integrate_ode(
             if dt < config.dt_min and t < t1 - span_eps:
                 status = "step_underflow"
                 break
-    return ts, ys, status
+    return ts, ys, RunStatus(status, error)
 
 
 def integrate(

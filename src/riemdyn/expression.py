@@ -13,10 +13,11 @@ Values and exact first and mixed second partials are compiled once per
 expression and seed pair, on first use, into straight-line Python code:
 the forward-mode hyper-dual arithmetic unrolled over the tree by source
 transformation, with components that are always zero dropped and every
-domain check kept. The hyper-dual tree walker these functions replace
-lives on in tests/ as the oracle they are compared against, and a central
-finite-difference fallback for every derivative entry point is the
-independent cross-check.
+domain check kept. partial_and_second_env returns a first and a second
+partial from one such function. The hyper-dual tree walker these
+functions replace lives on in tests/ as the oracle they are compared
+against, and a central finite-difference fallback for every derivative
+entry point is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "partial_env",
     "second_partial",
     "second_partial_env",
+    "partial_and_second_env",
     "partial_fd",
     "second_partial_fd",
     "gradient",
@@ -100,7 +102,8 @@ class ScalarExpr:
     # Position in a coordinate array of each variable: -1 for the fiber
     # variable "w", -2 for any other non-coordinate.
     _slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # Compiled functions by seed pair, built on first use (see _code).
+    # Compiled functions by seed pair, or by a tuple of seed pairs compiled
+    # into one function, built on first use (see _code).
     _code: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -452,12 +455,12 @@ def _sqrt_val(a: float) -> float:
     return math.sqrt(a)
 
 
-def _nonzero_square(a: float) -> float:
-    """a * a for a derivative to divide by, refused when it underflows to zero."""
-    square = a * a
-    if square == 0.0:
-        raise EvalDomainError(f"square of {a!r} underflows to zero in a derivative")
-    return square
+def _nonzero_product(a: float, b: float) -> float:
+    """a * b for a derivative to divide by, refused when it underflows to zero."""
+    product = a * b
+    if product == 0.0:
+        raise EvalDomainError(f"product of {a!r} and {b!r} underflows to zero in a derivative")
+    return product
 
 
 def _pow_base_error(base: float) -> EvalDomainError:
@@ -477,10 +480,22 @@ def _pow_base_error(base: float) -> EvalDomainError:
 # runs at the same point of the evaluation, and a partial with respect to a
 # variable the expression lacks still runs the value's checks.
 #
+# One function can also hold the code of several seed pairs, written one
+# after the other, and return a tuple with one result per pair. Each result
+# is then exactly what its pair's own function returns: the pairs' run-time
+# tests differ (the (w, w) pair tests d2f/dw2 as well as df/dw), so df/dw is
+# not read off the (w, w) pair's first component.
+#
 # A component is None (zero), the seed literal "1.0", or the name of a
 # local: vK for the K-th variable, cK for the K-th numeric constant, tK for
 # a temporary. Generated source holds no user text: variables are bound by
 # position and constants come from a table.
+#
+# Every local is assigned once and every runtime function is pure, so an
+# unconditional line whose right-hand side was already written reuses the
+# earlier local instead (common subexpressions, across the seed pairs of
+# one function too), and a run-time test on the seed literal is decided
+# while compiling. Neither changes a result or the order of the checks.
 
 _SEED = "1.0"
 _DERIV_AT_ZERO = "derivative of sqrt at zero"
@@ -493,8 +508,8 @@ _CALLS = {
     "cos": ("_cos", "-_sin({a})", "-{f}"),
     "tan": ("_tan", "1.0 + {f} * {f}", "2.0 * {f} * {d1}"),
     "exp": ("_exp_val", "{f}", "{f}"),
-    "log": ("_log_val", "1.0 / {a}", "-1.0 / _nonzero_square({a})"),
-    "sqrt": ("_sqrt_val", "0.5 / {f}", "-0.25 / ({f} * {a})"),
+    "log": ("_log_val", "1.0 / {a}", "-1.0 / _nonzero_product({a}, {a})"),
+    "sqrt": ("_sqrt_val", "0.5 / {f}", "-0.25 / _nonzero_product({f}, {a})"),
     "cosh": ("_cosh_val", "_sinh({a})", "{f}"),
     "sinh": ("_sinh_val", "_cosh({a})", "{f}"),
 }
@@ -512,18 +527,18 @@ _RUNTIME = {
     "_sqrt_val": _sqrt_val,
     "_pow_val": _pow_val,
     "_pow_deriv_coeff": _pow_deriv_coeff,
-    "_nonzero_square": _nonzero_square,
+    "_nonzero_product": _nonzero_product,
     "_pow_base_error": _pow_base_error,
     "_domain": EvalDomainError,
 }
 
 
 class _Emitter:
-    """Writes the straight-line code of one (seed1, seed2) pair."""
+    """Writes the straight-line code of one or more (seed1, seed2) pairs."""
 
-    def __init__(self, variables: tuple[str, ...], seed1: str | None, seed2: str | None):
+    def __init__(self, variables: tuple[str, ...]):
         self.variables = variables
-        self.seeds = (seed1, seed2)
+        self.seeds: tuple[str | None, str | None] = (None, None)
         self.namespace = dict(_RUNTIME)
         self.namespace["_unbound"] = lambda k: UnboundVariableError(
             f"variable {variables[k]!r} is not bound"
@@ -532,6 +547,9 @@ class _Emitter:
         self.depth = 1
         self.bound: set[int] = set()
         self.count = 0
+        # The local of each right-hand side written unconditionally, and of each constant.
+        self.written: dict[str, str] = {}
+        self.consts: dict[str, str] = {}
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
@@ -541,15 +559,22 @@ class _Emitter:
         return f"t{self.count}"
 
     def tmp(self, rhs: str) -> str:
-        """A new local holding rhs."""
-        name = self.fresh()
-        self.line(f"{name} = {rhs}")
+        """A local holding rhs: a new one, or the one already holding it unconditionally."""
+        name = self.written.get(rhs)
+        if name is None:
+            name = self.fresh()
+            self.line(f"{name} = {rhs}")
+            if self.depth == 1:
+                self.written[rhs] = name
         return name
 
     def const(self, value: float) -> str:
-        name = f"c{self.count}"
-        self.count += 1
-        self.namespace[name] = value
+        key = value.hex()
+        name = self.consts.get(key)
+        if name is None:
+            name = self.consts[key] = f"c{self.count}"
+            self.count += 1
+            self.namespace[name] = value
         return name
 
     # -- component arithmetic --------------------------------------------
@@ -576,8 +601,13 @@ class _Emitter:
         return self.tmp(f"{x} - {y}")
 
     def nonzero_test(self, comps):
-        """Source of a run-time test that some component is non-zero, None if all are zero."""
+        """Source of a run-time test that some component is non-zero.
+
+        None if all are zero, "True" if one is the seed literal.
+        """
         live = [c for c in comps if c is not None]
+        if _SEED in live:
+            return "True"
         return " or ".join(f"{c} != 0.0" for c in live) if live else None
 
     # -- hyper-dual rules ------------------------------------------------
@@ -602,7 +632,7 @@ class _Emitter:
             return (self.tmp(f"{u[0]} / {va}"), None, None, None)
         inv = [self.tmp(f"1.0 / {va}"), None, None, None]
         if v1 is not None or v2 is not None or v12 is not None:
-            bb = self.tmp(f"_nonzero_square({va})")
+            bb = self.tmp(f"_nonzero_product({va}, {va})")
             inv[1] = v1 and self.tmp(f"-{v1} / {bb}")
             inv[2] = v2 and self.tmp(f"-{v2} / {bb}")
             cross = self.prod("2.0", v1, v2)
@@ -678,6 +708,8 @@ class _Emitter:
 
     def branch(self, test, then, otherwise):
         """if test: then() else: otherwise(), merging their components."""
+        if test == "True":
+            return then()
         arms = []
         outer_lines = self.lines
         self.depth += 1
@@ -701,6 +733,12 @@ class _Emitter:
         return tuple(merged)
 
     # -- tree walk -------------------------------------------------------
+
+    def result(self, root: Node, seed1: str | None, seed2: str | None) -> str:
+        """Write the code of one seed pair; the source of its f, df/ds or d2f/dsdt."""
+        self.seeds = (seed1, seed2)
+        comps = self.visit(root)
+        return (comps[0] if seed1 is None else comps[1] if seed2 is None else comps[3]) or "0.0"
 
     def visit(self, node: Node):
         if isinstance(node, Num):
@@ -736,14 +774,16 @@ class _Emitter:
         return self.power(u, v)
 
 
-def _compile(expr: ScalarExpr, seed1: str | None, seed2: str | None):
-    """The function of expr's variables returning f, df/ds or d2f/dsdt."""
-    emitter = _Emitter(expr.variables, seed1, seed2)
-    comps = emitter.visit(expr.root)
-    result = comps[0] if seed1 is None else comps[1] if seed2 is None else comps[3]
+def _compile(expr: ScalarExpr, pairs: tuple[tuple[str | None, str | None], ...]):
+    """The function of expr's variables returning f, df/ds or d2f/dsdt of each seed pair.
+
+    One pair gives a float, several a tuple in the order of pairs.
+    """
+    emitter = _Emitter(expr.variables)
+    results = [emitter.result(expr.root, seed1, seed2) for seed1, seed2 in pairs]
     params = ", ".join(f"v{k}" for k in range(len(expr.variables)))
     source = "\n".join(
-        [f"def compiled({params}):", *emitter.lines, f"    return {result or '0.0'}", ""]
+        [f"def compiled({params}):", *emitter.lines, f"    return {', '.join(results)}", ""]
     )
     exec(compile(source, "<riemdyn.expression>", "exec"), emitter.namespace)
     # Popped so the function and its globals do not form a reference cycle.
@@ -755,7 +795,7 @@ def _code(expr: ScalarExpr, seed1: str | None = None, seed2: str | None = None):
     key = (seed1, seed2)
     fn = expr._code.get(key)
     if fn is None:
-        fn = expr._code[key] = _compile(expr, seed1, seed2)
+        fn = expr._code[key] = _compile(expr, (key,))
     return fn
 
 
@@ -799,6 +839,21 @@ def second_partial_env(
 ) -> float:
     """Exact mixed second partial with respect to two named variables."""
     return _code(expr, name1, name2)(*_env_args(expr, env))
+
+
+def partial_and_second_env(
+    expr: ScalarExpr, env: Mapping[str, float], name: str
+) -> tuple[float, float]:
+    """partial_env and second_partial_env by one named variable, from one compiled call.
+
+    Both numbers equal the separate calls' bit for bit, and the call raises
+    whenever either of them would, the first partial's error first.
+    """
+    pairs = ((name, None), (name, name))
+    fn = expr._code.get(pairs)
+    if fn is None:
+        fn = expr._code[pairs] = _compile(expr, pairs)
+    return fn(*_env_args(expr, env))
 
 
 def partial(expr: ScalarExpr, x, q: int) -> float:

@@ -53,6 +53,7 @@ __all__ = [
     "TensorComponents",
     "x_partials",
     "fiber_partials",
+    "jet",
     "fiber_hessian",
     "spatial_gradient",
     "velocity_gradient",
@@ -125,7 +126,10 @@ class ExtendedField:
     (chart, point) to a component array of shape (dim,) * (upper + lower)
     with upper axes first. The two optional partials callables return
     analytic derivatives with the derivative axis appended last; when
-    absent, central finite differences of eval_fn are used.
+    absent, central finite differences of eval_fn are used. The optional
+    jet_fn returns (value, x partials, fiber partials) from one call, for
+    a field whose three share costly work; each must equal what eval_fn,
+    x_partials_fn and fiber_partials_fn return at the point.
     """
 
     rank: tuple[int, int]
@@ -134,6 +138,7 @@ class ExtendedField:
     x_partials_fn: Callable[[ManifoldChart, object], np.ndarray] | None = None
     fiber_partials_fn: Callable[[ManifoldChart, object], np.ndarray] | None = None
     name: str = ""
+    jet_fn: Callable[[ManifoldChart, object], tuple] | None = None
 
     def __post_init__(self):
         if self.rep not in ("v", "p"):
@@ -242,6 +247,26 @@ def fiber_partials(chart: ManifoldChart, field: ExtendedField, point) -> np.ndar
         f_lo = _eval_components(chart, field, _with_fiber(point, lo))
         out[..., b] = (f_hi - f_lo) / (2.0 * h)
     return out
+
+
+def jet(chart: ManifoldChart, field: ExtendedField, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, dX/dx^q, fiber partials) at point.
+
+    One jet_fn call when the field has one, otherwise eval_fn, x_partials
+    and fiber_partials.
+    """
+    if field.jet_fn is not None:
+        value, dx, dfib = field.jet_fn(chart, point)
+        return (
+            np.asarray(value, dtype=float),
+            np.asarray(dx, dtype=float),
+            np.asarray(dfib, dtype=float),
+        )
+    return (
+        _eval_components(chart, field, point),
+        x_partials(chart, field, point),
+        fiber_partials(chart, field, point),
+    )
 
 
 def fiber_hessian(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
@@ -461,7 +486,7 @@ def check_analytic_partials(
     Returns the max absolute difference; raises ValueError if it exceeds
     tol. Fields without analytic hooks trivially pass with 0.0.
     """
-    stripped = dataclasses.replace(field, x_partials_fn=None, fiber_partials_fn=None)
+    stripped = dataclasses.replace(field, x_partials_fn=None, fiber_partials_fn=None, jet_fn=None)
     worst = 0.0
     for point in points:
         if field.x_partials_fn is not None:

@@ -15,10 +15,15 @@ is Gamma^k_ij, and metric_partials_at(chart, x)[i, j, q] is d g_ij / d x^q
 metric_at validates a point once. Each chart keeps the last point it
 validated (keyed by the bytes of the float coordinates) with its metric, so
 the repeated queries at one x made by a Newton solve or a line search skip
-the domain test, the symmetrisation and the Cholesky factorisation. One
-point per chart is kept, errors are never kept, and the returned matrix is
-read-only because the next call at the same point returns the same array.
-This is exact only because metric_fn and domain_fn are pure functions of x.
+the domain test, the symmetrisation and the Cholesky factorisation. The
+same memo holds g^-1 = np.linalg.inv(g), computed on the first
+inverse_metric_at call at that point. metric_partials_at, christoffel_at
+and inverse_metric_partials_at skip the domain test at the memo's point,
+which metric_at has already validated; at any other x they validate as
+before. One point per chart is kept, errors are never kept, and the
+returned metric and inverse are read-only because the next call at the
+same point returns the same arrays. This is exact only because metric_fn
+and domain_fn are pure functions of x.
 """
 
 from __future__ import annotations
@@ -80,10 +85,11 @@ class ManifoldChart:
     state samplers in the verification suites.
 
     metric_fn and domain_fn must be pure functions of x: metric_at keeps
-    the last validated point and its metric in _last and returns that
-    matrix again for the same coordinates without calling either. _last is
-    not an init argument, so dataclasses.replace copies start empty, and
-    it takes no part in equality or repr.
+    the last validated point in _last, as [coordinate bytes, g, g^-1 or
+    None until first asked for], and returns that matrix again for the
+    same coordinates without calling either. _last is not an init
+    argument, so dataclasses.replace copies start empty, and it takes no
+    part in equality or repr.
     """
 
     name: str
@@ -93,7 +99,7 @@ class ManifoldChart:
     christoffel_fn: Callable[[np.ndarray], np.ndarray] | None = None
     domain_fn: Callable[[np.ndarray], bool] | None = None
     sample_box: np.ndarray | None = None
-    _last: tuple[bytes, np.ndarray] | None = field(
+    _last: list | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -119,6 +125,15 @@ def in_domain(chart: ManifoldChart, x) -> bool:
 def check_point(chart: ManifoldChart, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     _require_inside(chart, x)
+    return x
+
+
+def _checked(chart: ManifoldChart, x) -> np.ndarray:
+    """check_point, skipping the domain test at the memo's point, which metric_at validated."""
+    x = np.asarray(x, dtype=float)
+    last = chart._last
+    if last is None or last[0] != x.tobytes() or x.shape != (chart.dim,):
+        _require_inside(chart, x)
     return x
 
 
@@ -159,12 +174,19 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
             f"metric on {chart.name!r} at {x!r} is singular (det {det:.3e})"
         )
     g.flags.writeable = False
-    object.__setattr__(chart, "_last", (key, g))
+    object.__setattr__(chart, "_last", [key, g, None])
     return g
 
 
 def inverse_metric_at(chart: ManifoldChart, x) -> np.ndarray:
-    return np.linalg.inv(metric_at(chart, x))
+    """np.linalg.inv of metric_at(chart, x), read-only and kept in the chart's memo."""
+    g = metric_at(chart, x)
+    last = chart._last  # metric_at has just stored or found x there
+    if last[2] is None:
+        ginv = np.linalg.inv(g)
+        ginv.flags.writeable = False
+        last[2] = ginv
+    return last[2]
 
 
 def inverse_metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:
@@ -176,7 +198,7 @@ def inverse_metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:
 
 def metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:
     """dg[i, j, q] = d g_ij / d x^q, analytic when available, else central FD."""
-    x = check_point(chart, x)
+    x = _checked(chart, x)
     if chart.metric_partials_fn is not None:
         return np.asarray(chart.metric_partials_fn(x), dtype=float)
     n = chart.dim
@@ -199,7 +221,7 @@ def metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:
 
 def christoffel_at(chart: ManifoldChart, x) -> np.ndarray:
     """Gamma[k, i, j] = Gamma^k_ij of the Levi-Civita connection at x."""
-    x = check_point(chart, x)
+    x = _checked(chart, x)
     if chart.christoffel_fn is not None:
         return np.asarray(chart.christoffel_fn(x), dtype=float)
     dg = metric_partials_at(chart, x)

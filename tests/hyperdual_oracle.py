@@ -5,8 +5,9 @@ expression and seed pair. These are the tree walkers it replaced:
 ``_eval`` for plain values and the hyper-dual evaluator ``_eval_hd``
 (Fike & Alonso, AIAA 2011-886) for exact first and mixed second partials.
 The tests compare the compiled route against them. Like the compiled
-code, a quotient's derivative and log's curvature divide by a square only
-when the derivative needs it, and refuse a square that underflows to zero.
+code, a quotient's derivative and the curvatures of log and sqrt divide by
+a product only when the derivative needs it, and refuse a product that
+underflows to zero.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from riemdyn.expression import (
     Num,
     Unary,
     Var,
-    _nonzero_square,
+    _nonzero_product,
     _pow_deriv_coeff,
     _pow_val,
 )
@@ -116,7 +117,7 @@ def _hd_div(u: _HD, v: _HD) -> _HD:
     b = v.a
     if v.a1 == 0.0 and v.a2 == 0.0 and v.a12 == 0.0:
         return _hd_mul(u, _HD(1.0 / b))
-    bb = _nonzero_square(b)
+    bb = _nonzero_product(b, b)
     inv = _HD(
         1.0 / b,
         -v.a1 / bb,
@@ -149,16 +150,18 @@ def _hd_call(func: str, u: _HD) -> _HD:
         return _hd_chain(u, val, sec2, 2.0 * val * sec2)
     if func == "exp":
         return _hd_chain(u, val, val, val)
+    # The curvatures of log and sqrt are only formed when both seeds reach the argument.
+    both_seeds = u.a1 != 0.0 and u.a2 != 0.0
     if func == "log":
-        # The curvature is only formed when both seeds reach the argument.
-        d2 = -1.0 / _nonzero_square(a) if u.a1 != 0.0 and u.a2 != 0.0 else 0.0
+        d2 = -1.0 / _nonzero_product(a, a) if both_seeds else 0.0
         return _hd_chain(u, val, 1.0 / a, d2)
     if func == "sqrt":
         if a == 0.0:
             if needs_deriv:
                 raise EvalDomainError("derivative of sqrt at zero")
             return _HD(0.0)
-        return _hd_chain(u, val, 0.5 / val, -0.25 / (val * a))
+        d2 = -0.25 / _nonzero_product(val, a) if both_seeds else 0.0
+        return _hd_chain(u, val, 0.5 / val, d2)
     if func == "cosh":
         return _hd_chain(u, val, math.sinh(a), val)
     if func == "sinh":

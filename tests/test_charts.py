@@ -214,3 +214,41 @@ def test_conformally_flat_chart():
     x = np.array([0.25, -0.5])
     g = manifold.metric_at(chart, x)
     assert np.allclose(g, math.exp(-0.5) * np.eye(2), rtol=1e-13)
+
+
+def test_inverse_metric_is_read_only_and_kept_with_the_metric():
+    chart = builtin_chart("sphere2d")
+    x = np.array([0.9, -0.4])
+    g = manifold.metric_at(chart, x)
+    assert chart._last[2] is None  # computed on first use only
+    ginv = manifold.inverse_metric_at(chart, x)
+    assert np.array_equal(ginv, np.linalg.inv(g))
+    assert manifold.inverse_metric_at(chart, x.copy()) is ginv
+    with pytest.raises(ValueError):
+        ginv[0, 0] = 5.0
+    copy = dataclasses.replace(chart)
+    assert copy._last is None
+    assert np.array_equal(manifold.inverse_metric_at(copy, x), ginv)
+    assert manifold.inverse_metric_at(copy, x) is not ginv
+    y = np.array([1.2, 0.1])
+    ginv_y = manifold.inverse_metric_at(chart, y)
+    assert np.array_equal(ginv_y, np.linalg.inv(manifold.metric_at(chart, y)))
+
+
+def test_derivative_queries_validate_any_point_but_the_memo():
+    polar = builtin_chart("polar2d")
+    stripped = manifold.strip_analytic(polar)
+    for chart in (polar, stripped):
+        valid = np.array([1.3, 0.2])
+        manifold.metric_at(chart, valid)
+        assert np.array_equal(
+            manifold.metric_partials_at(chart, valid),
+            manifold.metric_partials_at(dataclasses.replace(chart), valid),
+        )
+        for bad in (np.array([-1.0, 0.2]), np.array([np.inf, 0.2]), valid.reshape(1, 2)):
+            with pytest.raises(ChartDomainError):
+                manifold.metric_partials_at(chart, bad)
+            with pytest.raises(ChartDomainError):
+                manifold.christoffel_at(chart, bad)
+            with pytest.raises(ChartDomainError):
+                manifold.inverse_metric_partials_at(chart, bad)

@@ -125,6 +125,27 @@ def test_simulate_refuses_an_underflowing_derivative_without_a_traceback(tmp_pat
     assert "underflows to zero" in done.stderr
 
 
+def test_simulate_ends_a_run_whose_expression_leaves_its_domain(tmp_path, capsys):
+    # U = log(x1) pulls x1 through 0, where log is undefined, at t = 0.33.
+    out = tmp_path / "out"
+    cfg = {
+        "schema": 1,
+        "chart": {"name": "euclidean2"},
+        "system": {"kind": "lagrange", "family": "kinetic-potential", "U": "log(x1)"},
+        "integrator": {"method": "rk4", "dt": 0.01, "t_span": [0.0, 1.0]},
+        "initial": {"x": [0.5, 0.0], "v": [-1.0, 0.0]},
+        "output": {"directory": str(out), "basename": "log"},
+    }
+    assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 3
+    captured = capsys.readouterr()
+    assert "error: log of non-positive value" in captured.err
+    report = json.loads((out / "log.json").read_text())
+    assert report["status"] == "non_finite"
+    assert 0.25 < report["t_final"] < 0.35
+    rows = (out / "log.csv").read_text().strip().split("\n")
+    assert len(rows) == report["samples"] + 1
+
+
 def test_simulate_reports_a_step_underflow(tmp_path, capsys):
     """x'' = x^3 from x = v = 1 blows up near t = 1.311; rk45 gives up with a status."""
     out = tmp_path / "out"

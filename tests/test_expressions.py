@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import struct
 
 import hyperdual_oracle as oracle
 import numpy as np
@@ -247,6 +248,19 @@ def test_underflowing_squares_are_domain_errors():
     _check_against_oracle(log, tiny)
 
 
+def test_sqrt_curvature_at_a_tiny_argument_is_a_domain_error():
+    # sqrt(a) * a underflows to zero for a below about 1e-216; the slope does not.
+    expr = ex.parse("sqrt(x1)")
+    tiny = {"x1": 1e-220}
+    for route in (ex, oracle):
+        with pytest.raises(EvalDomainError, match="underflows to zero"):
+            route.second_partial_env(expr, tiny, "x1", "x1")
+        assert route.partial_env(expr, tiny, "x1") == pytest.approx(5e109, rel=1e-15)
+    with pytest.raises(EvalDomainError, match="underflows to zero"):
+        ex.partial_and_second_env(expr, tiny, "x1")
+    _check_against_oracle(expr, tiny)
+
+
 def _oracle_points(names):
     for values in itertools.product(_EDGE_VALUES, repeat=len(names)):
         yield dict(zip(names, values))
@@ -375,3 +389,60 @@ def test_substitute_reparses_for_random_trees(outer, inner):
     expr, part = (ex._expr(root, ex._unparse(root)) for root in (outer, inner))
     composed = ex.substitute(expr, {"x1": part})
     assert ex.parse(composed.source).root == composed.root
+
+
+_W_TREES = st.recursive(
+    st.one_of(
+        st.just(ex.Var("w")),
+        st.floats(min_value=0.0, max_value=10.0).map(lambda v: ex.Num(abs(v))),
+    ),
+    lambda sub: st.one_of(
+        sub.map(ex.Unary),
+        st.builds(ex.Binary, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(ex.Call, st.sampled_from(ex.FUNCTION_NAMES), sub),
+    ),
+    max_leaves=6,
+)
+
+
+def _outcome(fn, *args):
+    """("value", result), or ("raised", error type, message)."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - every error must be reproduced
+        return ("raised", type(exc), str(exc))
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_W_TREES)
+def test_partial_and_second_equal_the_separate_calls_bit_for_bit(root):
+    expr = ex._expr(root, ex._unparse(root))
+    for w in (0.7, -1.5, 0.0, 2.5):
+        env = {"w": w}
+        first = _outcome(ex.partial_env, expr, env, "w")
+        second = _outcome(ex.second_partial_env, expr, env, "w", "w")
+        both = _outcome(ex.partial_and_second_env, expr, env, "w")
+        if first[0] == "raised":
+            assert both == first  # the first partial's error comes first
+        elif second[0] == "raised":
+            assert both == second
+        else:
+            assert both[0] == "value", both
+            assert _bits(both[1][0]) == _bits(first[1]), (expr.source, w)
+            assert _bits(both[1][1]) == _bits(second[1]), (expr.source, w)
+
+
+def test_partial_and_second_keep_the_first_partial_where_the_exponent_is_stationary():
+    # At w = 0 the exponent 3 + w*w has a zero slope and a non-zero curvature,
+    # so the (w, w) pair takes the variable-exponent rule and the w pair the
+    # constant one; they round differently.
+    expr = ex.parse("(2.5 + w)^(3 + w*w)")
+    env = {"w": 0.0}
+    assert ex.partial_and_second_env(expr, env, "w") == (
+        ex.partial_env(expr, env, "w"),
+        ex.second_partial_env(expr, env, "w", "w"),
+    )

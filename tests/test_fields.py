@@ -200,3 +200,18 @@ def test_quadratic_scalars_are_legendre_duals(name, params):
         assert np.allclose(ef.fiber_partials(chart, ham, state), q.v, rtol=1e-12, atol=1e-12)
         dh_dx = ef.x_partials(chart, ham, state)
         assert np.allclose(dh_dx, -ef.x_partials(chart, lag, q), rtol=1e-12, atol=1e-12)
+
+
+def test_jet_without_a_hook_equals_the_three_separate_calls():
+    chart = manifold.builtin_chart("sphere2d")
+    rng = np.random.default_rng(9)
+    states = verification.sample_cotangent_states(chart, 5, rng)
+    analytic = ef.momentum_kinetic_scalar(f="x1/3", u="sin(x2)")
+    bare = ef.ExtendedField((0, 0), "p", analytic.eval_fn, name="fd_only")
+    for field in (analytic, bare):
+        assert field.jet_fn is None
+        for state in states:
+            value, dx, dp = ef.jet(chart, field, state)
+            assert np.array_equal(value, field.eval_fn(chart, state))
+            assert np.array_equal(dx, ef.x_partials(chart, field, state))
+            assert np.array_equal(dp, ef.fiber_partials(chart, field, state))

@@ -177,3 +177,20 @@ def test_cotangent_csv_layout(tmp_path):
     assert first[0] == 0.0
     h_column = [float(line.split(",")[-1]) for line in lines[1:]]
     assert max(h_column) - min(h_column) < 1e-10
+
+
+@pytest.mark.parametrize("chart_name", ["euclidean2", "polar2d", "sphere2d"])
+def test_fiberwise_jet_equals_the_separate_hooks_bit_for_bit(chart_name):
+    chart = manifold.builtin_chart(chart_name)
+    lag = dl.catalog_lagrangian("fiberwise-phi", phi="w^2/2 + w^4/10", C="exp(-x1/4)")
+    ham = dh.hamiltonian_from_lagrangian(dh.LegendreContext(lag))
+    field = ham.field
+    assert field.jet_fn is not None
+    rng = np.random.default_rng(31)
+    for state in verification.sample_cotangent_states(chart, 8, rng):
+        value, dx, dp = field.jet_fn(chart, state)
+        assert np.array_equal(value, field.eval_fn(chart, state))
+        assert np.array_equal(dx, field.x_partials_fn(chart, state))
+        assert np.array_equal(dp, field.fiber_partials_fn(chart, state))
+        x_dot, p_dot = dh.hamilton_rhs(chart, ham, state)
+        assert np.array_equal(x_dot, dp) and np.array_equal(p_dot, -dx)

@@ -10,7 +10,7 @@ from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
 from riemdyn import manifold, verification
-from riemdyn.errors import ChartDomainError
+from riemdyn.errors import ChartDomainError, DegenerateWError, EvalDomainError, ZeroVelocityError
 from riemdyn.extended_fields import TangentPoint
 
 
@@ -148,6 +148,33 @@ def test_step_size_underflow():
     assert np.count_nonzero(before) > 10
     exact = 1.0 - np.sqrt(1.0 - 2.0 * ts[before])
     assert np.max(np.abs(np.concatenate(ys)[before] - exact)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "error, status",
+    [
+        (EvalDomainError("log of non-positive value -0.1"), "non_finite"),
+        (ZeroVelocityError("velocity modulus 0 is below the zero-velocity floor"), "singular"),
+        (DegenerateWError("W' vanishes"), "singular"),
+    ],
+)
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_system_errors_end_the_run_with_a_status(error, status, method):
+    """dy/dt = 1 until y passes 0.42, where rhs raises; rk45 halves its step first."""
+    config = dn.IntegratorConfig(method=method, dt=0.1, t_span=(0.0, 1.0), dt_min=1e-6)
+
+    def rhs(t, y):
+        if y[0] > 0.42:
+            raise error
+        return np.ones(1)
+
+    ts, ys, run_status = dn.integrate_ode(rhs, np.array([0.0]), config, lambda y: True)
+    assert run_status == status and run_status.error == str(error)
+    assert ts[-1] == pytest.approx(ys[-1][0])
+    if method == "rk4":
+        assert ts[-1] == pytest.approx(0.4)  # the step from 0.4 samples y = 0.45
+    else:
+        assert 0.42 - 1e-5 < ts[-1] <= 0.42  # halved down to dt_min before stopping
 
 
 def test_record_every_and_forced_final_sample():
