@@ -28,6 +28,7 @@ from .errors import (
     MissingAccelError,
     NegativeNormError,
     NonConvergenceError,
+    NonFiniteStateError,
     ParseError,
     RankMismatchError,
     RiemdynError,

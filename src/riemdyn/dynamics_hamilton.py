@@ -370,8 +370,11 @@ def b_matrix(chart: ManifoldChart, hamiltonian: Hamiltonian, state: CotangentPoi
 def hamilton_rhs(
     chart: ManifoldChart, hamiltonian: Hamiltonian, state: CotangentPoint
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical equations dx/dt = dH/dp, dp/dt = -dH/dx, from one jet of H."""
-    manifold.check_point(chart, state.x)
+    """Canonical equations dx/dt = dH/dp, dp/dt = -dH/dx, from one jet of H.
+
+    x is validated once, by metric_at; the hooks of H read its geometry record.
+    """
+    manifold.metric_at(chart, state.x)
     _, dx, dp = extended_fields.jet(chart, hamiltonian.field, state)
     return dp, -dx
 

@@ -90,6 +90,18 @@ class Lagrangian:
     mixed_partials_fn: Callable[[ManifoldChart, TangentPoint], np.ndarray] | None = None
     profile: RadialProfile | None = None
     name: str = ""
+    _momentum: ExtendedField = dc_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        momentum = ExtendedField(
+            rank=(0, 1),
+            rep="v",
+            eval_fn=lambda chart, point: self.dv(chart, point),
+            x_partials_fn=self.mixed_partials_fn,
+            fiber_partials_fn=self.second_fiber_fn,
+            name=f"momentum[{self.name}]",
+        )
+        object.__setattr__(self, "_momentum", momentum)
 
     def value(self, chart: ManifoldChart, point: TangentPoint) -> float:
         return float(self.field.eval_fn(chart, point))
@@ -104,15 +116,8 @@ class Lagrangian:
 
 
 def momentum_field(lagrangian: Lagrangian) -> ExtendedField:
-    """The momentum covector P_k = dL/dv^k as a rank (0, 1) field."""
-    return ExtendedField(
-        rank=(0, 1),
-        rep="v",
-        eval_fn=lambda chart, point: lagrangian.dv(chart, point),
-        x_partials_fn=lagrangian.mixed_partials_fn,
-        fiber_partials_fn=lagrangian.second_fiber_fn,
-        name=f"momentum[{lagrangian.name}]",
-    )
+    """The momentum covector P_k = dL/dv^k as a rank (0, 1) field, built once per Lagrangian."""
+    return lagrangian._momentum
 
 
 def a_matrix(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> np.ndarray:
@@ -134,7 +139,7 @@ class RegularityReport:
 
 
 def _det_tolerance(a: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(a))))
+    scale = max(1.0, float(abs(a).max()))
     return 1e-10 * scale ** a.shape[0]
 
 
@@ -225,7 +230,7 @@ def classical_el_residual(chart: ManifoldChart, lagrangian: Lagrangian, trajecto
     """
     samples = _as_samples(trajectory)
     stripped = dataclasses.replace(
-        lagrangian.field, x_partials_fn=None, fiber_partials_fn=None
+        lagrangian.field, x_partials_fn=None, fiber_partials_fn=None, jet_fn=None
     )
     dt = extended_fields._check_uniform_times(samples)
     momenta = np.stack(
@@ -257,7 +262,7 @@ def integrate_lagrangian(
 
     def rhs(t, y):
         point = TangentPoint(y[:n], y[n:])
-        manifold.check_point(chart, point.x)
+        manifold.metric_at(chart, point.x)  # validates x once; the hooks read the record
         a = a_matrix(chart, lagrangian, point)
         _require_regular(a, "fiber Hessian is singular (det {det:.3e}) during integration")
         dldx = extended_fields.x_partials(chart, lagrangian.field, point)

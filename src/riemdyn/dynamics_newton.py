@@ -14,12 +14,16 @@ with proportional step control.
 
 One driver, _integrate_split, runs the three legs (integrate,
 integrate_lagrangian, integrate_hamiltonian) with one stop rule: a state
-is accepted while metric_at accepts its x. A refused state or a chart
-error from the right-hand side ends the run "left_chart". A singular
-fiber Hessian (SingularAError) or a force undefined at the state
-(ForceSingularError, such as a zero velocity) ends it "singular", and an
-expression evaluated outside its domain (EvalDomainError) ends it
-"non_finite". Under rk45 each of these errors first halves the trial
+is accepted while metric_at accepts its x and its fiber is finite. A
+refused state with finite coordinates, or a chart error from the
+right-hand side, ends the run "left_chart". A singular fiber Hessian
+(SingularAError), a force undefined at the state (ForceSingularError,
+such as a zero velocity) or an iterative solve that did not converge
+(NonConvergenceError) ends it "singular". An expression evaluated
+outside its domain (EvalDomainError), or a state or stage with an
+infinite or NaN coordinate, such as one that overflowed, ends it
+"non_finite"; numpy's overflow and invalid-value warnings are off while
+the driver steps. Under rk45 each of these errors first halves the trial
 step, down to dt_min, and step control that takes the step below dt_min
 ends the run "step_underflow". The status is a RunStatus: a str that
 also carries the message of the error that ended the run.
@@ -51,6 +55,8 @@ from .errors import (
     ChartDomainError,
     EvalDomainError,
     ForceSingularError,
+    NonConvergenceError,
+    NonFiniteStateError,
     SingularAError,
     SingularMetricError,
 )
@@ -59,11 +65,14 @@ from .manifold import ManifoldChart
 
 _LEAVE_CHART_ERRORS = (ChartDomainError, SingularMetricError)
 # Each error from a right-hand side that ends a run, with the status it ends it with.
+# The first class that matches wins, so a subclass comes before its base.
 _STOP_STATUS = {
+    NonFiniteStateError: "non_finite",
     ChartDomainError: "left_chart",
     SingularMetricError: "left_chart",
     SingularAError: "singular",
     ForceSingularError: "singular",
+    NonConvergenceError: "singular",
     EvalDomainError: "non_finite",
 }
 _STOP_ERRORS = tuple(_STOP_STATUS)
@@ -261,6 +270,15 @@ def _stop_status(exc: Exception) -> str:
     return next(word for cls, word in _STOP_STATUS.items() if isinstance(exc, cls))
 
 
+def _refused(y: np.ndarray) -> tuple[str, str]:
+    """(status, error) of a run whose new state in_domain refused."""
+    if np.isfinite(y).all():
+        return "left_chart", ""
+    return "non_finite", f"state {y!r} is not finite"
+
+
+# An overflow or a NaN in a step ends the run through the stop rule, not as a numpy warning.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_ode(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -273,8 +291,12 @@ def integrate_ode(
     canonical cotangent systems all flatten their states through here.
     in_domain turning false at an accepted step, or ChartDomainError or
     SingularMetricError from rhs, ends the run with status "left_chart";
-    SingularAError or ForceSingularError from rhs ends it with "singular",
-    and EvalDomainError with "non_finite". Under rk45 an error from rhs
+    SingularAError, ForceSingularError or NonConvergenceError from rhs
+    ends it with "singular", and EvalDomainError with "non_finite". So
+    does a state or stage with an infinite or NaN coordinate: in_domain
+    refusing it, or NonFiniteStateError from rhs. numpy overflow and
+    invalid-value warnings are off while it steps, so such a state stops
+    the run instead of printing them. Under rk45 an error from rhs
     first halves the trial step, down to dt_min, and step control that
     takes the next step below dt_min, after a rejected or an accepted
     step, ends the run with "step_underflow". The states accepted before
@@ -303,7 +325,7 @@ def integrate_ode(
                 status, error = _stop_status(exc), str(exc)
                 break
             if not in_domain(y_new):
-                status = "left_chart"
+                status, error = _refused(y_new)
                 break
             t, y = t + dt, y_new
             accepted += 1
@@ -327,7 +349,7 @@ def integrate_ode(
             err = math.sqrt(float((q * q).sum()) / q.size)
             if err <= 1.0:
                 if not in_domain(y_new):
-                    status = "left_chart"
+                    status, error = _refused(y_new)
                     break
                 t, y = t + dt, y_new
                 accepted += 1
@@ -367,7 +389,8 @@ def _integrate_split(chart, rhs, x0, fiber0, config):
 
     Returns (ts, xs, fibers, status). A state is accepted while metric_at
     accepts its x, which also refuses a metric that degenerates inside
-    the nominal open domain.
+    the nominal open domain, and its fiber is finite: an rk4 step whose
+    last stage overflowed leaves x finite and the fiber infinite.
     """
     n = chart.dim
     manifold.check_point(chart, x0)
@@ -377,7 +400,7 @@ def _integrate_split(chart, rhs, x0, fiber0, config):
             manifold.metric_at(chart, y[:n])
         except _LEAVE_CHART_ERRORS:
             return False
-        return True
+        return all(map(math.isfinite, y[n:].tolist()))
 
     ts, ys, status = integrate_ode(rhs, np.concatenate([x0, fiber0]), config, accepted)
     xs = np.array([y[:n] for y in ys])
@@ -389,7 +412,7 @@ def _tangent_trajectory(chart, ts, xs, vs, status, energy_fn) -> Trajectory:
     """Add the per-sample diagnostics to a split tangent run.
 
     Each sample's speed and energy are taken back to back, so energy_fn
-    finds that sample's metric in metric_at's memo.
+    finds that sample's metric in the chart's geometry record.
     """
     speeds = np.empty(len(ts))
     energies = None if energy_fn is None else np.empty(len(ts))

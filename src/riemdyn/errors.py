@@ -16,6 +16,10 @@ class ChartDomainError(RiemdynError):
     """A base point lies outside the chart's coordinate domain."""
 
 
+class NonFiniteStateError(ChartDomainError):
+    """A point has an infinite or NaN coordinate, so it lies in no chart."""
+
+
 class SingularMetricError(RiemdynError):
     """The metric matrix at a point is singular or indefinite."""
 

@@ -21,6 +21,12 @@ metric). Along a curve t -> (x(t), v(t)) the covariant time derivative
 satisfies the chain rule D_t X = (grad X) . xdot + (fiber grad X) . D_t v,
 which chain_rule_check verifies sample by sample.
 
+spatial_gradient reads Gamma once, from the chart's geometry record, and
+takes the value and both partials from one jet when it needs the value
+(rank > 0) or the field has a jet_fn; a scalar field without one
+evaluates only its two partials. The fiber correction is one matrix
+product and each index term one einsum, for any rank.
+
 Conventions: component axes are ordered upper-then-lower, every new
 derivative axis is appended last, and Christoffel arrays are indexed
 Gamma[k, i, j] = Gamma^k_ij.
@@ -303,42 +309,52 @@ def _fiber_correction(
     """The fiber term of the spatial gradient, shape like dfib.
 
     v-rep: - v^a Gamma^b_qa dX/dv^b.  p-rep: + p_a Gamma^a_qb dX/dp_b.
+    Each is one matrix product of dfib with a (dim, dim) contraction of Gamma.
     """
     if rep == "v":
-        m = np.einsum("a,bqa->bq", fiber, gamma)
-        return -np.einsum("...b,bq->...q", dfib, m)
-    m = np.einsum("a,aqb->bq", fiber, gamma)
-    return np.einsum("...b,bq->...q", dfib, m)
+        return -(dfib @ (gamma @ fiber))  # (gamma @ v)[b, q] = Gamma^b_qa v^a
+    n = fiber.shape[0]
+    m = (fiber @ gamma.reshape(n, n * n)).reshape(n, n)  # m[q, b] = p_a Gamma^a_qb
+    return dfib @ m.T
+
+
+# Subscripts of the component axes in _index_terms; "a" is summed and "q" is the new index.
+_COMPONENT_AXES = "bcdefghijklmnoprstuvwxyz"
 
 
 def _index_terms(gamma: np.ndarray, data: np.ndarray, variance: Sequence[str]) -> np.ndarray:
-    """Christoffel corrections for every component index, q axis appended."""
-    n = gamma.shape[0]
-    out = np.zeros(data.shape + (n,))
-    for axis, tag in enumerate(variance):
+    """Christoffel corrections for every component index, q axis appended.
+
+    An upper index k adds + Gamma^k_qa X^(...a...) and a lower index j adds
+    - Gamma^a_qj X_(...a...), one einsum per index.
+    """
+    axes = _COMPONENT_AXES[: data.ndim]
+    out = np.zeros(data.shape + (gamma.shape[0],))
+    for i, tag in enumerate(variance):
+        summed = axes[:i] + "a" + axes[i + 1 :]
         if tag == "u":
-            # + Gamma^k_qa X^(...a...): contract the component axis with
-            # gamma's last slot, new component index k, free index q last.
-            term = np.tensordot(data, gamma, axes=([axis], [2]))
-            term = np.moveaxis(term, -2, axis)
-            out += term
+            out += np.einsum(f"{axes[i]}qa,{summed}->{axes}q", gamma, data)
         else:
-            # - Gamma^b_qj X_(...b...): contract with gamma's first slot.
-            term = np.tensordot(data, np.swapaxes(gamma, 1, 2), axes=([axis], [0]))
-            term = np.moveaxis(term, -2, axis)
-            out -= term
+            out -= np.einsum(f"aq{axes[i]},{summed}->{axes}q", gamma, data)
     return out
 
 
 def spatial_gradient(chart: ManifoldChart, field: ExtendedField, point) -> TensorComponents:
-    """Covariant spatial derivative, one new lower index appended."""
+    """Covariant spatial derivative, one new lower index appended.
+
+    Gamma is read once. The value and both partials come from one jet when
+    the value is needed (rank > 0) or the field has a jet_fn; a scalar
+    field without one evaluates only its two partials.
+    """
     fiber = _fiber_of(field, point)
     gamma = manifold.christoffel_at(chart, point.x)
-    dx = x_partials(chart, field, point)
-    dfib = fiber_partials(chart, field, point)
+    if field.rank == (0, 0) and field.jet_fn is None:
+        dx = x_partials(chart, field, point)
+        dfib = fiber_partials(chart, field, point)
+        return TensorComponents(dx + _fiber_correction(gamma, fiber, dfib, field.rep), ("l",))
+    values, dx, dfib = jet(chart, field, point)
     data = dx + _fiber_correction(gamma, fiber, dfib, field.rep)
     if field.rank != (0, 0):
-        values = _eval_components(chart, field, point)
         data = data + _index_terms(gamma, values, field.variance)
     return TensorComponents(data, field.variance + ("l",))
 
@@ -532,36 +548,75 @@ def _conformal_factor(f_expr, x, scale: float) -> float:
     return math.exp(scale * expression.evaluate(f_expr, x))
 
 
+def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
+    """(1/2) c(x) y . (m(x) y) + s U(x) on the tangent or the cotangent bundle.
+
+    rep "v" is L: y = v, m = g, c = e^(-2f), s = -1. rep "p" is H: y = p,
+    m = g^-1, c = e^(2f), s = +1. f and U are optional, and without them no
+    expression code runs. The hooks and the jet share the product m y; the
+    jet forms it once for all three.
+    """
+    f_expr, u_expr = _coordinate(f), _coordinate(u)
+    sign = -1.0 if rep == "v" else 1.0
+
+    def fiber_of(point):
+        return point.v if rep == "v" else point.p
+
+    def product(chart, point):
+        if rep == "v":
+            return manifold.metric_at(chart, point.x) @ point.v
+        return manifold.inverse_metric_at(chart, point.x) @ point.p
+
+    def factor(x):
+        return 1.0 if f_expr is None else _conformal_factor(f_expr, x, 2.0 * sign)
+
+    def value(point, my, c):
+        out = 0.5 * c * float(fiber_of(point) @ my)
+        if u_expr is not None:
+            out += sign * expression.evaluate(u_expr, point.x)
+        return np.array(out)
+
+    def spatial(chart, point, my, c):
+        x, y = point.x, fiber_of(point)
+        if rep == "v":
+            dm = manifold.metric_partials_at(chart, x)
+        else:
+            dm = manifold.inverse_metric_partials_at(chart, x)
+        out = 0.5 * np.einsum("ijq,i,j->q", dm, y, y)
+        if f_expr is not None:
+            df = np.array(expression.gradient(f_expr, x))
+            out = c * (out + (sign * float(y @ my)) * df)
+        if u_expr is not None:
+            out = out + sign * np.array(expression.gradient(u_expr, x))
+        return out
+
+    def fiber(my, c):
+        return my if f_expr is None else c * my
+
+    def ev(chart, point):
+        return value(point, product(chart, point), factor(point.x))
+
+    def dx(chart, point):
+        if f_expr is None:
+            return spatial(chart, point, None, 1.0)
+        return spatial(chart, point, product(chart, point), factor(point.x))
+
+    def dfib(chart, point):
+        return fiber(product(chart, point), factor(point.x))
+
+    def jet(chart, point):
+        my, c = product(chart, point), factor(point.x)
+        return value(point, my, c), spatial(chart, point, my, c), fiber(my, c)
+
+    return ExtendedField((0, 0), rep, ev, dx, dfib, name=name, jet_fn=jet)
+
+
 def kinetic_energy_scalar(f=None, u=None) -> ExtendedField:
     """Scalar L = (1/2) e^(-2 f(x)) g_ij v^i v^j - U(x) on the tangent bundle.
 
     f and U are optional, and without them no expression code runs.
     """
-    f_expr, u_expr = _coordinate(f), _coordinate(u)
-
-    def ev(chart, point):
-        c = 0.5 if f_expr is None else 0.5 * _conformal_factor(f_expr, point.x, -2.0)
-        value = c * point.v @ manifold.metric_at(chart, point.x) @ point.v
-        if u_expr is not None:
-            value = float(value) - expression.evaluate(u_expr, point.x)
-        return np.array(value)
-
-    def dx(chart, point):
-        x, v = point.x, point.v
-        out = 0.5 * np.einsum("ijq,i,j->q", manifold.metric_partials_at(chart, x), v, v)
-        if f_expr is not None:
-            quad = float(v @ manifold.metric_at(chart, x) @ v)
-            df = np.array(expression.gradient(f_expr, x))
-            out = _conformal_factor(f_expr, x, -2.0) * (out - quad * df)
-        if u_expr is not None:
-            out = out - np.array(expression.gradient(u_expr, x))
-        return out
-
-    def dfib(chart, point):
-        v_low = manifold.metric_at(chart, point.x) @ point.v
-        return v_low if f_expr is None else _conformal_factor(f_expr, point.x, -2.0) * v_low
-
-    return ExtendedField((0, 0), "v", ev, dx, dfib, name="kinetic_energy")
+    return _quadratic_scalar("v", f, u, "kinetic_energy")
 
 
 def velocity_vector_field() -> ExtendedField:
@@ -616,28 +671,4 @@ def momentum_kinetic_scalar(f=None, u=None) -> ExtendedField:
     The Hamiltonian of kinetic_energy_scalar(f, u); f and U are optional,
     and without them no expression code runs.
     """
-    f_expr, u_expr = _coordinate(f), _coordinate(u)
-
-    def ev(chart, point):
-        c = 0.5 if f_expr is None else 0.5 * _conformal_factor(f_expr, point.x, 2.0)
-        value = c * point.p @ manifold.inverse_metric_at(chart, point.x) @ point.p
-        if u_expr is not None:
-            value = float(value) + expression.evaluate(u_expr, point.x)
-        return np.array(value)
-
-    def dx(chart, point):
-        x, p = point.x, point.p
-        out = 0.5 * np.einsum("ijq,i,j->q", manifold.inverse_metric_partials_at(chart, x), p, p)
-        if f_expr is not None:
-            quad = float(p @ manifold.inverse_metric_at(chart, x) @ p)
-            df = np.array(expression.gradient(f_expr, x))
-            out = _conformal_factor(f_expr, x, 2.0) * (quad * df + out)
-        if u_expr is not None:
-            out = out + np.array(expression.gradient(u_expr, x))
-        return out
-
-    def dfib(chart, point):
-        p_up = manifold.inverse_metric_at(chart, point.x) @ point.p
-        return p_up if f_expr is None else _conformal_factor(f_expr, point.x, 2.0) * p_up
-
-    return ExtendedField((0, 0), "p", ev, dx, dfib, name="momentum_kinetic")
+    return _quadratic_scalar("p", f, u, "momentum_kinetic")

@@ -12,18 +12,22 @@ Index conventions used across the package: christoffel_at(chart, x)[k, i, j]
 is Gamma^k_ij, and metric_partials_at(chart, x)[i, j, q] is d g_ij / d x^q
 (the derivative axis always comes last).
 
-metric_at validates a point once. Each chart keeps the last point it
-validated (keyed by the bytes of the float coordinates) with its metric, so
-the repeated queries at one x made by a Newton solve or a line search skip
-the domain test, the symmetrisation and the Cholesky factorisation. The
-same memo holds g^-1 = np.linalg.inv(g), computed on the first
-inverse_metric_at call at that point. metric_partials_at, christoffel_at
-and inverse_metric_partials_at skip the domain test at the memo's point,
-which metric_at has already validated; at any other x they validate as
-before. One point per chart is kept, errors are never kept, and the
-returned metric and inverse are read-only because the next call at the
-same point returns the same arrays. This is exact only because metric_fn
-and domain_fn are pure functions of x.
+metric_at validates a point once. Each chart keeps one geometry record:
+the last point metric_at validated (keyed by the bytes of the float
+coordinates) with its metric g, g^-1 = np.linalg.inv(g) and the
+Christoffel symbols. The metric is stored when the point is validated;
+g^-1 and Gamma are computed on the first inverse_metric_at and
+christoffel_at call at that point and kept. So the queries that one
+right-hand side, Newton solve or line search makes at one x skip the
+domain test, the symmetrisation, the Cholesky factorisation and the
+repeated inverse and Christoffel work. metric_partials_at and
+inverse_metric_partials_at skip the domain test at the record's point;
+at any other x every query validates and computes as if there were no
+record, and stores nothing. One point per chart is kept, errors are never
+kept, and the returned metric, inverse and Christoffel array are
+read-only because the next call at the same point returns the same
+arrays. This is exact only because metric_fn, christoffel_fn and
+domain_fn are pure functions of x.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .errors import (
     ChartDomainError,
     FDStepError,
     NegativeNormError,
+    NonFiniteStateError,
     SingularMetricError,
 )
 
@@ -84,12 +89,12 @@ class ManifoldChart:
     optional (dim, 2) array of per-coordinate bounds used by the random
     state samplers in the verification suites.
 
-    metric_fn and domain_fn must be pure functions of x: metric_at keeps
-    the last validated point in _last, as [coordinate bytes, g, g^-1 or
-    None until first asked for], and returns that matrix again for the
-    same coordinates without calling either. _last is not an init
-    argument, so dataclasses.replace copies start empty, and it takes no
-    part in equality or repr.
+    metric_fn, christoffel_fn and domain_fn must be pure functions of x:
+    metric_at keeps the last validated point in _last, as [coordinate
+    bytes, g, g^-1, Gamma], the last two None until first asked for, and
+    returns that matrix again for the same coordinates without calling
+    either. _last is not an init argument, so dataclasses.replace copies
+    start empty, and it takes no part in equality or repr.
     """
 
     name: str
@@ -104,9 +109,13 @@ class ManifoldChart:
     )
 
 
+def _finite(x: np.ndarray) -> bool:
+    return all(map(math.isfinite, x.tolist()))
+
+
 def _inside(chart: ManifoldChart, x: np.ndarray) -> bool:
     """in_domain for coordinates already converted to a float array."""
-    if x.shape != (chart.dim,) or not np.isfinite(x).all():
+    if x.shape != (chart.dim,) or not _finite(x):
         return False
     if chart.domain_fn is not None and not chart.domain_fn(x):
         return False
@@ -115,6 +124,10 @@ def _inside(chart: ManifoldChart, x: np.ndarray) -> bool:
 
 def _require_inside(chart: ManifoldChart, x: np.ndarray) -> None:
     if not _inside(chart, x):
+        if x.shape == (chart.dim,) and not _finite(x):
+            raise NonFiniteStateError(
+                f"point {x!r} is not finite, so it is outside chart {chart.name!r}"
+            )
         raise ChartDomainError(f"point {x!r} is outside chart {chart.name!r}")
 
 
@@ -128,17 +141,24 @@ def check_point(chart: ManifoldChart, x) -> np.ndarray:
     return x
 
 
-def _checked(chart: ManifoldChart, x) -> np.ndarray:
-    """check_point, skipping the domain test at the memo's point, which metric_at validated."""
-    x = np.asarray(x, dtype=float)
+def _record(chart: ManifoldChart, x: np.ndarray) -> list | None:
+    """The chart's geometry record when x is its point, else None."""
     last = chart._last
-    if last is None or last[0] != x.tobytes() or x.shape != (chart.dim,):
+    if last is not None and x.shape == (chart.dim,) and last[0] == x.tobytes():
+        return last
+    return None
+
+
+def _checked(chart: ManifoldChart, x) -> np.ndarray:
+    """check_point, skipping the domain test at the record's point, which metric_at validated."""
+    x = np.asarray(x, dtype=float)
+    if _record(chart, x) is None:
         _require_inside(chart, x)
     return x
 
 
 def _det_tolerance(g: np.ndarray) -> float:
-    scale = float(np.max(np.abs(g)))
+    scale = float(abs(g).max())
     return 1e-12 * scale ** g.shape[0]
 
 
@@ -149,11 +169,9 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
     returns the chart's stored matrix without validating again.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape == (chart.dim,):
-        key = x.tobytes()
-        last = chart._last
-        if last is not None and last[0] == key:
-            return last[1]
+    last = _record(chart, x)
+    if last is not None:
+        return last[1]
     _require_inside(chart, x)
     g = np.asarray(chart.metric_fn(x), dtype=float)
     if g.shape != (chart.dim, chart.dim):
@@ -168,18 +186,18 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
         raise SingularMetricError(
             f"metric on {chart.name!r} at {x!r} is not positive definite"
         ) from None
-    det = float(np.prod(np.diag(chol))) ** 2
+    det = float(chol.diagonal().prod()) ** 2
     if det <= _det_tolerance(g):
         raise SingularMetricError(
             f"metric on {chart.name!r} at {x!r} is singular (det {det:.3e})"
         )
     g.flags.writeable = False
-    object.__setattr__(chart, "_last", [key, g, None])
+    object.__setattr__(chart, "_last", [x.tobytes(), g, None, None])
     return g
 
 
 def inverse_metric_at(chart: ManifoldChart, x) -> np.ndarray:
-    """np.linalg.inv of metric_at(chart, x), read-only and kept in the chart's memo."""
+    """np.linalg.inv of metric_at(chart, x), read-only and kept in the chart's geometry record."""
     g = metric_at(chart, x)
     last = chart._last  # metric_at has just stored or found x there
     if last[2] is None:
@@ -220,10 +238,27 @@ def metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:
 
 
 def christoffel_at(chart: ManifoldChart, x) -> np.ndarray:
-    """Gamma[k, i, j] = Gamma^k_ij of the Levi-Civita connection at x."""
-    x = _checked(chart, x)
+    """Gamma[k, i, j] = Gamma^k_ij of the Levi-Civita connection at x.
+
+    At the geometry record's point the array is computed once and kept
+    there read-only; anywhere else x is validated and Gamma computed anew.
+    """
+    x = np.asarray(x, dtype=float)
+    last = _record(chart, x)
+    if last is None:
+        _require_inside(chart, x)
+        return _christoffel(chart, x)
+    if last[3] is None:
+        gamma = _christoffel(chart, x)
+        gamma.flags.writeable = False
+        last[3] = gamma
+    return last[3]
+
+
+def _christoffel(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
+    """A new Christoffel array at a validated x: the chart's hook, else from g and dg."""
     if chart.christoffel_fn is not None:
-        return np.asarray(chart.christoffel_fn(x), dtype=float)
+        return np.array(chart.christoffel_fn(x), dtype=float)
     dg = metric_partials_at(chart, x)
     ginv = inverse_metric_at(chart, x)
     # T[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riemdyn import manifold
-from riemdyn.errors import ChartDomainError, SingularMetricError
+from riemdyn.errors import ChartDomainError, NonFiniteStateError, SingularMetricError
 from riemdyn.manifold import FD_TOLERANCE, builtin_chart
 
 CHART_NAMES = ["euclidean2", "euclidean3", "polar2d", "sphere2d", "hyperbolic_half_plane"]
@@ -159,16 +159,22 @@ def test_derived_charts_do_not_share_the_stored_metric():
     chart = builtin_chart("polar2d")
     x = np.array([1.5, 0.2])
     g = manifold.metric_at(chart, x)
+    gamma = manifold.christoffel_at(chart, x)
     stripped = manifold.strip_analytic(chart)
     rescaled = manifold.conformal_rescale(chart, "x1/2")
     assert stripped._last is None and rescaled._last is None
     assert dataclasses.replace(chart) == chart
+    assert dataclasses.replace(chart)._last is None
     g_stripped = manifold.metric_at(stripped, x)
     assert np.array_equal(g_stripped, g) and g_stripped is not g
+    assert stripped._last[3] is None
+    assert manifold.christoffel_at(stripped, x) is not gamma
     g2 = manifold.metric_at(rescaled, x)
     assert np.allclose(g2, math.exp(-1.5) * g, rtol=1e-13)
     assert g2 is not g
+    assert rescaled._last[3] is None
     assert manifold.metric_at(chart, x) is g
+    assert manifold.christoffel_at(chart, x) is gamma
 
 
 def test_raise_lower_round_trip():
@@ -252,3 +258,49 @@ def test_derivative_queries_validate_any_point_but_the_memo():
                 manifold.christoffel_at(chart, bad)
             with pytest.raises(ChartDomainError):
                 manifold.inverse_metric_partials_at(chart, bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: builtin_chart("polar2d"),
+        lambda: builtin_chart("sphere2d"),
+        lambda: manifold.strip_analytic(builtin_chart("sphere2d")),
+    ],
+    ids=["polar2d", "sphere2d", "strip_analytic"],
+)
+def test_christoffel_symbols_are_kept_read_only_in_the_geometry_record(build):
+    chart = build()
+    x = np.array([1.1, 0.4])
+    manifold.metric_at(chart, x)
+    assert chart._last[3] is None  # computed on first use only
+    gamma = manifold.christoffel_at(chart, x)
+    assert np.array_equal(gamma, manifold.christoffel_at(build(), x))
+    assert manifold.christoffel_at(chart, x.copy()) is gamma
+    with pytest.raises(ValueError):
+        gamma[0, 0, 0] = 5.0
+    # Moving the record to another point computes Gamma there anew.
+    y = np.array([1.3, -0.2])
+    manifold.metric_at(chart, y)
+    gamma_y = manifold.christoffel_at(chart, y)
+    assert gamma_y is not gamma
+    assert np.array_equal(gamma_y, manifold.christoffel_at(build(), y))
+    # A point outside the chart is still refused right after a hit.
+    assert manifold.christoffel_at(chart, y) is gamma_y
+    for bad in (np.array([-1.0, 0.2]), np.array([np.inf, 0.2]), y.reshape(1, 2)):
+        with pytest.raises(ChartDomainError):
+            manifold.christoffel_at(chart, bad)
+        with pytest.raises(ChartDomainError):
+            manifold.metric_at(chart, bad)
+
+
+def test_a_non_finite_point_is_refused_as_not_finite():
+    polar = builtin_chart("polar2d")
+    manifold.metric_at(polar, np.array([1.0, 0.0]))
+    for bad in (np.array([np.inf, 0.0]), np.array([1.0, np.nan])):
+        for query in (manifold.metric_at, manifold.christoffel_at, manifold.check_point):
+            with pytest.raises(NonFiniteStateError, match="not finite"):
+                query(polar, bad)
+    with pytest.raises(ChartDomainError) as excinfo:
+        manifold.metric_at(polar, np.array([-1.0, 0.0]))
+    assert not isinstance(excinfo.value, NonFiniteStateError)

@@ -125,6 +125,35 @@ def test_simulate_refuses_an_underflowing_derivative_without_a_traceback(tmp_pat
     assert "underflows to zero" in done.stderr
 
 
+def test_simulate_ends_an_overflowing_run_non_finite_without_a_warning(tmp_path):
+    # dU/dx1 of -exp(x1) overflows to -inf near t = 1.07, and inf * 0 makes a NaN.
+    out = tmp_path / "out"
+    cfg = {
+        "schema": 1,
+        "chart": {"name": "euclidean2"},
+        "system": {"kind": "newton", "force": {"type": "potential", "U": "-exp(x1)"}},
+        "integrator": {"method": "rk4", "dt": 1e-3, "t_span": [0.0, 1.5]},
+        "initial": {"x": [1.0, 0.0], "v": [1.0, 0.0]},
+        "output": {"directory": str(out), "basename": "overflow"},
+    }
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "riemdyn.cli", "simulate", "-c", write_config(tmp_path, cfg)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert "not finite" in done.stderr
+    report = json.loads((out / "overflow.json").read_text())
+    assert report["status"] == "non_finite"
+    assert 1.0 < report["t_final"] < 1.1
+    rows = (out / "overflow.csv").read_text().strip().split("\n")
+    assert len(rows) == report["samples"] + 1
+
+
 def test_simulate_ends_a_run_whose_expression_leaves_its_domain(tmp_path, capsys):
     # U = log(x1) pulls x1 through 0, where log is undefined, at t = 0.33.
     out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Extended fields: gradients, contractions, time derivatives, chains."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -206,7 +208,8 @@ def test_jet_without_a_hook_equals_the_three_separate_calls():
     chart = manifold.builtin_chart("sphere2d")
     rng = np.random.default_rng(9)
     states = verification.sample_cotangent_states(chart, 5, rng)
-    analytic = ef.momentum_kinetic_scalar(f="x1/3", u="sin(x2)")
+    with_jet = ef.momentum_kinetic_scalar(f="x1/3", u="sin(x2)")
+    analytic = dataclasses.replace(with_jet, jet_fn=None)
     bare = ef.ExtendedField((0, 0), "p", analytic.eval_fn, name="fd_only")
     for field in (analytic, bare):
         assert field.jet_fn is None
@@ -215,3 +218,32 @@ def test_jet_without_a_hook_equals_the_three_separate_calls():
             assert np.array_equal(value, field.eval_fn(chart, state))
             assert np.array_equal(dx, ef.x_partials(chart, field, state))
             assert np.array_equal(dp, ef.fiber_partials(chart, field, state))
+
+
+def _tensordot_index_terms(gamma, data, variance):
+    """The tensordot form of the Christoffel index terms, kept as the reference."""
+    out = np.zeros(data.shape + (gamma.shape[0],))
+    for axis, tag in enumerate(variance):
+        if tag == "u":
+            term = np.tensordot(data, gamma, axes=([axis], [2]))
+            out += np.moveaxis(term, -2, axis)
+        else:
+            term = np.tensordot(data, np.swapaxes(gamma, 1, 2), axes=([axis], [0]))
+            out -= np.moveaxis(term, -2, axis)
+    return out
+
+
+def test_gradient_contractions_match_the_tensordot_reference():
+    """Index and fiber terms on a Gamma with no symmetry, for every rank up to 3."""
+    rng = np.random.default_rng(5)
+    gamma = rng.normal(size=(3, 3, 3))
+    fiber = rng.normal(size=3)
+    for variance in [(), ("u",), ("l",), ("u", "l"), ("l", "l"), ("u", "u", "l")]:
+        data = rng.normal(size=(3,) * len(variance))
+        got = ef._index_terms(gamma, data, variance)
+        assert np.allclose(got, _tensordot_index_terms(gamma, data, variance), rtol=0, atol=1e-13)
+        dfib = rng.normal(size=data.shape + (3,))
+        v_term = -np.einsum("...b,bq->...q", dfib, np.einsum("a,bqa->bq", fiber, gamma))
+        p_term = np.einsum("...b,bq->...q", dfib, np.einsum("a,aqb->bq", fiber, gamma))
+        assert np.allclose(ef._fiber_correction(gamma, fiber, dfib, "v"), v_term, rtol=0, atol=1e-13)
+        assert np.allclose(ef._fiber_correction(gamma, fiber, dfib, "p"), p_term, rtol=0, atol=1e-13)

@@ -8,7 +8,8 @@ import pytest
 from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
-from riemdyn import manifold, verification
+from riemdyn import expression, manifold, verification
+from riemdyn import extended_fields as ef
 from riemdyn.errors import NonConvergenceError
 from riemdyn.extended_fields import CotangentPoint, TangentPoint
 
@@ -192,5 +193,38 @@ def test_fiberwise_jet_equals_the_separate_hooks_bit_for_bit(chart_name):
         assert np.array_equal(value, field.eval_fn(chart, state))
         assert np.array_equal(dx, field.x_partials_fn(chart, state))
         assert np.array_equal(dp, field.fiber_partials_fn(chart, state))
+        x_dot, p_dot = dh.hamilton_rhs(chart, ham, state)
+        assert np.array_equal(x_dot, dp) and np.array_equal(p_dot, -dx)
+
+
+@pytest.mark.parametrize("f,u", [(None, None), ("x1/3", None), (None, "sin(x2)"), ("x1/3", "sin(x2)")])
+@pytest.mark.parametrize("chart_name", ["euclidean2", "polar2d", "sphere2d"])
+def test_quadratic_jets_equal_the_separate_hooks_bit_for_bit(chart_name, f, u, monkeypatch):
+    chart = manifold.builtin_chart(chart_name)
+    rng = np.random.default_rng(37)
+    tangent = verification.sample_tangent_states(chart, 6, rng)
+    cotangent = verification.sample_cotangent_states(chart, 6, rng)
+    lag_field = ef.kinetic_energy_scalar(f, u)
+    ham = dh.Hamiltonian(
+        field=ef.momentum_kinetic_scalar(f, u),
+        family="kinetic",
+        context=dh.LegendreContext(dl.kinetic_lagrangian()),
+    )
+    if f is None and u is None:
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("expression code ran without f and U")
+
+        for name in ("evaluate", "evaluate_env", "gradient"):
+            monkeypatch.setattr(expression, name, refuse)
+    for field, states in ((lag_field, tangent), (ham.field, cotangent)):
+        assert field.jet_fn is not None
+        for state in states:
+            value, dx, dfib = field.jet_fn(chart, state)
+            assert np.array_equal(value, field.eval_fn(chart, state))
+            assert np.array_equal(dx, field.x_partials_fn(chart, state))
+            assert np.array_equal(dfib, field.fiber_partials_fn(chart, state))
+    for state in cotangent:
+        _, dx, dp = ham.field.jet_fn(chart, state)
         x_dot, p_dot = dh.hamilton_rhs(chart, ham, state)
         assert np.array_equal(x_dot, dp) and np.array_equal(p_dot, -dx)

@@ -10,7 +10,13 @@ from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
 from riemdyn import manifold, verification
-from riemdyn.errors import ChartDomainError, DegenerateWError, EvalDomainError, ZeroVelocityError
+from riemdyn.errors import (
+    ChartDomainError,
+    DegenerateWError,
+    EvalDomainError,
+    NonConvergenceError,
+    ZeroVelocityError,
+)
 from riemdyn.extended_fields import TangentPoint
 
 
@@ -156,6 +162,7 @@ def test_step_size_underflow():
         (EvalDomainError("log of non-positive value -0.1"), "non_finite"),
         (ZeroVelocityError("velocity modulus 0 is below the zero-velocity floor"), "singular"),
         (DegenerateWError("W' vanishes"), "singular"),
+        (NonConvergenceError("phi' inversion stalled at z=0.5"), "singular"),
     ],
 )
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
@@ -175,6 +182,23 @@ def test_system_errors_end_the_run_with_a_status(error, status, method):
         assert ts[-1] == pytest.approx(0.4)  # the step from 0.4 samples y = 0.45
     else:
         assert 0.42 - 1e-5 < ts[-1] <= 0.42  # halved down to dt_min before stopping
+
+
+def test_a_force_that_overflows_ends_the_run_non_finite(recwarn):
+    """An infinite force past x1 = 0.42 makes a stage or a state non-finite."""
+    chart = manifold.builtin_chart("euclidean2")
+
+    def ev(chart, point):
+        return np.array([math.inf if point.x[0] > 0.42 else 1.0, 0.0])
+
+    q0 = TangentPoint(np.zeros(2), np.array([1.0, 0.0]))
+    config = dn.IntegratorConfig(method="rk4", dt=0.01, t_span=(0.0, 1.0))
+    trajectory = dn.integrate(chart, dn.ForceField(ev), q0, config)
+    assert trajectory.status == "non_finite"
+    assert "not finite" in trajectory.status.error
+    assert np.isfinite(trajectory.xs).all()
+    assert 0.3 < trajectory.ts[-1] < 0.42
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_record_every_and_forced_final_sample():
