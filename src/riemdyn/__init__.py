@@ -29,6 +29,7 @@ from .errors import (
     NegativeNormError,
     NonConvergenceError,
     NonFiniteStateError,
+    NumericOverflowError,
     ParseError,
     RankMismatchError,
     RiemdynError,

@@ -6,9 +6,11 @@ Subcommands:
       Integrate the configured system and write a trajectory CSV plus a
       JSON run report. Exit 0 when the run completes, 3 when the
       trajectory leaves the chart, the system turns singular, an
-      expression leaves its domain or the stepper gives up (the partial
-      outputs are still written, and the error that ended the run goes
-      to stderr), 2 on config errors.
+      expression leaves its domain, a value overflows or the stepper
+      gives up (the partial outputs are still written, and the message
+      of the error that ended the run goes to stderr and into the
+      report as "error"), 2 on config errors, such as an initial point
+      whose metric is singular or overflows.
 
   riemdyn verify --suite NAME [--chart C] [--seed N] [--report FILE]
       Run a named verification suite and print one line per check.
@@ -51,9 +53,11 @@ from .errors import (
     ChartDomainError,
     ConfigError,
     NonConvergenceError,
+    NumericOverflowError,
     ParseError,
     RiemdynError,
     SingularAError,
+    SingularMetricError,
     SingularSetError,
 )
 from .extended_fields import CotangentPoint, TangentPoint
@@ -243,6 +247,10 @@ def _initial_arrays(cfg: dict, chart, fiber_key: str):
             f"initial point {x.tolist()} is outside chart {chart.name!r}",
             pointer="/initial/x",
         )
+    try:
+        manifold.metric_at(chart, x)
+    except (SingularMetricError, NumericOverflowError) as exc:
+        raise ConfigError(str(exc), pointer="/initial/x") from None
     return x, fiber
 
 
@@ -347,6 +355,8 @@ def cmd_simulate(args) -> int:
         "energy_drift": drift,
         "csv": os.path.basename(csv_path),
     }
+    if trajectory.status.error:
+        report["error"] = trajectory.status.error
     _json_dump(report, report_path)
     print(f"{trajectory.status}: {len(trajectory.ts)} samples -> {csv_path}")
     if trajectory.status.error:

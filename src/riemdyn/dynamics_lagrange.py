@@ -40,7 +40,7 @@ from .dynamics_newton import (
     _integrate_split,
     _tangent_trajectory,
 )
-from .errors import SingularAError
+from .errors import NumericOverflowError, SingularAError
 from .extended_fields import CurveSample, ExtendedField, TangentPoint, _conformal_factor
 from .manifold import ManifoldChart
 from .normal_shift import (
@@ -140,7 +140,12 @@ class RegularityReport:
 
 def _det_tolerance(a: np.ndarray) -> float:
     scale = max(1.0, float(abs(a).max()))
-    return 1e-10 * scale ** a.shape[0]
+    try:
+        return 1e-10 * scale ** a.shape[0]
+    except OverflowError:
+        raise NumericOverflowError(
+            f"fiber Hessian entry {scale:.3e} overflows the float range in the determinant test"
+        ) from None
 
 
 def _require_regular(a: np.ndarray, message: str) -> None:

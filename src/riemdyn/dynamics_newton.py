@@ -20,10 +20,11 @@ right-hand side, ends the run "left_chart". A singular fiber Hessian
 (SingularAError), a force undefined at the state (ForceSingularError,
 such as a zero velocity) or an iterative solve that did not converge
 (NonConvergenceError) ends it "singular". An expression evaluated
-outside its domain (EvalDomainError), or a state or stage with an
-infinite or NaN coordinate, such as one that overflowed, ends it
-"non_finite"; numpy's overflow and invalid-value warnings are off while
-the driver steps. Under rk45 each of these errors first halves the trial
+outside its domain (EvalDomainError), a metric, conformal factor or
+fiber Hessian that overflows the float range at a finite state
+(NumericOverflowError), or a state or stage with an infinite or NaN
+coordinate, such as one that overflowed, ends it "non_finite"; numpy's
+overflow and invalid-value warnings are off while the driver steps. Under rk45 each of these errors first halves the trial
 step, down to dt_min, and step control that takes the step below dt_min
 ends the run "step_underflow". The status is a RunStatus: a str that
 also carries the message of the error that ended the run.
@@ -57,6 +58,7 @@ from .errors import (
     ForceSingularError,
     NonConvergenceError,
     NonFiniteStateError,
+    NumericOverflowError,
     SingularAError,
     SingularMetricError,
 )
@@ -74,6 +76,7 @@ _STOP_STATUS = {
     ForceSingularError: "singular",
     NonConvergenceError: "singular",
     EvalDomainError: "non_finite",
+    NumericOverflowError: "non_finite",
 }
 _STOP_ERRORS = tuple(_STOP_STATUS)
 
@@ -270,8 +273,17 @@ def _stop_status(exc: Exception) -> str:
     return next(word for cls, word in _STOP_STATUS.items() if isinstance(exc, cls))
 
 
-def _refused(y: np.ndarray) -> tuple[str, str]:
-    """(status, error) of a run whose new state in_domain refused."""
+def _refusal(in_domain: Callable[[np.ndarray], bool], y: np.ndarray) -> tuple[str, str] | None:
+    """(status, error) when the new state y is refused, None when in_domain accepts it.
+
+    in_domain refuses y by returning False, or by raising a stop error for
+    a state it cannot judge, such as one whose metric overflows.
+    """
+    try:
+        if in_domain(y):
+            return None
+    except _STOP_ERRORS as exc:
+        return _stop_status(exc), str(exc)
     if np.isfinite(y).all():
         return "left_chart", ""
     return "non_finite", f"state {y!r} is not finite"
@@ -292,16 +304,18 @@ def integrate_ode(
     in_domain turning false at an accepted step, or ChartDomainError or
     SingularMetricError from rhs, ends the run with status "left_chart";
     SingularAError, ForceSingularError or NonConvergenceError from rhs
-    ends it with "singular", and EvalDomainError with "non_finite". So
-    does a state or stage with an infinite or NaN coordinate: in_domain
-    refusing it, or NonFiniteStateError from rhs. numpy overflow and
-    invalid-value warnings are off while it steps, so such a state stops
-    the run instead of printing them. Under rk45 an error from rhs
-    first halves the trial step, down to dt_min, and step control that
-    takes the next step below dt_min, after a rejected or an accepted
-    step, ends the run with "step_underflow". The states accepted before
-    any stop are kept, and status.error holds the message of the rhs
-    error that ended the run.
+    ends it with "singular", and EvalDomainError or NumericOverflowError
+    with "non_finite". So does a state or stage with an infinite or NaN
+    coordinate: in_domain refusing it, or NonFiniteStateError from rhs.
+    in_domain may also raise one of these errors for the new state, such
+    as NumericOverflowError for a metric that overflows there, and it
+    ends the run as it would from rhs. numpy overflow and invalid-value
+    warnings are off while it steps, so such a state stops the run
+    instead of printing them. Under rk45 an error from rhs first halves
+    the trial step, down to dt_min, and step control that takes the next
+    step below dt_min, after a rejected or an accepted step, ends the run
+    with "step_underflow". The states accepted before any stop are kept,
+    and status.error holds the message of the error that ended the run.
     """
     t0, t1 = config.t_span
     ts = [t0]
@@ -324,8 +338,9 @@ def integrate_ode(
             except _STOP_ERRORS as exc:
                 status, error = _stop_status(exc), str(exc)
                 break
-            if not in_domain(y_new):
-                status, error = _refused(y_new)
+            stop = _refusal(in_domain, y_new)
+            if stop:
+                status, error = stop
                 break
             t, y = t + dt, y_new
             accepted += 1
@@ -348,8 +363,9 @@ def integrate_ode(
             # RMS of q: the same sum and division as np.mean, without its Python layer.
             err = math.sqrt(float((q * q).sum()) / q.size)
             if err <= 1.0:
-                if not in_domain(y_new):
-                    status, error = _refused(y_new)
+                stop = _refusal(in_domain, y_new)
+                if stop:
+                    status, error = stop
                     break
                 t, y = t + dt, y_new
                 accepted += 1

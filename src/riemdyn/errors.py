@@ -24,6 +24,14 @@ class SingularMetricError(RiemdynError):
     """The metric matrix at a point is singular or indefinite."""
 
 
+class NumericOverflowError(RiemdynError):
+    """A value computed at a finite point overflows the float range.
+
+    Raised for a metric, a conformal factor or a determinant test whose
+    Python float arithmetic overflowed.
+    """
+
+
 class NegativeNormError(RiemdynError):
     """A squared norm came out negative (indefinite metric data)."""
 

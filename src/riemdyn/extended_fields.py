@@ -46,6 +46,7 @@ from .errors import (
     FDStepError,
     InsufficientSamplesError,
     MissingAccelError,
+    NumericOverflowError,
     RankMismatchError,
 )
 from .expression import _FD2_STEP_SCALE, _FD_STEP_SCALE
@@ -545,7 +546,12 @@ def potential_scalar(u) -> ExtendedField:
 
 def _conformal_factor(f_expr, x, scale: float) -> float:
     """e^(scale f(x)): e^(-2f) scales the quadratic Lagrangian, e^(2f) its Hamiltonian."""
-    return math.exp(scale * expression.evaluate(f_expr, x))
+    try:
+        return math.exp(scale * expression.evaluate(f_expr, x))
+    except OverflowError:
+        raise NumericOverflowError(
+            f"conformal factor e^({scale:g} f) at {x!r} overflows the float range"
+        ) from None
 
 
 def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:

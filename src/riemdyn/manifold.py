@@ -47,6 +47,7 @@ from .errors import (
     FDStepError,
     NegativeNormError,
     NonFiniteStateError,
+    NumericOverflowError,
     SingularMetricError,
 )
 
@@ -173,21 +174,27 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
     if last is not None:
         return last[1]
     _require_inside(chart, x)
-    g = np.asarray(chart.metric_fn(x), dtype=float)
-    if g.shape != (chart.dim, chart.dim):
-        raise SingularMetricError(
-            f"metric on {chart.name!r} returned shape {g.shape}, "
-            f"expected {(chart.dim, chart.dim)}"
-        )
-    g = 0.5 * (g + g.T)
     try:
+        g = np.asarray(chart.metric_fn(x), dtype=float)
+        if g.shape != (chart.dim, chart.dim):
+            raise SingularMetricError(
+                f"metric on {chart.name!r} returned shape {g.shape}, "
+                f"expected {(chart.dim, chart.dim)}"
+            )
+        g = 0.5 * (g + g.T)
         chol = np.linalg.cholesky(g)
+        det = float(chol.diagonal().prod()) ** 2
+        tol = _det_tolerance(g)
     except np.linalg.LinAlgError:
         raise SingularMetricError(
             f"metric on {chart.name!r} at {x!r} is not positive definite"
         ) from None
-    det = float(chol.diagonal().prod()) ** 2
-    if det <= _det_tolerance(g):
+    except OverflowError:
+        # math.exp in a conformal factor, or a power in the determinant test.
+        raise NumericOverflowError(
+            f"metric on {chart.name!r} at {x!r} overflows the float range"
+        ) from None
+    if det <= tol:
         raise SingularMetricError(
             f"metric on {chart.name!r} at {x!r} is singular (det {det:.3e})"
         )

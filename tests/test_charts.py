@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from riemdyn import manifold
-from riemdyn.errors import ChartDomainError, NonFiniteStateError, SingularMetricError
+from riemdyn.errors import (
+    ChartDomainError,
+    NonFiniteStateError,
+    NumericOverflowError,
+    SingularMetricError,
+)
 from riemdyn.manifold import FD_TOLERANCE, builtin_chart
 
 CHART_NAMES = ["euclidean2", "euclidean3", "polar2d", "sphere2d", "hyperbolic_half_plane"]
@@ -304,3 +309,12 @@ def test_a_non_finite_point_is_refused_as_not_finite():
     with pytest.raises(ChartDomainError) as excinfo:
         manifold.metric_at(polar, np.array([-1.0, 0.0]))
     assert not isinstance(excinfo.value, NonFiniteStateError)
+
+
+def test_a_metric_that_overflows_is_refused_as_an_overflow():
+    chart = builtin_chart("conformally_flat", f="-x1*300")
+    manifold.metric_at(chart, np.array([0.5, 0.0]))
+    # math.exp of the factor overflows at x1 = 1.5; the determinant test at x1 = 1.
+    for x in (np.array([1.5, 0.0]), np.array([1.0, 0.0])):
+        with pytest.raises(NumericOverflowError, match="overflows the float range"):
+            manifold.metric_at(chart, x)

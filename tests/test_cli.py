@@ -43,6 +43,7 @@ def test_simulate_writes_outputs_and_reruns_identically(tmp_path, capsys):
     assert report["chart"] == "polar2d"
     assert report["samples"] > 1
     assert report["energy_drift"] < 1e-8
+    assert "error" not in report
     assert (run_a / "orbit.csv").read_bytes() == (run_b / "orbit.csv").read_bytes()
     assert (run_a / "orbit.json").read_bytes() == (run_b / "orbit.json").read_bytes()
 
@@ -149,9 +150,84 @@ def test_simulate_ends_an_overflowing_run_non_finite_without_a_warning(tmp_path)
     assert "not finite" in done.stderr
     report = json.loads((out / "overflow.json").read_text())
     assert report["status"] == "non_finite"
+    assert f"error: {report['error']}" in done.stderr
     assert 1.0 < report["t_final"] < 1.1
     rows = (out / "overflow.csv").read_text().strip().split("\n")
     assert len(rows) == report["samples"] + 1
+
+
+def _conformal_overflow_config(out_dir, x, t1, dt):
+    """A geodesic of e^(600 x1) times the flat metric, whose determinant overflows past x1 = 0.59."""
+    return {
+        "schema": 1,
+        "chart": {"name": "conformally_flat", "f": "-x1*300"},
+        "system": {"kind": "newton", "force": {"type": "geodesic"}},
+        "integrator": {"method": "rk4", "dt": dt, "t_span": [0.0, t1]},
+        "initial": {"x": x, "v": [1.0, 0.0]},
+        "output": {"directory": str(out_dir), "basename": "conformal"},
+    }
+
+
+def _simulate_in_a_subprocess(tmp_path, cfg):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "riemdyn.cli", "simulate", "-c", write_config(tmp_path, cfg)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+@pytest.mark.parametrize(
+    "x,t1,dt",
+    [
+        ([1.5, 0.0], 1.0, 0.01),  # math.exp of the conformal factor overflows
+        ([1.0, 0.0], 5.0, 0.01),  # the factor is finite, the determinant test overflows
+    ],
+)
+def test_simulate_refuses_an_initial_point_whose_metric_overflows(tmp_path, x, t1, dt):
+    out = tmp_path / "out"
+    done = _simulate_in_a_subprocess(tmp_path, _conformal_overflow_config(out, x, t1, dt))
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "config error at /initial/x: metric on 'conformally_flat2'" in done.stderr
+    assert "overflows the float range" in done.stderr
+    assert not (out / "conformal.csv").exists()
+
+
+def test_simulate_ends_a_run_whose_metric_overflows_non_finite(tmp_path):
+    # x1 = 0.58 + log(1 + 300 t)/300 reaches 0.591 near t = 0.1.
+    out = tmp_path / "out"
+    done = _simulate_in_a_subprocess(
+        tmp_path, _conformal_overflow_config(out, [0.58, 0.0], 1.0, 1e-3)
+    )
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    report = json.loads((out / "conformal.json").read_text())
+    assert report["status"] == "non_finite"
+    assert report["error"].startswith("metric on 'conformally_flat2' at array([0.591")
+    assert report["error"].endswith("overflows the float range")
+    assert f"error: {report['error']}" in done.stderr
+    assert 0.09 < report["t_final"] < 0.11
+    rows = (out / "conformal.csv").read_text().strip().split("\n")
+    assert len(rows) == report["samples"] + 1
+
+
+def test_simulate_ends_a_run_whose_fiber_hessian_overflows_non_finite(tmp_path, capsys):
+    # A = e^(600 x1) I at x1 = 1: the determinant test squares an entry of 3.8e260.
+    out = tmp_path / "out"
+    cfg = _conformal_overflow_config(out, [1.0, 0.0], 1.0, 0.01)
+    cfg["chart"] = {"name": "euclidean2"}
+    cfg["system"] = {"kind": "lagrange", "family": "conformal-kinetic", "f": "-x1*300"}
+    assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    report = json.loads((out / "conformal.json").read_text())
+    assert report["status"] == "non_finite"
+    assert report["error"] == (
+        "fiber Hessian entry 3.773e+260 overflows the float range in the determinant test"
+    )
+    assert f"error: {report['error']}" in err
+    assert report["samples"] == 1
 
 
 def test_simulate_ends_a_run_whose_expression_leaves_its_domain(tmp_path, capsys):
@@ -227,6 +303,11 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
         (lambda cfg: cfg["system"].update(kind="quantum"), "/system/kind"),
         (lambda cfg: cfg["chart"].update(name="torus9"), "/chart"),
         (lambda cfg: cfg["initial"].update(x=[0.0, 0.0]), "/initial/x"),
+        # e^(-2 f) underflows to 0 at x1 = 1.5, so the metric there is singular.
+        (
+            lambda cfg: cfg.update(chart={"name": "conformally_flat", "f": "x1*400"}),
+            "/initial/x: metric on 'conformally_flat2'",
+        ),
         (lambda cfg: cfg["integrator"].update(dt=0.0), "/integrator"),
         (lambda cfg: cfg["integrator"].update(dt=float("nan")), "/integrator: dt must be finite"),
         (lambda cfg: cfg["integrator"].update(t_span=["a", 1]), "/integrator/t_span"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import guess_oracle
 import numpy as np
 import pytest
 
@@ -80,6 +81,67 @@ def test_warm_start_reuses_previous_solution():
         dh.legendre_inverse(cold, chart, state)
         cold_total += cold.last_iterations
     assert warm_total <= cold_total
+
+
+def _guess_both_ways(ctx, chart, x, p, monkeypatch):
+    """(walk, scan, velocities the walk tried) for one cold start."""
+    tried = []
+    dv = dl.Lagrangian.dv
+
+    def recording_dv(self, chart, point):
+        tried.append(point.v.tobytes())
+        return dv(self, chart, point)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dl.Lagrangian, "dv", recording_dv)
+        walk = dh._default_velocity_guess(ctx, chart, x, p)
+    return walk, guess_oracle.default_velocity_guess(ctx, chart, x, p), tried
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cold_start_walk_picks_the_scan_scale_on_the_legendre_suite_states(seed, monkeypatch):
+    """Every state the legendre suite draws, in its order, for each family and chart."""
+    rng = np.random.default_rng(seed)
+    total_tried = 0
+    for name in verification._IDENTITY_CHARTS:
+        chart = manifold.builtin_chart(name)
+        for family, lag in verification._systems():
+            ctx = dh.LegendreContext(lag, warm_start=False)
+            for q in verification.sample_tangent_states(chart, 100, rng, min_speed=0.3):
+                image = dh.legendre_forward(ctx, chart, q)
+                walk, scan, tried = _guess_both_ways(ctx, chart, image.x, image.p, monkeypatch)
+                assert np.array_equal(walk, scan), (family, name, q.x, q.v)
+                assert len(set(tried)) == len(tried)
+                total_tried += len(tried)
+    assert total_tried < 5 * 1200  # 21 * 1200 for the scan
+
+
+_QUARTIC = dl.fiberwise_phi_lagrangian("w^2/2 + w^4/10")
+
+
+@pytest.mark.parametrize(
+    "lag,p,index",
+    [
+        # phi'(s |p|) / |p| = s + 0.4 s^3 |p|^2 reaches 1 below s = 1e-2.
+        (_QUARTIC, [3e3, -4e3], 0),
+        # s e^(-2f) reaches 1 above s = 1e2.
+        (dl.conformal_kinetic_lagrangian("3"), [0.3, 0.4], 20),
+        # |v| = 5e-9 s is at or below the zero-velocity floor 1e-8 up to s = 2: a refused start.
+        (_QUARTIC, [5e-9, 0.0], 12),
+        # |v| is below the floor at every scale: the raw g^-1 p.
+        (_QUARTIC, [1e-12, 0.0], None),
+        (_QUARTIC, [0.0, 0.0], None),
+    ],
+)
+def test_cold_start_walk_edge_cases_match_the_scan(lag, p, index, monkeypatch):
+    chart = manifold.builtin_chart("euclidean2")
+    ctx = dh.LegendreContext(lag, warm_start=False)
+    x, p = np.array([0.3, -0.2]), np.array(p)
+    walk, scan, tried = _guess_both_ways(ctx, chart, x, p, monkeypatch)
+    assert np.array_equal(walk, scan)
+    assert len(set(tried)) == len(tried) <= len(dh._GUESS_SCALES)
+    want = p if index is None else dh._GUESS_SCALES[index] * p
+    assert np.array_equal(walk, want)
 
 
 def test_modulus_lagrangian_has_zero_energy():

@@ -8,7 +8,12 @@ import pytest
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
 from riemdyn import extended_fields, manifold, verification
-from riemdyn.errors import InsufficientSamplesError, SingularAError, ZeroVelocityError
+from riemdyn.errors import (
+    InsufficientSamplesError,
+    NumericOverflowError,
+    SingularAError,
+    ZeroVelocityError,
+)
 from riemdyn.extended_fields import CurveSample, TangentPoint
 
 
@@ -191,3 +196,15 @@ def test_momentum_field_analytic_hooks():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="unknown Lagrangian family"):
         dl.catalog_lagrangian("parabolic")
+
+
+def test_an_overflowing_conformal_lagrangian_raises_numeric_overflow():
+    chart = manifold.builtin_chart("euclidean2")
+    lag = dl.conformal_kinetic_lagrangian("-x1*300")
+    v = np.array([1.0, 0.0])
+    # e^(600 x1) overflows at x1 = 1.5; at x1 = 1 it is finite and its square is not.
+    with pytest.raises(NumericOverflowError, match="conformal factor"):
+        lag.value(chart, TangentPoint(np.array([1.5, 0.0]), v))
+    a = dl.a_matrix(chart, lag, TangentPoint(np.array([1.0, 0.0]), v))
+    with pytest.raises(NumericOverflowError, match="fiber Hessian"):
+        dl._require_regular(a, "det {det} within {tol}")
