@@ -10,7 +10,8 @@ Subcommands:
       gives up (the partial outputs are still written, and the message
       of the error that ended the run goes to stderr and into the
       report as "error"), 2 on config errors, such as an initial point
-      whose metric is singular or overflows.
+      whose metric is singular or overflows, or an initial state whose
+      energy or H overflows, which leaves no sample to write.
 
   riemdyn verify --suite NAME [--chart C] [--seed N] [--report FILE]
       Run a named verification suite and print one line per check.
@@ -22,7 +23,8 @@ Subcommands:
       Apply the Legendre map of the configured Lagrangian to one state
       (fiber part is v for forward, p for inverse) and print the result
       as JSON. Exit 4 when the inversion fails to converge or hits a
-      singular or degenerate state.
+      singular or degenerate state, 2 for a state point outside the chart
+      or whose metric is singular or overflows.
 
 Config files are JSON with "schema": 1. Reruns with the same config
 write byte-identical outputs; nothing in the reports depends on wall
@@ -32,8 +34,8 @@ time or environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import os
 import sys
 
@@ -44,6 +46,7 @@ from . import (
     dynamics_lagrange,
     dynamics_newton,
     expression,
+    extended_fields,
     manifold,
     normal_shift,
     verification,
@@ -196,7 +199,7 @@ def build_force(system: dict, pointer: str = "/system", *, dim: int | None = Non
             force = normal_shift.conformal_force_field(f_expr)
 
             def energy(chart, point, f_expr=f_expr):
-                factor = math.exp(-2.0 * expression.evaluate(f_expr, point.x))
+                factor = extended_fields._conformal_factor(f_expr, point.x, -2.0)
                 return factor * _kinetic_energy(chart, point)
 
             return force, energy
@@ -242,16 +245,18 @@ def _initial_arrays(cfg: dict, chart, fiber_key: str):
         raise ConfigError(f"expected {dim} coordinates", pointer="/initial/x")
     if fiber.shape != (dim,):
         raise ConfigError(f"expected {dim} components", pointer=f"/initial/{fiber_key}")
+    _require_chart_point(chart, x, "initial point", "/initial/x")
+    return x, fiber
+
+
+def _require_chart_point(chart, x, label: str, pointer: str) -> None:
+    """Refuse x at pointer unless it is inside the chart and metric_at validates its metric."""
     if not manifold.in_domain(chart, x):
-        raise ConfigError(
-            f"initial point {x.tolist()} is outside chart {chart.name!r}",
-            pointer="/initial/x",
-        )
+        raise ConfigError(f"{label} {x.tolist()} is outside chart {chart.name!r}", pointer=pointer)
     try:
         manifold.metric_at(chart, x)
     except (SingularMetricError, NumericOverflowError) as exc:
-        raise ConfigError(str(exc), pointer="/initial/x") from None
-    return x, fiber
+        raise ConfigError(str(exc), pointer=pointer) from None
 
 
 def _output_paths(cfg: dict, out_dir: str | None) -> tuple[str, str]:
@@ -296,13 +301,19 @@ def cmd_simulate(args) -> int:
     if kind == "newton":
         force, energy_fn = build_force(system, dim=chart.dim)
         x0, v0 = _initial_arrays(cfg, chart, "v")
-        trajectory = dynamics_newton.integrate(
-            chart, force, TangentPoint(x0, v0), config, energy_fn=energy_fn
+        run = functools.partial(
+            dynamics_newton.integrate,
+            chart,
+            force,
+            TangentPoint(x0, v0),
+            config,
+            energy_fn=energy_fn,
         )
     elif kind == "lagrange":
         lag = build_lagrangian(system, dim=chart.dim)
         x0, v0 = _initial_arrays(cfg, chart, "v")
-        trajectory = dynamics_lagrange.integrate_lagrangian(
+        run = functools.partial(
+            dynamics_lagrange.integrate_lagrangian,
             chart,
             lag,
             TangentPoint(x0, v0),
@@ -320,12 +331,17 @@ def cmd_simulate(args) -> int:
         else:
             x0, v0 = _initial_arrays(cfg, chart, "v")
             state0 = dynamics_hamilton.legendre_forward(ctx, chart, TangentPoint(x0, v0))
-        trajectory = dynamics_hamilton.integrate_hamiltonian(chart, ham, state0, config)
+        run = functools.partial(dynamics_hamilton.integrate_hamiltonian, chart, ham, state0, config)
     else:
         raise ConfigError(
             f"unknown system kind {kind!r} (known: newton, lagrange, hamilton)",
             pointer="/system/kind",
         )
+    try:
+        trajectory = run()
+    except dynamics_newton._STOP_ERRORS as exc:
+        # The initial state's diagnostics failed: there is no sample to write.
+        raise ConfigError(str(exc), pointer="/initial") from None
 
     if kind == "hamilton":
         dynamics_hamilton.write_cotangent_csv(trajectory, csv_path)
@@ -407,11 +423,7 @@ def cmd_legendre(args) -> int:
     lag = build_lagrangian(system, dim=chart.dim)
     ctx = dynamics_hamilton.LegendreContext(lag)
     x, fiber = _parse_state(args.state, chart.dim)
-    if not manifold.in_domain(chart, x):
-        raise ConfigError(
-            f"state point {x.tolist()} is outside chart {chart.name!r}",
-            pointer="--state",
-        )
+    _require_chart_point(chart, x, "state point", "--state")
     try:
         if args.direction == "forward":
             q = TangentPoint(x, fiber)

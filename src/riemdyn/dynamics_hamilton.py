@@ -464,9 +464,11 @@ def integrate_hamiltonian(
         dx, dp = hamilton_rhs(chart, hamiltonian, state)
         return np.concatenate([dx, dp])
 
-    ts, xs, ps, status = _integrate_split(chart, rhs, state0.x, state0.p, config)
-    h_values = np.array(
-        [hamiltonian.value(chart, CotangentPoint(x, p)) for x, p in zip(xs, ps)]
+    def diagnostics(x, p):
+        return (hamiltonian.value(chart, CotangentPoint(x, p)),)
+
+    ts, xs, ps, (h_values,), status = _integrate_split(
+        chart, rhs, state0.x, state0.p, config, diagnostics
     )
     return CotangentTrajectory(
         ts=ts,

@@ -37,8 +37,7 @@ from .dynamics_newton import (
     ForceField,
     IntegratorConfig,
     Trajectory,
-    _integrate_split,
-    _tangent_trajectory,
+    _tangent_run,
 )
 from .errors import NumericOverflowError, SingularAError
 from .extended_fields import CurveSample, ExtendedField, TangentPoint, _conformal_factor
@@ -275,8 +274,7 @@ def integrate_lagrangian(
         vdot = np.linalg.solve(a, dldx - mixed @ point.v)
         return np.concatenate([point.v, vdot])
 
-    ts, xs, vs, status = _integrate_split(chart, rhs, q0.x, q0.v, config)
-    return _tangent_trajectory(chart, ts, xs, vs, status, energy_fn)
+    return _tangent_run(chart, rhs, q0, config, energy_fn)
 
 
 # ---------------------------------------------------------------------------

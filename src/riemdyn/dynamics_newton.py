@@ -24,10 +24,24 @@ outside its domain (EvalDomainError), a metric, conformal factor or
 fiber Hessian that overflows the float range at a finite state
 (NumericOverflowError), or a state or stage with an infinite or NaN
 coordinate, such as one that overflowed, ends it "non_finite"; numpy's
-overflow and invalid-value warnings are off while the driver steps. Under rk45 each of these errors first halves the trial
-step, down to dt_min, and step control that takes the step below dt_min
-ends the run "step_underflow". The status is a RunStatus: a str that
-also carries the message of the error that ended the run.
+overflow and invalid-value warnings are off while the driver steps.
+Under rk45 each of these errors first halves the trial step, down to
+dt_min, and step control that takes the step below dt_min ends the run
+"step_underflow". The status is a RunStatus: a str that also carries the
+message of the error that ended the run.
+
+Each sample's diagnostics (speed and energy on the tangent legs, H on
+the canonical leg) are taken at accept time, right after the stop rule
+validated the state's metric, so they find it in the chart's geometry
+record: one metric validation per recorded state. A stop error from
+them ends the run like one from the right-hand side, keeping the earlier
+samples; at the initial state, which has no earlier sample, it
+propagates. integrate_ode keeps its four-argument form (rhs, y0, config,
+in_domain), with in_domain called once per accepted step and never on
+y0, so plain predicates still work and a wrapper that counts in_domain's
+truthy results still counts accepted steps: the stop rule accepts a
+state by returning a callable that takes its diagnostics, and
+integrate_ode calls it only for the states it records.
 
 A Dormand-Prince step keeps its seven stages in one (7, m) array and
 forms each stage input, the 5th-order solution and the 4th-order
@@ -46,6 +60,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -273,20 +288,23 @@ def _stop_status(exc: Exception) -> str:
     return next(word for cls, word in _STOP_STATUS.items() if isinstance(exc, cls))
 
 
-def _refusal(in_domain: Callable[[np.ndarray], bool], y: np.ndarray) -> tuple[str, str] | None:
-    """(status, error) when the new state y is refused, None when in_domain accepts it.
+def _judge(in_domain: Callable[[np.ndarray], object], y: np.ndarray):
+    """(None, verdict) when in_domain accepts the new state y, ((status, error), None) when not.
 
     in_domain refuses y by returning False, or by raising a stop error for
-    a state it cannot judge, such as one whose metric overflows.
+    a state it cannot judge, such as one whose metric overflows. verdict
+    is its truthy result: True, or the zero-argument callable that takes
+    y's diagnostics.
     """
     try:
-        if in_domain(y):
-            return None
+        verdict = in_domain(y)
+        if verdict:
+            return None, verdict
     except _STOP_ERRORS as exc:
-        return _stop_status(exc), str(exc)
+        return (_stop_status(exc), str(exc)), None
     if np.isfinite(y).all():
-        return "left_chart", ""
-    return "non_finite", f"state {y!r} is not finite"
+        return ("left_chart", ""), None
+    return ("non_finite", f"state {y!r} is not finite"), None
 
 
 # An overflow or a NaN in a step ends the run through the stop rule, not as a numpy warning.
@@ -309,7 +327,12 @@ def integrate_ode(
     coordinate: in_domain refusing it, or NonFiniteStateError from rhs.
     in_domain may also raise one of these errors for the new state, such
     as NumericOverflowError for a metric that overflows there, and it
-    ends the run as it would from rhs. numpy overflow and invalid-value
+    ends the run as it would from rhs. To accept a state, in_domain
+    returns True or a zero-argument callable that takes the state's
+    diagnostics; that callable is called only for the states that are
+    recorded, just before each is kept, and a stop error from it ends the
+    run the same way, without that state. in_domain is called once per
+    accepted step and never on y0. numpy overflow and invalid-value
     warnings are off while it steps, so such a state stops the run
     instead of printing them. Under rk45 an error from rhs first halves
     the trial step, down to dt_min, and step control that takes the next
@@ -325,10 +348,18 @@ def integrate_ode(
     span_eps = 1e-12 * (t1 - t0)
     accepted = 0
 
-    def record(force_keep=False):
-        if force_keep or accepted % config.record_every == 0:
-            ts.append(t)
-            ys.append(y.copy())
+    def record(verdict):
+        """Keep (t, y) when due; (status, error) when its diagnostics stop the run."""
+        if accepted % config.record_every and t < t1 - span_eps:
+            return None
+        if callable(verdict):
+            try:
+                verdict()
+            except _STOP_ERRORS as exc:
+                return _stop_status(exc), str(exc)
+        ts.append(t)
+        ys.append(y.copy())
+        return None
 
     if config.method == "rk4":
         while t < t1 - span_eps:
@@ -338,13 +369,14 @@ def integrate_ode(
             except _STOP_ERRORS as exc:
                 status, error = _stop_status(exc), str(exc)
                 break
-            stop = _refusal(in_domain, y_new)
+            stop, verdict = _judge(in_domain, y_new)
+            if not stop:
+                t, y = t + dt, y_new
+                accepted += 1
+                stop = record(verdict)
             if stop:
                 status, error = stop
                 break
-            t, y = t + dt, y_new
-            accepted += 1
-            record(force_keep=(t >= t1 - span_eps))
     else:
         dt = min(config.dt, config.dt_max)
         while t < t1 - span_eps:
@@ -363,13 +395,14 @@ def integrate_ode(
             # RMS of q: the same sum and division as np.mean, without its Python layer.
             err = math.sqrt(float((q * q).sum()) / q.size)
             if err <= 1.0:
-                stop = _refusal(in_domain, y_new)
+                stop, verdict = _judge(in_domain, y_new)
+                if not stop:
+                    t, y = t + dt, y_new
+                    accepted += 1
+                    stop = record(verdict)
                 if stop:
                     status, error = stop
                     break
-                t, y = t + dt, y_new
-                accepted += 1
-                record(force_keep=(t >= t1 - span_eps))
                 factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
                 dt = min(dt * factor, config.dt_max)
             else:
@@ -396,55 +429,64 @@ def integrate(
         dx, dv = newtonian_rhs(chart, force, point)
         return np.concatenate([dx, dv])
 
-    ts, xs, vs, status = _integrate_split(chart, rhs, q0.x, q0.v, config)
-    return _tangent_trajectory(chart, ts, xs, vs, status, energy_fn)
+    return _tangent_run(chart, rhs, q0, config, energy_fn)
 
 
-def _integrate_split(chart, rhs, x0, fiber0, config):
+def _tangent_run(chart, rhs, q0, config, energy_fn) -> Trajectory:
+    """Integrate a tangent-bundle rhs from q0, with each sample's speed and energy."""
+
+    def diagnostics(x, v):
+        speed = manifold.speed(chart, x, v)
+        if energy_fn is None:
+            return (speed,)
+        return speed, energy_fn(chart, TangentPoint(x, v))
+
+    ts, xs, vs, columns, status = _integrate_split(chart, rhs, q0.x, q0.v, config, diagnostics)
+    return Trajectory(
+        ts=ts,
+        xs=xs,
+        vs=vs,
+        speeds=columns[0],
+        energies=None if energy_fn is None else columns[1],
+        status=status,
+        chart_name=chart.name,
+    )
+
+
+def _integrate_split(chart, rhs, x0, fiber0, config, diagnostics):
     """Integrate rhs over the flat state (x, fiber) from (x0, fiber0).
 
-    Returns (ts, xs, fibers, status). A state is accepted while metric_at
-    accepts its x, which also refuses a metric that degenerates inside
-    the nominal open domain, and its fiber is finite: an rk4 step whose
-    last stage overflowed leaves x finite and the fiber infinite.
+    Returns (ts, xs, fibers, columns, status), where columns[k] holds the
+    k-th value of diagnostics(x, fiber) at each sample. A state is
+    accepted while metric_at accepts its x, which also refuses a metric
+    that degenerates inside the nominal open domain, and its fiber is
+    finite: an rk4 step whose last stage overflowed leaves x finite and
+    the fiber infinite. The initial state's diagnostics are taken before
+    the first step, the others when the state is recorded.
     """
     n = chart.dim
     manifold.check_point(chart, x0)
+    values = array("d")
+
+    def sample(y):
+        values.extend(diagnostics(y[:n], y[n:]))
 
     def accepted(y):
         try:
             manifold.metric_at(chart, y[:n])
         except _LEAVE_CHART_ERRORS:
             return False
-        return all(map(math.isfinite, y[n:].tolist()))
+        if not all(map(math.isfinite, y[n:].tolist())):
+            return False
+        return lambda: sample(y)
 
-    ts, ys, status = integrate_ode(rhs, np.concatenate([x0, fiber0]), config, accepted)
+    y0 = np.concatenate([x0, fiber0])
+    sample(y0)
+    ts, ys, status = integrate_ode(rhs, y0, config, accepted)
     xs = np.array([y[:n] for y in ys])
     fibers = np.array([y[n:] for y in ys])
-    return np.array(ts), xs, fibers, status
-
-
-def _tangent_trajectory(chart, ts, xs, vs, status, energy_fn) -> Trajectory:
-    """Add the per-sample diagnostics to a split tangent run.
-
-    Each sample's speed and energy are taken back to back, so energy_fn
-    finds that sample's metric in the chart's geometry record.
-    """
-    speeds = np.empty(len(ts))
-    energies = None if energy_fn is None else np.empty(len(ts))
-    for i, (x, v) in enumerate(zip(xs, vs)):
-        speeds[i] = manifold.speed(chart, x, v)
-        if energies is not None:
-            energies[i] = energy_fn(chart, TangentPoint(x, v))
-    return Trajectory(
-        ts=ts,
-        xs=xs,
-        vs=vs,
-        speeds=speeds,
-        energies=energies,
-        status=status,
-        chart_name=chart.name,
-    )
+    columns = np.array(values).reshape(len(ys), -1).T
+    return np.array(ts), xs, fibers, columns, status
 
 
 def max_coordinate_distance(a: Trajectory, b: Trajectory) -> float:

@@ -78,13 +78,6 @@ __all__ = [
 ]
 
 
-def _as_vector(value, dim: int, label: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (dim,):
-        raise ValueError(f"{label} must have shape ({dim},), got {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class TangentPoint:
     """A point of the tangent bundle in chart coordinates: (x, v)."""

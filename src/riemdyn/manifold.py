@@ -12,7 +12,8 @@ Index conventions used across the package: christoffel_at(chart, x)[k, i, j]
 is Gamma^k_ij, and metric_partials_at(chart, x)[i, j, q] is d g_ij / d x^q
 (the derivative axis always comes last).
 
-metric_at validates a point once. Each chart keeps one geometry record:
+metric_at validates a point (see its docstring for the checks) once.
+Each chart keeps one geometry record:
 the last point metric_at validated (keyed by the bytes of the float
 coordinates) with its metric g, g^-1 = np.linalg.inv(g) and the
 Christoffel symbols. The metric is stored when the point is validated;
@@ -158,13 +159,47 @@ def _checked(chart: ManifoldChart, x) -> np.ndarray:
     return x
 
 
-def _det_tolerance(g: np.ndarray) -> float:
-    scale = float(abs(g).max())
-    return 1e-12 * scale ** g.shape[0]
+def _cholesky_diagonal_product(rows: list[list[float]]) -> float | None:
+    """Product of the Cholesky diagonal of a symmetric matrix given as nested Python floats.
+
+    The determinant is its square. None when a pivot is not > 0, NaN
+    included: the matrix is not positive definite.
+    """
+    factor = []
+    product = 1.0
+    for i, row in enumerate(rows):
+        li = []
+        for j, lj in enumerate(factor):
+            s = row[j]
+            for k in range(j):
+                s -= li[k] * lj[k]
+            li.append(s / lj[j])
+        pivot = row[i]
+        for value in li:
+            pivot -= value * value
+        if not pivot > 0.0:
+            return None
+        d = math.sqrt(pivot)
+        li.append(d)
+        factor.append(li)
+        product *= d
+    return product
 
 
 def metric_at(chart: ManifoldChart, x) -> np.ndarray:
     """Metric matrix at x, validated symmetric positive definite.
+
+    The checks, in order: x is in the domain; the metric has shape
+    (dim, dim); its symmetric part has a Cholesky factor; its determinant
+    exceeds 1e-12 scale^dim, scale being its largest entry in absolute
+    value. A failed check raises SingularMetricError (ChartDomainError
+    for the domain), and a metric, tolerance or determinant that
+    overflows the float range NumericOverflowError. The factorisation
+    runs over g.tolist() in Python floats, for any dim: on the small
+    metrics of a chart, numpy.linalg's per-call overhead costs more than
+    the arithmetic. It also refuses a NaN pivot, which the LAPACK routine
+    behind numpy.linalg.cholesky lets through. g itself stays the
+    symmetrised numpy array.
 
     The result is read-only: a repeated call at the same coordinates
     returns the chart's stored matrix without validating again.
@@ -182,13 +217,14 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
                 f"expected {(chart.dim, chart.dim)}"
             )
         g = 0.5 * (g + g.T)
-        chol = np.linalg.cholesky(g)
-        det = float(chol.diagonal().prod()) ** 2
-        tol = _det_tolerance(g)
-    except np.linalg.LinAlgError:
-        raise SingularMetricError(
-            f"metric on {chart.name!r} at {x!r} is not positive definite"
-        ) from None
+        rows = g.tolist()
+        product = _cholesky_diagonal_product(rows)
+        if product is None:
+            raise SingularMetricError(
+                f"metric on {chart.name!r} at {x!r} is not positive definite"
+            )
+        tol = 1e-12 * max(abs(value) for row in rows for value in row) ** chart.dim
+        det = product**2
     except OverflowError:
         # math.exp in a conformal factor, or a power in the determinant test.
         raise NumericOverflowError(

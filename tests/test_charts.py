@@ -3,8 +3,11 @@
 import dataclasses
 import math
 
+import metric_oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemdyn import manifold
 from riemdyn.errors import (
@@ -318,3 +321,112 @@ def test_a_metric_that_overflows_is_refused_as_an_overflow():
     for x in (np.array([1.5, 0.0]), np.array([1.0, 0.0])):
         with pytest.raises(NumericOverflowError, match="overflows the float range"):
             manifold.metric_at(chart, x)
+
+
+def _probe(g: np.ndarray):
+    """metric_at of a fresh chart whose metric is g at every point."""
+    chart = manifold.ManifoldChart(name="probe", dim=g.shape[0], metric_fn=lambda x: g)
+    return manifold.metric_at(chart, np.zeros(g.shape[0]))
+
+
+def _nudged(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+def _near_tolerance(n: int, m: float, position: int, ulps: int) -> np.ndarray:
+    """diag(m, .., t, .., m) whose determinant is within a few ulps of 1e-12 m^n.
+
+    On a diagonal metric both routes factor exactly alike: each pivot is
+    the entry itself, and its square root is correctly rounded.
+    """
+    tol = 1e-12 * m**n
+    diagonal = [m] * n
+    diagonal[position] = _nudged(tol / m ** (n - 1), ulps)
+    return np.diag(diagonal)
+
+
+@st.composite
+def symmetric_metrics(draw):
+    """Symmetric (n, n) metrics, 1 <= n <= 4: SPD, indefinite, near the det
+    tolerance, with a NaN or an infinite entry, and with entries above 1e154.
+
+    An SPD metric is 10^k L L^T with a diagonal of L in [1, 10] and the
+    rest in [-1, 1], so it is well conditioned: the two factorisations
+    round differently (numpy's LAPACK scales a column by a reciprocal
+    pivot, metric_at divides by it), and an ill-conditioned determinant
+    magnifies that past rtol 1e-12.
+    """
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["spd", "indefinite", "tolerance", "nan", "inf", "huge"]))
+    if kind == "tolerance":
+        n = max(n, 2)
+        m = draw(st.floats(1e-15, 1e15))
+        return _near_tolerance(n, m, draw(st.integers(0, n - 1)), draw(st.integers(-4, 4)))
+    unit = st.floats(-1.0, 1.0)
+    lower = np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+    lower = np.tril(lower)
+    if kind == "indefinite":
+        a = lower + np.tril(lower, -1).T
+        i = draw(st.integers(0, n - 1))
+        a[i, i] = -draw(st.floats(0.0, 10.0))
+        return a
+    np.fill_diagonal(lower, [draw(st.floats(1.0, 10.0)) for _ in range(n)])
+    spd = lower @ lower.T
+    spd = 0.5 * (spd + spd.T)
+    if kind == "spd":
+        return 10.0 ** draw(st.integers(-60, 60)) * spd
+    if kind == "huge" and draw(st.booleans()):
+        return 10.0 ** draw(st.integers(155, 290)) * spd
+    entry = {
+        "nan": math.nan,
+        "inf": draw(st.sampled_from([math.inf, -math.inf])),
+        "huge": draw(st.floats(1e154, 1e300)) * draw(st.sampled_from([1.0, -1.0])),
+    }[kind]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    spd[i, j] = spd[j, i] = entry
+    return spd
+
+
+@settings(max_examples=600, deadline=None)
+@given(symmetric_metrics())
+def test_metric_at_accepts_exactly_what_the_numpy_route_accepts(g):
+    assert np.array_equal(g, g.T, equal_nan=True)
+    try:
+        want = metric_oracle.metric_det(g)
+    except (SingularMetricError, NumericOverflowError) as exc:
+        with pytest.raises((SingularMetricError, NumericOverflowError)) as info:
+            _probe(g)
+        assert type(info.value) is type(exc)
+        return
+    assert _probe(g).tobytes() == g.tobytes()
+    det = manifold._cholesky_diagonal_product(g.tolist()) ** 2
+    assert det == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", [1.0, 3.7e-5, 2.9e4])
+def test_the_det_tolerance_is_where_the_numpy_route_has_it(n, m):
+    accepted = []
+    for ulps in range(-4, 5):
+        g = _near_tolerance(n, m, n - 1, ulps)
+        try:
+            metric_oracle.metric_det(g)
+        except SingularMetricError:
+            with pytest.raises(SingularMetricError, match="is singular"):
+                _probe(g)
+            accepted.append(False)
+        else:
+            _probe(g)
+            accepted.append(True)
+    # The nudges straddle the tolerance: refused below, accepted above.
+    assert accepted == sorted(accepted) and accepted[0] is False and accepted[-1] is True
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+def test_a_metric_with_a_nan_entry_is_refused_as_not_positive_definite(entry):
+    g = np.eye(2)
+    g[entry] = g[entry[::-1]] = math.nan
+    with pytest.raises(SingularMetricError, match="not positive definite"):
+        _probe(g)

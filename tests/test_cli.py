@@ -230,6 +230,57 @@ def test_simulate_ends_a_run_whose_fiber_hessian_overflows_non_finite(tmp_path, 
     assert report["samples"] == 1
 
 
+def _energy_overflow_config(out_dir, system, x, dt):
+    """f = -x1*300 on euclidean2: the energy's factor e^(600 x1) overflows past x1 = 1.183."""
+    return {
+        "schema": 1,
+        "chart": {"name": "euclidean2"},
+        "system": system,
+        "integrator": {"method": "rk4", "dt": dt, "t_span": [0.0, 1.0]},
+        "initial": {"x": x, "v": [1.0, 0.0]},
+        "output": {"directory": str(out_dir), "basename": "energy"},
+    }
+
+
+_CONFORMAL_FORCE = {"kind": "newton", "force": {"type": "conformal", "f": "-x1*300"}}
+_CONFORMAL_KINETIC = {"kind": "lagrange", "family": "conformal-kinetic", "f": "-x1*300"}
+
+
+@pytest.mark.parametrize(
+    "system", [_CONFORMAL_FORCE, _CONFORMAL_KINETIC], ids=["conformal", "conformal-kinetic"]
+)
+def test_simulate_refuses_an_initial_state_whose_energy_overflows(tmp_path, system):
+    out = tmp_path / "out"
+    done = _simulate_in_a_subprocess(
+        tmp_path, _energy_overflow_config(out, system, [1.5, 0.0], 0.01)
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("config error at /initial: conformal factor e^(-2 f)")
+    assert "overflows the float range" in done.stderr
+    assert not (out / "energy.csv").exists()
+    assert not (out / "energy.json").exists()
+
+
+def test_simulate_ends_a_run_whose_energy_overflows_and_writes_the_earlier_samples(
+    tmp_path, capsys
+):
+    # x1 = 1.17 + log(1 + 600 t)/600 reaches 1.183 near t = 0.16.
+    out = tmp_path / "out"
+    cfg = _energy_overflow_config(out, _CONFORMAL_FORCE, [1.17, 0.0], 1e-3)
+    assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    report = json.loads((out / "energy.json").read_text())
+    assert report["status"] == "non_finite"
+    assert report["error"].startswith("conformal factor e^(-2 f) at array([1.18")
+    assert report["error"].endswith("overflows the float range")
+    assert f"error: {report['error']}" in err
+    assert 0.15 < report["t_final"] < 0.17
+    rows = (out / "energy.csv").read_text().strip().split("\n")
+    assert len(rows) == report["samples"] + 1
+    assert rows[0].endswith(",speed,h")
+
+
 def test_simulate_ends_a_run_whose_expression_leaves_its_domain(tmp_path, capsys):
     # U = log(x1) pulls x1 through 0, where log is undefined, at t = 0.33.
     out = tmp_path / "out"
@@ -416,3 +467,24 @@ def test_legendre_state_validation(tmp_path, capsys):
     assert "--state" in capsys.readouterr().err
     assert cli.main(["legendre", "-c", cfg, "--direction", "forward", "--state=-1.0,0.0;1.0,0.0"]) == 2
     assert "outside chart" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "chart, state, message",
+    [
+        ({"name": "conformally_flat", "f": "-x1*300"}, "1.5,0;1,0", "overflows the float range"),
+        ({"name": "polar2d"}, "1e-7,0;1,0", "is singular (det 1.000e-14)"),
+    ],
+    ids=["overflow", "singular"],
+)
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_legendre_refuses_a_state_whose_metric_is_singular_or_overflows(
+    tmp_path, capsys, chart, state, message, direction
+):
+    cfg = write_config(
+        tmp_path, {"schema": 1, "chart": chart, "system": {"kind": "hamilton", "family": "kinetic"}}
+    )
+    assert cli.main(["legendre", "-c", cfg, "--direction", direction, "--state", state]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at --state: metric on")
+    assert message in err

@@ -1,5 +1,6 @@
 """Newtonian flows: right-hand sides, integrators, trajectory output."""
 
+import dataclasses
 import math
 
 import dp_oracle
@@ -15,6 +16,7 @@ from riemdyn.errors import (
     DegenerateWError,
     EvalDomainError,
     NonConvergenceError,
+    NumericOverflowError,
     ZeroVelocityError,
 )
 from riemdyn.extended_fields import TangentPoint
@@ -182,6 +184,78 @@ def test_system_errors_end_the_run_with_a_status(error, status, method):
         assert ts[-1] == pytest.approx(0.4)  # the step from 0.4 samples y = 0.45
     else:
         assert 0.42 - 1e-5 < ts[-1] <= 0.42  # halved down to dt_min before stopping
+
+
+def _overflowing_energy(chart, point):
+    """Kinetic energy that raises NumericOverflowError past x1 = 0.42."""
+    if point.x[0] > 0.42:
+        raise NumericOverflowError(f"energy at x1 = {point.x[0]:.3f} overflows")
+    return 0.5 * manifold.speed(chart, point.x, point.v) ** 2
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_a_stop_error_from_the_diagnostics_ends_the_run_and_keeps_the_earlier_samples(
+    method, record_every
+):
+    chart = manifold.builtin_chart("euclidean2")
+    q0 = TangentPoint(np.zeros(2), np.array([1.0, 0.0]))
+    config = dn.IntegratorConfig(
+        method=method, dt=0.01, dt_max=0.01, t_span=(0.0, 1.0), record_every=record_every
+    )
+    trajectory = dn.integrate(chart, dn.geodesic_system(), q0, config, _overflowing_energy)
+    assert trajectory.status == "non_finite"
+    assert trajectory.status.error.startswith("energy at x1 = 0.4")
+    assert trajectory.status.error.endswith(" overflows")
+    assert len(trajectory.energies) == len(trajectory.speeds) == len(trajectory.ts)
+    assert np.all(trajectory.xs[:, 0] <= 0.42)
+    assert 0.42 - 0.01 * record_every <= trajectory.ts[-1] <= 0.42
+    assert np.allclose(trajectory.energies, 0.5)
+    assert np.allclose(trajectory.xs[:, 0], trajectory.ts, rtol=0.0, atol=1e-12)
+
+
+def test_a_stop_error_from_the_initial_diagnostics_propagates():
+    chart = manifold.builtin_chart("euclidean2")
+    q0 = TangentPoint(np.array([0.5, 0.0]), np.array([1.0, 0.0]))
+    config = dn.IntegratorConfig(method="rk4", dt=0.01, t_span=(0.0, 1.0))
+    with pytest.raises(NumericOverflowError, match="energy at x1 = 0.500 overflows"):
+        dn.integrate(chart, dn.geodesic_system(), q0, config, _overflowing_energy)
+
+
+def test_integrate_ode_takes_the_diagnostics_of_the_recorded_states_only():
+    config = dn.IntegratorConfig(method="rk4", dt=0.1, t_span=(0.0, 1.0), record_every=3)
+    judged, sampled = [], []
+
+    def in_domain(y):
+        judged.append(y.copy())
+        return lambda: sampled.append(y.copy())
+
+    ts, ys, status = dn.integrate_ode(lambda t, y: np.ones(1), np.zeros(1), config, in_domain)
+    assert status == "completed"
+    assert len(judged) == 10  # once per accepted step, never on y0
+    assert ts == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+    assert np.array_equal(np.concatenate(sampled), np.concatenate(ys[1:]))
+
+
+def test_each_recorded_state_is_validated_once():
+    """Speed and energy read the metric the stop rule validated; rhs reads only Gamma."""
+    base = manifold.builtin_chart("sphere2d")
+    calls = []
+
+    def metric(x):
+        calls.append(x.copy())
+        return base.metric_fn(x)
+
+    chart = dataclasses.replace(base, metric_fn=metric)
+    q0 = TangentPoint(np.array([1.0, 0.3]), np.array([0.3, 0.9]))
+    config = dn.IntegratorConfig(method="rk45", t_span=(0.0, 3.0), rtol=1e-9, atol=1e-11)
+    trajectory = dn.integrate(
+        chart, dn.geodesic_system(), q0, config,
+        energy_fn=lambda c, q: 0.5 * manifold.speed(c, q.x, q.v) ** 2,
+    )
+    assert trajectory.status == "completed"
+    assert len(trajectory.ts) > 20
+    assert np.array_equal(np.array(calls), trajectory.xs)
 
 
 def test_a_force_that_overflows_ends_the_run_non_finite(recwarn):
