@@ -1,9 +1,12 @@
 """Lagrangian systems on the tangent bundle of a chart.
 
-A Lagrangian here is a scalar extended field L(x, v) together with
-optional analytic hooks for its fiber Hessian A_ij = d2L/dv^i dv^j and
-mixed partials d2L/dx^s dv^k. The Euler-Lagrange equations are handled
-in two equivalent shapes:
+A Lagrangian here is a scalar extended field L(x, v) with optional
+analytic hooks for its fiber Hessian A_ij = d2L/dv^i dv^j and its mixed
+partials M[k, s] = d2L/dx^s dv^k, and el_terms_fn for dL/dx, P, M and A
+in one pass per state. Both legs below read those four terms from the
+pass, or without it from the other hooks and finite differences; A keeps
+its own hook because legendre_inverse needs A alone at every Newton
+iterate. The Euler-Lagrange equations are handled in two equivalent shapes:
 
   * covariant: solving A F = grad L - (grad P) . v for the force vector
     F, where P_k = dL/dv^k is the momentum covector field and grad the
@@ -41,6 +44,7 @@ from .dynamics_newton import (
 )
 from .errors import NumericOverflowError, SingularAError
 from .extended_fields import CurveSample, ExtendedField, TangentPoint, _conformal_factor
+from .extended_fields import _fiber_correction, _index_terms, _quadratic_x_partials, _scaled
 from .manifold import ManifoldChart
 from .normal_shift import (
     RadialProfile,
@@ -76,10 +80,11 @@ class Lagrangian:
 
     field is the scalar extended field L itself (v representation).
     second_fiber_fn returns A_ij with shape (n, n); mixed_partials_fn
-    returns M[k, s] = d2L/dx^s dv^k (derivative axis last). family and
+    returns M[k, s] = d2L/dx^s dv^k (derivative axis last). el_terms_fn
+    returns (dL/dx, P, M, A) from one pass over a state that starts with
+    metric_at, equal to what the field and the two hooks give. family and
     params identify catalog members so the Hamiltonian side can attach
-    closed forms; profile carries the fiberwise symmetric reduction when
-    one exists.
+    closed forms; profile carries the fiberwise symmetric reduction when one exists.
     """
 
     field: ExtendedField
@@ -89,6 +94,7 @@ class Lagrangian:
     mixed_partials_fn: Callable[[ManifoldChart, TangentPoint], np.ndarray] | None = None
     profile: RadialProfile | None = None
     name: str = ""
+    el_terms_fn: Callable[[ManifoldChart, TangentPoint], tuple] | None = None
     _momentum: ExtendedField = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -174,6 +180,16 @@ def regularity(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint
     )
 
 
+def _el_terms(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> tuple:
+    """(dL/dx, P, M, A) at a state: one el_terms_fn call, else a_matrix and the separate hooks."""
+    if lagrangian.el_terms_fn is not None:
+        return lagrangian.el_terms_fn(chart, point)
+    manifold.metric_at(chart, point.x)  # validates x once; the hooks read the record
+    a = a_matrix(chart, lagrangian, point)
+    mixed = extended_fields.x_partials(chart, momentum_field(lagrangian), point)
+    return lagrangian.dx(chart, point), lagrangian.dv(chart, point), mixed, a
+
+
 def force_from_lagrangian(
     chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint
 ) -> np.ndarray:
@@ -181,14 +197,15 @@ def force_from_lagrangian(
 
     grad is the covariant spatial gradient, P the momentum covector
     field; the resulting Newtonian system reproduces the Euler-Lagrange
-    motion of the Lagrangian.
+    motion of the Lagrangian. dL/dx, P, M and A come from one _el_terms
+    pass, and Gamma is read once for spatial_gradient's fiber and index terms.
     """
-    a = a_matrix(chart, lagrangian, point)
+    dldx, p, mixed, a = _el_terms(chart, lagrangian, point)
     _require_regular(a, "fiber Hessian is singular (det {det:.3e}, tolerance {tol:.3e})")
-    grad_l = extended_fields.spatial_gradient(chart, lagrangian.field, point).data
-    grad_p = extended_fields.spatial_gradient(chart, momentum_field(lagrangian), point).data
-    rhs = grad_l - grad_p @ point.v
-    return np.linalg.solve(a, rhs)
+    gamma, v = manifold.christoffel_at(chart, point.x), point.v
+    grad_l = dldx + _fiber_correction(gamma, v, p, "v")
+    grad_p = mixed + _fiber_correction(gamma, v, a, "v") + _index_terms(gamma, p, ("l",))
+    return np.linalg.solve(a, grad_l - grad_p @ v)
 
 
 def lagrangian_force_field(lagrangian: Lagrangian) -> ForceField:
@@ -262,15 +279,11 @@ def integrate_lagrangian(
     independent leg against the Newtonian reduction.
     """
     n = chart.dim
-    p_field = momentum_field(lagrangian)
 
     def rhs(t, y):
         point = TangentPoint(y[:n], y[n:])
-        manifold.metric_at(chart, point.x)  # validates x once; the hooks read the record
-        a = a_matrix(chart, lagrangian, point)
+        dldx, _, mixed, a = _el_terms(chart, lagrangian, point)
         _require_regular(a, "fiber Hessian is singular (det {det:.3e}) during integration")
-        dldx = extended_fields.x_partials(chart, lagrangian.field, point)
-        mixed = extended_fields.x_partials(chart, p_field, point)
         vdot = np.linalg.solve(a, dldx - mixed @ point.v)
         return np.concatenate([point.v, vdot])
 
@@ -284,33 +297,38 @@ def integrate_lagrangian(
 def _quadratic_lagrangian(family: str, params: dict, profile: RadialProfile) -> Lagrangian:
     """L = (1/2) e^(-2f) g_ij v^i v^j - U with the optional f and U of params.
 
-    Adds the closed forms A = e^(-2f) g and M[k, s] = e^(-2f) (d g_kj/dx^s v^j
-    - 2 g_kj v^j df/dx^s); without f and U no expression code runs. The name
-    is the family followed by each expression's source in brackets.
+    el_terms_fn reads g and dg once for dL/dx, P, A = e^(-2f) g and M[k, s] =
+    e^(-2f) (d g_kj/dx^s v^j - 2 g_kj v^j df/dx^s), and mixed_partials_fn takes
+    M from it; without f and U no expression code runs. The name is the
+    family followed by each expression's source in brackets.
     """
-    f_expr = params.get("f")
+    f_expr, u_expr = params.get("f"), params.get("U")
 
     def second_fiber(chart, point):
         g = manifold.metric_at(chart, point.x)
-        return g if f_expr is None else _conformal_factor(f_expr, point.x, -2.0) * g
+        return _scaled(f_expr, g, _conformal_factor(f_expr, point.x, -2.0))
 
-    def mixed(chart, point):
+    def terms(chart, point):
         x, v = point.x, point.v
-        dgv = np.einsum("kjs,j->ks", manifold.metric_partials_at(chart, x), v)
-        if f_expr is None:
-            return dgv
-        v_low = manifold.metric_at(chart, x) @ v
-        df = np.array(expression.gradient(f_expr, x))
-        return _conformal_factor(f_expr, x, -2.0) * (dgv - 2.0 * np.outer(v_low, df))
+        g = manifold.metric_at(chart, x)
+        dg = manifold.metric_partials_at(chart, x)
+        v_low = g @ v
+        dgv = np.einsum("kjs,j->ks", dg, v)
+        c = _conformal_factor(f_expr, x, -2.0)
+        df = None if f_expr is None else np.array(expression.gradient(f_expr, x))
+        mixed = dgv if df is None else c * (dgv - 2.0 * np.outer(v_low, df))
+        dldx = _quadratic_x_partials(x, v, v_low, c, dg, df, u_expr, -1.0)
+        return dldx, _scaled(f_expr, v_low, c), mixed, _scaled(f_expr, g, c)
 
     return Lagrangian(
-        field=extended_fields.kinetic_energy_scalar(f_expr, params.get("U")),
+        field=extended_fields.kinetic_energy_scalar(f_expr, u_expr),
         family=family,
         params=params,
         second_fiber_fn=second_fiber,
-        mixed_partials_fn=mixed,
+        mixed_partials_fn=lambda chart, point: terms(chart, point)[2],
         profile=profile,
         name=family + "".join(f"[{e.source}]" for e in params.values()),
+        el_terms_fn=terms,
     )
 
 

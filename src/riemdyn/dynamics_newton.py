@@ -152,7 +152,13 @@ def force_vector(chart: ManifoldChart, force: ForceField, point: TangentPoint) -
 def newtonian_rhs(
     chart: ManifoldChart, force: ForceField, point: TangentPoint
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dx/dt, dv/dt) at a tangent state."""
+    """Right-hand side (dx/dt, dv/dt) at a tangent state.
+
+    Gamma is read first, so outside the chart its domain error comes before
+    the force's errors, such as EvalDomainError. A Lagrangian force computes
+    Gamma again, into the record its metric_at opens; validating x here
+    instead made geodesic runs 1.05x to 1.3x slower.
+    """
     v = point.v
     gamma = manifold.christoffel_at(chart, point.x)
     f = force_vector(chart, force, point)

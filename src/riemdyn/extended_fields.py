@@ -538,13 +538,30 @@ def potential_scalar(u) -> ExtendedField:
 
 
 def _conformal_factor(f_expr, x, scale: float) -> float:
-    """e^(scale f(x)): e^(-2f) scales the quadratic Lagrangian, e^(2f) its Hamiltonian."""
+    """e^(scale f(x)), or 1.0 without f: e^(-2f) scales the quadratic Lagrangian, e^(2f) its H."""
+    if f_expr is None:
+        return 1.0
     try:
         return math.exp(scale * expression.evaluate(f_expr, x))
     except OverflowError:
         raise NumericOverflowError(
             f"conformal factor e^({scale:g} f) at {x!r} overflows the float range"
         ) from None
+
+
+def _scaled(f_expr, a, c):
+    """c a for the conformal factor c of f; a itself, not copied, when there is no f."""
+    return a if f_expr is None else c * a
+
+
+def _quadratic_x_partials(x, y, my, c, dm, df, u_expr, sign: float) -> np.ndarray:
+    """dX/dx^q of (1/2) c y . (m y) + s U from m y, c, dm/dx^q and df/dx^q (None without f)."""
+    out = 0.5 * np.einsum("ijq,i,j->q", dm, y, y)
+    if df is not None:
+        out = c * (out + (sign * float(y @ my)) * df)
+    if u_expr is not None:
+        out = out + sign * np.array(expression.gradient(u_expr, x))
+    return out
 
 
 def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
@@ -567,7 +584,7 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
         return manifold.inverse_metric_at(chart, point.x) @ point.p
 
     def factor(x):
-        return 1.0 if f_expr is None else _conformal_factor(f_expr, x, 2.0 * sign)
+        return _conformal_factor(f_expr, x, 2.0 * sign)
 
     def value(point, my, c):
         out = 0.5 * c * float(fiber_of(point) @ my)
@@ -576,36 +593,26 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
         return np.array(out)
 
     def spatial(chart, point, my, c):
-        x, y = point.x, fiber_of(point)
+        x = point.x
         if rep == "v":
             dm = manifold.metric_partials_at(chart, x)
         else:
             dm = manifold.inverse_metric_partials_at(chart, x)
-        out = 0.5 * np.einsum("ijq,i,j->q", dm, y, y)
-        if f_expr is not None:
-            df = np.array(expression.gradient(f_expr, x))
-            out = c * (out + (sign * float(y @ my)) * df)
-        if u_expr is not None:
-            out = out + sign * np.array(expression.gradient(u_expr, x))
-        return out
-
-    def fiber(my, c):
-        return my if f_expr is None else c * my
+        df = None if f_expr is None else np.array(expression.gradient(f_expr, x))
+        return _quadratic_x_partials(x, fiber_of(point), my, c, dm, df, u_expr, sign)
 
     def ev(chart, point):
         return value(point, product(chart, point), factor(point.x))
 
     def dx(chart, point):
-        if f_expr is None:
-            return spatial(chart, point, None, 1.0)
         return spatial(chart, point, product(chart, point), factor(point.x))
 
     def dfib(chart, point):
-        return fiber(product(chart, point), factor(point.x))
+        return _scaled(f_expr, product(chart, point), factor(point.x))
 
     def jet(chart, point):
         my, c = product(chart, point), factor(point.x)
-        return value(point, my, c), spatial(chart, point, my, c), fiber(my, c)
+        return value(point, my, c), spatial(chart, point, my, c), _scaled(f_expr, my, c)
 
     return ExtendedField((0, 0), rep, ev, dx, dfib, name=name, jet_fn=jet)
 

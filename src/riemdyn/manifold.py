@@ -190,16 +190,16 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
     """Metric matrix at x, validated symmetric positive definite.
 
     The checks, in order: x is in the domain; the metric has shape
-    (dim, dim); its symmetric part has a Cholesky factor; its determinant
-    exceeds 1e-12 scale^dim, scale being its largest entry in absolute
-    value. A failed check raises SingularMetricError (ChartDomainError
-    for the domain), and a metric, tolerance or determinant that
-    overflows the float range NumericOverflowError. The factorisation
-    runs over g.tolist() in Python floats, for any dim: on the small
-    metrics of a chart, numpy.linalg's per-call overhead costs more than
-    the arithmetic. It also refuses a NaN pivot, which the LAPACK routine
-    behind numpy.linalg.cholesky lets through. g itself stays the
-    symmetrised numpy array.
+    (dim, dim); its symmetric part g has no entry that is infinite or
+    overflows in (g + g^T) / 2, has a Cholesky factor, and has a
+    determinant above 1e-12 scale^dim, scale being its largest entry in
+    absolute value. A failed check raises SingularMetricError
+    (ChartDomainError for the domain), and an overflow NumericOverflowError.
+    g and its factorisation are formed over g.tolist() in Python floats,
+    for any dim, and a symmetric metric is its own g: numpy's per-call
+    overhead costs more than the arithmetic on a chart's small metrics, and
+    warns on an overflow. The factorisation refuses a NaN pivot, which
+    numpy.linalg.cholesky lets through.
 
     The result is read-only: a repeated call at the same coordinates
     returns the chart's stored matrix without validating again.
@@ -216,17 +216,21 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
                 f"metric on {chart.name!r} returned shape {g.shape}, "
                 f"expected {(chart.dim, chart.dim)}"
             )
-        g = 0.5 * (g + g.T)
         rows = g.tolist()
+        if rows != list(map(list, zip(*rows))):
+            rows = [[0.5 * (a + b) for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+        sizes = [abs(value) for row in rows for value in row]
+        if math.inf in sizes or max(sizes) >= 2.0**1023:  # a + a overflows from a = 2^1023
+            raise OverflowError
         product = _cholesky_diagonal_product(rows)
         if product is None:
             raise SingularMetricError(
                 f"metric on {chart.name!r} at {x!r} is not positive definite"
             )
-        tol = 1e-12 * max(abs(value) for row in rows for value in row) ** chart.dim
+        tol = 1e-12 * max(sizes) ** chart.dim
         det = product**2
     except OverflowError:
-        # math.exp in a conformal factor, or a power in the determinant test.
+        # math.exp in a conformal factor, an infinite entry, or a power in the determinant test.
         raise NumericOverflowError(
             f"metric on {chart.name!r} at {x!r} overflows the float range"
         ) from None
@@ -234,6 +238,7 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
         raise SingularMetricError(
             f"metric on {chart.name!r} at {x!r} is singular (det {det:.3e})"
         )
+    g = np.array(rows)
     g.flags.writeable = False
     object.__setattr__(chart, "_last", [x.tobytes(), g, None, None])
     return g
@@ -433,8 +438,9 @@ def hyperbolic_half_plane() -> ManifoldChart:
     """Upper half-plane (x, y), y > 0, with g = diag(1, 1) / y^2."""
 
     def metric(x):
-        y2 = x[1] * x[1]
-        return np.array([[1.0 / y2, 0.0], [0.0, 1.0 / y2]])
+        y2 = float(x[1]) * float(x[1])
+        inv = 1.0 / y2 if y2 > 0.0 else math.inf  # y^2 underflows to 0 below y = 1.5e-162
+        return np.array([[inv, 0.0], [0.0, inv]])
 
     def partials(x):
         y = x[1]

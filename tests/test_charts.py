@@ -314,13 +314,50 @@ def test_a_non_finite_point_is_refused_as_not_finite():
     assert not isinstance(excinfo.value, NonFiniteStateError)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_metric_that_overflows_is_refused_as_an_overflow():
     chart = builtin_chart("conformally_flat", f="-x1*300")
     manifold.metric_at(chart, np.array([0.5, 0.0]))
-    # math.exp of the factor overflows at x1 = 1.5; the determinant test at x1 = 1.
-    for x in (np.array([1.5, 0.0]), np.array([1.0, 0.0])):
+    # math.exp of the factor overflows at x1 = 1.5; the determinant test at x1 = 1;
+    # at x1 = 1.1826 the entry e^709.56 = 1.5e308 is finite and twice it is not.
+    for x in (np.array([1.5, 0.0]), np.array([1.0, 0.0]), np.array([1.1826, 0.0])):
         with pytest.raises(NumericOverflowError, match="overflows the float range"):
             manifold.metric_at(chart, x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_infinite_metric_entry_is_refused_as_an_overflow():
+    for entry in [(0, 0), (0, 1), (1, 1)]:
+        g = np.eye(2)
+        g[entry] = g[entry[::-1]] = math.inf
+        with pytest.raises(NumericOverflowError, match="overflows the float range"):
+            _probe(g)
+    # Their symmetrisation overflows: a + a from a = 2^1023, and 1.7e308 + 1e308.
+    huge = [
+        np.diag([2.0**1023, 1.0]),
+        np.array([[2.0**1023]]),
+        np.array([[1.0, 1.7e308], [1e308, 1.0]]),
+    ]
+    for g in huge:
+        with pytest.raises(NumericOverflowError, match="overflows the float range"):
+            _probe(g)
+    chart = builtin_chart("hyperbolic_half_plane")
+    # y^2 underflows to 0 at y = 1e-200, and 1 / y^2 overflows at y = 1e-160.
+    for y in (1e-200, 1e-160):
+        with pytest.raises(NumericOverflowError, match="overflows the float range"):
+            manifold.metric_at(chart, np.array([0.0, y]))
+    for y in (1e-70, 0.37, 2.9):
+        y2 = np.float64(y) * np.float64(y)
+        want = np.array([[1.0 / y2, 0.0], [0.0, 1.0 / y2]])
+        assert manifold.metric_at(chart, np.array([0.1, y])).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "g", [[[2.0, 1.0], [0.5, 3.0]], [[1.0, 0.1, 1e-300], [0.3, 2.0, 0.0], [5e-324, 0.7, 4.0]]]
+)
+def test_an_asymmetric_metric_is_replaced_by_its_symmetric_part(g):
+    g = np.array(g)
+    assert _probe(g).tobytes() == (0.5 * (g + g.T)).tobytes()
 
 
 def _probe(g: np.ndarray):

@@ -168,13 +168,13 @@ def _conformal_overflow_config(out_dir, x, t1, dt):
     }
 
 
-def _simulate_in_a_subprocess(tmp_path, cfg):
+def _simulate_in_a_subprocess(tmp_path, cfg, **env):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     return subprocess.run(
         [sys.executable, "-m", "riemdyn.cli", "simulate", "-c", write_config(tmp_path, cfg)],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=src, **env),
     )
 
 
@@ -193,6 +193,23 @@ def test_simulate_refuses_an_initial_point_whose_metric_overflows(tmp_path, x, t
     assert "config error at /initial/x: metric on 'conformally_flat2'" in done.stderr
     assert "overflows the float range" in done.stderr
     assert not (out / "conformal.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "chart,x",
+    [
+        ({"name": "conformally_flat", "f": "-x1*300"}, [1.1826, 0.0]),  # g + g^T overflows
+        ({"name": "hyperbolic_half_plane"}, [0.0, 1e-200]),  # y^2 underflows to 0
+    ],
+    ids=["symmetrised", "hyperbolic"],
+)
+def test_simulate_refuses_an_infinite_metric_entry_without_a_warning(tmp_path, chart, x):
+    cfg = dict(_conformal_overflow_config(tmp_path / "out", x, 1.0, 0.01), chart=chart)
+    done = _simulate_in_a_subprocess(tmp_path, cfg, PYTHONWARNINGS="error::RuntimeWarning")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+    assert "config error at /initial/x: metric on" in done.stderr
+    assert "overflows the float range" in done.stderr
 
 
 def test_simulate_ends_a_run_whose_metric_overflows_non_finite(tmp_path):

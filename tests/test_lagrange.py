@@ -1,7 +1,9 @@
 """Euler-Lagrange force extraction, residuals, and the catalog families."""
 
 import dataclasses
+from collections import Counter
 
+import force_oracle
 import numpy as np
 import pytest
 
@@ -208,3 +210,107 @@ def test_an_overflowing_conformal_lagrangian_raises_numeric_overflow():
     a = dl.a_matrix(chart, lag, TangentPoint(np.array([1.0, 0.0]), v))
     with pytest.raises(NumericOverflowError, match="fiber Hessian"):
         dl._require_regular(a, "det {det} within {tol}")
+
+
+_QUADRATIC = [
+    ("kinetic", {}),
+    ("kinetic-potential", {"U": "sin(x1) + x2^2/2"}),
+    ("conformal-kinetic", {"f": "x1/2"}),
+]
+_FIBERWISE = ("fiberwise-phi", {"phi": "w^2/2 + w^4/10", "C": "exp(-x1/4)"})
+
+
+@pytest.mark.parametrize("family,params", _QUADRATIC)
+@pytest.mark.parametrize(
+    "chart_name,chart_params",
+    [
+        ("euclidean2", {}),
+        ("euclidean3", {}),
+        ("polar2d", {}),
+        ("sphere2d", {}),
+        ("hyperbolic_half_plane", {}),
+        ("conformally_flat", {"f": "x2/3"}),
+    ],
+)
+def test_the_quadratic_pass_equals_the_separate_hooks_bit_for_bit(
+    family, params, chart_name, chart_params
+):
+    chart = manifold.builtin_chart(chart_name, **chart_params)
+    lag = dl.catalog_lagrangian(family, **params)
+    rng = np.random.default_rng(17)
+    for point in verification.sample_tangent_states(chart, 6, rng):
+        separate = [
+            extended_fields.x_partials(chart, lag.field, point),
+            lag.dv(chart, point),
+            extended_fields.x_partials(chart, dl.momentum_field(lag), point),
+            dl.a_matrix(chart, lag, point),
+        ]
+        got = lag.el_terms_fn(chart, point)
+        assert [term.tobytes() for term in got] == [term.tobytes() for term in separate]
+        # The mixed-partials hook reads M from the pass, so M is held to its closed form too.
+        mixed = force_oracle.quadratic_mixed(chart, lag.params.get("f"), point)
+        assert got[2].tobytes() == mixed.tobytes()
+
+
+@pytest.mark.parametrize("family,params", _QUADRATIC + [_FIBERWISE])
+@pytest.mark.parametrize(
+    "chart_name", ["euclidean2", "polar2d", "sphere2d", "hyperbolic_half_plane"]
+)
+def test_the_force_equals_the_composition_it_replaced_bit_for_bit(family, params, chart_name):
+    """The catalog Lagrangian, and the same field with none of the Lagrangian's
+    own hooks, so that A and M come from finite differences of its partials."""
+    chart = manifold.builtin_chart(chart_name)
+    lag = dl.catalog_lagrangian(family, **params)
+    hookless = dl.Lagrangian(field=lag.field, family="custom", name="hookless")
+    rng = np.random.default_rng(19)
+    for point in verification.sample_tangent_states(chart, 6, rng, min_speed=0.3):
+        for each in (lag, hookless):
+            want = force_oracle.force(chart, each, point)
+            assert dl.force_from_lagrangian(chart, each, point).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chart_name", ["polar2d", "sphere2d"])
+def test_a_lagrangian_with_only_a_value_solves_with_one_finite_difference_a(chart_name):
+    """With no derivative hook at all, A comes from second differences of L,
+    for the solve and for grad P alike. The replaced composition took grad P's
+    A from central differences of the finite-difference momentum, so the two
+    forces differ at that finite-difference level, not bit for bit."""
+    chart = manifold.builtin_chart(chart_name)
+    lag = dl.kinetic_minus_potential("sin(x1) + x2^2/2")
+    bare = dl.Lagrangian(
+        field=extended_fields.ExtendedField((0, 0), "v", lag.field.eval_fn), family="custom"
+    )
+    rng = np.random.default_rng(23)
+    for point in verification.sample_tangent_states(chart, 6, rng, min_speed=0.3):
+        exact = dl.force_from_lagrangian(chart, lag, point)
+        assert np.max(np.abs(dl.force_from_lagrangian(chart, bare, point) - exact)) < 1e-5
+        assert np.max(np.abs(force_oracle.force(chart, bare, point) - exact)) < 1e-5
+
+
+@pytest.mark.parametrize("family,params", _QUADRATIC)
+def test_each_tangent_leg_reads_the_metric_partials_once_per_right_hand_side(family, params):
+    calls = Counter()
+
+    def counted(hook, key):
+        def wrapped(x):
+            calls[key] += 1
+            return hook(x)
+
+        return wrapped
+
+    sphere = manifold.builtin_chart("sphere2d")
+    chart = dataclasses.replace(
+        sphere,
+        metric_partials_fn=counted(sphere.metric_partials_fn, "metric_partials"),
+        christoffel_fn=counted(sphere.christoffel_fn, "christoffel"),
+    )
+    lag = dl.catalog_lagrangian(family, **params)
+    point = TangentPoint(np.array([1.1, 0.3]), np.array([0.4, -0.7]))
+    dn.newtonian_rhs(chart, dl.lagrangian_force_field(lag), point)
+    assert calls["metric_partials"] == 1
+    calls.clear()
+    config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 3e-3))
+    trajectory = dl.integrate_lagrangian(chart, lag, point, config)
+    assert len(trajectory.ts) == 4
+    # Four right-hand sides per rk4 step, and the classical leg never reads Gamma.
+    assert calls == {"metric_partials": 12}
