@@ -9,7 +9,8 @@ Subcommands:
       expression leaves its domain, a value overflows or the stepper
       gives up (the partial outputs are still written, and the message
       of the error that ended the run goes to stderr and into the
-      report as "error"), 2 on config errors, such as an initial point
+      report as "error", with "error_class" and the "stop_time" of the
+      last accepted state), 2 on config errors, such as an initial point
       whose metric is singular or overflows, or an initial state whose
       energy or H overflows, which leaves no sample to write.
 
@@ -373,6 +374,8 @@ def cmd_simulate(args) -> int:
     }
     if trajectory.status.error:
         report["error"] = trajectory.status.error
+        report["error_class"] = trajectory.status.error_class
+        report["stop_time"] = float(trajectory.status.stop_time)
     _json_dump(report, report_path)
     print(f"{trajectory.status}: {len(trajectory.ts)} samples -> {csv_path}")
     if trajectory.status.error:

@@ -93,7 +93,8 @@ def energy_field(lagrangian: Lagrangian) -> ExtendedField:
 
     dh/dv^r = A_rk v^k and dh/dx^s = v^k M[k, s] - dL/dx^s follow from
     differentiating h = v . dL/dv - L, so the hooks inherit whatever
-    analytic structure the Lagrangian carries.
+    analytic structure the Lagrangian carries; with el_terms_fn, dh/dx
+    takes M and dL/dx from its one pass.
     """
 
     def ev(chart, point):
@@ -101,7 +102,13 @@ def energy_field(lagrangian: Lagrangian) -> ExtendedField:
 
     dx_fn = None
     dfib_fn = None
-    if lagrangian.mixed_partials_fn is not None:
+    if lagrangian.el_terms_fn is not None:
+
+        def dx_fn(chart, point):
+            dldx, _, mixed, _ = lagrangian.el_terms_fn(chart, point)
+            return point.v @ mixed - dldx
+
+    elif lagrangian.mixed_partials_fn is not None:
 
         def dx_fn(chart, point):
             mixed = lagrangian.mixed_partials_fn(chart, point)

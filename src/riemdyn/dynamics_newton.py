@@ -28,7 +28,7 @@ overflow and invalid-value warnings are off while the driver steps.
 Under rk45 each of these errors first halves the trial step, down to
 dt_min, and step control that takes the step below dt_min ends the run
 "step_underflow". The status is a RunStatus: a str that also carries the
-message of the error that ended the run.
+message and class of the error that ended the run, and its time.
 
 Each sample's diagnostics (speed and energy on the tangent legs, H on
 the canonical leg) are taken at accept time, right after the stop rule
@@ -36,12 +36,18 @@ validated the state's metric, so they find it in the chart's geometry
 record: one metric validation per recorded state. A stop error from
 them ends the run like one from the right-hand side, keeping the earlier
 samples; at the initial state, which has no earlier sample, it
-propagates. integrate_ode keeps its four-argument form (rhs, y0, config,
-in_domain), with in_domain called once per accepted step and never on
-y0, so plain predicates still work and a wrapper that counts in_domain's
-truthy results still counts accepted steps: the stop rule accepts a
-state by returning a callable that takes its diagnostics, and
-integrate_ode calls it only for the states it records.
+propagates. The stop rule accepts a state by returning a callable that
+takes its diagnostics, which integrate_ode calls only for the states it
+records; in_domain is called once per accepted step and never on y0.
+
+integrate's right-hand side works on the flat state y = (x, v): it
+slices x and v out of y, writes dx and dv into one new array (rk4 keeps
+all four stages) and builds a TangentPoint only for a force that reads
+one. The zero force of geodesic_system is recognised once and never
+called: 0.0 - Gamma(v, v) has the bits of zeros - Gamma(v, v), signed
+zeros included. Gamma(v, v) stays an einsum, for any dimension: a matmul
+rounds differently, and a generic Python-float loop is slower.
+tests/rhs_oracle.py keeps the TangentPoint form it replaced.
 
 A Dormand-Prince step keeps its seven stages in one (7, m) array and
 forms each stage input, the 5th-order solution and the 4th-order
@@ -49,11 +55,10 @@ estimate as one axis-0 reduction of coefficient column times stage
 rows. numpy reduces axis 0 row by row from +0, the order of a Python
 sum over the stages, so the results are bit-identical to summing the
 stages one at a time (tests/dp_oracle.py keeps that form as the
-oracle). A matrix product would be faster but rounds differently. The
-step does not reuse its last stage as the next step's first (FSAL),
-nor the first stage after a rejection: every attempt evaluates all
-seven stages, and perfbench/spans.py counts an attempted step by the
-right-hand side call on its start state.
+oracle); a matrix product would round differently. There is no FSAL
+reuse: every attempt evaluates all seven stages, the first on the very
+state object that in_domain accepted, by which perfbench/spans.py
+counts attempted steps.
 """
 
 from __future__ import annotations
@@ -126,9 +131,17 @@ class ForceField:
     name: str = ""
 
 
+def _zero_force(chart, point):
+    return np.zeros(chart.dim)
+
+
 def geodesic_system() -> ForceField:
-    """The zero force: trajectories are geodesics of the chart metric."""
-    return ForceField(lambda chart, point: np.zeros(chart.dim), name="geodesic")
+    """The zero force: trajectories are geodesics. The right-hand sides never call it."""
+    return ForceField(_zero_force, name="geodesic")
+
+
+def _nonzero(force: ForceField) -> ForceField | None:
+    return None if force.eval_fn is _zero_force and not force.covariant else force
 
 
 def force_from_potential(u) -> ForceField:
@@ -154,16 +167,22 @@ def newtonian_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side (dx/dt, dv/dt) at a tangent state.
 
+    dv/dt is _acceleration's, which integrate's right-hand side shares.
+    """
+    return point.v.copy(), _acceleration(chart, _nonzero(force), point.x, point.v)
+
+
+def _acceleration(chart, force, x, v, out=None) -> np.ndarray:
+    """dv/dt = F - Gamma(v, v) at (x, v), into out when given; force None is the zero force.
+
     Gamma is read first, so outside the chart its domain error comes before
     the force's errors, such as EvalDomainError. A Lagrangian force computes
     Gamma again, into the record its metric_at opens; validating x here
     instead made geodesic runs 1.05x to 1.3x slower.
     """
-    v = point.v
-    gamma = manifold.christoffel_at(chart, point.x)
-    f = force_vector(chart, force, point)
-    dv = f - np.einsum("kij,i,j->k", gamma, v, v)
-    return v.copy(), dv
+    gamma = manifold.christoffel_at(chart, x)
+    f = 0.0 if force is None else force_vector(chart, force, TangentPoint(x, v))
+    return np.subtract(f, np.einsum("kij,i,j->k", gamma, v, v), out=out)
 
 
 @dataclass(frozen=True)
@@ -237,7 +256,7 @@ class Trajectory:
 
 # Dormand-Prince 5(4) tableau; the first error row is the 5th-order
 # propagated solution, the second the embedded 4th-order estimate.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]  # Python floats: stage times skip numpy scalars
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -267,50 +286,58 @@ def _rk4_step(f, t, y, dt):
 
 
 def _dp_step(f, t, y, dt):
+    reduce = np.add.reduce  # what a.sum(axis=0) calls, without its Python layer
     ks = np.empty((7, y.size))
     ks[0] = f(t, y)
     for i in range(1, 7):
-        ks[i] = f(t + _DP_C[i] * dt, y + dt * (_DP_A_COLS[i] * ks[:i]).sum(axis=0))
-    y5 = y + dt * (_DP_B5_COL * ks).sum(axis=0)
-    y4 = y + dt * (_DP_B4_COL * ks).sum(axis=0)
+        ks[i] = f(t + _DP_C[i] * dt, y + dt * reduce(_DP_A_COLS[i] * ks[:i], 0))
+    y5 = y + dt * reduce(_DP_B5_COL * ks, 0)
+    y4 = y + dt * reduce(_DP_B4_COL * ks, 0)
     return y5, y5 - y4
 
 
 class RunStatus(str):
     """How a run ended: completed, left_chart, singular, non_finite or step_underflow.
 
-    error is the message of the error that ended the run, "" when none did.
+    error is the message of the error that ended the run and error_class
+    its class name, both "" when none did. stop_time is the time of the
+    last accepted state, which record_every > 1 may have left unrecorded.
     """
 
     error: str
+    error_class: str
+    stop_time: float
 
-    def __new__(cls, word: str, error: str = ""):
+    def __new__(cls, word: str, error: str = "", error_class: str = "", stop_time=math.nan):
         status = super().__new__(cls, word)
-        status.error = error
+        status.error, status.error_class, status.stop_time = error, error_class, stop_time
         return status
 
 
-def _stop_status(exc: Exception) -> str:
-    return next(word for cls, word in _STOP_STATUS.items() if isinstance(exc, cls))
+def _stopped(exc: Exception) -> tuple[str, str, str]:
+    """(status, message, class name) of a run that exc ended."""
+    word = next(word for cls, word in _STOP_STATUS.items() if isinstance(exc, cls))
+    return word, str(exc), type(exc).__name__
 
 
 def _judge(in_domain: Callable[[np.ndarray], object], y: np.ndarray):
-    """(None, verdict) when in_domain accepts the new state y, ((status, error), None) when not.
+    """(None, verdict) when in_domain accepts the new state y, (stop, None) when not.
 
     in_domain refuses y by returning False, or by raising a stop error for
     a state it cannot judge, such as one whose metric overflows. verdict
     is its truthy result: True, or the zero-argument callable that takes
-    y's diagnostics.
+    y's diagnostics. A state that is not finite stops the run as
+    NonFiniteStateError would.
     """
     try:
         verdict = in_domain(y)
         if verdict:
             return None, verdict
     except _STOP_ERRORS as exc:
-        return (_stop_status(exc), str(exc)), None
+        return _stopped(exc), None
     if np.isfinite(y).all():
-        return ("left_chart", ""), None
-    return ("non_finite", f"state {y!r} is not finite"), None
+        return ("left_chart", "", ""), None
+    return _stopped(NonFiniteStateError(f"state {y!r} is not finite")), None
 
 
 # An overflow or a NaN in a step ends the run through the stop rule, not as a numpy warning.
@@ -325,12 +352,9 @@ def integrate_ode(
 
     Generic over the state vector: the tangent, classical Lagrangian and
     canonical cotangent systems all flatten their states through here.
-    in_domain turning false at an accepted step, or ChartDomainError or
-    SingularMetricError from rhs, ends the run with status "left_chart";
-    SingularAError, ForceSingularError or NonConvergenceError from rhs
-    ends it with "singular", and EvalDomainError or NumericOverflowError
-    with "non_finite". So does a state or stage with an infinite or NaN
-    coordinate: in_domain refusing it, or NonFiniteStateError from rhs.
+    in_domain turning false at a finite state ends the run "left_chart",
+    at a state with an infinite or NaN coordinate "non_finite", and each
+    error of _STOP_STATUS from rhs ends it with that error's status.
     in_domain may also raise one of these errors for the new state, such
     as NumericOverflowError for a metric that overflows there, and it
     ends the run as it would from rhs. To accept a state, in_domain
@@ -344,25 +368,25 @@ def integrate_ode(
     the trial step, down to dt_min, and step control that takes the next
     step below dt_min, after a rejected or an accepted step, ends the run
     with "step_underflow". The states accepted before any stop are kept,
-    and status.error holds the message of the error that ended the run.
+    and status carries the error that ended the run (see RunStatus).
     """
     t0, t1 = config.t_span
     ts = [t0]
     ys = [y0.copy()]
     t, y = t0, y0.copy()
-    status, error = "completed", ""
+    stop = None
     span_eps = 1e-12 * (t1 - t0)
     accepted = 0
 
     def record(verdict):
-        """Keep (t, y) when due; (status, error) when its diagnostics stop the run."""
+        """Keep (t, y) when due; the stop when its diagnostics end the run."""
         if accepted % config.record_every and t < t1 - span_eps:
             return None
         if callable(verdict):
             try:
                 verdict()
             except _STOP_ERRORS as exc:
-                return _stop_status(exc), str(exc)
+                return _stopped(exc)
         ts.append(t)
         ys.append(y.copy())
         return None
@@ -373,7 +397,7 @@ def integrate_ode(
             try:
                 y_new = _rk4_step(rhs, t, y, dt)
             except _STOP_ERRORS as exc:
-                status, error = _stop_status(exc), str(exc)
+                stop = _stopped(exc)
                 break
             stop, verdict = _judge(in_domain, y_new)
             if not stop:
@@ -381,9 +405,9 @@ def integrate_ode(
                 accepted += 1
                 stop = record(verdict)
             if stop:
-                status, error = stop
                 break
     else:
+        atol, rtol = config.atol, config.rtol
         dt = min(config.dt, config.dt_max)
         while t < t1 - span_eps:
             dt = min(dt, t1 - t)
@@ -393,13 +417,12 @@ def integrate_ode(
                 # A trial stage left the chart or the system; try a shorter step.
                 dt *= 0.5
                 if dt < config.dt_min:
-                    status, error = _stop_status(exc), str(exc)
+                    stop = _stopped(exc)
                     break
                 continue
-            scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            q = err_vec / scale
+            q = err_vec / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
             # RMS of q: the same sum and division as np.mean, without its Python layer.
-            err = math.sqrt(float((q * q).sum()) / q.size)
+            err = math.sqrt(float(np.add.reduce(q * q)) / q.size)
             if err <= 1.0:
                 stop, verdict = _judge(in_domain, y_new)
                 if not stop:
@@ -407,7 +430,6 @@ def integrate_ode(
                     accepted += 1
                     stop = record(verdict)
                 if stop:
-                    status, error = stop
                     break
                 factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
                 dt = min(dt * factor, config.dt_max)
@@ -415,9 +437,9 @@ def integrate_ode(
                 dt *= max(0.2, 0.9 * err**-0.2)
             # Accepted steps shrink dt too, by up to 0.9 each, as a solution blows up.
             if dt < config.dt_min and t < t1 - span_eps:
-                status = "step_underflow"
+                stop = ("step_underflow", "", "")
                 break
-    return ts, ys, RunStatus(status, error)
+    return ts, ys, RunStatus(*(stop or ("completed", "", "")), t)
 
 
 def integrate(
@@ -428,14 +450,22 @@ def integrate(
     energy_fn: Callable[[ManifoldChart, TangentPoint], float] | None = None,
 ) -> Trajectory:
     """Integrate the Newtonian system from q0 over config.t_span."""
+    return _tangent_run(chart, _flat_rhs(chart, force), q0, config, energy_fn)
+
+
+def _flat_rhs(chart: ManifoldChart, force: ForceField):
+    """integrate's right-hand side f(t, y) on the flat state y = (x, v): a new array each call."""
     n = chart.dim
+    force = _nonzero(force)
 
     def rhs(t, y):
-        point = TangentPoint(y[:n], y[n:])
-        dx, dv = newtonian_rhs(chart, force, point)
-        return np.concatenate([dx, dv])
+        v = y[n:]
+        dy = np.empty(2 * n)
+        dy[:n] = v
+        _acceleration(chart, force, y[:n], v, out=dy[n:])
+        return dy
 
-    return _tangent_run(chart, rhs, q0, config, energy_fn)
+    return rhs
 
 
 def _tangent_run(chart, rhs, q0, config, energy_fn) -> Trajectory:

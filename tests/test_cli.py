@@ -43,7 +43,7 @@ def test_simulate_writes_outputs_and_reruns_identically(tmp_path, capsys):
     assert report["chart"] == "polar2d"
     assert report["samples"] > 1
     assert report["energy_drift"] < 1e-8
-    assert "error" not in report
+    assert not {"error", "error_class", "stop_time"} & set(report)
     assert (run_a / "orbit.csv").read_bytes() == (run_b / "orbit.csv").read_bytes()
     assert (run_a / "orbit.json").read_bytes() == (run_b / "orbit.json").read_bytes()
 
@@ -317,6 +317,26 @@ def test_simulate_ends_a_run_whose_expression_leaves_its_domain(tmp_path, capsys
     assert 0.25 < report["t_final"] < 0.35
     rows = (out / "log.csv").read_text().strip().split("\n")
     assert len(rows) == report["samples"] + 1
+
+
+def test_simulate_reports_the_class_and_time_of_the_error_that_stopped_the_run(tmp_path, capsys):
+    # The log run above, recording every 10th step: the stop comes after the last sample.
+    out = tmp_path / "out"
+    cfg = {
+        "schema": 1,
+        "chart": {"name": "euclidean2"},
+        "system": {"kind": "lagrange", "family": "kinetic-potential", "U": "log(x1)"},
+        "integrator": {"method": "rk4", "dt": 0.01, "t_span": [0.0, 1.0], "record_every": 10},
+        "initial": {"x": [0.5, 0.0], "v": [-1.0, 0.0]},
+        "output": {"directory": str(out), "basename": "log"},
+    }
+    assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 3
+    capsys.readouterr()
+    report = json.loads((out / "log.json").read_text())
+    assert report["status"] == "non_finite"
+    assert report["error_class"] == "EvalDomainError"
+    assert report["t_final"] < report["stop_time"] < report["t_final"] + 0.1
+    assert 0.25 < report["stop_time"] < 0.35
 
 
 def test_simulate_reports_a_step_underflow(tmp_path, capsys):

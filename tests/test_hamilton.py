@@ -290,3 +290,25 @@ def test_quadratic_jets_equal_the_separate_hooks_bit_for_bit(chart_name, f, u, m
         _, dx, dp = ham.field.jet_fn(chart, state)
         x_dot, p_dot = dh.hamilton_rhs(chart, ham, state)
         assert np.array_equal(x_dot, dp) and np.array_equal(p_dot, -dx)
+
+
+@pytest.mark.parametrize("family,params", _FAMILIES[:3])
+def test_energy_x_partials_take_one_pass_with_the_bits_of_the_separate_hooks(family, params):
+    """dh/dx = v . M - dL/dx from one el_terms_fn pass: one metric_partials_fn call, not two."""
+    sphere = manifold.builtin_chart("sphere2d")
+    calls = []
+
+    def metric_partials(x):
+        calls.append(x)
+        return sphere.metric_partials_fn(x)
+
+    chart = dataclasses.replace(sphere, metric_partials_fn=metric_partials)
+    lag = dl.catalog_lagrangian(family, **params)
+    h = dh.energy_field(lag)
+    rng = np.random.default_rng(41)
+    for point in verification.sample_tangent_states(chart, 8, rng):
+        calls.clear()
+        got = ef.x_partials(chart, h, point)
+        assert len(calls) == 1
+        want = point.v @ lag.mixed_partials_fn(chart, point) - lag.dx(chart, point)
+        assert got.tobytes() == want.tobytes()

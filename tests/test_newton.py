@@ -2,20 +2,23 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import dp_oracle
 import numpy as np
 import pytest
+import rhs_oracle
 
 from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
-from riemdyn import manifold, verification
+from riemdyn import manifold, normal_shift, verification
 from riemdyn.errors import (
     ChartDomainError,
     DegenerateWError,
     EvalDomainError,
     NonConvergenceError,
+    NonFiniteStateError,
     NumericOverflowError,
     ZeroVelocityError,
 )
@@ -148,6 +151,7 @@ def test_step_size_underflow():
 
     ts, ys, status = dn.integrate_ode(rhs, np.array([0.0]), config, lambda y: True)
     assert status == "step_underflow"
+    assert status.error == status.error_class == "" and status.stop_time == ts[-1]
     # Every step accepted on the way to the blow-up is kept.
     ts = np.array(ts)
     assert np.all(np.diff(ts) > 0)
@@ -179,6 +183,8 @@ def test_system_errors_end_the_run_with_a_status(error, status, method):
 
     ts, ys, run_status = dn.integrate_ode(rhs, np.array([0.0]), config, lambda y: True)
     assert run_status == status and run_status.error == str(error)
+    assert run_status.error_class == type(error).__name__
+    assert run_status.stop_time == ts[-1]  # every accepted state is recorded
     assert ts[-1] == pytest.approx(ys[-1][0])
     if method == "rk4":
         assert ts[-1] == pytest.approx(0.4)  # the step from 0.4 samples y = 0.45
@@ -207,6 +213,10 @@ def test_a_stop_error_from_the_diagnostics_ends_the_run_and_keeps_the_earlier_sa
     assert trajectory.status == "non_finite"
     assert trajectory.status.error.startswith("energy at x1 = 0.4")
     assert trajectory.status.error.endswith(" overflows")
+    assert trajectory.status.error_class == "NumericOverflowError"
+    # The state whose energy overflowed was accepted, so the stop is there, past x1 = 0.42.
+    assert 0.42 < trajectory.status.stop_time <= 0.43
+    assert trajectory.status.stop_time > trajectory.ts[-1]
     assert len(trajectory.energies) == len(trajectory.speeds) == len(trajectory.ts)
     assert np.all(trajectory.xs[:, 0] <= 0.42)
     assert 0.42 - 0.01 * record_every <= trajectory.ts[-1] <= 0.42
@@ -270,6 +280,8 @@ def test_a_force_that_overflows_ends_the_run_non_finite(recwarn):
     trajectory = dn.integrate(chart, dn.ForceField(ev), q0, config)
     assert trajectory.status == "non_finite"
     assert "not finite" in trajectory.status.error
+    assert trajectory.status.error_class == "NonFiniteStateError"
+    assert trajectory.status.stop_time == trajectory.ts[-1]
     assert np.isfinite(trajectory.xs).all()
     assert 0.3 < trajectory.ts[-1] < 0.42
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -466,6 +478,123 @@ def test_rk45_trajectory_is_bitwise_that_of_the_oracle_step(monkeypatch):
     assert _bits(got.speeds) == _bits(speeds)
     energies = [energy(fresh, TangentPoint(x, v)) for x, v in zip(got.xs, got.vs)]
     assert _bits(got.energies) == _bits(energies)
+
+
+def _rhs_charts():
+    names = ["euclidean2", "euclidean3", "polar2d", "sphere2d", "hyperbolic_half_plane"]
+    return [manifold.builtin_chart(name) for name in names] + [
+        manifold.builtin_chart("conformally_flat", f="x1/3")
+    ]
+
+
+_RHS_FORCES = {
+    "geodesic": dn.geodesic_system,
+    "potential": lambda: dn.force_from_potential("sin(x1) + x2^2/2"),
+    "conformal": lambda: normal_shift.conformal_force_field("x1/2"),
+    "lagrangian": lambda: dl.lagrangian_force_field(
+        dl.catalog_lagrangian("kinetic-potential", U="sin(x1) + x2^2/2")
+    ),
+}
+
+
+def _outcome(rhs, y):
+    """The bits of rhs(0, y), or the class of the error it raised."""
+    try:
+        return _bits(rhs(0.0, y))
+    except Exception as exc:  # the class is what the comparison needs
+        return type(exc)
+
+
+@pytest.mark.parametrize("force_name", sorted(_RHS_FORCES))
+def test_flat_rhs_is_bitwise_the_tangent_point_oracle_on_every_chart(force_name):
+    rng = np.random.default_rng(4242)
+    for chart in _rhs_charts():
+        force = _RHS_FORCES[force_name]()
+        got, want = dn._flat_rhs(chart, force), rhs_oracle.flat_rhs(chart, force)
+        states = verification.sample_tangent_states(chart, 25, rng, min_speed=0.0)
+        # Zero and signed-zero velocities: 0.0 - Gamma(v, v) must keep the oracle's zeros.
+        states += [TangentPoint(states[0].x, v) for v in (np.zeros(chart.dim), -np.zeros(chart.dim))]
+        for point in states:
+            y = np.concatenate([point.x, point.v])
+            assert _outcome(got, y) == _outcome(want, y)
+            if not isinstance(_outcome(want, y), type):
+                dx, dv = dn.newtonian_rhs(chart, force, point)
+                assert _bits(dx, dv) == _bits(*rhs_oracle.newtonian_rhs(chart, force, point))
+
+
+@pytest.mark.parametrize("force_name", sorted(_RHS_FORCES) + ["log"])
+def test_flat_rhs_fails_outside_the_chart_as_the_oracle_does(force_name):
+    forces = dict(_RHS_FORCES, log=lambda: dn.force_from_potential("log(x1) + log(x2)"))
+    refused = 0
+    for chart in _rhs_charts():
+        force = forces[force_name]()
+        got, want = dn._flat_rhs(chart, force), rhs_oracle.flat_rhs(chart, force)
+        box = chart.sample_box
+        outside = box[:, 0] - 10.0 * (box[:, 1] - box[:, 0])
+        v = np.full(chart.dim, 0.3)
+        if not manifold.in_domain(chart, outside):
+            # Gamma is read first: its domain error comes before log's EvalDomainError.
+            y = np.concatenate([outside, v])
+            assert _outcome(got, y) == _outcome(want, y) == ChartDomainError
+            refused += 1
+        nan_state = np.concatenate([np.full(chart.dim, np.nan), v])
+        with pytest.raises(NonFiniteStateError):
+            got(0.0, nan_state)
+        assert _outcome(want, nan_state) == NonFiniteStateError
+    assert refused >= 3
+
+
+def test_flat_rhs_returns_a_new_array_each_call():
+    chart = manifold.builtin_chart("sphere2d")
+    rhs = dn._flat_rhs(chart, dn.geodesic_system())
+    y = np.array([1.0, 0.3, 0.4, -0.7])
+    first, second = rhs(0.0, y), rhs(0.0, y)
+    assert first is not second and not np.shares_memory(first, y)
+    assert _bits(first) == _bits(second)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_a_geodesic_run_never_calls_the_zero_force_and_reads_gamma_once_per_rhs(
+    monkeypatch, method
+):
+    calls = Counter()
+
+    def counted(fn, key):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    integrate_ode = dn.integrate_ode
+    monkeypatch.setattr(dn, "_zero_force", counted(dn._zero_force, "force"))
+    monkeypatch.setattr(manifold, "christoffel_at", counted(manifold.christoffel_at, "christoffel_at"))
+    monkeypatch.setattr(
+        dn, "integrate_ode",
+        lambda rhs, y0, config, in_domain: integrate_ode(counted(rhs, "rhs"), y0, config, in_domain),
+    )
+    chart = manifold.builtin_chart("sphere2d")
+    q0 = TangentPoint(np.array([1.0, 0.3]), np.array([0.3, 0.9]))
+    config = dn.IntegratorConfig(method=method, dt=1e-2, t_span=(0.0, 3.0), rtol=1e-9, atol=1e-11)
+    trajectory = dn.integrate(chart, dn.geodesic_system(), q0, config)
+    assert trajectory.status == "completed"
+    assert calls["force"] == 0
+    assert calls["christoffel_at"] == calls["rhs"] > 0
+    if method == "rk4":
+        assert calls["rhs"] == 4 * (len(trajectory.ts) - 1)
+
+
+@pytest.mark.parametrize("force_name", ["geodesic", "potential"])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_a_run_is_bitwise_that_of_the_oracle_rhs(monkeypatch, force_name, method):
+    chart = manifold.builtin_chart("sphere2d")
+    q0 = TangentPoint(np.array([1.0, 0.3]), np.array([0.3, 0.9]))
+    config = dn.IntegratorConfig(method=method, dt=1e-2, t_span=(0.0, 3.0), rtol=1e-9, atol=1e-11)
+    got = dn.integrate(chart, _RHS_FORCES[force_name](), q0, config)
+    monkeypatch.setattr(dn, "_flat_rhs", rhs_oracle.flat_rhs)
+    want = dn.integrate(chart, _RHS_FORCES[force_name](), q0, config)
+    assert got.status == want.status == "completed"
+    assert _bits(got.ts, got.xs, got.vs, got.speeds) == _bits(want.ts, want.xs, want.vs, want.speeds)
 
 
 # The writers as they were before they shared one table writer: one
