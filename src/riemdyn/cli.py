@@ -25,7 +25,8 @@ Subcommands:
       (fiber part is v for forward, p for inverse) and print the result
       as JSON. Exit 4 when the inversion fails to converge or hits a
       singular or degenerate state, 2 for a state point outside the chart
-      or whose metric is singular or overflows.
+      or whose metric is singular or overflows, for a state with a
+      non-finite component, and for one whose p, v or h overflows.
 
 Config files are JSON with "schema": 1. Reruns with the same config
 write byte-identical outputs; nothing in the reports depends on wall
@@ -416,9 +417,15 @@ def _parse_state(text: str, dim: int):
         raise ConfigError(f"bad number in state: {exc}", pointer="--state") from exc
     if x.shape != (dim,) or fiber.shape != (dim,):
         raise ConfigError(f"state needs {dim}+{dim} components", pointer="--state")
+    if not np.isfinite(x).all() or not np.isfinite(fiber).all():
+        raise ConfigError(
+            f"state {x.tolist()};{fiber.tolist()} has a non-finite component", pointer="--state"
+        )
     return x, fiber
 
 
+# An overflow in the map ends as a refusal at --state, not as a numpy warning.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def cmd_legendre(args) -> int:
     cfg = _load_config(args.config)
     chart = build_chart(cfg)
@@ -454,6 +461,14 @@ def cmd_legendre(args) -> int:
     except ChartDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
+    except NumericOverflowError as exc:
+        raise ConfigError(str(exc), pointer="--state") from None
+    if not np.isfinite([*out["p"], *out["v"], out["h"]]).all():
+        raise ConfigError(
+            f"the Legendre map of state {args.state!r} overflows the float range: "
+            f"p {out['p']}, v {out['v']}, h {out['h']}",
+            pointer="--state",
+        )
     print(json.dumps(out, sort_keys=True))
     return _EXIT_OK
 

@@ -41,6 +41,7 @@ from .dynamics_newton import IntegratorConfig, _integrate_split, _write_table
 from .errors import (
     DegenerateLagrangianError,
     NonConvergenceError,
+    NumericOverflowError,
     ZeroVelocityError,
 )
 from .extended_fields import CotangentPoint, ExtendedField, TangentPoint, _conformal_factor
@@ -122,57 +123,64 @@ def energy_field(lagrangian: Lagrangian) -> ExtendedField:
     return ExtendedField((0, 0), "v", ev, dx_fn, dfib_fn, name=f"h[{lagrangian.name}]")
 
 
-# The cold start's scale grid: the guess is s * g^-1 p for one s here.
-_GUESS_SCALES = np.geomspace(1e-2, 1e2, 21)
+# The cold start's scale grid, as Python floats: the guess is s * g^-1 p for one s here.
+_GUESS_SCALES = np.geomspace(1e-2, 1e2, 21).tolist()
 _GUESS_START = 10  # s = 1
 
 
 def _default_velocity_guess(
-    ctx: LegendreContext, chart: ManifoldChart, x: np.ndarray, p: np.ndarray
-) -> np.ndarray:
+    ctx: LegendreContext, chart: ManifoldChart, x: np.ndarray, p: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The raised momentum g^-1 p, rescaled to the grid scale of least residual.
 
-    The residual at scale s is |dL/dv(s g^-1 p) - p|_inf; a scale where dL/dv
-    raises ZeroVelocityError counts as infinite, and when every scale does the
-    raw g^-1 p is returned. The choice is the lowest-index minimum over
-    _GUESS_SCALES, found by a walk that starts at s = 1, moves up while the
-    residual does not rise and, if it never fell there, down while it does
-    not rise, evaluating each scale at most once.
+    Returns the velocity and its residual vector r = dL/dv(v) - p, so that
+    Newton starts from r without evaluating dL/dv again; r is None when
+    every scale is refused or g^-1 p is zero, and the velocity is then the
+    raw g^-1 p.
 
-    The walk finds the scan's minimum when the residual is unimodal on the
-    grid, as it is for every catalog family: along v = s g^-1 p, dL/dv =
-    alpha(s) p with alpha nondecreasing (s e^(-2f) for the quadratic
-    families, phi'(C s |p|) C / |p| for fiberwise-phi, phi' increasing), so
-    the residual is |alpha(s) - 1| |p|_inf, and the refused scales are a
-    prefix of the grid. Along the ray of any other Lagrangian the residual
-    may have several local minima; the walk may then stop at another scale
-    than a full scan would, and Newton still has to reach the same tolerance.
+    The residual at scale s is |dL/dv(s g^-1 p) - p|_inf; a scale where dL/dv
+    raises ZeroVelocityError counts as infinite. Scale 1 is evaluated first,
+    and when its residual is <= tol it is returned at once: the start already
+    solves, and Newton returns it with 0 iterations. Otherwise the choice is
+    the lowest-index minimum over _GUESS_SCALES, found by a walk that starts
+    at s = 1, moves up while the residual does not rise and, if it never fell
+    there, down while it does not rise, evaluating each scale at most once.
+
+    The walk, early stop included, finds the scan's minimum when the residual
+    is unimodal on the grid, as it is for every catalog family: along
+    v = s g^-1 p, dL/dv = alpha(s) p with alpha nondecreasing (s e^(-2f) for
+    the quadratic families, phi'(C s |p|) C / |p| for fiberwise-phi, phi'
+    increasing), so the residual is |alpha(s) - 1| |p|_inf, and the refused
+    scales are a prefix of the grid. Along the ray of any other Lagrangian
+    the residual may have several local minima; the walk may then stop at
+    another scale than a full scan would, and Newton still has to reach the
+    same tolerance.
     """
     direction = manifold.raise_index(chart, x, p)
-    if abs(direction).max() == 0.0:
-        return direction
-    residuals = {}
+    if manifold._sup_norm(direction) == 0.0:
+        return direction, None
+    tried = {}  # index -> (residual norm, velocity, residual vector)
 
     def residual(i):
-        if i not in residuals:
+        if i not in tried:
+            v = _GUESS_SCALES[i] * direction
             try:
-                r = ctx.lagrangian.dv(chart, TangentPoint(x, _GUESS_SCALES[i] * direction)) - p
-                residuals[i] = float(abs(r).max())
+                r = ctx.lagrangian.dv(chart, TangentPoint(x, v)) - p
+                tried[i] = (manifold._sup_norm(r), v, r)
             except ZeroVelocityError:
-                residuals[i] = math.inf
-        return residuals[i]
+                tried[i] = (math.inf, direction, None)
+        return tried[i][0]
 
     best = i = _GUESS_START
-    while i + 1 < len(_GUESS_SCALES) and residual(i + 1) <= residual(i):
-        i += 1
-        if residual(i) < residual(best):
-            best = i
-    if best == _GUESS_START:
-        while best > 0 and residual(best - 1) <= residual(best):
-            best -= 1
-    if residual(best) == math.inf:
-        return direction
-    return _GUESS_SCALES[best] * direction
+    if residual(best) > tol:
+        while i + 1 < len(_GUESS_SCALES) and residual(i + 1) <= residual(i):
+            i += 1
+            if residual(i) < residual(best):
+                best = i
+        if best == _GUESS_START:
+            while best > 0 and residual(best - 1) <= residual(best):
+                best -= 1
+    return tried[best][1:]
 
 
 def legendre_inverse(
@@ -187,33 +195,44 @@ def legendre_inverse(
     the cached solution from the previous call (when warm_start is on),
     or the cold start: the raised momentum g^-1 p times the scale of
     least residual on a fixed 21-point grid from 1e-2 to 1e2, found by a
-    walk from scale 1 (see _default_velocity_guess). For the catalog
-    families the residual is unimodal along that ray, so the walk picks
-    the scale a full scan of the grid would, with 3 to 8 residuals
-    instead of 21 on the legendre suite's states; for any other
-    Lagrangian it may pick another scale, and Newton still has to reach
-    the same tolerance. Iteration counts land in ctx.last_iterations.
+    walk from scale 1 (see _default_velocity_guess). The walk takes the
+    tolerance, stops at scale 1 when that already solves, and hands over
+    the residual at the scale it picks, so Newton does not evaluate dL/dv
+    there again. For the catalog families the residual is unimodal along
+    that ray, so the walk picks the scale a full scan of the grid would,
+    with 1 residual for the quadratic families without f and 3 to 8 for
+    the others on the legendre suite's states, instead of 21; for any
+    other Lagrangian it may pick another scale, and Newton still has to
+    reach the same tolerance. A start from v_guess or the cached solution
+    where dL/dv raises ZeroVelocityError falls back to the cold start.
+    A start residual that is infinite or NaN raises NumericOverflowError.
+    Iteration counts land in ctx.last_iterations.
     """
     lag = ctx.lagrangian
     x = manifold.check_point(chart, state.x)
     p = state.p
-    if v_guess is not None:
-        v = np.asarray(v_guess, dtype=float)
-    elif ctx.warm_start and ctx.last_v is not None and ctx.last_v.shape == p.shape:
-        v = ctx.last_v.copy()
-    else:
-        v = _default_velocity_guess(ctx, chart, x, p)
 
     def residual(v_try):
         return lag.dv(chart, TangentPoint(x, v_try)) - p
 
-    tol = ctx.tolerance * max(1.0, float(abs(p).max()))
-    try:
+    tol = ctx.tolerance * max(1.0, manifold._sup_norm(p))
+    if v_guess is not None or (
+        ctx.warm_start and ctx.last_v is not None and ctx.last_v.shape == p.shape
+    ):
+        v = np.asarray(v_guess, dtype=float) if v_guess is not None else ctx.last_v.copy()
+        try:
+            r = residual(v)
+        except ZeroVelocityError:
+            v, r = _default_velocity_guess(ctx, chart, x, p, tol)
+    else:
+        v, r = _default_velocity_guess(ctx, chart, x, p, tol)
+    if r is None:
         r = residual(v)
-    except ZeroVelocityError:
-        v = _default_velocity_guess(ctx, chart, x, p)
-        r = residual(v)
-    r_norm = float(abs(r).max())
+    r_norm = manifold._sup_norm(r)
+    if not math.isfinite(r_norm):
+        raise NumericOverflowError(
+            f"Legendre residual {r_norm!r} at the start velocity overflows the float range"
+        )
     for iteration in range(1, ctx.max_iter + 1):
         if r_norm <= tol:
             ctx.last_iterations = iteration - 1
@@ -230,7 +249,7 @@ def legendre_inverse(
             except ZeroVelocityError:
                 lam *= 0.5
                 continue
-            r_new_norm = float(abs(r_new).max())
+            r_new_norm = manifold._sup_norm(r_new)
             if r_new_norm < r_norm or r_new_norm <= tol:
                 break
             lam *= 0.5

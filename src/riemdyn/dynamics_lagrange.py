@@ -14,6 +14,11 @@ iterate. The Euler-Lagrange equations are handled in two equivalent shapes:
     with force F.
   * classical: A vdot = dL/dx - (d2L/dxdv) v in plain coordinates.
 
+Every solve with A is gated by _require_regular, which refuses |det A|
+within 1e-10 max(1, |A|_max)^n. It reads det A in Python floats from
+manifold._determinant, since the determinant only decides the refusal;
+the solves themselves stay with np.linalg.solve, which sets the bits.
+
 el_residual evaluates D_t P - grad L along recorded trajectories with
 covariant machinery and analytic hooks; classical_el_residual evaluates
 d/dt (dL/dv) - dL/dx using finite differences only, so the two routes
@@ -30,6 +35,7 @@ has its own radial-profile formulas.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
@@ -143,23 +149,33 @@ class RegularityReport:
     tolerance: float
 
 
-def _det_tolerance(a: np.ndarray) -> float:
-    scale = max(1.0, float(abs(a).max()))
+def _det_and_tolerance(a: np.ndarray) -> tuple[float, float]:
+    """det A and the singularity tolerance 1e-10 max(1, |A|_max)^n.
+
+    For finite entries det A is manifold._determinant's, in Python floats;
+    it only decides a refusal, so no solution depends on its last bits. An
+    infinite or NaN entry takes np.linalg.det, whose LU factorisation decides
+    such matrices. A tolerance beyond the float range raises
+    NumericOverflowError.
+    """
+    size = manifold._sup_norm(a)
+    scale = max(1.0, size)
     try:
-        return 1e-10 * scale ** a.shape[0]
+        tol = 1e-10 * scale ** a.shape[0]
     except OverflowError:
         raise NumericOverflowError(
             f"fiber Hessian entry {scale:.3e} overflows the float range in the determinant test"
         ) from None
+    det = manifold._determinant(a.tolist()) if math.isfinite(size) else float(np.linalg.det(a))
+    return det, tol
 
 
 def _require_regular(a: np.ndarray, message: str) -> None:
-    """Raise SingularAError when |det A| is within _det_tolerance.
+    """Raise SingularAError when |det A| is within the tolerance of _det_and_tolerance.
 
     message is formatted with the keywords det and tol.
     """
-    tol = _det_tolerance(a)
-    det = float(np.linalg.det(a))
+    det, tol = _det_and_tolerance(a)
     if abs(det) <= tol:
         raise SingularAError(message.format(det=det, tol=tol))
 
@@ -167,9 +183,8 @@ def _require_regular(a: np.ndarray, message: str) -> None:
 def regularity(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> RegularityReport:
     """Classify the fiber Hessian at a state as regular / positive definite."""
     a = a_matrix(chart, lagrangian, point)
-    det = float(np.linalg.det(a))
+    det, tol = _det_and_tolerance(a)
     eigs = np.linalg.eigvalsh(0.5 * (a + a.T))
-    tol = _det_tolerance(a)
     lin_tol = 1e-10 * max(1.0, float(np.max(np.abs(a))))
     return RegularityReport(
         det_a=det,

@@ -159,6 +159,51 @@ def _checked(chart: ManifoldChart, x) -> np.ndarray:
     return x
 
 
+def _sup_norm(a: np.ndarray) -> float:
+    """float(abs(a).max()) over a.ravel().tolist() in Python floats, without numpy's call overhead.
+
+    NaN when any entry is NaN, wherever it sits, as abs(a).max() gives; max
+    alone keeps a NaN only in first place, so the sum decides.
+    """
+    sizes = [*map(abs, a.ravel().tolist())]
+    total = sum(sizes)
+    return max(sizes) if total == total else math.nan
+
+
+def _determinant(rows: list[list[float]]) -> float:
+    """Determinant of a square matrix of finite entries given as nested Python floats.
+
+    A closed form for n <= 2 and Gaussian elimination with partial pivoting
+    above that, about 15 times faster than np.linalg.det on a 2 x 2. The
+    value may differ from np.linalg.det's in the last bits, so it suits a
+    test against a tolerance, not an output.
+    """
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    work = [list(row) for row in rows]
+    det = 1.0
+    for j in range(n):
+        k = j
+        for i in range(j + 1, n):
+            if abs(work[i][j]) > abs(work[k][j]):
+                k = i
+        if k != j:
+            work[j], work[k] = work[k], work[j]
+            det = -det
+        pivot_row = work[j]
+        pivot = pivot_row[j]
+        if pivot == 0.0:
+            return 0.0
+        det *= pivot
+        for row in work[j + 1 :]:
+            factor = row[j] / pivot
+            for m in range(j + 1, n):
+                row[m] -= factor * pivot_row[m]
+    return det
+
+
 def _cholesky_diagonal_product(rows: list[list[float]]) -> float | None:
     """Product of the Cholesky diagonal of a symmetric matrix given as nested Python floats.
 

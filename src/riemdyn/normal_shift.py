@@ -174,7 +174,7 @@ def h_function(source: str | None) -> Callable[[float], float] | None:
 
 def zero_velocity_floor(x: np.ndarray) -> float:
     """States with |v| at or below this floor count as zero velocity."""
-    return 1e-8 * max(1.0, float(abs(x).max()))
+    return 1e-8 * max(1.0, manifold._sup_norm(x))
 
 
 def velocity_modulus(chart: ManifoldChart, point: TangentPoint) -> float:

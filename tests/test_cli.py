@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -504,6 +505,30 @@ def test_legendre_state_validation(tmp_path, capsys):
     assert "--state" in capsys.readouterr().err
     assert cli.main(["legendre", "-c", cfg, "--direction", "forward", "--state=-1.0,0.0;1.0,0.0"]) == 2
     assert "outside chart" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ("0.1,-0.2;nan,0", "has a non-finite component"),
+        ("0.1,-0.2;inf,0", "has a non-finite component"),
+        ("0.1,-0.2;1e300,1e300", "overflows the float range"),
+    ],
+    ids=["nan", "inf", "overflow"],
+)
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_legendre_refuses_a_non_finite_or_overflowing_state(
+    tmp_path, capsys, state, message, direction
+):
+    cfg = legendre_config(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["legendre", "-c", cfg, "--direction", direction, "--state", state])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error at --state:")
+    assert message in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,20 @@
 """Legendre maps, closed-form Hamiltonians, and the canonical equations."""
 
 import dataclasses
+import math
 
 import guess_oracle
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
 from riemdyn import expression, manifold, verification
 from riemdyn import extended_fields as ef
-from riemdyn.errors import NonConvergenceError
+from riemdyn.errors import NonConvergenceError, NumericOverflowError
 from riemdyn.extended_fields import CotangentPoint, TangentPoint
 
 _FAMILIES = [
@@ -83,23 +86,46 @@ def test_warm_start_reuses_previous_solution():
     assert warm_total <= cold_total
 
 
-def _guess_both_ways(ctx, chart, x, p, monkeypatch):
-    """(walk, scan, velocities the walk tried) for one cold start."""
-    tried = []
+def _legendre_tol(ctx, p):
+    """The tolerance legendre_inverse hands the cold-start walk."""
+    return ctx.tolerance * max(1.0, float(np.max(np.abs(p))))
+
+
+def _record_dv(patch, seen):
+    """Patch Lagrangian.dv to append the bytes of each velocity it is called at to seen."""
     dv = dl.Lagrangian.dv
 
     def recording_dv(self, chart, point):
-        tried.append(point.v.tobytes())
+        seen.append(point.v.tobytes())
         return dv(self, chart, point)
 
+    patch.setattr(dl.Lagrangian, "dv", recording_dv)
+
+
+def _guess_both_ways(ctx, chart, x, p, tol, monkeypatch):
+    """(walk, scan, velocities the walk tried) for one cold start with tolerance tol.
+
+    The walk's residual must be dL/dv - p at its velocity, bit for bit, or
+    None with the raw g^-1 p.
+    """
+    tried = []
     with monkeypatch.context() as patch:
-        patch.setattr(dl.Lagrangian, "dv", recording_dv)
-        walk = dh._default_velocity_guess(ctx, chart, x, p)
+        _record_dv(patch, tried)
+        walk, r = dh._default_velocity_guess(ctx, chart, x, p, tol)
+    if r is None:
+        assert np.array_equal(walk, manifold.raise_index(chart, x, p))
+    else:
+        assert np.array_equal(r, ctx.lagrangian.dv(chart, TangentPoint(x, walk)) - p)
     return walk, guess_oracle.default_velocity_guess(ctx, chart, x, p), tried
 
 
+# -1 never stops early; None stands for the tolerance legendre_inverse passes.
+_WALK_TOLS = pytest.mark.parametrize("tol", [-1.0, None], ids=["full-walk", "early-stop"])
+
+
+@_WALK_TOLS
 @pytest.mark.parametrize("seed", [0, 1])
-def test_cold_start_walk_picks_the_scan_scale_on_the_legendre_suite_states(seed, monkeypatch):
+def test_cold_start_walk_picks_the_scan_scale_on_the_legendre_suite_states(seed, tol, monkeypatch):
     """Every state the legendre suite draws, in its order, for each family and chart."""
     rng = np.random.default_rng(seed)
     total_tried = 0
@@ -109,16 +135,22 @@ def test_cold_start_walk_picks_the_scan_scale_on_the_legendre_suite_states(seed,
             ctx = dh.LegendreContext(lag, warm_start=False)
             for q in verification.sample_tangent_states(chart, 100, rng, min_speed=0.3):
                 image = dh.legendre_forward(ctx, chart, q)
-                walk, scan, tried = _guess_both_ways(ctx, chart, image.x, image.p, monkeypatch)
+                walk_tol = _legendre_tol(ctx, image.p) if tol is None else tol
+                walk, scan, tried = _guess_both_ways(
+                    ctx, chart, image.x, image.p, walk_tol, monkeypatch
+                )
                 assert np.array_equal(walk, scan), (family, name, q.x, q.v)
                 assert len(set(tried)) == len(tried)
+                if tol is None and family in ("kinetic", "kinetic-potential"):
+                    assert len(tried) == 1  # scale 1 already solves
                 total_tried += len(tried)
-    assert total_tried < 5 * 1200  # 21 * 1200 for the scan
+    assert total_tried < (3 if tol is None else 5) * 1200  # 21 * 1200 for the scan
 
 
 _QUARTIC = dl.fiberwise_phi_lagrangian("w^2/2 + w^4/10")
 
 
+@_WALK_TOLS
 @pytest.mark.parametrize(
     "lag,p,index",
     [
@@ -131,17 +163,135 @@ _QUARTIC = dl.fiberwise_phi_lagrangian("w^2/2 + w^4/10")
         # |v| is below the floor at every scale: the raw g^-1 p.
         (_QUARTIC, [1e-12, 0.0], None),
         (_QUARTIC, [0.0, 0.0], None),
+        # dL/dv(g^-1 p) = p: scale 1 solves.
+        (dl.kinetic_lagrangian(), [0.3, 0.4], 10),
     ],
 )
-def test_cold_start_walk_edge_cases_match_the_scan(lag, p, index, monkeypatch):
+def test_cold_start_walk_edge_cases_match_the_scan(lag, p, index, tol, monkeypatch):
     chart = manifold.builtin_chart("euclidean2")
     ctx = dh.LegendreContext(lag, warm_start=False)
     x, p = np.array([0.3, -0.2]), np.array(p)
-    walk, scan, tried = _guess_both_ways(ctx, chart, x, p, monkeypatch)
+    tol = _legendre_tol(ctx, p) if tol is None else tol
+    walk, scan, tried = _guess_both_ways(ctx, chart, x, p, tol, monkeypatch)
     assert np.array_equal(walk, scan)
     assert len(set(tried)) == len(tried) <= len(dh._GUESS_SCALES)
     want = p if index is None else dh._GUESS_SCALES[index] * p
     assert np.array_equal(walk, want)
+
+
+@pytest.mark.parametrize(
+    "family,params,scales,iterations",
+    [
+        # The walk stops at scale 1, and Newton returns it with 0 iterations.
+        ("kinetic", {}, 1, 0),
+        ("kinetic-potential", {"U": "sin(x1) + x2^2/2"}, 1, 0),
+        # s e^(-1.1) is nearest 1 at s = 10^0.4; the walk tries 1, 10^0.2,
+        # 10^0.4 and 10^0.6, where the residual rises.
+        ("conformal-kinetic", {"f": "x1/2"}, 4, 1),
+        ("fiberwise-phi", {"phi": "w^2/2 + w^4/10", "C": "exp(-x1/4)"}, 3, 4),
+    ],
+)
+def test_a_cold_inversion_evaluates_each_residual_once(
+    family, params, scales, iterations, monkeypatch
+):
+    """dL/dv runs at the walk's scales and once per undamped Newton iteration:
+    Newton starts from the residual the walk hands over."""
+    chart = manifold.builtin_chart("euclidean2")
+    ctx = dh.LegendreContext(dl.catalog_lagrangian(family, **params), warm_start=False)
+    state = CotangentPoint(np.array([1.1, 0.4]), np.array([0.7, -0.4]))
+    seen = []
+    with monkeypatch.context() as patch:
+        _record_dv(patch, seen)
+        back = dh.legendre_inverse(ctx, chart, state)
+    assert ctx.last_iterations == iterations
+    assert len(seen) == len(set(seen)) == scales + iterations
+    assert np.max(np.abs(dh.legendre_forward(ctx, chart, back).p - state.p)) < 1e-12
+
+
+@pytest.mark.parametrize("start", ["warm", "guess"])
+def test_a_refused_start_falls_back_to_the_cold_start(start):
+    chart = manifold.builtin_chart("euclidean2")
+    state = CotangentPoint(np.array([0.1, -0.2]), np.array([0.7, 0.4]))
+    cold = dh.LegendreContext(_QUARTIC, warm_start=False)
+    want = dh.legendre_inverse(cold, chart, state)
+    ctx = dh.LegendreContext(_QUARTIC)
+    below_floor = np.array([1e-12, 0.0])  # dL/dv raises ZeroVelocityError here
+    if start == "warm":
+        ctx.last_v = below_floor
+    got = dh.legendre_inverse(ctx, chart, state, below_floor if start == "guess" else None)
+    assert np.array_equal(got.v, want.v)
+    assert ctx.last_iterations == cold.last_iterations
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("start", ["cold", "warm", "guess"])
+def test_a_non_finite_start_residual_raises_numeric_overflow(bad, start):
+    chart = manifold.builtin_chart("euclidean2")
+    ctx = dh.LegendreContext(_QUARTIC)
+    state = CotangentPoint(np.array([0.1, -0.2]), np.array([bad, 0.4]))
+    guess = None
+    if start == "warm":
+        ctx.last_v = np.array([0.5, 0.3])
+    elif start == "guess":
+        guess = np.array([0.5, 0.3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericOverflowError, match="start velocity"):
+            dh.legendre_inverse(ctx, chart, state, guess)
+
+
+def test_sup_norm_matches_numpy():
+    rng = np.random.default_rng(5)
+    specials = [math.inf, -math.inf, -0.0, 0.0, 1e308, -1e-320]
+    for size in (1, 2, 3, 4, 9):
+        for _ in range(50):
+            a = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+            for k in rng.choice(size, rng.integers(0, size + 1), replace=False):
+                a[k] = specials[rng.integers(len(specials))]
+            for shaped in (a, a.reshape(1, size), a.reshape(size, 1)):
+                got = manifold._sup_norm(shaped)
+                assert type(got) is float
+                assert got == float(np.max(np.abs(shaped)))
+            for k in range(size):
+                b = a.copy()
+                b[k] = math.nan
+                assert math.isnan(manifold._sup_norm(b))
+                assert math.isnan(float(np.max(np.abs(b))))
+
+
+def _in_sample_box(chart, u):
+    """The point of chart's sample box, less a 5% margin, at unit-cube coordinates u."""
+    lo, hi = chart.sample_box[:, 0], chart.sample_box[:, 1]
+    margin = 0.05 * (hi - lo)
+    return lo + margin + np.array(u) * (hi - lo - 2.0 * margin)
+
+
+_UNIT = st.floats(0.0, 1.0)
+_COMPONENT = st.floats(-1.5, 1.5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    family=st.sampled_from(_FAMILIES),
+    chart_name=st.sampled_from(verification._IDENTITY_CHARTS),
+    u=st.tuples(_UNIT, _UNIT),
+    fiber=st.tuples(_COMPONENT, _COMPONENT),
+)
+def test_legendre_roundtrips_hold_in_the_sample_box(family, chart_name, u, fiber):
+    """v -> p -> v and p -> v -> p from cold starts, on the legendre suite's charts."""
+    chart = manifold.builtin_chart(chart_name)
+    lag = dl.catalog_lagrangian(family[0], **family[1])
+    x, f = _in_sample_box(chart, u), np.array(fiber)
+    assume(manifold.speed(chart, x, f) >= 0.3)
+    assume(manifold.speed(chart, x, manifold.raise_index(chart, x, f)) >= 0.3)
+    ctx = dh.LegendreContext(lag, warm_start=False)
+
+    image = dh.legendre_forward(ctx, chart, TangentPoint(x, f))
+    back = dh.legendre_inverse(ctx, chart, image)
+    assert np.max(np.abs(back.v - f)) <= verification.LEGENDRE_ROUNDTRIP_TOL
+
+    v = dh.legendre_inverse(ctx, chart, CotangentPoint(x, f))
+    again = dh.legendre_forward(ctx, chart, v)
+    assert np.max(np.abs(again.p - f)) <= verification.LEGENDRE_ROUNDTRIP_TOL
 
 
 def test_modulus_lagrangian_has_zero_energy():

@@ -1,6 +1,7 @@
 """Euler-Lagrange force extraction, residuals, and the catalog families."""
 
 import dataclasses
+import math
 from collections import Counter
 
 import force_oracle
@@ -210,6 +211,51 @@ def test_an_overflowing_conformal_lagrangian_raises_numeric_overflow():
     a = dl.a_matrix(chart, lag, TangentPoint(np.array([1.0, 0.0]), v))
     with pytest.raises(NumericOverflowError, match="fiber Hessian"):
         dl._require_regular(a, "det {det} within {tol}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_python_float_determinant_agrees_with_numpy(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(200):
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 9)
+        want = float(np.linalg.det(a))
+        got = manifold._determinant(a.tolist())
+        assert type(got) is float
+        assert abs(got - want) <= 1e-12 * abs(want)
+        a[:, rng.integers(n)] = 0.0
+        assert manifold._determinant(a.tolist()) == 0.0
+
+
+def _numpy_route_refuses(a):
+    """The regularity test as np.linalg.det and numpy's max decide it."""
+    scale = max(1.0, float(np.max(np.abs(a))))
+    with np.errstate(all="ignore"):
+        det = float(np.linalg.det(a))
+    return abs(det) <= 1e-10 * scale ** a.shape[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_require_regular_refuses_what_the_numpy_route_refuses(n):
+    """Singular matrices, and NaN, infinite and zero entries anywhere."""
+    rng = np.random.default_rng(70 + n)
+    specials = [math.nan, math.inf, -math.inf, 0.0, 1.0, 1e-6]
+    refused = 0
+    for _ in range(1000):
+        a = rng.normal(size=(n, n))
+        if rng.random() < 0.3:
+            a[rng.integers(n)] = 2.0 * a[rng.integers(n)]
+        for index in rng.choice(n * n, rng.integers(0, n * n + 1), replace=False):
+            a.flat[index] = specials[rng.integers(len(specials))]
+        try:
+            with np.errstate(all="ignore"):
+                dl._require_regular(a, "det {det} within {tol}")
+        except SingularAError:
+            refuses = True
+        else:
+            refuses = False
+        assert refuses == _numpy_route_refuses(a), a.tolist()
+        refused += refuses
+    assert 100 < refused < 900
 
 
 _QUADRATIC = [
