@@ -146,15 +146,22 @@ def _default_velocity_guess(
     at s = 1, moves up while the residual does not rise and, if it never fell
     there, down while it does not rise, evaluating each scale at most once.
 
-    The walk, early stop included, finds the scan's minimum when the residual
-    is unimodal on the grid, as it is for every catalog family: along
-    v = s g^-1 p, dL/dv = alpha(s) p with alpha nondecreasing (s e^(-2f) for
-    the quadratic families, phi'(C s |p|) C / |p| for fiberwise-phi, phi'
-    increasing), so the residual is |alpha(s) - 1| |p|_inf, and the refused
-    scales are a prefix of the grid. Along the ray of any other Lagrangian
-    the residual may have several local minima; the walk may then stop at
-    another scale than a full scan would, and Newton still has to reach the
-    same tolerance.
+    Without the early stop the walk finds the scan's minimum when the
+    residual is unimodal on the grid, as it is for every catalog family:
+    along v = s g^-1 p, dL/dv = alpha(s) p with alpha nondecreasing
+    (s e^(-2f) for the quadratic families, phi'(C s |p|) C / |p| for
+    fiberwise-phi, phi' increasing), so the residual is |alpha(s) - 1| |p|_inf,
+    and the refused scales are a prefix of the grid. The early stop returns
+    scale 1 whenever it already solves, which is not the scan's lowest-index
+    minimum when a neighbouring scale has a smaller residual still, as it can
+    where alpha is nearly flat near s = 1 (a fiberwise phi whose phi' levels
+    off); the start, and the v Newton returns, then differ from the scan's,
+    though both are within tol. On the legendre suite's states the catalog
+    families pick the scan's scale with the early stop too (tests/test_hamilton.py
+    checks this against tests/guess_oracle.py). Along the ray of any other
+    Lagrangian the residual may have several local minima; the walk may then
+    stop at another scale than a full scan would, and Newton still has to
+    reach the same tolerance.
     """
     direction = manifold.raise_index(chart, x, p)
     if manifold._sup_norm(direction) == 0.0:

@@ -15,9 +15,10 @@ iterate. The Euler-Lagrange equations are handled in two equivalent shapes:
   * classical: A vdot = dL/dx - (d2L/dxdv) v in plain coordinates.
 
 Every solve with A is gated by _require_regular, which refuses |det A|
-within 1e-10 max(1, |A|_max)^n. It reads det A in Python floats from
-manifold._determinant, since the determinant only decides the refusal;
-the solves themselves stay with np.linalg.solve, which sets the bits.
+within 1e-10 max(1, |A|_max)^n. For a 1 x 1 or 2 x 2 it reads det A in
+Python floats from manifold._determinant, falling back to np.linalg.det
+where the two could decide differently; the solves themselves stay with
+np.linalg.solve, which sets the bits.
 
 el_residual evaluates D_t P - grad L along recorded trajectories with
 covariant machinery and analytic hooks; classical_el_residual evaluates
@@ -152,11 +153,13 @@ class RegularityReport:
 def _det_and_tolerance(a: np.ndarray) -> tuple[float, float]:
     """det A and the singularity tolerance 1e-10 max(1, |A|_max)^n.
 
-    For finite entries det A is manifold._determinant's, in Python floats;
-    it only decides a refusal, so no solution depends on its last bits. An
-    infinite or NaN entry takes np.linalg.det, whose LU factorisation decides
-    such matrices. A tolerance beyond the float range raises
-    NumericOverflowError.
+    For n <= 2 and finite entries det A is manifold._determinant's closed
+    form in Python floats, unless the tolerance lies within that helper's
+    bound on its distance from np.linalg.det; there, and for n >= 3 or an
+    infinite or NaN entry, det A is np.linalg.det's. So |det A| <= tol
+    decides as np.linalg.det does, while the det returned, which regularity
+    reports, may differ from numpy's in the last bits. A tolerance beyond
+    the float range raises NumericOverflowError.
     """
     size = manifold._sup_norm(a)
     scale = max(1.0, size)
@@ -166,8 +169,11 @@ def _det_and_tolerance(a: np.ndarray) -> tuple[float, float]:
         raise NumericOverflowError(
             f"fiber Hessian entry {scale:.3e} overflows the float range in the determinant test"
         ) from None
-    det = manifold._determinant(a.tolist()) if math.isfinite(size) else float(np.linalg.det(a))
-    return det, tol
+    if a.shape[0] <= 2 and math.isfinite(size):
+        det, spread = manifold._determinant(a.tolist())
+        if abs(abs(det) - tol) > spread:
+            return det, tol
+    return float(np.linalg.det(a)), tol
 
 
 def _require_regular(a: np.ndarray, message: str) -> None:
@@ -181,7 +187,12 @@ def _require_regular(a: np.ndarray, message: str) -> None:
 
 
 def regularity(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> RegularityReport:
-    """Classify the fiber Hessian at a state as regular / positive definite."""
+    """Classify the fiber Hessian at a state as regular / positive definite.
+
+    det_a is _det_and_tolerance's determinant, which for a 1 x 1 or 2 x 2
+    away from the tolerance may differ from np.linalg.det's in the last bits;
+    is_regular decides as np.linalg.det would.
+    """
     a = a_matrix(chart, lagrangian, point)
     det, tol = _det_and_tolerance(a)
     eigs = np.linalg.eigvalsh(0.5 * (a + a.T))

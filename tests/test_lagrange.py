@@ -213,17 +213,65 @@ def test_an_overflowing_conformal_lagrangian_raises_numeric_overflow():
         dl._require_regular(a, "det {det} within {tol}")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_the_python_float_determinant_agrees_with_numpy(n):
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_python_float_determinant_is_within_its_bound_of_numpys(n):
     rng = np.random.default_rng(60 + n)
-    for _ in range(200):
+    for trial in range(400):
         a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 9)
+        if n == 2 and trial % 2:
+            a[1] = rng.normal() * a[0] + 10.0 ** rng.integers(-12, -3) * a[1]  # nearly singular
         want = float(np.linalg.det(a))
-        got = manifold._determinant(a.tolist())
+        got, spread = manifold._determinant(a.tolist())
         assert type(got) is float
-        assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(got - want) <= spread
+        assert abs(got - want) <= 1e-12 * abs(want) or trial % 2
         a[:, rng.integers(n)] = 0.0
-        assert manifold._determinant(a.tolist()) == 0.0
+        assert manifold._determinant(a.tolist())[0] == 0.0
+
+
+def _near_the_tolerance(n, m, sign, ulps):
+    """(A, tol): det A is sign * tol = sign * 1e-10 max(1, |A|_max)^n, A's last entry nudged by ulps ulps.
+
+    For n >= 2, A[0, 0] = 2 m is the largest entry, so the tolerance is known
+    before the last entry is solved for; the nudges move det A by about
+    eps |A|^n each. A 1 x 1 meets its tolerance only at 1e-10, whatever m.
+    """
+    rng = np.random.default_rng(80 + n)
+    a = m * rng.uniform(-1.0, 1.0, size=(n, n))
+    a[0, 0] = 2.0 * m
+    tol = 1e-10 * max(1.0, 2.0 * m) ** n if n > 1 else 1e-10
+    if n == 1:
+        a[0, 0] = sign * tol
+    else:
+        a[-1, -1] = 0.0
+        rest = float(np.linalg.det(a))
+        cofactor = float(np.linalg.det(a[:-1, :-1]))
+        a[-1, -1] = (sign * tol - rest) / cofactor
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        a[-1, -1] = math.nextafter(a[-1, -1], toward)
+    return a, tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1.0, 3.7e-5, 2.9e4])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_the_det_tolerance_of_require_regular_is_where_numpy_has_it(n, m, sign):
+    refused = []
+    for ulps in range(-40, 41):
+        a, tol = _near_the_tolerance(n, m, sign, ulps)
+        try:
+            dl._require_regular(a, "det {det} within {tol}")
+        except SingularAError:
+            refuses = True
+        else:
+            refuses = False
+        assert refuses == _numpy_route_refuses(a), (ulps, a.tolist())
+        assert dl._det_and_tolerance(a)[1] == tol
+        refused.append(refuses)
+    # The nudges straddle the tolerance: det A crosses it once.
+    assert True in refused and False in refused
+    assert refused == sorted(refused) or refused == sorted(refused, reverse=True)
 
 
 def _numpy_route_refuses(a):
