@@ -225,7 +225,7 @@ def build_force(system: dict, pointer: str = "/system", *, dim: int | None = Non
                 h_fn = normal_shift.h_function(h_src)
             except (ParseError, ValueError) as exc:
                 raise ConfigError(f"bad expression: {exc}", pointer=f"{fp}/h") from exc
-            shift = normal_shift.NormalShiftForce(profile, h_fn=h_fn, name=profile.name)
+            shift = normal_shift.NormalShiftForce(profile, h_fn=h_fn)
             return normal_shift.normal_shift_force_field(shift), None
     except ValueError as exc:
         raise ConfigError(str(exc), pointer=fp) from exc

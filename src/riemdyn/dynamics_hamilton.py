@@ -3,7 +3,13 @@
 The Legendre map lambda sends a tangent state (x, v) to the cotangent
 state (x, p) with p_k = dL/dv^k. Its inverse is solved by a damped
 Newton iteration on r(v) = dL/dv - p whose Jacobian is the fiber
-Hessian A. The Hamiltonian is H(x, p) = sum_k p_k v*^k - L(x, v*) at
+Hessian A. Every inversion starts cold, from a rescaled g^-1 p; there is
+no warm start, so v* depends only on the state and not on what was
+inverted before. Newton stops at |r|_inf <= 1e-12 max(1, |p|_inf)
+(_NEWTON_TOLERANCE) within 50 steps (_NEWTON_MAX_ITER), halving each
+step at most 20 times (_NEWTON_MAX_DAMPING).
+
+The Hamiltonian is H(x, p) = sum_k p_k v*^k - L(x, v*) at
 v* = lambda^(-1)(x, p); for every catalog family H and its partials are
 also attached in closed form, derived directly from the family formula
 rather than from the Newton inverse, so the identity suite checks a
@@ -66,16 +72,17 @@ __all__ = [
 ]
 
 
+# The Newton iteration of legendre_inverse; its docstring says how each is used.
+_NEWTON_MAX_ITER = 50
+_NEWTON_TOLERANCE = 1e-12
+_NEWTON_MAX_DAMPING = 20
+
+
 @dataclass
 class LegendreContext:
-    """Solver settings and warm-start state for the Legendre inverse."""
+    """A Lagrangian and the Newton iteration count of its last Legendre inverse."""
 
     lagrangian: Lagrangian
-    max_iter: int = 50
-    tolerance: float = 1e-12
-    max_damping: int = 20
-    warm_start: bool = True
-    last_v: np.ndarray | None = None
     last_iterations: int = 0
 
 
@@ -190,30 +197,29 @@ def _default_velocity_guess(
     return tried[best][1:]
 
 
-def legendre_inverse(
-    ctx: LegendreContext,
-    chart: ManifoldChart,
-    state: CotangentPoint,
-    v_guess: np.ndarray | None = None,
-) -> TangentPoint:
+def legendre_inverse(ctx: LegendreContext, chart: ManifoldChart, state: CotangentPoint) -> TangentPoint:
     """Solve dL/dv = p for v by damped Newton with the fiber Hessian.
 
-    The starting point is, in order of preference: the explicit v_guess,
-    the cached solution from the previous call (when warm_start is on),
-    or the cold start: the raised momentum g^-1 p times the scale of
-    least residual on a fixed 21-point grid from 1e-2 to 1e2, found by a
-    walk from scale 1 (see _default_velocity_guess). The walk takes the
-    tolerance, stops at scale 1 when that already solves, and hands over
-    the residual at the scale it picks, so Newton does not evaluate dL/dv
-    there again. For the catalog families the residual is unimodal along
-    that ray, so the walk picks the scale a full scan of the grid would,
-    with 1 residual for the quadratic families without f and 3 to 8 for
-    the others on the legendre suite's states, instead of 21; for any
-    other Lagrangian it may pick another scale, and Newton still has to
-    reach the same tolerance. A start from v_guess or the cached solution
-    where dL/dv raises ZeroVelocityError falls back to the cold start.
-    A start residual that is infinite or NaN raises NumericOverflowError.
-    Iteration counts land in ctx.last_iterations.
+    There is no warm start: the result depends only on the Lagrangian,
+    the chart and the state, never on what was inverted before. Newton
+    starts from the cold start: the raised momentum g^-1 p times the
+    scale of least residual on a fixed 21-point grid from 1e-2 to 1e2,
+    found by a walk from scale 1 (see _default_velocity_guess). The walk
+    takes the tolerance, stops at scale 1 when that already solves, and
+    hands over the residual at the scale it picks, so Newton does not
+    evaluate dL/dv there again. For the catalog families the residual is
+    unimodal along that ray, so the walk picks the scale a full scan of
+    the grid would, with 1 residual for the quadratic families without f
+    and 3 to 8 for the others on the legendre suite's states, instead of
+    21; for any other Lagrangian it may pick another scale, and Newton
+    still has to reach the same tolerance.
+
+    Newton stops when |dL/dv - p|_inf <= 1e-12 * max(1, |p|_inf)
+    (_NEWTON_TOLERANCE), takes at most 50 steps (_NEWTON_MAX_ITER) and
+    halves each step at most 20 times (_NEWTON_MAX_DAMPING); otherwise it
+    raises NonConvergenceError. A start residual that is infinite or NaN
+    raises NumericOverflowError. Iteration counts land in
+    ctx.last_iterations.
     """
     lag = ctx.lagrangian
     x = manifold.check_point(chart, state.x)
@@ -222,17 +228,8 @@ def legendre_inverse(
     def residual(v_try):
         return lag.dv(chart, TangentPoint(x, v_try)) - p
 
-    tol = ctx.tolerance * max(1.0, manifold._sup_norm(p))
-    if v_guess is not None or (
-        ctx.warm_start and ctx.last_v is not None and ctx.last_v.shape == p.shape
-    ):
-        v = np.asarray(v_guess, dtype=float) if v_guess is not None else ctx.last_v.copy()
-        try:
-            r = residual(v)
-        except ZeroVelocityError:
-            v, r = _default_velocity_guess(ctx, chart, x, p, tol)
-    else:
-        v, r = _default_velocity_guess(ctx, chart, x, p, tol)
+    tol = _NEWTON_TOLERANCE * max(1.0, manifold._sup_norm(p))
+    v, r = _default_velocity_guess(ctx, chart, x, p, tol)
     if r is None:
         r = residual(v)
     r_norm = manifold._sup_norm(r)
@@ -240,17 +237,16 @@ def legendre_inverse(
         raise NumericOverflowError(
             f"Legendre residual {r_norm!r} at the start velocity overflows the float range"
         )
-    for iteration in range(1, ctx.max_iter + 1):
+    for iteration in range(1, _NEWTON_MAX_ITER + 1):
         if r_norm <= tol:
             ctx.last_iterations = iteration - 1
-            ctx.last_v = v.copy()
             return TangentPoint(x, v)
         point = TangentPoint(x, v)
         a = a_matrix(chart, lag, point)
         _require_regular(a, "fiber Hessian singular during Legendre inversion (det {det:.3e})")
         step = np.linalg.solve(a, -r)
         lam = 1.0
-        for _ in range(ctx.max_damping + 1):
+        for _ in range(_NEWTON_MAX_DAMPING + 1):
             try:
                 r_new = residual(v + lam * step)
             except ZeroVelocityError:
@@ -269,14 +265,13 @@ def legendre_inverse(
         v = v + lam * step
         r, r_norm = r_new, r_new_norm
     if r_norm <= tol:
-        ctx.last_iterations = ctx.max_iter
-        ctx.last_v = v.copy()
+        ctx.last_iterations = _NEWTON_MAX_ITER
         return TangentPoint(x, v)
     raise NonConvergenceError(
-        f"Legendre inversion did not converge in {ctx.max_iter} iterations "
+        f"Legendre inversion did not converge in {_NEWTON_MAX_ITER} iterations "
         f"(residual {r_norm:.3e})",
         residual=r_norm,
-        iterations=ctx.max_iter,
+        iterations=_NEWTON_MAX_ITER,
     )
 
 
@@ -289,10 +284,7 @@ class Hamiltonian:
     """Scalar H(x, p) with optional analytic hooks and B = d2H/dp dp."""
 
     field: ExtendedField
-    family: str
-    context: LegendreContext
     second_fiber_fn: Callable[[ManifoldChart, CotangentPoint], np.ndarray] | None = None
-    name: str = ""
 
     def value(self, chart: ManifoldChart, state: CotangentPoint) -> float:
         return float(self.field.eval_fn(chart, state))
@@ -422,13 +414,7 @@ def hamiltonian_from_lagrangian(ctx: LegendreContext) -> Hamiltonian:
 
         field = ExtendedField((0, 0), "p", ev, name=f"H[{lag.name}]")
 
-    return Hamiltonian(
-        field=field,
-        family=family,
-        context=ctx,
-        second_fiber_fn=second_fiber,
-        name=f"H[{lag.name}]",
-    )
+    return Hamiltonian(field, second_fiber)
 
 
 def b_matrix(chart: ManifoldChart, hamiltonian: Hamiltonian, state: CotangentPoint) -> np.ndarray:

@@ -15,7 +15,8 @@ iterate. The Euler-Lagrange equations are handled in two equivalent shapes:
   * classical: A vdot = dL/dx - (d2L/dxdv) v in plain coordinates.
 
 Every solve with A is gated by _require_regular, which refuses |det A|
-within 1e-10 max(1, |A|_max)^n. For a 1 x 1 or 2 x 2 it reads det A in
+within 1e-10 max(1, |A|_max)^n, and an A with an infinite or NaN entry
+with NumericOverflowError, so such a run ends "non_finite". For a 1 x 1 or 2 x 2 it reads det A in
 Python floats from manifold._determinant, falling back to np.linalg.det
 where the two could decide differently; the solves themselves stay with
 np.linalg.solve, which sets the bits.
@@ -153,15 +154,17 @@ class RegularityReport:
 def _det_and_tolerance(a: np.ndarray) -> tuple[float, float]:
     """det A and the singularity tolerance 1e-10 max(1, |A|_max)^n.
 
-    For n <= 2 and finite entries det A is manifold._determinant's closed
+    An infinite or NaN entry, or a tolerance beyond the float range, raises
+    NumericOverflowError. For n <= 2 det A is manifold._determinant's closed
     form in Python floats, unless the tolerance lies within that helper's
-    bound on its distance from np.linalg.det; there, and for n >= 3 or an
-    infinite or NaN entry, det A is np.linalg.det's. So |det A| <= tol
-    decides as np.linalg.det does, while the det returned, which regularity
-    reports, may differ from numpy's in the last bits. A tolerance beyond
-    the float range raises NumericOverflowError.
+    bound on its distance from np.linalg.det; there, and for n >= 3, det A
+    is np.linalg.det's. So |det A| <= tol decides as np.linalg.det does,
+    while the det returned, which regularity reports, may differ from
+    numpy's in the last bits.
     """
     size = manifold._sup_norm(a)
+    if not math.isfinite(size):
+        raise NumericOverflowError(f"fiber Hessian has a non-finite entry ({size!r})")
     scale = max(1.0, size)
     try:
         tol = 1e-10 * scale ** a.shape[0]
@@ -169,7 +172,7 @@ def _det_and_tolerance(a: np.ndarray) -> tuple[float, float]:
         raise NumericOverflowError(
             f"fiber Hessian entry {scale:.3e} overflows the float range in the determinant test"
         ) from None
-    if a.shape[0] <= 2 and math.isfinite(size):
+    if a.shape[0] <= 2:
         det, spread = manifold._determinant(a.tolist())
         if abs(abs(det) - tol) > spread:
             return det, tol

@@ -246,12 +246,8 @@ class Trajectory:
     def points(self) -> list[TangentPoint]:
         return [TangentPoint(x, v) for x, v in zip(self.xs, self.vs)]
 
-    def curve_samples(self, accels: Sequence[np.ndarray] | None = None) -> list[CurveSample]:
-        out = []
-        for i, (t, x, v) in enumerate(zip(self.ts, self.xs, self.vs)):
-            accel = None if accels is None else np.asarray(accels[i], dtype=float)
-            out.append(CurveSample(float(t), TangentPoint(x, v), accel))
-        return out
+    def curve_samples(self) -> list[CurveSample]:
+        return [CurveSample(float(t), TangentPoint(x, v)) for t, x, v in zip(self.ts, self.xs, self.vs)]
 
 
 # Dormand-Prince 5(4) tableau; the first error row is the 5th-order

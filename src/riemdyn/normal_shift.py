@@ -113,7 +113,6 @@ class NormalShiftForce:
 
     w_profile: RadialProfile
     h_fn: Callable[[float], float] | None = None
-    name: str = ""
 
 
 def profile_from_expression(source) -> RadialProfile:

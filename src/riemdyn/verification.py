@@ -94,14 +94,25 @@ def _report(suite: str, seed: int, checks: list[dict]) -> dict:
 # Samplers and oracles
 
 
-def sample_tangent_states(chart, count, rng, min_speed=0.2, margin=0.05):
-    """Uniform states in the chart's sample box with |v| >= min_speed."""
+# The samplers keep this share of the sample box's width clear on each side.
+_SAMPLE_MARGIN = 0.05
+# synthetic_curve_samples: the number of samples and the time between them.
+_CURVE_SAMPLE_COUNT = 61
+_CURVE_SAMPLE_DT = 2.5e-4
+
+
+def _inner_box(chart):
+    """The lower and upper corners of chart's sample box less _SAMPLE_MARGIN."""
     box = chart.sample_box
     if box is None:
         raise ValueError(f"chart {chart.name!r} has no sample box")
     width = box[:, 1] - box[:, 0]
-    lo = box[:, 0] + margin * width
-    hi = box[:, 1] - margin * width
+    return box[:, 0] + _SAMPLE_MARGIN * width, box[:, 1] - _SAMPLE_MARGIN * width
+
+
+def sample_tangent_states(chart, count, rng, min_speed=0.2):
+    """Uniform states in the chart's sample box with |v| >= min_speed."""
+    lo, hi = _inner_box(chart)
     states = []
     while len(states) < count:
         x = rng.uniform(lo, hi)
@@ -112,14 +123,9 @@ def sample_tangent_states(chart, count, rng, min_speed=0.2, margin=0.05):
     return states
 
 
-def sample_cotangent_states(chart, count, rng, min_modulus=0.2, margin=0.05):
+def sample_cotangent_states(chart, count, rng, min_modulus=0.2):
     """Uniform cotangent states with momentum modulus >= min_modulus."""
-    box = chart.sample_box
-    if box is None:
-        raise ValueError(f"chart {chart.name!r} has no sample box")
-    width = box[:, 1] - box[:, 0]
-    lo = box[:, 0] + margin * width
-    hi = box[:, 1] - margin * width
+    lo, hi = _inner_box(chart)
     states = []
     while len(states) < count:
         x = rng.uniform(lo, hi)
@@ -131,7 +137,7 @@ def sample_cotangent_states(chart, count, rng, min_modulus=0.2, margin=0.05):
     return states
 
 
-def synthetic_curve_samples(chart, rng, sample_count=61, dt=2.5e-4):
+def synthetic_curve_samples(chart, rng):
     """A short smooth curve in the chart with analytic velocity and accel.
 
     Coordinates follow c_k + a_k sin(omega_k t + phase_k) + b_k t with
@@ -148,8 +154,8 @@ def synthetic_curve_samples(chart, rng, sample_count=61, dt=2.5e-4):
     drift = rng.uniform(-0.5, 0.5, chart.dim) * (width / 2.0) * 0.1
     t0 = rng.uniform(0.0, 1.0)
     samples = []
-    for i in range(sample_count):
-        t = t0 + i * dt
+    for i in range(_CURVE_SAMPLE_COUNT):
+        t = t0 + i * _CURVE_SAMPLE_DT
         x = center + amp * np.sin(omega * t + phase) + drift * t
         v = amp * omega * np.cos(omega * t + phase) + drift
         vdot = -amp * omega * omega * np.sin(omega * t + phase)
@@ -260,9 +266,7 @@ def suite_theorem81(chart_name=None, seed=0):
     checks = []
     for f, name, x0, v0, sup_tol in _scenarios_on("theorem81", scenarios, chart_name):
         chart = manifold.builtin_chart(name)
-        shift = normal_shift.NormalShiftForce(
-            normal_shift.conformal_shift_profile(f), h_fn=None
-        )
+        shift = normal_shift.NormalShiftForce(normal_shift.conformal_shift_profile(f))
         shift_force = normal_shift.normal_shift_force_field(shift)
         conformal_force = normal_shift.conformal_force_field(f)
         worst = 0.0
@@ -504,9 +508,8 @@ def suite_legendre(chart_name=None, seed=0):
             forward_gap = 0.0
             backward_gap = 0.0
             worst_iterations = 0
-            states = sample_tangent_states(chart, 100, rng, min_speed=0.3)
-            for state in states:
-                ctx = dynamics_hamilton.LegendreContext(lag, warm_start=False)
+            ctx = dynamics_hamilton.LegendreContext(lag)
+            for state in sample_tangent_states(chart, 100, rng, min_speed=0.3):
                 image = dynamics_hamilton.legendre_forward(ctx, chart, state)
                 back = dynamics_hamilton.legendre_inverse(ctx, chart, image)
                 forward_gap = max(forward_gap, float(np.max(np.abs(back.v - state.v))))

@@ -67,28 +67,9 @@ def test_legendre_roundtrip(family, params):
         assert np.max(np.abs(back.v - q.v)) < 1e-9
 
 
-def test_warm_start_reuses_previous_solution():
-    """Tracking a slowly moving momentum should get cheaper, not costlier."""
-    chart = manifold.builtin_chart("euclidean2")
-    lag = dl.fiberwise_phi_lagrangian("w^2/2 + w^4/10", "exp(-x1/4)")
-    warm = dh.LegendreContext(lag, warm_start=True)
-    cold = dh.LegendreContext(lag, warm_start=False)
-    x = np.array([0.2, -0.1])
-    warm_total = 0
-    cold_total = 0
-    for t in np.linspace(0.0, 1.0, 20):
-        p = np.array([0.8 + 0.05 * t, 0.3 - 0.04 * t])
-        state = CotangentPoint(x, p)
-        dh.legendre_inverse(warm, chart, state)
-        warm_total += warm.last_iterations
-        dh.legendre_inverse(cold, chart, state)
-        cold_total += cold.last_iterations
-    assert warm_total <= cold_total
-
-
-def _legendre_tol(ctx, p):
+def _legendre_tol(p):
     """The tolerance legendre_inverse hands the cold-start walk."""
-    return ctx.tolerance * max(1.0, float(np.max(np.abs(p))))
+    return dh._NEWTON_TOLERANCE * max(1.0, float(np.max(np.abs(p))))
 
 
 def _record_dv(patch, seen):
@@ -132,10 +113,10 @@ def test_cold_start_walk_picks_the_scan_scale_on_the_legendre_suite_states(seed,
     for name in verification._IDENTITY_CHARTS:
         chart = manifold.builtin_chart(name)
         for family, lag in verification._systems():
-            ctx = dh.LegendreContext(lag, warm_start=False)
+            ctx = dh.LegendreContext(lag)
             for q in verification.sample_tangent_states(chart, 100, rng, min_speed=0.3):
                 image = dh.legendre_forward(ctx, chart, q)
-                walk_tol = _legendre_tol(ctx, image.p) if tol is None else tol
+                walk_tol = _legendre_tol(image.p) if tol is None else tol
                 walk, scan, tried = _guess_both_ways(
                     ctx, chart, image.x, image.p, walk_tol, monkeypatch
                 )
@@ -169,9 +150,9 @@ _QUARTIC = dl.fiberwise_phi_lagrangian("w^2/2 + w^4/10")
 )
 def test_cold_start_walk_edge_cases_match_the_scan(lag, p, index, tol, monkeypatch):
     chart = manifold.builtin_chart("euclidean2")
-    ctx = dh.LegendreContext(lag, warm_start=False)
+    ctx = dh.LegendreContext(lag)
     x, p = np.array([0.3, -0.2]), np.array(p)
-    tol = _legendre_tol(ctx, p) if tol is None else tol
+    tol = _legendre_tol(p) if tol is None else tol
     walk, scan, tried = _guess_both_ways(ctx, chart, x, p, tol, monkeypatch)
     assert np.array_equal(walk, scan)
     assert len(set(tried)) == len(tried) <= len(dh._GUESS_SCALES)
@@ -197,7 +178,7 @@ def test_a_cold_inversion_evaluates_each_residual_once(
     """dL/dv runs at the walk's scales and once per undamped Newton iteration:
     Newton starts from the residual the walk hands over."""
     chart = manifold.builtin_chart("euclidean2")
-    ctx = dh.LegendreContext(dl.catalog_lagrangian(family, **params), warm_start=False)
+    ctx = dh.LegendreContext(dl.catalog_lagrangian(family, **params))
     state = CotangentPoint(np.array([1.1, 0.4]), np.array([0.7, -0.4]))
     seen = []
     with monkeypatch.context() as patch:
@@ -208,35 +189,14 @@ def test_a_cold_inversion_evaluates_each_residual_once(
     assert np.max(np.abs(dh.legendre_forward(ctx, chart, back).p - state.p)) < 1e-12
 
 
-@pytest.mark.parametrize("start", ["warm", "guess"])
-def test_a_refused_start_falls_back_to_the_cold_start(start):
-    chart = manifold.builtin_chart("euclidean2")
-    state = CotangentPoint(np.array([0.1, -0.2]), np.array([0.7, 0.4]))
-    cold = dh.LegendreContext(_QUARTIC, warm_start=False)
-    want = dh.legendre_inverse(cold, chart, state)
-    ctx = dh.LegendreContext(_QUARTIC)
-    below_floor = np.array([1e-12, 0.0])  # dL/dv raises ZeroVelocityError here
-    if start == "warm":
-        ctx.last_v = below_floor
-    got = dh.legendre_inverse(ctx, chart, state, below_floor if start == "guess" else None)
-    assert np.array_equal(got.v, want.v)
-    assert ctx.last_iterations == cold.last_iterations
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("start", ["cold", "warm", "guess"])
-def test_a_non_finite_start_residual_raises_numeric_overflow(bad, start):
+def test_a_non_finite_start_residual_raises_numeric_overflow(bad):
     chart = manifold.builtin_chart("euclidean2")
     ctx = dh.LegendreContext(_QUARTIC)
     state = CotangentPoint(np.array([0.1, -0.2]), np.array([bad, 0.4]))
-    guess = None
-    if start == "warm":
-        ctx.last_v = np.array([0.5, 0.3])
-    elif start == "guess":
-        guess = np.array([0.5, 0.3])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericOverflowError, match="start velocity"):
-            dh.legendre_inverse(ctx, chart, state, guess)
+            dh.legendre_inverse(ctx, chart, state)
 
 
 def test_sup_norm_matches_numpy():
@@ -283,7 +243,7 @@ def test_legendre_roundtrips_hold_in_the_sample_box(family, chart_name, u, fiber
     x, f = _in_sample_box(chart, u), np.array(fiber)
     assume(manifold.speed(chart, x, f) >= 0.3)
     assume(manifold.speed(chart, x, manifold.raise_index(chart, x, f)) >= 0.3)
-    ctx = dh.LegendreContext(lag, warm_start=False)
+    ctx = dh.LegendreContext(lag)
 
     image = dh.legendre_forward(ctx, chart, TangentPoint(x, f))
     back = dh.legendre_inverse(ctx, chart, image)
@@ -337,6 +297,29 @@ def test_generic_fallback_hamiltonian_matches_closed_form():
         assert abs(generic.value(chart, state) - closed.value(chart, state)) < 1e-9
 
 
+def test_generic_fallback_hamiltonian_does_not_depend_on_call_history():
+    """H, dH/dp and dH/dx at a state have the same bits whatever was evaluated before."""
+    chart = manifold.builtin_chart("polar2d")
+    lag = dataclasses.replace(dl.conformal_kinetic_lagrangian("x1/2"), family="bespoke")
+    state = CotangentPoint(np.array([1.2, 0.3]), np.array([0.7, -0.4]))
+    others = [
+        state,
+        CotangentPoint(np.array([0.8, -0.5]), np.array([-1.1, 0.2])),
+        CotangentPoint(np.array([1.5, 1.0]), np.array([0.05, 0.9])),
+    ]
+    for part in ("value", "dp", "dx"):
+
+        def at_state(*before):
+            ham = dh.hamiltonian_from_lagrangian(dh.LegendreContext(lag))
+            for other in before:
+                getattr(ham, part)(chart, other)
+            return np.asarray(getattr(ham, part)(chart, state)).tobytes()
+
+        first = at_state()
+        for other in others:
+            assert at_state(other) == first, (part, other.x)
+
+
 def test_hamilton_rhs_polar_oracle():
     # H = (p_r^2 + p_theta^2 / r^2) / 2 on the polar chart.  At r = 2:
     # dx/dt = (p_r, p_theta / r^2) = (0.3, 0.2) and the only nonzero
@@ -361,14 +344,13 @@ def test_momentum_residual_cancels_exactly(chart_name):
         assert np.max(np.abs(residual)) == 0.0
 
 
-def test_nonconvergence_carries_iteration_count():
+def test_nonconvergence_carries_iteration_count(monkeypatch):
     chart = manifold.builtin_chart("euclidean2")
-    ctx = dh.LegendreContext(
-        dl.fiberwise_phi_lagrangian("w^2/2 + w^4/10"), max_iter=1, warm_start=False
-    )
+    ctx = dh.LegendreContext(_QUARTIC)
     state = CotangentPoint(np.zeros(2), np.array([0.9, 0.4]))
+    monkeypatch.setattr(dh, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError) as excinfo:
-        dh.legendre_inverse(ctx, chart, state, v_guess=np.array([1e6, 1e6]))
+        dh.legendre_inverse(ctx, chart, state)
     assert excinfo.value.iterations == 1
     assert excinfo.value.residual > 0.0
 
@@ -417,11 +399,7 @@ def test_quadratic_jets_equal_the_separate_hooks_bit_for_bit(chart_name, f, u, m
     tangent = verification.sample_tangent_states(chart, 6, rng)
     cotangent = verification.sample_cotangent_states(chart, 6, rng)
     lag_field = ef.kinetic_energy_scalar(f, u)
-    ham = dh.Hamiltonian(
-        field=ef.momentum_kinetic_scalar(f, u),
-        family="kinetic",
-        context=dh.LegendreContext(dl.kinetic_lagrangian()),
-    )
+    ham = dh.Hamiltonian(ef.momentum_kinetic_scalar(f, u))
     if f is None and u is None:
 
         def refuse(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import force_oracle
@@ -284,26 +285,47 @@ def _numpy_route_refuses(a):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_require_regular_refuses_what_the_numpy_route_refuses(n):
-    """Singular matrices, and NaN, infinite and zero entries anywhere."""
+    """Singular matrices and zero entries anywhere; NaN and infinite entries raise NumericOverflowError."""
     rng = np.random.default_rng(70 + n)
     specials = [math.nan, math.inf, -math.inf, 0.0, 1.0, 1e-6]
-    refused = 0
+    outcomes = Counter()
     for _ in range(1000):
         a = rng.normal(size=(n, n))
         if rng.random() < 0.3:
             a[rng.integers(n)] = 2.0 * a[rng.integers(n)]
         for index in rng.choice(n * n, rng.integers(0, n * n + 1), replace=False):
             a.flat[index] = specials[rng.integers(len(specials))]
-        try:
-            with np.errstate(all="ignore"):
+        if not np.all(np.isfinite(a)):
+            with pytest.raises(NumericOverflowError, match="non-finite entry"):
                 dl._require_regular(a, "det {det} within {tol}")
+            outcomes["non-finite"] += 1
+            continue
+        try:
+            dl._require_regular(a, "det {det} within {tol}")
         except SingularAError:
             refuses = True
         else:
             refuses = False
         assert refuses == _numpy_route_refuses(a), a.tolist()
-        refused += refuses
-    assert 100 < refused < 900
+        outcomes["singular" if refuses else "regular"] += 1
+    assert min(outcomes[k] for k in ("non-finite", "singular", "regular")) >= 15, outcomes
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[math.nan, 1.0], [1.0, 1.0]],
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, -math.inf, 0.0], [0.0, 0.0, math.nan]],
+    ],
+)
+def test_a_non_finite_fiber_hessian_raises_numeric_overflow(a):
+    """One refusal for every layout, before np.linalg.det could warn or decide."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="non-finite entry"):
+            dl._require_regular(np.array(a), "det {det} within {tol}")
 
 
 _QUADRATIC = [
