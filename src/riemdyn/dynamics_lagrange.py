@@ -194,7 +194,8 @@ def regularity(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint
 
     det_a is _det_and_tolerance's determinant, which for a 1 x 1 or 2 x 2
     away from the tolerance may differ from np.linalg.det's in the last bits;
-    is_regular decides as np.linalg.det would.
+    is_regular decides as np.linalg.det would. An A with an infinite or NaN
+    entry raises NumericOverflowError.
     """
     a = a_matrix(chart, lagrangian, point)
     det, tol = _det_and_tolerance(a)
