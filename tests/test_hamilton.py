@@ -189,6 +189,33 @@ def test_a_cold_inversion_evaluates_each_residual_once(
     assert np.max(np.abs(dh.legendre_forward(ctx, chart, back).p - state.p)) < 1e-12
 
 
+@pytest.mark.parametrize("family,params", _FAMILIES)
+def test_legendre_inverse_does_not_depend_on_call_history(family, params):
+    """A context that inverted other states gives the same bits and iteration
+    count at a state as a fresh one."""
+    chart = manifold.builtin_chart("polar2d")
+    lag = dl.catalog_lagrangian(family, **params)
+    state = CotangentPoint(np.array([1.2, 0.3]), np.array([0.7, -0.4]))
+    fresh = dh.LegendreContext(lag)
+    want = dh.legendre_inverse(fresh, chart, state)
+    used = dh.LegendreContext(lag)
+    for x, p in [([0.8, -0.5], [-1.1, 0.2]), ([1.5, 1.0], [0.05, 0.9]), ([1.2, 0.3], [0.69, -0.41])]:
+        dh.legendre_inverse(used, chart, CotangentPoint(np.array(x), np.array(p)))
+        got = dh.legendre_inverse(used, chart, state)
+        assert got.v.tobytes() == want.v.tobytes(), (family, x, p)
+        assert used.last_iterations == fresh.last_iterations
+
+
+def test_legendre_context_and_hamiltonian_hold_no_solver_settings():
+    """The inverse's Newton settings are module constants, not per-context state."""
+    assert [f.name for f in dataclasses.fields(dh.LegendreContext)] == [
+        "lagrangian",
+        "last_iterations",
+    ]
+    assert [f.name for f in dataclasses.fields(dh.Hamiltonian)] == ["field", "second_fiber_fn"]
+    assert (dh._NEWTON_MAX_ITER, dh._NEWTON_TOLERANCE, dh._NEWTON_MAX_DAMPING) == (50, 1e-12, 20)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_start_residual_raises_numeric_overflow(bad):
     chart = manifold.builtin_chart("euclidean2")
