@@ -47,7 +47,6 @@ from .expression import (
     gradient,
     parse,
     profile_expr,
-    unparse,
 )
 from .manifold import (
     FD_TOLERANCE,
@@ -70,15 +69,12 @@ from .extended_fields import (
     TangentPoint,
     TensorComponents,
     chain_rule_check,
-    check_analytic_partials,
     contract,
     covariant_time_derivative,
     fiber_partials,
     kinetic_energy_scalar,
     lowered_velocity_field,
-    metric_tensor_field,
     momentum_kinetic_scalar,
-    potential_scalar,
     spatial_gradient,
     velocity_gradient,
     velocity_gradient_lowered,
@@ -93,7 +89,6 @@ from .dynamics_newton import (
     geodesic_system,
     integrate,
     integrate_ode,
-    max_coordinate_distance,
     newtonian_rhs,
     write_trajectory_csv,
 )

@@ -14,12 +14,11 @@ iterate. The Euler-Lagrange equations are handled in two equivalent shapes:
     with force F.
   * classical: A vdot = dL/dx - (d2L/dxdv) v in plain coordinates.
 
-Every solve with A is gated by _require_regular, which refuses |det A|
-within 1e-10 max(1, |A|_max)^n, and an A with an infinite or NaN entry
-with NumericOverflowError, so such a run ends "non_finite". For a 1 x 1 or 2 x 2 it reads det A in
-Python floats from manifold._determinant, falling back to np.linalg.det
-where the two could decide differently; the solves themselves stay with
-np.linalg.solve, which sets the bits.
+Every solve with A is gated by _require_regular, which refuses an A that
+is singular by manifold's one rule, |det(A / |A|_max)| <= 1e-12, the rule
+metric_at applies to the metric, and an A with an infinite or NaN entry
+with NumericOverflowError, so such a run ends "non_finite". The solves
+themselves stay with np.linalg.solve, which sets the bits.
 
 el_residual evaluates D_t P - grad L along recorded trajectories with
 covariant machinery and analytic hooks; classical_el_residual evaluates
@@ -142,7 +141,11 @@ def a_matrix(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) 
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Determinant and spectrum summary of the fiber Hessian at a state."""
+    """Determinant and spectrum summary of the fiber Hessian at a state.
+
+    det_a is det(A / |A|_max), the determinant the singularity rule reads,
+    and tolerance the rule's bound on it.
+    """
 
     det_a: float
     min_abs_eig: float
@@ -151,62 +154,40 @@ class RegularityReport:
     tolerance: float
 
 
-def _det_and_tolerance(a: np.ndarray) -> tuple[float, float]:
-    """det A and the singularity tolerance 1e-10 max(1, |A|_max)^n.
-
-    An infinite or NaN entry, or a tolerance beyond the float range, raises
-    NumericOverflowError. For n <= 2 det A is manifold._determinant's closed
-    form in Python floats, unless the tolerance lies within that helper's
-    bound on its distance from np.linalg.det; there, and for n >= 3, det A
-    is np.linalg.det's. So |det A| <= tol decides as np.linalg.det does,
-    while the det returned, which regularity reports, may differ from
-    numpy's in the last bits.
-    """
+def _hessian_det(a: np.ndarray) -> float:
+    """det(A / |A|_max) of a fiber Hessian; an infinite or NaN entry raises NumericOverflowError."""
     size = manifold._sup_norm(a)
     if not math.isfinite(size):
         raise NumericOverflowError(f"fiber Hessian has a non-finite entry ({size!r})")
-    scale = max(1.0, size)
-    try:
-        tol = 1e-10 * scale ** a.shape[0]
-    except OverflowError:
-        raise NumericOverflowError(
-            f"fiber Hessian entry {scale:.3e} overflows the float range in the determinant test"
-        ) from None
-    if a.shape[0] <= 2:
-        det, spread = manifold._determinant(a.tolist())
-        if abs(abs(det) - tol) > spread:
-            return det, tol
-    return float(np.linalg.det(a)), tol
+    return manifold._relative_det(a, size)
 
 
 def _require_regular(a: np.ndarray, message: str) -> None:
-    """Raise SingularAError when |det A| is within the tolerance of _det_and_tolerance.
-
-    message is formatted with the keywords det and tol.
-    """
-    det, tol = _det_and_tolerance(a)
-    if abs(det) <= tol:
-        raise SingularAError(message.format(det=det, tol=tol))
+    """Raise SingularAError when A is singular by manifold's rule; message is formatted with the keyword det."""
+    det = _hessian_det(a)
+    if manifold._singular(det):
+        raise SingularAError(message.format(det=det))
 
 
 def regularity(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> RegularityReport:
     """Classify the fiber Hessian at a state as regular / positive definite.
 
-    det_a is _det_and_tolerance's determinant, which for a 1 x 1 or 2 x 2
-    away from the tolerance may differ from np.linalg.det's in the last bits;
-    is_regular decides as np.linalg.det would. An A with an infinite or NaN
-    entry raises NumericOverflowError.
+    is_regular is the decision of _require_regular, and is_positive that of
+    metric_at's test on the symmetric part of A: a Cholesky factor, and
+    regular by the same rule. Both are decided on A / |A|_max, so A and c A
+    get the same decisions; of the report, only min_abs_eig scales with c.
+    An A with an infinite or NaN entry raises NumericOverflowError.
     """
     a = a_matrix(chart, lagrangian, point)
-    det, tol = _det_and_tolerance(a)
-    eigs = np.linalg.eigvalsh(0.5 * (a + a.T))
-    lin_tol = 1e-10 * max(1.0, float(np.max(np.abs(a))))
+    det = _hessian_det(a)
+    rows = manifold._symmetric_rows(a.tolist())
+    definite = manifold._cholesky_det(rows, max(abs(value) for row in rows for value in row))
     return RegularityReport(
         det_a=det,
-        min_abs_eig=float(np.min(np.abs(eigs))),
-        is_regular=abs(det) > tol,
-        is_positive=bool(np.all(eigs > lin_tol)),
-        tolerance=tol,
+        min_abs_eig=float(np.min(np.abs(np.linalg.eigvalsh(np.array(rows))))),
+        is_regular=not manifold._singular(det),
+        is_positive=definite is not None and not manifold._singular(definite),
+        tolerance=manifold._SINGULAR_DET,
     )
 
 
@@ -231,7 +212,7 @@ def force_from_lagrangian(
     pass, and Gamma is read once for spatial_gradient's fiber and index terms.
     """
     dldx, p, mixed, a = _el_terms(chart, lagrangian, point)
-    _require_regular(a, "fiber Hessian is singular (det {det:.3e}, tolerance {tol:.3e})")
+    _require_regular(a, "fiber Hessian is singular (det {det:.3e})")
     gamma, v = manifold.christoffel_at(chart, point.x), point.v
     grad_l = dldx + _fiber_correction(gamma, v, p, "v")
     grad_p = mixed + _fiber_correction(gamma, v, a, "v") + _index_terms(gamma, p, ("l",))

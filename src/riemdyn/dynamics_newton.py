@@ -110,7 +110,6 @@ __all__ = [
     "newtonian_rhs",
     "integrate",
     "integrate_ode",
-    "max_coordinate_distance",
     "write_trajectory_csv",
     "format_float",
 ]
@@ -519,13 +518,6 @@ def _integrate_split(chart, rhs, x0, fiber0, config, diagnostics):
     fibers = np.array([y[n:] for y in ys])
     columns = np.array(values).reshape(len(ys), -1).T
     return np.array(ts), xs, fibers, columns, status
-
-
-def max_coordinate_distance(a: Trajectory, b: Trajectory) -> float:
-    """Sup over shared samples of the max-norm coordinate gap."""
-    if len(a.ts) != len(b.ts) or not np.allclose(a.ts, b.ts, rtol=0, atol=1e-12):
-        raise ValueError("trajectories are sampled at different times")
-    return float(np.max(np.abs(a.xs - b.xs)))
 
 
 def format_float(value: float) -> str:

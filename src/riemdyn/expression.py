@@ -34,7 +34,6 @@ __all__ = [
     "parse",
     "coordinate_expr",
     "profile_expr",
-    "unparse",
     "substitute",
     "evaluate",
     "evaluate_fiber",
@@ -370,11 +369,6 @@ def _unparse(node: Node) -> str:
                 right = f"({right})"
         return f"{left}{node.op}{right}"
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def unparse(expr: ScalarExpr) -> str:
-    """Render the tree back to source text that reparses identically."""
-    return _unparse(expr.root)
 
 
 def _substitute(node: Node, roots: Mapping[str, Node]) -> Node:

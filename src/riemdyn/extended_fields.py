@@ -34,7 +34,6 @@ Gamma[k, i, j] = Gamma^k_ij.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -50,7 +49,7 @@ from .errors import (
     RankMismatchError,
 )
 from .expression import _FD2_STEP_SCALE, _FD_STEP_SCALE
-from .manifold import FD_TOLERANCE, ManifoldChart
+from .manifold import ManifoldChart
 
 __all__ = [
     "TangentPoint",
@@ -68,12 +67,9 @@ __all__ = [
     "contract",
     "covariant_time_derivative",
     "chain_rule_check",
-    "check_analytic_partials",
-    "potential_scalar",
     "kinetic_energy_scalar",
     "velocity_vector_field",
     "lowered_velocity_field",
-    "metric_tensor_field",
     "momentum_kinetic_scalar",
 ]
 
@@ -485,33 +481,6 @@ def chain_rule_check(
     return residual
 
 
-def check_analytic_partials(
-    chart: ManifoldChart,
-    field: ExtendedField,
-    points: Sequence,
-    tol: float = FD_TOLERANCE,
-) -> float:
-    """Worst disagreement between analytic partials and FD over the points.
-
-    Returns the max absolute difference; raises ValueError if it exceeds
-    tol. Fields without analytic hooks trivially pass with 0.0.
-    """
-    stripped = dataclasses.replace(field, x_partials_fn=None, fiber_partials_fn=None, jet_fn=None)
-    worst = 0.0
-    for point in points:
-        if field.x_partials_fn is not None:
-            diff = np.max(np.abs(x_partials(chart, field, point) - x_partials(chart, stripped, point)))
-            worst = max(worst, float(diff))
-        if field.fiber_partials_fn is not None:
-            diff = np.max(np.abs(fiber_partials(chart, field, point) - fiber_partials(chart, stripped, point)))
-            worst = max(worst, float(diff))
-    if worst > tol:
-        raise ValueError(
-            f"analytic partials of {field.name!r} disagree with FD by {worst:.3e}"
-        )
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Field catalog used by checks and higher layers
 
@@ -519,22 +488,6 @@ def check_analytic_partials(
 def _coordinate(source):
     """A coordinate expression from source text; parsed expressions and None pass through."""
     return expression.coordinate_expr(source) if isinstance(source, str) else source
-
-
-def potential_scalar(u) -> ExtendedField:
-    """Scalar U(x) on the tangent bundle, constant along fibers."""
-    u_expr = _coordinate(u)
-
-    def ev(chart, point):
-        return np.array(expression.evaluate(u_expr, point.x))
-
-    def dx(chart, point):
-        return np.array(expression.gradient(u_expr, point.x))
-
-    def dfib(chart, point):
-        return np.zeros(chart.dim)
-
-    return ExtendedField((0, 0), "v", ev, dx, dfib, name=f"U({u_expr.source})")
 
 
 def _conformal_factor(f_expr, x, scale: float) -> float:
@@ -654,21 +607,6 @@ def lowered_velocity_field() -> ExtendedField:
         return manifold.metric_at(chart, point.x)
 
     return ExtendedField((0, 1), "v", ev, dx, dfib, name="lowered_velocity")
-
-
-def metric_tensor_field() -> ExtendedField:
-    """The metric itself as a rank (0, 2) extended field."""
-
-    def ev(chart, point):
-        return manifold.metric_at(chart, point.x)
-
-    def dx(chart, point):
-        return manifold.metric_partials_at(chart, point.x)
-
-    def dfib(chart, point):
-        return np.zeros((chart.dim, chart.dim, chart.dim))
-
-    return ExtendedField((0, 2), "v", ev, dx, dfib, name="metric")
 
 
 def momentum_kinetic_scalar(f=None, u=None) -> ExtendedField:

@@ -170,33 +170,37 @@ def _sup_norm(a: np.ndarray) -> float:
     return max(sizes) if total == total else math.nan
 
 
-def _determinant(rows: list[list[float]]) -> tuple[float, float]:
-    """Determinant of a 1 x 1 or 2 x 2 matrix of finite entries given as nested Python floats.
-
-    Returns the closed form a d - b c (a for a 1 x 1), about 15 times faster
-    than np.linalg.det on a 2 x 2, and a bound on its distance from
-    np.linalg.det's value, 1e-12 (|a d| + |b c|). numpy takes
-    sign * exp(log |det|) of its LU factors, so the two differ by a few
-    roundings of |a d| + |b c| plus a relative 1e-13 or so from log and exp;
-    the bound covers both with room to spare. A test against a tolerance
-    that lies within the bound has to ask np.linalg.det.
-    """
-    if len(rows) == 1:
-        (a,), = rows
-        return a, 1e-12 * abs(a)
-    (a, b), (c, d) = rows
-    ad, bc = a * d, b * c
-    return ad - bc, 1e-12 * (abs(ad) + abs(bc))
+# The one singularity rule, for the metric and the fiber Hessian alike: a
+# square matrix M is singular when |det(M / s)| <= _SINGULAR_DET, s = |M|_max.
+# det(c M) = c^n det M, so only the determinant of the normalised matrix
+# measures how near M is to singular, at any scale of M; and no entry of
+# M / s exceeds 1, so the determinant cannot overflow.
+_SINGULAR_DET = 1e-12
 
 
-def _cholesky_diagonal_product(rows: list[list[float]]) -> float | None:
-    """Product of the Cholesky diagonal of a symmetric matrix given as nested Python floats.
+def _singular(det: float) -> bool:
+    """The singularity rule on det(M / |M|_max), from _cholesky_det or _relative_det."""
+    return abs(det) <= _SINGULAR_DET
 
-    The determinant is its square. None when a pivot is not > 0, NaN
-    included: the matrix is not positive definite.
+
+def _symmetric_rows(rows: list[list[float]]) -> list[list[float]]:
+    """The symmetric part (M + M^T) / 2 of a square matrix given as nested Python floats; M itself when symmetric."""
+    if rows == list(map(list, zip(*rows))):
+        return rows
+    return [[0.5 * (a + b) for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+
+
+def _cholesky_det(rows: list[list[float]], scale: float) -> float | None:
+    """det(M / scale) of a symmetric M, scale = |M|_max, from a Cholesky factorisation in Python floats.
+
+    The determinant is the product of the squared diagonal entries of the
+    factor, each divided by scale. A pivot of M is at most its diagonal
+    entry, so each of these factors is at most 1 but for a rounding, and the
+    product cannot overflow. None when a pivot is not > 0, NaN included: M
+    is not positive definite.
     """
     factor = []
-    product = 1.0
+    det = 1.0
     for i, row in enumerate(rows):
         li = []
         for j, lj in enumerate(factor):
@@ -212,8 +216,24 @@ def _cholesky_diagonal_product(rows: list[list[float]]) -> float | None:
         d = math.sqrt(pivot)
         li.append(d)
         factor.append(li)
-        product *= d
-    return product
+        det *= d * d / scale
+    return det
+
+
+def _relative_det(a: np.ndarray, scale: float) -> float:
+    """det(A / scale) of a square A of finite entries, scale = |A|_max; 0.0 for a zero A.
+
+    The closed forms in Python floats for n <= 2, about 15 times faster than
+    np.linalg.det on a 2 x 2, and np.linalg.det(A / scale) for n >= 3.
+    """
+    if scale == 0.0:
+        return 0.0
+    if a.shape[0] == 1:
+        return a.item() / scale
+    if a.shape[0] == 2:
+        (p, q), (r, t) = a.tolist()
+        return (p / scale) * (t / scale) - (q / scale) * (r / scale)
+    return float(np.linalg.det(a / scale))
 
 
 def metric_at(chart: ManifoldChart, x) -> np.ndarray:
@@ -221,15 +241,16 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
 
     The checks, in order: x is in the domain; the metric has shape
     (dim, dim); its symmetric part g has no entry that is infinite or
-    overflows in (g + g^T) / 2, has a Cholesky factor, and has a
-    determinant above 1e-12 scale^dim, scale being its largest entry in
-    absolute value. A failed check raises SingularMetricError
-    (ChartDomainError for the domain), and an overflow NumericOverflowError.
-    g and its factorisation are formed over g.tolist() in Python floats,
-    for any dim, and a symmetric metric is its own g: numpy's per-call
-    overhead costs more than the arithmetic on a chart's small metrics, and
-    warns on an overflow. The factorisation refuses a NaN pivot, which
-    numpy.linalg.cholesky lets through.
+    overflows in (g + g^T) / 2, has a Cholesky factor, and is not singular
+    by the package's one rule: det(g / scale) above 1e-12, scale being its
+    largest entry in absolute value, so g and c g get the same decision
+    (the det in the message is this one). A failed check raises
+    SingularMetricError (ChartDomainError for the domain), and an overflow
+    NumericOverflowError. g and its factorisation are formed over
+    g.tolist() in Python floats, for any dim, and a symmetric metric is its
+    own g: numpy's per-call overhead costs more than the arithmetic on a
+    chart's small metrics, and warns on an overflow. The factorisation
+    refuses a NaN pivot, which numpy.linalg.cholesky lets through.
 
     The result is read-only: a repeated call at the same coordinates
     returns the chart's stored matrix without validating again.
@@ -246,25 +267,22 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
                 f"metric on {chart.name!r} returned shape {g.shape}, "
                 f"expected {(chart.dim, chart.dim)}"
             )
-        rows = g.tolist()
-        if rows != list(map(list, zip(*rows))):
-            rows = [[0.5 * (a + b) for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+        rows = _symmetric_rows(g.tolist())
         sizes = [abs(value) for row in rows for value in row]
-        if math.inf in sizes or max(sizes) >= 2.0**1023:  # a + a overflows from a = 2^1023
+        scale = max(sizes)
+        if math.inf in sizes or scale >= 2.0**1023:  # a + a overflows from a = 2^1023
             raise OverflowError
-        product = _cholesky_diagonal_product(rows)
-        if product is None:
-            raise SingularMetricError(
-                f"metric on {chart.name!r} at {x!r} is not positive definite"
-            )
-        tol = 1e-12 * max(sizes) ** chart.dim
-        det = product**2
     except OverflowError:
-        # math.exp in a conformal factor, an infinite entry, or a power in the determinant test.
+        # math.exp in a conformal factor, or an infinite entry.
         raise NumericOverflowError(
             f"metric on {chart.name!r} at {x!r} overflows the float range"
         ) from None
-    if det <= tol:
+    det = _cholesky_det(rows, scale)
+    if det is None:
+        raise SingularMetricError(
+            f"metric on {chart.name!r} at {x!r} is not positive definite"
+        )
+    if _singular(det):
         raise SingularMetricError(
             f"metric on {chart.name!r} at {x!r} is singular (det {det:.3e})"
         )
@@ -359,13 +377,9 @@ def raise_index(chart: ManifoldChart, x, covector) -> np.ndarray:
 def speed(chart: ManifoldChart, x, v) -> float:
     """Metric modulus |v| = sqrt(g_ij v^i v^j)."""
     v = np.asarray(v, dtype=float)
-    g = metric_at(chart, x)
-    sq = float(v @ g @ v)
+    sq = float(v @ metric_at(chart, x) @ v)
     if sq < 0.0:
-        floor = 1e-10 * max(1.0, float(np.max(np.abs(g))) * float(v @ v))
-        if sq < -floor:
-            raise NegativeNormError(f"squared norm {sq!r} is negative at {x!r}")
-        sq = 0.0
+        raise NegativeNormError(f"squared norm {sq!r} is negative at {x!r}")
     return math.sqrt(sq)
 
 

@@ -1,0 +1,99 @@
+"""Functions riemdyn exported but never called itself, kept here for the tests that use them.
+
+check_analytic_partials compares a field's analytic partials with finite
+differences; potential_scalar and metric_tensor_field are test fields;
+max_coordinate_distance compares two trajectories sampled at the same
+times; unparse prints an expression back to source. Each is as the
+package had it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import Sequence
+
+import numpy as np
+
+from riemdyn import expression, manifold
+from riemdyn.dynamics_newton import Trajectory
+from riemdyn.expression import ScalarExpr
+from riemdyn.extended_fields import ExtendedField, fiber_partials, x_partials
+from riemdyn.manifold import FD_TOLERANCE, ManifoldChart
+
+__all__ = [
+    "check_analytic_partials",
+    "potential_scalar",
+    "metric_tensor_field",
+    "max_coordinate_distance",
+    "unparse",
+]
+
+
+def check_analytic_partials(
+    chart: ManifoldChart,
+    field: ExtendedField,
+    points: Sequence,
+    tol: float = FD_TOLERANCE,
+) -> float:
+    """Worst disagreement between analytic partials and FD over the points.
+
+    Returns the max absolute difference; raises ValueError if it exceeds
+    tol. Fields without analytic hooks trivially pass with 0.0.
+    """
+    stripped = dataclasses.replace(field, x_partials_fn=None, fiber_partials_fn=None, jet_fn=None)
+    worst = 0.0
+    for point in points:
+        if field.x_partials_fn is not None:
+            diff = np.max(np.abs(x_partials(chart, field, point) - x_partials(chart, stripped, point)))
+            worst = max(worst, float(diff))
+        if field.fiber_partials_fn is not None:
+            diff = np.max(np.abs(fiber_partials(chart, field, point) - fiber_partials(chart, stripped, point)))
+            worst = max(worst, float(diff))
+    if worst > tol:
+        raise ValueError(
+            f"analytic partials of {field.name!r} disagree with FD by {worst:.3e}"
+        )
+    return worst
+
+
+def potential_scalar(u) -> ExtendedField:
+    """Scalar U(x) on the tangent bundle, constant along fibers."""
+    u_expr = expression.coordinate_expr(u) if isinstance(u, str) else u
+
+    def ev(chart, point):
+        return np.array(expression.evaluate(u_expr, point.x))
+
+    def dx(chart, point):
+        return np.array(expression.gradient(u_expr, point.x))
+
+    def dfib(chart, point):
+        return np.zeros(chart.dim)
+
+    return ExtendedField((0, 0), "v", ev, dx, dfib, name=f"U({u_expr.source})")
+
+
+def metric_tensor_field() -> ExtendedField:
+    """The metric itself as a rank (0, 2) extended field."""
+
+    def ev(chart, point):
+        return manifold.metric_at(chart, point.x)
+
+    def dx(chart, point):
+        return manifold.metric_partials_at(chart, point.x)
+
+    def dfib(chart, point):
+        return np.zeros((chart.dim, chart.dim, chart.dim))
+
+    return ExtendedField((0, 2), "v", ev, dx, dfib, name="metric")
+
+
+def max_coordinate_distance(a: Trajectory, b: Trajectory) -> float:
+    """Sup over shared samples of the max-norm coordinate gap."""
+    if len(a.ts) != len(b.ts) or not np.allclose(a.ts, b.ts, rtol=0, atol=1e-12):
+        raise ValueError("trajectories are sampled at different times")
+    return float(np.max(np.abs(a.xs - b.xs)))
+
+
+def unparse(expr: ScalarExpr) -> str:
+    """Render the tree back to source text that reparses identically."""
+    return expression._unparse(expr.root)

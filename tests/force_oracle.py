@@ -21,7 +21,7 @@ __all__ = ["force", "quadratic_mixed"]
 def force(chart, lagrangian, point):
     """F solving A F = grad L - (grad P) . v, as force_from_lagrangian computed it."""
     a = dynamics_lagrange.a_matrix(chart, lagrangian, point)
-    message = "fiber Hessian is singular (det {det:.3e}, tolerance {tol:.3e})"
+    message = "fiber Hessian is singular (det {det:.3e})"
     dynamics_lagrange._require_regular(a, message)
     grad_l = extended_fields.spatial_gradient(chart, lagrangian.field, point).data
     momentum = dynamics_lagrange.momentum_field(lagrangian)

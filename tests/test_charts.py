@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from riemdyn import manifold
 from riemdyn.errors import (
     ChartDomainError,
+    NegativeNormError,
     NonFiniteStateError,
     NumericOverflowError,
     SingularMetricError,
@@ -317,10 +318,12 @@ def test_a_non_finite_point_is_refused_as_not_finite():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_metric_that_overflows_is_refused_as_an_overflow():
     chart = builtin_chart("conformally_flat", f="-x1*300")
-    manifold.metric_at(chart, np.array([0.5, 0.0]))
-    # math.exp of the factor overflows at x1 = 1.5; the determinant test at x1 = 1;
+    # e^600 I at x1 = 1 is as regular as I: the determinant test reads g / |g|_max.
+    for x1 in (0.5, 1.0):
+        manifold.metric_at(chart, np.array([x1, 0.0]))
+    # math.exp of the factor overflows at x1 = 1.5;
     # at x1 = 1.1826 the entry e^709.56 = 1.5e308 is finite and twice it is not.
-    for x in (np.array([1.5, 0.0]), np.array([1.0, 0.0]), np.array([1.1826, 0.0])):
+    for x in (np.array([1.5, 0.0]), np.array([1.1826, 0.0])):
         with pytest.raises(NumericOverflowError, match="overflows the float range"):
             manifold.metric_at(chart, x)
 
@@ -352,6 +355,16 @@ def test_an_infinite_metric_entry_is_refused_as_an_overflow():
         assert manifold.metric_at(chart, np.array([0.1, y])).tobytes() == want.tobytes()
 
 
+def test_speed_refuses_any_negative_square(monkeypatch):
+    """A metric that metric_at accepts gives no negative square by rounding, so
+    speed clamps none to zero: even -2e-15 raises NegativeNormError."""
+    chart = builtin_chart("euclidean2")
+    monkeypatch.setattr(manifold, "metric_at", lambda chart, x: np.diag([1.0, -1.0]))
+    with pytest.raises(NegativeNormError, match="is negative"):
+        manifold.speed(chart, [0.0, 0.0], [1.0, 1.0 + 1e-15])
+    assert manifold.speed(chart, [0.0, 0.0], [1.0, 1.0]) == 0.0
+
+
 @pytest.mark.parametrize(
     "g", [[[2.0, 1.0], [0.5, 3.0]], [[1.0, 0.1, 1e-300], [0.3, 2.0, 0.0], [5e-324, 0.7, 4.0]]]
 )
@@ -373,14 +386,13 @@ def _nudged(value: float, ulps: int) -> float:
 
 
 def _near_tolerance(n: int, m: float, position: int, ulps: int) -> np.ndarray:
-    """diag(m, .., t, .., m) whose determinant is within a few ulps of 1e-12 m^n.
+    """diag(m, .., t, .., m) with t = 1e-12 m nudged by ulps, so det(g / m) is within a few ulps of 1e-12.
 
     On a diagonal metric both routes factor exactly alike: each pivot is
     the entry itself, and its square root is correctly rounded.
     """
-    tol = 1e-12 * m**n
     diagonal = [m] * n
-    diagonal[position] = _nudged(tol / m ** (n - 1), ulps)
+    diagonal[position] = _nudged(1e-12 * m, ulps)
     return np.diag(diagonal)
 
 
@@ -388,6 +400,8 @@ def _near_tolerance(n: int, m: float, position: int, ulps: int) -> np.ndarray:
 def symmetric_metrics(draw):
     """Symmetric (n, n) metrics, 1 <= n <= 4: SPD, indefinite, near the det
     tolerance, with a NaN or an infinite entry, and with entries above 1e154.
+    Such entries are refused only when twice one overflows, in the
+    symmetrisation: the determinant test reads g / |g|_max, which cannot overflow.
 
     An SPD metric is 10^k L L^T with a diagonal of L in [1, 10] and the
     rest in [-1, 1], so it is well conditioned: the two factorisations
@@ -400,7 +414,7 @@ def symmetric_metrics(draw):
     if kind == "tolerance":
         n = max(n, 2)
         m = draw(st.floats(1e-15, 1e15))
-        return _near_tolerance(n, m, draw(st.integers(0, n - 1)), draw(st.integers(-4, 4)))
+        return _near_tolerance(n, m, draw(st.integers(0, n - 1)), draw(st.integers(-8, 8)))
     unit = st.floats(-1.0, 1.0)
     lower = np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
     lower = np.tril(lower)
@@ -415,11 +429,11 @@ def symmetric_metrics(draw):
     if kind == "spd":
         return 10.0 ** draw(st.integers(-60, 60)) * spd
     if kind == "huge" and draw(st.booleans()):
-        return 10.0 ** draw(st.integers(155, 290)) * spd
+        return 10.0 ** draw(st.integers(155, 305)) * spd
     entry = {
         "nan": math.nan,
         "inf": draw(st.sampled_from([math.inf, -math.inf])),
-        "huge": draw(st.floats(1e154, 1e300)) * draw(st.sampled_from([1.0, -1.0])),
+        "huge": draw(st.floats(1e154, float(np.finfo(float).max))) * draw(st.sampled_from([1.0, -1.0])),
     }[kind]
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     spd[i, j] = spd[j, i] = entry
@@ -438,7 +452,7 @@ def test_metric_at_accepts_exactly_what_the_numpy_route_accepts(g):
         assert type(info.value) is type(exc)
         return
     assert _probe(g).tobytes() == g.tobytes()
-    det = manifold._cholesky_diagonal_product(g.tolist()) ** 2
+    det = manifold._cholesky_det(g.tolist(), float(abs(g).max()))
     assert det == pytest.approx(want, rel=1e-12)
 
 
@@ -446,7 +460,7 @@ def test_metric_at_accepts_exactly_what_the_numpy_route_accepts(g):
 @pytest.mark.parametrize("m", [1.0, 3.7e-5, 2.9e4])
 def test_the_det_tolerance_is_where_the_numpy_route_has_it(n, m):
     accepted = []
-    for ulps in range(-4, 5):
+    for ulps in range(-8, 9):
         g = _near_tolerance(n, m, n - 1, ulps)
         try:
             metric_oracle.metric_det(g)

@@ -86,12 +86,21 @@ def test_simulate_reports_leaving_the_chart(tmp_path, capsys):
 
 
 def test_simulate_reports_a_singular_system(tmp_path, capsys):
-    """A singular fiber Hessian mid-run ends the run; both files are written."""
+    """A singular fiber Hessian mid-run ends the run; both files are written.
+
+    Aimed at the origin, this fiberwise phi meets a singular A before the
+    metric of polar2d turns singular; the kinetic L, whose A is g, leaves
+    the chart instead."""
     out = tmp_path / "out"
     cfg = {
         "schema": 1,
         "chart": {"name": "polar2d"},
-        "system": {"kind": "lagrange", "family": "kinetic"},
+        "system": {
+            "kind": "lagrange",
+            "family": "fiberwise-phi",
+            "phi": "w^2/2 + w^4/10",
+            "C": "exp(-x1/4)",
+        },
         "integrator": {"method": "rk45", "dt": 1e-3, "t_span": [0.0, 2.0]},
         "initial": {"x": [0.6, 0.0], "v": [-1.0, 0.0]},
         "output": {"directory": str(out), "basename": "inward"},
@@ -100,6 +109,7 @@ def test_simulate_reports_a_singular_system(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads((out / "inward.json").read_text())
     assert report["status"] == "singular"
+    assert report["error"] == "fiber Hessian is singular (det 1.000e-12) during integration"
     assert report["t_final"] < 0.7
     rows = (out / "inward.csv").read_text().splitlines()
     assert len(rows) == report["samples"] + 1
@@ -158,7 +168,7 @@ def test_simulate_ends_an_overflowing_run_non_finite_without_a_warning(tmp_path)
 
 
 def _conformal_overflow_config(out_dir, x, t1, dt):
-    """A geodesic of e^(600 x1) times the flat metric, whose determinant overflows past x1 = 0.59."""
+    """A geodesic of e^(600 x1) times the flat metric, whose symmetrisation overflows past x1 = 1.1818."""
     return {
         "schema": 1,
         "chart": {"name": "conformally_flat", "f": "-x1*300"},
@@ -183,7 +193,6 @@ def _simulate_in_a_subprocess(tmp_path, cfg, **env):
     "x,t1,dt",
     [
         ([1.5, 0.0], 1.0, 0.01),  # math.exp of the conformal factor overflows
-        ([1.0, 0.0], 5.0, 0.01),  # the factor is finite, the determinant test overflows
     ],
 )
 def test_simulate_refuses_an_initial_point_whose_metric_overflows(tmp_path, x, t1, dt):
@@ -214,25 +223,26 @@ def test_simulate_refuses_an_infinite_metric_entry_without_a_warning(tmp_path, c
 
 
 def test_simulate_ends_a_run_whose_metric_overflows_non_finite(tmp_path):
-    # x1 = 0.58 + log(1 + 300 t)/300 reaches 0.591 near t = 0.1.
+    # x1 = 1.17 + log(1 + 300 t)/300 reaches 1.1818 near t = 0.11.
     out = tmp_path / "out"
     done = _simulate_in_a_subprocess(
-        tmp_path, _conformal_overflow_config(out, [0.58, 0.0], 1.0, 1e-3)
+        tmp_path, _conformal_overflow_config(out, [1.17, 0.0], 1.0, 1e-3)
     )
     assert done.returncode == 3
     assert "Traceback" not in done.stderr
     report = json.loads((out / "conformal.json").read_text())
     assert report["status"] == "non_finite"
-    assert report["error"].startswith("metric on 'conformally_flat2' at array([0.591")
+    assert report["error"].startswith("metric on 'conformally_flat2' at array([1.1818")
     assert report["error"].endswith("overflows the float range")
     assert f"error: {report['error']}" in done.stderr
-    assert 0.09 < report["t_final"] < 0.11
+    assert 0.11 < report["t_final"] < 0.12
     rows = (out / "conformal.csv").read_text().strip().split("\n")
     assert len(rows) == report["samples"] + 1
 
 
-def test_simulate_ends_a_run_whose_fiber_hessian_overflows_non_finite(tmp_path, capsys):
-    # A = e^(600 x1) I at x1 = 1: the determinant test squares an entry of 3.8e260.
+def test_simulate_ends_a_run_whose_fiber_hessian_underflows_singular(tmp_path, capsys):
+    # A = e^(600 x1) I is regular at x1 = 1, where its entries are 3.8e260; rk4 at
+    # dt 0.01 throws x1 to -6.8 at t = 0.04, where the factor underflows to A = 0.
     out = tmp_path / "out"
     cfg = _conformal_overflow_config(out, [1.0, 0.0], 1.0, 0.01)
     cfg["chart"] = {"name": "euclidean2"}
@@ -240,12 +250,11 @@ def test_simulate_ends_a_run_whose_fiber_hessian_overflows_non_finite(tmp_path, 
     assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
     report = json.loads((out / "conformal.json").read_text())
-    assert report["status"] == "non_finite"
-    assert report["error"] == (
-        "fiber Hessian entry 3.773e+260 overflows the float range in the determinant test"
-    )
+    assert report["status"] == "singular"
+    assert report["error"] == "fiber Hessian is singular (det 0.000e+00) during integration"
     assert f"error: {report['error']}" in err
-    assert report["samples"] == 1
+    assert report["t_final"] == pytest.approx(0.04)
+    assert report["samples"] == 5
 
 
 def _energy_overflow_config(out_dir, system, x, dt):
