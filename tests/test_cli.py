@@ -193,6 +193,7 @@ def _simulate_in_a_subprocess(tmp_path, cfg, **env):
     "x,t1,dt",
     [
         ([1.5, 0.0], 1.0, 0.01),  # math.exp of the conformal factor overflows
+        ([1.1826, 0.0], 5.0, 0.01),  # the factor is finite, g + g^T overflows
     ],
 )
 def test_simulate_refuses_an_initial_point_whose_metric_overflows(tmp_path, x, t1, dt):

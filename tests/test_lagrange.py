@@ -345,6 +345,19 @@ def test_require_regular_crosses_its_tolerance_once(n, m, sign):
     assert refused == sorted(refused) or refused == sorted(refused, reverse=True)
 
 
+@pytest.mark.parametrize("m", [1.0, 3.7e-5, 2.9e4])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_one_by_one_fiber_hessian_is_singular_only_at_zero(m, sign):
+    """det(A / |A|_max) of a 1 x 1 A is +-1 or 0, so the halvings of sign * m are
+    regular down to the least subnormal, and only the 0 they underflow to is refused."""
+    a = sign * m
+    while a != 0.0:
+        dl._require_regular(np.array([[a]]), "det {det}")
+        a *= 0.5
+    with pytest.raises(SingularAError, match="det 0.0"):
+        dl._require_regular(np.array([[a]]), "det {det}")
+
+
 def _numpy_route_det(a):
     """det(A / |A|_max) as np.linalg.det and numpy's max give it; 0.0 for a zero A."""
     scale = float(np.max(np.abs(a)))
