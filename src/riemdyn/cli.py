@@ -17,7 +17,8 @@ Subcommands:
   riemdyn verify --suite NAME [--chart C] [--seed N] [--report FILE]
       Run a named verification suite and print one line per check.
       Exit 0 when every check passes, 1 otherwise, 2 for unknown
-      suites or charts.
+      suites, for a chart that cannot be built and for a suite with no
+      scenario on the chart.
 
   riemdyn legendre -c config.json --direction forward|inverse
                    --state "x1,..,xn;f1,..,fn"
@@ -74,8 +75,6 @@ _EXIT_FAILED_CHECKS = 1
 _EXIT_CONFIG = 2
 _EXIT_INTEGRATION = 3
 _EXIT_LEGENDRE = 4
-
-_LAGRANGIAN_FAMILIES = ("kinetic", "kinetic-potential", "conformal-kinetic", "fiberwise-phi")
 
 
 def _load_config(path: str) -> dict:
@@ -153,26 +152,19 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
 def build_lagrangian(system: dict, pointer: str = "/system", *, dim: int | None = None):
     """The configured Lagrangian; dim, when given, bounds the coordinates its expressions use."""
     family = _require(system, "family", pointer, str)
-    if family not in _LAGRANGIAN_FAMILIES:
-        known = ", ".join(_LAGRANGIAN_FAMILIES)
+    if family not in dynamics_lagrange.FAMILIES:
+        known = ", ".join(dynamics_lagrange.FAMILIES)
         raise ConfigError(
             f"unknown family {family!r} (known: {known})", pointer=f"{pointer}/family"
         )
+    _, parsers = dynamics_lagrange.FAMILIES[family]
     try:
-        if family == "kinetic":
-            return dynamics_lagrange.kinetic_lagrangian()
-        if family == "kinetic-potential":
-            return dynamics_lagrange.kinetic_minus_potential(
-                _expression_param(system, "U", pointer, dim)
-            )
-        if family == "conformal-kinetic":
-            return dynamics_lagrange.conformal_kinetic_lagrangian(
-                _expression_param(system, "f", pointer, dim)
-            )
-        c_expr = _expression_param(system, "C", pointer, dim) if "C" in system else "1"
-        return dynamics_lagrange.fiberwise_phi_lagrangian(
-            _expression_param(system, "phi", pointer, dim, expression.profile_expr), c_expr
-        )
+        params = {
+            key: _expression_param(system, key, pointer, dim, parse)
+            for key, parse in parsers.items()
+            if key in system or key != "C"
+        }
+        return dynamics_lagrange.catalog_lagrangian(family, **params)
     except ValueError as exc:
         raise ConfigError(str(exc), pointer=pointer) from exc
 
@@ -385,6 +377,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.chart is not None:
+        try:
+            manifold.builtin_chart(args.chart)
+        except (RiemdynError, ValueError) as exc:
+            raise ConfigError(str(exc), pointer="--chart") from None
     try:
         report = verification.run_suite(args.suite, args.chart, args.seed)
     except ValueError as exc:

@@ -70,6 +70,7 @@ __all__ = [
     "conformal_kinetic_lagrangian",
     "fiberwise_phi_lagrangian",
     "catalog_lagrangian",
+    "FAMILIES",
     "momentum_field",
     "a_matrix",
     "regularity",
@@ -350,13 +351,13 @@ def kinetic_lagrangian() -> Lagrangian:
 
 def kinetic_minus_potential(u) -> Lagrangian:
     """L = (1/2)|v|^2 - U(x)."""
-    u_expr = expression.coordinate_expr(u) if isinstance(u, str) else u
+    u_expr = expression.coordinate_expr(u)
     return _quadratic_lagrangian("kinetic-potential", {"U": u_expr}, kinetic_profile(u_expr))
 
 
 def conformal_kinetic_lagrangian(f) -> Lagrangian:
     """L = (1/2) e^(-2 f(x)) g_ij v^i v^j."""
-    f_expr = expression.coordinate_expr(f) if isinstance(f, str) else f
+    f_expr = expression.coordinate_expr(f)
     profile = conformal_kinetic_profile(f_expr)
     return _quadratic_lagrangian("conformal-kinetic", {"f": f_expr}, profile)
 
@@ -368,8 +369,8 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     Value evaluation is defined everywhere, but derivative hooks raise
     ZeroVelocityError below the zero-velocity floor.
     """
-    phi_expr = expression.profile_expr(phi) if isinstance(phi, str) else phi
-    c_expr = expression.coordinate_expr(c) if isinstance(c, str) else c
+    phi_expr = expression.profile_expr(phi)
+    c_expr = expression.coordinate_expr(c)
     profile = phi_profile(phi_expr, c_expr)
 
     def ev(chart, point):
@@ -421,14 +422,22 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     )
 
 
+# Each catalog family's builder and the parser of each of its expression
+# parameters, in the builder's order; fiberwise-phi's C may be left out.
+FAMILIES = {
+    "kinetic": (kinetic_lagrangian, {}),
+    "kinetic-potential": (kinetic_minus_potential, {"U": expression.coordinate_expr}),
+    "conformal-kinetic": (conformal_kinetic_lagrangian, {"f": expression.coordinate_expr}),
+    "fiberwise-phi": (
+        fiberwise_phi_lagrangian,
+        {"phi": expression.profile_expr, "C": expression.coordinate_expr},
+    ),
+}
+
+
 def catalog_lagrangian(family: str, **params) -> Lagrangian:
-    """Build a catalog Lagrangian by family name."""
-    if family == "kinetic":
-        return kinetic_lagrangian()
-    if family == "kinetic-potential":
-        return kinetic_minus_potential(params["U"])
-    if family == "conformal-kinetic":
-        return conformal_kinetic_lagrangian(params["f"])
-    if family == "fiberwise-phi":
-        return fiberwise_phi_lagrangian(params["phi"], params.get("C", "1"))
-    raise ValueError(f"unknown Lagrangian family {family!r}")
+    """Build a catalog Lagrangian by family name from its FAMILIES expressions, sources or parsed."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown Lagrangian family {family!r}")
+    build, parsers = FAMILIES[family]
+    return build(*(params[key] for key in parsers if key in params))

@@ -145,7 +145,7 @@ def _nonzero(force: ForceField) -> ForceField | None:
 
 def force_from_potential(u) -> ForceField:
     """Covariant force F_k = -dU/dx^k from a potential expression."""
-    u_expr = expression.coordinate_expr(u) if isinstance(u, str) else u
+    u_expr = expression.coordinate_expr(u)
 
     def ev(chart, point):
         return -np.array(expression.gradient(u_expr, point.x))

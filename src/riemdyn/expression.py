@@ -289,8 +289,10 @@ def _expr(root: Node, source: str) -> ScalarExpr:
     return ScalarExpr(root=root, source=source, variables=tuple(sorted(seen)))
 
 
-def coordinate_expr(source: str, dim: int | None = None) -> ScalarExpr:
-    """Parse an expression restricted to coordinate variables x1..xn."""
+def coordinate_expr(source: str | ScalarExpr, dim: int | None = None) -> ScalarExpr:
+    """Parse an expression restricted to coordinate variables x1..xn; a ScalarExpr passes unchecked."""
+    if isinstance(source, ScalarExpr):
+        return source
     expr = parse(source)
     for name in expr.variables:
         m = re.fullmatch(r"x([1-9]\d*)", name)
@@ -309,8 +311,10 @@ def coordinate_expr(source: str, dim: int | None = None) -> ScalarExpr:
     return expr
 
 
-def profile_expr(source: str, dim: int | None = None) -> ScalarExpr:
-    """Parse an expression over x1..xn plus the fiber variable w."""
+def profile_expr(source: str | ScalarExpr, dim: int | None = None) -> ScalarExpr:
+    """Parse an expression over x1..xn plus the fiber variable w; a ScalarExpr passes unchecked."""
+    if isinstance(source, ScalarExpr):
+        return source
     expr = parse(source)
     for name in expr.variables:
         if name == "w":

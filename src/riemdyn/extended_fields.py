@@ -485,11 +485,6 @@ def chain_rule_check(
 # Field catalog used by checks and higher layers
 
 
-def _coordinate(source):
-    """A coordinate expression from source text; parsed expressions and None pass through."""
-    return expression.coordinate_expr(source) if isinstance(source, str) else source
-
-
 def _conformal_factor(f_expr, x, scale: float) -> float:
     """e^(scale f(x)), or 1.0 without f: e^(-2f) scales the quadratic Lagrangian, e^(2f) its H."""
     if f_expr is None:
@@ -525,7 +520,7 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
     expression code runs. The hooks and the jet share the product m y; the
     jet forms it once for all three.
     """
-    f_expr, u_expr = _coordinate(f), _coordinate(u)
+    f_expr, u_expr = (None if e is None else expression.coordinate_expr(e) for e in (f, u))
     sign = -1.0 if rep == "v" else 1.0
 
     def fiber_of(point):

@@ -525,7 +525,7 @@ def conformal_rescale(chart: ManifoldChart, f) -> ManifoldChart:
         Gamma~^k_ij = Gamma^k_ij - delta^k_i d_j f - delta^k_j d_i f
                       + g_ij g^kl d_l f
     """
-    f_expr = expression.coordinate_expr(f, dim=chart.dim) if isinstance(f, str) else f
+    f_expr = expression.coordinate_expr(f, dim=chart.dim)
 
     def factor(x):
         return math.exp(-2.0 * expression.evaluate(f_expr, x))
@@ -570,6 +570,8 @@ def conformal_rescale(chart: ManifoldChart, f) -> ManifoldChart:
 
 def conformally_flat(dim: int, f) -> ManifoldChart:
     """Chart on R^dim with metric e^(-2 f(x)) times the identity."""
+    if f is None:
+        raise ValueError("chart 'conformally_flat' needs the parameter 'f'")
     chart = conformal_rescale(euclidean(dim), f)
     return dataclasses.replace(
         chart,
@@ -584,7 +586,7 @@ _CHART_BUILDERS = {
     "sphere2d": lambda params: sphere2d(float(params.get("radius", 1.0))),
     "hyperbolic_half_plane": lambda params: hyperbolic_half_plane(),
     "conformally_flat": lambda params: conformally_flat(
-        int(params.get("dim", 2)), params["f"]
+        int(params.get("dim", 2)), params.get("f")
     ),
 }
 
@@ -594,7 +596,8 @@ def builtin_chart(name: str, **params) -> ManifoldChart:
 
     Accepts "euclidean" with a dim parameter and the sugar forms
     "euclidean2", "euclidean3", ... A "rescale_f" parameter wraps any
-    base chart in a conformal rescale by that expression.
+    base chart in a conformal rescale by that expression. An unknown name
+    raises ChartDomainError, and "conformally_flat" without "f" ValueError.
     """
     rescale_f = params.pop("rescale_f", None)
     m = re.fullmatch(r"euclidean(\d+)", name)

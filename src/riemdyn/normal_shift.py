@@ -117,15 +117,12 @@ class NormalShiftForce:
 
 def profile_from_expression(source) -> RadialProfile:
     """Profile from an expression (source or parsed) over x1..xn and w."""
-    return RadialProfile(expression.profile_expr(source) if isinstance(source, str) else source)
+    return RadialProfile(expression.profile_expr(source))
 
 
 def _composed(template: str, **parts) -> expression.ScalarExpr:
     """A fixed template with each named part replaced by a coordinate expression (source or parsed)."""
-    trees = {
-        name: expression.coordinate_expr(part) if isinstance(part, str) else part
-        for name, part in parts.items()
-    }
+    trees = {name: expression.coordinate_expr(part) for name, part in parts.items()}
     return expression.substitute(expression.parse(template), trees)
 
 
@@ -134,7 +131,7 @@ def phi_profile(phi, c) -> RadialProfile:
 
     phi is an expression in the variable "w"; c an expression in x1..xn.
     """
-    phi_expr = expression.profile_expr(phi) if isinstance(phi, str) else phi
+    phi_expr = expression.profile_expr(phi)
     if any(name != "w" for name in phi_expr.variables):
         raise ValueError("phi must be an expression in the single variable 'w'")
     return RadialProfile(expression.substitute(phi_expr, {"w": _composed("C*w", C=c)}))
@@ -278,7 +275,7 @@ def force_normal_shift(
 
 def force_conformal(chart: ManifoldChart, f, point: TangentPoint) -> np.ndarray:
     """Covariant conformal force F_r = -|v|^2 grad_r f + 2 (grad f . v) v_r."""
-    f_expr = expression.coordinate_expr(f) if isinstance(f, str) else f
+    f_expr = expression.coordinate_expr(f)
     x, v = point.x, point.v
     df = np.array(expression.gradient(f_expr, x))
     g = manifold.metric_at(chart, x)
@@ -304,7 +301,7 @@ def normal_shift_force_field(force: NormalShiftForce) -> ForceField:
 
 
 def conformal_force_field(f) -> ForceField:
-    f_expr = expression.coordinate_expr(f) if isinstance(f, str) else f
+    f_expr = expression.coordinate_expr(f)
     return ForceField(
         lambda chart, point: force_conformal(chart, f_expr, point),
         covariant=True,
@@ -352,7 +349,7 @@ def conformal_geodesic_check(
     time offset to the nearest geodesic sample in coordinates, catching
     trajectories that trace one path on different clocks.
     """
-    f_expr = expression.coordinate_expr(f, dim=chart.dim) if isinstance(f, str) else f
+    f_expr = expression.coordinate_expr(f, dim=chart.dim)
     traj_force = integrate(chart, conformal_force_field(f_expr), q0, config)
     rescaled = manifold.conformal_rescale(chart, f_expr)
     traj_geo = integrate(rescaled, geodesic_system(), q0, config)

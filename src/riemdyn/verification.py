@@ -14,11 +14,15 @@ caller all grade against the same numbers.
 
 Suites: identities, theorem81, chainrules, elcompare, threeway,
 projectors, conservation, legendre, cancellation, rk4order, all.
+
+Every cross-check of the three formulations goes through three_legs,
+which integrates one system three ways, and leg_gaps.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 
@@ -37,11 +41,15 @@ from .extended_fields import CotangentPoint, CurveSample, TangentPoint
 
 __all__ = [
     "SUITE_NAMES",
+    "Leg",
+    "NoScenarioError",
+    "leg_gaps",
     "run_suite",
     "sample_tangent_states",
     "sample_cotangent_states",
     "synthetic_curve_samples",
     "sphere_geodesic_oracle",
+    "three_legs",
 ]
 
 IDENTITY_TOL = 1e-6
@@ -221,14 +229,74 @@ def _system(family):
     return dynamics_lagrange.catalog_lagrangian(family, **_SYSTEMS[family])
 
 
+class NoScenarioError(ValueError):
+    """A suite has no scenario on the requested chart; run_suite("all") skips that suite."""
+
+
 def _scenarios_on(suite, scenarios, chart_name):
     """The scenarios whose second entry, the chart, is chart_name; all of them when it is None."""
     if chart_name is None:
         return scenarios
     kept = [s for s in scenarios if s[1] == chart_name]
     if not kept:
-        raise ValueError(f"suite {suite!r} has no scenario on chart {chart_name!r}")
+        raise NoScenarioError(f"suite {suite!r} has no scenario on chart {chart_name!r}")
     return kept
+
+
+# ---------------------------------------------------------------------------
+# The three-leg harness
+
+
+@dataclasses.dataclass(frozen=True)
+class Leg:
+    """A leg's trajectory with its velocity and energy per sample: dH/dp and H on the canonical leg."""
+
+    trajectory: dynamics_newton.Trajectory | dynamics_hamilton.CotangentTrajectory
+    vs: np.ndarray
+    energies: np.ndarray
+
+
+def three_legs(chart, lag, q0: TangentPoint, config: IntegratorConfig) -> dict[str, Leg]:
+    """The Newtonian, classical Lagrangian and canonical Hamiltonian legs of lag from q0.
+
+    The legs share q0 and config but derive their right-hand sides through
+    disjoint code paths. The tangent legs record energy_h.
+    """
+    ctx = dynamics_hamilton.LegendreContext(lag)
+    ham = dynamics_hamilton.hamiltonian_from_lagrangian(ctx)
+
+    def energy(c, q):
+        return dynamics_hamilton.energy_h(c, lag, q)
+
+    force = dynamics_lagrange.lagrangian_force_field(lag)
+    newton = dynamics_newton.integrate(chart, force, q0, config, energy_fn=energy)
+    lagrange = dynamics_lagrange.integrate_lagrangian(chart, lag, q0, config, energy_fn=energy)
+    p0 = dynamics_hamilton.legendre_forward(ctx, chart, q0)
+    hamilton = dynamics_hamilton.integrate_hamiltonian(chart, ham, p0, config)
+    vs_h = np.stack([ham.dp(chart, CotangentPoint(x, p)) for x, p in zip(hamilton.xs, hamilton.ps)])
+    return {
+        "newton": Leg(newton, newton.vs, newton.energies),
+        "lagrange": Leg(lagrange, lagrange.vs, lagrange.energies),
+        "hamilton": Leg(hamilton, vs_h, hamilton.h_values),
+    }
+
+
+def leg_gaps(legs: dict[str, Leg]) -> dict[str, float]:
+    """Sup of |dx| and |dv| for each pair of legs, keyed "a_vs_b"; inf where sample times differ."""
+    gaps = {}
+    for (name_a, a), (name_b, b) in itertools.combinations(legs.items(), 2):
+        gap = math.inf
+        if np.array_equal(a.trajectory.ts, b.trajectory.ts):
+            gap = max(
+                float(np.max(np.abs(a.trajectory.xs - b.trajectory.xs))),
+                float(np.max(np.abs(a.vs - b.vs))),
+            )
+        gaps[f"{name_a}_vs_{name_b}"] = gap
+    return gaps
+
+
+def _drift(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values - values[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -372,47 +440,17 @@ _THREEWAY_PAIRS = (
 def suite_threeway(chart_name=None, seed=0):
     """Newtonian, classical Lagrangian and canonical Hamiltonian motion.
 
-    The three integrations share the start state and stepper settings
-    but derive their right-hand sides through disjoint code paths; the
-    check is the pairwise sup distance over the recorded samples, with
-    Hamiltonian velocities read off dH/dp.
+    Each scenario runs three_legs; the check is leg_gaps, the pairwise sup
+    distance over the recorded samples, with Hamiltonian velocities read
+    off dH/dp.
     """
     checks = []
     config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
     for family, name in _scenarios_on("threeway", _THREEWAY_PAIRS, chart_name):
-        chart = manifold.builtin_chart(name)
-        lag = _system(family)
-        x0, v0 = _STARTS[name]
-        q0 = TangentPoint(x0, v0)
-        ctx = dynamics_hamilton.LegendreContext(lag)
-        ham = dynamics_hamilton.hamiltonian_from_lagrangian(ctx)
-
-        newton = dynamics_newton.integrate(
-            chart, dynamics_lagrange.lagrangian_force_field(lag), q0, config
-        )
-        lagrange = dynamics_lagrange.integrate_lagrangian(chart, lag, q0, config)
-        hamilton = dynamics_hamilton.integrate_hamiltonian(
-            chart, ham, dynamics_hamilton.legendre_forward(ctx, chart, q0), config
-        )
-        vs_h = np.stack(
-            [ham.dp(chart, CotangentPoint(x, p)) for x, p in zip(hamilton.xs, hamilton.ps)]
-        )
-        gaps = {
-            "newton_vs_lagrange": max(
-                float(np.max(np.abs(newton.xs - lagrange.xs))),
-                float(np.max(np.abs(newton.vs - lagrange.vs))),
-            ),
-            "newton_vs_hamilton": max(
-                float(np.max(np.abs(newton.xs - hamilton.xs))),
-                float(np.max(np.abs(newton.vs - vs_h))),
-            ),
-            "lagrange_vs_hamilton": max(
-                float(np.max(np.abs(lagrange.xs - hamilton.xs))),
-                float(np.max(np.abs(lagrange.vs - vs_h))),
-            ),
-        }
-        for leg, value in gaps.items():
-            checks.append(_check(f"{leg}[{family},{name}]", value, THREEWAY_TOL))
+        q0 = TangentPoint(*_STARTS[name])
+        legs = three_legs(manifold.builtin_chart(name), _system(family), q0, config)
+        for pair, gap in leg_gaps(legs).items():
+            checks.append(_check(f"{pair}[{family},{name}]", gap, THREEWAY_TOL))
     return _report("threeway", seed, checks)
 
 
@@ -455,7 +493,11 @@ def suite_projectors(chart_name=None, seed=0):
 
 
 def suite_conservation(chart_name=None, seed=0):
-    """Energy along every leg and speed along geodesics over unit time."""
+    """Energy along all three legs of three_legs, and speed along geodesics, over unit time.
+
+    The tangent legs carry energy_h and the canonical leg H; the speed is
+    the Newtonian leg's.
+    """
     runs = [
         ("kinetic", "sphere2d"),
         ("kinetic", "polar2d"),
@@ -467,35 +509,14 @@ def suite_conservation(chart_name=None, seed=0):
     checks = []
     config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=5)
     for family, name in _scenarios_on("conservation", runs, chart_name):
-        chart = manifold.builtin_chart(name)
-        lag = _system(family)
-        ctx = dynamics_hamilton.LegendreContext(lag)
-        ham = dynamics_hamilton.hamiltonian_from_lagrangian(ctx)
-        x0, v0 = _STARTS[name]
-        q0 = TangentPoint(x0, v0)
-
-        newton = dynamics_newton.integrate(
-            chart,
-            dynamics_lagrange.lagrangian_force_field(lag),
-            q0,
-            config,
-            energy_fn=lambda c, q, lag=lag: dynamics_hamilton.energy_h(c, lag, q),
-        )
-        drift = float(np.max(np.abs(newton.energies - newton.energies[0])))
-        checks.append(_check(f"energy_drift_newton[{family},{name}]", drift, ENERGY_DRIFT_TOL))
-        if family == "kinetic":
-            speed_drift = float(np.max(np.abs(newton.speeds - newton.speeds[0])))
-            checks.append(
-                _check(f"speed_drift_geodesic[{name}]", speed_drift, SPEED_DRIFT_TOL)
-            )
-
-        hamilton = dynamics_hamilton.integrate_hamiltonian(
-            chart, ham, dynamics_hamilton.legendre_forward(ctx, chart, q0), config
-        )
-        h_drift = float(np.max(np.abs(hamilton.h_values - hamilton.h_values[0])))
-        checks.append(
-            _check(f"energy_drift_hamilton[{family},{name}]", h_drift, ENERGY_DRIFT_TOL)
-        )
+        q0 = TangentPoint(*_STARTS[name])
+        legs = three_legs(manifold.builtin_chart(name), _system(family), q0, config)
+        for leg, run in legs.items():
+            drift = _drift(run.energies)
+            checks.append(_check(f"energy_drift_{leg}[{family},{name}]", drift, ENERGY_DRIFT_TOL))
+            if leg == "newton" and family == "kinetic":
+                speed_drift = _drift(run.trajectory.speeds)
+                checks.append(_check(f"speed_drift_geodesic[{name}]", speed_drift, SPEED_DRIFT_TOL))
     return _report("conservation", seed, checks)
 
 
@@ -539,13 +560,9 @@ def suite_legendre(chart_name=None, seed=0):
 def suite_cancellation(chart_name=None, seed=0):
     """Christoffel cancellation in the covariant momentum equation."""
     rng = np.random.default_rng(seed)
-    charts = ("polar2d", "sphere2d")
-    if chart_name is not None:
-        charts = (chart_name,)
     families = _systems("kinetic", "fiberwise-phi")
     checks = []
-    for name in charts:
-        chart = manifold.builtin_chart(name)
+    for name, chart in _charts_for(("polar2d", "sphere2d"), chart_name):
         states = sample_cotangent_states(chart, 50, rng, min_modulus=0.3)
         for family, lag in families:
             ctx = dynamics_hamilton.LegendreContext(lag)
@@ -563,7 +580,7 @@ def suite_cancellation(chart_name=None, seed=0):
 def suite_rk4order(chart_name=None, seed=0):
     """Observed RK4 convergence rate against the great-circle oracle."""
     if chart_name is not None and chart_name != "sphere2d":
-        raise ValueError("suite 'rk4order' runs on sphere2d only")
+        raise NoScenarioError("suite 'rk4order' runs on sphere2d only")
     chart = manifold.builtin_chart("sphere2d")
     q0 = TangentPoint(np.array([1.0, 0.3]), np.array([0.4, 1.1]))
     t_final = 1.5
@@ -606,15 +623,13 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
 def run_suite(name: str, chart_name: str | None = None, seed: int = 0) -> dict:
-    """Run one named suite (or "all") and return its report dict."""
+    """Run one named suite (or "all", which skips the suites that raise NoScenarioError)."""
     if name == "all":
         checks = []
-        for sub in _SUITES:
-            if sub == "rk4order" and chart_name not in (None, "sphere2d"):
-                continue
+        for sub, suite in _SUITES.items():
             try:
-                report = _SUITES[sub](chart_name, seed)
-            except ValueError:
+                report = suite(chart_name, seed)
+            except NoScenarioError:
                 continue
             for check in report["checks"]:
                 checks.append(dict(check, name=f"{sub}/{check['name']}"))

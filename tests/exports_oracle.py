@@ -2,9 +2,8 @@
 
 check_analytic_partials compares a field's analytic partials with finite
 differences; potential_scalar and metric_tensor_field are test fields;
-max_coordinate_distance compares two trajectories sampled at the same
-times; unparse prints an expression back to source. Each is as the
-package had it.
+unparse prints an expression back to source. Each is as the package had
+it.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from riemdyn import expression, manifold
-from riemdyn.dynamics_newton import Trajectory
 from riemdyn.expression import ScalarExpr
 from riemdyn.extended_fields import ExtendedField, fiber_partials, x_partials
 from riemdyn.manifold import FD_TOLERANCE, ManifoldChart
@@ -24,7 +22,6 @@ __all__ = [
     "check_analytic_partials",
     "potential_scalar",
     "metric_tensor_field",
-    "max_coordinate_distance",
     "unparse",
 ]
 
@@ -85,13 +82,6 @@ def metric_tensor_field() -> ExtendedField:
         return np.zeros((chart.dim, chart.dim, chart.dim))
 
     return ExtendedField((0, 2), "v", ev, dx, dfib, name="metric")
-
-
-def max_coordinate_distance(a: Trajectory, b: Trajectory) -> float:
-    """Sup over shared samples of the max-norm coordinate gap."""
-    if len(a.ts) != len(b.ts) or not np.allclose(a.ts, b.ts, rtol=0, atol=1e-12):
-        raise ValueError("trajectories are sampled at different times")
-    return float(np.max(np.abs(a.xs - b.xs)))
 
 
 def unparse(expr: ScalarExpr) -> str:

@@ -76,8 +76,9 @@ def test_criterion_05_projectors_and_closed_form_inverse(announce):
 
 
 def test_criterion_06_conserved_quantities(announce):
-    """Energy drift below 1e-6 per unit time on regular trajectories in
-    both velocity and momentum form; speed drift below 1e-8 on free
+    """Energy drift below 1e-6 per unit time on regular trajectories on
+    all three legs: energy_h on the Newtonian and classical Lagrangian
+    legs, H on the canonical leg; speed drift below 1e-8 on free
     geodesics."""
     _run(6, "conservation", announce)
 

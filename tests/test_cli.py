@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from riemdyn import cli
+from riemdyn import cli, verification
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -401,6 +401,10 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
         ),
         (lambda cfg: cfg["system"].update(kind="quantum"), "/system/kind"),
         (lambda cfg: cfg["chart"].update(name="torus9"), "/chart"),
+        (
+            lambda cfg: cfg["chart"].update(name="conformally_flat"),
+            "/chart: chart 'conformally_flat' needs the parameter 'f'",
+        ),
         (lambda cfg: cfg["initial"].update(x=[0.0, 0.0]), "/initial/x"),
         # e^(-2 f) underflows to 0 at x1 = 1.5, so the metric there is singular.
         (
@@ -460,9 +464,32 @@ def test_unknown_force_type(tmp_path, capsys):
     assert "/system/force/type" in capsys.readouterr().err
 
 
-def test_unknown_suite_is_a_usage_error(capsys):
-    assert cli.main(["verify", "--suite", "bogus"]) == 2
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--suite", "bogus"], "error: unknown suite 'bogus'"),
+        (["--suite", "identities", "--chart", "nosuch"], "at --chart: unknown chart 'nosuch'"),
+        (["--suite", "identities", "--chart", "conformally_flat"], "needs the parameter 'f'"),
+        (["--suite", "all", "--chart", "conformally_flat"], "needs the parameter 'f'"),
+    ],
+)
+def test_unknown_suites_and_charts_are_usage_errors(capsys, argv, message):
+    assert cli.main(["verify", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_all_skips_only_a_suite_without_a_scenario_on_the_chart(monkeypatch):
+    def raising(error):
+        def suite(chart_name, seed):
+            raise error
+
+        return suite
+
+    monkeypatch.setattr(verification, "_SUITES", {"none": raising(verification.NoScenarioError())})
+    assert verification.run_suite("all")["checks"] == []
+    monkeypatch.setattr(verification, "_SUITES", {"broken": raising(ValueError("a fault"))})
+    with pytest.raises(ValueError, match="a fault"):
+        verification.run_suite("all")
 
 
 def test_verify_suite_passes_and_writes_report(tmp_path, capsys):

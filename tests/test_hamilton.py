@@ -17,12 +17,7 @@ from riemdyn import extended_fields as ef
 from riemdyn.errors import NonConvergenceError, NumericOverflowError
 from riemdyn.extended_fields import CotangentPoint, TangentPoint
 
-_FAMILIES = [
-    ("kinetic", {}),
-    ("kinetic-potential", {"U": "sin(x1) + x2^2/2"}),
-    ("conformal-kinetic", {"f": "x1/2"}),
-    ("fiberwise-phi", {"phi": "w^2/2 + w^4/10", "C": "exp(-x1/4)"}),
-]
+_FAMILIES = list(verification._SYSTEMS.items())
 
 
 @pytest.mark.parametrize("family,params", _FAMILIES)

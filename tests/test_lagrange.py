@@ -10,7 +10,6 @@ import force_oracle
 import numpy as np
 import pytest
 
-from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
 from riemdyn import extended_fields, manifold, verification
@@ -21,7 +20,9 @@ from riemdyn.errors import (
     SingularMetricError,
     ZeroVelocityError,
 )
-from riemdyn.extended_fields import CotangentPoint, CurveSample, TangentPoint
+from riemdyn.extended_fields import CurveSample, TangentPoint
+
+_FAMILIES = list(verification._SYSTEMS.items())
 
 
 def test_conformal_force_flat_oracle():
@@ -134,30 +135,13 @@ def test_the_three_legs_agree_where_the_fiber_hessian_is_small():
     lag = dl.conformal_kinetic_lagrangian("x1*5")
     q0 = TangentPoint(np.array([1.5, 0.0]), np.array([0.3, 0.2]))
     config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
-    ctx = dh.LegendreContext(lag)
-    ham = dh.hamiltonian_from_lagrangian(ctx)
-    newton = dn.integrate(chart, dl.lagrangian_force_field(lag), q0, config)
-    lagrange = dl.integrate_lagrangian(chart, lag, q0, config)
-    hamilton = dh.integrate_hamiltonian(chart, ham, dh.legendre_forward(ctx, chart, q0), config)
-    assert [leg.status for leg in (newton, lagrange, hamilton)] == ["completed"] * 3
-    vs_h = np.stack(
-        [ham.dp(chart, CotangentPoint(x, p)) for x, p in zip(hamilton.xs, hamilton.ps)]
-    )
-    legs = [(newton.xs, newton.vs), (lagrange.xs, lagrange.vs), (hamilton.xs, vs_h)]
-    for i, j in [(0, 1), (0, 2), (1, 2)]:
-        gap = max(np.max(np.abs(legs[i][0] - legs[j][0])), np.max(np.abs(legs[i][1] - legs[j][1])))
-        assert gap <= verification.THREEWAY_TOL, (i, j, gap)
+    legs = verification.three_legs(chart, lag, q0, config)
+    assert [leg.trajectory.status for leg in legs.values()] == ["completed"] * 3
+    for pair, gap in verification.leg_gaps(legs).items():
+        assert gap <= verification.THREEWAY_TOL, (pair, gap)
 
 
-@pytest.mark.parametrize(
-    "family,params",
-    [
-        ("kinetic", {}),
-        ("kinetic-potential", {"U": "sin(x1) + x2^2/2"}),
-        ("conformal-kinetic", {"f": "x1/2"}),
-        ("fiberwise-phi", {"phi": "w^2/2 + w^4/10", "C": "exp(-x1/4)"}),
-    ],
-)
+@pytest.mark.parametrize("family,params", _FAMILIES)
 def test_finite_difference_fiber_hessian_matches_closed_form(family, params):
     """Both FD routes of a_matrix: central differences of dL/dv, and
     second differences of L once that hook is stripped too."""
@@ -258,17 +242,15 @@ def test_residuals_refuse_a_non_uniform_time_grid(residual):
     ],
 )
 def test_second_order_and_newtonian_routes_agree(family, params, chart_name):
-    """Plain-coordinate integration must match the covariant force route."""
+    """Plain-coordinate integration must match the covariant force route and the canonical one."""
     chart = manifold.builtin_chart(chart_name)
     lag = dl.catalog_lagrangian(family, **params)
     rng = np.random.default_rng(11)
     q0 = verification.sample_tangent_states(chart, 1, rng, min_speed=0.3)[0]
     config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 0.5), record_every=5)
-    direct = dl.integrate_lagrangian(chart, lag, q0, config)
-    reduced = dn.integrate(chart, dl.lagrangian_force_field(lag), q0, config)
-    assert direct.status == "completed"
-    assert reduced.status == "completed"
-    assert exports_oracle.max_coordinate_distance(direct, reduced) < 1e-9
+    legs = verification.three_legs(chart, lag, q0, config)
+    assert [leg.trajectory.status for leg in legs.values()] == ["completed"] * 3
+    assert max(verification.leg_gaps(legs).values()) < 1e-9
 
 
 def test_momentum_field_analytic_hooks():
@@ -277,12 +259,7 @@ def test_momentum_field_analytic_hooks():
     for chart_name in ["polar2d", "sphere2d"]:
         chart = manifold.builtin_chart(chart_name)
         points = verification.sample_tangent_states(chart, 8, rng, min_speed=0.3)
-        for family, params in [
-            ("kinetic", {}),
-            ("kinetic-potential", {"U": "sin(x1) + x2^2/2"}),
-            ("conformal-kinetic", {"f": "x1/2"}),
-            ("fiberwise-phi", {"phi": "w^2/2 + w^4/10", "C": "exp(-x1/4)"}),
-        ]:
+        for family, params in _FAMILIES:
             lag = dl.catalog_lagrangian(family, **params)
             worst = exports_oracle.check_analytic_partials(
                 chart, dl.momentum_field(lag), points, tol=1e-6
@@ -419,12 +396,7 @@ def test_a_non_finite_fiber_hessian_raises_numeric_overflow(a):
             dl._require_regular(np.array(a), "det {det}")
 
 
-_QUADRATIC = [
-    ("kinetic", {}),
-    ("kinetic-potential", {"U": "sin(x1) + x2^2/2"}),
-    ("conformal-kinetic", {"f": "x1/2"}),
-]
-_FIBERWISE = ("fiberwise-phi", {"phi": "w^2/2 + w^4/10", "C": "exp(-x1/4)"})
+_QUADRATIC = _FAMILIES[:3]
 
 
 @pytest.mark.parametrize("family,params", _QUADRATIC)
@@ -459,7 +431,7 @@ def test_the_quadratic_pass_equals_the_separate_hooks_bit_for_bit(
         assert got[2].tobytes() == mixed.tobytes()
 
 
-@pytest.mark.parametrize("family,params", _QUADRATIC + [_FIBERWISE])
+@pytest.mark.parametrize("family,params", _FAMILIES)
 @pytest.mark.parametrize(
     "chart_name", ["euclidean2", "polar2d", "sphere2d", "hyperbolic_half_plane"]
 )

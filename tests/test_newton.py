@@ -5,7 +5,6 @@ import math
 from collections import Counter
 
 import dp_oracle
-import exports_oracle
 import numpy as np
 import pytest
 import rhs_oracle
@@ -114,7 +113,8 @@ def test_leaving_the_chart_is_reported(method):
     the kinetic legs, whose fiber Hessian is the metric and is refused by
     the same rule, all end left_chart at one time; the fiberwise legs
     driven by the Lagrangian meet a singular fiber Hessian first and end
-    "singular", within 1e-4 of the canonical leg's left_chart.
+    "singular", within 1e-4 of the canonical leg's left_chart. Legs that
+    end at different times are an infinite gap apart, not an error.
     """
     chart = manifold.builtin_chart("polar2d")
     q0 = TangentPoint(np.array([0.6, 0.0]), np.array([-1.0, 0.0]))
@@ -128,21 +128,19 @@ def test_leaving_the_chart_is_reported(method):
         dl.kinetic_lagrangian(),
         dl.fiberwise_phi_lagrangian("w^2/2 + w^4/10", "exp(-x1/4)"),
     ):
-        ctx = dh.LegendreContext(lag)
-        ham = dh.hamiltonian_from_lagrangian(ctx)
-        legs = [
-            dn.integrate(chart, dl.lagrangian_force_field(lag), q0, config),
-            dl.integrate_lagrangian(chart, lag, q0, config),
-            dh.integrate_hamiltonian(chart, ham, dh.legendre_forward(ctx, chart, q0), config),
-        ]
+        three = verification.three_legs(chart, lag, q0, config)
+        legs = [leg.trajectory for leg in three.values()]
+        gaps = verification.leg_gaps(three)
         if method == "rk4" or lag.family == "kinetic":
             assert [leg.status for leg in legs] == ["left_chart"] * 3
             for leg in legs[1:]:
                 assert np.array_equal(leg.ts, legs[0].ts)
+            assert max(gaps.values()) <= verification.THREEWAY_TOL
         else:
             assert [leg.status for leg in legs] == ["singular", "singular", "left_chart"]
             ends = [leg.ts[-1] for leg in legs]
             assert max(ends) - min(ends) < 1e-4
+            assert gaps["newton_vs_hamilton"] == gaps["lagrange_vs_hamilton"] == math.inf
 
 
 def test_step_size_underflow():
@@ -387,17 +385,17 @@ def test_trajectory_csv_format(tmp_path):
     assert path2.read_text().splitlines()[0] == "t,x1,x2,v1,v2,speed"
 
 
-def test_max_coordinate_distance_guards_time_grids():
+def test_leg_gaps_are_infinite_between_different_time_grids():
     chart = manifold.builtin_chart("euclidean2")
     q0 = TangentPoint(np.zeros(2), np.array([1.0, 0.0]))
-    config = dn.IntegratorConfig(method="rk4", dt=0.1, t_span=(0.0, 0.5), record_every=1)
-    a = dn.integrate(chart, dn.geodesic_system(), q0, config)
-    b = dn.integrate(chart, dn.geodesic_system(), q0, config)
-    assert exports_oracle.max_coordinate_distance(a, b) == 0.0
-    shorter = dn.IntegratorConfig(method="rk4", dt=0.1, t_span=(0.0, 0.3), record_every=1)
-    c = dn.integrate(chart, dn.geodesic_system(), q0, shorter)
-    with pytest.raises(ValueError):
-        exports_oracle.max_coordinate_distance(a, c)
+
+    def leg(t1):
+        config = dn.IntegratorConfig(method="rk4", dt=0.1, t_span=(0.0, t1), record_every=1)
+        run = dn.integrate(chart, dn.geodesic_system(), q0, config)
+        return verification.Leg(run, run.vs, run.speeds)
+
+    gaps = verification.leg_gaps({"a": leg(0.5), "b": leg(0.5), "shorter": leg(0.3)})
+    assert gaps == {"a_vs_b": 0.0, "a_vs_shorter": math.inf, "b_vs_shorter": math.inf}
 
 
 def _bits(*arrays):

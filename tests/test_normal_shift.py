@@ -11,12 +11,7 @@ from riemdyn import extended_fields, manifold, normal_shift as ns, verification
 from riemdyn.errors import DegenerateWError, ZeroVelocityError
 from riemdyn.extended_fields import TangentPoint
 
-_FAMILIES = [
-    ("kinetic", {}),
-    ("kinetic-potential", {"U": "sin(x1) + x2^2/2"}),
-    ("conformal-kinetic", {"f": "x1/2"}),
-    ("fiberwise-phi", {"phi": "w^2/2 + w^4/10", "C": "exp(-x1/4)"}),
-]
+_FAMILIES = list(verification._SYSTEMS.items())
 
 
 @pytest.mark.parametrize("chart_name", ["euclidean2", "polar2d", "sphere2d"])
