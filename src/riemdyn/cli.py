@@ -385,6 +385,11 @@ def cmd_verify(args) -> int:
     try:
         report = verification.run_suite(args.suite, args.chart, args.seed)
     except ValueError as exc:
+        # Only an unknown suite and a suite without a scenario on the chart are usage errors.
+        if args.suite in verification.SUITE_NAMES and not isinstance(
+            exc, verification.NoScenarioError
+        ):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     for check in report["checks"]:

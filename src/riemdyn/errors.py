@@ -28,7 +28,8 @@ class NumericOverflowError(RiemdynError):
     """A value computed at a finite point overflows the float range.
 
     Raised for a metric, a conformal factor or a determinant test whose
-    Python float arithmetic overflowed.
+    Python float arithmetic overflowed, and for a conformal factor that
+    underflows to 0.
     """
 
 

@@ -16,8 +16,14 @@ transformation, with components that are always zero dropped and every
 domain check kept. partial_and_second_env returns a first and a second
 partial from one such function. The hyper-dual tree walker these
 functions replace lives on in tests/ as the oracle they are compared
-against, and a central finite-difference fallback for every derivative
-entry point is the independent cross-check.
+against.
+
+_central_differences and _second_differences are the package's one
+first- and one second-difference stencil, and the step rule lives beside
+them: h = eps^(1/3) max(1, |y|) for first and eps^(1/4) max(1, |y|) for
+second differences (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+section 8.1). Every finite-difference derivative in manifold and
+extended_fields goes through them.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import EvalDomainError, ParseError, UnboundVariableError
+import numpy as np
+
+from .errors import EvalDomainError, FDStepError, ParseError, UnboundVariableError
 
 __all__ = [
     "ScalarExpr",
@@ -43,8 +51,6 @@ __all__ = [
     "second_partial",
     "second_partial_env",
     "partial_and_second_env",
-    "partial_fd",
-    "second_partial_fd",
     "gradient",
     "FUNCTION_NAMES",
 ]
@@ -874,39 +880,42 @@ def gradient(expr: ScalarExpr, x, w: float | None = None, seed: str | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference fallbacks
+# Central differences
 
 
-def _fd_step(value: float, scale: float) -> float:
-    return scale * max(1.0, abs(value))
+def _central_differences(fn, y: np.ndarray, inside=None) -> np.ndarray:
+    """First central differences of fn along each axis of y, derivative axis last.
+
+    The step along axis q is eps^(1/3) max(1, |y^q|). With inside, both
+    points of each stencil must pass it, or FDStepError names the axis.
+    """
+    columns = []
+    for q in range(len(y)):
+        h = _FD_STEP_SCALE * max(1.0, abs(y[q]))
+        hi, lo = y.copy(), y.copy()
+        hi[q] += h
+        lo[q] -= h
+        if inside is not None and not (inside(hi) and inside(lo)):
+            raise FDStepError(f"central-difference stencil leaves the domain at {y!r}, axis {q}")
+        columns.append((fn(hi) - fn(lo)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
 
 
-def partial_fd(expr: ScalarExpr, x, q: int) -> float:
-    """Central-difference estimate of d/dx^q, for cross-checking."""
-    at = _shifted_value(expr, x, q, q)
-    h = _fd_step(float(x[q]), _FD_STEP_SCALE)
-    return (at(h, 0.0) - at(-h, 0.0)) / (2.0 * h)
+def _second_differences(fn, y: np.ndarray) -> np.ndarray:
+    """(n, n) second central differences of the scalar fn at y, step eps^(1/4) max(1, |y^q|)."""
+    n = len(y)
+    shifts = np.diag(_FD2_STEP_SCALE * np.maximum(1.0, np.abs(y)))
 
+    def val(shift):
+        return fn(y + shift)
 
-def second_partial_fd(expr: ScalarExpr, x, q: int, r: int) -> float:
-    """Central-difference estimate of d2/dx^q dx^r, for cross-checking."""
-    at = _shifted_value(expr, x, q, r)
-    hq = _fd_step(float(x[q]), _FD2_STEP_SCALE)
-    if q == r:
-        return (at(hq, 0.0) - 2.0 * at(0.0, 0.0) + at(-hq, 0.0)) / (hq * hq)
-    hr = _fd_step(float(x[r]), _FD2_STEP_SCALE)
-    return (at(hq, hr) - at(hq, -hr) - at(-hq, hr) + at(-hq, -hr)) / (4.0 * hq * hr)
-
-
-def _shifted_value(expr: ScalarExpr, x, q: int, r: int):
-    """The value at x with x^q and x^r moved by (dq, dr)."""
-    value = _code(expr)
-    xs = [float(val) for val in x]
-
-    def at(dq: float, dr: float) -> float:
-        shifted = list(xs)
-        shifted[q] += dq
-        shifted[r] += dr
-        return value(*_coord_args(expr, shifted))
-
-    return at
+    out = np.empty((n, n))
+    center = val(np.zeros(n))
+    for a, ea in enumerate(shifts):
+        out[a, a] = (val(ea) - 2.0 * center + val(-ea)) / (ea[a] ** 2)
+        for b in range(a + 1, n):
+            eb = shifts[b]
+            out[a, b] = out[b, a] = (
+                val(ea + eb) - val(ea - eb) - val(-ea + eb) + val(-ea - eb)
+            ) / (4.0 * ea[a] * eb[b])
+    return out

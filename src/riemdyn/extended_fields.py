@@ -27,6 +27,11 @@ takes the value and both partials from one jet when it needs the value
 evaluates only its two partials. The fiber correction is one matrix
 product and each index term one einsum, for any rank.
 
+A field without a hook gets its partials and its fiber Hessian from
+finite differences: x_partials, fiber_partials and fiber_hessian call
+expression._central_differences and expression._second_differences, and
+x_partials refuses a stencil that leaves the chart with FDStepError.
+
 Conventions: component axes are ordered upper-then-lower, every new
 derivative axis is appended last, and Christoffel arrays are indexed
 Gamma[k, i, j] = Gamma^k_ij.
@@ -42,13 +47,11 @@ import numpy as np
 
 from . import expression, manifold
 from .errors import (
-    FDStepError,
     InsufficientSamplesError,
     MissingAccelError,
     NumericOverflowError,
     RankMismatchError,
 )
-from .expression import _FD2_STEP_SCALE, _FD_STEP_SCALE
 from .manifold import ManifoldChart
 
 __all__ = [
@@ -209,40 +212,20 @@ def x_partials(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
     """dX/dx^q at fixed fiber components, derivative axis last."""
     if field.x_partials_fn is not None:
         return np.asarray(field.x_partials_fn(chart, point), dtype=float)
-    x = manifold.check_point(chart, point.x)
-    n = chart.dim
-    out = np.empty(_component_shape(field, n) + (n,))
-    for q in range(n):
-        h = _FD_STEP_SCALE * max(1.0, abs(x[q]))
-        hi, lo = x.copy(), x.copy()
-        hi[q] += h
-        lo[q] -= h
-        if not (manifold.in_domain(chart, hi) and manifold.in_domain(chart, lo)):
-            raise FDStepError(
-                f"x-partial stencil leaves chart {chart.name!r} at {x!r}, axis {q}"
-            )
-        f_hi = _eval_components(chart, field, _with_base(point, hi))
-        f_lo = _eval_components(chart, field, _with_base(point, lo))
-        out[..., q] = (f_hi - f_lo) / (2.0 * h)
-    return out
+    return expression._central_differences(
+        lambda y: _eval_components(chart, field, _with_base(point, y)),
+        manifold.check_point(chart, point.x),
+        lambda y: manifold.in_domain(chart, y),
+    )
 
 
 def fiber_partials(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
     """dX/dv^b (or dX/dp_b), derivative axis last."""
     if field.fiber_partials_fn is not None:
         return np.asarray(field.fiber_partials_fn(chart, point), dtype=float)
-    fiber = _fiber_of(field, point)
-    n = chart.dim
-    out = np.empty(_component_shape(field, n) + (n,))
-    for b in range(n):
-        h = _FD_STEP_SCALE * max(1.0, abs(fiber[b]))
-        hi, lo = fiber.copy(), fiber.copy()
-        hi[b] += h
-        lo[b] -= h
-        f_hi = _eval_components(chart, field, _with_fiber(point, hi))
-        f_lo = _eval_components(chart, field, _with_fiber(point, lo))
-        out[..., b] = (f_hi - f_lo) / (2.0 * h)
-    return out
+    return expression._central_differences(
+        lambda f: _eval_components(chart, field, _with_fiber(point, f)), _fiber_of(field, point)
+    )
 
 
 def jet(chart: ManifoldChart, field: ExtendedField, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,29 +251,18 @@ def jet(chart: ManifoldChart, field: ExtendedField, point) -> tuple[np.ndarray, 
 def fiber_hessian(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
     """Finite-difference fiber Hessian d2X/dv dv (or d2X/dp dp) of a scalar field.
 
-    Central differences of fiber_partials_fn when the field has one,
-    otherwise second differences of the value with step eps^(1/4).
+    First differences of fiber_partials_fn when the field has one,
+    otherwise second differences of the value.
     """
-    if field.fiber_partials_fn is not None:
-        gradient = ExtendedField((0, 1), field.rep, field.fiber_partials_fn, name=f"d{field.name}")
-        return fiber_partials(chart, gradient, point)
     fiber = _fiber_of(field, point)
-    n = chart.dim
-    shifts = np.diag(_FD2_STEP_SCALE * np.maximum(1.0, np.abs(fiber)))
-
-    def val(shift):
-        return float(field.eval_fn(chart, _with_fiber(point, fiber + shift)))
-
-    out = np.empty((n, n))
-    center = val(np.zeros(n))
-    for a, ea in enumerate(shifts):
-        out[a, a] = (val(ea) - 2.0 * center + val(-ea)) / (ea[a] ** 2)
-        for b in range(a + 1, n):
-            eb = shifts[b]
-            out[a, b] = out[b, a] = (
-                val(ea + eb) - val(ea - eb) - val(-ea + eb) + val(-ea - eb)
-            ) / (4.0 * ea[a] * eb[b])
-    return out
+    if field.fiber_partials_fn is not None:
+        return expression._central_differences(
+            lambda f: np.asarray(field.fiber_partials_fn(chart, _with_fiber(point, f)), dtype=float),
+            fiber,
+        )
+    return expression._second_differences(
+        lambda f: float(field.eval_fn(chart, _with_fiber(point, f))), fiber
+    )
 
 
 def _fiber_correction(
@@ -490,11 +462,16 @@ def _conformal_factor(f_expr, x, scale: float) -> float:
     if f_expr is None:
         return 1.0
     try:
-        return math.exp(scale * expression.evaluate(f_expr, x))
+        factor = math.exp(scale * expression.evaluate(f_expr, x))
     except OverflowError:
         raise NumericOverflowError(
             f"conformal factor e^({scale:g} f) at {x!r} overflows the float range"
         ) from None
+    if factor == 0.0:
+        raise NumericOverflowError(
+            f"conformal factor e^({scale:g} f) at {x!r} underflows the float range"
+        )
+    return factor
 
 
 def _scaled(f_expr, a, c):

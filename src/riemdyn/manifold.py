@@ -4,7 +4,8 @@ A ManifoldChart bundles a coordinate domain with callables producing the
 metric matrix g_ij(x), optionally its coordinate partials, and optionally
 the Christoffel symbols of the Levi-Civita connection. Anything not
 supplied analytically is reconstructed numerically: metric partials by
-central differences and Christoffel symbols from
+expression._central_differences, whose stencil must stay inside the
+chart's domain (FDStepError otherwise), and Christoffel symbols from
 
     Gamma^k_ij = (1/2) g^kl (d_i g_lj + d_j g_li - d_l g_ij).
 
@@ -42,10 +43,8 @@ from typing import Callable
 import numpy as np
 
 from . import expression
-from .expression import _FD_STEP_SCALE
 from .errors import (
     ChartDomainError,
-    FDStepError,
     NegativeNormError,
     NonFiniteStateError,
     NumericOverflowError,
@@ -315,22 +314,9 @@ def metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:
     x = _checked(chart, x)
     if chart.metric_partials_fn is not None:
         return np.asarray(chart.metric_partials_fn(x), dtype=float)
-    n = chart.dim
-    steps = _FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
-    dg = np.empty((n, n, n))
-    for q in range(n):
-        hi = x.copy()
-        lo = x.copy()
-        hi[q] += steps[q]
-        lo[q] -= steps[q]
-        if not (in_domain(chart, hi) and in_domain(chart, lo)):
-            raise FDStepError(
-                f"metric FD stencil leaves chart {chart.name!r} at {x!r}, axis {q}"
-            )
-        g_hi = np.asarray(chart.metric_fn(hi), dtype=float)
-        g_lo = np.asarray(chart.metric_fn(lo), dtype=float)
-        dg[:, :, q] = (g_hi - g_lo) / (2.0 * steps[q])
-    return dg
+    return expression._central_differences(
+        lambda y: np.asarray(chart.metric_fn(y), dtype=float), x, lambda y: in_domain(chart, y)
+    )
 
 
 def christoffel_at(chart: ManifoldChart, x) -> np.ndarray:

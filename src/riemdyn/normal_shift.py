@@ -344,30 +344,31 @@ def conformal_geodesic_check(
     """Integrate the conformal force on chart g and the geodesics of e^(-2f) g.
 
     Both runs start from the same (x, v) with the same stepper settings.
-    sup_distance is the worst per-time coordinate gap over the shared
-    samples; parameter_discrepancy reports, for each force sample, the
-    time offset to the nearest geodesic sample in coordinates, catching
-    trajectories that trace one path on different clocks.
+    sup_distance is the worst per-time coordinate gap; parameter_discrepancy
+    reports, for each force sample, the time offset to the nearest geodesic
+    sample in coordinates, catching trajectories that trace one path on
+    different clocks. Both are inf, and no sample is compared, when the two
+    runs' sample times differ (an adaptive step, or a run that stopped early).
     """
     f_expr = expression.coordinate_expr(f, dim=chart.dim)
     traj_force = integrate(chart, conformal_force_field(f_expr), q0, config)
     rescaled = manifold.conformal_rescale(chart, f_expr)
     traj_geo = integrate(rescaled, geodesic_system(), q0, config)
 
-    m = min(len(traj_force.ts), len(traj_geo.ts))
-    xf, xg = traj_force.xs[:m], traj_geo.xs[:m]
-    sup_distance = float(np.max(np.abs(xf - xg))) if m else math.inf
-
-    gaps = np.max(np.abs(xf[:, None, :] - xg[None, :, :]), axis=2)
-    nearest = np.argmin(gaps, axis=1)
-    parameter_discrepancy = float(
-        np.max(np.abs(traj_geo.ts[:m][nearest] - traj_force.ts[:m]))
-    ) if m else math.inf
+    sup_distance = parameter_discrepancy = math.inf
+    compared = 0
+    if np.array_equal(traj_force.ts, traj_geo.ts):
+        xf, xg = traj_force.xs, traj_geo.xs
+        sup_distance = float(np.max(np.abs(xf - xg)))
+        gaps = np.max(np.abs(xf[:, None, :] - xg[None, :, :]), axis=2)
+        nearest = np.argmin(gaps, axis=1)
+        parameter_discrepancy = float(np.max(np.abs(traj_geo.ts[nearest] - traj_force.ts)))
+        compared = len(traj_force.ts)
 
     return ConformalCheckReport(
         sup_distance=sup_distance,
         parameter_discrepancy=parameter_discrepancy,
         force_status=traj_force.status,
         geodesic_status=traj_geo.status,
-        samples_compared=m,
+        samples_compared=compared,
     )

@@ -241,9 +241,9 @@ def test_simulate_ends_a_run_whose_metric_overflows_non_finite(tmp_path):
     assert len(rows) == report["samples"] + 1
 
 
-def test_simulate_ends_a_run_whose_fiber_hessian_underflows_singular(tmp_path, capsys):
+def test_simulate_ends_a_run_whose_conformal_factor_underflows_non_finite(tmp_path, capsys):
     # A = e^(600 x1) I is regular at x1 = 1, where its entries are 3.8e260; rk4 at
-    # dt 0.01 throws x1 to -6.8 at t = 0.04, where the factor underflows to A = 0.
+    # dt 0.01 throws x1 to -6.8 at t = 0.04, where the factor underflows to 0.
     out = tmp_path / "out"
     cfg = _conformal_overflow_config(out, [1.0, 0.0], 1.0, 0.01)
     cfg["chart"] = {"name": "euclidean2"}
@@ -251,11 +251,16 @@ def test_simulate_ends_a_run_whose_fiber_hessian_underflows_singular(tmp_path, c
     assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
     report = json.loads((out / "conformal.json").read_text())
-    assert report["status"] == "singular"
-    assert report["error"] == "fiber Hessian is singular (det 0.000e+00) during integration"
+    assert report["status"] == "non_finite"
+    assert report["error_class"] == "NumericOverflowError"
+    assert report["error"].startswith("conformal factor e^(-2 f) at array([-6.83")
+    assert report["error"].endswith("underflows the float range")
     assert f"error: {report['error']}" in err
-    assert report["t_final"] == pytest.approx(0.04)
-    assert report["samples"] == 5
+    assert report["stop_time"] == pytest.approx(0.04)
+    assert report["samples"] == 4
+    rows = (out / "conformal.csv").read_text().strip().split("\n")
+    assert len(rows) == report["samples"] + 1
+    assert all(float(row.split(",")[-1]) > 0.0 for row in rows[1:])
 
 
 def _energy_overflow_config(out_dir, system, x, dt):
@@ -490,6 +495,15 @@ def test_all_skips_only_a_suite_without_a_scenario_on_the_chart(monkeypatch):
     monkeypatch.setattr(verification, "_SUITES", {"broken": raising(ValueError("a fault"))})
     with pytest.raises(ValueError, match="a fault"):
         verification.run_suite("all")
+
+
+def test_a_fault_inside_a_suite_is_not_a_usage_error(monkeypatch):
+    def suite(chart_name, seed):
+        raise ValueError("a fault inside the suite")
+
+    monkeypatch.setattr(verification, "_SUITES", {"identities": suite})
+    with pytest.raises(ValueError, match="a fault inside the suite"):
+        cli.main(["verify", "--suite", "identities"])
 
 
 def test_verify_suite_passes_and_writes_report(tmp_path, capsys):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from riemdyn import extended_fields as ef
-from riemdyn import dynamics_newton, manifold, verification
+from riemdyn import dynamics_newton, manifold, normal_shift, verification
 from riemdyn.errors import (
+    FDStepError,
     InsufficientSamplesError,
     MissingAccelError,
     RankMismatchError,
@@ -248,3 +249,14 @@ def test_gradient_contractions_match_the_tensordot_reference():
         p_term = np.einsum("...b,bq->...q", dfib, np.einsum("a,aqb->bq", fiber, gamma))
         assert np.allclose(ef._fiber_correction(gamma, fiber, dfib, "v"), v_term, rtol=0, atol=1e-13)
         assert np.allclose(ef._fiber_correction(gamma, fiber, dfib, "p"), p_term, rtol=0, atol=1e-13)
+
+
+def test_fd_stencils_that_leave_the_chart_raise_on_both_x_routes():
+    # At r = 1e-7 the first-difference step along r, eps^(1/3) = 6.1e-6, crosses r = 0.
+    polar = manifold.builtin_chart("polar2d")
+    x = np.array([1e-7, 0.3])
+    with pytest.raises(FDStepError, match="axis 0"):
+        manifold.metric_partials_at(manifold.strip_analytic(polar), x)
+    field = normal_shift.as_extended_field(normal_shift.kinetic_profile())
+    with pytest.raises(FDStepError, match="axis 0"):
+        ef.x_partials(polar, field, TangentPoint(x, np.array([0.4, 0.2])))

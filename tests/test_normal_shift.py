@@ -135,6 +135,19 @@ def test_conformal_flow_traces_rescaled_geodesics():
     assert report.parameter_discrepancy < 1e-6
 
 
+def test_conformal_check_compares_nothing_when_sample_times_differ():
+    # rk45 adapts each run's steps to its own right-hand side, so the two runs
+    # complete on different clocks and no sample pair shares a time.
+    chart = manifold.builtin_chart("sphere2d")
+    q0 = TangentPoint(np.array([1.0, 0.3]), np.array([0.3, 0.9]))
+    config = dn.IntegratorConfig(method="rk45", dt=1e-3, t_span=(0.0, 1.0), rtol=1e-9)
+    report = ns.conformal_geodesic_check(chart, "x1/2", q0, config)
+    assert report.both_completed
+    assert report.sup_distance == math.inf
+    assert report.parameter_discrepancy == math.inf
+    assert report.samples_compared == 0
+
+
 @pytest.mark.parametrize("family,params", _FAMILIES)
 def test_profile_x_partials_are_the_spatial_gradient(family, params):
     """For fiberwise symmetric scalars the fixed-modulus x partials equal
