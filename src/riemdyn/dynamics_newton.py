@@ -41,24 +41,26 @@ takes its diagnostics, which integrate_ode calls only for the states it
 records; in_domain is called once per accepted step and never on y0.
 
 integrate's right-hand side works on the flat state y = (x, v): it
-slices x and v out of y, writes dx and dv into one new array (rk4 keeps
-all four stages) and builds a TangentPoint only for a force that reads
+slices x and v out of y, returns one new array built from the Python
+floats of v and dv, and builds a TangentPoint only for a force that reads
 one. The zero force of geodesic_system is recognised once and never
 called: 0.0 - Gamma(v, v) has the bits of zeros - Gamma(v, v), signed
-zeros included. Gamma(v, v) stays an einsum, for any dimension: a matmul
-rounds differently, and a generic Python-float loop is slower.
-tests/rhs_oracle.py keeps the TangentPoint form it replaced.
+zeros included. Gamma(v, v) is one generic Python-float loop for any
+dimension, summed in np.einsum("kij,i,j->k")'s own order, so it has
+einsum's bits; a matmul, or any other grouping of the products, rounds
+differently. On a chart's small arrays numpy's per-call overhead costs
+more than the arithmetic. tests/rhs_oracle.py keeps the TangentPoint and
+einsum form it replaced.
 
-A Dormand-Prince step keeps its seven stages in one (7, m) array and
-forms each stage input, the 5th-order solution and the 4th-order
-estimate as one axis-0 reduction of coefficient column times stage
-rows. numpy reduces axis 0 row by row from +0, the order of a Python
-sum over the stages, so the results are bit-identical to summing the
-stages one at a time (tests/dp_oracle.py keeps that form as the
-oracle); a matrix product would round differently. There is no FSAL
-reuse: every attempt evaluates all seven stages, the first on the very
-state object that in_domain accepted, by which perfbench/spans.py
-counts attempted steps.
+A Dormand-Prince step forms each stage input, the 5th-order solution and
+the 4th-order estimate over tolist() in Python floats: per component, a
+sum starts at +0.0 and adds a_j * k_j stage by stage, and is then used
+in y + dt * s. That is the order of a Python sum over the stage arrays,
+so the results are bit-identical to tests/dp_oracle.py, the stage-by-stage
+form it keeps as the oracle; a matrix product would round differently.
+The error norm stays numpy. There is no FSAL reuse: every attempt
+evaluates all seven stages, the first on the very state object that
+in_domain accepted, by which perfbench/spans.py counts attempted steps.
 """
 
 from __future__ import annotations
@@ -168,20 +170,40 @@ def newtonian_rhs(
 
     dv/dt is _acceleration's, which integrate's right-hand side shares.
     """
-    return point.v.copy(), _acceleration(chart, _nonzero(force), point.x, point.v)
+    return point.v.copy(), np.array(_acceleration(chart, _nonzero(force), point.x, point.v))
 
 
-def _acceleration(chart, force, x, v, out=None) -> np.ndarray:
-    """dv/dt = F - Gamma(v, v) at (x, v), into out when given; force None is the zero force.
+def _acceleration(chart, force, x, v) -> list[float]:
+    """dv/dt = F - Gamma(v, v) at (x, v), as Python floats; force None is the zero force.
 
     Gamma is read first, so outside the chart its domain error comes before
     the force's errors, such as EvalDomainError. A Lagrangian force computes
     Gamma again, into the record its metric_at opens; validating x here
     instead made geodesic runs 1.05x to 1.3x slower.
     """
-    gamma = manifold.christoffel_at(chart, x)
-    f = 0.0 if force is None else force_vector(chart, force, TangentPoint(x, v))
-    return np.subtract(f, np.einsum("kij,i,j->k", gamma, v, v), out=out)
+    sums = _gamma_vv(manifold.christoffel_at(chart, x), v)
+    if force is None:
+        return [0.0 - s for s in sums]
+    f = force_vector(chart, force, TangentPoint(x, v)).tolist()
+    return [fk - s for fk, s in zip(f, sums, strict=True)]
+
+
+def _gamma_vv(gamma: np.ndarray, v: np.ndarray) -> list[float]:
+    """Gamma^k_ij v^i v^j for each k, with the bits of np.einsum("kij,i,j->k", gamma, v, v).
+
+    One loop for any dimension, in einsum's own order: for each k, s
+    starts at +0.0 and adds (Gamma[k, i, j] * v_i) * v_j over i, then j.
+    """
+    entries = iter(gamma.ravel().tolist())
+    vs = v.tolist()
+    sums = []
+    for _ in vs:
+        s = 0.0
+        for vi in vs:
+            for vj in vs:
+                s += next(entries) * vi * vj
+        sums.append(s)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -251,25 +273,18 @@ class Trajectory:
 
 # Dormand-Prince 5(4) tableau; the first error row is the 5th-order
 # propagated solution, the second the embedded 4th-order estimate.
-_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]  # Python floats: stage times skip numpy scalars
+_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
 _DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-# Column forms of the rows above: stage i weights the first i rows of
-# the (7, m) stage array and sums them down axis 0.
-_DP_A_COLS = [a[:, None] for a in _DP_A]
-_DP_B5_COL = _DP_B5[:, None]
-_DP_B4_COL = _DP_B4[:, None]
+_DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+_DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 
 
 def _rk4_step(f, t, y, dt):
@@ -281,14 +296,26 @@ def _rk4_step(f, t, y, dt):
 
 
 def _dp_step(f, t, y, dt):
-    reduce = np.add.reduce  # what a.sum(axis=0) calls, without its Python layer
-    ks = np.empty((7, y.size))
-    ks[0] = f(t, y)
+    ys = y.tolist()
+    ks = [f(t, y).tolist()]  # on y itself: the stop rule accepted this object
     for i in range(1, 7):
-        ks[i] = f(t + _DP_C[i] * dt, y + dt * reduce(_DP_A_COLS[i] * ks[:i], 0))
-    y5 = y + dt * reduce(_DP_B5_COL * ks, 0)
-    y4 = y + dt * reduce(_DP_B4_COL * ks, 0)
-    return y5, y5 - y4
+        row, yi = _DP_A[i], []
+        for yc, col in zip(ys, zip(*ks)):
+            s = 0.0
+            for a, kc in zip(row, col):
+                s += a * kc
+            yi.append(yc + dt * s)
+        ks.append(f(t + _DP_C[i] * dt, np.array(yi)).tolist())
+    y5, err = [], []
+    for yc, col in zip(ys, zip(*ks)):
+        s5 = s4 = 0.0
+        for b5, b4, kc in zip(_DP_B5, _DP_B4, col):
+            s5 += b5 * kc
+            s4 += b4 * kc
+        y5c = yc + dt * s5
+        y5.append(y5c)
+        err.append(y5c - (yc + dt * s4))
+    return np.array(y5), np.array(err)
 
 
 class RunStatus(str):
@@ -455,10 +482,7 @@ def _flat_rhs(chart: ManifoldChart, force: ForceField):
 
     def rhs(t, y):
         v = y[n:]
-        dy = np.empty(2 * n)
-        dy[:n] = v
-        _acceleration(chart, force, y[:n], v, out=dy[n:])
-        return dy
+        return np.array(v.tolist() + _acceleration(chart, force, y[:n], v))
 
     return rhs
 

@@ -95,7 +95,9 @@ class ManifoldChart:
     bytes, g, g^-1, Gamma], the last two None until first asked for, and
     returns that matrix again for the same coordinates without calling
     either. _last is not an init argument, so dataclasses.replace copies
-    start empty, and it takes no part in equality or repr.
+    start empty, and it takes no part in equality or repr. The record
+    keeps the array christoffel_fn returns, without a copy, and makes it
+    read-only: a hook must return a fresh array or one that nothing writes.
     """
 
     name: str
@@ -338,9 +340,9 @@ def christoffel_at(chart: ManifoldChart, x) -> np.ndarray:
 
 
 def _christoffel(chart: ManifoldChart, x: np.ndarray) -> np.ndarray:
-    """A new Christoffel array at a validated x: the chart's hook, else from g and dg."""
+    """The Christoffel array at a validated x: the hook's own array, else one from g and dg."""
     if chart.christoffel_fn is not None:
-        return np.array(chart.christoffel_fn(x), dtype=float)
+        return np.asarray(chart.christoffel_fn(x), dtype=float)
     dg = metric_partials_at(chart, x)
     ginv = inverse_metric_at(chart, x)
     # T[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij
@@ -386,8 +388,10 @@ def euclidean(dim: int) -> ManifoldChart:
     """Flat chart on R^dim with the identity metric."""
     if dim < 1:
         raise ValueError("dim must be positive")
+    # Every call shares these two arrays, so they are read-only.
     eye = np.eye(dim)
     zeros3 = np.zeros((dim, dim, dim))
+    eye.flags.writeable = zeros3.flags.writeable = False
     return ManifoldChart(
         name=f"euclidean{dim}",
         dim=dim,

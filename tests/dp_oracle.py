@@ -1,10 +1,11 @@
 """Reference Dormand-Prince step for riemdyn.dynamics_newton, kept as a test oracle.
 
-The package combines the seven stages of a step in array form, one axis-0
-reduction over a (7, m) stage array per combination. This is the step it
-replaced, unchanged: each combination is a Python ``sum`` over a generator
-of coefficient-times-stage products. The tests require the two to agree
-bit for bit.
+The package combines the seven stages of a step over tolist() in Python
+floats: per component, a sum that starts at +0.0 and adds a_j * k_j stage
+by stage. This is the array form it matches, unchanged: each combination
+is a Python ``sum`` over a generator of coefficient-times-stage array
+products, which adds in that same order. The tests require the two to
+agree bit for bit.
 """
 
 from __future__ import annotations

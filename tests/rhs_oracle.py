@@ -1,11 +1,13 @@
 """Reference Newtonian right-hand side for riemdyn.dynamics_newton, kept as a test oracle.
 
-integrate's right-hand side works on the flat state y = (x, v): it writes
-dx and dv into one new array, builds a TangentPoint only for a force that
-reads one, and never calls the zero force of geodesic_system. This is the
-composition it replaced, unchanged: a TangentPoint, the force through
-force_vector (the zero force included), the Christoffel contraction,
-v.copy() and np.concatenate. The tests require the two to agree bit for bit.
+integrate's right-hand side works on the flat state y = (x, v): it
+returns one new array built from the Python floats of v and dv, builds a
+TangentPoint only for a force that reads one, never calls the zero force
+of geodesic_system, and sums Gamma(v, v) in a Python-float loop in
+einsum's order. This is the composition it replaced, unchanged: a
+TangentPoint, the force through force_vector (the zero force included),
+the einsum contraction, v.copy() and np.concatenate. The tests require the
+two to agree bit for bit.
 """
 
 from __future__ import annotations

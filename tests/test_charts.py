@@ -186,6 +186,21 @@ def test_derived_charts_do_not_share_the_stored_metric():
     assert manifold.christoffel_at(chart, x) is gamma
 
 
+@pytest.mark.parametrize("name", ["euclidean2", "euclidean3"])
+def test_flat_chart_queries_return_read_only_arrays(name):
+    """A caller that writes into one query's array cannot change the chart's Gamma."""
+    chart = builtin_chart(name)
+    x = np.full(chart.dim, 0.4)
+    outside_record = [manifold.metric_partials_at(chart, x), manifold.christoffel_at(chart, x)]
+    manifold.metric_at(chart, x)
+    in_record = [manifold.metric_partials_at(chart, x), manifold.christoffel_at(chart, x)]
+    for array in outside_record + in_record:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 1.0
+    assert not manifold.christoffel_at(builtin_chart(name), x).any()
+
+
 def test_raise_lower_round_trip():
     chart = builtin_chart("polar2d")
     x = np.array([2.0, 0.5])

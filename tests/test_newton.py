@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import dp_oracle
 import numpy as np
 import pytest
 import rhs_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
@@ -412,6 +415,31 @@ def _geodesic_rhs(chart):
     return rhs
 
 
+def _same_floats(got, want):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    for a, b in zip(got, want, strict=True):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+            return False
+        if a[~np.isnan(a)].tobytes() != b[~np.isnan(b)].tobytes():
+            return False
+    return True
+
+
+def _dp_outcome(step, rhs, t, y, dt):
+    """(step's (y5, y5 - y4) or the class of the error it raised, the bits of each stage's t and y)."""
+    stages = []
+
+    def recorded(t, y):
+        stages.append(_bits([t], y))
+        return rhs(t, y)
+
+    try:
+        return step(recorded, t, y, dt), stages
+    except Exception as exc:  # the class is what the comparison needs
+        return type(exc), stages
+
+
 def test_dp_step_matches_the_generator_sum_oracle_on_the_sphere():
     chart = manifold.builtin_chart("sphere2d")
     rhs = _geodesic_rhs(chart)
@@ -448,13 +476,125 @@ def test_dp_step_matches_the_oracle_on_the_blow_up_system():
 
 
 def test_dp_step_keeps_the_oracle_sign_of_zero():
-    # Python's sum starts from +0, so a sum of -0.0 terms is +0.0; so is an
-    # axis-0 reduction, and -0.0 + dt * 0.0 then gives +0.0 in both.
+    # Python's sum starts from +0, so a sum of -0.0 terms is +0.0; so is a
+    # Python-float stage sum, and -0.0 + dt * 0.0 then gives +0.0 in both,
+    # in every stage's input as in the result.
     def rhs(t, y):
         return y * 0.0
 
     y = np.array([-0.0, 0.0, -1.0])
-    assert _bits(*dn._dp_step(rhs, 0.0, y, 0.1)) == _bits(*dp_oracle.dp_step(rhs, 0.0, y, 0.1))
+    got, got_stages = _dp_outcome(dn._dp_step, rhs, 0.0, y, 0.1)
+    want, want_stages = _dp_outcome(dp_oracle.dp_step, rhs, 0.0, y, 0.1)
+    assert got_stages == want_stages and len(got_stages) == 7
+    assert _bits(*got) == _bits(*want)
+
+
+@pytest.mark.parametrize(
+    "chart_params, force",
+    [
+        ({"name": "euclidean3"}, dn.geodesic_system),
+        ({"name": "conformally_flat", "dim": 3, "f": "x1/3 + x2*x3/5"}, dn.geodesic_system),
+        ({"name": "euclidean3"}, lambda: dn.force_from_potential("sin(x1) + x2^2/2 + x3^2/3")),
+    ],
+    ids=["euclidean3-geodesic", "conformally_flat3-geodesic", "euclidean3-potential"],
+)
+def test_dp_step_matches_the_oracle_on_six_component_states(chart_params, force):
+    chart = manifold.builtin_chart(**chart_params)
+    rhs = dn._flat_rhs(chart, force())
+    rng = np.random.default_rng(31337)
+    lo, hi = chart.sample_box[:, 0], chart.sample_box[:, 1]
+    compared = 0
+    for _ in range(300):
+        y = np.concatenate([rng.uniform(lo, hi), rng.normal(scale=2.0, size=3)])
+        t = float(rng.uniform(0.0, 50.0))
+        dt = float(10.0 ** rng.uniform(-5.0, 0.0))
+        with np.errstate(all="ignore"):
+            want, want_stages = _dp_outcome(dp_oracle.dp_step, rhs, t, y, dt)
+        got, got_stages = _dp_outcome(dn._dp_step, rhs, t, y, dt)
+        assert got_stages == want_stages
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert _bits(*got) == _bits(*want)
+        compared += 1
+    assert compared >= 250
+
+
+@pytest.mark.parametrize("stage", range(1, 7))
+def test_dp_step_carries_a_later_stage_inf_and_nan_as_the_oracle_does(stage):
+    """A stage that returns +-inf or NaN reaches y5 and the error estimate as in array form.
+
+    The stage after it reads those values in its input; the zero weights
+    of the tableau turn an infinite stage into NaN. The Python-float sums
+    raise no warning where the oracle's arrays do.
+    """
+    bad = np.array([math.inf, -math.inf, math.nan, 1e308, -0.0, 5e-324])
+
+    def rhs_with_bad_stage():
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return bad.copy() if len(calls) == stage + 1 else 0.5 * y + t
+
+        return rhs
+
+    y = np.array([0.3, -0.2, 0.1, 0.7, 0.4, -0.5])
+    with np.errstate(all="ignore"):
+        want = dp_oracle.dp_step(rhs_with_bad_stage(), 1.0, y, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dn._dp_step(rhs_with_bad_stage(), 1.0, y, 0.1)
+    assert not all(np.isfinite(got[0])) and np.isnan(got[1]).any()
+    assert _same_floats(got, want)
+
+
+# Gamma entries and velocities: finite, special (signed zeros, infinities,
+# NaN, subnormals, values whose products overflow) and any double at all.
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e308, -1.7e308]
+_CONTRACTION_FLOATS = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from(_SPECIAL_FLOATS), st.floats()
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(_CONTRACTION_FLOATS, min_size=n**3, max_size=n**3),
+            st.lists(_CONTRACTION_FLOATS, min_size=n, max_size=n),
+        )
+    )
+)
+def test_gamma_vv_has_the_bits_of_einsum_on_any_entries(drawn):
+    entries, v = drawn
+    n = len(v)
+    gamma, v = np.array(entries).reshape(n, n, n), np.array(v)
+    with np.errstate(all="ignore"):
+        want = np.einsum("kij,i,j->k", gamma, v, v)
+    assert _same_floats([dn._gamma_vv(gamma, v)], [want])
+
+
+def test_gamma_vv_has_the_bits_of_einsum_on_dense_gamma():
+    """Dense random Gamma for dim 1 to 4, where another summation order shows.
+
+    The grouping Gamma[k, i, j] * (v_i * v_j) gives other bits on many of
+    these draws, so a numpy whose einsum changed its order fails here.
+    """
+    rng = np.random.default_rng(2024)
+    regrouped = 0
+    for n in range(1, 5):
+        for _ in range(250):
+            gamma = rng.normal(size=(n, n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, n, n))
+            v = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+            want = np.einsum("kij,i,j->k", gamma, v, v)
+            assert _bits(dn._gamma_vv(gamma, v)) == _bits(want)
+            other = [
+                sum(gamma[k, i, j] * (v[i] * v[j]) for i in range(n) for j in range(n))
+                for k in range(n)
+            ]
+            regrouped += _bits(other) != _bits(want)
+    assert regrouped >= 200
 
 
 def test_rk45_trajectory_is_bitwise_that_of_the_oracle_step(monkeypatch):
