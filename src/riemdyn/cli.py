@@ -157,7 +157,7 @@ def build_lagrangian(system: dict, pointer: str = "/system", *, dim: int | None 
         raise ConfigError(
             f"unknown family {family!r} (known: {known})", pointer=f"{pointer}/family"
         )
-    _, parsers = dynamics_lagrange.FAMILIES[family]
+    _, parsers, _ = dynamics_lagrange.FAMILIES[family]
     try:
         params = {
             key: _expression_param(system, key, pointer, dim, parse)

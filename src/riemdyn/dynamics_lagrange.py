@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import expression, extended_fields, manifold
+from . import dynamics_newton, expression, extended_fields, manifold, normal_shift
 from .dynamics_newton import (
     ForceField,
     IntegratorConfig,
@@ -211,6 +211,8 @@ def force_from_lagrangian(
     field; the resulting Newtonian system reproduces the Euler-Lagrange
     motion of the Lagrangian. dL/dx, P, M and A come from one _el_terms
     pass, and Gamma is read once for spatial_gradient's fiber and index terms.
+    Nothing in riemdyn calls it; it stays public for the Newtonian leg of
+    perfbench/workloads.py's threeway_sphere workload.
     """
     dldx, p, mixed, a = _el_terms(chart, lagrangian, point)
     _require_regular(a, "fiber Hessian is singular (det {det:.3e})")
@@ -221,7 +223,7 @@ def force_from_lagrangian(
 
 
 def lagrangian_force_field(lagrangian: Lagrangian) -> ForceField:
-    """The extracted force as a plain (upper index) force field."""
+    """The extracted force as a plain (upper index) force field; public only for perfbench."""
     return ForceField(
         lambda chart, point: force_from_lagrangian(chart, lagrangian, point),
         covariant=False,
@@ -422,15 +424,25 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     )
 
 
-# Each catalog family's builder and the parser of each of its expression
-# parameters, in the builder's order; fiberwise-phi's C may be left out.
+# Each catalog family's builder, the parser of each of its expression
+# parameters in the builder's order (fiberwise-phi's C may be left out), and
+# the family's own Newtonian force, built from a Lagrangian of the family.
 FAMILIES = {
-    "kinetic": (kinetic_lagrangian, {}),
-    "kinetic-potential": (kinetic_minus_potential, {"U": expression.coordinate_expr}),
-    "conformal-kinetic": (conformal_kinetic_lagrangian, {"f": expression.coordinate_expr}),
+    "kinetic": (kinetic_lagrangian, {}, lambda lag: dynamics_newton.geodesic_system()),
+    "kinetic-potential": (
+        kinetic_minus_potential,
+        {"U": expression.coordinate_expr},
+        lambda lag: dynamics_newton.force_from_potential(lag.params["U"]),
+    ),
+    "conformal-kinetic": (
+        conformal_kinetic_lagrangian,
+        {"f": expression.coordinate_expr},
+        lambda lag: normal_shift.conformal_force_field(lag.params["f"]),
+    ),
     "fiberwise-phi": (
         fiberwise_phi_lagrangian,
         {"phi": expression.profile_expr, "C": expression.coordinate_expr},
+        lambda lag: normal_shift.spherical_force_field(lag.profile),
     ),
 }
 
@@ -439,5 +451,5 @@ def catalog_lagrangian(family: str, **params) -> Lagrangian:
     """Build a catalog Lagrangian by family name from its FAMILIES expressions, sources or parsed."""
     if family not in FAMILIES:
         raise ValueError(f"unknown Lagrangian family {family!r}")
-    build, parsers = FAMILIES[family]
+    build, parsers, _ = FAMILIES[family]
     return build(*(params[key] for key in parsers if key in params))

@@ -177,7 +177,8 @@ def _acceleration(chart, force, x, v) -> list[float]:
     """dv/dt = F - Gamma(v, v) at (x, v), as Python floats; force None is the zero force.
 
     Gamma is read first, so outside the chart its domain error comes before
-    the force's errors, such as EvalDomainError. A Lagrangian force computes
+    the force's errors, such as EvalDomainError. The force extracted from a
+    Lagrangian, which only perfbench's threeway_sphere integrates, computes
     Gamma again, into the record its metric_at opens; validating x here
     instead made geodesic runs 1.05x to 1.3x slower.
     """

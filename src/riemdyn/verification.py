@@ -16,7 +16,10 @@ Suites: identities, theorem81, chainrules, elcompare, threeway,
 projectors, conservation, legendre, cancellation, rk4order, all.
 
 Every cross-check of the three formulations goes through three_legs,
-which integrates one system three ways, and leg_gaps.
+which integrates one system three ways, the Newtonian leg with the
+family's own force, and leg_gaps. elcompare, threeway and conservation
+run one scenario list, _EL_PAIRS; a check computed from a run that did
+not complete reads inf.
 """
 
 from __future__ import annotations
@@ -87,6 +90,11 @@ def _check(name: str, value: float, tolerance: float, target: float = 0.0) -> di
     if target != 0.0:
         entry["target"] = float(target)
     return entry
+
+
+def _completed(value: float, *statuses: str) -> float:
+    """value when every run's status is "completed", else inf."""
+    return value if all(status == "completed" for status in statuses) else math.inf
 
 
 def _report(suite: str, seed: int, checks: list[dict]) -> dict:
@@ -260,15 +268,20 @@ def three_legs(chart, lag, q0: TangentPoint, config: IntegratorConfig) -> dict[s
     """The Newtonian, classical Lagrangian and canonical Hamiltonian legs of lag from q0.
 
     The legs share q0 and config but derive their right-hand sides through
-    disjoint code paths. The tangent legs record energy_h.
+    disjoint code paths. The Newtonian leg integrates F - Gamma(v, v) with
+    the family's own force from dynamics_lagrange.FAMILIES; the classical
+    leg never reads Gamma. The tangent legs record energy_h. A Lagrangian
+    whose family has no FAMILIES row has no Newtonian force: ValueError.
     """
+    if lag.family not in dynamics_lagrange.FAMILIES:
+        raise ValueError(f"family {lag.family!r} has no Newtonian force in FAMILIES")
+    force = dynamics_lagrange.FAMILIES[lag.family][2](lag)
     ctx = dynamics_hamilton.LegendreContext(lag)
     ham = dynamics_hamilton.hamiltonian_from_lagrangian(ctx)
 
     def energy(c, q):
         return dynamics_hamilton.energy_h(c, lag, q)
 
-    force = dynamics_lagrange.lagrangian_force_field(lag)
     newton = dynamics_newton.integrate(chart, force, q0, config, energy_fn=energy)
     lagrange = dynamics_lagrange.integrate_lagrangian(chart, lag, q0, config, energy_fn=energy)
     p0 = dynamics_hamilton.legendre_forward(ctx, chart, q0)
@@ -345,19 +358,13 @@ def suite_theorem81(chart_name=None, seed=0):
         checks.append(_check(f"shift_equals_conformal_force[{name}]", worst, FORCE_MATCH_TOL))
 
         config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
-        outcome = normal_shift.conformal_geodesic_check(
-            chart, f, TangentPoint(x0, v0), config
-        )
-        checks.append(
-            _check(f"conformal_flow_vs_rescaled_geodesic[{name}]", outcome.sup_distance, sup_tol)
-        )
-        checks.append(
-            _check(
-                f"conformal_flow_parameter_discrepancy[{name}]",
-                outcome.parameter_discrepancy,
-                sup_tol,
-            )
-        )
+        outcome = normal_shift.conformal_geodesic_check(chart, f, TangentPoint(x0, v0), config)
+        statuses = outcome.force_status, outcome.geodesic_status
+        for check, value in (
+            ("conformal_flow_vs_rescaled_geodesic", outcome.sup_distance),
+            ("conformal_flow_parameter_discrepancy", outcome.parameter_discrepancy),
+        ):
+            checks.append(_check(f"{check}[{name}]", _completed(value, *statuses), sup_tol))
     return _report("theorem81", seed, checks)
 
 
@@ -382,6 +389,7 @@ def suite_chainrules(chart_name=None, seed=0):
     return _report("chainrules", seed, checks)
 
 
+# The (family, chart) scenarios of elcompare, threeway and conservation.
 _EL_PAIRS = (
     ("kinetic", "polar2d"),
     ("kinetic", "sphere2d"),
@@ -407,49 +415,33 @@ def suite_elcompare(chart_name=None, seed=0):
     for family, name in _scenarios_on("elcompare", _EL_PAIRS, chart_name):
         chart = manifold.builtin_chart(name)
         lag = _system(family)
-        x0, v0 = _STARTS[name]
-        trajectory = dynamics_lagrange.integrate_lagrangian(chart, lag, TangentPoint(x0, v0), config)
+        q0 = TangentPoint(*_STARTS[name])
+        trajectory = dynamics_lagrange.integrate_lagrangian(chart, lag, q0, config)
         covariant = dynamics_lagrange.el_residual(chart, lag, trajectory)
         classical = dynamics_lagrange.classical_el_residual(chart, lag, trajectory)
-        checks.append(
-            _check(
-                f"el_residual[{family},{name}]",
-                float(np.max(np.abs(covariant))),
-                EL_COMPARE_TOL,
-            )
-        )
-        checks.append(
-            _check(
-                f"el_covariant_vs_classical[{family},{name}]",
-                float(np.max(np.abs(covariant - classical))),
-                EL_COMPARE_TOL,
-            )
-        )
+        for check, residual in (
+            ("el_residual", covariant),
+            ("el_covariant_vs_classical", covariant - classical),
+        ):
+            worst = _completed(float(np.max(np.abs(residual))), trajectory.status)
+            checks.append(_check(f"{check}[{family},{name}]", worst, EL_COMPARE_TOL))
     return _report("elcompare", seed, checks)
-
-
-_THREEWAY_PAIRS = (
-    ("kinetic", "sphere2d"),
-    ("kinetic-potential", "euclidean2"),
-    ("kinetic-potential", "polar2d"),
-    ("conformal-kinetic", "euclidean2"),
-    ("fiberwise-phi", "euclidean2"),
-)
 
 
 def suite_threeway(chart_name=None, seed=0):
     """Newtonian, classical Lagrangian and canonical Hamiltonian motion.
 
-    Each scenario runs three_legs; the check is leg_gaps, the pairwise sup
-    distance over the recorded samples, with Hamiltonian velocities read
-    off dH/dp.
+    Each scenario of _EL_PAIRS runs three_legs; the check is leg_gaps, the
+    pairwise sup distance over the recorded samples, with Hamiltonian
+    velocities read off dH/dp, and inf when either leg did not complete.
     """
     checks = []
     config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
-    for family, name in _scenarios_on("threeway", _THREEWAY_PAIRS, chart_name):
+    for family, name in _scenarios_on("threeway", _EL_PAIRS, chart_name):
         q0 = TangentPoint(*_STARTS[name])
         legs = three_legs(manifold.builtin_chart(name), _system(family), q0, config)
         for pair, gap in leg_gaps(legs).items():
+            gap = _completed(gap, *(legs[leg].trajectory.status for leg in pair.split("_vs_")))
             checks.append(_check(f"{pair}[{family},{name}]", gap, THREEWAY_TOL))
     return _report("threeway", seed, checks)
 
@@ -495,27 +487,21 @@ def suite_projectors(chart_name=None, seed=0):
 def suite_conservation(chart_name=None, seed=0):
     """Energy along all three legs of three_legs, and speed along geodesics, over unit time.
 
-    The tangent legs carry energy_h and the canonical leg H; the speed is
-    the Newtonian leg's.
+    Each scenario of _EL_PAIRS runs three_legs. The tangent legs carry
+    energy_h and the canonical leg H; the speed is the Newtonian leg's. A
+    leg that did not complete has drifts of inf.
     """
-    runs = [
-        ("kinetic", "sphere2d"),
-        ("kinetic", "polar2d"),
-        ("kinetic-potential", "euclidean2"),
-        ("kinetic-potential", "polar2d"),
-        ("conformal-kinetic", "euclidean2"),
-        ("fiberwise-phi", "euclidean2"),
-    ]
     checks = []
     config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=5)
-    for family, name in _scenarios_on("conservation", runs, chart_name):
+    for family, name in _scenarios_on("conservation", _EL_PAIRS, chart_name):
         q0 = TangentPoint(*_STARTS[name])
         legs = three_legs(manifold.builtin_chart(name), _system(family), q0, config)
         for leg, run in legs.items():
-            drift = _drift(run.energies)
+            status = run.trajectory.status
+            drift = _completed(_drift(run.energies), status)
             checks.append(_check(f"energy_drift_{leg}[{family},{name}]", drift, ENERGY_DRIFT_TOL))
             if leg == "newton" and family == "kinetic":
-                speed_drift = _drift(run.trajectory.speeds)
+                speed_drift = _completed(_drift(run.trajectory.speeds), status)
                 checks.append(_check(f"speed_drift_geodesic[{name}]", speed_drift, SPEED_DRIFT_TOL))
     return _report("conservation", seed, checks)
 

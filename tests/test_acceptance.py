@@ -8,7 +8,7 @@ pytest runs.
 
 import pytest
 
-from riemdyn import verification
+from riemdyn import dynamics_lagrange, verification
 
 
 @pytest.fixture
@@ -18,6 +18,16 @@ def announce(capsys):
             print(line, flush=True)
 
     return _print
+
+
+@pytest.fixture
+def no_lagrangian_force(monkeypatch):
+    """Make the force extracted from a Lagrangian raise: no leg may use it."""
+
+    def refuse(*args):
+        raise AssertionError("the force extracted from the Lagrangian was called")
+
+    monkeypatch.setattr(dynamics_lagrange, "force_from_lagrangian", refuse)
 
 
 def _run(number, suite, announce, budget=None, chart=None, seed=0):
@@ -55,9 +65,13 @@ def test_criterion_02_euler_lagrange_equivalence(announce):
     _run(2, "elcompare", announce, budget=30.0)
 
 
-def test_criterion_03_three_formulations_agree(announce):
+def test_criterion_03_three_formulations_agree(announce, no_lagrangian_force):
     """Newtonian, Lagrangian, and Hamiltonian integrations from matched
-    initial data stay pairwise within 1e-5 over a unit of time."""
+    initial data stay pairwise within 1e-5 over a unit of time, on the
+    eight (family, chart) scenarios of elcompare. The Newtonian leg
+    integrates each family's own force (geodesic, potential, conformal,
+    spherical), never the force extracted from the Lagrangian, and a leg
+    that stops early fails its checks."""
     _run(3, "threeway", announce)
 
 
@@ -75,11 +89,11 @@ def test_criterion_05_projectors_and_closed_form_inverse(announce):
     _run(5, "projectors", announce)
 
 
-def test_criterion_06_conserved_quantities(announce):
+def test_criterion_06_conserved_quantities(announce, no_lagrangian_force):
     """Energy drift below 1e-6 per unit time on regular trajectories on
     all three legs: energy_h on the Newtonian and classical Lagrangian
     legs, H on the canonical leg; speed drift below 1e-8 on free
-    geodesics."""
+    geodesics. The Newtonian leg integrates each family's own force."""
     _run(6, "conservation", announce)
 
 

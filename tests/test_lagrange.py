@@ -242,7 +242,7 @@ def test_residuals_refuse_a_non_uniform_time_grid(residual):
     ],
 )
 def test_second_order_and_newtonian_routes_agree(family, params, chart_name):
-    """Plain-coordinate integration must match the covariant force route and the canonical one."""
+    """Plain-coordinate integration must match the family's own force and the canonical route."""
     chart = manifold.builtin_chart(chart_name)
     lag = dl.catalog_lagrangian(family, **params)
     rng = np.random.default_rng(11)

@@ -113,11 +113,16 @@ def test_leaving_the_chart_is_reported(method):
 
     The geodesic ends left_chart. The three legs of a Lagrangian share one
     stop rule: under rk4 all end left_chart at the same sample. Under rk45
-    the kinetic legs, whose fiber Hessian is the metric and is refused by
-    the same rule, all end left_chart at one time; the fiberwise legs
-    driven by the Lagrangian meet a singular fiber Hessian first and end
-    "singular", within 1e-4 of the canonical leg's left_chart. Legs that
-    end at different times are an infinite gap apart, not an error.
+    each leg picks its own steps, and the Newtonian leg integrates the
+    family's own force. Kinetic: the geodesic leg ends left_chart when the
+    stop rule refuses a state, with no error class, a little before the
+    classical and canonical legs, which end left_chart on a singular metric
+    (t 0.599997 against 0.599999). Fiberwise: the classical leg meets a
+    singular fiber Hessian first and ends "singular" (t 0.6473356), a little
+    before the Newtonian and canonical legs end left_chart on a singular
+    metric (t 0.6473358). The two legs that end together share their
+    samples and agree; legs that end at different times are an infinite
+    gap apart, not an error.
     """
     chart = manifold.builtin_chart("polar2d")
     q0 = TangentPoint(np.array([0.6, 0.0]), np.array([-1.0, 0.0]))
@@ -127,6 +132,14 @@ def test_leaving_the_chart_is_reported(method):
     assert trajectory.ts[-1] < 0.7
     assert np.all(trajectory.xs[:, 0] > 0.0)
 
+    singular_metric = ("left_chart", "SingularMetricError")
+    rk45_ends = {
+        "kinetic": ([("left_chart", ""), singular_metric, singular_metric], "newton"),
+        "fiberwise-phi": (
+            [singular_metric, ("singular", "SingularAError"), singular_metric],
+            "lagrange",
+        ),
+    }
     for lag in (
         dl.kinetic_lagrangian(),
         dl.fiberwise_phi_lagrangian("w^2/2 + w^4/10", "exp(-x1/4)"),
@@ -134,16 +147,20 @@ def test_leaving_the_chart_is_reported(method):
         three = verification.three_legs(chart, lag, q0, config)
         legs = [leg.trajectory for leg in three.values()]
         gaps = verification.leg_gaps(three)
-        if method == "rk4" or lag.family == "kinetic":
+        if method == "rk4":
             assert [leg.status for leg in legs] == ["left_chart"] * 3
             for leg in legs[1:]:
                 assert np.array_equal(leg.ts, legs[0].ts)
             assert max(gaps.values()) <= verification.THREEWAY_TOL
         else:
-            assert [leg.status for leg in legs] == ["singular", "singular", "left_chart"]
-            ends = [leg.ts[-1] for leg in legs]
-            assert max(ends) - min(ends) < 1e-4
-            assert gaps["newton_vs_hamilton"] == gaps["lagrange_vs_hamilton"] == math.inf
+            statuses, first = rk45_ends[lag.family]
+            assert [(leg.status, leg.status.error_class) for leg in legs] == statuses
+            ends = {name: leg.trajectory.ts[-1] for name, leg in three.items()}
+            assert min(ends, key=ends.get) == first
+            assert max(ends.values()) - min(ends.values()) < 1e-4
+            twins = "_vs_".join(name for name in three if name != first)
+            assert gaps.pop(twins) <= verification.THREEWAY_TOL
+            assert list(gaps.values()) == [math.inf, math.inf]
 
 
 def test_step_size_underflow():
