@@ -87,9 +87,14 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"invalid JSON: {exc}", pointer="") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object", pointer="")
-    if cfg.get("schema") != 1:
+    if not (_is_number(cfg.get("schema")) and cfg["schema"] == 1):
         raise ConfigError("expected \"schema\": 1", pointer="/schema")
     return cfg
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a bool, which Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _require(cfg: dict, key: str, pointer: str, kind=None):
@@ -119,6 +124,9 @@ def build_chart(cfg: dict):
     chart_cfg = _require(cfg, "chart", "", dict)
     name = _require(chart_cfg, "name", "/chart", str)
     params = {k: v for k, v in chart_cfg.items() if k != "name"}
+    for key, value in params.items():
+        if isinstance(value, bool):
+            raise ConfigError("expected a number or a string, got bool", pointer=f"/chart/{key}")
     try:
         return manifold.builtin_chart(name, **params)
     except (RiemdynError, TypeError, ValueError) as exc:
@@ -133,19 +141,19 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
     for key in ("method", "dt", "record_every", "rtol", "atol", "dt_min", "dt_max"):
         if key in int_cfg:
             kwargs[key] = int_cfg[key]
+    for key in ("dt", "rtol", "atol", "dt_min", "dt_max"):
+        if key in kwargs and not _is_number(kwargs[key]):
+            raise ConfigError("expected a number", pointer=f"/integrator/{key}")
     if "t_span" in int_cfg:
         span = int_cfg["t_span"]
         if not (isinstance(span, list) and len(span) == 2):
             raise ConfigError("t_span must be [t0, t1]", pointer="/integrator/t_span")
-        try:
-            kwargs["t_span"] = (float(span[0]), float(span[1]))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "t_span entries must be numbers", pointer="/integrator/t_span"
-            ) from None
+        if not all(_is_number(t) for t in span):
+            raise ConfigError("t_span entries must be numbers", pointer="/integrator/t_span")
+        kwargs["t_span"] = (float(span[0]), float(span[1]))
     try:
         return IntegratorConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc), pointer="/integrator") from exc
 
 
@@ -233,12 +241,14 @@ def _kinetic_energy(chart, point):
 def _initial_arrays(cfg: dict, chart, fiber_key: str):
     dim = chart.dim
     initial = _require(cfg, "initial", "", dict)
-    x = np.asarray(_require(initial, "x", "/initial", list), dtype=float)
-    fiber = np.asarray(_require(initial, fiber_key, "/initial", list), dtype=float)
-    if x.shape != (dim,):
-        raise ConfigError(f"expected {dim} coordinates", pointer="/initial/x")
-    if fiber.shape != (dim,):
-        raise ConfigError(f"expected {dim} components", pointer=f"/initial/{fiber_key}")
+    x = _require(initial, "x", "/initial", list)
+    fiber = _require(initial, fiber_key, "/initial", list)
+    for key, values, what in (("x", x, "coordinates"), (fiber_key, fiber, "components")):
+        if len(values) != dim:
+            raise ConfigError(f"expected {dim} {what}", pointer=f"/initial/{key}")
+        if not all(_is_number(value) for value in values):
+            raise ConfigError(f"{what} must be numbers", pointer=f"/initial/{key}")
+    x, fiber = np.array(x, dtype=float), np.array(fiber, dtype=float)
     _require_chart_point(chart, x, "initial point", "/initial/x")
     return x, fiber
 
@@ -264,6 +274,8 @@ def _output_paths(cfg: dict, out_dir: str | None) -> tuple[str, str]:
     for key in ("directory", "basename"):
         if key in output and not (isinstance(output[key], str) and output[key]):
             raise ConfigError(f"{key} must be a non-empty string", pointer=f"/output/{key}")
+        if "\0" in output.get(key, ""):
+            raise ConfigError(f"{key} must not contain a NUL byte", pointer=f"/output/{key}")
     basename = output.get("basename", "trajectory")
     if os.sep in basename or (os.altsep and os.altsep in basename):
         raise ConfigError("basename must not contain a directory", pointer="/output/basename")

@@ -23,8 +23,9 @@ genuinely independent construction. There are two closed forms:
 
 The fiberwise H solves phi'(z) = |p|/C(x) by a safeguarded Newton
 iteration that takes phi' and phi'' from one compiled call per iterate.
-Its field carries a jet hook, and hamilton_rhs reads dH/dp and dH/dx from
-one jet, so each right-hand side inverts phi' once per state.
+Both closed forms carry a jet hook, and hamilton_rhs reads dH/dp and dH/dx
+from one jet: each right-hand side inverts phi' once per state and reads
+neither phi nor U, which only the value of H needs.
 
 Canonical motion integrates dx/dt = dH/dp, dp/dt = -dH/dx in plain
 coordinates; the covariant form of the momentum equation differs by two
@@ -101,8 +102,9 @@ def energy_field(lagrangian: Lagrangian) -> ExtendedField:
 
     dh/dv^r = A_rk v^k and dh/dx^s = v^k M[k, s] - dL/dx^s follow from
     differentiating h = v . dL/dv - L, so the hooks inherit whatever
-    analytic structure the Lagrangian carries; with el_terms_fn, dh/dx
-    takes M and dL/dx from its one pass.
+    analytic structure the Lagrangian carries: dh/dx takes M and dL/dx
+    from one el_terms_fn pass, and dh/dv takes A from second_fiber_fn.
+    Without el_terms_fn, dh/dx comes from finite differences of h.
     """
 
     def ev(chart, point):
@@ -115,12 +117,6 @@ def energy_field(lagrangian: Lagrangian) -> ExtendedField:
         def dx_fn(chart, point):
             dldx, _, mixed, _ = lagrangian.el_terms_fn(chart, point)
             return point.v @ mixed - dldx
-
-    elif lagrangian.mixed_partials_fn is not None:
-
-        def dx_fn(chart, point):
-            mixed = lagrangian.mixed_partials_fn(chart, point)
-            return point.v @ mixed - lagrangian.dx(chart, point)
 
     if lagrangian.second_fiber_fn is not None:
 
@@ -327,7 +323,8 @@ def _invert_phi_prime(phi_expr, target: float) -> float:
 def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
     """H for L = phi(C(x) |v|), via scalar inversion of phi'.
 
-    Each hook inverts phi' once; the jet hook inverts it once for all three.
+    Each hook inverts phi' once; the jet hook inverts it once for both
+    partials and never evaluates phi, which only the value needs.
     """
     phi_expr = lagrangian.params["phi"]
     c_expr = lagrangian.params["C"]
@@ -369,11 +366,7 @@ def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
 
     def jet(chart, point):
         parts = pieces(chart, point)
-        return (
-            value(chart, point, *parts),
-            spatial(chart, point, *parts),
-            fiber(chart, point, *parts),
-        )
+        return spatial(chart, point, *parts), fiber(chart, point, *parts)
 
     hooks = (hook(value), hook(spatial), hook(fiber))
     return ExtendedField((0, 0), "p", *hooks, name=f"H[{lagrangian.name}]", jet_fn=jet)
@@ -429,10 +422,11 @@ def hamilton_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical equations dx/dt = dH/dp, dp/dt = -dH/dx, from one jet of H.
 
+    The jet is the pair (dH/dx, dH/dp), so the value of H is never formed.
     x is validated once, by metric_at; the hooks of H read its geometry record.
     """
     manifold.metric_at(chart, state.x)
-    _, dx, dp = extended_fields.jet(chart, hamiltonian.field, state)
+    dx, dp = extended_fields.jet(chart, hamiltonian.field, state)
     return dp, -dx
 
 

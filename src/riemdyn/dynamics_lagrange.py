@@ -1,12 +1,12 @@
 """Lagrangian systems on the tangent bundle of a chart.
 
 A Lagrangian here is a scalar extended field L(x, v) with optional
-analytic hooks for its fiber Hessian A_ij = d2L/dv^i dv^j and its mixed
-partials M[k, s] = d2L/dx^s dv^k, and el_terms_fn for dL/dx, P, M and A
-in one pass per state. Both legs below read those four terms from the
-pass, or without it from the other hooks and finite differences; A keeps
-its own hook because legendre_inverse needs A alone at every Newton
-iterate. The Euler-Lagrange equations are handled in two equivalent shapes:
+analytic hooks: second_fiber_fn for its fiber Hessian A_ij = d2L/dv^i dv^j,
+and el_terms_fn for dL/dx, P, the mixed partials M[k, s] = d2L/dx^s dv^k
+and A in one pass per state, the one source of M; without it M comes from
+finite differences of P. A keeps its own hook because legendre_inverse
+needs A alone at every Newton iterate. The Euler-Lagrange equations are
+handled in two equivalent shapes:
 
   * covariant: solving A F = grad L - (grad P) . v for the force vector
     F, where P_k = dL/dv^k is the momentum covector field and grad the
@@ -25,12 +25,12 @@ covariant machinery and analytic hooks; classical_el_residual evaluates
 d/dt (dL/dv) - dL/dx using finite differences only, so the two routes
 stay independent down to their derivative plumbing.
 
-The builtin catalog has two closed forms. The kinetic, kinetic-potential
-and conformal-kinetic families are one quadratic Lagrangian
-(1/2) e^(-2f(x)) |v|^2 - U(x) with f and U optional, whose value and
-partials come from extended_fields.kinetic_energy_scalar and whose fiber
-Hessian is A = e^(-2f) g. The fiberwise symmetric family phi(C(x) |v|)
-has its own radial-profile formulas.
+The builtin catalog has two closed forms, each with its el_terms_fn. The
+kinetic, kinetic-potential and conformal-kinetic families are one
+quadratic Lagrangian (1/2) e^(-2f(x)) |v|^2 - U(x) with f and U optional,
+whose value and partials come from extended_fields.kinetic_energy_scalar
+and whose fiber Hessian is A = e^(-2f) g. The fiberwise symmetric family
+phi(C(x) |v|) has its own radial-profile formulas.
 """
 
 from __future__ import annotations
@@ -87,30 +87,30 @@ class Lagrangian:
     """A scalar Lagrangian with optional analytic derivative hooks.
 
     field is the scalar extended field L itself (v representation).
-    second_fiber_fn returns A_ij with shape (n, n); mixed_partials_fn
-    returns M[k, s] = d2L/dx^s dv^k (derivative axis last). el_terms_fn
-    returns (dL/dx, P, M, A) from one pass over a state that starts with
-    metric_at, equal to what the field and the two hooks give. family and
-    params identify catalog members so the Hamiltonian side can attach
-    closed forms; profile carries the fiberwise symmetric reduction when one exists.
+    second_fiber_fn returns A_ij with shape (n, n). el_terms_fn returns
+    (dL/dx, P, M, A) from one pass over a state that starts with metric_at,
+    equal to what the field's partials and second_fiber_fn give; its M is
+    the momentum field's x partials. family and params identify catalog
+    members so the Hamiltonian side can attach closed forms; profile
+    carries the fiberwise symmetric reduction when one exists.
     """
 
     field: ExtendedField
     family: str
     params: dict = dc_field(default_factory=dict)
     second_fiber_fn: Callable[[ManifoldChart, TangentPoint], np.ndarray] | None = None
-    mixed_partials_fn: Callable[[ManifoldChart, TangentPoint], np.ndarray] | None = None
     profile: RadialProfile | None = None
     name: str = ""
     el_terms_fn: Callable[[ManifoldChart, TangentPoint], tuple] | None = None
     _momentum: ExtendedField = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        terms = self.el_terms_fn
         momentum = ExtendedField(
             rank=(0, 1),
             rep="v",
             eval_fn=lambda chart, point: self.dv(chart, point),
-            x_partials_fn=self.mixed_partials_fn,
+            x_partials_fn=None if terms is None else lambda chart, point: terms(chart, point)[2],
             fiber_partials_fn=self.second_fiber_fn,
             name=f"momentum[{self.name}]",
         )
@@ -193,7 +193,8 @@ def regularity(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint
 
 
 def _el_terms(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> tuple:
-    """(dL/dx, P, M, A) at a state: one el_terms_fn call, else a_matrix and the separate hooks."""
+    """(dL/dx, P, M, A) at a state: one el_terms_fn call, else a_matrix, the
+    field's two partials and finite differences of P for M."""
     if lagrangian.el_terms_fn is not None:
         return lagrangian.el_terms_fn(chart, point)
     manifold.metric_at(chart, point.x)  # validates x once; the hooks read the record
@@ -312,9 +313,9 @@ def _quadratic_lagrangian(family: str, params: dict, profile: RadialProfile) -> 
     """L = (1/2) e^(-2f) g_ij v^i v^j - U with the optional f and U of params.
 
     el_terms_fn reads g and dg once for dL/dx, P, A = e^(-2f) g and M[k, s] =
-    e^(-2f) (d g_kj/dx^s v^j - 2 g_kj v^j df/dx^s), and mixed_partials_fn takes
-    M from it; without f and U no expression code runs. The name is the
-    family followed by each expression's source in brackets.
+    e^(-2f) (d g_kj/dx^s v^j - 2 g_kj v^j df/dx^s); without f and U no
+    expression code runs. The name is the family followed by each
+    expression's source in brackets.
     """
     f_expr, u_expr = params.get("f"), params.get("U")
 
@@ -339,7 +340,6 @@ def _quadratic_lagrangian(family: str, params: dict, profile: RadialProfile) -> 
         family=family,
         params=params,
         second_fiber_fn=second_fiber,
-        mixed_partials_fn=lambda chart, point: terms(chart, point)[2],
         profile=profile,
         name=family + "".join(f"[{e.source}]" for e in params.values()),
         el_terms_fn=terms,
@@ -369,7 +369,9 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
 
     phi is an expression in "w", C a positive coordinate expression.
     Value evaluation is defined everywhere, but derivative hooks raise
-    ZeroVelocityError below the zero-velocity floor.
+    ZeroVelocityError below the zero-velocity floor. el_terms_fn forms |v|,
+    T' and the metric partials once for dL/dx, P and M, sharing the formulas
+    of dL/dx and P with the field's hooks; A is symmetric_a_matrix.
     """
     phi_expr = expression.profile_expr(phi)
     c_expr = expression.coordinate_expr(c)
@@ -379,48 +381,46 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
         w = manifold.speed(chart, point.x, point.v)
         return np.array(profile.value(point.x, w))
 
-    def modulus_x_partials(chart, point, w):
-        dg = manifold.metric_partials_at(chart, point.x)
-        return np.einsum("ijs,i,j->s", dg, point.v, point.v) / (2.0 * w)
+    def modulus_x_partials(dg, v, w):
+        return np.einsum("ijs,i,j->s", dg, v, v) / (2.0 * w)
+
+    def spatial(x, w, d1, w_s):
+        return profile.x_partials(x, w) + d1 * w_s
+
+    def fiber(v_low, w, d1):
+        return d1 * v_low / w
 
     def dx(chart, point):
         w = velocity_modulus(chart, point)
-        w_s = modulus_x_partials(chart, point, w)
-        return profile.x_partials(point.x, w) + profile.d_w(point.x, w) * w_s
+        w_s = modulus_x_partials(manifold.metric_partials_at(chart, point.x), point.v, w)
+        return spatial(point.x, w, profile.d_w(point.x, w), w_s)
 
     def dfib(chart, point):
         w = velocity_modulus(chart, point)
         v_low = manifold.lower_index(chart, point.x, point.v)
-        return profile.d_w(point.x, w) * v_low / w
+        return fiber(v_low, w, profile.d_w(point.x, w))
 
-    field = ExtendedField((0, 0), "v", ev, dx, dfib, name=profile.name)
-
-    def second_fiber(chart, point):
-        return symmetric_a_matrix(chart, profile, point)
-
-    def mixed(chart, point):
-        w = velocity_modulus(chart, point)
+    def terms(chart, point):
         x, v = point.x, point.v
-        d1 = profile.d_w(x, w)
-        d2 = profile.d2_w(x, w)
-        xd = profile.x_partials_d_w(x, w)
-        w_s = modulus_x_partials(chart, point, w)
         g = manifold.metric_at(chart, x)
+        a = symmetric_a_matrix(chart, profile, point)
+        w = velocity_modulus(chart, point)
+        d1, d2, xd = profile.d_w(x, w), profile.d2_w(x, w), profile.x_partials_d_w(x, w)
         dg = manifold.metric_partials_at(chart, x)
+        w_s = modulus_x_partials(dg, v, w)
         v_low = g @ v
-        dgv = np.einsum("kjs,j->ks", dg, v)
         radial = np.outer(v_low / w, xd + d2 * w_s)
-        geometric = d1 * (dgv / w - np.outer(v_low, w_s) / (w * w))
-        return radial + geometric
+        geometric = d1 * (np.einsum("kjs,j->ks", dg, v) / w - np.outer(v_low, w_s) / (w * w))
+        return spatial(x, w, d1, w_s), fiber(v_low, w, d1), radial + geometric, a
 
     return Lagrangian(
-        field=field,
+        field=ExtendedField((0, 0), "v", ev, dx, dfib, name=profile.name),
         family="fiberwise-phi",
         params={"phi": phi_expr, "C": c_expr},
-        second_fiber_fn=second_fiber,
-        mixed_partials_fn=mixed,
+        second_fiber_fn=lambda chart, point: symmetric_a_matrix(chart, profile, point),
         profile=profile,
         name=f"fiberwise[{profile.name}]",
+        el_terms_fn=terms,
     )
 
 

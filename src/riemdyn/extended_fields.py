@@ -21,10 +21,12 @@ metric). Along a curve t -> (x(t), v(t)) the covariant time derivative
 satisfies the chain rule D_t X = (grad X) . xdot + (fiber grad X) . D_t v,
 which chain_rule_check verifies sample by sample.
 
-spatial_gradient reads Gamma once, from the chart's geometry record, and
-takes the value and both partials from one jet when it needs the value
-(rank > 0) or the field has a jet_fn; a scalar field without one
-evaluates only its two partials. The fiber correction is one matrix
+A jet is a field's first-order derivative at a point, its x partials and
+fiber partials without the value (Griewank & Walther, Evaluating
+Derivatives, 2008): one jet_fn call, or x_partials and fiber_partials.
+spatial_gradient reads Gamma once, from the chart's geometry record,
+reads the value only for rank > 0, where the index terms need it, and
+takes both partials from one jet. The fiber correction is one matrix
 product and each index term one einsum, for any rank.
 
 A field without a hook gets its partials and its fiber Hessian from
@@ -126,9 +128,10 @@ class ExtendedField:
     with upper axes first. The two optional partials callables return
     analytic derivatives with the derivative axis appended last; when
     absent, central finite differences of eval_fn are used. The optional
-    jet_fn returns (value, x partials, fiber partials) from one call, for
-    a field whose three share costly work; each must equal what eval_fn,
-    x_partials_fn and fiber_partials_fn return at the point.
+    jet_fn returns the pair (x partials, fiber partials) from one call,
+    for a field whose two share costly work; each must equal what
+    x_partials_fn and fiber_partials_fn return at the point, and it
+    refuses every point that eval_fn refuses.
     """
 
     rank: tuple[int, int]
@@ -228,24 +231,16 @@ def fiber_partials(chart: ManifoldChart, field: ExtendedField, point) -> np.ndar
     )
 
 
-def jet(chart: ManifoldChart, field: ExtendedField, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value, dX/dx^q, fiber partials) at point.
+def jet(chart: ManifoldChart, field: ExtendedField, point) -> tuple[np.ndarray, np.ndarray]:
+    """(dX/dx^q, fiber partials) at point.
 
-    One jet_fn call when the field has one, otherwise eval_fn, x_partials
-    and fiber_partials.
+    One jet_fn call when the field has one, otherwise x_partials and
+    fiber_partials. The value is not part of a jet; _eval_components reads it.
     """
     if field.jet_fn is not None:
-        value, dx, dfib = field.jet_fn(chart, point)
-        return (
-            np.asarray(value, dtype=float),
-            np.asarray(dx, dtype=float),
-            np.asarray(dfib, dtype=float),
-        )
-    return (
-        _eval_components(chart, field, point),
-        x_partials(chart, field, point),
-        fiber_partials(chart, field, point),
-    )
+        dx, dfib = field.jet_fn(chart, point)
+        return np.asarray(dx, dtype=float), np.asarray(dfib, dtype=float)
+    return x_partials(chart, field, point), fiber_partials(chart, field, point)
 
 
 def fiber_hessian(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
@@ -304,19 +299,15 @@ def _index_terms(gamma: np.ndarray, data: np.ndarray, variance: Sequence[str]) -
 def spatial_gradient(chart: ManifoldChart, field: ExtendedField, point) -> TensorComponents:
     """Covariant spatial derivative, one new lower index appended.
 
-    Gamma is read once. The value and both partials come from one jet when
-    the value is needed (rank > 0) or the field has a jet_fn; a scalar
-    field without one evaluates only its two partials.
+    Gamma is read once. The value is read only for rank > 0, before the
+    partials, and both partials come from one jet.
     """
     fiber = _fiber_of(field, point)
     gamma = manifold.christoffel_at(chart, point.x)
-    if field.rank == (0, 0) and field.jet_fn is None:
-        dx = x_partials(chart, field, point)
-        dfib = fiber_partials(chart, field, point)
-        return TensorComponents(dx + _fiber_correction(gamma, fiber, dfib, field.rep), ("l",))
-    values, dx, dfib = jet(chart, field, point)
+    values = None if field.rank == (0, 0) else _eval_components(chart, field, point)
+    dx, dfib = jet(chart, field, point)
     data = dx + _fiber_correction(gamma, fiber, dfib, field.rep)
-    if field.rank != (0, 0):
+    if values is not None:
         data = data + _index_terms(gamma, values, field.variance)
     return TensorComponents(data, field.variance + ("l",))
 
@@ -495,7 +486,7 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
     rep "v" is L: y = v, m = g, c = e^(-2f), s = -1. rep "p" is H: y = p,
     m = g^-1, c = e^(2f), s = +1. f and U are optional, and without them no
     expression code runs. The hooks and the jet share the product m y; the
-    jet forms it once for all three.
+    jet forms it once for both partials and never evaluates U.
     """
     f_expr, u_expr = (None if e is None else expression.coordinate_expr(e) for e in (f, u))
     sign = -1.0 if rep == "v" else 1.0
@@ -511,12 +502,6 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
     def factor(x):
         return _conformal_factor(f_expr, x, 2.0 * sign)
 
-    def value(point, my, c):
-        out = 0.5 * c * float(fiber_of(point) @ my)
-        if u_expr is not None:
-            out += sign * expression.evaluate(u_expr, point.x)
-        return np.array(out)
-
     def spatial(chart, point, my, c):
         x = point.x
         if rep == "v":
@@ -527,7 +512,11 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
         return _quadratic_x_partials(x, fiber_of(point), my, c, dm, df, u_expr, sign)
 
     def ev(chart, point):
-        return value(point, product(chart, point), factor(point.x))
+        my, c = product(chart, point), factor(point.x)
+        out = 0.5 * c * float(fiber_of(point) @ my)
+        if u_expr is not None:
+            out += sign * expression.evaluate(u_expr, point.x)
+        return np.array(out)
 
     def dx(chart, point):
         return spatial(chart, point, product(chart, point), factor(point.x))
@@ -537,7 +526,7 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
 
     def jet(chart, point):
         my, c = product(chart, point), factor(point.x)
-        return value(point, my, c), spatial(chart, point, my, c), _scaled(f_expr, my, c)
+        return spatial(chart, point, my, c), _scaled(f_expr, my, c)
 
     return ExtendedField((0, 0), rep, ev, dx, dfib, name=name, jet_fn=jet)
 

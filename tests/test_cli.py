@@ -382,6 +382,7 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
     "mutate,pointer",
     [
         (lambda cfg: cfg.pop("schema"), "/schema"),
+        (lambda cfg: cfg.update(schema=True), "/schema"),
         (lambda cfg: cfg["system"].update(U="sin("), "/system"),
         (lambda cfg: cfg["system"].update(U="x3"), "/system/U"),
         (
@@ -410,7 +411,18 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
             lambda cfg: cfg["chart"].update(name="conformally_flat"),
             "/chart: chart 'conformally_flat' needs the parameter 'f'",
         ),
+        (lambda cfg: cfg["chart"].update(name="sphere2d", radius=True), "/chart/radius"),
         (lambda cfg: cfg["initial"].update(x=[0.0, 0.0]), "/initial/x"),
+        (lambda cfg: cfg["initial"].update(x=["a", 0]), "/initial/x: coordinates must be numbers"),
+        (lambda cfg: cfg["initial"].update(x=[True, 0]), "/initial/x: coordinates must be numbers"),
+        (lambda cfg: cfg["initial"].update(v=[[1], 0]), "/initial/v: components must be numbers"),
+        (lambda cfg: cfg["initial"].update(v=[None, 0]), "/initial/v: components must be numbers"),
+        (
+            lambda cfg: cfg.update(
+                system=dict(cfg["system"], kind="hamilton"), initial={"x": [1.5, 0.2], "p": ["q", 0]}
+            ),
+            "/initial/p: components must be numbers",
+        ),
         # e^(-2 f) underflows to 0 at x1 = 1.5, so the metric there is singular.
         (
             lambda cfg: cfg.update(chart={"name": "conformally_flat", "f": "x1*400"}),
@@ -419,6 +431,8 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
         (lambda cfg: cfg["integrator"].update(dt=0.0), "/integrator"),
         (lambda cfg: cfg["integrator"].update(dt=float("nan")), "/integrator: dt must be finite"),
         (lambda cfg: cfg["integrator"].update(t_span=["a", 1]), "/integrator/t_span"),
+        (lambda cfg: cfg["integrator"].update(t_span=[0, True]), "/integrator/t_span"),
+        (lambda cfg: cfg["integrator"].update(dt=True), "/integrator/dt: expected a number"),
         (
             lambda cfg: cfg["integrator"].update(record_every=2.5),
             "/integrator: record_every must be an integer",
@@ -429,6 +443,11 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
         (
             lambda cfg: cfg["output"].update(basename="sub/orbit"),
             "/output/basename: basename must not contain a directory",
+        ),
+        (lambda cfg: cfg["output"].update(basename="or\0bit"), "/output/basename"),
+        (
+            lambda cfg: cfg["output"].update(directory=cfg["output"]["directory"] + "\0"),
+            "/output/directory",
         ),
     ],
 )
@@ -441,12 +460,15 @@ def test_bad_configs_point_at_the_offending_key(tmp_path, capsys, mutate, pointe
     assert f"config error at {pointer}" in err
 
 
-def test_refused_output_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "key,value", [("basename", None), ("basename", "or\0bit"), ("directory", "out\0")]
+)
+def test_refused_output_writes_nothing(tmp_path, capsys, key, value):
     cfg = orbit_config(str(tmp_path / "out"))
-    cfg["output"]["basename"] = None
+    cfg["output"][key] = value if key == "basename" else str(tmp_path / value)
     assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 2
-    capsys.readouterr()
-    # A null basename used to run and write None.csv.
+    assert "Traceback" not in capsys.readouterr().err
+    # A null basename used to run and write None.csv, and a NUL byte to raise a ValueError.
     assert not (tmp_path / "out").exists()
 
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+from collections import Counter
 
+import force_oracle
 import guess_oracle
 import numpy as np
 import pytest
@@ -405,8 +407,7 @@ def test_fiberwise_jet_equals_the_separate_hooks_bit_for_bit(chart_name):
     assert field.jet_fn is not None
     rng = np.random.default_rng(31)
     for state in verification.sample_cotangent_states(chart, 8, rng):
-        value, dx, dp = field.jet_fn(chart, state)
-        assert np.array_equal(value, field.eval_fn(chart, state))
+        dx, dp = field.jet_fn(chart, state)
         assert np.array_equal(dx, field.x_partials_fn(chart, state))
         assert np.array_equal(dp, field.fiber_partials_fn(chart, state))
         x_dot, p_dot = dh.hamilton_rhs(chart, ham, state)
@@ -432,17 +433,53 @@ def test_quadratic_jets_equal_the_separate_hooks_bit_for_bit(chart_name, f, u, m
     for field, states in ((lag_field, tangent), (ham.field, cotangent)):
         assert field.jet_fn is not None
         for state in states:
-            value, dx, dfib = field.jet_fn(chart, state)
-            assert np.array_equal(value, field.eval_fn(chart, state))
+            dx, dfib = field.jet_fn(chart, state)
             assert np.array_equal(dx, field.x_partials_fn(chart, state))
             assert np.array_equal(dfib, field.fiber_partials_fn(chart, state))
     for state in cotangent:
-        _, dx, dp = ham.field.jet_fn(chart, state)
+        dx, dp = ham.field.jet_fn(chart, state)
         x_dot, p_dot = dh.hamilton_rhs(chart, ham, state)
         assert np.array_equal(x_dot, dp) and np.array_equal(p_dot, -dx)
 
 
-@pytest.mark.parametrize("family,params", _FAMILIES[:3])
+def _counting(monkeypatch, *names):
+    """A Counter of calls to the named expression entry points, wrapped for this test."""
+    calls = Counter()
+    for name in names:
+
+        def counted(*args, _call=getattr(expression, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(expression, name, counted)
+    return calls
+
+
+def test_a_quadratic_hamilton_rhs_takes_the_gradient_of_u_and_never_u(monkeypatch):
+    """The jet is the two partials: dH/dx reads grad U, and nothing reads U itself."""
+    lag = dl.catalog_lagrangian("kinetic-potential", **verification._SYSTEMS["kinetic-potential"])
+    ham = dh.hamiltonian_from_lagrangian(dh.LegendreContext(lag))
+    state = CotangentPoint(np.array([1.0, 0.3]), np.array([0.3, 0.9]))
+    calls = _counting(monkeypatch, "evaluate", "evaluate_env", "gradient")
+    dh.hamilton_rhs(manifold.builtin_chart("sphere2d"), ham, state)
+    assert calls == {"gradient": 1}
+
+
+def test_a_fiberwise_canonical_run_evaluates_phi_only_for_its_sampled_h(monkeypatch):
+    """Each right-hand side inverts phi' for dH/dx and dH/dp; phi itself is read
+    only by the H value that each recorded sample carries."""
+    chart = manifold.builtin_chart("euclidean2")
+    ctx = dh.LegendreContext(verification._system("fiberwise-phi"))
+    ham = dh.hamiltonian_from_lagrangian(ctx)
+    state0 = dh.legendre_forward(ctx, chart, TangentPoint(*verification._STARTS["euclidean2"]))
+    config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
+    calls = _counting(monkeypatch, "evaluate_env")
+    trajectory = dh.integrate_hamiltonian(chart, ham, state0, config)
+    assert trajectory.status == "completed" and len(trajectory.ts) == 101
+    assert calls == {"evaluate_env": 101}
+
+
+@pytest.mark.parametrize("family,params", _FAMILIES)
 def test_energy_x_partials_take_one_pass_with_the_bits_of_the_separate_hooks(family, params):
     """dh/dx = v . M - dL/dx from one el_terms_fn pass: one metric_partials_fn call, not two."""
     sphere = manifold.builtin_chart("sphere2d")
@@ -460,5 +497,5 @@ def test_energy_x_partials_take_one_pass_with_the_bits_of_the_separate_hooks(fam
         calls.clear()
         got = ef.x_partials(chart, h, point)
         assert len(calls) == 1
-        want = point.v @ lag.mixed_partials_fn(chart, point) - lag.dx(chart, point)
+        want = point.v @ force_oracle.mixed(chart, lag, point) - lag.dx(chart, point)
         assert got.tobytes() == want.tobytes()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
 from riemdyn import manifold, normal_shift, verification
@@ -76,6 +77,59 @@ def test_a_planted_christoffel_fault_separates_the_newtonian_leg(family, chart_n
     assert gaps["newton_vs_lagrange"] >= 1e-8
     assert gaps["newton_vs_hamilton"] >= 1e-8
     assert gaps["lagrange_vs_hamilton"] <= 1e-13
+
+
+def _scaled_term(hook, index):
+    """hook with the index-th array of the tuple it returns scaled by 1 + 1e-6."""
+
+    def faulty(chart, point):
+        terms = list(hook(chart, point))
+        terms[index] = terms[index] * (1.0 + 1e-6)
+        return tuple(terms)
+
+    return faulty
+
+
+_FIBERWISE_PAIRS = [pair for pair in verification._EL_PAIRS if pair[0] == "fiberwise-phi"]
+
+
+def _fiberwise_gaps(lag, chart_name):
+    q0 = TangentPoint(*verification._STARTS[chart_name])
+    config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
+    legs = verification.three_legs(manifold.builtin_chart(chart_name), lag, q0, config)
+    assert [leg.trajectory.status for leg in legs.values()] == ["completed"] * 3
+    return verification.leg_gaps(legs)
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["dx", "dp"])
+@pytest.mark.parametrize("family,chart_name", _FIBERWISE_PAIRS)
+def test_a_planted_h_jet_fault_separates_the_hamiltonian_leg(
+    monkeypatch, family, chart_name, index
+):
+    """Only the canonical leg reads the jet of H, so only its gaps see the fault."""
+    build = dh._fiberwise_h_field
+
+    def faulty(lag):
+        field = build(lag)
+        return dataclasses.replace(field, jet_fn=_scaled_term(field.jet_fn, index))
+
+    monkeypatch.setattr(dh, "_fiberwise_h_field", faulty)
+    gaps = _fiberwise_gaps(verification._system(family), chart_name)
+    assert gaps["newton_vs_hamilton"] >= 1e-8
+    assert gaps["lagrange_vs_hamilton"] >= 1e-8
+    assert gaps["newton_vs_lagrange"] <= 1e-13
+
+
+@pytest.mark.parametrize("index", [0, 2, 3], ids=["dldx", "M", "A"])
+@pytest.mark.parametrize("family,chart_name", _FIBERWISE_PAIRS)
+def test_a_planted_el_terms_fault_separates_the_lagrangian_leg(family, chart_name, index):
+    """Only the classical leg reads el_terms_fn, so only its gaps see the fault."""
+    lag = verification._system(family)
+    lag = dataclasses.replace(lag, el_terms_fn=_scaled_term(lag.el_terms_fn, index))
+    gaps = _fiberwise_gaps(lag, chart_name)
+    assert gaps["newton_vs_lagrange"] >= 1e-8
+    assert gaps["lagrange_vs_hamilton"] >= 1e-8
+    assert gaps["newton_vs_hamilton"] <= 1e-13
 
 
 def test_three_legs_refuses_a_family_without_a_newtonian_force():
