@@ -10,9 +10,11 @@ Subcommands:
       gives up (the partial outputs are still written, and the message
       of the error that ended the run goes to stderr and into the
       report as "error", with "error_class" and the "stop_time" of the
-      last accepted state), 2 on config errors, such as an initial point
-      whose metric is singular or overflows, or an initial state whose
-      energy or H overflows, which leaves no sample to write.
+      last accepted state), 2 on config errors, such as a NaN where a
+      number belongs, an initial point whose metric is singular or
+      overflows, or an initial state whose energy or H overflows, which
+      leaves no sample to write. A refused config writes nothing: the
+      output directory is made only once there is a trajectory.
 
   riemdyn verify --suite NAME [--chart C] [--seed N] [--report FILE]
       Run a named verification suite and print one line per check.
@@ -39,6 +41,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -93,8 +96,13 @@ def _load_config(path: str) -> dict:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an int or a float, and not a bool, which Python counts as an int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number: an int or a float, not a bool (which Python counts as an int), finite as a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _require(cfg: dict, key: str, pointer: str, kind=None):
@@ -125,8 +133,8 @@ def build_chart(cfg: dict):
     name = _require(chart_cfg, "name", "/chart", str)
     params = {k: v for k, v in chart_cfg.items() if k != "name"}
     for key, value in params.items():
-        if isinstance(value, bool):
-            raise ConfigError("expected a number or a string, got bool", pointer=f"/chart/{key}")
+        if not (isinstance(value, str) or _is_number(value)):
+            raise ConfigError("expected a number or a string", pointer=f"/chart/{key}")
     try:
         return manifold.builtin_chart(name, **params)
     except (RiemdynError, TypeError, ValueError) as exc:
@@ -263,8 +271,8 @@ def _require_chart_point(chart, x, label: str, pointer: str) -> None:
         raise ConfigError(str(exc), pointer=pointer) from None
 
 
-def _output_paths(cfg: dict, out_dir: str | None) -> tuple[str, str]:
-    """CSV and report paths from "output"; creates the directory.
+def _output_paths(cfg: dict, out_dir: str | None) -> tuple[str, str, str]:
+    """The output directory and the CSV and report paths in it, from "output"; creates nothing.
 
     out_dir, the --out-dir option, replaces output.directory when given.
     """
@@ -279,13 +287,9 @@ def _output_paths(cfg: dict, out_dir: str | None) -> tuple[str, str]:
     basename = output.get("basename", "trajectory")
     if os.sep in basename or (os.altsep and os.altsep in basename):
         raise ConfigError("basename must not contain a directory", pointer="/output/basename")
-    pointer = "--out-dir" if out_dir else "/output/directory"
     out_dir = out_dir or output.get("directory", ".")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory: {exc}", pointer=pointer) from exc
     return (
+        out_dir,
         os.path.join(out_dir, f"{basename}.csv"),
         os.path.join(out_dir, f"{basename}.json"),
     )
@@ -302,7 +306,7 @@ def cmd_simulate(args) -> int:
     system = _require(cfg, "system", "", dict)
     kind = _require(system, "kind", "/system", str)
     config = build_integrator(cfg)
-    csv_path, report_path = _output_paths(cfg, args.out_dir)
+    out_dir, csv_path, report_path = _output_paths(cfg, args.out_dir)
 
     if kind == "newton":
         force, energy_fn = build_force(system, dim=chart.dim)
@@ -349,6 +353,11 @@ def cmd_simulate(args) -> int:
         # The initial state's diagnostics failed: there is no sample to write.
         raise ConfigError(str(exc), pointer="/initial") from None
 
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        pointer = "--out-dir" if args.out_dir else "/output/directory"
+        raise ConfigError(f"cannot create output directory: {exc}", pointer=pointer) from exc
     if kind == "hamilton":
         dynamics_hamilton.write_cotangent_csv(trajectory, csv_path)
         drift = float(np.max(np.abs(trajectory.h_values - trajectory.h_values[0])))

@@ -12,14 +12,15 @@ is held to, and an optional non-zero target. Tolerances are pinned here
 as module constants so the command line, the test suite and any direct
 caller all grade against the same numbers.
 
-Suites: identities, theorem81, chainrules, elcompare, threeway,
-projectors, conservation, legendre, cancellation, rk4order, all.
+Suites: identities, theorem81, chainrules, threeway, projectors,
+legendre, cancellation, rk4order, all.
 
 Every cross-check of the three formulations goes through three_legs,
 which integrates one system three ways, the Newtonian leg with the
-family's own force, and leg_gaps. elcompare, threeway and conservation
-run one scenario list, _EL_PAIRS; a check computed from a run that did
-not complete reads inf.
+family's own force, and leg_gaps. threeway runs three_legs once per
+scenario of _EL_PAIRS and reads its Euler-Lagrange residuals, leg gaps
+and conservation drifts from that one run; a check computed from a run
+that did not complete reads inf.
 """
 
 from __future__ import annotations
@@ -389,7 +390,7 @@ def suite_chainrules(chart_name=None, seed=0):
     return _report("chainrules", seed, checks)
 
 
-# The (family, chart) scenarios of elcompare, threeway and conservation.
+# The (family, chart) scenarios of threeway.
 _EL_PAIRS = (
     ("kinetic", "polar2d"),
     ("kinetic", "sphere2d"),
@@ -408,41 +409,45 @@ _STARTS = {
 }
 
 
-def suite_elcompare(chart_name=None, seed=0):
-    """Covariant vs classical Euler-Lagrange residuals on true motion."""
-    checks = []
-    config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=1)
-    for family, name in _scenarios_on("elcompare", _EL_PAIRS, chart_name):
-        chart = manifold.builtin_chart(name)
-        lag = _system(family)
-        q0 = TangentPoint(*_STARTS[name])
-        trajectory = dynamics_lagrange.integrate_lagrangian(chart, lag, q0, config)
-        covariant = dynamics_lagrange.el_residual(chart, lag, trajectory)
-        classical = dynamics_lagrange.classical_el_residual(chart, lag, trajectory)
-        for check, residual in (
-            ("el_residual", covariant),
-            ("el_covariant_vs_classical", covariant - classical),
-        ):
-            worst = _completed(float(np.max(np.abs(residual))), trajectory.status)
-            checks.append(_check(f"{check}[{family},{name}]", worst, EL_COMPARE_TOL))
-    return _report("elcompare", seed, checks)
-
-
 def suite_threeway(chart_name=None, seed=0):
-    """Newtonian, classical Lagrangian and canonical Hamiltonian motion.
+    """Newtonian, classical Lagrangian and canonical Hamiltonian motion, and what it conserves.
 
-    Each scenario of _EL_PAIRS runs three_legs; the check is leg_gaps, the
-    pairwise sup distance over the recorded samples, with Hamiltonian
-    velocities read off dH/dp, and inf when either leg did not complete.
+    Each scenario of _EL_PAIRS runs three_legs once, recording every step,
+    and every check reads that one run:
+    - el_residual and el_covariant_vs_classical: the covariant and classical
+      Euler-Lagrange residuals along the classical leg;
+    - leg_gaps: the pairwise sup distance over the samples, with Hamiltonian
+      velocities read off dH/dp;
+    - energy_drift_<leg>: energy_h on the tangent legs and H on the
+      canonical leg, and speed_drift_geodesic, the Newtonian leg's speed,
+      for kinetic.
+    A check computed from a leg that did not complete reads inf.
     """
     checks = []
-    config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
+    config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=1)
     for family, name in _scenarios_on("threeway", _EL_PAIRS, chart_name):
-        q0 = TangentPoint(*_STARTS[name])
-        legs = three_legs(manifold.builtin_chart(name), _system(family), q0, config)
+        chart = manifold.builtin_chart(name)
+        lag = _system(family)
+        legs = three_legs(chart, lag, TangentPoint(*_STARTS[name]), config)
+        classical = legs["lagrange"].trajectory
+        covariant = dynamics_lagrange.el_residual(chart, lag, classical)
+        plain = dynamics_lagrange.classical_el_residual(chart, lag, classical)
+        for check, residual in (
+            ("el_residual", covariant),
+            ("el_covariant_vs_classical", covariant - plain),
+        ):
+            worst = _completed(float(np.max(np.abs(residual))), classical.status)
+            checks.append(_check(f"{check}[{family},{name}]", worst, EL_COMPARE_TOL))
         for pair, gap in leg_gaps(legs).items():
             gap = _completed(gap, *(legs[leg].trajectory.status for leg in pair.split("_vs_")))
             checks.append(_check(f"{pair}[{family},{name}]", gap, THREEWAY_TOL))
+        for leg, run in legs.items():
+            status = run.trajectory.status
+            drift = _completed(_drift(run.energies), status)
+            checks.append(_check(f"energy_drift_{leg}[{family},{name}]", drift, ENERGY_DRIFT_TOL))
+            if leg == "newton" and family == "kinetic":
+                speed_drift = _completed(_drift(run.trajectory.speeds), status)
+                checks.append(_check(f"speed_drift_geodesic[{name}]", speed_drift, SPEED_DRIFT_TOL))
     return _report("threeway", seed, checks)
 
 
@@ -482,28 +487,6 @@ def suite_projectors(chart_name=None, seed=0):
                 _check(f"hessian_closed_vs_fd[{family},{name}]", fd_gap, HESSIAN_FD_TOL)
             )
     return _report("projectors", seed, checks)
-
-
-def suite_conservation(chart_name=None, seed=0):
-    """Energy along all three legs of three_legs, and speed along geodesics, over unit time.
-
-    Each scenario of _EL_PAIRS runs three_legs. The tangent legs carry
-    energy_h and the canonical leg H; the speed is the Newtonian leg's. A
-    leg that did not complete has drifts of inf.
-    """
-    checks = []
-    config = IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=5)
-    for family, name in _scenarios_on("conservation", _EL_PAIRS, chart_name):
-        q0 = TangentPoint(*_STARTS[name])
-        legs = three_legs(manifold.builtin_chart(name), _system(family), q0, config)
-        for leg, run in legs.items():
-            status = run.trajectory.status
-            drift = _completed(_drift(run.energies), status)
-            checks.append(_check(f"energy_drift_{leg}[{family},{name}]", drift, ENERGY_DRIFT_TOL))
-            if leg == "newton" and family == "kinetic":
-                speed_drift = _completed(_drift(run.trajectory.speeds), status)
-                checks.append(_check(f"speed_drift_geodesic[{name}]", speed_drift, SPEED_DRIFT_TOL))
-    return _report("conservation", seed, checks)
 
 
 def suite_legendre(chart_name=None, seed=0):
@@ -596,10 +579,8 @@ _SUITES = {
     "identities": suite_identities,
     "theorem81": suite_theorem81,
     "chainrules": suite_chainrules,
-    "elcompare": suite_elcompare,
     "threeway": suite_threeway,
     "projectors": suite_projectors,
-    "conservation": suite_conservation,
     "legendre": suite_legendre,
     "cancellation": suite_cancellation,
     "rk4order": suite_rk4order,

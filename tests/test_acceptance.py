@@ -1,9 +1,11 @@
 """Acceptance gate: one test per shipped guarantee, one printed line each.
 
 Every test runs a named verification suite end to end and asserts that
-all of its checks pass at their stated tolerances.  The summary lines
-are printed with capture suspended so they stay visible in plain
-pytest runs.
+all of its checks pass at their stated tolerances.  Criteria 02, 03 and
+06 read their groups of checks from one shared run of the threeway
+suite, which integrates each scenario once; its elapsed time is that
+run's.  The summary lines are printed with capture suspended so they
+stay visible in plain pytest runs.
 """
 
 import pytest
@@ -20,35 +22,48 @@ def announce(capsys):
     return _print
 
 
-@pytest.fixture
-def no_lagrangian_force(monkeypatch):
-    """Make the force extracted from a Lagrangian raise: no leg may use it."""
+@pytest.fixture(scope="module")
+def threeway():
+    """One timed threeway report; the force extracted from a Lagrangian raises, so no leg may use it."""
 
     def refuse(*args):
         raise AssertionError("the force extracted from the Lagrangian was called")
 
-    monkeypatch.setattr(dynamics_lagrange, "force_from_lagrangian", refuse)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics_lagrange, "force_from_lagrangian", refuse)
+        return verification.elapsed_run("threeway")
 
 
-def _run(number, suite, announce, budget=None, chart=None, seed=0):
-    report, elapsed = verification.elapsed_run(suite, chart, seed)
-    checks = report["checks"]
+def _grade(number, suite, checks, elapsed, announce, budget=None):
     good = sum(1 for c in checks if c["pass"])
     ratios = [
         abs(c["value"] - (c.get("target") or 0.0)) / c["tolerance"]
         for c in checks
         if c["tolerance"] > 0
     ]
-    label = "PASS" if report["passed"] else "FAIL"
+    passed = good == len(checks)
     announce(
-        f"[criterion {number:02d}] {label} suite={suite}"
+        f"[criterion {number:02d}] {'PASS' if passed else 'FAIL'} suite={suite}"
         f" checks={good}/{len(checks)} worst/tol={max(ratios):.1e}"
         f" elapsed={elapsed:.1f}s"
     )
-    assert report["passed"], f"suite {suite}: {len(checks) - good} checks failed"
+    assert passed, f"suite {suite}: {len(checks) - good} checks failed"
     if budget is not None:
         assert elapsed < budget, f"suite {suite} took {elapsed:.1f}s, budget {budget}s"
+
+
+def _run(number, suite, announce, budget=None):
+    report, elapsed = verification.elapsed_run(suite)
+    _grade(number, suite, report["checks"], elapsed, announce, budget)
     return report
+
+
+def _threeway_group(number, threeway, prefixes, size, announce, budget=None):
+    """Grade the checks of the shared threeway report whose names start with one of prefixes."""
+    report, elapsed = threeway
+    checks = [c for c in report["checks"] if c["name"].startswith(prefixes)]
+    assert len(checks) == size
+    _grade(number, "threeway", checks, elapsed, announce, budget)
 
 
 def test_criterion_01_structural_identities(announce):
@@ -58,21 +73,21 @@ def test_criterion_01_structural_identities(announce):
     _run(1, "identities", announce, budget=10.0)
 
 
-def test_criterion_02_euler_lagrange_equivalence(announce):
+def test_criterion_02_euler_lagrange_equivalence(announce, threeway):
     """Covariant and classical Euler-Lagrange residuals both vanish to
-    1e-5 along integrated unit-time trajectories of every catalog
-    system, within 30 s."""
-    _run(2, "elcompare", announce, budget=30.0)
+    1e-5 along the classical leg of every threeway scenario over a unit
+    of time, within 30 s for the shared threeway run."""
+    _threeway_group(2, threeway, ("el_",), 16, announce, budget=30.0)
 
 
-def test_criterion_03_three_formulations_agree(announce, no_lagrangian_force):
+def test_criterion_03_three_formulations_agree(announce, threeway):
     """Newtonian, Lagrangian, and Hamiltonian integrations from matched
     initial data stay pairwise within 1e-5 over a unit of time, on the
-    eight (family, chart) scenarios of elcompare. The Newtonian leg
+    eight (family, chart) scenarios of threeway. The Newtonian leg
     integrates each family's own force (geodesic, potential, conformal,
     spherical), never the force extracted from the Lagrangian, and a leg
     that stops early fails its checks."""
-    _run(3, "threeway", announce)
+    _threeway_group(3, threeway, ("newton_vs_", "lagrange_vs_"), 24, announce)
 
 
 def test_criterion_04_conformal_flow_is_a_normal_shift(announce):
@@ -89,12 +104,12 @@ def test_criterion_05_projectors_and_closed_form_inverse(announce):
     _run(5, "projectors", announce)
 
 
-def test_criterion_06_conserved_quantities(announce, no_lagrangian_force):
-    """Energy drift below 1e-6 per unit time on regular trajectories on
+def test_criterion_06_conserved_quantities(announce, threeway):
+    """Energy drift below 1e-6 per unit time on the threeway scenarios on
     all three legs: energy_h on the Newtonian and classical Lagrangian
     legs, H on the canonical leg; speed drift below 1e-8 on free
     geodesics. The Newtonian leg integrates each family's own force."""
-    _run(6, "conservation", announce)
+    _threeway_group(6, threeway, ("energy_drift_", "speed_drift_"), 26, announce)
 
 
 def test_criterion_07_legendre_roundtrips(announce):

@@ -17,6 +17,11 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+# An int too large for a float, and a NaN, which json writes and reads as NaN.
+_HUGE = int("9" * 401)
+_NAN = float("nan")
+
+
 def orbit_config(out_dir):
     return {
         "schema": 1,
@@ -429,7 +434,7 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
             "/initial/x: metric on 'conformally_flat2'",
         ),
         (lambda cfg: cfg["integrator"].update(dt=0.0), "/integrator"),
-        (lambda cfg: cfg["integrator"].update(dt=float("nan")), "/integrator: dt must be finite"),
+        (lambda cfg: cfg["integrator"].update(dt=_NAN), "/integrator/dt"),
         (lambda cfg: cfg["integrator"].update(t_span=["a", 1]), "/integrator/t_span"),
         (lambda cfg: cfg["integrator"].update(t_span=[0, True]), "/integrator/t_span"),
         (lambda cfg: cfg["integrator"].update(dt=True), "/integrator/dt: expected a number"),
@@ -449,6 +454,25 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
             lambda cfg: cfg["output"].update(directory=cfg["output"]["directory"] + "\0"),
             "/output/directory",
         ),
+        # A number is finite as a float: an int too large for a float and a NaN are refused.
+        (lambda cfg: cfg["initial"].update(x=[_HUGE, 0]), "/initial/x: coordinates must be numbers"),
+        (lambda cfg: cfg["initial"].update(v=[_NAN, 0]), "/initial/v: components must be numbers"),
+        (
+            lambda cfg: cfg["integrator"].update(t_span=[0, _HUGE]),
+            "/integrator/t_span: t_span entries must be numbers",
+        ),
+        (
+            lambda cfg: cfg["integrator"].update(t_span=[0, _NAN]),
+            "/integrator/t_span: t_span entries must be numbers",
+        ),
+        (
+            lambda cfg: cfg["chart"].update(name="sphere2d", radius=_HUGE),
+            "/chart/radius: expected a number or a string",
+        ),
+        (
+            lambda cfg: cfg["chart"].update(name="sphere2d", radius=_NAN),
+            "/chart/radius: expected a number or a string",
+        ),
     ],
 )
 def test_bad_configs_point_at_the_offending_key(tmp_path, capsys, mutate, pointer):
@@ -461,14 +485,32 @@ def test_bad_configs_point_at_the_offending_key(tmp_path, capsys, mutate, pointe
 
 
 @pytest.mark.parametrize(
-    "key,value", [("basename", None), ("basename", "or\0bit"), ("directory", "out\0")]
+    "mutate",
+    [
+        # A null basename used to run and write None.csv, and a NUL byte to raise a ValueError.
+        lambda cfg: cfg["output"].update(basename=None),
+        lambda cfg: cfg["output"].update(basename="or\0bit"),
+        lambda cfg: cfg["output"].update(directory=cfg["output"]["directory"] + "\0"),
+        # Refusals after the output keys are read used to leave an empty directory.
+        lambda cfg: cfg["initial"].update(x=["a", 0]),
+        lambda cfg: cfg["chart"].update(name="sphere2d", radius=_NAN),
+        # f = -x1*300 from x1 = 1.5: the initial energy's factor e^(600 x1) overflows.
+        lambda cfg: cfg.update(chart={"name": "euclidean2"}, system=_CONFORMAL_KINETIC),
+    ],
+    ids=[
+        "basename-None",
+        "basename-or\0bit",
+        "directory-out\0",
+        "initial-x",
+        "chart-radius",
+        "initial-energy",
+    ],
 )
-def test_refused_output_writes_nothing(tmp_path, capsys, key, value):
+def test_refused_output_writes_nothing(tmp_path, capsys, mutate):
     cfg = orbit_config(str(tmp_path / "out"))
-    cfg["output"][key] = value if key == "basename" else str(tmp_path / value)
+    mutate(cfg)
     assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 2
     assert "Traceback" not in capsys.readouterr().err
-    # A null basename used to run and write None.csv, and a NUL byte to raise a ValueError.
     assert not (tmp_path / "out").exists()
 
 

@@ -20,9 +20,8 @@ _NARROW_DOMAINS = {
 
 
 @pytest.mark.parametrize("chart_name", sorted(_NARROW_DOMAINS))
-@pytest.mark.parametrize("suite", ["elcompare", "threeway", "conservation"])
-def test_a_suite_fails_on_runs_that_leave_the_chart_early(monkeypatch, suite, chart_name):
-    """Every leg leaves the narrowed chart at t ~ 0.1 of 1; each check then reads inf."""
+def test_a_suite_fails_on_runs_that_leave_the_chart_early(monkeypatch, chart_name):
+    """Every leg leaves the narrowed chart at t ~ 0.1 of 1; every check, EL ones included, reads inf."""
     builtin_chart = manifold.builtin_chart
 
     def narrowed(name, **params):
@@ -30,10 +29,25 @@ def test_a_suite_fails_on_runs_that_leave_the_chart_early(monkeypatch, suite, ch
         return dataclasses.replace(chart, domain_fn=_NARROW_DOMAINS[name])
 
     monkeypatch.setattr(manifold, "builtin_chart", narrowed)
-    report = verification.run_suite(suite, chart_name)
+    report = verification.run_suite("threeway", chart_name)
     assert not report["passed"]
     assert report["checks"]
     assert all(check["value"] == math.inf for check in report["checks"])
+
+
+def test_all_suites_integrate_each_scenario_once(monkeypatch):
+    """threeway's one three_legs pass is the only classical leg that run_suite("all") integrates."""
+    families = []
+    integrate = dl.integrate_lagrangian
+
+    def counting(chart, lag, *args, **kwargs):
+        families.append(lag.family)
+        return integrate(chart, lag, *args, **kwargs)
+
+    monkeypatch.setattr(dl, "integrate_lagrangian", counting)
+    monkeypatch.setattr(verification, "_EL_PAIRS", (("kinetic-potential", "euclidean2"),))
+    assert verification.run_suite("all", "euclidean2")["passed"]
+    assert families == ["kinetic-potential"]
 
 
 def test_theorem81_fails_when_the_conformal_flow_stops_early(monkeypatch):
