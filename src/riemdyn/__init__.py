@@ -93,11 +93,9 @@ from .dynamics_newton import (
     write_trajectory_csv,
 )
 from .normal_shift import (
-    ConformalCheckReport,
     NormalShiftForce,
     RadialProfile,
     conformal_force_field,
-    conformal_geodesic_check,
     conformal_kinetic_profile,
     conformal_shift_profile,
     force_conformal,

@@ -11,7 +11,10 @@ Subcommands:
       of the error that ended the run goes to stderr and into the
       report as "error", with "error_class" and the "stop_time" of the
       last accepted state), 2 on config errors, such as a NaN where a
-      number belongs, an initial point whose metric is singular or
+      number belongs, a chart parameter or an integrator key that the
+      chart or the stepper does not take or whose value it refuses (at
+      /chart/<key> or /integrator/<key>; only dt_min > dt_max at
+      /integrator), an initial point whose metric is singular or
       overflows, or an initial state whose energy or H overflows, which
       leaves no sample to write. A refused config writes nothing: the
       output directory is made only once there is a trajectory.
@@ -19,8 +22,10 @@ Subcommands:
   riemdyn verify --suite NAME [--chart C] [--seed N] [--report FILE]
       Run a named verification suite and print one line per check.
       Exit 0 when every check passes, 1 otherwise, 2 for unknown
-      suites, for a chart that cannot be built and for a suite with no
-      scenario on the chart.
+      suites, for a chart that cannot be built, for a suite with no
+      scenario on the chart, and at --report for a report path in a
+      missing directory or onto a directory, refused before the suite
+      runs, or one whose write fails.
 
   riemdyn legendre -c config.json --direction forward|inverse
                    --state "x1,..,xn;f1,..,fn"
@@ -39,6 +44,7 @@ time or environment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -128,32 +134,70 @@ def _expression_param(
         raise ConfigError(f"bad expression: {exc}", pointer=f"{pointer}/{key}") from exc
 
 
+def _is_dimension(value) -> bool:
+    """An integer >= 1, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+_NUMBER = (_is_number, "a number")
+_DIMENSION = (_is_dimension, "an integer >= 1")
+_EXPRESSION = (lambda value: isinstance(value, str), "an expression")
+# The parameters each builtin chart takes besides rescale_f, which every chart
+# takes, each with the test of its value and what that asks for. A euclidean<n>
+# form takes no dim.
+_CHART_PARAMETERS = {
+    "euclidean": {"dim": _DIMENSION},
+    "sphere2d": {"radius": _NUMBER},
+    "conformally_flat": {"dim": _DIMENSION, "f": _EXPRESSION},
+}
+
+
 def build_chart(cfg: dict):
+    """The configured builtin chart; a parameter it does not take, or a bad value, at /chart/<key>."""
     chart_cfg = _require(cfg, "chart", "", dict)
     name = _require(chart_cfg, "name", "/chart", str)
-    params = {k: v for k, v in chart_cfg.items() if k != "name"}
+    takes = dict(_CHART_PARAMETERS.get(name, {}), rescale_f=_EXPRESSION)
+    params = {key: value for key, value in chart_cfg.items() if key != "name"}
     for key, value in params.items():
-        if not (isinstance(value, str) or _is_number(value)):
-            raise ConfigError("expected a number or a string", pointer=f"/chart/{key}")
+        if key not in takes:
+            raise ConfigError(f"chart {name!r} takes no parameter {key!r}", pointer=f"/chart/{key}")
+        test, wanted = takes[key]
+        if not test(value):
+            raise ConfigError(f"expected {wanted}", pointer=f"/chart/{key}")
+    rescale_f = params.pop("rescale_f", None)
     try:
-        return manifold.builtin_chart(name, **params)
-    except (RiemdynError, TypeError, ValueError) as exc:
+        chart = manifold.builtin_chart(name, **params)
+    except ParseError as exc:  # f is the one expression parsed while the chart is built
+        raise ConfigError(f"bad expression: {exc}", pointer="/chart/f") from exc
+    except (RiemdynError, ValueError) as exc:
         raise ConfigError(str(exc), pointer="/chart") from exc
+    if rescale_f is not None:
+        chart = manifold.conformal_rescale(
+            chart, _expression_param(chart_cfg, "rescale_f", "/chart", chart.dim)
+        )
+    return chart
 
 
 def build_integrator(cfg: dict) -> IntegratorConfig:
+    """The configured stepper; each refusal points at its key, and only dt_min > dt_max at /integrator."""
     int_cfg = cfg.get("integrator", {})
     if not isinstance(int_cfg, dict):
         raise ConfigError("integrator must be an object", pointer="/integrator")
-    kwargs = {}
-    for key in ("method", "dt", "record_every", "rtol", "atol", "dt_min", "dt_max"):
-        if key in int_cfg:
-            kwargs[key] = int_cfg[key]
+    known = [field.name for field in dataclasses.fields(IntegratorConfig)]
+    for key in int_cfg:
+        if key not in known:
+            raise ConfigError(
+                f"unknown integrator key {key!r} (known: {', '.join(known)})",
+                pointer=f"/integrator/{key}",
+            )
+    kwargs = dict(int_cfg)
+    if "method" in kwargs:
+        _require(kwargs, "method", "/integrator", str)
     for key in ("dt", "rtol", "atol", "dt_min", "dt_max"):
         if key in kwargs and not _is_number(kwargs[key]):
             raise ConfigError("expected a number", pointer=f"/integrator/{key}")
-    if "t_span" in int_cfg:
-        span = int_cfg["t_span"]
+    if "t_span" in kwargs:
+        span = kwargs["t_span"]
         if not (isinstance(span, list) and len(span) == 2):
             raise ConfigError("t_span must be [t0, t1]", pointer="/integrator/t_span")
         if not all(_is_number(t) for t in span):
@@ -161,8 +205,10 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
         kwargs["t_span"] = (float(span[0]), float(span[1]))
     try:
         return IntegratorConfig(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc), pointer="/integrator") from exc
+    except ValueError as exc:
+        key = str(exc).split(" ", 1)[0]  # the refused field, or "need" for dt_min > dt_max
+        pointer = f"/integrator/{key}" if key in kwargs else "/integrator"
+        raise ConfigError(str(exc), pointer=pointer) from exc
 
 
 def build_lagrangian(system: dict, pointer: str = "/system", *, dim: int | None = None):
@@ -403,6 +449,12 @@ def cmd_verify(args) -> int:
             manifold.builtin_chart(args.chart)
         except (RiemdynError, ValueError) as exc:
             raise ConfigError(str(exc), pointer="--chart") from None
+    if args.report:
+        if os.path.isdir(args.report):
+            raise ConfigError(f"{args.report!r} is a directory", pointer="--report")
+        folder = os.path.dirname(args.report) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"no directory {folder!r} for the report", pointer="--report")
     try:
         report = verification.run_suite(args.suite, args.chart, args.seed)
     except ValueError as exc:
@@ -425,7 +477,10 @@ def cmd_verify(args) -> int:
     good = sum(1 for c in report["checks"] if c["pass"])
     print(f"suite {report['suite']}: {good}/{total} checks passed")
     if args.report:
-        _json_dump(report, args.report)
+        try:
+            _json_dump(report, args.report)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report: {exc}", pointer="--report") from None
     return _EXIT_OK if report["passed"] else _EXIT_FAILED_CHECKS
 
 

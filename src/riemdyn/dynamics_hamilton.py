@@ -457,7 +457,6 @@ class CotangentTrajectory:
     ps: np.ndarray
     h_values: np.ndarray
     status: str
-    chart_name: str = ""
 
     def points(self) -> list[CotangentPoint]:
         return [CotangentPoint(x, p) for x, p in zip(self.xs, self.ps)]
@@ -483,14 +482,7 @@ def integrate_hamiltonian(
     ts, xs, ps, (h_values,), status = _integrate_split(
         chart, rhs, state0.x, state0.p, config, diagnostics
     )
-    return CotangentTrajectory(
-        ts=ts,
-        xs=xs,
-        ps=ps,
-        h_values=h_values,
-        status=status,
-        chart_name=chart.name,
-    )
+    return CotangentTrajectory(ts=ts, xs=xs, ps=ps, h_values=h_values, status=status)
 
 
 def write_cotangent_csv(trajectory: CotangentTrajectory, path) -> None:

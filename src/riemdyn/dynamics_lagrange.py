@@ -55,6 +55,7 @@ from .extended_fields import _fiber_correction, _index_terms, _quadratic_x_parti
 from .manifold import ManifoldChart
 from .normal_shift import (
     RadialProfile,
+    _a_from,
     conformal_kinetic_profile,
     kinetic_profile,
     phi_profile,
@@ -226,9 +227,7 @@ def force_from_lagrangian(
 def lagrangian_force_field(lagrangian: Lagrangian) -> ForceField:
     """The extracted force as a plain (upper index) force field; public only for perfbench."""
     return ForceField(
-        lambda chart, point: force_from_lagrangian(chart, lagrangian, point),
-        covariant=False,
-        name=f"lagrangian({lagrangian.name})",
+        lambda chart, point: force_from_lagrangian(chart, lagrangian, point), covariant=False
     )
 
 
@@ -370,8 +369,9 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     phi is an expression in "w", C a positive coordinate expression.
     Value evaluation is defined everywhere, but derivative hooks raise
     ZeroVelocityError below the zero-velocity floor. el_terms_fn forms |v|,
-    T' and the metric partials once for dL/dx, P and M, sharing the formulas
-    of dL/dx and P with the field's hooks; A is symmetric_a_matrix.
+    g v, T'', T' and the metric partials once for dL/dx, P, M and A, sharing
+    the formulas of dL/dx and P with the field's hooks and A's with
+    symmetric_a_matrix.
     """
     phi_expr = expression.profile_expr(phi)
     c_expr = expression.coordinate_expr(c)
@@ -403,14 +403,14 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     def terms(chart, point):
         x, v = point.x, point.v
         g = manifold.metric_at(chart, x)
-        a = symmetric_a_matrix(chart, profile, point)
         w = velocity_modulus(chart, point)
-        d1, d2, xd = profile.d_w(x, w), profile.d2_w(x, w), profile.x_partials_d_w(x, w)
+        d2, d1, xd = profile.d2_w(x, w), profile.d_w(x, w), profile.x_partials_d_w(x, w)
         dg = manifold.metric_partials_at(chart, x)
         w_s = modulus_x_partials(dg, v, w)
         v_low = g @ v
         radial = np.outer(v_low / w, xd + d2 * w_s)
         geometric = d1 * (np.einsum("kjs,j->ks", dg, v) / w - np.outer(v_low, w_s) / (w * w))
+        a = _a_from(g, v_low, w, d2, d1)
         return spatial(x, w, d1, w_s), fiber(v_low, w, d1), radial + geometric, a
 
     return Lagrangian(

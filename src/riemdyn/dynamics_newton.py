@@ -129,7 +129,6 @@ class ForceField:
 
     eval_fn: Callable[[ManifoldChart, TangentPoint], np.ndarray]
     covariant: bool = False
-    name: str = ""
 
 
 def _zero_force(chart, point):
@@ -138,7 +137,7 @@ def _zero_force(chart, point):
 
 def geodesic_system() -> ForceField:
     """The zero force: trajectories are geodesics. The right-hand sides never call it."""
-    return ForceField(_zero_force, name="geodesic")
+    return ForceField(_zero_force)
 
 
 def _nonzero(force: ForceField) -> ForceField | None:
@@ -152,7 +151,7 @@ def force_from_potential(u) -> ForceField:
     def ev(chart, point):
         return -np.array(expression.gradient(u_expr, point.x))
 
-    return ForceField(ev, covariant=True, name=f"potential({u_expr.source})")
+    return ForceField(ev, covariant=True)
 
 
 def force_vector(chart: ManifoldChart, force: ForceField, point: TangentPoint) -> np.ndarray:
@@ -215,7 +214,9 @@ class IntegratorConfig:
     "rk45-adaptive") uses dt as the initial step and adapts it within
     [dt_min, dt_max] against the mixed tolerance atol + rtol * |y|.
     record_every, an integer (not a bool), keeps every k-th accepted
-    step (the first and last samples are always kept).
+    step (the first and last samples are always kept). Each refusal is a
+    ValueError whose message starts with the name of the field it
+    refuses, except dt_min > dt_max, which starts with "need".
     """
 
     method: str = "rk4"
@@ -231,14 +232,14 @@ class IntegratorConfig:
         method = {"rk45-adaptive": "rk45"}.get(self.method, self.method)
         object.__setattr__(self, "method", method)
         if method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ValueError(f"method {self.method!r} is unknown (known: rk4, rk45, rk45-adaptive)")
         for name in ("dt", "rtol", "atol", "dt_min", "dt_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if not all(math.isfinite(t) for t in self.t_span):
             raise ValueError("t_span must be finite")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
         if self.t_span[1] <= self.t_span[0]:
             raise ValueError("t_span must have t1 > t0")
         if isinstance(self.record_every, bool) or not isinstance(
@@ -247,10 +248,8 @@ class IntegratorConfig:
             raise ValueError("record_every must be an integer")
         if not self.record_every >= 1:
             raise ValueError("record_every must be >= 1")
-        if not (0.0 < self.dt_min <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_max")
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ValueError("rtol and atol must be positive")
+        if self.dt_min > self.dt_max:
+            raise ValueError("need dt_min <= dt_max")
 
 
 @dataclass(eq=False)
@@ -263,7 +262,6 @@ class Trajectory:
     speeds: np.ndarray
     energies: np.ndarray | None
     status: str
-    chart_name: str = ""
 
     def points(self) -> list[TangentPoint]:
         return [TangentPoint(x, v) for x, v in zip(self.xs, self.vs)]
@@ -498,15 +496,8 @@ def _tangent_run(chart, rhs, q0, config, energy_fn) -> Trajectory:
         return speed, energy_fn(chart, TangentPoint(x, v))
 
     ts, xs, vs, columns, status = _integrate_split(chart, rhs, q0.x, q0.v, config, diagnostics)
-    return Trajectory(
-        ts=ts,
-        xs=xs,
-        vs=vs,
-        speeds=columns[0],
-        energies=None if energy_fn is None else columns[1],
-        status=status,
-        chart_name=chart.name,
-    )
+    energies = None if energy_fn is None else columns[1]
+    return Trajectory(ts=ts, xs=xs, vs=vs, speeds=columns[0], energies=energies, status=status)
 
 
 def _integrate_split(chart, rhs, x0, fiber0, config, diagnostics):

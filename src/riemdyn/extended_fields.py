@@ -383,8 +383,8 @@ def covariant_time_derivative(
 
     values has shape (len(samples),) + component shape; variance tags the
     component axes. The time derivative uses second-order differences
-    (central inside, one-sided at the ends) plus Christoffel index terms
-    contracted with the curve velocity.
+    (central inside, one-sided at the ends) plus spatial_gradient's
+    Christoffel index terms, _index_terms, contracted with the curve velocity.
     """
     dt = _check_uniform_times(samples)
     values = np.asarray(values, dtype=float)
@@ -402,17 +402,7 @@ def covariant_time_derivative(
     out = np.empty_like(ddt)
     for i, sample in enumerate(samples):
         gamma = manifold.christoffel_at(chart, sample.point.x)
-        v = sample.point.v
-        corr = np.zeros(values.shape[1:])
-        for axis, tag in enumerate(variance):
-            if tag == "u":
-                m = np.einsum("kqa,q->ka", gamma, v)
-                term = np.tensordot(values[i], m, axes=([axis], [1]))
-            else:
-                m = np.einsum("bqj,q->bj", gamma, v)
-                term = -np.tensordot(values[i], m, axes=([axis], [0]))
-            corr += np.moveaxis(term, -1, axis)
-        out[i] = ddt[i] + corr
+        out[i] = ddt[i] + _index_terms(gamma, values[i], variance) @ sample.point.v
     return out
 
 

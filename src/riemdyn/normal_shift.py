@@ -29,20 +29,19 @@ force to the conformal family
     F_r = -|v|^2 grad_r f + 2 (grad f . v) v_r
 
 whose flow coincides with the geodesic flow of the rescaled metric
-e^(-2f) g; conformal_geodesic_check integrates both sides and reports
-how far apart they land.
+e^(-2f) g; verification's theorem81 suite integrates both and compares
+them through leg_gaps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import expression, manifold
-from .dynamics_newton import ForceField, IntegratorConfig, geodesic_system, integrate
+from .dynamics_newton import ForceField
 from .errors import DegenerateLagrangianError, DegenerateWError, ZeroVelocityError
 from .extended_fields import ExtendedField, TangentPoint, TensorComponents
 from .manifold import ManifoldChart
@@ -50,7 +49,6 @@ from .manifold import ManifoldChart
 __all__ = [
     "RadialProfile",
     "NormalShiftForce",
-    "ConformalCheckReport",
     "profile_from_expression",
     "phi_profile",
     "kinetic_profile",
@@ -68,7 +66,6 @@ __all__ = [
     "spherical_force_field",
     "normal_shift_force_field",
     "conformal_force_field",
-    "conformal_geodesic_check",
     "as_extended_field",
 ]
 
@@ -199,10 +196,13 @@ def symmetric_a_matrix(
     """Closed-form fiber Hessian A_ij = T'' Q_ij + (T'/|v|) P_ij (lower indexes)."""
     w = velocity_modulus(chart, point)
     g = manifold.metric_at(chart, point.x)
-    v_low = g @ point.v
+    return _a_from(g, g @ point.v, w, profile.d2_w(point.x, w), profile.d_w(point.x, w))
+
+
+def _a_from(g: np.ndarray, v_low: np.ndarray, w: float, d2: float, d1: float) -> np.ndarray:
+    """A_ij = T'' Q_ij + (T'/|v|) P_ij from g, v_low = g v, w = |v|, T'' and T'."""
     q_low = np.outer(v_low, v_low) / (w * w)
-    p_low = g - q_low
-    return profile.d2_w(point.x, w) * q_low + (profile.d_w(point.x, w) / w) * p_low
+    return d2 * q_low + (d1 / w) * (g - q_low)
 
 
 def symmetric_b_matrix(
@@ -288,7 +288,6 @@ def spherical_force_field(profile: RadialProfile) -> ForceField:
     return ForceField(
         lambda chart, point: force_spherical(chart, profile, point),
         covariant=True,
-        name=f"spherical({profile.name})",
     )
 
 
@@ -296,7 +295,6 @@ def normal_shift_force_field(force: NormalShiftForce) -> ForceField:
     return ForceField(
         lambda chart, point: force_normal_shift(chart, force, point),
         covariant=True,
-        name=f"normal_shift({force.w_profile.name})",
     )
 
 
@@ -305,7 +303,6 @@ def conformal_force_field(f) -> ForceField:
     return ForceField(
         lambda chart, point: force_conformal(chart, f_expr, point),
         covariant=True,
-        name=f"conformal({f_expr.source})",
     )
 
 
@@ -321,54 +318,3 @@ def as_extended_field(profile: RadialProfile) -> ExtendedField:
         return np.array(profile.value(point.x, w))
 
     return ExtendedField((0, 0), "v", ev, name=profile.name)
-
-
-@dataclass(frozen=True)
-class ConformalCheckReport:
-    """Outcome of integrating a conformal force against rescaled geodesics."""
-
-    sup_distance: float
-    parameter_discrepancy: float
-    force_status: str
-    geodesic_status: str
-    samples_compared: int
-
-    @property
-    def both_completed(self) -> bool:
-        return self.force_status == "completed" and self.geodesic_status == "completed"
-
-
-def conformal_geodesic_check(
-    chart: ManifoldChart, f, q0: TangentPoint, config: IntegratorConfig
-) -> ConformalCheckReport:
-    """Integrate the conformal force on chart g and the geodesics of e^(-2f) g.
-
-    Both runs start from the same (x, v) with the same stepper settings.
-    sup_distance is the worst per-time coordinate gap; parameter_discrepancy
-    reports, for each force sample, the time offset to the nearest geodesic
-    sample in coordinates, catching trajectories that trace one path on
-    different clocks. Both are inf, and no sample is compared, when the two
-    runs' sample times differ (an adaptive step, or a run that stopped early).
-    """
-    f_expr = expression.coordinate_expr(f, dim=chart.dim)
-    traj_force = integrate(chart, conformal_force_field(f_expr), q0, config)
-    rescaled = manifold.conformal_rescale(chart, f_expr)
-    traj_geo = integrate(rescaled, geodesic_system(), q0, config)
-
-    sup_distance = parameter_discrepancy = math.inf
-    compared = 0
-    if np.array_equal(traj_force.ts, traj_geo.ts):
-        xf, xg = traj_force.xs, traj_geo.xs
-        sup_distance = float(np.max(np.abs(xf - xg)))
-        gaps = np.max(np.abs(xf[:, None, :] - xg[None, :, :]), axis=2)
-        nearest = np.argmin(gaps, axis=1)
-        parameter_discrepancy = float(np.max(np.abs(traj_geo.ts[nearest] - traj_force.ts)))
-        compared = len(traj_force.ts)
-
-    return ConformalCheckReport(
-        sup_distance=sup_distance,
-        parameter_discrepancy=parameter_discrepancy,
-        force_status=traj_force.status,
-        geodesic_status=traj_geo.status,
-        samples_compared=compared,
-    )

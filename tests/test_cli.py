@@ -417,6 +417,38 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
             "/chart: chart 'conformally_flat' needs the parameter 'f'",
         ),
         (lambda cfg: cfg["chart"].update(name="sphere2d", radius=True), "/chart/radius"),
+        # Each builtin chart takes only its own parameters, numbers as numbers.
+        (
+            lambda cfg: cfg["chart"].update(name="sphere2d", radius="2"),
+            "/chart/radius: expected a number",
+        ),
+        (
+            lambda cfg: cfg["chart"].update(name="sphere2d", radius="nan"),
+            "/chart/radius: expected a number",
+        ),
+        (
+            lambda cfg: cfg["chart"].update(name="euclidean", dim="2"),
+            "/chart/dim: expected an integer >= 1",
+        ),
+        (lambda cfg: cfg["chart"].update(name="euclidean", dim=0), "/chart/dim"),
+        (
+            lambda cfg: cfg["chart"].update(radius=2),
+            "/chart/radius: chart 'polar2d' takes no parameter 'radius'",
+        ),
+        (
+            lambda cfg: cfg["chart"].update(name="euclidean2", dim=3),
+            "/chart/dim: chart 'euclidean2' takes no parameter 'dim'",
+        ),
+        (
+            lambda cfg: cfg.update(chart={"name": "conformally_flat", "f": 2}),
+            "/chart/f: expected an expression",
+        ),
+        (
+            lambda cfg: cfg.update(chart={"name": "conformally_flat", "f": "x3"}),
+            "/chart/f: bad expression",
+        ),
+        (lambda cfg: cfg["chart"].update(rescale_f="sin("), "/chart/rescale_f: bad expression"),
+        (lambda cfg: cfg["chart"].update(rescale_f="x3"), "/chart/rescale_f: bad expression"),
         (lambda cfg: cfg["initial"].update(x=[0.0, 0.0]), "/initial/x"),
         (lambda cfg: cfg["initial"].update(x=["a", 0]), "/initial/x: coordinates must be numbers"),
         (lambda cfg: cfg["initial"].update(x=[True, 0]), "/initial/x: coordinates must be numbers"),
@@ -433,14 +465,31 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
             lambda cfg: cfg.update(chart={"name": "conformally_flat", "f": "x1*400"}),
             "/initial/x: metric on 'conformally_flat2'",
         ),
-        (lambda cfg: cfg["integrator"].update(dt=0.0), "/integrator"),
+        (lambda cfg: cfg["integrator"].update(dt=0.0), "/integrator/dt: dt must be positive"),
+        (lambda cfg: cfg["integrator"].update(dt=-1), "/integrator/dt: dt must be positive"),
+        (
+            lambda cfg: cfg["integrator"].update(dtt=0.5),
+            "/integrator/dtt: unknown integrator key 'dtt'",
+        ),
+        (
+            lambda cfg: cfg["integrator"].update(record_every=0),
+            "/integrator/record_every: record_every must be >= 1",
+        ),
+        (
+            lambda cfg: cfg["integrator"].update(method="euler"),
+            "/integrator/method: method 'euler' is unknown",
+        ),
+        (
+            lambda cfg: cfg["integrator"].update(dt_min=0.5, dt_max=0.2),
+            "/integrator: need dt_min <= dt_max",
+        ),
         (lambda cfg: cfg["integrator"].update(dt=_NAN), "/integrator/dt"),
         (lambda cfg: cfg["integrator"].update(t_span=["a", 1]), "/integrator/t_span"),
         (lambda cfg: cfg["integrator"].update(t_span=[0, True]), "/integrator/t_span"),
         (lambda cfg: cfg["integrator"].update(dt=True), "/integrator/dt: expected a number"),
         (
             lambda cfg: cfg["integrator"].update(record_every=2.5),
-            "/integrator: record_every must be an integer",
+            "/integrator/record_every: record_every must be an integer",
         ),
         (lambda cfg: cfg.update(output=[1]), "/output"),
         (lambda cfg: cfg["output"].update(directory=5), "/output/directory"),
@@ -467,11 +516,11 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
         ),
         (
             lambda cfg: cfg["chart"].update(name="sphere2d", radius=_HUGE),
-            "/chart/radius: expected a number or a string",
+            "/chart/radius: expected a number",
         ),
         (
             lambda cfg: cfg["chart"].update(name="sphere2d", radius=_NAN),
-            "/chart/radius: expected a number or a string",
+            "/chart/radius: expected a number",
         ),
     ],
 )
@@ -568,6 +617,31 @@ def test_a_fault_inside_a_suite_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(verification, "_SUITES", {"identities": suite})
     with pytest.raises(ValueError, match="a fault inside the suite"):
         cli.main(["verify", "--suite", "identities"])
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_verify_refuses_an_unusable_report_path_before_the_suite_runs(
+    tmp_path, capsys, monkeypatch, where
+):
+    def refuse(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(verification, "run_suite", refuse)
+    path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert cli.main(["verify", "--suite", "cancellation", "--report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "config error at --report: " in err
+    assert "PASS" not in out
+
+
+def test_verify_refuses_a_report_that_cannot_be_written(tmp_path, capsys, monkeypatch):
+    def unwritable(obj, path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "_json_dump", unwritable)
+    argv = ["verify", "--suite", "rk4order", "--report", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 2
+    assert "config error at --report: cannot write the report: " in capsys.readouterr().err
 
 
 def test_verify_suite_passes_and_writes_report(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import dt_oracle
 import exports_oracle
 import numpy as np
 import pytest
@@ -149,6 +150,21 @@ def test_covariant_time_derivative_of_momentum_along_geodesic():
     )
     dt_p = ef.covariant_time_derivative(chart, samples, values, ("l",))
     assert np.max(np.abs(dt_p)) < 1e-5
+
+
+@pytest.mark.parametrize("variance", [("u",), ("l",), ("u", "l"), ("l", "l")])
+@pytest.mark.parametrize("name", ["polar2d", "sphere2d"])
+def test_covariant_time_derivative_equals_the_per_index_loop_it_replaced(name, variance):
+    """D_t of components linear in t, whose dX/dt is about as large as the index terms, to 1e-14 relative."""
+    chart = manifold.builtin_chart(name)
+    rng = np.random.default_rng(7)
+    samples = verification.synthetic_curve_samples(chart, rng)
+    shape = (chart.dim,) * len(variance)
+    start, rate = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
+    values = np.stack([start + rate * s.t for s in samples])
+    got = ef.covariant_time_derivative(chart, samples, values, variance)
+    want = dt_oracle.covariant_time_derivative(chart, samples, values, variance)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_time_derivative_needs_uniform_grid():

@@ -12,7 +12,7 @@ import pytest
 
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
-from riemdyn import extended_fields, manifold, verification
+from riemdyn import expression, extended_fields, manifold, verification
 from riemdyn.errors import (
     InsufficientSamplesError,
     NumericOverflowError,
@@ -465,6 +465,25 @@ def test_a_lagrangian_with_only_a_value_solves_with_one_finite_difference_a(char
         exact = dl.force_from_lagrangian(chart, lag, point)
         assert np.max(np.abs(dl.force_from_lagrangian(chart, bare, point) - exact)) < 1e-5
         assert np.max(np.abs(force_oracle.force(chart, bare, point) - exact)) < 1e-5
+
+
+def test_the_fiberwise_pass_forms_its_modulus_and_profile_derivatives_once(monkeypatch):
+    """One |v| and one T'' and T' per right-hand side, A included, and one |v| per sample."""
+    calls = Counter()
+    for module, name in ((expression, "evaluate_fiber"), (manifold, "speed")):
+
+        def counted(*args, _name=name, _hook=getattr(module, name)):
+            calls[_name] += 1
+            return _hook(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    chart = manifold.builtin_chart("polar2d")
+    q0 = TangentPoint(np.array([1.5, 0.2]), np.array([0.2, 0.5]))
+    config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
+    trajectory = dl.integrate_lagrangian(chart, verification._system("fiberwise-phi"), q0, config)
+    assert trajectory.status == "completed" and len(trajectory.ts) == 101
+    # 1,000 rk4 steps of four right-hand sides each.
+    assert calls == {"evaluate_fiber": 8000, "speed": 4101}
 
 
 @pytest.mark.parametrize("family,params", _QUADRATIC)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from riemdyn import dynamics_lagrange as dl
-from riemdyn import dynamics_newton as dn
 from riemdyn import extended_fields, manifold, normal_shift as ns, verification
 from riemdyn.errors import DegenerateWError, ZeroVelocityError
 from riemdyn.extended_fields import TangentPoint
@@ -123,29 +122,6 @@ def test_phi_profile_refuses_variables_other_than_w():
     with pytest.raises(ValueError):
         ns.phi_profile("w^2/2 + x1", "1")
     assert ns.phi_profile("w^2/2", "exp(-x1/4)").expr.variables == ("w", "x1")
-
-
-def test_conformal_flow_traces_rescaled_geodesics():
-    chart = manifold.builtin_chart("euclidean2")
-    q0 = TangentPoint(np.array([0.0, 0.0]), np.array([0.4, 0.3]))
-    config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
-    report = ns.conformal_geodesic_check(chart, "x1", q0, config)
-    assert report.both_completed
-    assert report.sup_distance < 1e-6
-    assert report.parameter_discrepancy < 1e-6
-
-
-def test_conformal_check_compares_nothing_when_sample_times_differ():
-    # rk45 adapts each run's steps to its own right-hand side, so the two runs
-    # complete on different clocks and no sample pair shares a time.
-    chart = manifold.builtin_chart("sphere2d")
-    q0 = TangentPoint(np.array([1.0, 0.3]), np.array([0.3, 0.9]))
-    config = dn.IntegratorConfig(method="rk45", dt=1e-3, t_span=(0.0, 1.0), rtol=1e-9)
-    report = ns.conformal_geodesic_check(chart, "x1/2", q0, config)
-    assert report.both_completed
-    assert report.sup_distance == math.inf
-    assert report.parameter_discrepancy == math.inf
-    assert report.samples_compared == 0
 
 
 @pytest.mark.parametrize("family,params", _FAMILIES)

@@ -50,18 +50,52 @@ def test_all_suites_integrate_each_scenario_once(monkeypatch):
     assert families == ["kinetic-potential"]
 
 
-def test_theorem81_fails_when_the_conformal_flow_stops_early(monkeypatch):
-    check = normal_shift.conformal_geodesic_check
+# theorem81's charts cut down to a box around its start states, the sample box with them.
+_THEOREM81_BOXES = {
+    "euclidean2": [[-0.05, 0.05], [-0.05, 0.05]],
+    "sphere2d": [[0.9, 1.05], [0.2, 0.4]],
+}
 
-    def stopped(*args):
-        return dataclasses.replace(check(*args), force_status="left_chart")
 
-    assert verification.run_suite("theorem81", "euclidean2")["passed"]
-    monkeypatch.setattr(normal_shift, "conformal_geodesic_check", stopped)
-    report = verification.run_suite("theorem81", "euclidean2")
-    flow = [c for c in report["checks"] if c["name"].startswith("conformal_flow")]
-    assert len(flow) == 2 and all(c["value"] == math.inf for c in flow)
+@pytest.mark.parametrize("chart_name", sorted(_THEOREM81_BOXES))
+def test_theorem81_fails_when_the_conformal_flow_stops_early(monkeypatch, chart_name):
+    """Both runs leave the box at t ~ 0.1 of 1, so both flow checks read inf; the pointwise check still passes."""
+    builtin_chart = manifold.builtin_chart
+    box = np.array(_THEOREM81_BOXES[chart_name])
+
+    def boxed(name, **params):
+        chart = builtin_chart(name, **params)
+        return dataclasses.replace(
+            chart, domain_fn=lambda x: bool(np.all((box[:, 0] < x) & (x < box[:, 1]))), sample_box=box
+        )
+
+    monkeypatch.setattr(manifold, "builtin_chart", boxed)
+    report = verification.run_suite("theorem81", chart_name)
     assert not report["passed"]
+    values = {c["name"].split("[")[0]: c["value"] for c in report["checks"]}
+    assert values["conformal_flow_vs_rescaled_geodesic"] == math.inf
+    assert values["conformal_flow_parameter_discrepancy"] == math.inf
+    assert values["shift_equals_conformal_force"] <= verification.FORCE_MATCH_TOL
+
+
+@pytest.mark.parametrize("chart_name", ["euclidean2", "sphere2d"])
+def test_a_planted_fault_in_the_rescaled_christoffel_symbols_shows_in_the_flow_gap(
+    monkeypatch, chart_name
+):
+    """Gamma of e^(-2f) g scaled by 1 + 1e-6 moves the flow gap from 0.0 to at least 1e-8."""
+    conformal_rescale = manifold.conformal_rescale
+
+    def faulty(chart, f):
+        rescaled = conformal_rescale(chart, f)
+        hook = rescaled.christoffel_fn
+        return dataclasses.replace(rescaled, christoffel_fn=lambda x: hook(x) * (1.0 + 1e-6))
+
+    name = f"conformal_flow_vs_rescaled_geodesic[{chart_name}]"
+    checks = {c["name"]: c for c in verification.run_suite("theorem81", chart_name)["checks"]}
+    assert checks[name]["value"] == 0.0
+    monkeypatch.setattr(manifold, "conformal_rescale", faulty)
+    checks = {c["name"]: c for c in verification.run_suite("theorem81", chart_name)["checks"]}
+    assert checks[name]["value"] >= 1e-8
 
 
 def _faulty_christoffel(chart):
