@@ -14,7 +14,10 @@ Subcommands:
       number belongs, a chart parameter or an integrator key that the
       chart or the stepper does not take or whose value it refuses (at
       /chart/<key> or /integrator/<key>; only dt_min > dt_max at
-      /integrator), an initial point whose metric is singular or
+      /integrator), a top-level, initial or output key that the config
+      does not take (at /<key>, /initial/<key> or /output/<key>; the
+      legendre command refuses unknown top-level keys too), an initial
+      point whose metric is singular or
       overflows, or an initial state whose energy or H overflows, which
       leaves no sample to write. A refused config writes nothing: the
       output directory is made only once there is a trajectory.
@@ -85,6 +88,23 @@ _EXIT_CONFIG = 2
 _EXIT_INTEGRATION = 3
 _EXIT_LEGENDRE = 4
 
+# The keys each config section takes; chart and integrator keys are checked
+# by their builders, and system keys depend on the kind, family and force.
+_TOP_LEVEL_KEYS = ("schema", "chart", "system", "integrator", "initial", "output")
+_INITIAL_KEYS = ("x", "v", "p")
+_OUTPUT_KEYS = ("directory", "basename")
+
+
+def _refuse_unknown_keys(section: dict, known, pointer: str, what: str) -> None:
+    """Refuse the first key of section that is not in known, at its JSON pointer (RFC 6901)."""
+    for key in section:
+        if key not in known:
+            escaped = key.replace("~", "~0").replace("/", "~1")
+            raise ConfigError(
+                f"unknown {what} key {key!r} (known: {', '.join(known)})",
+                pointer=f"{pointer}/{escaped}",
+            )
+
 
 def _load_config(path: str) -> dict:
     try:
@@ -98,6 +118,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config must be a JSON object", pointer="")
     if not (_is_number(cfg.get("schema")) and cfg["schema"] == 1):
         raise ConfigError("expected \"schema\": 1", pointer="/schema")
+    _refuse_unknown_keys(cfg, _TOP_LEVEL_KEYS, "", "top-level")
     return cfg
 
 
@@ -184,12 +205,7 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
     if not isinstance(int_cfg, dict):
         raise ConfigError("integrator must be an object", pointer="/integrator")
     known = [field.name for field in dataclasses.fields(IntegratorConfig)]
-    for key in int_cfg:
-        if key not in known:
-            raise ConfigError(
-                f"unknown integrator key {key!r} (known: {', '.join(known)})",
-                pointer=f"/integrator/{key}",
-            )
+    _refuse_unknown_keys(int_cfg, known, "/integrator", "integrator")
     kwargs = dict(int_cfg)
     if "method" in kwargs:
         _require(kwargs, "method", "/integrator", str)
@@ -295,6 +311,7 @@ def _kinetic_energy(chart, point):
 def _initial_arrays(cfg: dict, chart, fiber_key: str):
     dim = chart.dim
     initial = _require(cfg, "initial", "", dict)
+    _refuse_unknown_keys(initial, _INITIAL_KEYS, "/initial", "initial")
     x = _require(initial, "x", "/initial", list)
     fiber = _require(initial, fiber_key, "/initial", list)
     for key, values, what in (("x", x, "coordinates"), (fiber_key, fiber, "components")):
@@ -325,6 +342,7 @@ def _output_paths(cfg: dict, out_dir: str | None) -> tuple[str, str, str]:
     output = cfg.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output must be an object", pointer="/output")
+    _refuse_unknown_keys(output, _OUTPUT_KEYS, "/output", "output")
     for key in ("directory", "basename"):
         if key in output and not (isinstance(output[key], str) and output[key]):
             raise ConfigError(f"{key} must be a non-empty string", pointer=f"/output/{key}")

@@ -22,7 +22,8 @@ genuinely independent construction. There are two closed forms:
         H = z phi'(z) - phi(z) at phi'(z) = |p|/C(x)
 
 The fiberwise H solves phi'(z) = |p|/C(x) by a safeguarded Newton
-iteration that takes phi' and phi'' from one compiled call per iterate.
+iteration that takes phi' and phi'' from one call per iterate of phi's
+compiled code, called with z directly, with no variable map.
 Both closed forms carry a jet hook, and hamilton_rhs reads dH/dp and dH/dx
 from one jet: each right-hand side inverts phi' once per state and reads
 neither phi nor U, which only the value of H needs.
@@ -292,12 +293,23 @@ class Hamiltonian:
         return extended_fields.fiber_partials(chart, self.field, state)
 
 
+def _in_w(phi_expr, *pairs):
+    """phi's compiled code of the seed pairs as a function of w.
+
+    phi is an expression in w alone (normal_shift.phi_profile), so the code
+    takes w as its one argument, or none when phi is constant.
+    """
+    fn = expression._code(phi_expr, *pairs)
+    return fn if phi_expr.variables else lambda w: fn()
+
+
 def _invert_phi_prime(phi_expr, target: float) -> float:
     """Solve phi'(z) = target for z > 0, assuming phi' is increasing."""
-
+    slope = _in_w(phi_expr, ("w",))
+    slope_and_curvature = _in_w(phi_expr, ("w",), ("w", "w"))
     lo, hi = 0.0, max(abs(target), 1.0)
     for _ in range(200):
-        if expression.partial_env(phi_expr, {"w": hi}, "w") >= target:
+        if slope(hi) >= target:
             break
         hi *= 2.0
     else:
@@ -305,7 +317,7 @@ def _invert_phi_prime(phi_expr, target: float) -> float:
     z = min(max(target, 1e-8), hi)
     tol = 1e-14 * max(1.0, abs(target))
     for _ in range(100):
-        fp, slope = expression.partial_and_second_env(phi_expr, {"w": z}, "w")
+        fp, fpp = slope_and_curvature(z)
         err = fp - target
         if abs(err) <= tol:
             return z
@@ -313,7 +325,7 @@ def _invert_phi_prime(phi_expr, target: float) -> float:
             hi = z
         else:
             lo = z
-        z_new = z - err / slope if slope > 0.0 else 0.5 * (lo + hi)
+        z_new = z - err / fpp if fpp > 0.0 else 0.5 * (lo + hi)
         if not (lo < z_new < hi):
             z_new = 0.5 * (lo + hi)
         z = z_new

@@ -12,11 +12,11 @@ gradient also bind the fiber variable.
 Values and exact first and mixed second partials are compiled once per
 expression and seed pair, on first use, into straight-line Python code:
 the forward-mode hyper-dual arithmetic unrolled over the tree by source
-transformation, with components that are always zero dropped and every
-domain check kept. partial_and_second_env returns a first and a second
-partial from one such function. The hyper-dual tree walker these
-functions replace lives on in tests/ as the oracle they are compared
-against.
+transformation, with components that are always zero dropped, constant
+exponents resolved while compiling, and every domain check kept.
+partial_and_second_env returns a first and a second partial from one such
+function. The hyper-dual tree walker these functions replace lives on in
+tests/ as the oracle they are compared against.
 
 _central_differences and _second_differences are the package's one
 first- and one second-difference stencil, and the step rule lives beside
@@ -48,7 +48,6 @@ __all__ = [
     "evaluate_env",
     "partial",
     "partial_env",
-    "second_partial",
     "second_partial_env",
     "partial_and_second_env",
     "gradient",
@@ -107,8 +106,8 @@ class ScalarExpr:
     # Position in a coordinate array of each variable: -1 for the fiber
     # variable "w", -2 for any other non-coordinate.
     _slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # Compiled functions by seed pair, or by a tuple of seed pairs compiled
-    # into one function, built on first use (see _code).
+    # Compiled functions by their tuple of seed pairs, built on first use
+    # (see _code).
     _code: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -407,15 +406,24 @@ def substitute(expr: ScalarExpr, mapping: Mapping[str, ScalarExpr]) -> ScalarExp
 # Scalar rules shared by the compiled code
 
 
+_ZERO_TO_NEGATIVE = "zero raised to a negative power"
+
+
+def _negative_base_error(base: float, exponent: float) -> EvalDomainError:
+    return EvalDomainError(f"negative base {base!r} with non-integer exponent {exponent!r}")
+
+
+def _singular_at_zero_error(r: float) -> EvalDomainError:
+    return EvalDomainError(f"derivative of x^{r} is singular at zero")
+
+
 def _pow_val(base: float, exponent: float) -> float:
     if base == 0.0 and exponent == 0.0:
         return 1.0
     if base == 0.0 and exponent < 0.0:
-        raise EvalDomainError("zero raised to a negative power")
+        raise EvalDomainError(_ZERO_TO_NEGATIVE)
     if base < 0.0 and exponent != round(exponent):
-        raise EvalDomainError(
-            f"negative base {base!r} with non-integer exponent {exponent!r}"
-        )
+        raise _negative_base_error(base, exponent)
     try:
         return math.pow(base, exponent)
     except OverflowError:
@@ -433,7 +441,7 @@ def _pow_deriv_coeff(a: float, r: float, order: int) -> float:
             return 0.0
         if power == 0.0:
             return coeff
-        raise EvalDomainError(f"derivative of x^{r} is singular at zero")
+        raise _singular_at_zero_error(r)
     return coeff * _pow_val(a, r - order)
 
 
@@ -480,9 +488,16 @@ def _pow_base_error(base: float) -> EvalDomainError:
 # Walther, "Evaluating Derivatives", SIAM 2008, ch. 6). A component that is
 # zero for every input is dropped while compiling; one that is zero only at
 # some inputs keeps the run-time tests the hyper-dual rules make on it
-# (sqrt at zero, constant versus variable exponents). So every domain check
-# runs at the same point of the evaluation, and a partial with respect to a
-# variable the expression lacks still runs the value's checks.
+# (sqrt at zero, an exponent whose derivative may vanish). So every domain
+# check runs at the same point of the evaluation, and a partial with respect
+# to a variable the expression lacks still runs the value's checks.
+#
+# A numeric constant exponent, with its unary minus folded in, is resolved
+# while compiling: the tests of _pow_val and _pow_deriv_coeff on the
+# exponent, and the coefficients r and r(r - 1), are decided here, and only
+# the tests on the base and the math.pow calls are written (d/dw of w^4 is
+# 0.0 if w == 0.0 else 4.0 * math.pow(w, 3.0); d2/dw2 of w^2 is 2.0). Any
+# other exponent is known only at run time and calls the two helpers.
 #
 # One function can also hold the code of several seed pairs, written one
 # after the other, and return a tuple with one result per pair. Each result
@@ -498,8 +513,10 @@ def _pow_base_error(base: float) -> EvalDomainError:
 # Every local is assigned once and every runtime function is pure, so an
 # unconditional line whose right-hand side was already written reuses the
 # earlier local instead (common subexpressions, across the seed pairs of
-# one function too), and a run-time test on the seed literal is decided
-# while compiling. Neither changes a result or the order of the checks.
+# one function too), a run-time test already written unconditionally is
+# not written again, and a test on the seed literal or on a non-zero
+# constant divisor is decided while compiling. None of these changes a
+# result or the order of the checks.
 
 _SEED = "1.0"
 _DERIV_AT_ZERO = "derivative of sqrt at zero"
@@ -531,6 +548,10 @@ _RUNTIME = {
     "_sqrt_val": _sqrt_val,
     "_pow_val": _pow_val,
     "_pow_deriv_coeff": _pow_deriv_coeff,
+    "_pow": math.pow,
+    "_inf": math.inf,
+    "_negative_base_error": _negative_base_error,
+    "_singular_at_zero_error": _singular_at_zero_error,
     "_nonzero_product": _nonzero_product,
     "_pow_base_error": _pow_base_error,
     "_domain": EvalDomainError,
@@ -554,9 +575,19 @@ class _Emitter:
         # The local of each right-hand side written unconditionally, and of each constant.
         self.written: dict[str, str] = {}
         self.consts: dict[str, str] = {}
+        # Each run-time test written unconditionally.
+        self.tested: set[str] = set()
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
+
+    def check(self, test: str, error: str) -> None:
+        """if test: raise error, left out after the same unconditional test: it passed there."""
+        text = f"if {test}: raise {error}"
+        if text not in self.tested:
+            self.line(text)
+            if self.depth == 1:
+                self.tested.add(text)
 
     def fresh(self) -> str:
         self.count += 1
@@ -571,6 +602,10 @@ class _Emitter:
             if self.depth == 1:
                 self.written[rhs] = name
         return name
+
+    def constant(self, c) -> float | None:
+        """The value of the component c if it is a numeric constant, else None."""
+        return self.namespace[c] if c is not None and c.startswith("c") else None
 
     def const(self, value: float) -> str:
         key = value.hex()
@@ -630,7 +665,8 @@ class _Emitter:
 
     def div(self, u, v):
         va, v1, v2, v12 = v
-        self.line(f"if {va} == 0.0: raise _domain('division by zero')")
+        if not self.constant(va):  # a non-zero constant divisor needs no test
+            self.check(f"{va} == 0.0", "_domain('division by zero')")
         if self.seeds == (None, None):
             # The plain value divides directly, so it is correctly rounded.
             return (self.tmp(f"{u[0]} / {va}"), None, None, None)
@@ -686,17 +722,79 @@ class _Emitter:
 
     def const_power(self, u, r):
         ua = u[0]
-        f = self.tmp(f"_pow_val({ua}, {r})")
+        exponent = self.constant(r)
+        resolved = exponent is not None and math.isfinite(exponent)
+        if resolved:
+            f = self.resolved_pow_val(ua, exponent)
+        else:
+            f = self.tmp(f"_pow_val({ua}, {r})")
         needs_deriv = self.nonzero_test(u[1:])
         if needs_deriv is None:
             return (f, None, None, None)
 
         def lifted():
-            d1 = self.tmp(f"_pow_deriv_coeff({ua}, {r}, 1)")
-            d2 = self.tmp(f"_pow_deriv_coeff({ua}, {r}, 2)")
+            if resolved:
+                d1 = self.resolved_pow_deriv(ua, exponent, 1)
+                # d2 is computed even when unused, as _pow_deriv_coeff is: only
+                # its domain tests are written then.
+                used = u[1] is not None and u[2] is not None
+                d2 = self.resolved_pow_deriv(ua, exponent, 2, used)
+            else:
+                d1 = self.tmp(f"_pow_deriv_coeff({ua}, {r}, 1)")
+                d2 = self.tmp(f"_pow_deriv_coeff({ua}, {r}, 2)")
             return self.chain(u, f, d1, d2)
 
         return self.branch(needs_deriv, lifted, lambda: (f, None, None, None))
+
+    # -- constant exponents ----------------------------------------------
+    #
+    # _pow_val and _pow_deriv_coeff with the exponent r known while compiling:
+    # every test on r alone is decided here, and only the tests on the base a
+    # are written, in the helpers' order. Values are the same math.pow call
+    # with the same overflow to inf, so the bits and errors do not change.
+
+    def pow_call(self, a, p: float) -> str:
+        """math.pow(a, p) in a local, inf where it overflows."""
+        key = f"_pow({a}, {self.const(p)})"
+        name = self.written.get(key)
+        if name is None:
+            name = self.fresh()
+            self.line(f"try: {name} = {key}")
+            self.line(f"except OverflowError: {name} = _inf")
+            if self.depth == 1:
+                self.written[key] = name
+        return name
+
+    def negative_base_test(self, a, p: float) -> None:
+        if p != round(p):
+            self.check(f"{a} < 0.0", f"_negative_base_error({a}, {self.const(p)})")
+
+    def resolved_pow_val(self, a, r: float) -> str:
+        """_pow_val(a, r)."""
+        if r == 0.0:
+            return self.const(1.0)  # math.pow(a, 0.0) is 1.0 for every a, NaN too
+        if r < 0.0:
+            self.check(f"{a} == 0.0", f"_domain('{_ZERO_TO_NEGATIVE}')")
+        self.negative_base_test(a, r)
+        return self.pow_call(a, r)
+
+    def resolved_pow_deriv(self, a, r: float, order: int, used: bool = True) -> str | None:
+        """_pow_deriv_coeff(a, r, order); only its domain tests, and None, when not used."""
+        coeff = r if order == 1 else r * (r - 1.0)
+        if coeff == 0.0:
+            return self.const(0.0)
+        power = r - order
+        if power == 0.0:
+            return self.const(coeff)  # coeff at a = 0, coeff * 1.0 elsewhere
+        if power < 0.0:
+            self.check(f"{a} == 0.0", f"_singular_at_zero_error({self.const(r)})")
+        self.negative_base_test(a, power)
+        if not used:
+            return None
+        # At a = 0 with a positive power, math.pow gives a signed zero and
+        # _pow_deriv_coeff returns 0.0.
+        scaled = f"{self.const(coeff)} * {self.pow_call(a, power)}"
+        return self.tmp(scaled if power < 0.0 else f"0.0 if {a} == 0.0 else {scaled}")
 
     def var_power(self, u, v):
         self.line(f"if {u[0]} <= 0.0: raise _pow_base_error({u[0]})")
@@ -738,7 +836,7 @@ class _Emitter:
 
     # -- tree walk -------------------------------------------------------
 
-    def result(self, root: Node, seed1: str | None, seed2: str | None) -> str:
+    def result(self, root: Node, seed1: str | None = None, seed2: str | None = None) -> str:
         """Write the code of one seed pair; the source of its f, df/ds or d2f/dsdt."""
         self.seeds = (seed1, seed2)
         comps = self.visit(root)
@@ -762,6 +860,8 @@ class _Emitter:
                 None,
             )
         if isinstance(node, Unary):
+            if isinstance(node.operand, Num):  # negation is exact, so it is folded
+                return (self.const(-node.operand.value), None, None, None)
             return tuple(self.neg(c) for c in self.visit(node.operand))
         if isinstance(node, Call):
             return self.call(node.func, self.visit(node.arg))
@@ -778,13 +878,14 @@ class _Emitter:
         return self.power(u, v)
 
 
-def _compile(expr: ScalarExpr, pairs: tuple[tuple[str | None, str | None], ...]):
+def _compile(expr: ScalarExpr, pairs: tuple[tuple[str, ...], ...]):
     """The function of expr's variables returning f, df/ds or d2f/dsdt of each seed pair.
 
-    One pair gives a float, several a tuple in the order of pairs.
+    A pair holds no, one or two seeds. One pair gives a float, several a
+    tuple in the order of pairs.
     """
     emitter = _Emitter(expr.variables)
-    results = [emitter.result(expr.root, seed1, seed2) for seed1, seed2 in pairs]
+    results = [emitter.result(expr.root, *pair) for pair in pairs]
     params = ", ".join(f"v{k}" for k in range(len(expr.variables)))
     source = "\n".join(
         [f"def compiled({params}):", *emitter.lines, f"    return {', '.join(results)}", ""]
@@ -794,12 +895,16 @@ def _compile(expr: ScalarExpr, pairs: tuple[tuple[str | None, str | None], ...])
     return emitter.namespace.pop("compiled")
 
 
-def _code(expr: ScalarExpr, seed1: str | None = None, seed2: str | None = None):
-    """The compiled function for a seed pair, built on first use."""
-    key = (seed1, seed2)
-    fn = expr._code.get(key)
+def _code(expr: ScalarExpr, *pairs: tuple[str, ...]):
+    """The compiled function of one or more seed pairs, built on first use.
+
+    A pair is a tuple of no, one or two seed names: () for the value,
+    (s,) for df/ds and (s, t) for d2f/dsdt. The function takes expr's
+    variables by position, in the order of expr.variables.
+    """
+    fn = expr._code.get(pairs)
     if fn is None:
-        fn = expr._code[key] = _compile(expr, (key,))
+        fn = expr._code[pairs] = _compile(expr, pairs)
     return fn
 
 
@@ -820,29 +925,29 @@ def _coord_args(expr: ScalarExpr, x, w: float | None = None) -> list:
 
 def evaluate_env(expr: ScalarExpr, env: Mapping[str, float]) -> float:
     """Evaluate with variables bound by name."""
-    return _code(expr)(*_env_args(expr, env))
+    return _code(expr, ())(*_env_args(expr, env))
 
 
 def evaluate(expr: ScalarExpr, x) -> float:
     """Evaluate with x1..xn bound to the entries of x (0-based array)."""
-    return _code(expr)(*_coord_args(expr, x))
+    return _code(expr, ())(*_coord_args(expr, x))
 
 
 def evaluate_fiber(expr: ScalarExpr, x, w: float, *seeds: str) -> float:
     """Value, or exact partial by one or two named seeds, with x1..xn from x and "w" bound to w."""
-    return _code(expr, *seeds)(*_coord_args(expr, x, w))
+    return _code(expr, seeds)(*_coord_args(expr, x, w))
 
 
 def partial_env(expr: ScalarExpr, env: Mapping[str, float], name: str) -> float:
     """Exact first partial with respect to a named variable."""
-    return _code(expr, name)(*_env_args(expr, env))
+    return _code(expr, (name,))(*_env_args(expr, env))
 
 
 def second_partial_env(
     expr: ScalarExpr, env: Mapping[str, float], name1: str, name2: str
 ) -> float:
     """Exact mixed second partial with respect to two named variables."""
-    return _code(expr, name1, name2)(*_env_args(expr, env))
+    return _code(expr, (name1, name2))(*_env_args(expr, env))
 
 
 def partial_and_second_env(
@@ -853,21 +958,12 @@ def partial_and_second_env(
     Both numbers equal the separate calls' bit for bit, and the call raises
     whenever either of them would, the first partial's error first.
     """
-    pairs = ((name, None), (name, name))
-    fn = expr._code.get(pairs)
-    if fn is None:
-        fn = expr._code[pairs] = _compile(expr, pairs)
-    return fn(*_env_args(expr, env))
+    return _code(expr, (name,), (name, name))(*_env_args(expr, env))
 
 
 def partial(expr: ScalarExpr, x, q: int) -> float:
     """Exact partial d/dx^q at x (q is 0-based, so q=0 means x1)."""
-    return _code(expr, f"x{q + 1}")(*_coord_args(expr, x))
-
-
-def second_partial(expr: ScalarExpr, x, q: int, r: int) -> float:
-    """Exact second partial d2/dx^q dx^r at x (0-based indexes)."""
-    return _code(expr, f"x{q + 1}", f"x{r + 1}")(*_coord_args(expr, x))
+    return _code(expr, (f"x{q + 1}",))(*_coord_args(expr, x))
 
 
 def gradient(expr: ScalarExpr, x, w: float | None = None, seed: str | None = None) -> list[float]:
@@ -876,7 +972,8 @@ def gradient(expr: ScalarExpr, x, w: float | None = None, seed: str | None = Non
     With a seed, each partial is differentiated by that variable too.
     """
     args = _coord_args(expr, x, w)
-    return [_code(expr, f"x{q + 1}", seed)(*args) for q in range(len(x))]
+    seeds = () if seed is None else (seed,)
+    return [_code(expr, (f"x{q + 1}", *seeds))(*args) for q in range(len(x))]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 check_analytic_partials compares a field's analytic partials with finite
 differences; potential_scalar and metric_tensor_field are test fields;
-unparse prints an expression back to source. Each is as the package had
-it.
+unparse prints an expression back to source; second_partial is the exact
+second partial by two coordinates. Each is as the package had it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "potential_scalar",
     "metric_tensor_field",
     "unparse",
+    "second_partial",
 ]
 
 
@@ -87,3 +88,8 @@ def metric_tensor_field() -> ExtendedField:
 def unparse(expr: ScalarExpr) -> str:
     """Render the tree back to source text that reparses identically."""
     return expression._unparse(expr.root)
+
+
+def second_partial(expr: ScalarExpr, x, q: int, r: int) -> float:
+    """Exact second partial d2/dx^q dx^r at x (0-based indexes)."""
+    return expression.evaluate_fiber(expr, x, None, f"x{q + 1}", f"x{r + 1}")

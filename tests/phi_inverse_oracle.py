@@ -1,0 +1,42 @@
+"""The phi' inversion as dynamics_hamilton had it, through the env-mapping entry points.
+
+Each iterate evaluates phi' (and phi'') with partial_env and
+partial_and_second_env, so every call builds a variable map. The package
+calls phi's compiled code directly; the tests require the same z, bit for
+bit, and the same errors.
+"""
+
+from __future__ import annotations
+
+from riemdyn import expression
+from riemdyn.errors import NonConvergenceError
+
+__all__ = ["invert_phi_prime"]
+
+
+def invert_phi_prime(phi_expr, target: float) -> float:
+    """Solve phi'(z) = target for z > 0, assuming phi' is increasing."""
+
+    lo, hi = 0.0, max(abs(target), 1.0)
+    for _ in range(200):
+        if expression.partial_env(phi_expr, {"w": hi}, "w") >= target:
+            break
+        hi *= 2.0
+    else:
+        raise NonConvergenceError(f"could not bracket phi'(z) = {target!r}")
+    z = min(max(target, 1e-8), hi)
+    tol = 1e-14 * max(1.0, abs(target))
+    for _ in range(100):
+        fp, slope = expression.partial_and_second_env(phi_expr, {"w": z}, "w")
+        err = fp - target
+        if abs(err) <= tol:
+            return z
+        if err > 0.0:
+            hi = z
+        else:
+            lo = z
+        z_new = z - err / slope if slope > 0.0 else 0.5 * (lo + hi)
+        if not (lo < z_new < hi):
+            z_new = 0.5 * (lo + hi)
+        z = z_new
+    raise NonConvergenceError(f"phi' inversion stalled at z={z!r} for target {target!r}")

