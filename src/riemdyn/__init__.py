@@ -114,7 +114,6 @@ from .normal_shift import (
 )
 from .dynamics_lagrange import (
     Lagrangian,
-    RegularityReport,
     a_matrix,
     catalog_lagrangian,
     classical_el_residual,
@@ -127,14 +126,12 @@ from .dynamics_lagrange import (
     kinetic_minus_potential,
     lagrangian_force_field,
     momentum_field,
-    regularity,
 )
 from .dynamics_hamilton import (
     CotangentTrajectory,
     Hamiltonian,
     IdentityReport,
     LegendreContext,
-    b_matrix,
     covariant_momentum_residual,
     energy_field,
     energy_h,

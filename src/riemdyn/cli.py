@@ -7,20 +7,13 @@ Subcommands:
       JSON run report. Exit 0 when the run completes, 3 when the
       trajectory leaves the chart, the system turns singular, an
       expression leaves its domain, a value overflows or the stepper
-      gives up (the partial outputs are still written, and the message
-      of the error that ended the run goes to stderr and into the
-      report as "error", with "error_class" and the "stop_time" of the
-      last accepted state), 2 on config errors, such as a NaN where a
-      number belongs, a chart parameter or an integrator key that the
-      chart or the stepper does not take or whose value it refuses (at
-      /chart/<key> or /integrator/<key>; only dt_min > dt_max at
-      /integrator), a top-level, initial or output key that the config
-      does not take (at /<key>, /initial/<key> or /output/<key>; the
-      legendre command refuses unknown top-level keys too), an initial
-      point whose metric is singular or
-      overflows, or an initial state whose energy or H overflows, which
-      leaves no sample to write. A refused config writes nothing: the
-      output directory is made only once there is a trajectory.
+      gives up (the partial outputs are still written, and the error
+      that ended the run goes to stderr and into the report as "error",
+      "error_class" and the "stop_time" of the last accepted state), 2
+      when the schema below refuses a key as unknown, missing or of the
+      wrong type (at its JSON pointer), or the chart or the stepper a
+      value, or the initial point's metric or the initial energy or H
+      is singular or overflows. A refused config writes nothing.
 
   riemdyn verify --suite NAME [--chart C] [--seed N] [--report FILE]
       Run a named verification suite and print one line per check.
@@ -53,6 +46,7 @@ import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -88,25 +82,8 @@ _EXIT_CONFIG = 2
 _EXIT_INTEGRATION = 3
 _EXIT_LEGENDRE = 4
 
-# The keys each config section takes; chart and integrator keys are checked
-# by their builders, and system keys depend on the kind, family and force.
-_TOP_LEVEL_KEYS = ("schema", "chart", "system", "integrator", "initial", "output")
-_INITIAL_KEYS = ("x", "v", "p")
-_OUTPUT_KEYS = ("directory", "basename")
 
-
-def _refuse_unknown_keys(section: dict, known, pointer: str, what: str) -> None:
-    """Refuse the first key of section that is not in known, at its JSON pointer (RFC 6901)."""
-    for key in section:
-        if key not in known:
-            escaped = key.replace("~", "~0").replace("/", "~1")
-            raise ConfigError(
-                f"unknown {what} key {key!r} (known: {', '.join(known)})",
-                pointer=f"{pointer}/{escaped}",
-            )
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str, table: dict) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -114,12 +91,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}", pointer="") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}", pointer="") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object", pointer="")
-    if not (_is_number(cfg.get("schema")) and cfg["schema"] == 1):
-        raise ConfigError("expected \"schema\": 1", pointer="/schema")
-    _refuse_unknown_keys(cfg, _TOP_LEVEL_KEYS, "", "top-level")
-    return cfg
+    return _walk(cfg, table, "")
 
 
 def _is_number(value) -> bool:
@@ -132,93 +104,240 @@ def _is_number(value) -> bool:
         return False
 
 
-def _require(cfg: dict, key: str, pointer: str, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"missing required key {key!r}", pointer=f"{pointer}/{key}")
-    value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(
-            f"expected {names}, got {type(value).__name__}", pointer=f"{pointer}/{key}"
-        )
-    return value
-
-
-def _expression_param(
-    cfg: dict, key: str, pointer: str, dim=None, parse=expression.coordinate_expr
-):
-    """cfg[key] parsed over x1..x<dim> (parse=expression.profile_expr also admits w)."""
-    source = _require(cfg, key, pointer, str)
-    try:
-        return parse(source, dim=dim)
-    except ParseError as exc:
-        raise ConfigError(f"bad expression: {exc}", pointer=f"{pointer}/{key}") from exc
-
-
 def _is_dimension(value) -> bool:
     """An integer >= 1, not a bool."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-_NUMBER = (_is_number, "a number")
-_DIMENSION = (_is_dimension, "an integer >= 1")
-_EXPRESSION = (lambda value: isinstance(value, str), "an expression")
-# The parameters each builtin chart takes besides rescale_f, which every chart
-# takes, each with the test of its value and what that asks for. A euclidean<n>
-# form takes no dim.
-_CHART_PARAMETERS = {
-    "euclidean": {"dim": _DIMENSION},
-    "sphere2d": {"radius": _NUMBER},
-    "conformally_flat": {"dim": _DIMENSION, "f": _EXPRESSION},
+# The config schema. A table maps each key of a section to (rule, required). A
+# rule takes the key's value and the chart's dim and returns the parsed value,
+# or raises ValueError with the refusal's message; a dict in its place is the
+# table of a nested section, and a _Pick picks more keys by the key's value.
+
+
+def _test(test, wanted: str):
+    """The rule that passes a value for which test holds and refuses any other."""
+
+    def rule(value, dim):
+        if not test(value):
+            raise ValueError(f"expected {wanted}")
+        return value
+
+    return rule
+
+
+_NUMBER = _test(_is_number, "a number")
+_DIMENSION = _test(_is_dimension, "an integer >= 1")
+_NAME = _test(lambda value: isinstance(value, str) and value != "", "a non-empty string")
+_OBJECT = _test(lambda value: isinstance(value, dict), "an object")
+_EXPRESSION = _test(lambda value: isinstance(value, str), "an expression")
+_PATH = _test(
+    lambda value: isinstance(value, str) and value != "" and "\0" not in value,
+    "a non-empty string without a NUL byte",
+)
+
+
+def _expression(parse):
+    """The rule that parses a string with parse(source, dim)."""
+
+    def rule(value, dim):
+        _EXPRESSION(value, dim)
+        try:
+            return parse(value, dim)
+        except (ParseError, ValueError) as exc:
+            raise ValueError(f"bad expression: {exc}") from None
+
+    return rule
+
+
+def _vector(what: str, length: int | None = None):
+    """The rule for a list of length numbers, dim when None, parsed to a float array."""
+
+    def rule(value, dim):
+        if not (isinstance(value, list) and len(value) == (length or dim)):
+            raise ValueError(f"expected {length or dim} {what}")
+        if not all(_is_number(entry) for entry in value):
+            raise ValueError(f"{what} must be numbers")
+        return np.array(value, dtype=float)
+
+    return rule
+
+
+def _basename(value, dim):
+    if os.path.basename(_PATH(value, dim)) != value:
+        raise ValueError("basename must not contain a directory")
+    return value
+
+
+class _Pick(typing.NamedTuple):
+    """The rule of a discriminator: its value, a name, picks the table of more keys of its section."""
+
+    what: str
+    tables: dict
+    default: dict | None = None  # the table of a name not in tables; None refuses such a name
+
+    def __call__(self, value, dim):
+        if _NAME(value, dim) not in self.tables and self.default is None:
+            raise ValueError(f"unknown {self.what} {value!r} (known: {', '.join(self.tables)})")
+        return value
+
+
+def _at(pointer: str, key: str) -> str:
+    """The JSON pointer (RFC 6901) of key in the section at pointer."""
+    return f"{pointer}/{key.replace('~', '~0').replace('/', '~1')}"
+
+
+def _apply(rule, value, pointer: str, dim):
+    if isinstance(rule, dict):
+        return _walk(value, rule, pointer, dim)
+    try:
+        return rule(value, dim)
+    except ValueError as exc:
+        raise ConfigError(str(exc), pointer=pointer) from None
+
+
+def _walk(section, table: dict, pointer: str, dim: int | None = None) -> dict:
+    """The parsed values of a config section; an ill-typed, unknown or missing key is refused at its pointer."""
+    if not isinstance(section, dict):
+        raise ConfigError("expected an object", pointer=pointer)
+    keys, parsed, tables = {}, {}, [table]
+    while tables:  # a _Pick's value adds the keys of the table it picks
+        for key, (rule, required) in tables.pop().items():
+            if key in keys:
+                continue
+            keys[key] = required
+            if key in section:
+                parsed[key] = _apply(rule, section[key], _at(pointer, key), dim)
+                if isinstance(rule, _Pick):
+                    tables.append(rule.tables.get(parsed[key], rule.default))
+    missing = [key for key, required in keys.items() if required and key not in section]
+    if missing:  # before the unknown keys, which a missing discriminator leaves unpicked
+        raise ConfigError(f"missing required key {missing[0]!r}", pointer=_at(pointer, missing[0]))
+    unknown = [key for key in section if key not in keys]
+    if unknown:
+        what = pointer.rsplit("/", 1)[-1] or "top-level"
+        message = f"unknown {what} key {unknown[0]!r} (known: {', '.join(keys)})"
+        raise ConfigError(message, pointer=_at(pointer, unknown[0]))
+    return parsed
+
+
+def _profile(source, dim):
+    """A radial profile from an expression over x1..x<dim> and w."""
+    return normal_shift.profile_from_expression(expression.profile_expr(source, dim))
+
+
+def _kinetic_energy(chart, point):
+    w = manifold.speed(chart, point.x, point.v)
+    return 0.5 * w * w
+
+
+def _spherical_energy(profile, chart, point):
+    w = manifold.speed(chart, point.x, point.v)
+    return w * profile.d_w(point.x, w) - profile.value(point.x, w)
+
+
+def _normal_shift_force(profile, h_fn=None):
+    return normal_shift.normal_shift_force_field(normal_shift.NormalShiftForce(profile, h_fn=h_fn))
+
+
+# Each Newtonian force type, shaped like dynamics_lagrange.FAMILIES: its builder, the
+# parsers of the expressions it takes in order, and its conserved energy, or None.
+_FORCES = {
+    "geodesic": (dynamics_newton.geodesic_system, {}, _kinetic_energy),
+    "potential": (
+        dynamics_newton.force_from_potential,
+        {"U": expression.coordinate_expr},
+        lambda u, chart, point: _kinetic_energy(chart, point) + expression.evaluate(u, point.x),
+    ),
+    "conformal": (
+        normal_shift.conformal_force_field,
+        {"f": expression.coordinate_expr},
+        lambda f, chart, point: (
+            extended_fields._conformal_factor(f, point.x, -2.0) * _kinetic_energy(chart, point)
+        ),
+    ),
+    "spherical": (normal_shift.spherical_force_field, {"T": _profile}, _spherical_energy),
+    "normal-shift": (
+        _normal_shift_force,
+        {"W": _profile, "h": lambda source, dim: normal_shift.h_function(source)},
+        None,
+    ),
 }
+# fiberwise-phi's C and normal-shift's h may be left out: their builders default them.
+_OPTIONAL = ("C", "h")
+
+
+def _expressions(parsers: dict) -> dict:
+    """The table of a parser column: each key an expression over the chart's coordinates."""
+    return {key: (_expression(parse), key not in _OPTIONAL) for key, parse in parsers.items()}
+
+
+# The top level; each section is walked once the chart, whose dim the system's
+# expressions and the initial vectors take, is built.
+_CONFIG = {
+    "schema": (_test(lambda value: _is_number(value) and value == 1, '"schema": 1'), True),
+    "chart": (_OBJECT, True),
+    "system": (_OBJECT, True),
+    "integrator": (_OBJECT, False),
+    "initial": (_OBJECT, True),
+    "output": (_OBJECT, False),
+}
+# legendre reads chart and system, and takes the other keys of a simulate config.
+_LEGENDRE_CONFIG = dict(_CONFIG, initial=(_OBJECT, False))
+# Each builtin chart's parameters besides name and rescale_f, which every chart takes,
+# as does any other name, such as euclidean<n>. The chart parses its own expressions.
+_CHART_PARAMETERS = {
+    "euclidean": {"dim": (_DIMENSION, False)},
+    "sphere2d": {"radius": (_NUMBER, False)},
+    "conformally_flat": {"dim": (_DIMENSION, False), "f": (_EXPRESSION, False)},
+}
+_CHART = {
+    "name": (_Pick("chart", _CHART_PARAMETERS, default={}), True),
+    "rescale_f": (_EXPRESSION, False),
+}
+# Every IntegratorConfig field, whose values IntegratorConfig tests further.
+_INTEGRATOR = {
+    **{field.name: (_NUMBER, False) for field in dataclasses.fields(IntegratorConfig)},
+    "method": (_NAME, False),
+    "t_span": (_vector("t_span entries", 2), False),
+}
+_FAMILY = {name: _expressions(row[1]) for name, row in dynamics_lagrange.FAMILIES.items()}
+# legendre walks a system alone, where a kind, when given, must have a Lagrangian.
+_LAGRANGE_KIND = _test(lambda value: value in ("lagrange", "hamilton"), "'lagrange' or 'hamilton'")
+_LAGRANGIAN = {"kind": (_LAGRANGE_KIND, False), "family": (_Pick("family", _FAMILY), True)}
+_FORCE_TYPES = {name: _expressions(row[1]) for name, row in _FORCES.items()}
+_FORCE = {"type": (_Pick("force type", _FORCE_TYPES), True)}
+_NEWTON = {"kind": (_NAME, False), "force": (_FORCE, True)}
+_KINDS = {"newton": _NEWTON, "lagrange": _LAGRANGIAN, "hamilton": _LAGRANGIAN}
+_SYSTEM = {"kind": (_Pick("system kind", _KINDS), True)}
+# A start; a hamilton run starts from x and exactly one of v and p.
+_TANGENT = {"x": (_vector("coordinates"), True), "v": (_vector("components"), True)}
+_COTANGENT = dict(_TANGENT, v=(_vector("components"), False), p=(_vector("components"), False))
+_OUTPUT = {"directory": (_PATH, False), "basename": (_basename, False)}
 
 
 def build_chart(cfg: dict):
     """The configured builtin chart; a parameter it does not take, or a bad value, at /chart/<key>."""
-    chart_cfg = _require(cfg, "chart", "", dict)
-    name = _require(chart_cfg, "name", "/chart", str)
-    takes = dict(_CHART_PARAMETERS.get(name, {}), rescale_f=_EXPRESSION)
-    params = {key: value for key, value in chart_cfg.items() if key != "name"}
-    for key, value in params.items():
-        if key not in takes:
-            raise ConfigError(f"chart {name!r} takes no parameter {key!r}", pointer=f"/chart/{key}")
-        test, wanted = takes[key]
-        if not test(value):
-            raise ConfigError(f"expected {wanted}", pointer=f"/chart/{key}")
-    rescale_f = params.pop("rescale_f", None)
+    params = _walk(cfg.get("chart"), _CHART, "/chart")
+    name, rescale_f = params.pop("name"), params.pop("rescale_f", None)
     try:
         chart = manifold.builtin_chart(name, **params)
     except ParseError as exc:  # f is the one expression parsed while the chart is built
         raise ConfigError(f"bad expression: {exc}", pointer="/chart/f") from exc
     except (RiemdynError, ValueError) as exc:
         raise ConfigError(str(exc), pointer="/chart") from exc
-    if rescale_f is not None:
-        chart = manifold.conformal_rescale(
-            chart, _expression_param(chart_cfg, "rescale_f", "/chart", chart.dim)
-        )
+    if rescale_f is not None:  # parsed over the coordinates of the chart it rescales
+        rule = _expression(expression.coordinate_expr)
+        f_expr = _apply(rule, rescale_f, "/chart/rescale_f", chart.dim)
+        chart = manifold.conformal_rescale(chart, f_expr)
     return chart
 
 
 def build_integrator(cfg: dict) -> IntegratorConfig:
     """The configured stepper; each refusal points at its key, and only dt_min > dt_max at /integrator."""
-    int_cfg = cfg.get("integrator", {})
-    if not isinstance(int_cfg, dict):
-        raise ConfigError("integrator must be an object", pointer="/integrator")
-    known = [field.name for field in dataclasses.fields(IntegratorConfig)]
-    _refuse_unknown_keys(int_cfg, known, "/integrator", "integrator")
-    kwargs = dict(int_cfg)
-    if "method" in kwargs:
-        _require(kwargs, "method", "/integrator", str)
-    for key in ("dt", "rtol", "atol", "dt_min", "dt_max"):
-        if key in kwargs and not _is_number(kwargs[key]):
-            raise ConfigError("expected a number", pointer=f"/integrator/{key}")
+    kwargs = _walk(cfg.get("integrator", {}), _INTEGRATOR, "/integrator")
     if "t_span" in kwargs:
-        span = kwargs["t_span"]
-        if not (isinstance(span, list) and len(span) == 2):
-            raise ConfigError("t_span must be [t0, t1]", pointer="/integrator/t_span")
-        if not all(_is_number(t) for t in span):
-            raise ConfigError("t_span entries must be numbers", pointer="/integrator/t_span")
-        kwargs["t_span"] = (float(span[0]), float(span[1]))
+        kwargs["t_span"] = tuple(kwargs["t_span"].tolist())
     try:
         return IntegratorConfig(**kwargs)
     except ValueError as exc:
@@ -229,99 +348,31 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
 
 def build_lagrangian(system: dict, pointer: str = "/system", *, dim: int | None = None):
     """The configured Lagrangian; dim, when given, bounds the coordinates its expressions use."""
-    family = _require(system, "family", pointer, str)
-    if family not in dynamics_lagrange.FAMILIES:
-        known = ", ".join(dynamics_lagrange.FAMILIES)
-        raise ConfigError(
-            f"unknown family {family!r} (known: {known})", pointer=f"{pointer}/family"
-        )
-    _, parsers, _ = dynamics_lagrange.FAMILIES[family]
+    return _lagrangian(_walk(system, _LAGRANGIAN, pointer, dim), pointer)
+
+
+def _lagrangian(params: dict, pointer: str):
+    """The Lagrangian of a walked system; catalog_lagrangian passes over its kind."""
     try:
-        params = {
-            key: _expression_param(system, key, pointer, dim, parse)
-            for key, parse in parsers.items()
-            if key in system or key != "C"
-        }
-        return dynamics_lagrange.catalog_lagrangian(family, **params)
+        return dynamics_lagrange.catalog_lagrangian(**params)
     except ValueError as exc:
         raise ConfigError(str(exc), pointer=pointer) from exc
 
 
 def build_force(system: dict, pointer: str = "/system", *, dim: int | None = None):
-    """Force field plus an optional conserved-energy callback.
+    """Force field plus an optional conserved-energy callback; dim, when given, bounds its coordinates."""
+    return _force(_walk(system, _NEWTON, pointer, dim)["force"], f"{pointer}/force")
 
-    dim, when given, bounds the coordinates the force's expressions use.
-    """
-    force_cfg = _require(system, "force", pointer, dict)
-    kind = _require(force_cfg, "type", f"{pointer}/force", str)
-    fp = f"{pointer}/force"
+
+def _force(params: dict, pointer: str):
+    """The force field and energy callback of a walked force section."""
+    build, parsers, energy = _FORCES[params["type"]]
+    args = [params[key] for key in parsers if key in params]
     try:
-        if kind == "geodesic":
-            return dynamics_newton.geodesic_system(), _kinetic_energy
-        if kind == "potential":
-            u_expr = _expression_param(force_cfg, "U", fp, dim)
-            force = dynamics_newton.force_from_potential(u_expr)
-
-            def energy(chart, point, u_expr=u_expr):
-                return _kinetic_energy(chart, point) + expression.evaluate(u_expr, point.x)
-
-            return force, energy
-        if kind == "conformal":
-            f_expr = _expression_param(force_cfg, "f", fp, dim)
-            force = normal_shift.conformal_force_field(f_expr)
-
-            def energy(chart, point, f_expr=f_expr):
-                factor = extended_fields._conformal_factor(f_expr, point.x, -2.0)
-                return factor * _kinetic_energy(chart, point)
-
-            return force, energy
-        if kind == "spherical":
-            profile = normal_shift.profile_from_expression(
-                _expression_param(force_cfg, "T", fp, dim, expression.profile_expr)
-            )
-            force = normal_shift.spherical_force_field(profile)
-
-            def energy(chart, point, profile=profile):
-                w = manifold.speed(chart, point.x, point.v)
-                return w * profile.d_w(point.x, w) - profile.value(point.x, w)
-
-            return force, energy
-        if kind == "normal-shift":
-            profile = normal_shift.profile_from_expression(
-                _expression_param(force_cfg, "W", fp, dim, expression.profile_expr)
-            )
-            h_src = _require(force_cfg, "h", fp, str) if "h" in force_cfg else None
-            try:
-                h_fn = normal_shift.h_function(h_src)
-            except (ParseError, ValueError) as exc:
-                raise ConfigError(f"bad expression: {exc}", pointer=f"{fp}/h") from exc
-            shift = normal_shift.NormalShiftForce(profile, h_fn=h_fn)
-            return normal_shift.normal_shift_force_field(shift), None
+        force = build(*args)
     except ValueError as exc:
-        raise ConfigError(str(exc), pointer=fp) from exc
-    known = "geodesic, potential, conformal, spherical, normal-shift"
-    raise ConfigError(f"unknown force type {kind!r} (known: {known})", pointer=f"{fp}/type")
-
-
-def _kinetic_energy(chart, point):
-    w = manifold.speed(chart, point.x, point.v)
-    return 0.5 * w * w
-
-
-def _initial_arrays(cfg: dict, chart, fiber_key: str):
-    dim = chart.dim
-    initial = _require(cfg, "initial", "", dict)
-    _refuse_unknown_keys(initial, _INITIAL_KEYS, "/initial", "initial")
-    x = _require(initial, "x", "/initial", list)
-    fiber = _require(initial, fiber_key, "/initial", list)
-    for key, values, what in (("x", x, "coordinates"), (fiber_key, fiber, "components")):
-        if len(values) != dim:
-            raise ConfigError(f"expected {dim} {what}", pointer=f"/initial/{key}")
-        if not all(_is_number(value) for value in values):
-            raise ConfigError(f"{what} must be numbers", pointer=f"/initial/{key}")
-    x, fiber = np.array(x, dtype=float), np.array(fiber, dtype=float)
-    _require_chart_point(chart, x, "initial point", "/initial/x")
-    return x, fiber
+        raise ConfigError(str(exc), pointer=pointer) from exc
+    return force, energy and functools.partial(energy, *args)
 
 
 def _require_chart_point(chart, x, label: str, pointer: str) -> None:
@@ -334,83 +385,54 @@ def _require_chart_point(chart, x, label: str, pointer: str) -> None:
         raise ConfigError(str(exc), pointer=pointer) from None
 
 
-def _output_paths(cfg: dict, out_dir: str | None) -> tuple[str, str, str]:
-    """The output directory and the CSV and report paths in it, from "output"; creates nothing.
-
-    out_dir, the --out-dir option, replaces output.directory when given.
-    """
-    output = cfg.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output must be an object", pointer="/output")
-    _refuse_unknown_keys(output, _OUTPUT_KEYS, "/output", "output")
-    for key in ("directory", "basename"):
-        if key in output and not (isinstance(output[key], str) and output[key]):
-            raise ConfigError(f"{key} must be a non-empty string", pointer=f"/output/{key}")
-        if "\0" in output.get(key, ""):
-            raise ConfigError(f"{key} must not contain a NUL byte", pointer=f"/output/{key}")
-    basename = output.get("basename", "trajectory")
-    if os.sep in basename or (os.altsep and os.altsep in basename):
-        raise ConfigError("basename must not contain a directory", pointer="/output/basename")
-    out_dir = out_dir or output.get("directory", ".")
-    return (
-        out_dir,
-        os.path.join(out_dir, f"{basename}.csv"),
-        os.path.join(out_dir, f"{basename}.json"),
-    )
-
-
 def _json_dump(obj, path):
     with open(path, "w") as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _CONFIG)
     chart = build_chart(cfg)
-    system = _require(cfg, "system", "", dict)
-    kind = _require(system, "kind", "/system", str)
+    system = _walk(cfg["system"], _SYSTEM, "/system", chart.dim)
+    kind = system["kind"]
     config = build_integrator(cfg)
-    out_dir, csv_path, report_path = _output_paths(cfg, args.out_dir)
+    output = _walk(cfg.get("output", {}), _OUTPUT, "/output")
+    out_dir = args.out_dir or output.get("directory", ".")
+    stem = os.path.join(out_dir, output.get("basename", "trajectory"))
+    csv_path, report_path = f"{stem}.csv", f"{stem}.json"
+    start = _COTANGENT if kind == "hamilton" else _TANGENT
+    initial = _walk(cfg["initial"], start, "/initial", chart.dim)
+    if ("v" in initial) == ("p" in initial):  # a hamilton start left both out or gave both
+        pointer = "/initial/p" if "p" in initial else "/initial/v"
+        raise ConfigError("a hamilton start takes exactly one of 'v' and 'p'", pointer=pointer)
+    x0 = initial["x"]
+    _require_chart_point(chart, x0, "initial point", "/initial/x")
+    q0 = TangentPoint(x0, initial["v"]) if "v" in initial else None
 
     if kind == "newton":
-        force, energy_fn = build_force(system, dim=chart.dim)
-        x0, v0 = _initial_arrays(cfg, chart, "v")
+        force, energy_fn = _force(system["force"], "/system/force")
         run = functools.partial(
-            dynamics_newton.integrate,
-            chart,
-            force,
-            TangentPoint(x0, v0),
-            config,
-            energy_fn=energy_fn,
+            dynamics_newton.integrate, chart, force, q0, config, energy_fn=energy_fn
         )
     elif kind == "lagrange":
-        lag = build_lagrangian(system, dim=chart.dim)
-        x0, v0 = _initial_arrays(cfg, chart, "v")
+        lag = _lagrangian(system, "/system")
         run = functools.partial(
             dynamics_lagrange.integrate_lagrangian,
             chart,
             lag,
-            TangentPoint(x0, v0),
+            q0,
             config,
             energy_fn=lambda c, q: dynamics_hamilton.energy_h(c, lag, q),
         )
-    elif kind == "hamilton":
-        lag = build_lagrangian(system, dim=chart.dim)
+    else:
+        lag = _lagrangian(system, "/system")
         ctx = dynamics_hamilton.LegendreContext(lag)
         ham = dynamics_hamilton.hamiltonian_from_lagrangian(ctx)
-        initial = _require(cfg, "initial", "", dict)
-        if "p" in initial:
-            x0, p0 = _initial_arrays(cfg, chart, "p")
-            state0 = CotangentPoint(x0, p0)
+        if q0 is None:
+            state0 = CotangentPoint(x0, initial["p"])
         else:
-            x0, v0 = _initial_arrays(cfg, chart, "v")
-            state0 = dynamics_hamilton.legendre_forward(ctx, chart, TangentPoint(x0, v0))
+            state0 = dynamics_hamilton.legendre_forward(ctx, chart, q0)
         run = functools.partial(dynamics_hamilton.integrate_hamiltonian, chart, ham, state0, config)
-    else:
-        raise ConfigError(
-            f"unknown system kind {kind!r} (known: newton, lagrange, hamilton)",
-            pointer="/system/kind",
-        )
     try:
         trajectory = run()
     except dynamics_newton._STOP_ERRORS as exc:
@@ -424,20 +446,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"cannot create output directory: {exc}", pointer=pointer) from exc
     if kind == "hamilton":
         dynamics_hamilton.write_cotangent_csv(trajectory, csv_path)
-        drift = float(np.max(np.abs(trajectory.h_values - trajectory.h_values[0])))
-        final = {
-            "x": [float(val) for val in trajectory.xs[-1]],
-            "p": [float(val) for val in trajectory.ps[-1]],
-        }
+        energies, final = trajectory.h_values, {"x": trajectory.xs[-1], "p": trajectory.ps[-1]}
     else:
         dynamics_newton.write_trajectory_csv(trajectory, csv_path)
-        drift = None
-        if trajectory.energies is not None:
-            drift = float(np.max(np.abs(trajectory.energies - trajectory.energies[0])))
-        final = {
-            "x": [float(val) for val in trajectory.xs[-1]],
-            "v": [float(val) for val in trajectory.vs[-1]],
-        }
+        energies, final = trajectory.energies, {"x": trajectory.xs[-1], "v": trajectory.vs[-1]}
+    drift = None if energies is None else float(np.max(np.abs(energies - energies[0])))
     report = {
         "schema": 1,
         "command": "simulate",
@@ -446,7 +459,7 @@ def cmd_simulate(args) -> int:
         "status": trajectory.status,
         "samples": int(len(trajectory.ts)),
         "t_final": float(trajectory.ts[-1]),
-        "final_state": final,
+        "final_state": {key: [float(val) for val in values] for key, values in final.items()},
         "energy_drift": drift,
         "csv": os.path.basename(csv_path),
     }
@@ -523,34 +536,18 @@ def _parse_state(text: str, dim: int):
 # An overflow in the map ends as a refusal at --state, not as a numpy warning.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def cmd_legendre(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _LEGENDRE_CONFIG)
     chart = build_chart(cfg)
-    system = _require(cfg, "system", "", dict)
-    lag = build_lagrangian(system, dim=chart.dim)
+    lag = build_lagrangian(cfg["system"], dim=chart.dim)
     ctx = dynamics_hamilton.LegendreContext(lag)
     x, fiber = _parse_state(args.state, chart.dim)
     _require_chart_point(chart, x, "state point", "--state")
     try:
         if args.direction == "forward":
-            q = TangentPoint(x, fiber)
-            image = dynamics_hamilton.legendre_forward(ctx, chart, q)
-            out = {
-                "x": [float(v) for v in x],
-                "v": [float(v) for v in fiber],
-                "p": [float(v) for v in image.p],
-                "h": dynamics_hamilton.energy_h(chart, lag, q),
-                "iterations": 0,
-            }
+            v, p = fiber, dynamics_hamilton.legendre_forward(ctx, chart, TangentPoint(x, fiber)).p
         else:
-            state = CotangentPoint(x, fiber)
-            back = dynamics_hamilton.legendre_inverse(ctx, chart, state)
-            out = {
-                "x": [float(v) for v in x],
-                "p": [float(v) for v in fiber],
-                "v": [float(v) for v in back.v],
-                "h": dynamics_hamilton.energy_h(chart, lag, back),
-                "iterations": ctx.last_iterations,
-            }
+            v, p = dynamics_hamilton.legendre_inverse(ctx, chart, CotangentPoint(x, fiber)).v, fiber
+        h = dynamics_hamilton.energy_h(chart, lag, TangentPoint(x, v))
     except (NonConvergenceError, SingularSetError, SingularAError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_LEGENDRE
@@ -559,6 +556,8 @@ def cmd_legendre(args) -> int:
         return _EXIT_CONFIG
     except NumericOverflowError as exc:
         raise ConfigError(str(exc), pointer="--state") from None
+    out = {key: [float(value) for value in part] for key, part in (("x", x), ("v", v), ("p", p))}
+    out.update(h=h, iterations=ctx.last_iterations)  # iterations stays 0 for forward
     if not np.isfinite([*out["p"], *out["v"], out["h"]]).all():
         raise ConfigError(
             f"the Legendre map of state {args.state!r} overflows the float range: "

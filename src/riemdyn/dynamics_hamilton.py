@@ -65,7 +65,6 @@ __all__ = [
     "energy_h",
     "energy_field",
     "hamiltonian_from_lagrangian",
-    "b_matrix",
     "hamilton_rhs",
     "covariant_momentum_residual",
     "integrate_hamiltonian",
@@ -420,13 +419,6 @@ def hamiltonian_from_lagrangian(ctx: LegendreContext) -> Hamiltonian:
         field = ExtendedField((0, 0), "p", ev, name=f"H[{lag.name}]")
 
     return Hamiltonian(field, second_fiber)
-
-
-def b_matrix(chart: ManifoldChart, hamiltonian: Hamiltonian, state: CotangentPoint) -> np.ndarray:
-    """B^ij = d2H/dp_i dp_j, the inverse of A at matched states."""
-    if hamiltonian.second_fiber_fn is not None:
-        return np.asarray(hamiltonian.second_fiber_fn(chart, state), dtype=float)
-    return extended_fields.fiber_hessian(chart, hamiltonian.field, state)
 
 
 def hamilton_rhs(

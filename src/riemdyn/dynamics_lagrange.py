@@ -65,7 +65,6 @@ from .normal_shift import (
 
 __all__ = [
     "Lagrangian",
-    "RegularityReport",
     "kinetic_lagrangian",
     "kinetic_minus_potential",
     "conformal_kinetic_lagrangian",
@@ -74,7 +73,6 @@ __all__ = [
     "FAMILIES",
     "momentum_field",
     "a_matrix",
-    "regularity",
     "force_from_lagrangian",
     "lagrangian_force_field",
     "el_residual",
@@ -141,21 +139,6 @@ def a_matrix(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) 
     return extended_fields.fiber_hessian(chart, lagrangian.field, point)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Determinant and spectrum summary of the fiber Hessian at a state.
-
-    det_a is det(A / |A|_max), the determinant the singularity rule reads,
-    and tolerance the rule's bound on it.
-    """
-
-    det_a: float
-    min_abs_eig: float
-    is_regular: bool
-    is_positive: bool
-    tolerance: float
-
-
 def _hessian_det(a: np.ndarray) -> float:
     """det(A / |A|_max) of a fiber Hessian; an infinite or NaN entry raises NumericOverflowError."""
     size = manifold._sup_norm(a)
@@ -169,28 +152,6 @@ def _require_regular(a: np.ndarray, message: str) -> None:
     det = _hessian_det(a)
     if manifold._singular(det):
         raise SingularAError(message.format(det=det))
-
-
-def regularity(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> RegularityReport:
-    """Classify the fiber Hessian at a state as regular / positive definite.
-
-    is_regular is the decision of _require_regular, and is_positive that of
-    metric_at's test on the symmetric part of A: a Cholesky factor, and
-    regular by the same rule. Both are decided on A / |A|_max, so A and c A
-    get the same decisions; of the report, only min_abs_eig scales with c.
-    An A with an infinite or NaN entry raises NumericOverflowError.
-    """
-    a = a_matrix(chart, lagrangian, point)
-    det = _hessian_det(a)
-    rows = manifold._symmetric_rows(a.tolist())
-    definite = manifold._cholesky_det(rows, max(abs(value) for row in rows for value in row))
-    return RegularityReport(
-        det_a=det,
-        min_abs_eig=float(np.min(np.abs(np.linalg.eigvalsh(np.array(rows))))),
-        is_regular=not manifold._singular(det),
-        is_positive=definite is not None and not manifold._singular(definite),
-        tolerance=manifold._SINGULAR_DET,
-    )
 
 
 def _el_terms(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> tuple:

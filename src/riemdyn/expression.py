@@ -733,15 +733,15 @@ class _Emitter:
             return (f, None, None, None)
 
         def lifted():
+            # d2 is left out when unused, as in call: for 1 < r < 2 it is
+            # singular at a = 0, where the first partial is 0.
+            used = u[1] is not None and u[2] is not None
             if resolved:
                 d1 = self.resolved_pow_deriv(ua, exponent, 1)
-                # d2 is computed even when unused, as _pow_deriv_coeff is: only
-                # its domain tests are written then.
-                used = u[1] is not None and u[2] is not None
-                d2 = self.resolved_pow_deriv(ua, exponent, 2, used)
+                d2 = self.resolved_pow_deriv(ua, exponent, 2) if used else None
             else:
                 d1 = self.tmp(f"_pow_deriv_coeff({ua}, {r}, 1)")
-                d2 = self.tmp(f"_pow_deriv_coeff({ua}, {r}, 2)")
+                d2 = self.tmp(f"_pow_deriv_coeff({ua}, {r}, 2)") if used else None
             return self.chain(u, f, d1, d2)
 
         return self.branch(needs_deriv, lifted, lambda: (f, None, None, None))
@@ -778,8 +778,8 @@ class _Emitter:
         self.negative_base_test(a, r)
         return self.pow_call(a, r)
 
-    def resolved_pow_deriv(self, a, r: float, order: int, used: bool = True) -> str | None:
-        """_pow_deriv_coeff(a, r, order); only its domain tests, and None, when not used."""
+    def resolved_pow_deriv(self, a, r: float, order: int) -> str:
+        """_pow_deriv_coeff(a, r, order)."""
         coeff = r if order == 1 else r * (r - 1.0)
         if coeff == 0.0:
             return self.const(0.0)
@@ -789,8 +789,6 @@ class _Emitter:
         if power < 0.0:
             self.check(f"{a} == 0.0", f"_singular_at_zero_error({self.const(r)})")
         self.negative_base_test(a, power)
-        if not used:
-            return None
         # At a = 0 with a positive power, math.pow gives a signed zero and
         # _pow_deriv_coeff returns 0.0.
         scaled = f"{self.const(coeff)} * {self.pow_call(a, power)}"

@@ -60,7 +60,6 @@ __all__ = [
     "conformally_flat",
     "conformal_rescale",
     "builtin_chart",
-    "strip_analytic",
     "in_domain",
     "check_point",
     "metric_at",
@@ -369,15 +368,6 @@ def speed(chart: ManifoldChart, x, v) -> float:
     if sq < 0.0:
         raise NegativeNormError(f"squared norm {sq!r} is negative at {x!r}")
     return math.sqrt(sq)
-
-
-def strip_analytic(chart: ManifoldChart) -> ManifoldChart:
-    """Copy of the chart with analytic derivative hooks removed.
-
-    Forces the finite-difference metric-partials path and the generic
-    Christoffel reconstruction, which is useful for cross-checking.
-    """
-    return dataclasses.replace(chart, metric_partials_fn=None, christoffel_fn=None)
 
 
 # ---------------------------------------------------------------------------

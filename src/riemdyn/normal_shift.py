@@ -43,7 +43,7 @@ import numpy as np
 from . import expression, manifold
 from .dynamics_newton import ForceField
 from .errors import DegenerateLagrangianError, DegenerateWError, ZeroVelocityError
-from .extended_fields import ExtendedField, TangentPoint, TensorComponents
+from .extended_fields import TangentPoint, TensorComponents
 from .manifold import ManifoldChart
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "spherical_force_field",
     "normal_shift_force_field",
     "conformal_force_field",
-    "as_extended_field",
 ]
 
 _DEGENERACY_TOL = 1e-10
@@ -304,17 +303,3 @@ def conformal_force_field(f) -> ForceField:
         lambda chart, point: force_conformal(chart, f_expr, point),
         covariant=True,
     )
-
-
-def as_extended_field(profile: RadialProfile) -> ExtendedField:
-    """The profile as a plain scalar extended field (no analytic hooks).
-
-    Useful for cross-checking the fixed-modulus reduction against the
-    generic finite-difference gradient machinery.
-    """
-
-    def ev(chart, point):
-        w = manifold.speed(chart, point.x, point.v)
-        return np.array(profile.value(point.x, w))
-
-    return ExtendedField((0, 0), "v", ev, name=profile.name)

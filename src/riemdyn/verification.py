@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import time
 
 import numpy as np
 
@@ -617,10 +616,3 @@ def run_suite(name: str, chart_name: str | None = None, seed: int = 0) -> dict:
         known = ", ".join(sorted(SUITE_NAMES))
         raise ValueError(f"unknown suite {name!r} (known: {known})")
     return _SUITES[name](chart_name, seed)
-
-
-def elapsed_run(name: str, chart_name: str | None = None, seed: int = 0) -> tuple[dict, float]:
-    """run_suite plus wall time, for budgeted acceptance checks."""
-    start = time.perf_counter()
-    report = run_suite(name, chart_name, seed)
-    return report, time.perf_counter() - start

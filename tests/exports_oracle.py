@@ -3,20 +3,34 @@
 check_analytic_partials compares a field's analytic partials with finite
 differences; potential_scalar and metric_tensor_field are test fields;
 unparse prints an expression back to source; second_partial is the exact
-second partial by two coordinates. Each is as the package had it.
+second partial by two coordinates; b_matrix is the fiber Hessian of H;
+regularity classifies the fiber Hessian of L; strip_analytic and
+as_extended_field drop the analytic hooks of a chart and of a profile;
+elapsed_run times a suite. Each is as the package had it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 from typing import Sequence
 
 import numpy as np
 
-from riemdyn import expression, manifold
+from riemdyn import expression, manifold, verification
+from riemdyn.dynamics_hamilton import Hamiltonian
+from riemdyn.dynamics_lagrange import Lagrangian, _hessian_det, a_matrix
 from riemdyn.expression import ScalarExpr
-from riemdyn.extended_fields import ExtendedField, fiber_partials, x_partials
+from riemdyn.extended_fields import (
+    CotangentPoint,
+    ExtendedField,
+    TangentPoint,
+    fiber_hessian,
+    fiber_partials,
+    x_partials,
+)
 from riemdyn.manifold import FD_TOLERANCE, ManifoldChart
+from riemdyn.normal_shift import RadialProfile
 
 __all__ = [
     "check_analytic_partials",
@@ -24,6 +38,12 @@ __all__ = [
     "metric_tensor_field",
     "unparse",
     "second_partial",
+    "b_matrix",
+    "RegularityReport",
+    "regularity",
+    "strip_analytic",
+    "as_extended_field",
+    "elapsed_run",
 ]
 
 
@@ -93,3 +113,77 @@ def unparse(expr: ScalarExpr) -> str:
 def second_partial(expr: ScalarExpr, x, q: int, r: int) -> float:
     """Exact second partial d2/dx^q dx^r at x (0-based indexes)."""
     return expression.evaluate_fiber(expr, x, None, f"x{q + 1}", f"x{r + 1}")
+
+
+def b_matrix(chart: ManifoldChart, hamiltonian: Hamiltonian, state: CotangentPoint) -> np.ndarray:
+    """B^ij = d2H/dp_i dp_j, the inverse of A at matched states."""
+    if hamiltonian.second_fiber_fn is not None:
+        return np.asarray(hamiltonian.second_fiber_fn(chart, state), dtype=float)
+    return fiber_hessian(chart, hamiltonian.field, state)
+
+
+@dataclasses.dataclass(frozen=True)
+class RegularityReport:
+    """Determinant and spectrum summary of the fiber Hessian at a state.
+
+    det_a is det(A / |A|_max), the determinant the singularity rule reads,
+    and tolerance the rule's bound on it.
+    """
+
+    det_a: float
+    min_abs_eig: float
+    is_regular: bool
+    is_positive: bool
+    tolerance: float
+
+
+def regularity(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> RegularityReport:
+    """Classify the fiber Hessian at a state as regular / positive definite.
+
+    is_regular is the decision of _require_regular, and is_positive that of
+    metric_at's test on the symmetric part of A: a Cholesky factor, and
+    regular by the same rule. Both are decided on A / |A|_max, so A and c A
+    get the same decisions; of the report, only min_abs_eig scales with c.
+    An A with an infinite or NaN entry raises NumericOverflowError.
+    """
+    a = a_matrix(chart, lagrangian, point)
+    det = _hessian_det(a)
+    rows = manifold._symmetric_rows(a.tolist())
+    definite = manifold._cholesky_det(rows, max(abs(value) for row in rows for value in row))
+    return RegularityReport(
+        det_a=det,
+        min_abs_eig=float(np.min(np.abs(np.linalg.eigvalsh(np.array(rows))))),
+        is_regular=not manifold._singular(det),
+        is_positive=definite is not None and not manifold._singular(definite),
+        tolerance=manifold._SINGULAR_DET,
+    )
+
+
+def strip_analytic(chart: ManifoldChart) -> ManifoldChart:
+    """Copy of the chart with analytic derivative hooks removed.
+
+    Forces the finite-difference metric-partials path and the generic
+    Christoffel reconstruction, which is useful for cross-checking.
+    """
+    return dataclasses.replace(chart, metric_partials_fn=None, christoffel_fn=None)
+
+
+def as_extended_field(profile: RadialProfile) -> ExtendedField:
+    """The profile as a plain scalar extended field (no analytic hooks).
+
+    Useful for cross-checking the fixed-modulus reduction against the
+    generic finite-difference gradient machinery.
+    """
+
+    def ev(chart, point):
+        w = manifold.speed(chart, point.x, point.v)
+        return np.array(profile.value(point.x, w))
+
+    return ExtendedField((0, 0), "v", ev, name=profile.name)
+
+
+def elapsed_run(name: str, chart_name: str | None = None, seed: int = 0) -> tuple[dict, float]:
+    """run_suite plus wall time, for budgeted acceptance checks."""
+    start = time.perf_counter()
+    report = verification.run_suite(name, chart_name, seed)
+    return report, time.perf_counter() - start

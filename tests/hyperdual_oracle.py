@@ -7,7 +7,7 @@ expression and seed pair. These are the tree walkers it replaced:
 The tests compare the compiled route against them. Like the compiled
 code, a quotient's derivative and the curvatures of log and sqrt divide by
 a product only when the derivative needs it, and refuse a product that
-underflows to zero.
+underflows to zero; the curvature of a power is formed only when needed too.
 """
 
 from __future__ import annotations
@@ -177,7 +177,8 @@ def _hd_pow(u: _HD, node_right: Node, v: _HD) -> _HD:
         if not needs_deriv:
             return _HD(val)
         d1 = _pow_deriv_coeff(u.a, r, 1)
-        d2 = _pow_deriv_coeff(u.a, r, 2)
+        # As for log and sqrt, the curvature is only formed when both seeds reach the base.
+        d2 = _pow_deriv_coeff(u.a, r, 2) if u.a1 != 0.0 and u.a2 != 0.0 else 0.0
         return _hd_chain(u, val, d1, d2)
     if u.a <= 0.0:
         raise EvalDomainError(

@@ -8,9 +8,10 @@ run's.  The summary lines are printed with capture suspended so they
 stay visible in plain pytest runs.
 """
 
+import exports_oracle
 import pytest
 
-from riemdyn import dynamics_lagrange, verification
+from riemdyn import dynamics_lagrange
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ def threeway():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics_lagrange, "force_from_lagrangian", refuse)
-        return verification.elapsed_run("threeway")
+        return exports_oracle.elapsed_run("threeway")
 
 
 def _grade(number, suite, checks, elapsed, announce, budget=None):
@@ -53,7 +54,7 @@ def _grade(number, suite, checks, elapsed, announce, budget=None):
 
 
 def _run(number, suite, announce, budget=None):
-    report, elapsed = verification.elapsed_run(suite)
+    report, elapsed = exports_oracle.elapsed_run(suite)
     _grade(number, suite, report["checks"], elapsed, announce, budget)
     return report
 

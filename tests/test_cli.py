@@ -1,12 +1,18 @@
 """End-to-end coverage of the command line front end via main(argv)."""
 
+import contextlib
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemdyn import cli, verification
 
@@ -360,6 +366,24 @@ def test_simulate_reports_the_class_and_time_of_the_error_that_stopped_the_run(t
     assert 0.25 < report["stop_time"] < 0.35
 
 
+def test_simulate_starts_where_only_the_curvature_of_the_potential_is_singular(tmp_path, capsys):
+    # dU/dx1 = 1.5 sqrt(x1) is 0 at x1 = 0, where d2U/dx1^2 is singular; the force needs only dU.
+    out = tmp_path / "out"
+    cfg = {
+        "schema": 1,
+        "chart": {"name": "euclidean2"},
+        "system": {"kind": "newton", "force": {"type": "potential", "U": "x1^1.5"}},
+        "integrator": {"method": "rk4", "dt": 1e-3, "t_span": [0.0, 0.1]},
+        "initial": {"x": [0.0, 0.0], "v": [1.0, 0.0]},
+        "output": {"directory": str(out), "basename": "root"},
+    }
+    assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "root.json").read_text())
+    assert report["status"] == "completed"
+    assert report["t_final"] == pytest.approx(0.1)
+
+
 def test_simulate_reports_a_step_underflow(tmp_path, capsys):
     """x'' = x^3 from x = v = 1 blows up near t = 1.311; rk45 gives up with a status."""
     out = tmp_path / "out"
@@ -391,23 +415,30 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
         (lambda cfg: cfg["system"].update(U="sin("), "/system"),
         (lambda cfg: cfg["system"].update(U="x3"), "/system/U"),
         (
-            lambda cfg: cfg["system"].update(
-                kind="newton", force={"type": "potential", "U": "x3"}
+            lambda cfg: cfg.update(
+                system={"kind": "newton", "force": {"type": "potential", "U": "x3"}}
             ),
             "/system/force/U",
         ),
         (
-            lambda cfg: cfg["system"].update(
-                kind="newton", force={"type": "normal-shift", "W": "w^2/2", "h": "sin("}
+            lambda cfg: cfg.update(
+                system={
+                    "kind": "newton",
+                    "force": {"type": "normal-shift", "W": "w^2/2", "h": "sin("},
+                }
             ),
             "/system/force/h",
         ),
         (
-            lambda cfg: cfg["system"].update(family="fiberwise-phi", phi="w^2/2", C=5),
+            lambda cfg: cfg.update(
+                system={"kind": "lagrange", "family": "fiberwise-phi", "phi": "w^2/2", "C": 5}
+            ),
             "/system/C",
         ),
         (
-            lambda cfg: cfg["system"].update(family="fiberwise-phi", phi="x1 * w^2"),
+            lambda cfg: cfg.update(
+                system={"kind": "lagrange", "family": "fiberwise-phi", "phi": "x1 * w^2"}
+            ),
             "/system:",
         ),
         (lambda cfg: cfg["system"].update(kind="quantum"), "/system/kind"),
@@ -433,11 +464,11 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
         (lambda cfg: cfg["chart"].update(name="euclidean", dim=0), "/chart/dim"),
         (
             lambda cfg: cfg["chart"].update(radius=2),
-            "/chart/radius: chart 'polar2d' takes no parameter 'radius'",
+            "/chart/radius: unknown chart key 'radius' (known: name, rescale_f)",
         ),
         (
             lambda cfg: cfg["chart"].update(name="euclidean2", dim=3),
-            "/chart/dim: chart 'euclidean2' takes no parameter 'dim'",
+            "/chart/dim: unknown chart key 'dim' (known: name, rescale_f)",
         ),
         (
             lambda cfg: cfg.update(chart={"name": "conformally_flat", "f": 2}),
@@ -527,6 +558,50 @@ def test_simulate_reports_a_step_underflow(tmp_path, capsys):
         (lambda cfg: cfg["initial"].update(vv=1), "/initial/vv: unknown initial key 'vv'"),
         (lambda cfg: cfg["output"].update(dirr="x"), "/output/dirr: unknown output key 'dirr'"),
         (lambda cfg: cfg["output"].update({"a/b~": 1}), "/output/a~1b~0: unknown output key"),
+        # Each system kind, family and force type takes only its own keys, and a
+        # start takes x and v, or under hamilton x and exactly one of v and p.
+        (lambda cfg: cfg["system"].update(UU="x1"), "/system/UU: unknown system key 'UU'"),
+        (
+            lambda cfg: cfg["system"].update(force={"type": "geodesic"}),
+            "/system/force: unknown system key 'force'",
+        ),
+        (
+            lambda cfg: cfg.update(
+                system={"kind": "newton", "force": {"type": "geodesic"}, "family": "kinetic"}
+            ),
+            "/system/family: unknown system key 'family'",
+        ),
+        (
+            lambda cfg: cfg.update(
+                system={"kind": "newton", "force": {"type": "geodesic", "U": "x1"}}
+            ),
+            "/system/force/U: unknown force key 'U'",
+        ),
+        (
+            lambda cfg: cfg.update(
+                system={"kind": "newton", "force": {"type": "potential", "U": "x1", "h": "sin("}}
+            ),
+            "/system/force/h: unknown force key 'h'",
+        ),
+        (
+            lambda cfg: cfg.update(
+                system={"kind": "newton", "force": {"type": "geodesic"}},
+                initial={"x": [1.5, 0.2], "v": [0.2, 0.5], "p": [0.0, 0.0]},
+            ),
+            "/initial/p: unknown initial key 'p' (known: x, v)",
+        ),
+        (lambda cfg: cfg["initial"].update(p=["a", 2]), "/initial/p: unknown initial key 'p'"),
+        (
+            lambda cfg: cfg.update(
+                system=dict(cfg["system"], kind="hamilton"),
+                initial={"x": [1.5, 0.2], "v": [0.2, 0.5], "p": [0.1, 0.3]},
+            ),
+            "/initial/p: a hamilton start takes exactly one of 'v' and 'p'",
+        ),
+        (
+            lambda cfg: cfg["system"].update(family="kinetic"),
+            "/system/U: unknown system key 'U'",
+        ),
     ],
 )
 def test_bad_configs_point_at_the_offending_key(tmp_path, capsys, mutate, pointer):
@@ -536,6 +611,130 @@ def test_bad_configs_point_at_the_offending_key(tmp_path, capsys, mutate, pointe
     err = capsys.readouterr().err
     assert code == 2
     assert f"config error at {pointer}" in err
+
+
+# Valid values by key for configs drawn from cli's schema tables; every
+# expression uses x1 and x2 only, so it holds on every chart.
+_VALID = {
+    "dim": [2, 3],
+    "radius": [1.0, 2],
+    "f": ["x1/4"],
+    "rescale_f": ["x2/8"],
+    "U": ["x1^2/2 + sin(x2)"],
+    "phi": ["w^2/2 + w^4/10"],
+    "C": ["exp(-x1/4)"],
+    "T": ["w^2/2 + w^4/10", "w^2/2*exp(-x1/3)"],
+    "W": ["w*exp(-x1/3)"],
+    "h": ["0", "sin(w)"],
+    "method": ["rk4", "rk45"],
+    "dt": [1e-3, 2e-3],
+    "t_span": [[0.0, 0.01], [0, 0.005]],
+    "record_every": [1, 3],
+    "rtol": [1e-8],
+    "atol": [1e-10],
+    "dt_min": [1e-9],
+    "dt_max": [1e-2],
+}
+# Inside every builtin chart, with a metric that is regular there.
+_START = {"x": [0.6, 0.4, 0.3], "v": [0.3, -0.2, 0.1], "p": [0.4, 0.2, -0.1]}
+# A dropped key refused at another pointer: a hamilton start without p
+# misses v, conformally_flat refuses a chart without its f itself, and a
+# chart without dim 3 takes two coordinates.
+_DROP_POINTERS = {"/initial/p": "/initial/v", "/chart/f": "/chart", "/chart/dim": "/initial/x"}
+# Dropping either runs the default t in [0, 1]: a thousand steps.
+_KEEP = ("/integrator", "/integrator/t_span")
+
+
+# Every system kind with each of its force types or families, each on two charts
+# so that every chart is drawn.
+_CHARTS = sorted([*cli._CHART_PARAMETERS, "euclidean3", "polar2d", "hyperbolic_half_plane"])
+_SYSTEMS = [
+    (kind, name)
+    for kind in cli._KINDS
+    for name in (cli._FORCE_TYPES if kind == "newton" else cli._FAMILY)
+]
+_FUZZ_CASES = [
+    (kind, name, _CHARTS[(i + shift) % len(_CHARTS)])
+    for i, (kind, name) in enumerate(_SYSTEMS)
+    for shift in (0, len(_CHARTS) // 2)
+]
+
+
+@st.composite
+def _mutated_configs(draw, kind, name, chart_name, turn):
+    """A valid config of the system drawn from the schema tables, one key of it mutated,
+    and where the mutation is refused.
+
+    Each choice is drawn from its options turned by turn places: every case draws
+    the same bytes, and the turn spreads them over the options."""
+
+    def pick(options):
+        options = list(options)
+        cut = turn % len(options)
+        return draw(st.sampled_from(options[cut:] + options[:cut]))
+
+    def keys(table, keep=()):
+        return {
+            key: pick(_VALID[key])
+            for key, (_, required) in table.items()
+            if key in _VALID and (required or key in keep or draw(st.booleans()))
+        }
+
+    chart = {"name": chart_name, **keys(cli._CHART_PARAMETERS.get(chart_name, {}), keep=("f",))}
+    chart.update(keys({"rescale_f": cli._CHART["rescale_f"]}))
+    if kind == "newton":
+        system = {"kind": kind, "force": {"type": name, **keys(cli._FORCE_TYPES[name])}}
+    else:
+        system = {"kind": kind, "family": name, **keys(cli._FAMILY[name])}
+    dim = 3 if chart_name == "euclidean3" else chart.get("dim", 2)
+    fiber = "p" if kind == "hamilton" and draw(st.booleans()) else "v"
+    cfg = {
+        "schema": 1,
+        "chart": chart,
+        "system": system,
+        "integrator": keys(cli._INTEGRATOR, keep=("t_span",)),
+        "initial": {key: _START[key][:dim] for key in ("x", fiber)},
+        "output": {"directory": "out", "basename": "fuzz"},
+    }
+
+    def sections(section, pointer):
+        yield section, pointer
+        for key, value in section.items():
+            if isinstance(value, dict):
+                yield from sections(value, f"{pointer}/{key}")
+
+    section, pointer = pick(sections(cfg, ""))
+    key = pick(section)
+    pointer = f"{pointer}/{key}"
+    how = pick(["retype", "sibling"] + ["drop"] * (pointer not in _KEEP))
+    if how == "drop":
+        del section[key]
+        pointer = _DROP_POINTERS.get(pointer, pointer)
+    elif how == "retype":
+        section[key] = 7 if isinstance(section[key], str) else "s"
+    else:
+        section["a/b~"] = 1
+        pointer = pointer.rsplit("/", 1)[0] + "/a~1b~0"
+    return cfg, how, pointer
+
+
+@pytest.mark.parametrize("turn", range(len(_FUZZ_CASES)))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_config_with_one_key_mutated_is_refused_at_that_key_or_runs(turn, data):
+    cfg, how, pointer = data.draw(_mutated_configs(*_FUZZ_CASES[turn], turn))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(pathlib.Path(tmp), cfg)
+        argv = ["simulate", "-c", path, "--out-dir", os.path.join(tmp, "out")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    # A dropped optional key leaves a config that runs; any other mutation is refused.
+    if how != "drop" or code == 2:
+        assert code == 2, (how, pointer)
+        assert err.getvalue().startswith(f"config error at {pointer}: "), (how, err.getvalue())
+    else:
+        assert code in (0, 3), err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -698,6 +897,18 @@ def test_legendre_refuses_an_unknown_top_level_key(tmp_path, capsys):
     )
     assert cli.main(["legendre", "-c", cfg, "--direction", "forward", "--state", "1.0,0.0;1.0,0.0"]) == 2
     assert "config error at /integratr: unknown top-level key 'integratr'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["quantum", "newton"])
+def test_legendre_refuses_a_system_kind_without_a_lagrangian(tmp_path, capsys, kind):
+    cfg = write_config(
+        tmp_path,
+        {"schema": 1, "chart": {"name": "polar2d"}, "system": {"kind": kind, "family": "kinetic"}},
+    )
+    assert cli.main(["legendre", "-c", cfg, "--direction", "forward", "--state", "1.0,0.0;1.0,0.0"]) == 2
+    assert "config error at /system/kind: expected 'lagrange' or 'hamilton'" in capsys.readouterr().err
+    # A system without a kind is taken, as perfbench's legendre_roundtrip set-up passes one.
+    assert cli.build_lagrangian({"family": "kinetic"}).family == "kinetic"
 
 
 def test_legendre_state_validation(tmp_path, capsys):

@@ -461,10 +461,15 @@ _POWER_BASES = (
 
 def _power_rules(a, r):
     """(d/dw, d2/dw2) of w^r at w = a from the run-time helpers, in the compiled code's order."""
-    ex._pow_val(a, r)
-    d1 = ex._pow_deriv_coeff(a, r, 1)
+    d1 = _first_power_rule(a, r)
     d2 = ex._pow_deriv_coeff(a, r, 2)
-    return d1 * 1.0, d2 * 1.0 * 1.0
+    return d1, d2 * 1.0 * 1.0
+
+
+def _first_power_rule(a, r):
+    """d/dw of w^r at w = a from the run-time helpers; the curvature is not formed."""
+    ex._pow_val(a, r)
+    return ex._pow_deriv_coeff(a, r, 1) * 1.0
 
 
 def _bit_outcome(fn, *args):
@@ -484,12 +489,24 @@ def test_constant_powers_match_the_runtime_helpers_bit_for_bit(r):
         env = {"w": a}
         where = (expr.source, a)
         assert _bit_outcome(ex.evaluate_env, expr, env) == _bit_outcome(ex._pow_val, a, r), where
-        # Both partials run all three helpers, so they raise together.
+        # The second partial runs all three helpers; the first leaves out d2.
         both = _bit_outcome(_power_rules, a, r)
-        first, second = (both if both[0] == "raised" else ("value", both[1][k]) for k in (0, 1))
-        assert _bit_outcome(ex.partial_env, expr, env, "w") == first, where
+        second = both if both[0] == "raised" else ("value", both[1][1])
+        assert _bit_outcome(ex.partial_env, expr, env, "w") == _bit_outcome(
+            _first_power_rule, a, r
+        ), where
         assert _bit_outcome(ex.second_partial_env, expr, env, "w", "w") == second, where
         assert _bit_outcome(ex.partial_and_second_env, expr, env, "w") == both, where
+
+
+@pytest.mark.parametrize("source", ["w^1.5", "w^1.25", "w^x1"])
+def test_a_first_partial_leaves_out_a_power_curvature_that_is_singular_at_zero(source):
+    # d/dw w^r = r w^(r - 1) is 0 at w = 0 for 1 < r < 2; only r (r - 1) w^(r - 2) is singular.
+    expr = ex.parse(source)
+    env = {"w": 0.0, "x1": 1.5}
+    assert _bits(ex.partial_env(expr, env, "w")) == _bits(0.0)
+    with pytest.raises(EvalDomainError, match="is singular at zero"):
+        ex.second_partial_env(expr, env, "w", "w")
 
 
 def test_constant_powers_compile_without_the_runtime_helpers():

@@ -2,6 +2,7 @@
 
 import math
 
+import exports_oracle
 import numpy as np
 import pytest
 
@@ -130,7 +131,7 @@ def test_profile_x_partials_are_the_spatial_gradient(family, params):
     the covariant gradient computed by the generic field machinery."""
     chart = manifold.builtin_chart("sphere2d")
     lag = dl.catalog_lagrangian(family, **params)
-    field = ns.as_extended_field(lag.profile)
+    field = exports_oracle.as_extended_field(lag.profile)
     rng = np.random.default_rng(41)
     for point in verification.sample_tangent_states(chart, 6, rng, min_speed=0.3):
         w = manifold.speed(chart, point.x, point.v)
