@@ -69,7 +69,6 @@ from .extended_fields import (
     TangentPoint,
     TensorComponents,
     chain_rule_check,
-    contract,
     covariant_time_derivative,
     fiber_partials,
     kinetic_energy_scalar,
@@ -128,7 +127,6 @@ from .dynamics_lagrange import (
     momentum_field,
 )
 from .dynamics_hamilton import (
-    CotangentTrajectory,
     Hamiltonian,
     IdentityReport,
     LegendreContext,
@@ -141,7 +139,6 @@ from .dynamics_hamilton import (
     integrate_hamiltonian,
     legendre_forward,
     legendre_inverse,
-    write_cotangent_csv,
 )
 from .verification import (
     SUITE_NAMES,

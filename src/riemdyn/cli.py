@@ -4,24 +4,26 @@ Subcommands:
 
   riemdyn simulate -c config.json [--out-dir DIR]
       Integrate the configured system and write a trajectory CSV plus a
-      JSON run report. Exit 0 when the run completes, 3 when the
-      trajectory leaves the chart, the system turns singular, an
-      expression leaves its domain, a value overflows or the stepper
-      gives up (the partial outputs are still written, and the error
-      that ended the run goes to stderr and into the report as "error",
-      "error_class" and the "stop_time" of the last accepted state), 2
-      when the schema below refuses a key as unknown, missing or of the
-      wrong type (at its JSON pointer), or the chart or the stepper a
-      value, or the initial point's metric or the initial energy or H
-      is singular or overflows. A refused config writes nothing.
+      JSON run report, both read off the run's record whatever the
+      kind. Exit 0 when the run completes, 3 when the trajectory leaves
+      the chart, the system turns singular, an expression leaves its
+      domain, a value overflows or the stepper gives up (the partial
+      outputs are still written, and the error that ended the run goes
+      to stderr and into the report as "error", "error_class" and the
+      "stop_time" of the last accepted state), 2 when the schema below
+      refuses a key as unknown, missing or of the wrong type (at its
+      JSON pointer), or the chart or the stepper a value, or the initial
+      point's metric or the initial energy or H is singular or
+      overflows. A refused config writes nothing.
 
   riemdyn verify --suite NAME [--chart C] [--seed N] [--report FILE]
       Run a named verification suite and print one line per check.
       Exit 0 when every check passes, 1 otherwise, 2 for unknown
       suites, for a chart that cannot be built, for a suite with no
-      scenario on the chart, and at --report for a report path in a
-      missing directory or onto a directory, refused before the suite
-      runs, or one whose write fails.
+      scenario on the chart, at --seed for a negative seed and at
+      --report for a report path in a missing directory or onto a
+      directory, both refused before the suite runs, or one whose write
+      fails.
 
   riemdyn legendre -c config.json --direction forward|inverse
                    --state "x1,..,xn;f1,..,fn"
@@ -444,12 +446,10 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         pointer = "--out-dir" if args.out_dir else "/output/directory"
         raise ConfigError(f"cannot create output directory: {exc}", pointer=pointer) from exc
-    if kind == "hamilton":
-        dynamics_hamilton.write_cotangent_csv(trajectory, csv_path)
-        energies, final = trajectory.h_values, {"x": trajectory.xs[-1], "p": trajectory.ps[-1]}
-    else:
-        dynamics_newton.write_trajectory_csv(trajectory, csv_path)
-        energies, final = trajectory.energies, {"x": trajectory.xs[-1], "v": trajectory.vs[-1]}
+    dynamics_newton.write_trajectory_csv(trajectory, csv_path)
+    fiber = next(iter(trajectory.columns))  # "v" or "p", the first column
+    final = {"x": trajectory.xs[-1], fiber: trajectory.columns[fiber][-1]}
+    energies = trajectory.columns.get("h", trajectory.columns.get("H"))
     drift = None if energies is None else float(np.max(np.abs(energies - energies[0])))
     report = {
         "schema": 1,
@@ -475,6 +475,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:  # numpy's generators would refuse it inside a suite, with a traceback
+        raise ConfigError(f"seed {args.seed} must be a non-negative integer", pointer="--seed")
     if args.chart is not None:
         try:
             manifold.builtin_chart(args.chart)

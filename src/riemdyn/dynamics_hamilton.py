@@ -45,7 +45,7 @@ import numpy as np
 
 from . import expression, extended_fields, manifold, normal_shift
 from .dynamics_lagrange import Lagrangian, _require_regular, a_matrix, momentum_field
-from .dynamics_newton import IntegratorConfig, _integrate_split, _write_table
+from .dynamics_newton import IntegratorConfig, Trajectory, _integrate_split
 from .errors import (
     DegenerateLagrangianError,
     NonConvergenceError,
@@ -58,7 +58,6 @@ from .manifold import ManifoldChart
 __all__ = [
     "LegendreContext",
     "Hamiltonian",
-    "CotangentTrajectory",
     "IdentityReport",
     "legendre_forward",
     "legendre_inverse",
@@ -68,7 +67,6 @@ __all__ = [
     "hamilton_rhs",
     "covariant_momentum_residual",
     "integrate_hamiltonian",
-    "write_cotangent_csv",
     "identity_suite",
 ]
 
@@ -452,27 +450,13 @@ def covariant_momentum_residual(
     return first - second
 
 
-@dataclass(eq=False)
-class CotangentTrajectory:
-    """Recorded cotangent trajectory with the Hamiltonian along it."""
-
-    ts: np.ndarray
-    xs: np.ndarray
-    ps: np.ndarray
-    h_values: np.ndarray
-    status: str
-
-    def points(self) -> list[CotangentPoint]:
-        return [CotangentPoint(x, p) for x, p in zip(self.xs, self.ps)]
-
-
 def integrate_hamiltonian(
     chart: ManifoldChart,
     hamiltonian: Hamiltonian,
     state0: CotangentPoint,
     config: IntegratorConfig,
-) -> CotangentTrajectory:
-    """Integrate the canonical equations from state0 over config.t_span."""
+) -> Trajectory:
+    """Integrate the canonical equations from state0 over config.t_span; columns p and H."""
     n = chart.dim
 
     def rhs(t, y):
@@ -483,23 +467,7 @@ def integrate_hamiltonian(
     def diagnostics(x, p):
         return (hamiltonian.value(chart, CotangentPoint(x, p)),)
 
-    ts, xs, ps, (h_values,), status = _integrate_split(
-        chart, rhs, state0.x, state0.p, config, diagnostics
-    )
-    return CotangentTrajectory(ts=ts, xs=xs, ps=ps, h_values=h_values, status=status)
-
-
-def write_cotangent_csv(trajectory: CotangentTrajectory, path) -> None:
-    """Write t, coordinates, momenta and H with full precision."""
-    n = trajectory.xs.shape[1]
-    header = (
-        ["t"]
-        + [f"x{k + 1}" for k in range(n)]
-        + [f"p{k + 1}" for k in range(n)]
-        + ["H"]
-    )
-    columns = [trajectory.ts, trajectory.xs, trajectory.ps, trajectory.h_values]
-    _write_table(path, header, columns)
+    return _integrate_split(chart, rhs, state0.x, state0.p, config, ("p", "H"), diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,16 @@ dt_min, and step control that takes the step below dt_min ends the run
 "step_underflow". The status is a RunStatus: a str that also carries the
 message and class of the error that ended the run, and its time.
 
-Each sample's diagnostics (speed and energy on the tangent legs, H on
-the canonical leg) are taken at accept time, right after the stop rule
-validated the state's metric, so they find it in the chart's geometry
-record: one metric validation per recorded state. A stop error from
+Every leg records one Trajectory: sample times, coordinates and an
+ordered dict of named per-sample columns, the fiber first ("v" on the
+tangent legs, "p" on the canonical leg), then the diagnostics ("speed"
+and an optional energy "h" on the tangent legs, "H" on the canonical
+leg). write_trajectory_csv writes any of them, its header read off the
+names, so the record's layout is known here alone.
+
+Each sample's diagnostics are taken at accept time, right after the
+stop rule validated the state's metric, so they find it in the chart's
+geometry record: one metric validation per recorded state. A stop error from
 them ends the run like one from the right-hand side, keeping the earlier
 samples; at the initial state, which has no earlier sample, it
 propagates. The stop rule accepts a state by returning a callable that
@@ -69,7 +75,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -113,7 +119,6 @@ __all__ = [
     "integrate",
     "integrate_ode",
     "write_trajectory_csv",
-    "format_float",
 ]
 
 
@@ -254,17 +259,26 @@ class IntegratorConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Recorded tangent-bundle trajectory with diagnostics."""
+    """A recorded run of any leg: sample times, coordinates and named per-sample columns.
+
+    columns maps each name to its array in CSV order: the fiber first, "v"
+    on the tangent legs and "p" on the canonical leg, each (samples, n);
+    then the diagnostics, "speed" and an optional "h" on the tangent legs
+    and "H" on the canonical leg.
+    """
 
     ts: np.ndarray
     xs: np.ndarray
-    vs: np.ndarray
-    speeds: np.ndarray
-    energies: np.ndarray | None
+    columns: dict[str, np.ndarray]
     status: str
 
-    def points(self) -> list[TangentPoint]:
-        return [TangentPoint(x, v) for x, v in zip(self.xs, self.vs)]
+    @property
+    def vs(self) -> np.ndarray:
+        return self.columns["v"]
+
+    @property
+    def ps(self) -> np.ndarray:
+        return self.columns["p"]
 
     def curve_samples(self) -> list[CurveSample]:
         return [CurveSample(float(t), TangentPoint(x, v)) for t, x, v in zip(self.ts, self.xs, self.vs)]
@@ -487,7 +501,7 @@ def _flat_rhs(chart: ManifoldChart, force: ForceField):
 
 
 def _tangent_run(chart, rhs, q0, config, energy_fn) -> Trajectory:
-    """Integrate a tangent-bundle rhs from q0, with each sample's speed and energy."""
+    """Integrate a tangent-bundle rhs from q0, with each sample's speed and energy h."""
 
     def diagnostics(x, v):
         speed = manifold.speed(chart, x, v)
@@ -495,21 +509,21 @@ def _tangent_run(chart, rhs, q0, config, energy_fn) -> Trajectory:
             return (speed,)
         return speed, energy_fn(chart, TangentPoint(x, v))
 
-    ts, xs, vs, columns, status = _integrate_split(chart, rhs, q0.x, q0.v, config, diagnostics)
-    energies = None if energy_fn is None else columns[1]
-    return Trajectory(ts=ts, xs=xs, vs=vs, speeds=columns[0], energies=energies, status=status)
+    names = ("v", "speed") if energy_fn is None else ("v", "speed", "h")
+    return _integrate_split(chart, rhs, q0.x, q0.v, config, names, diagnostics)
 
 
-def _integrate_split(chart, rhs, x0, fiber0, config, diagnostics):
+def _integrate_split(chart, rhs, x0, fiber0, config, names, diagnostics) -> Trajectory:
     """Integrate rhs over the flat state (x, fiber) from (x0, fiber0).
 
-    Returns (ts, xs, fibers, columns, status), where columns[k] holds the
-    k-th value of diagnostics(x, fiber) at each sample. A state is
-    accepted while metric_at accepts its x, which also refuses a metric
-    that degenerates inside the nominal open domain, and its fiber is
-    finite: an rk4 step whose last stage overflowed leaves x finite and
-    the fiber infinite. The initial state's diagnostics are taken before
-    the first step, the others when the state is recorded.
+    Returns the run's Trajectory, whose columns are names[0] for the fiber,
+    then one per later name holding the matching value of diagnostics(x,
+    fiber) at each sample. A state is accepted while metric_at accepts its
+    x, which also refuses a metric that degenerates inside the nominal
+    open domain, and its fiber is finite: an rk4 step whose last stage
+    overflowed leaves x finite and the fiber infinite. The initial state's
+    diagnostics are taken before the first step, the others when the
+    state is recorded.
     """
     n = chart.dim
     manifold.check_point(chart, x0)
@@ -530,43 +544,25 @@ def _integrate_split(chart, rhs, x0, fiber0, config, diagnostics):
     y0 = np.concatenate([x0, fiber0])
     sample(y0)
     ts, ys, status = integrate_ode(rhs, y0, config, accepted)
-    xs = np.array([y[:n] for y in ys])
-    fibers = np.array([y[n:] for y in ys])
-    columns = np.array(values).reshape(len(ys), -1).T
-    return np.array(ts), xs, fibers, columns, status
+    columns = {names[0]: np.array([y[n:] for y in ys])}
+    columns.update(zip(names[1:], np.array(values).reshape(len(ys), -1).T))
+    return Trajectory(np.array(ts), np.array([y[:n] for y in ys]), columns, status)
 
 
-def format_float(value: float) -> str:
-    """17 significant digits, enough to round-trip a double exactly."""
-    return f"{value:.17g}"
+def write_trajectory_csv(trajectory: Trajectory, path) -> None:
+    """Write t, x1..xn, then each column, a 2-D column as name1..namen, one row per sample.
 
-
-def _write_table(path, header: list[str], columns: Sequence[np.ndarray]) -> None:
-    """Write a header line, then one row per sample in format_float's form.
-
-    columns are stacked side by side once; each row is then formatted by
-    a single printf string, which renders a Python float exactly as
-    format_float does (inf, nan and -0 included). Rows are converted and
-    written one at a time, so no second copy of the table is held.
+    The header comes from the column names. Columns are stacked side by
+    side once; each row is then formatted by a single printf string, 17
+    significant digits, enough to round-trip a double exactly (inf, nan
+    and -0 included). Rows are converted and written one at a time, so no
+    second copy of the table is held.
     """
-    table = np.column_stack(columns)
+    header = ["t", *(f"x{k + 1}" for k in range(trajectory.xs.shape[1]))]
+    for name, column in trajectory.columns.items():
+        header += [name] if column.ndim == 1 else [f"{name}{k + 1}" for k in range(column.shape[1])]
+    table = np.column_stack([trajectory.ts, trajectory.xs, *trajectory.columns.values()])
     row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % tuple(values.tolist()) for values in table)
-
-
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Write t, coordinates, velocities, speed and optional energy column."""
-    n = trajectory.xs.shape[1]
-    header = (
-        ["t"]
-        + [f"x{k + 1}" for k in range(n)]
-        + [f"v{k + 1}" for k in range(n)]
-        + ["speed"]
-    )
-    columns = [trajectory.ts, trajectory.xs, trajectory.vs, trajectory.speeds]
-    if trajectory.energies is not None:
-        header.append("h")
-        columns.append(trajectory.energies)
-    _write_table(path, header, columns)

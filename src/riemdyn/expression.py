@@ -14,8 +14,9 @@ expression and seed pair, on first use, into straight-line Python code:
 the forward-mode hyper-dual arithmetic unrolled over the tree by source
 transformation, with components that are always zero dropped, constant
 exponents resolved while compiling, and every domain check kept.
-partial_and_second_env returns a first and a second partial from one such
-function. The hyper-dual tree walker these functions replace lives on in
+One function may return several seed pairs at once, as the phi' and
+phi'' pair that the fiberwise Hamiltonian's phi' inversion reads from one
+call. The hyper-dual tree walker these functions replace lives on in
 tests/ as the oracle they are compared against.
 
 _central_differences and _second_differences are the package's one
@@ -47,9 +48,6 @@ __all__ = [
     "evaluate_fiber",
     "evaluate_env",
     "partial",
-    "partial_env",
-    "second_partial_env",
-    "partial_and_second_env",
     "gradient",
     "FUNCTION_NAMES",
 ]
@@ -934,29 +932,6 @@ def evaluate(expr: ScalarExpr, x) -> float:
 def evaluate_fiber(expr: ScalarExpr, x, w: float, *seeds: str) -> float:
     """Value, or exact partial by one or two named seeds, with x1..xn from x and "w" bound to w."""
     return _code(expr, seeds)(*_coord_args(expr, x, w))
-
-
-def partial_env(expr: ScalarExpr, env: Mapping[str, float], name: str) -> float:
-    """Exact first partial with respect to a named variable."""
-    return _code(expr, (name,))(*_env_args(expr, env))
-
-
-def second_partial_env(
-    expr: ScalarExpr, env: Mapping[str, float], name1: str, name2: str
-) -> float:
-    """Exact mixed second partial with respect to two named variables."""
-    return _code(expr, (name1, name2))(*_env_args(expr, env))
-
-
-def partial_and_second_env(
-    expr: ScalarExpr, env: Mapping[str, float], name: str
-) -> tuple[float, float]:
-    """partial_env and second_partial_env by one named variable, from one compiled call.
-
-    Both numbers equal the separate calls' bit for bit, and the call raises
-    whenever either of them would, the first partial's error first.
-    """
-    return _code(expr, (name,), (name, name))(*_env_args(expr, env))
 
 
 def partial(expr: ScalarExpr, x, q: int) -> float:

@@ -69,7 +69,6 @@ __all__ = [
     "spatial_gradient",
     "velocity_gradient",
     "velocity_gradient_lowered",
-    "contract",
     "covariant_time_derivative",
     "chain_rule_check",
     "kinetic_energy_scalar",
@@ -334,30 +333,6 @@ def velocity_gradient_lowered(
     return TensorComponents(
         np.einsum("...k,qk->...q", dfib, g), field.variance + ("l",)
     )
-
-
-def contract(a: TensorComponents, b: TensorComponents, slot_a: int, slot_b: int) -> TensorComponents:
-    """Contract one slot of a against one slot of b (one upper, one lower)."""
-    if not (0 <= slot_a < len(a.variance)) or not (0 <= slot_b < len(b.variance)):
-        raise RankMismatchError(
-            f"slots ({slot_a}, {slot_b}) out of range for variances "
-            f"{a.variance!r} and {b.variance!r}"
-        )
-    if a.variance[slot_a] == b.variance[slot_b]:
-        raise RankMismatchError(
-            f"cannot contract two {a.variance[slot_a]!r} slots; "
-            "one upper and one lower index required"
-        )
-    if a.data.shape[slot_a] != b.data.shape[slot_b]:
-        raise RankMismatchError(
-            f"slot lengths differ: {a.data.shape[slot_a]} vs {b.data.shape[slot_b]}"
-        )
-    data = np.tensordot(a.data, b.data, axes=([slot_a], [slot_b]))
-    variance = (
-        tuple(t for i, t in enumerate(a.variance) if i != slot_a)
-        + tuple(t for i, t in enumerate(b.variance) if i != slot_b)
-    )
-    return TensorComponents(data, variance)
 
 
 def _check_uniform_times(samples: Sequence[CurveSample]) -> float:

@@ -17,7 +17,9 @@ legendre, cancellation, rk4order, all.
 
 Every cross-check of the three formulations goes through three_legs,
 which integrates one system three ways, the Newtonian leg with the
-family's own force, and leg_gaps. threeway runs three_legs once per
+family's own force, and leg_gaps. Each leg is the driver's own
+Trajectory; the canonical one gains a "v" column, dH/dp, so leg_gaps
+compares every pair by xs and vs. threeway runs three_legs once per
 scenario of _EL_PAIRS and reads its Euler-Lagrange residuals, leg gaps
 and conservation drifts from that one run; a check computed from a run
 that did not complete reads inf.
@@ -44,7 +46,6 @@ from .extended_fields import CotangentPoint, CurveSample, TangentPoint
 
 __all__ = [
     "SUITE_NAMES",
-    "Leg",
     "NoScenarioError",
     "leg_gaps",
     "run_suite",
@@ -255,23 +256,18 @@ def _scenarios_on(suite, scenarios, chart_name):
 # The three-leg harness
 
 
-@dataclasses.dataclass(frozen=True)
-class Leg:
-    """A leg's trajectory with its velocity and energy per sample: dH/dp and H on the canonical leg."""
-
-    trajectory: dynamics_newton.Trajectory | dynamics_hamilton.CotangentTrajectory
-    vs: np.ndarray
-    energies: np.ndarray
-
-
-def three_legs(chart, lag, q0: TangentPoint, config: IntegratorConfig) -> dict[str, Leg]:
+def three_legs(
+    chart, lag, q0: TangentPoint, config: IntegratorConfig
+) -> dict[str, dynamics_newton.Trajectory]:
     """The Newtonian, classical Lagrangian and canonical Hamiltonian legs of lag from q0.
 
     The legs share q0 and config but derive their right-hand sides through
     disjoint code paths. The Newtonian leg integrates F - Gamma(v, v) with
     the family's own force from dynamics_lagrange.FAMILIES; the classical
-    leg never reads Gamma. The tangent legs record energy_h. A Lagrangian
-    whose family has no FAMILIES row has no Newtonian force: ValueError.
+    leg never reads Gamma. The tangent legs record energy_h as their "h"
+    column; the canonical leg keeps its "p" and "H" columns and gains "v",
+    dH/dp at each sample. A Lagrangian whose family has no FAMILIES row has
+    no Newtonian force: ValueError.
     """
     if lag.family not in dynamics_lagrange.FAMILIES:
         raise ValueError(f"family {lag.family!r} has no Newtonian force in FAMILIES")
@@ -286,24 +282,19 @@ def three_legs(chart, lag, q0: TangentPoint, config: IntegratorConfig) -> dict[s
     lagrange = dynamics_lagrange.integrate_lagrangian(chart, lag, q0, config, energy_fn=energy)
     p0 = dynamics_hamilton.legendre_forward(ctx, chart, q0)
     hamilton = dynamics_hamilton.integrate_hamiltonian(chart, ham, p0, config)
-    vs_h = np.stack([ham.dp(chart, CotangentPoint(x, p)) for x, p in zip(hamilton.xs, hamilton.ps)])
-    return {
-        "newton": Leg(newton, newton.vs, newton.energies),
-        "lagrange": Leg(lagrange, lagrange.vs, lagrange.energies),
-        "hamilton": Leg(hamilton, vs_h, hamilton.h_values),
-    }
+    hamilton.columns["v"] = np.stack(
+        [ham.dp(chart, CotangentPoint(x, p)) for x, p in zip(hamilton.xs, hamilton.ps)]
+    )
+    return {"newton": newton, "lagrange": lagrange, "hamilton": hamilton}
 
 
-def leg_gaps(legs: dict[str, Leg]) -> dict[str, float]:
+def leg_gaps(legs: dict[str, dynamics_newton.Trajectory]) -> dict[str, float]:
     """Sup of |dx| and |dv| for each pair of legs, keyed "a_vs_b"; inf where sample times differ."""
     gaps = {}
     for (name_a, a), (name_b, b) in itertools.combinations(legs.items(), 2):
         gap = math.inf
-        if np.array_equal(a.trajectory.ts, b.trajectory.ts):
-            gap = max(
-                float(np.max(np.abs(a.trajectory.xs - b.trajectory.xs))),
-                float(np.max(np.abs(a.vs - b.vs))),
-            )
+        if np.array_equal(a.ts, b.ts):
+            gap = max(float(np.max(np.abs(a.xs - b.xs))), float(np.max(np.abs(a.vs - b.vs))))
         gaps[f"{name_a}_vs_{name_b}"] = gap
     return gaps
 
@@ -365,8 +356,7 @@ def suite_theorem81(chart_name=None, seed=0):
         q0, rescaled = TangentPoint(x0, v0), manifold.conformal_rescale(chart, f)
         flow = dynamics_newton.integrate(chart, conformal_force, q0, config)
         geodesic = dynamics_newton.integrate(rescaled, dynamics_newton.geodesic_system(), q0, config)
-        pair = {"conformal_flow": flow, "rescaled_geodesic": geodesic}
-        (gap,) = leg_gaps({k: Leg(run, run.vs, run.energies) for k, run in pair.items()}).values()
+        (gap,) = leg_gaps({"conformal_flow": flow, "rescaled_geodesic": geodesic}).values()
         offset = math.inf
         if math.isfinite(gap):
             gaps = np.max(np.abs(flow.xs[:, None, :] - geodesic.xs[None, :, :]), axis=2)
@@ -440,7 +430,7 @@ def suite_threeway(chart_name=None, seed=0):
         chart = manifold.builtin_chart(name)
         lag = _system(family)
         legs = three_legs(chart, lag, TangentPoint(*_STARTS[name]), config)
-        classical = legs["lagrange"].trajectory
+        classical = legs["lagrange"]
         covariant = dynamics_lagrange.el_residual(chart, lag, classical)
         plain = dynamics_lagrange.classical_el_residual(chart, lag, classical)
         for check, residual in (
@@ -450,14 +440,14 @@ def suite_threeway(chart_name=None, seed=0):
             worst = _completed(float(np.max(np.abs(residual))), classical.status)
             checks.append(_check(f"{check}[{family},{name}]", worst, EL_COMPARE_TOL))
         for pair, gap in leg_gaps(legs).items():
-            gap = _completed(gap, *(legs[leg].trajectory.status for leg in pair.split("_vs_")))
+            gap = _completed(gap, *(legs[leg].status for leg in pair.split("_vs_")))
             checks.append(_check(f"{pair}[{family},{name}]", gap, THREEWAY_TOL))
         for leg, run in legs.items():
-            status = run.trajectory.status
-            drift = _completed(_drift(run.energies), status)
+            energy = run.columns.get("h", run.columns.get("H"))
+            drift = _completed(_drift(energy), run.status)
             checks.append(_check(f"energy_drift_{leg}[{family},{name}]", drift, ENERGY_DRIFT_TOL))
             if leg == "newton" and family == "kinetic":
-                speed_drift = _completed(_drift(run.trajectory.speeds), status)
+                speed_drift = _completed(_drift(run.columns["speed"]), run.status)
                 checks.append(_check(f"speed_drift_geodesic[{name}]", speed_drift, SPEED_DRIFT_TOL))
     return _report("threeway", seed, checks)
 

@@ -6,25 +6,30 @@ unparse prints an expression back to source; second_partial is the exact
 second partial by two coordinates; b_matrix is the fiber Hessian of H;
 regularity classifies the fiber Hessian of L; strip_analytic and
 as_extended_field drop the analytic hooks of a chart and of a profile;
-elapsed_run times a suite. Each is as the package had it.
+elapsed_run times a suite; partial_env, second_partial_env and
+partial_and_second_env are exact partials by named variables;
+format_float prints a float as the CSV writer does; contract contracts
+one slot of two tensors. Each is as the package had it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from riemdyn import expression, manifold, verification
 from riemdyn.dynamics_hamilton import Hamiltonian
 from riemdyn.dynamics_lagrange import Lagrangian, _hessian_det, a_matrix
+from riemdyn.errors import RankMismatchError
 from riemdyn.expression import ScalarExpr
 from riemdyn.extended_fields import (
     CotangentPoint,
     ExtendedField,
     TangentPoint,
+    TensorComponents,
     fiber_hessian,
     fiber_partials,
     x_partials,
@@ -44,6 +49,11 @@ __all__ = [
     "strip_analytic",
     "as_extended_field",
     "elapsed_run",
+    "partial_env",
+    "second_partial_env",
+    "partial_and_second_env",
+    "format_float",
+    "contract",
 ]
 
 
@@ -187,3 +197,55 @@ def elapsed_run(name: str, chart_name: str | None = None, seed: int = 0) -> tupl
     start = time.perf_counter()
     report = verification.run_suite(name, chart_name, seed)
     return report, time.perf_counter() - start
+
+
+def partial_env(expr: ScalarExpr, env: Mapping[str, float], name: str) -> float:
+    """Exact first partial with respect to a named variable."""
+    return expression._code(expr, (name,))(*expression._env_args(expr, env))
+
+
+def second_partial_env(
+    expr: ScalarExpr, env: Mapping[str, float], name1: str, name2: str
+) -> float:
+    """Exact mixed second partial with respect to two named variables."""
+    return expression._code(expr, (name1, name2))(*expression._env_args(expr, env))
+
+
+def partial_and_second_env(
+    expr: ScalarExpr, env: Mapping[str, float], name: str
+) -> tuple[float, float]:
+    """partial_env and second_partial_env by one named variable, from one compiled call.
+
+    Both numbers equal the separate calls' bit for bit, and the call raises
+    whenever either of them would, the first partial's error first.
+    """
+    return expression._code(expr, (name,), (name, name))(*expression._env_args(expr, env))
+
+
+def format_float(value: float) -> str:
+    """17 significant digits, enough to round-trip a double exactly."""
+    return f"{value:.17g}"
+
+
+def contract(a: TensorComponents, b: TensorComponents, slot_a: int, slot_b: int) -> TensorComponents:
+    """Contract one slot of a against one slot of b (one upper, one lower)."""
+    if not (0 <= slot_a < len(a.variance)) or not (0 <= slot_b < len(b.variance)):
+        raise RankMismatchError(
+            f"slots ({slot_a}, {slot_b}) out of range for variances "
+            f"{a.variance!r} and {b.variance!r}"
+        )
+    if a.variance[slot_a] == b.variance[slot_b]:
+        raise RankMismatchError(
+            f"cannot contract two {a.variance[slot_a]!r} slots; "
+            "one upper and one lower index required"
+        )
+    if a.data.shape[slot_a] != b.data.shape[slot_b]:
+        raise RankMismatchError(
+            f"slot lengths differ: {a.data.shape[slot_a]} vs {b.data.shape[slot_b]}"
+        )
+    data = np.tensordot(a.data, b.data, axes=([slot_a], [slot_b]))
+    variance = (
+        tuple(t for i, t in enumerate(a.variance) if i != slot_a)
+        + tuple(t for i, t in enumerate(b.variance) if i != slot_b)
+    )
+    return TensorComponents(data, variance)

@@ -4,7 +4,9 @@ The package evaluates every expression through code compiled once per
 expression and seed pair. These are the tree walkers it replaced:
 ``_eval`` for plain values and the hyper-dual evaluator ``_eval_hd``
 (Fike & Alonso, AIAA 2011-886) for exact first and mixed second partials.
-The tests compare the compiled route against them. Like the compiled
+The tests compare the compiled route against them, by name
+through expression.evaluate_env and exports_oracle's partial_env and
+second_partial_env. Like the compiled
 code, a quotient's derivative and the curvatures of log and sqrt divide by
 a product only when the derivative needs it, and refuse a product that
 underflows to zero; the curvature of a power is formed only when needed too.

@@ -1,14 +1,14 @@
 """The phi' inversion as dynamics_hamilton had it, through the env-mapping entry points.
 
-Each iterate evaluates phi' (and phi'') with partial_env and
-partial_and_second_env, so every call builds a variable map. The package
+Each iterate evaluates phi' (and phi'') with exports_oracle's partial_env
+and partial_and_second_env, so every call builds a variable map. The package
 calls phi's compiled code directly; the tests require the same z, bit for
 bit, and the same errors.
 """
 
 from __future__ import annotations
 
-from riemdyn import expression
+import exports_oracle
 from riemdyn.errors import NonConvergenceError
 
 __all__ = ["invert_phi_prime"]
@@ -19,7 +19,7 @@ def invert_phi_prime(phi_expr, target: float) -> float:
 
     lo, hi = 0.0, max(abs(target), 1.0)
     for _ in range(200):
-        if expression.partial_env(phi_expr, {"w": hi}, "w") >= target:
+        if exports_oracle.partial_env(phi_expr, {"w": hi}, "w") >= target:
             break
         hi *= 2.0
     else:
@@ -27,7 +27,7 @@ def invert_phi_prime(phi_expr, target: float) -> float:
     z = min(max(target, 1e-8), hi)
     tol = 1e-14 * max(1.0, abs(target))
     for _ in range(100):
-        fp, slope = expression.partial_and_second_env(phi_expr, {"w": z}, "w")
+        fp, slope = exports_oracle.partial_and_second_env(phi_expr, {"w": z}, "w")
         err = fp - target
         if abs(err) <= tol:
             return z

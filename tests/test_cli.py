@@ -616,6 +616,7 @@ def test_bad_configs_point_at_the_offending_key(tmp_path, capsys, mutate, pointe
 # Valid values by key for configs drawn from cli's schema tables; every
 # expression uses x1 and x2 only, so it holds on every chart.
 _VALID = {
+    "kind": ["lagrange", "hamilton"],
     "dim": [2, 3],
     "radius": [1.0, 2],
     "f": ["x1/4"],
@@ -660,42 +661,37 @@ _FUZZ_CASES = [
 ]
 
 
-@st.composite
-def _mutated_configs(draw, kind, name, chart_name, turn):
-    """A valid config of the system drawn from the schema tables, one key of it mutated,
-    and where the mutation is refused.
+def _picker(draw, turn):
+    """pick(options): one option drawn from the options turned by turn places.
 
-    Each choice is drawn from its options turned by turn places: every case draws
-    the same bytes, and the turn spreads them over the options."""
+    Every case draws the same bytes, and the turn spreads them over the options."""
 
     def pick(options):
         options = list(options)
         cut = turn % len(options)
         return draw(st.sampled_from(options[cut:] + options[:cut]))
 
-    def keys(table, keep=()):
-        return {
-            key: pick(_VALID[key])
-            for key, (_, required) in table.items()
-            if key in _VALID and (required or key in keep or draw(st.booleans()))
-        }
+    return pick
 
-    chart = {"name": chart_name, **keys(cli._CHART_PARAMETERS.get(chart_name, {}), keep=("f",))}
-    chart.update(keys({"rescale_f": cli._CHART["rescale_f"]}))
-    if kind == "newton":
-        system = {"kind": kind, "force": {"type": name, **keys(cli._FORCE_TYPES[name])}}
-    else:
-        system = {"kind": kind, "family": name, **keys(cli._FAMILY[name])}
-    dim = 3 if chart_name == "euclidean3" else chart.get("dim", 2)
-    fiber = "p" if kind == "hamilton" and draw(st.booleans()) else "v"
-    cfg = {
-        "schema": 1,
-        "chart": chart,
-        "system": system,
-        "integrator": keys(cli._INTEGRATOR, keep=("t_span",)),
-        "initial": {key: _START[key][:dim] for key in ("x", fiber)},
-        "output": {"directory": "out", "basename": "fuzz"},
+
+def _drawn_keys(draw, pick, table, keep=()):
+    """Valid values of a table's required keys, of those in keep and of some of the others."""
+    return {
+        key: pick(_VALID[key])
+        for key, (_, required) in table.items()
+        if key in _VALID and (required or key in keep or draw(st.booleans()))
     }
+
+
+def _drawn_chart(draw, pick, chart_name):
+    chart = {"name": chart_name}
+    chart.update(_drawn_keys(draw, pick, cli._CHART_PARAMETERS.get(chart_name, {}), keep=("f",)))
+    chart.update(_drawn_keys(draw, pick, {"rescale_f": cli._CHART["rescale_f"]}))
+    return chart
+
+
+def _mutate_one_key(draw, pick, cfg, keep, drop_pointers):
+    """Drop, retype or add a sibling to one key of cfg, in place; (how, the pointer it is refused at)."""
 
     def sections(section, pointer):
         yield section, pointer
@@ -706,15 +702,39 @@ def _mutated_configs(draw, kind, name, chart_name, turn):
     section, pointer = pick(sections(cfg, ""))
     key = pick(section)
     pointer = f"{pointer}/{key}"
-    how = pick(["retype", "sibling"] + ["drop"] * (pointer not in _KEEP))
+    how = pick(["retype", "sibling"] + ["drop"] * (pointer not in keep))
     if how == "drop":
         del section[key]
-        pointer = _DROP_POINTERS.get(pointer, pointer)
+        pointer = drop_pointers.get(pointer, pointer)
     elif how == "retype":
         section[key] = 7 if isinstance(section[key], str) else "s"
     else:
         section["a/b~"] = 1
         pointer = pointer.rsplit("/", 1)[0] + "/a~1b~0"
+    return how, pointer
+
+
+@st.composite
+def _mutated_configs(draw, kind, name, chart_name, turn):
+    """A valid config of the system drawn from the schema tables, one key of it mutated,
+    and where the mutation is refused."""
+    pick = _picker(draw, turn)
+    chart = _drawn_chart(draw, pick, chart_name)
+    if kind == "newton":
+        system = {"kind": kind, "force": {"type": name, **_drawn_keys(draw, pick, cli._FORCE_TYPES[name])}}
+    else:
+        system = {"kind": kind, "family": name, **_drawn_keys(draw, pick, cli._FAMILY[name])}
+    dim = 3 if chart_name == "euclidean3" else chart.get("dim", 2)
+    fiber = "p" if kind == "hamilton" and draw(st.booleans()) else "v"
+    cfg = {
+        "schema": 1,
+        "chart": chart,
+        "system": system,
+        "integrator": _drawn_keys(draw, pick, cli._INTEGRATOR, keep=("t_span",)),
+        "initial": {key: _START[key][:dim] for key in ("x", fiber)},
+        "output": {"directory": "out", "basename": "fuzz"},
+    }
+    how, pointer = _mutate_one_key(draw, pick, cfg, _KEEP, _DROP_POINTERS)
     return cfg, how, pointer
 
 
@@ -735,6 +755,62 @@ def test_a_config_with_one_key_mutated_is_refused_at_that_key_or_runs(turn, data
         assert err.getvalue().startswith(f"config error at {pointer}: "), (how, err.getvalue())
     else:
         assert code in (0, 3), err.getvalue()
+
+
+# legendre reads chart and system only; it reads the state's dimension off the chart.
+_LEGENDRE_DROP_POINTERS = {"/chart/f": "/chart", "/chart/dim": "--state"}
+_LEGENDRE_CASES = [
+    (family, _CHARTS[(i + shift) % len(_CHARTS)])
+    for i, family in enumerate(cli._FAMILY)
+    for shift in (0, len(_CHARTS) // 2)
+]
+
+
+@st.composite
+def _mutated_legendre_configs(draw, family, chart_name, turn):
+    """A valid legendre config drawn from _LEGENDRE_CONFIG and _LAGRANGIAN, one key of it
+    mutated, where the mutation is refused, and the command line of the run."""
+    pick = _picker(draw, turn)
+    chart = _drawn_chart(draw, pick, chart_name)
+    dim = 3 if chart_name == "euclidean3" else chart.get("dim", 2)
+    system = _drawn_keys(draw, pick, cli._LAGRANGIAN)
+    system.update(family=family, **_drawn_keys(draw, pick, cli._FAMILY[family]))
+    unread = {
+        "integrator": _drawn_keys(draw, pick, cli._INTEGRATOR, keep=("t_span",)),
+        "initial": {key: _START[key][:dim] for key in ("x", "v")},
+        "output": {"directory": "out", "basename": "fuzz"},
+    }
+    cfg = {"schema": 1, "chart": chart, "system": system}
+    cfg.update(
+        (key, unread[key])
+        for key, (_, required) in cli._LEGENDRE_CONFIG.items()
+        if key in unread and (required or draw(st.booleans()))
+    )
+    how, pointer = _mutate_one_key(draw, pick, cfg, (), _LEGENDRE_DROP_POINTERS)
+    direction = pick(["forward", "inverse"])
+    fiber = _START["v" if direction == "forward" else "p"][:dim]
+    state = ";".join(",".join(map(str, part)) for part in (_START["x"][:dim], fiber))
+    return cfg, how, pointer, ["--direction", direction, "--state", state]
+
+
+@pytest.mark.parametrize("turn", range(len(_LEGENDRE_CASES)))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_legendre_config_with_one_key_mutated_is_refused_at_that_key_or_runs(turn, data):
+    cfg, how, pointer, args = data.draw(_mutated_legendre_configs(*_LEGENDRE_CASES[turn], turn))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["legendre", "-c", write_config(pathlib.Path(tmp), cfg), *args]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    # Inside chart and system, and at the top level, only a dropped optional key may run;
+    # the keys of the sections legendre does not read are never refused.
+    read = pointer.count("/") == 1 or pointer.startswith(("/chart", "/system"))
+    if code == 2 or (read and how != "drop"):
+        assert code == 2, (how, pointer)
+        assert err.getvalue().startswith(f"config error at {pointer}: "), (how, err.getvalue())
+    else:
+        assert code in (0, 4), (how, pointer, err.getvalue())
 
 
 @pytest.mark.parametrize(
@@ -798,6 +874,16 @@ def test_unknown_force_type(tmp_path, capsys):
 def test_unknown_suites_and_charts_are_usage_errors(capsys, argv, message):
     assert cli.main(["verify", *argv]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["identities", "all"])
+def test_a_negative_seed_is_refused_before_any_suite_runs(capsys, monkeypatch, suite):
+    def run_suite(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verification, "run_suite", run_suite)
+    assert cli.main(["verify", "--suite", suite, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error at --seed: seed -1 must be a non-negative integer\n"
 
 
 def test_all_skips_only_a_suite_without_a_scenario_on_the_chart(monkeypatch):

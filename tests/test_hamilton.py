@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pathlib
 import re
 from collections import Counter
 
@@ -392,7 +393,7 @@ def test_cotangent_csv_layout(tmp_path):
     trajectory = dh.integrate_hamiltonian(chart, ham, state, config)
     assert trajectory.status == "completed"
     out = tmp_path / "run.csv"
-    dh.write_cotangent_csv(trajectory, out)
+    dn.write_trajectory_csv(trajectory, out)
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,x1,x2,p1,p2,H"
     assert len(lines) == len(trajectory.ts) + 1
@@ -565,3 +566,12 @@ def test_phi_inversion_builds_no_variable_map(monkeypatch):
 
     monkeypatch.setattr(expression, "_env_args", refuse)
     assert dh._invert_phi_prime(phi, 0.77) == want
+
+
+def test_the_readme_library_example_runs(capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    status, spread = capsys.readouterr().out.split()
+    assert status == "completed"
+    assert float(spread) <= verification.ENERGY_DRIFT_TOL

@@ -136,7 +136,7 @@ def test_the_three_legs_agree_where_the_fiber_hessian_is_small():
     q0 = TangentPoint(np.array([1.5, 0.0]), np.array([0.3, 0.2]))
     config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
     legs = verification.three_legs(chart, lag, q0, config)
-    assert [leg.trajectory.status for leg in legs.values()] == ["completed"] * 3
+    assert [leg.status for leg in legs.values()] == ["completed"] * 3
     for pair, gap in verification.leg_gaps(legs).items():
         assert gap <= verification.THREEWAY_TOL, (pair, gap)
 
@@ -249,7 +249,7 @@ def test_second_order_and_newtonian_routes_agree(family, params, chart_name):
     q0 = verification.sample_tangent_states(chart, 1, rng, min_speed=0.3)[0]
     config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 0.5), record_every=5)
     legs = verification.three_legs(chart, lag, q0, config)
-    assert [leg.trajectory.status for leg in legs.values()] == ["completed"] * 3
+    assert [leg.status for leg in legs.values()] == ["completed"] * 3
     assert max(verification.leg_gaps(legs).values()) < 1e-9
 
 

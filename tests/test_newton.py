@@ -6,13 +6,13 @@ import warnings
 from collections import Counter
 
 import dp_oracle
+import exports_oracle
 import numpy as np
 import pytest
 import rhs_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
 from riemdyn import manifold, normal_shift, verification
@@ -145,7 +145,7 @@ def test_leaving_the_chart_is_reported(method):
         dl.fiberwise_phi_lagrangian("w^2/2 + w^4/10", "exp(-x1/4)"),
     ):
         three = verification.three_legs(chart, lag, q0, config)
-        legs = [leg.trajectory for leg in three.values()]
+        legs = list(three.values())
         gaps = verification.leg_gaps(three)
         if method == "rk4":
             assert [leg.status for leg in legs] == ["left_chart"] * 3
@@ -155,7 +155,7 @@ def test_leaving_the_chart_is_reported(method):
         else:
             statuses, first = rk45_ends[lag.family]
             assert [(leg.status, leg.status.error_class) for leg in legs] == statuses
-            ends = {name: leg.trajectory.ts[-1] for name, leg in three.items()}
+            ends = {name: leg.ts[-1] for name, leg in three.items()}
             assert min(ends, key=ends.get) == first
             assert max(ends.values()) - min(ends.values()) < 1e-4
             twins = "_vs_".join(name for name in three if name != first)
@@ -238,10 +238,10 @@ def test_a_stop_error_from_the_diagnostics_ends_the_run_and_keeps_the_earlier_sa
     # The state whose energy overflowed was accepted, so the stop is there, past x1 = 0.42.
     assert 0.42 < trajectory.status.stop_time <= 0.43
     assert trajectory.status.stop_time > trajectory.ts[-1]
-    assert len(trajectory.energies) == len(trajectory.speeds) == len(trajectory.ts)
+    assert len(trajectory.columns["h"]) == len(trajectory.columns["speed"]) == len(trajectory.ts)
     assert np.all(trajectory.xs[:, 0] <= 0.42)
     assert 0.42 - 0.01 * record_every <= trajectory.ts[-1] <= 0.42
-    assert np.allclose(trajectory.energies, 0.5)
+    assert np.allclose(trajectory.columns["h"], 0.5)
     assert np.allclose(trajectory.xs[:, 0], trajectory.ts, rtol=0.0, atol=1e-12)
 
 
@@ -376,9 +376,10 @@ def test_energy_column_and_speed():
         config,
         energy_fn=lambda c, q: 0.5 * manifold.speed(c, q.x, q.v) ** 2,
     )
-    assert trajectory.energies is not None
-    assert np.allclose(trajectory.energies, 0.5 * trajectory.speeds ** 2)
-    assert np.max(np.abs(trajectory.speeds - trajectory.speeds[0])) < 1e-10
+    assert list(trajectory.columns) == ["v", "speed", "h"]
+    speeds = trajectory.columns["speed"]
+    assert np.allclose(trajectory.columns["h"], 0.5 * speeds ** 2)
+    assert np.max(np.abs(speeds - speeds[0])) < 1e-10
 
 
 def test_trajectory_csv_format(tmp_path):
@@ -397,7 +398,7 @@ def test_trajectory_csv_format(tmp_path):
     row = lines[1].split(",")
     # 17 significant digits must round-trip exactly
     assert float(row[1]) == trajectory.xs[0][0]
-    assert float(row[5]) == trajectory.speeds[0]
+    assert float(row[5]) == trajectory.columns["speed"][0]
 
     no_energy = dn.integrate(chart, dn.geodesic_system(), q0, config)
     path2 = tmp_path / "run2.csv"
@@ -411,8 +412,7 @@ def test_leg_gaps_are_infinite_between_different_time_grids():
 
     def leg(t1):
         config = dn.IntegratorConfig(method="rk4", dt=0.1, t_span=(0.0, t1), record_every=1)
-        run = dn.integrate(chart, dn.geodesic_system(), q0, config)
-        return verification.Leg(run, run.vs, run.speeds)
+        return dn.integrate(chart, dn.geodesic_system(), q0, config)
 
     gaps = verification.leg_gaps({"a": leg(0.5), "b": leg(0.5), "shorter": leg(0.3)})
     assert gaps == {"a_vs_b": 0.0, "a_vs_shorter": math.inf, "b_vs_shorter": math.inf}
@@ -627,15 +627,14 @@ def test_rk45_trajectory_is_bitwise_that_of_the_oracle_step(monkeypatch):
     want = dn.integrate(chart, dn.geodesic_system(), q0, config, energy_fn=energy)
     assert got.status == want.status == "completed"
     assert len(got.ts) > 100
-    assert _bits(got.ts, got.xs, got.vs, got.speeds, got.energies) == _bits(
-        want.ts, want.xs, want.vs, want.speeds, want.energies
-    )
+    assert list(got.columns) == list(want.columns) == ["v", "speed", "h"]
+    assert _bits(got.ts, got.xs, *got.columns.values()) == _bits(want.ts, want.xs, *want.columns.values())
     # Speed and energy share each sample's metric; each matches a fresh chart's.
     fresh = manifold.builtin_chart("sphere2d")
     speeds = [manifold.speed(fresh, x, v) for x, v in zip(got.xs, got.vs)]
-    assert _bits(got.speeds) == _bits(speeds)
+    assert _bits(got.columns["speed"]) == _bits(speeds)
     energies = [energy(fresh, TangentPoint(x, v)) for x, v in zip(got.xs, got.vs)]
-    assert _bits(got.energies) == _bits(energies)
+    assert _bits(got.columns["h"]) == _bits(energies)
 
 
 def _rhs_charts():
@@ -752,45 +751,21 @@ def test_a_run_is_bitwise_that_of_the_oracle_rhs(monkeypatch, force_name, method
     monkeypatch.setattr(dn, "_flat_rhs", rhs_oracle.flat_rhs)
     want = dn.integrate(chart, _RHS_FORCES[force_name](), q0, config)
     assert got.status == want.status == "completed"
-    assert _bits(got.ts, got.xs, got.vs, got.speeds) == _bits(want.ts, want.xs, want.vs, want.speeds)
+    assert list(got.columns) == list(want.columns) == ["v", "speed"]
+    assert _bits(got.ts, got.xs, *got.columns.values()) == _bits(want.ts, want.xs, *want.columns.values())
 
 
-# The writers as they were before they shared one table writer: one
-# format_float call per value, row by row.
+# The writers as they were before they shared one table writer: the header
+# spelled out, then one format_float call per value, row by row.
 
 
-def _oracle_trajectory_csv(trajectory, path):
-    n = trajectory.xs.shape[1]
-    header = (
-        ["t"]
-        + [f"x{k + 1}" for k in range(n)]
-        + [f"v{k + 1}" for k in range(n)]
-        + ["speed"]
-    )
-    if trajectory.energies is not None:
-        header.append("h")
-    lines = [",".join(header)]
+def _oracle_csv(trajectory, header, path):
+    lines = [header]
     for i in range(len(trajectory.ts)):
-        row = [trajectory.ts[i], *trajectory.xs[i], *trajectory.vs[i], trajectory.speeds[i]]
-        if trajectory.energies is not None:
-            row.append(trajectory.energies[i])
-        lines.append(",".join(dn.format_float(val) for val in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _oracle_cotangent_csv(trajectory, path):
-    n = trajectory.xs.shape[1]
-    header = (
-        ["t"]
-        + [f"x{k + 1}" for k in range(n)]
-        + [f"p{k + 1}" for k in range(n)]
-        + ["H"]
-    )
-    lines = [",".join(header)]
-    for i in range(len(trajectory.ts)):
-        row = [trajectory.ts[i], *trajectory.xs[i], *trajectory.ps[i], trajectory.h_values[i]]
-        lines.append(",".join(dn.format_float(val) for val in row))
+        row = [trajectory.ts[i], *trajectory.xs[i]]
+        for column in trajectory.columns.values():
+            row.extend(np.atleast_1d(column[i]))
+        lines.append(",".join(exports_oracle.format_float(val) for val in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -806,27 +781,21 @@ def _awkward_columns(rows, width):
     return values.reshape(rows, width)
 
 
-@pytest.mark.parametrize("with_energy", [True, False])
-def test_trajectory_csv_bytes_match_the_row_by_row_oracle(tmp_path, with_energy):
-    table = _awkward_columns(40, 8)
-    trajectory = dn.Trajectory(
-        ts=table[:, 0],
-        xs=table[:, 1:4],
-        vs=table[:, 4:7],
-        speeds=table[:, 7],
-        energies=table[:, 0][::-1].copy() if with_energy else None,
-        status="completed",
-    )
+# Each record layout: its header, its dimension and its column names.
+_CSV_LAYOUTS = {
+    "tangent-with-h": ("t,x1,x2,x3,v1,v2,v3,speed,h", 3, ("v", "speed", "h")),
+    "tangent": ("t,x1,x2,x3,v1,v2,v3,speed", 3, ("v", "speed")),
+    "cotangent": ("t,x1,x2,p1,p2,H", 2, ("p", "H")),
+}
+
+
+@pytest.mark.parametrize("layout", _CSV_LAYOUTS)
+def test_trajectory_csv_bytes_match_the_row_by_row_oracle(tmp_path, layout):
+    header, n, names = _CSV_LAYOUTS[layout]
+    table = _awkward_columns(40, 2 * n + len(names))
+    columns = {names[0]: table[:, 1 + n : 1 + 2 * n]}
+    columns.update(zip(names[1:], table[:, 1 + 2 * n :].T))
+    trajectory = dn.Trajectory(table[:, 0], table[:, 1 : 1 + n], columns, "completed")
     dn.write_trajectory_csv(trajectory, tmp_path / "new.csv")
-    _oracle_trajectory_csv(trajectory, tmp_path / "old.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
-def test_cotangent_csv_bytes_match_the_row_by_row_oracle(tmp_path):
-    table = _awkward_columns(40, 6)
-    trajectory = dh.CotangentTrajectory(
-        ts=table[:, 0], xs=table[:, 1:3], ps=table[:, 3:5], h_values=table[:, 5], status="completed"
-    )
-    dh.write_cotangent_csv(trajectory, tmp_path / "new.csv")
-    _oracle_cotangent_csv(trajectory, tmp_path / "old.csv")
+    _oracle_csv(trajectory, header, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -120,7 +120,7 @@ def test_a_planted_christoffel_fault_separates_the_newtonian_leg(family, chart_n
     q0 = TangentPoint(*verification._STARTS[chart_name])
     config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
     legs = verification.three_legs(chart, verification._system(family), q0, config)
-    assert [leg.trajectory.status for leg in legs.values()] == ["completed"] * 3
+    assert [leg.status for leg in legs.values()] == ["completed"] * 3
     gaps = verification.leg_gaps(legs)
     assert gaps["newton_vs_lagrange"] >= 1e-8
     assert gaps["newton_vs_hamilton"] >= 1e-8
@@ -145,7 +145,7 @@ def _fiberwise_gaps(lag, chart_name):
     q0 = TangentPoint(*verification._STARTS[chart_name])
     config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 1.0), record_every=10)
     legs = verification.three_legs(manifold.builtin_chart(chart_name), lag, q0, config)
-    assert [leg.trajectory.status for leg in legs.values()] == ["completed"] * 3
+    assert [leg.status for leg in legs.values()] == ["completed"] * 3
     return verification.leg_gaps(legs)
 
 
