@@ -27,7 +27,8 @@ coordinate, such as one that overflowed, ends it "non_finite"; numpy's
 overflow and invalid-value warnings are off while the driver steps.
 Under rk45 each of these errors first halves the trial step, down to
 dt_min, and step control that takes the step below dt_min ends the run
-"step_underflow". The status is a RunStatus: a str that also carries the
+"step_underflow", as does, under either method, a step too short to
+change t. The status is a RunStatus: a str that also carries the
 message and class of the error that ended the run, and its time.
 
 Every leg records one Trajectory: sample times, coordinates and an
@@ -58,15 +59,23 @@ differently. On a chart's small arrays numpy's per-call overhead costs
 more than the arithmetic. tests/rhs_oracle.py keeps the TangentPoint and
 einsum form it replaced.
 
-A Dormand-Prince step forms each stage input, the 5th-order solution and
-the 4th-order estimate over tolist() in Python floats: per component, a
-sum starts at +0.0 and adds a_j * k_j stage by stage, and is then used
-in y + dt * s. That is the order of a Python sum over the stage arrays,
-so the results are bit-identical to tests/dp_oracle.py, the stage-by-stage
-form it keeps as the oracle; a matrix product would round differently.
-The error norm stays numpy. There is no FSAL reuse: every attempt
-evaluates all seven stages, the first on the very state object that
-in_domain accepted, by which perfbench/spans.py counts attempted steps.
+A Dormand-Prince step is one straight-line Python function per state
+length m, generated from the tableau's repr literals on the first rk45
+run at that length and cached in _DP_KERNELS; importing the package
+generates none. It takes (f, t, y, dt, atol, rtol) and returns the
+5th-order state and the RMS error norm. Each stage input, the 5th-order
+solution and the 4th-order estimate are, per component, y + dt * s, where
+s starts at +0.0 and adds a_j * k_j stage by stage, zero weights
+included: the order of a Python sum over the stage arrays, so the results
+are bit-identical to tests/dp_oracle.py, the array form it keeps as the
+oracle; a matrix product would round differently. The norm scales each
+error by atol + rtol * max(|y|, |y5|), with np.maximum's NaN rule, and
+sums the squares in np.add.reduce's pairwise order, so it has the bits of
+the numpy expression it replaced; the sums are statements of bounded
+depth, so the source compiles for any m. There is no FSAL reuse: every
+attempt evaluates all seven stages, the first on the very state object
+that in_domain accepted, by which perfbench/spans.py counts attempted
+steps.
 """
 
 from __future__ import annotations
@@ -308,34 +317,97 @@ def _rk4_step(f, t, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _dp_step(f, t, y, dt):
-    ys = y.tolist()
-    ks = [f(t, y).tolist()]  # on y itself: the stop rule accepted this object
+# The generated Dormand-Prince step of each state length, keyed by the length.
+_DP_KERNELS: dict[int, Callable] = {}
+
+
+def _dp_kernel(m: int) -> Callable:
+    """The Dormand-Prince step for states of length m, generated on first use.
+
+    It maps (f, t, y, dt, atol, rtol) to the 5th-order state and the RMS
+    error norm of the step.
+    """
+    kernel = _DP_KERNELS.get(m)
+    if kernel is None:
+        namespace = {"abs": abs, "array": np.array, "sqrt": math.sqrt}
+        exec(compile(_dp_source(m), "<riemdyn.dynamics_newton>", "exec"), namespace)
+        kernel = _DP_KERNELS[m] = namespace.pop("dp_step")
+    return kernel
+
+
+def _dp_source(m: int) -> str:
+    """Source of the straight-line Dormand-Prince step for states of length m.
+
+    Component c of the state is y{c}, of stage i k{i}_{c}, of the 5th-order
+    state u{c}, and q{c} is its scaled error. Each weighted sum is
+    y{c} + dt * (0.0 + w_0 * k0_{c} + ...), zero weights included, so an
+    infinite stage gives NaN as 0.0 * inf does.
+    """
+    comps = range(m)
+
+    def names(prefix):
+        return "[" + ", ".join(f"{prefix}{c}" for c in comps) + "]"
+
+    def weighted(weights, c):
+        terms = "".join(f" + {w!r} * k{j}_{c}" for j, w in enumerate(weights))
+        return f"y{c} + dt * (0.0{terms})"
+
+    lines = [
+        "def dp_step(f, t, y, dt, atol, rtol):",
+        f"    {names('y')} = y.tolist()",
+        f"    {names('k0_')} = f(t, y).tolist()",  # on y itself: the stop rule accepted this object
+    ]
     for i in range(1, 7):
-        row, yi = _DP_A[i], []
-        for yc, col in zip(ys, zip(*ks)):
-            s = 0.0
-            for a, kc in zip(row, col):
-                s += a * kc
-            yi.append(yc + dt * s)
-        ks.append(f(t + _DP_C[i] * dt, np.array(yi)).tolist())
-    y5, err = [], []
-    for yc, col in zip(ys, zip(*ks)):
-        s5 = s4 = 0.0
-        for b5, b4, kc in zip(_DP_B5, _DP_B4, col):
-            s5 += b5 * kc
-            s4 += b4 * kc
-        y5c = yc + dt * s5
-        y5.append(y5c)
-        err.append(y5c - (yc + dt * s4))
-    return np.array(y5), np.array(err)
+        stage = ", ".join(weighted(_DP_A[i], c) for c in comps)
+        lines.append(f"    {names(f'k{i}_')} = f(t + {_DP_C[i]!r} * dt, array([{stage}])).tolist()")
+    for c in comps:
+        # np.maximum(|y|, |y5|), NaN from either side included.
+        lines += [
+            f"    u{c} = {weighted(_DP_B5, c)}",
+            f"    a = abs(y{c})",
+            f"    b = abs(u{c})",
+            f"    q{c} = (u{c} - ({weighted(_DP_B4, c)})) / (atol + rtol * (a if a >= b or a != a else b))",
+        ]
+    total = _add_reduce_source([f"q{c} * q{c}" for c in comps], lines, "s")
+    lines += [f"    return array([{', '.join(f'u{c}' for c in comps)}]), sqrt({total} / {m})", ""]
+    return "\n".join(lines)
+
+
+def _add_reduce_source(terms: list[str], lines: list[str], name: str) -> str:
+    """Append statements summing terms in np.add.reduce's order; returns the sum's source.
+
+    That is numpy's pairwise sum. Below 8 terms it is one sum from +0.0.
+    Up to 128 terms, eight accumulators take every 8th term, are combined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the rest are
+    added one by one. Above 128 it is the sum of two halves, the first a
+    multiple of 8 long. Every expression is one statement of bounded
+    depth, so the source compiles for any number of terms. The reduction's
+    own +0.0 start is left out: it does not change a sum of squares.
+    """
+    n = len(terms)
+    if n < 8:
+        return "(0.0" + "".join(f" + {term}" for term in terms) + ")"
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        left = _add_reduce_source(terms[:half], lines, name + "l")
+        right = _add_reduce_source(terms[half:], lines, name + "r")
+        lines.append(f"    {name} = {left} + {right}")
+        return name
+    r = [f"{name}_{j}" for j in range(8)]
+    whole = n - n % 8
+    lines += [f"    {r[j]} = {terms[j]}" for j in range(8)]
+    lines += [f"    {r[j]} += {terms[i + j]}" for i in range(8, whole, 8) for j in range(8)]
+    lines.append(f"    {name} = (({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))")
+    lines += [f"    {name} += {term}" for term in terms[whole:]]
+    return name
 
 
 class RunStatus(str):
     """How a run ended: completed, left_chart, singular, non_finite or step_underflow.
 
     error is the message of the error that ended the run and error_class
-    its class name, both "" when none did. stop_time is the time of the
+    its class name, both "" when none did. A step too short to change t
+    has a message, naming t and dt, and no class. stop_time is the time of the
     last accepted state, which record_every > 1 may have left unrecorded.
     """
 
@@ -375,6 +447,11 @@ def _judge(in_domain: Callable[[np.ndarray], object], y: np.ndarray):
     return _stopped(NonFiniteStateError(f"state {y!r} is not finite")), None
 
 
+def _stalled(t: float, dt: float) -> tuple[str, str, str]:
+    """The stop of a run whose next step dt is too short to change t."""
+    return "step_underflow", f"step dt = {dt!r} does not advance t = {t!r}", ""
+
+
 # An overflow or a NaN in a step ends the run through the stop rule, not as a numpy warning.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_ode(
@@ -402,7 +479,9 @@ def integrate_ode(
     instead of printing them. Under rk45 an error from rhs first halves
     the trial step, down to dt_min, and step control that takes the next
     step below dt_min, after a rejected or an accepted step, ends the run
-    with "step_underflow". The states accepted before any stop are kept,
+    with "step_underflow". Under either method, so does a step too short
+    to change t (t + dt == t, as at t = 1e17 with dt = 1e-3), before it
+    is tried; its status message names t and dt. The states accepted before any stop are kept,
     and status carries the error that ended the run (see RunStatus).
     """
     t0, t1 = config.t_span
@@ -429,6 +508,9 @@ def integrate_ode(
     if config.method == "rk4":
         while t < t1 - span_eps:
             dt = min(config.dt, t1 - t)
+            if t + dt == t:
+                stop = _stalled(t, dt)
+                break
             try:
                 y_new = _rk4_step(rhs, t, y, dt)
             except _STOP_ERRORS as exc:
@@ -443,11 +525,15 @@ def integrate_ode(
                 break
     else:
         atol, rtol = config.atol, config.rtol
+        dp_step = _dp_kernel(y.size)
         dt = min(config.dt, config.dt_max)
         while t < t1 - span_eps:
             dt = min(dt, t1 - t)
+            if t + dt == t:
+                stop = _stalled(t, dt)
+                break
             try:
-                y_new, err_vec = _dp_step(rhs, t, y, dt)
+                y_new, err = dp_step(rhs, t, y, dt, atol, rtol)
             except _STOP_ERRORS as exc:
                 # A trial stage left the chart or the system; try a shorter step.
                 dt *= 0.5
@@ -455,9 +541,6 @@ def integrate_ode(
                     stop = _stopped(exc)
                     break
                 continue
-            q = err_vec / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
-            # RMS of q: the same sum and division as np.mean, without its Python layer.
-            err = math.sqrt(float(np.add.reduce(q * q)) / q.size)
             if err <= 1.0:
                 stop, verdict = _judge(in_domain, y_new)
                 if not stop:

@@ -1,18 +1,22 @@
-"""Reference Dormand-Prince step for riemdyn.dynamics_newton, kept as a test oracle.
+"""Reference Dormand-Prince step and error norm for riemdyn.dynamics_newton, kept as a test oracle.
 
-The package combines the seven stages of a step over tolist() in Python
-floats: per component, a sum that starts at +0.0 and adds a_j * k_j stage
-by stage. This is the array form it matches, unchanged: each combination
-is a Python ``sum`` over a generator of coefficient-times-stage array
-products, which adds in that same order. The tests require the two to
-agree bit for bit.
+The package generates one straight-line step per state length, which
+combines the seven stages in Python floats: per component, a sum that
+starts at +0.0 and adds a_j * k_j stage by stage, and then the RMS error
+norm with np.add.reduce's order of summation. This is the array form it
+matches, unchanged: each combination is a Python ``sum`` over a generator
+of coefficient-times-stage array products, which adds in that same order,
+and the norm is the numpy expression the driver once evaluated on y5 - y4.
+The tests require the two to agree bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["dp_step"]
+__all__ = ["dp_step", "dp_step_and_norm", "error_norm", "scaled_error"]
 
 # Dormand-Prince 5(4) tableau; the first error row is the 5th-order
 # propagated solution, the second the embedded 4th-order estimate.
@@ -33,6 +37,7 @@ _DP_B4 = np.array(
 
 
 def dp_step(f, t, y, dt):
+    """(y5, y5 - y4) of one step."""
     ks = []
     for i in range(7):
         yi = y if i == 0 else y + dt * sum(a * k for a, k in zip(_DP_A[i], ks))
@@ -40,3 +45,20 @@ def dp_step(f, t, y, dt):
     y5 = y + dt * sum(b * k for b, k in zip(_DP_B5, ks))
     y4 = y + dt * sum(b * k for b, k in zip(_DP_B4, ks))
     return y5, y5 - y4
+
+
+def scaled_error(y, y5, err, atol, rtol):
+    """err scaled by the mixed tolerance atol + rtol * max(|y|, |y5|)."""
+    return err / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
+
+
+def error_norm(y, y5, err, atol, rtol):
+    """RMS of the scaled error: np.mean's sum and division."""
+    q = scaled_error(y, y5, err, atol, rtol)
+    return math.sqrt(float(np.add.reduce(q * q)) / q.size)
+
+
+def dp_step_and_norm(f, t, y, dt, atol, rtol):
+    """(y5, error norm) of one step: the outputs of the package's generated step."""
+    y5, err = dp_step(f, t, y, dt)
+    return y5, error_norm(y, y5, err, atol, rtol)

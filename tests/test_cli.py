@@ -191,13 +191,36 @@ def _conformal_overflow_config(out_dir, x, t1, dt):
 
 
 def _simulate_in_a_subprocess(tmp_path, cfg, **env):
+    """Run simulate in a new interpreter; a run that does not end in 60 s fails the test."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     return subprocess.run(
         [sys.executable, "-m", "riemdyn.cli", "simulate", "-c", write_config(tmp_path, cfg)],
         capture_output=True,
         text=True,
+        timeout=60,
         env=dict(os.environ, PYTHONPATH=src, **env),
     )
+
+
+def test_simulate_ends_a_run_whose_step_cannot_advance_t_step_underflow(tmp_path):
+    """At t = 1e300 no step under dt_max = 0.1 changes t; the run stops at once."""
+    out = tmp_path / "out"
+    cfg = {
+        "schema": 1,
+        "chart": {"name": "euclidean2"},
+        "system": {"kind": "newton", "force": {"type": "geodesic"}},
+        "integrator": {"method": "rk45", "t_span": [1e300, 1.0000000001e300]},
+        "initial": {"x": [0.0, 0.0], "v": [1.0, 0.0]},
+        "output": {"directory": str(out), "basename": "stall"},
+    }
+    done = _simulate_in_a_subprocess(tmp_path, cfg, PYTHONWARNINGS="error::RuntimeWarning")
+    assert done.returncode == 3
+    assert done.stderr == "error: step dt = 0.001 does not advance t = 1e+300\n"
+    report = json.loads((out / "stall.json").read_text())
+    assert report["status"] == "step_underflow" and report["samples"] == 1
+    assert report["error"] == "step dt = 0.001 does not advance t = 1e+300"
+    assert report["error_class"] == "" and report["stop_time"] == 1e300
+    assert len((out / "stall.csv").read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
@@ -443,8 +446,13 @@ def _same_floats(got, want):
     return True
 
 
-def _dp_outcome(step, rhs, t, y, dt):
-    """(step's (y5, y5 - y4) or the class of the error it raised, the bits of each stage's t and y)."""
+def _kernel_step(f, t, y, dt, atol, rtol):
+    """The package's generated Dormand-Prince step for y's length."""
+    return dn._dp_kernel(y.size)(f, t, y, dt, atol, rtol)
+
+
+def _dp_outcome(step, rhs, t, y, dt, atol=1e-10, rtol=1e-8):
+    """(step's (y5, error norm) or the class of the error it raised, the bits of each stage's t and y)."""
     stages = []
 
     def recorded(t, y):
@@ -452,7 +460,7 @@ def _dp_outcome(step, rhs, t, y, dt):
         return rhs(t, y)
 
     try:
-        return step(recorded, t, y, dt), stages
+        return step(recorded, t, y, dt, atol, rtol), stages
     except Exception as exc:  # the class is what the comparison needs
         return type(exc), stages
 
@@ -461,20 +469,22 @@ def test_dp_step_matches_the_generator_sum_oracle_on_the_sphere():
     chart = manifold.builtin_chart("sphere2d")
     rhs = _geodesic_rhs(chart)
     rng = np.random.default_rng(20260)
+    tolerances = np.random.default_rng(5)  # apart, so the states drawn stay those of rng
     lo, hi = chart.sample_box[:, 0], chart.sample_box[:, 1]
     compared = 0
     for _ in range(1200):
         y = np.concatenate([rng.uniform(lo, hi), rng.normal(scale=2.0, size=2)])
         t = float(rng.uniform(0.0, 50.0))
         dt = float(10.0 ** rng.uniform(-5.0, -0.3))
+        atol, rtol = (10.0 ** tolerances.uniform(-12.0, -3.0, size=2)).tolist()
         try:
-            want = dp_oracle.dp_step(rhs, t, y, dt)
+            want = dp_oracle.dp_step_and_norm(rhs, t, y, dt, atol, rtol)
         except ChartDomainError:
-            # A stage left the chart; the array form must fail there too.
+            # A stage left the chart; the generated step must fail there too.
             with pytest.raises(ChartDomainError):
-                dn._dp_step(rhs, t, y, dt)
+                _kernel_step(rhs, t, y, dt, atol, rtol)
             continue
-        assert _bits(*dn._dp_step(rhs, t, y, dt)) == _bits(*want)
+        assert _bits(*_kernel_step(rhs, t, y, dt, atol, rtol)) == _bits(*want)
         compared += 1
     assert compared >= 1000
 
@@ -489,7 +499,8 @@ def test_dp_step_matches_the_oracle_on_the_blow_up_system():
     for _ in range(1000):
         y = np.array([rng.uniform(-3.0, 0.999)])
         dt = float(10.0 ** rng.uniform(-9.0, 0.0))
-        assert _bits(*dn._dp_step(rhs, 0.0, y, dt)) == _bits(*dp_oracle.dp_step(rhs, 0.0, y, dt))
+        got = _kernel_step(rhs, 0.0, y, dt, 1e-10, 1e-8)
+        assert _bits(*got) == _bits(*dp_oracle.dp_step_and_norm(rhs, 0.0, y, dt, 1e-10, 1e-8))
 
 
 def test_dp_step_keeps_the_oracle_sign_of_zero():
@@ -500,8 +511,8 @@ def test_dp_step_keeps_the_oracle_sign_of_zero():
         return y * 0.0
 
     y = np.array([-0.0, 0.0, -1.0])
-    got, got_stages = _dp_outcome(dn._dp_step, rhs, 0.0, y, 0.1)
-    want, want_stages = _dp_outcome(dp_oracle.dp_step, rhs, 0.0, y, 0.1)
+    got, got_stages = _dp_outcome(_kernel_step, rhs, 0.0, y, 0.1)
+    want, want_stages = _dp_outcome(dp_oracle.dp_step_and_norm, rhs, 0.0, y, 0.1)
     assert got_stages == want_stages and len(got_stages) == 7
     assert _bits(*got) == _bits(*want)
 
@@ -519,15 +530,17 @@ def test_dp_step_matches_the_oracle_on_six_component_states(chart_params, force)
     chart = manifold.builtin_chart(**chart_params)
     rhs = dn._flat_rhs(chart, force())
     rng = np.random.default_rng(31337)
+    tolerances = np.random.default_rng(5)  # apart, so the states drawn stay those of rng
     lo, hi = chart.sample_box[:, 0], chart.sample_box[:, 1]
     compared = 0
     for _ in range(300):
         y = np.concatenate([rng.uniform(lo, hi), rng.normal(scale=2.0, size=3)])
         t = float(rng.uniform(0.0, 50.0))
         dt = float(10.0 ** rng.uniform(-5.0, 0.0))
+        atol, rtol = (10.0 ** tolerances.uniform(-12.0, -3.0, size=2)).tolist()
         with np.errstate(all="ignore"):
-            want, want_stages = _dp_outcome(dp_oracle.dp_step, rhs, t, y, dt)
-        got, got_stages = _dp_outcome(dn._dp_step, rhs, t, y, dt)
+            want, want_stages = _dp_outcome(dp_oracle.dp_step_and_norm, rhs, t, y, dt, atol, rtol)
+        got, got_stages = _dp_outcome(_kernel_step, rhs, t, y, dt, atol, rtol)
         assert got_stages == want_stages
         if isinstance(want, type):
             assert got is want
@@ -558,12 +571,147 @@ def test_dp_step_carries_a_later_stage_inf_and_nan_as_the_oracle_does(stage):
 
     y = np.array([0.3, -0.2, 0.1, 0.7, 0.4, -0.5])
     with np.errstate(all="ignore"):
-        want = dp_oracle.dp_step(rhs_with_bad_stage(), 1.0, y, 0.1)
+        want = dp_oracle.dp_step_and_norm(rhs_with_bad_stage(), 1.0, y, 0.1, 1e-10, 1e-8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = dn._dp_step(rhs_with_bad_stage(), 1.0, y, 0.1)
-    assert not all(np.isfinite(got[0])) and np.isnan(got[1]).any()
+        got = _kernel_step(rhs_with_bad_stage(), 1.0, y, 0.1, 1e-10, 1e-8)
+    assert not all(np.isfinite(got[0])) and math.isnan(got[1])
     assert _same_floats(got, want)
+
+
+def _drawn_stages(ks):
+    """A right-hand side whose i-th call returns row i of ks, whatever its input."""
+    rows = iter(ks)
+    return lambda t, y: next(rows).copy()
+
+
+def _left_to_right(terms):
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+# Signed zeros, infinities, NaN, a subnormal, a value whose square overflows
+# and one whose scaled square is subnormal.
+_NORM_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e200, 1e-160]
+
+
+@pytest.mark.parametrize("m", range(1, 18))
+def test_dp_kernel_norm_has_the_bits_of_add_reduce(m):
+    """The generated error norm against np.add.reduce on the oracle's y5 - y4.
+
+    The stages are drawn, not computed, over twelve decades. One draw in
+    three puts a special value in y and in a stage, one in three scales
+    components down so that their squared scaled errors are subnormal.
+    From 8 terms np.add.reduce sums pairwise, and a left-to-right sum gives
+    other bits on many draws; the generated step raises no warning.
+    """
+    rng = np.random.default_rng(900 + m)
+    finite = reordered = subnormal = 0
+    for draw in range(300):
+        y = rng.normal(size=m) * 10.0 ** rng.uniform(-6.0, 6.0, size=m)
+        ks = rng.normal(size=(7, m)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(7, m))
+        dt = float(10.0 ** rng.uniform(-3.0, 0.0))
+        atol, rtol = (10.0 ** rng.uniform(-12.0, 0.0, size=2)).tolist()
+        if draw % 3 == 1:
+            y[rng.integers(m)] = rng.choice(_NORM_SPECIALS)
+            ks[rng.integers(7), rng.integers(m)] = rng.choice(_NORM_SPECIALS)
+        elif draw % 3 == 2:
+            tiny = rng.random(m) < 0.5
+            y[tiny] *= 1e-160
+            ks[:, tiny] *= 10.0 ** rng.uniform(-165.0, -155.0, size=(7, int(tiny.sum())))
+            atol = 1.0
+        with np.errstate(all="ignore"):
+            y5, err = dp_oracle.dp_step(_drawn_stages(ks), 0.0, y, dt)
+            want = (y5, dp_oracle.error_norm(y, y5, err, atol, rtol))
+            q = dp_oracle.scaled_error(y, y5, err, atol, rtol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _kernel_step(_drawn_stages(ks), 0.0, y, dt, atol, rtol)
+        assert _same_floats(got, want)
+        if math.isfinite(want[1]):
+            finite += 1
+            reordered += math.sqrt(_left_to_right((q * q).tolist()) / m) != want[1]
+            subnormal += bool(np.any((q != 0.0) & (np.abs(q) < 1.5e-154)))
+    assert finite >= 200 and subnormal >= 30
+    assert reordered >= (15 if m >= 8 else 0)
+
+
+def test_dp_kernel_compiles_and_matches_the_oracle_at_state_length_2000():
+    """A euclidean chart of dim 1,000 has states of length 2,000, and nothing bounds dim.
+
+    Above 128 terms np.add.reduce sums two halves; eight accumulators over
+    all 2,000 terms give other bits here.
+    """
+    rng = np.random.default_rng(2000)
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, size=2000)
+
+    def rhs(t, y):
+        return np.sin(y) * scale + t
+
+    y = rng.normal(size=2000) * 10.0 ** rng.uniform(-3.0, 3.0, size=2000)
+    got, got_stages = _dp_outcome(_kernel_step, rhs, 0.5, y, 0.01)
+    want, want_stages = _dp_outcome(dp_oracle.dp_step_and_norm, rhs, 0.5, y, 0.01)
+    assert got_stages == want_stages and len(got_stages) == 7
+    assert _bits(*got) == _bits(*want)
+    y5, err = dp_oracle.dp_step(rhs, 0.5, y, 0.01)
+    q = dp_oracle.scaled_error(y, y5, err, 1e-10, 1e-8)
+    r = (q * q).reshape(-1, 8).sum(axis=0, dtype=float).tolist()  # 2,000 is a multiple of 8
+    assert math.sqrt((((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))) / 2000) != want[1]
+
+
+def _python(source):
+    """Run source in a new interpreter on this package; fail after 60 s instead of hanging."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dn.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", source],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_importing_riemdyn_generates_no_kernel():
+    """A step is generated on the first rk45 run at its state length, once."""
+    out = _python(
+        "import numpy as np, riemdyn, riemdyn.cli\n"
+        "from riemdyn import dynamics_newton as dn, manifold\n"
+        "from riemdyn.extended_fields import TangentPoint\n"
+        "print(sorted(dn._DP_KERNELS))\n"
+        "q0 = TangentPoint(np.array([1.0, 0.3]), np.array([0.3, 0.9]))\n"
+        "for method in ('rk4', 'rk45', 'rk45'):\n"
+        "    config = dn.IntegratorConfig(method=method, t_span=(0.0, 0.1))\n"
+        "    dn.integrate(manifold.builtin_chart('sphere2d'), dn.geodesic_system(), q0, config)\n"
+        "print(sorted(dn._DP_KERNELS))\n"
+    )
+    assert out == ["[]", "[4]"]
+
+
+def test_a_step_that_cannot_advance_t_ends_the_run_step_underflow():
+    """At t = 1e17 a step of 1e-3 leaves t unchanged; both methods stop there with the initial sample.
+
+    The loop that never ended instead fails by the subprocess timeout.
+    """
+    out = _python(
+        "import numpy as np\n"
+        "from riemdyn import dynamics_newton as dn, manifold\n"
+        "from riemdyn.extended_fields import TangentPoint\n"
+        "q0 = TangentPoint(np.zeros(2), np.array([1.0, 0.0]))\n"
+        "for config in (\n"
+        "    dn.IntegratorConfig(method='rk4', dt=1e-3, t_span=(1e17, 1e17 + 64)),\n"
+        "    dn.IntegratorConfig(method='rk45', t_span=(1e300, 1.0000000001e300)),\n"
+        "):\n"
+        "    run = dn.integrate(manifold.builtin_chart('euclidean2'), dn.geodesic_system(), q0, config)\n"
+        "    print(run.status, len(run.ts), run.status.stop_time, run.status.error_class or '-', run.status.error)\n"
+    )
+    assert out == [
+        "step_underflow 1 1e+17 - step dt = 0.001 does not advance t = 1e+17",
+        "step_underflow 1 1e+300 - step dt = 0.001 does not advance t = 1e+300",
+    ]
 
 
 # Gamma entries and velocities: finite, special (signed zeros, infinities,
@@ -623,7 +771,7 @@ def test_rk45_trajectory_is_bitwise_that_of_the_oracle_step(monkeypatch):
         return 0.5 * manifold.speed(c, q.x, q.v) ** 2
 
     got = dn.integrate(chart, dn.geodesic_system(), q0, config, energy_fn=energy)
-    monkeypatch.setattr(dn, "_dp_step", dp_oracle.dp_step)
+    monkeypatch.setattr(dn, "_dp_kernel", lambda m: dp_oracle.dp_step_and_norm)
     want = dn.integrate(chart, dn.geodesic_system(), q0, config, energy_fn=energy)
     assert got.status == want.status == "completed"
     assert len(got.ts) > 100
