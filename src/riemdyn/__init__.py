@@ -64,10 +64,8 @@ from .manifold import (
 )
 from .extended_fields import (
     CotangentPoint,
-    CurveSample,
     ExtendedField,
     TangentPoint,
-    TensorComponents,
     chain_rule_check,
     covariant_time_derivative,
     fiber_partials,
@@ -92,7 +90,6 @@ from .dynamics_newton import (
     write_trajectory_csv,
 )
 from .normal_shift import (
-    NormalShiftForce,
     RadialProfile,
     conformal_force_field,
     conformal_kinetic_profile,

@@ -238,10 +238,6 @@ def _spherical_energy(profile, chart, point):
     return w * profile.d_w(point.x, w) - profile.value(point.x, w)
 
 
-def _normal_shift_force(profile, h_fn=None):
-    return normal_shift.normal_shift_force_field(normal_shift.NormalShiftForce(profile, h_fn=h_fn))
-
-
 # Each Newtonian force type, shaped like dynamics_lagrange.FAMILIES: its builder, the
 # parsers of the expressions it takes in order, and its conserved energy, or None.
 _FORCES = {
@@ -260,7 +256,7 @@ _FORCES = {
     ),
     "spherical": (normal_shift.spherical_force_field, {"T": _profile}, _spherical_energy),
     "normal-shift": (
-        _normal_shift_force,
+        normal_shift.normal_shift_force_field,
         {"W": _profile, "h": lambda source, dim: normal_shift.h_function(source)},
         None,
     ),

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .errors import (
     NumericOverflowError,
     ZeroVelocityError,
 )
-from .extended_fields import CotangentPoint, ExtendedField, TangentPoint, _conformal_factor
+from .extended_fields import CotangentPoint, ExtendedField, TangentPoint
 from .manifold import ManifoldChart
 
 __all__ = [
@@ -275,10 +275,9 @@ def legendre_inverse(ctx: LegendreContext, chart: ManifoldChart, state: Cotangen
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Scalar H(x, p) with optional analytic hooks and B = d2H/dp dp."""
+    """Scalar H(x, p): an extended field in the p representation."""
 
     field: ExtendedField
-    second_fiber_fn: Callable[[ManifoldChart, CotangentPoint], np.ndarray] | None = None
 
     def value(self, chart: ManifoldChart, state: CotangentPoint) -> float:
         return float(self.field.eval_fn(chart, state))
@@ -390,22 +389,10 @@ def hamiltonian_from_lagrangian(ctx: LegendreContext) -> Hamiltonian:
     """
     lag = ctx.lagrangian
     family = lag.family
-    second_fiber = None
     if family in ("kinetic", "kinetic-potential", "conformal-kinetic"):
-        f_expr = lag.params.get("f")
-        field = extended_fields.momentum_kinetic_scalar(f_expr, lag.params.get("U"))
-
-        def second_fiber(chart, state):
-            ginv = manifold.inverse_metric_at(chart, state.x)
-            return ginv if f_expr is None else _conformal_factor(f_expr, state.x, 2.0) * ginv
-
+        field = extended_fields.momentum_kinetic_scalar(lag.params.get("f"), lag.params.get("U"))
     elif family == "fiberwise-phi":
         field = _fiberwise_h_field(lag)
-
-        def second_fiber(chart, state):
-            v = field.fiber_partials_fn(chart, state)
-            return normal_shift.symmetric_b_matrix(chart, lag.profile, TangentPoint(state.x, v))
-
     else:
 
         def ev(chart, state):
@@ -416,7 +403,7 @@ def hamiltonian_from_lagrangian(ctx: LegendreContext) -> Hamiltonian:
 
         field = ExtendedField((0, 0), "p", ev, name=f"H[{lag.name}]")
 
-    return Hamiltonian(field, second_fiber)
+    return Hamiltonian(field)
 
 
 def hamilton_rhs(
@@ -538,10 +525,10 @@ def identity_suite(
         lam = legendre_forward(ctx, chart, q)
 
         dual = CotangentPoint(x, manifold.lower_index(chart, x, v))
-        grad_x = extended_fields.spatial_gradient(chart, p_field, q).data
-        grad_y = extended_fields.spatial_gradient(chart, y_field, dual).data
-        fib_x = extended_fields.velocity_gradient(chart, p_field, q).data
-        fib_y = extended_fields.velocity_gradient_lowered(chart, y_field, dual).data
+        grad_x = extended_fields.spatial_gradient(chart, p_field, q)
+        grad_y = extended_fields.spatial_gradient(chart, y_field, dual)
+        fib_x = extended_fields.velocity_gradient(chart, p_field, q)
+        fib_y = extended_fields.velocity_gradient_lowered(chart, y_field, dual)
         note(
             "duality_gradient_commutation",
             max(
@@ -556,9 +543,9 @@ def identity_suite(
         dh_dv = extended_fields.fiber_partials(chart, h_field, q)
         note("fiber_chain_rule", float(np.max(np.abs(dh_dv - a @ hp))), index)
 
-        grad_h = extended_fields.spatial_gradient(chart, h_field, q).data
-        grad_h_ham = extended_fields.spatial_gradient(chart, ham.field, lam).data
-        grad_p = extended_fields.spatial_gradient(chart, p_field, q).data
+        grad_h = extended_fields.spatial_gradient(chart, h_field, q)
+        grad_h_ham = extended_fields.spatial_gradient(chart, ham.field, lam)
+        grad_p = extended_fields.spatial_gradient(chart, p_field, q)
         rhs = grad_h_ham + grad_p.T @ hp
         note("spatial_chain_rule", float(np.max(np.abs(grad_h - rhs))), index)
 
@@ -571,7 +558,7 @@ def identity_suite(
             index,
         )
 
-        grad_l = extended_fields.spatial_gradient(chart, lag.field, q).data
+        grad_l = extended_fields.spatial_gradient(chart, lag.field, q)
         note(
             "opposite_spatial_gradients",
             float(np.max(np.abs(grad_h_ham + grad_l))),

@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .dynamics_newton import (
     _tangent_run,
 )
 from .errors import NumericOverflowError, SingularAError
-from .extended_fields import CurveSample, ExtendedField, TangentPoint, _conformal_factor
+from .extended_fields import ExtendedField, TangentPoint, _conformal_factor
 from .extended_fields import _fiber_correction, _index_terms, _quadratic_x_partials, _scaled
 from .manifold import ManifoldChart
 from .normal_shift import (
@@ -192,50 +192,46 @@ def lagrangian_force_field(lagrangian: Lagrangian) -> ForceField:
     )
 
 
-def _as_samples(trajectory_or_samples) -> list[CurveSample]:
-    if isinstance(trajectory_or_samples, Trajectory):
-        return trajectory_or_samples.curve_samples()
-    return list(trajectory_or_samples)
-
-
-def el_residual(chart: ManifoldChart, lagrangian: Lagrangian, trajectory) -> np.ndarray:
+def el_residual(chart: ManifoldChart, lagrangian: Lagrangian, trajectory: Trajectory) -> np.ndarray:
     """Covariant Euler-Lagrange residual D_t P_k - grad_k L per sample.
 
     Zero (to discretization error) along true trajectories of the
-    system. Accepts a Trajectory or a list of CurveSamples.
+    system. Reads the trajectory's ts, xs and "v" column.
     """
-    samples = _as_samples(trajectory)
+    points = extended_fields._curve_points(trajectory)
     values = np.stack(
-        [extended_fields.fiber_partials(chart, lagrangian.field, s.point) for s in samples]
+        [extended_fields.fiber_partials(chart, lagrangian.field, q) for q in points]
     )
-    dtp = extended_fields.covariant_time_derivative(chart, samples, values, ("l",))
+    dtp = extended_fields.covariant_time_derivative(chart, trajectory, values, ("l",))
     out = np.empty_like(dtp)
-    for i, sample in enumerate(samples):
-        grad_l = extended_fields.spatial_gradient(chart, lagrangian.field, sample.point).data
+    for i, q in enumerate(points):
+        grad_l = extended_fields.spatial_gradient(chart, lagrangian.field, q)
         out[i] = dtp[i] - grad_l
     return out
 
 
-def classical_el_residual(chart: ManifoldChart, lagrangian: Lagrangian, trajectory) -> np.ndarray:
+def classical_el_residual(
+    chart: ManifoldChart, lagrangian: Lagrangian, trajectory: Trajectory
+) -> np.ndarray:
     """Textbook residual d/dt (dL/dv^k) - dL/dx^k, finite differences only.
 
     Both partials come from central differences of the raw Lagrangian
     value and the time derivative from second-order differences of the
     sampled momenta, so this route shares no analytic derivative code
-    with el_residual.
+    with el_residual. Reads the trajectory's ts, xs and "v" column.
     """
-    samples = _as_samples(trajectory)
+    points = extended_fields._curve_points(trajectory)
     stripped = dataclasses.replace(
         lagrangian.field, x_partials_fn=None, fiber_partials_fn=None, jet_fn=None
     )
-    dt = extended_fields._check_uniform_times(samples)
+    dt = extended_fields._check_uniform_times(trajectory.ts)
     momenta = np.stack(
-        [extended_fields.fiber_partials(chart, stripped, s.point) for s in samples]
+        [extended_fields.fiber_partials(chart, stripped, q) for q in points]
     )
     ddt = np.gradient(momenta, dt, axis=0, edge_order=2)
     out = np.empty_like(momenta)
-    for i, sample in enumerate(samples):
-        dldx = extended_fields.x_partials(chart, stripped, sample.point)
+    for i, q in enumerate(points):
+        dldx = extended_fields.x_partials(chart, stripped, q)
         out[i] = ddt[i] - dldx
     return out
 

@@ -99,7 +99,7 @@ from .errors import (
     SingularAError,
     SingularMetricError,
 )
-from .extended_fields import CurveSample, TangentPoint
+from .extended_fields import TangentPoint
 from .manifold import ManifoldChart
 
 _LEAVE_CHART_ERRORS = (ChartDomainError, SingularMetricError)
@@ -288,9 +288,6 @@ class Trajectory:
     @property
     def ps(self) -> np.ndarray:
         return self.columns["p"]
-
-    def curve_samples(self) -> list[CurveSample]:
-        return [CurveSample(float(t), TangentPoint(x, v)) for t, x, v in zip(self.ts, self.xs, self.vs)]
 
 
 # Dormand-Prince 5(4) tableau; the first error row is the 5th-order

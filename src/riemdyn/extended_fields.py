@@ -19,7 +19,9 @@ metric). Along a curve t -> (x(t), v(t)) the covariant time derivative
     D_t X = dX/dt + Gamma index terms contracted with xdot
 
 satisfies the chain rule D_t X = (grad X) . xdot + (fiber grad X) . D_t v,
-which chain_rule_check verifies sample by sample.
+which chain_rule_check verifies sample by sample. A curve is a
+dynamics_newton.Trajectory, read through its attributes: ts, xs, the "v"
+column and, for chain_rule_check, an "accel" column holding D_t v.
 
 A jet is a field's first-order derivative at a point, its x partials and
 fiber partials without the value (Griewank & Walther, Evaluating
@@ -34,9 +36,9 @@ finite differences: x_partials, fiber_partials and fiber_hessian call
 expression._central_differences and expression._second_differences, and
 x_partials refuses a stencil that leaves the chart with FDStepError.
 
-Conventions: component axes are ordered upper-then-lower, every new
-derivative axis is appended last, and Christoffel arrays are indexed
-Gamma[k, i, j] = Gamma^k_ij.
+Conventions: gradients are plain arrays whose component axes are ordered
+upper-then-lower, every new derivative axis is appended last, and
+Christoffel arrays are indexed Gamma[k, i, j] = Gamma^k_ij.
 """
 
 from __future__ import annotations
@@ -59,9 +61,7 @@ from .manifold import ManifoldChart
 __all__ = [
     "TangentPoint",
     "CotangentPoint",
-    "CurveSample",
     "ExtendedField",
-    "TensorComponents",
     "x_partials",
     "fiber_partials",
     "jet",
@@ -103,20 +103,6 @@ class CotangentPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class CurveSample:
-    """One sample of a curve in the tangent bundle.
-
-    accel, when present, holds the covariant acceleration D_t v at the
-    sample (an upper-index vector); checks that need it raise
-    MissingAccelError when it is absent.
-    """
-
-    t: float
-    point: TangentPoint
-    accel: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class ExtendedField:
     """Tensor components over the tangent or cotangent bundle.
 
@@ -150,23 +136,6 @@ class ExtendedField:
     @property
     def variance(self) -> tuple[str, ...]:
         return ("u",) * self.rank[0] + ("l",) * self.rank[1]
-
-
-@dataclass(frozen=True, eq=False)
-class TensorComponents:
-    """A plain component array tagged with per-axis variance ('u' or 'l')."""
-
-    data: np.ndarray
-    variance: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
-        if len(self.variance) != self.data.ndim:
-            raise RankMismatchError(
-                f"variance {self.variance!r} does not match array of ndim {self.data.ndim}"
-            )
-        if any(tag not in ("u", "l") for tag in self.variance):
-            raise RankMismatchError(f"variance tags must be 'u' or 'l': {self.variance!r}")
 
 
 def _fiber_of(field: ExtendedField, point) -> np.ndarray:
@@ -295,10 +264,11 @@ def _index_terms(gamma: np.ndarray, data: np.ndarray, variance: Sequence[str]) -
     return out
 
 
-def spatial_gradient(chart: ManifoldChart, field: ExtendedField, point) -> TensorComponents:
-    """Covariant spatial derivative, one new lower index appended.
+def spatial_gradient(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
+    """Covariant spatial derivative as a plain array.
 
-    Gamma is read once. The value is read only for rank > 0, before the
+    Its axes are the field's upper axes, then its lower axes, then the new
+    lower axis last. Gamma is read once. The value is read only for rank > 0, before the
     partials, and both partials come from one jet.
     """
     fiber = _fiber_of(field, point)
@@ -308,39 +278,35 @@ def spatial_gradient(chart: ManifoldChart, field: ExtendedField, point) -> Tenso
     data = dx + _fiber_correction(gamma, fiber, dfib, field.rep)
     if values is not None:
         data = data + _index_terms(gamma, values, field.variance)
-    return TensorComponents(data, field.variance + ("l",))
+    return data
 
 
-def velocity_gradient(chart: ManifoldChart, field: ExtendedField, point) -> TensorComponents:
-    """Fiber derivative: d/dv^q adds a lower index, d/dp_q an upper one."""
-    dfib = fiber_partials(chart, field, point)
-    new_tag = "l" if field.rep == "v" else "u"
-    return TensorComponents(dfib, field.variance + (new_tag,))
+def velocity_gradient(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
+    """Fiber derivative as a plain array.
+
+    Its axes are the field's upper axes, then its lower axes, then the new
+    axis last: d/dv^q adds a lower axis and d/dp_q an upper one.
+    """
+    return fiber_partials(chart, field, point)
 
 
-def velocity_gradient_lowered(
-    chart: ManifoldChart, field: ExtendedField, point
-) -> TensorComponents:
-    """Momentum-representation fiber derivative with the new index lowered.
+def velocity_gradient_lowered(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
+    """Momentum-representation fiber derivative with the new index lowered, as a plain array.
 
-    Contracts d/dp_k with the metric: g_qk dX/dp_k. Only meaningful for
+    Its axes are the field's upper axes, then its lower axes, then the new
+    lower axis last. Contracts d/dp_k with the metric: g_qk dX/dp_k. Only meaningful for
     p-rep fields; v-rep fields already produce a lower index.
     """
     if field.rep != "p":
         raise ValueError("lowered fiber gradient applies to p-rep fields only")
     dfib = fiber_partials(chart, field, point)
     g = manifold.metric_at(chart, point.x)
-    return TensorComponents(
-        np.einsum("...k,qk->...q", dfib, g), field.variance + ("l",)
-    )
+    return np.einsum("...k,qk->...q", dfib, g)
 
 
-def _check_uniform_times(samples: Sequence[CurveSample]) -> float:
-    if len(samples) < 3:
-        raise InsufficientSamplesError(
-            f"need at least 3 samples, got {len(samples)}"
-        )
-    ts = np.array([s.t for s in samples])
+def _check_uniform_times(ts: np.ndarray) -> float:
+    if len(ts) < 3:
+        raise InsufficientSamplesError(f"need at least 3 samples, got {len(ts)}")
     dts = np.diff(ts)
     dt = float(dts[0])
     if dt <= 0.0 or not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
@@ -348,24 +314,28 @@ def _check_uniform_times(samples: Sequence[CurveSample]) -> float:
     return dt
 
 
+def _curve_points(curve) -> list[TangentPoint]:
+    """The tangent state (x, v) at each sample of a curve, from its xs and "v" column."""
+    return [TangentPoint(x, v) for x, v in zip(curve.xs, curve.columns["v"])]
+
+
 def covariant_time_derivative(
-    chart: ManifoldChart,
-    samples: Sequence[CurveSample],
-    values,
-    variance: tuple[str, ...] = (),
+    chart: ManifoldChart, curve, values, variance: tuple[str, ...] = ()
 ) -> np.ndarray:
     """D_t of component values recorded along a curve.
 
-    values has shape (len(samples),) + component shape; variance tags the
-    component axes. The time derivative uses second-order differences
-    (central inside, one-sided at the ends) plus spatial_gradient's
-    Christoffel index terms, _index_terms, contracted with the curve velocity.
+    curve is a dynamics_newton.Trajectory; its ts, xs and "v" column are
+    read. values has shape (len(curve.ts),) + component shape; variance
+    tags the component axes. The time derivative uses second-order
+    differences (central inside, one-sided at the ends) plus
+    spatial_gradient's Christoffel index terms, _index_terms, contracted
+    with the curve velocity.
     """
-    dt = _check_uniform_times(samples)
+    dt = _check_uniform_times(curve.ts)
     values = np.asarray(values, dtype=float)
-    if values.shape[0] != len(samples):
+    if values.shape[0] != len(curve.ts):
         raise InsufficientSamplesError(
-            f"got {values.shape[0]} value rows for {len(samples)} samples"
+            f"got {values.shape[0]} value rows for {len(curve.ts)} samples"
         )
     if values.ndim - 1 != len(variance):
         raise RankMismatchError(
@@ -375,36 +345,34 @@ def covariant_time_derivative(
     if not variance:
         return ddt
     out = np.empty_like(ddt)
-    for i, sample in enumerate(samples):
-        gamma = manifold.christoffel_at(chart, sample.point.x)
-        out[i] = ddt[i] + _index_terms(gamma, values[i], variance) @ sample.point.v
+    for i, point in enumerate(_curve_points(curve)):
+        gamma = manifold.christoffel_at(chart, point.x)
+        out[i] = ddt[i] + _index_terms(gamma, values[i], variance) @ point.v
     return out
 
 
-def chain_rule_check(
-    chart: ManifoldChart, field: ExtendedField, samples: Sequence[CurveSample]
-) -> np.ndarray:
+def chain_rule_check(chart: ManifoldChart, field: ExtendedField, curve) -> np.ndarray:
     """Residual of D_t X = (grad X) . xdot + (fiber grad X) . D_t v per sample.
 
-    Returns an array of shape (len(samples),) + component shape; a small
-    residual confirms the two gradients and the curve data are mutually
-    consistent. Requires a v-rep field and samples carrying accel.
+    curve is a dynamics_newton.Trajectory whose "accel" column holds the
+    covariant acceleration D_t v (upper index) at each sample; without
+    that column the check raises MissingAccelError. Returns an array of
+    shape (len(curve.ts),) + component shape; a small residual confirms
+    the two gradients and the curve data are mutually consistent.
+    Requires a v-rep field.
     """
     if field.rep != "v":
         raise ValueError("chain rule check runs on v-rep fields")
-    for sample in samples:
-        if sample.accel is None:
-            raise MissingAccelError(f"sample at t={sample.t} lacks covariant accel")
-    values = np.stack(
-        [_eval_components(chart, field, s.point) for s in samples], axis=0
-    )
-    lhs = covariant_time_derivative(chart, samples, values, field.variance)
+    accels = curve.columns.get("accel")
+    if accels is None:
+        raise MissingAccelError('curve has no "accel" column of covariant accelerations')
+    points = _curve_points(curve)
+    values = np.stack([_eval_components(chart, field, point) for point in points], axis=0)
+    lhs = covariant_time_derivative(chart, curve, values, field.variance)
     residual = np.empty_like(lhs)
-    for i, sample in enumerate(samples):
-        grad = spatial_gradient(chart, field, sample.point).data
-        vgrad = velocity_gradient(chart, field, sample.point).data
-        rhs = np.einsum("...q,q->...", grad, sample.point.v)
-        rhs = rhs + np.einsum("...b,b->...", vgrad, sample.accel)
+    for i, (point, accel) in enumerate(zip(points, accels)):
+        rhs = np.einsum("...q,q->...", spatial_gradient(chart, field, point), point.v)
+        rhs = rhs + np.einsum("...b,b->...", velocity_gradient(chart, field, point), accel)
         residual[i] = lhs[i] - rhs
     return residual
 

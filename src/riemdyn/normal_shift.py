@@ -43,12 +43,11 @@ import numpy as np
 from . import expression, manifold
 from .dynamics_newton import ForceField
 from .errors import DegenerateLagrangianError, DegenerateWError, ZeroVelocityError
-from .extended_fields import TangentPoint, TensorComponents
+from .extended_fields import TangentPoint
 from .manifold import ManifoldChart
 
 __all__ = [
     "RadialProfile",
-    "NormalShiftForce",
     "profile_from_expression",
     "phi_profile",
     "kinetic_profile",
@@ -101,14 +100,6 @@ class RadialProfile:
 
     def x_partials_d_w(self, x, w):
         return np.array(expression.gradient(self.expr, x, w, "w"))
-
-
-@dataclass(frozen=True)
-class NormalShiftForce:
-    """A shift force built from a profile W(x, w) and optional h term."""
-
-    w_profile: RadialProfile
-    h_fn: Callable[[float], float] | None = None
 
 
 def profile_from_expression(source) -> RadialProfile:
@@ -179,14 +170,16 @@ def velocity_modulus(chart: ManifoldChart, point: TangentPoint) -> float:
     return w
 
 
-def projectors(chart: ManifoldChart, point: TangentPoint) -> tuple[TensorComponents, TensorComponents]:
-    """Mixed-index projectors (Q, P) onto v and its orthogonal complement."""
+def projectors(chart: ManifoldChart, point: TangentPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed-index projectors (Q, P) onto v and its orthogonal complement.
+
+    Each is a (dim, dim) array, the upper axis first and the lower axis second.
+    """
     w = velocity_modulus(chart, point)
     v_low = manifold.lower_index(chart, point.x, point.v)
     q = np.outer(point.v, v_low) / (w * w)
     p = np.eye(chart.dim) - q
-    variance = ("u", "l")
-    return TensorComponents(q, variance), TensorComponents(p, variance)
+    return q, p
 
 
 def symmetric_a_matrix(
@@ -248,16 +241,18 @@ def force_spherical(
 
 
 def force_normal_shift(
-    chart: ManifoldChart, force: NormalShiftForce, point: TangentPoint
+    chart: ManifoldChart,
+    profile: RadialProfile,
+    point: TangentPoint,
+    h_fn: Callable[[float], float] | None = None,
 ) -> np.ndarray:
-    """Covariant shift force from a profile W, with optional h term.
+    """Covariant shift force from a profile W, with the h term when h_fn is given.
 
     F_r = -|v| sum_s (grad_s W / W') (2 v^s v_r / |v|^2 - delta^s_r)
           [+ (h(W)/W') v_r / |v|]
     """
     w = velocity_modulus(chart, point)
     x, v = point.x, point.v
-    profile = force.w_profile
     d1 = profile.d_w(x, w)
     if abs(d1) < _DEGENERACY_TOL:
         raise DegenerateWError(
@@ -267,8 +262,8 @@ def force_normal_shift(
     v_low = manifold.lower_index(chart, x, v)
     along = float((grad_w / d1) @ v)
     out = -w * (2.0 * along * v_low / (w * w) - grad_w / d1)
-    if force.h_fn is not None:
-        out = out + (force.h_fn(profile.value(x, w)) / d1) * (v_low / w)
+    if h_fn is not None:
+        out = out + (h_fn(profile.value(x, w)) / d1) * (v_low / w)
     return out
 
 
@@ -290,9 +285,11 @@ def spherical_force_field(profile: RadialProfile) -> ForceField:
     )
 
 
-def normal_shift_force_field(force: NormalShiftForce) -> ForceField:
+def normal_shift_force_field(
+    profile: RadialProfile, h_fn: Callable[[float], float] | None = None
+) -> ForceField:
     return ForceField(
-        lambda chart, point: force_normal_shift(chart, force, point),
+        lambda chart, point: force_normal_shift(chart, profile, point, h_fn),
         covariant=True,
     )
 

@@ -42,7 +42,7 @@ from . import (
     normal_shift,
 )
 from .dynamics_newton import IntegratorConfig
-from .extended_fields import CotangentPoint, CurveSample, TangentPoint
+from .extended_fields import CotangentPoint, TangentPoint
 
 __all__ = [
     "SUITE_NAMES",
@@ -155,12 +155,13 @@ def sample_cotangent_states(chart, count, rng, min_modulus=0.2):
 
 
 def synthetic_curve_samples(chart, rng):
-    """A short smooth curve in the chart with analytic velocity and accel.
+    """A short smooth curve in the chart with analytic velocity and accel, as a Trajectory.
 
     Coordinates follow c_k + a_k sin(omega_k t + phase_k) + b_k t with
     amplitudes capped to stay inside the sample box over the window.
-    The covariant acceleration D_t v = vdot + Gamma(v, v) is attached to
-    every sample, so chain-rule checks get exact curve data.
+    The "v" column holds the velocity and the "accel" column the covariant
+    acceleration D_t v = vdot + Gamma(v, v), so chain-rule checks get
+    exact curve data.
     """
     box = chart.sample_box
     width = box[:, 1] - box[:, 0]
@@ -170,7 +171,7 @@ def synthetic_curve_samples(chart, rng):
     phase = rng.uniform(0.0, 2.0 * math.pi, chart.dim)
     drift = rng.uniform(-0.5, 0.5, chart.dim) * (width / 2.0) * 0.1
     t0 = rng.uniform(0.0, 1.0)
-    samples = []
+    rows = []
     for i in range(_CURVE_SAMPLE_COUNT):
         t = t0 + i * _CURVE_SAMPLE_DT
         x = center + amp * np.sin(omega * t + phase) + drift * t
@@ -178,8 +179,9 @@ def synthetic_curve_samples(chart, rng):
         vdot = -amp * omega * omega * np.sin(omega * t + phase)
         gamma = manifold.christoffel_at(chart, x)
         accel = vdot + np.einsum("kij,i,j->k", gamma, v, v)
-        samples.append(CurveSample(t, TangentPoint(x, v), accel))
-    return samples
+        rows.append((t, x, v, accel))
+    ts, xs, vs, accels = (np.array(column) for column in zip(*rows))
+    return dynamics_newton.Trajectory(ts, xs, {"v": vs, "accel": accels}, "completed")
 
 
 def sphere_geodesic_oracle(radius, x0, v0, t):
@@ -343,8 +345,7 @@ def suite_theorem81(chart_name=None, seed=0):
     checks = []
     for f, name, x0, v0, sup_tol in _scenarios_on("theorem81", scenarios, chart_name):
         chart = manifold.builtin_chart(name)
-        shift = normal_shift.NormalShiftForce(normal_shift.conformal_shift_profile(f))
-        shift_force = normal_shift.normal_shift_force_field(shift)
+        shift_force = normal_shift.normal_shift_force_field(normal_shift.conformal_shift_profile(f))
         conformal_force = normal_shift.conformal_force_field(f)
         worst = 0.0
         for state in sample_tangent_states(chart, 100, rng):
@@ -382,9 +383,9 @@ def suite_chainrules(chart_name=None, seed=0):
     for name, chart in _charts_for(_IDENTITY_CHARTS, chart_name):
         worst = {label: 0.0 for label, _ in fields}
         for _ in range(20):
-            samples = synthetic_curve_samples(chart, rng)
+            curve = synthetic_curve_samples(chart, rng)
             for label, field in fields:
-                residual = extended_fields.chain_rule_check(chart, field, samples)
+                residual = extended_fields.chain_rule_check(chart, field, curve)
                 worst[label] = max(worst[label], float(np.max(np.abs(residual))))
         for label, _ in fields:
             checks.append(_check(f"chain_rule[{label},{name}]", worst[label], CHAIN_RULE_TOL))
@@ -465,10 +466,10 @@ def suite_projectors(chart_name=None, seed=0):
             q, p = normal_shift.projectors(chart, state)
             algebra = max(
                 algebra,
-                float(np.max(np.abs(q.data @ q.data - q.data))),
-                float(np.max(np.abs(p.data @ p.data - p.data))),
-                float(np.max(np.abs(q.data @ p.data))),
-                float(np.max(np.abs(q.data + p.data - eye))),
+                float(np.max(np.abs(q @ q - q))),
+                float(np.max(np.abs(p @ p - p))),
+                float(np.max(np.abs(q @ p))),
+                float(np.max(np.abs(q + p - eye))),
             )
         checks.append(_check(f"projector_algebra[{name}]", algebra, PROJECTOR_ALGEBRA_TOL))
         for family, lag in profiles:

@@ -18,15 +18,15 @@ from riemdyn import manifold
 __all__ = ["covariant_time_derivative"]
 
 
-def covariant_time_derivative(chart, samples, values, variance):
-    """D_t of values along uniformly spaced samples, as the per-index loop computed it."""
+def covariant_time_derivative(chart, curve, values, variance):
+    """D_t of values along a uniformly sampled Trajectory, as the per-index loop computed it."""
     values = np.asarray(values, dtype=float)
-    dt = samples[1].t - samples[0].t
+    dt = curve.ts[1] - curve.ts[0]
     ddt = np.gradient(values, dt, axis=0, edge_order=2)
     out = np.empty_like(ddt)
-    for i, sample in enumerate(samples):
-        gamma = manifold.christoffel_at(chart, sample.point.x)
-        v = sample.point.v
+    for i in range(len(curve.ts)):
+        gamma = manifold.christoffel_at(chart, curve.xs[i])
+        v = curve.columns["v"][i]
         corr = np.zeros(values.shape[1:])
         for axis, tag in enumerate(variance):
             if tag == "u":

@@ -3,13 +3,12 @@
 check_analytic_partials compares a field's analytic partials with finite
 differences; potential_scalar and metric_tensor_field are test fields;
 unparse prints an expression back to source; second_partial is the exact
-second partial by two coordinates; b_matrix is the fiber Hessian of H;
-regularity classifies the fiber Hessian of L; strip_analytic and
-as_extended_field drop the analytic hooks of a chart and of a profile;
-elapsed_run times a suite; partial_env, second_partial_env and
-partial_and_second_env are exact partials by named variables;
-format_float prints a float as the CSV writer does; contract contracts
-one slot of two tensors. Each is as the package had it.
+second partial by two coordinates; regularity classifies the fiber
+Hessian of L; strip_analytic and as_extended_field drop the analytic
+hooks of a chart and of a profile; elapsed_run times a suite;
+partial_env, second_partial_env and partial_and_second_env are exact
+partials by named variables; format_float prints a float as the CSV
+writer does. Each is as the package had it.
 """
 
 from __future__ import annotations
@@ -21,19 +20,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from riemdyn import expression, manifold, verification
-from riemdyn.dynamics_hamilton import Hamiltonian
 from riemdyn.dynamics_lagrange import Lagrangian, _hessian_det, a_matrix
-from riemdyn.errors import RankMismatchError
 from riemdyn.expression import ScalarExpr
-from riemdyn.extended_fields import (
-    CotangentPoint,
-    ExtendedField,
-    TangentPoint,
-    TensorComponents,
-    fiber_hessian,
-    fiber_partials,
-    x_partials,
-)
+from riemdyn.extended_fields import ExtendedField, TangentPoint, fiber_partials, x_partials
 from riemdyn.manifold import FD_TOLERANCE, ManifoldChart
 from riemdyn.normal_shift import RadialProfile
 
@@ -43,7 +32,6 @@ __all__ = [
     "metric_tensor_field",
     "unparse",
     "second_partial",
-    "b_matrix",
     "RegularityReport",
     "regularity",
     "strip_analytic",
@@ -53,7 +41,6 @@ __all__ = [
     "second_partial_env",
     "partial_and_second_env",
     "format_float",
-    "contract",
 ]
 
 
@@ -123,13 +110,6 @@ def unparse(expr: ScalarExpr) -> str:
 def second_partial(expr: ScalarExpr, x, q: int, r: int) -> float:
     """Exact second partial d2/dx^q dx^r at x (0-based indexes)."""
     return expression.evaluate_fiber(expr, x, None, f"x{q + 1}", f"x{r + 1}")
-
-
-def b_matrix(chart: ManifoldChart, hamiltonian: Hamiltonian, state: CotangentPoint) -> np.ndarray:
-    """B^ij = d2H/dp_i dp_j, the inverse of A at matched states."""
-    if hamiltonian.second_fiber_fn is not None:
-        return np.asarray(hamiltonian.second_fiber_fn(chart, state), dtype=float)
-    return fiber_hessian(chart, hamiltonian.field, state)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,26 +206,3 @@ def format_float(value: float) -> str:
     """17 significant digits, enough to round-trip a double exactly."""
     return f"{value:.17g}"
 
-
-def contract(a: TensorComponents, b: TensorComponents, slot_a: int, slot_b: int) -> TensorComponents:
-    """Contract one slot of a against one slot of b (one upper, one lower)."""
-    if not (0 <= slot_a < len(a.variance)) or not (0 <= slot_b < len(b.variance)):
-        raise RankMismatchError(
-            f"slots ({slot_a}, {slot_b}) out of range for variances "
-            f"{a.variance!r} and {b.variance!r}"
-        )
-    if a.variance[slot_a] == b.variance[slot_b]:
-        raise RankMismatchError(
-            f"cannot contract two {a.variance[slot_a]!r} slots; "
-            "one upper and one lower index required"
-        )
-    if a.data.shape[slot_a] != b.data.shape[slot_b]:
-        raise RankMismatchError(
-            f"slot lengths differ: {a.data.shape[slot_a]} vs {b.data.shape[slot_b]}"
-        )
-    data = np.tensordot(a.data, b.data, axes=([slot_a], [slot_b]))
-    variance = (
-        tuple(t for i, t in enumerate(a.variance) if i != slot_a)
-        + tuple(t for i, t in enumerate(b.variance) if i != slot_b)
-    )
-    return TensorComponents(data, variance)

@@ -23,9 +23,9 @@ def force(chart, lagrangian, point):
     a = dynamics_lagrange.a_matrix(chart, lagrangian, point)
     message = "fiber Hessian is singular (det {det:.3e})"
     dynamics_lagrange._require_regular(a, message)
-    grad_l = extended_fields.spatial_gradient(chart, lagrangian.field, point).data
+    grad_l = extended_fields.spatial_gradient(chart, lagrangian.field, point)
     momentum = dynamics_lagrange.momentum_field(lagrangian)
-    grad_p = extended_fields.spatial_gradient(chart, momentum, point).data
+    grad_p = extended_fields.spatial_gradient(chart, momentum, point)
     rhs = grad_l - grad_p @ point.v
     return np.linalg.solve(a, rhs)
 

@@ -1,4 +1,4 @@
-"""Extended fields: gradients, contractions, time derivatives, chains."""
+"""Extended fields: gradients, time derivatives, chains."""
 
 import dataclasses
 
@@ -9,13 +9,8 @@ import pytest
 
 from riemdyn import extended_fields as ef
 from riemdyn import dynamics_newton, manifold, normal_shift, verification
-from riemdyn.errors import (
-    FDStepError,
-    InsufficientSamplesError,
-    MissingAccelError,
-    RankMismatchError,
-)
-from riemdyn.extended_fields import CotangentPoint, CurveSample, TangentPoint
+from riemdyn.errors import FDStepError, InsufficientSamplesError, MissingAccelError
+from riemdyn.extended_fields import CotangentPoint, TangentPoint
 
 CHARTS = ["euclidean2", "polar2d", "sphere2d"]
 
@@ -32,8 +27,8 @@ def test_kinetic_energy_has_zero_spatial_gradient(name):
     field = ef.kinetic_energy_scalar()
     for q in tangent_states(chart, 12, seed=0):
         grad = ef.spatial_gradient(chart, field, q)
-        assert grad.variance == ("l",)
-        assert np.max(np.abs(grad.data)) < 1e-12
+        assert grad.shape == (chart.dim,)
+        assert np.max(np.abs(grad)) < 1e-12
 
 
 @pytest.mark.parametrize("name", CHARTS)
@@ -42,8 +37,8 @@ def test_velocity_field_is_parallel(name):
     field = ef.velocity_vector_field()
     for q in tangent_states(chart, 12, seed=1):
         grad = ef.spatial_gradient(chart, field, q)
-        assert grad.variance == ("u", "l")
-        assert np.max(np.abs(grad.data)) < 1e-12
+        assert grad.shape == (chart.dim, chart.dim)
+        assert np.max(np.abs(grad)) < 1e-12
 
 
 @pytest.mark.parametrize("name", CHARTS)
@@ -52,8 +47,8 @@ def test_metric_field_is_parallel(name):
     field = exports_oracle.metric_tensor_field()
     for q in tangent_states(chart, 12, seed=2):
         grad = ef.spatial_gradient(chart, field, q)
-        assert grad.variance == ("l", "l", "l")
-        assert np.max(np.abs(grad.data)) < 1e-11
+        assert grad.shape == (chart.dim,) * 3
+        assert np.max(np.abs(grad)) < 1e-11
 
 
 @pytest.mark.parametrize("name", CHARTS)
@@ -64,7 +59,7 @@ def test_momentum_kinetic_scalar_is_parallel(name):
     rng = np.random.default_rng(3)
     for state in verification.sample_cotangent_states(chart, 12, rng):
         grad = ef.spatial_gradient(chart, field, state)
-        assert np.max(np.abs(grad.data)) < 1e-11
+        assert np.max(np.abs(grad)) < 1e-11
 
 
 def test_potential_gradient_matches_plain_partials():
@@ -73,17 +68,17 @@ def test_potential_gradient_matches_plain_partials():
     q = TangentPoint(np.array([1.3, 0.7]), np.array([0.4, -0.2]))
     grad = ef.spatial_gradient(chart, field, q)
     expected = np.array([np.cos(1.3) * 0.7, np.sin(1.3)])
-    assert np.allclose(grad.data, expected, atol=1e-13)
+    assert np.allclose(grad, expected, atol=1e-13)
 
 
 def test_velocity_gradient_of_lowered_velocity():
-    """d(g_kj v^j)/dv^q = g_kq, tagged with two lower slots."""
+    """d(g_kj v^j)/dv^q = g_kq, with the field's axis first and the new axis last."""
     chart = manifold.builtin_chart("polar2d")
     field = ef.lowered_velocity_field()
     q = TangentPoint(np.array([2.0, 0.5]), np.array([1.0, 1.0]))
     out = ef.velocity_gradient(chart, field, q)
-    assert out.variance == ("l", "l")
-    assert np.allclose(out.data, manifold.metric_at(chart, q.x), atol=1e-12)
+    assert out.shape == (chart.dim, chart.dim)
+    assert np.allclose(out, manifold.metric_at(chart, q.x), atol=1e-12)
 
 
 def test_rep_mismatch_rejected():
@@ -92,18 +87,6 @@ def test_rep_mismatch_rejected():
     state = CotangentPoint(np.zeros(2), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         ef.spatial_gradient(chart, v_field, state)
-
-
-def test_contract_requires_opposite_variance():
-    a = ef.TensorComponents(np.eye(2), ("u", "l"))
-    b = ef.TensorComponents(np.ones(2), ("l",))
-    out = exports_oracle.contract(a, b, 0, 0)
-    assert out.variance == ("l",)
-    assert np.allclose(out.data, [1.0, 1.0])
-    with pytest.raises(RankMismatchError):
-        exports_oracle.contract(a, b, 1, 0)
-    with pytest.raises(RankMismatchError):
-        exports_oracle.contract(a, a, 0, 5)
 
 
 @pytest.mark.parametrize("name", CHARTS)
@@ -116,20 +99,44 @@ def test_chain_rule_on_synthetic_curves(name):
         ef.lowered_velocity_field(),
     ]
     for _ in range(5):
-        samples = verification.synthetic_curve_samples(chart, rng)
+        curve = verification.synthetic_curve_samples(chart, rng)
         for field in fields:
-            residual = ef.chain_rule_check(chart, field, samples)
+            residual = ef.chain_rule_check(chart, field, curve)
             assert np.max(np.abs(residual)) < 1e-5
+
+
+@pytest.mark.parametrize("name", ["sphere2d", "polar2d"])
+def test_chain_rule_on_a_geodesic_leg(name):
+    """chain_rule_check reads a leg's own Trajectory: D_t v = 0 on a geodesic, so "accel" is zero."""
+    chart = manifold.builtin_chart(name)
+    config = dynamics_newton.IntegratorConfig(
+        method="rk4", dt=1e-3, t_span=(0.0, 0.25), record_every=1
+    )
+    leg = dynamics_newton.integrate(
+        chart,
+        dynamics_newton.geodesic_system(),
+        TangentPoint(*verification._STARTS[name]),
+        config,
+    )
+    assert leg.status == "completed"
+    curve = dataclasses.replace(leg, columns={**leg.columns, "accel": np.zeros_like(leg.vs)})
+    for field in (
+        ef.kinetic_energy_scalar(),
+        ef.velocity_vector_field(),
+        ef.lowered_velocity_field(),
+    ):
+        residual = ef.chain_rule_check(chart, field, curve)
+        assert residual.shape[0] == len(leg.ts) == 251
+        assert np.max(np.abs(residual)) <= verification.CHAIN_RULE_TOL
 
 
 def test_chain_rule_needs_accel():
     chart = manifold.builtin_chart("euclidean2")
-    samples = [
-        CurveSample(0.001 * k, TangentPoint(np.array([0.01 * k, 0.0]), np.array([1.0, 0.0])))
-        for k in range(9)
-    ]
+    ts = 0.001 * np.arange(9)
+    xs = np.stack([10.0 * ts, np.zeros(9)], axis=1)
+    line = dynamics_newton.Trajectory(ts, xs, {"v": np.tile([1.0, 0.0], (9, 1))}, "completed")
     with pytest.raises(MissingAccelError):
-        ef.chain_rule_check(chart, ef.kinetic_energy_scalar(), samples)
+        ef.chain_rule_check(chart, ef.kinetic_energy_scalar(), line)
 
 
 def test_covariant_time_derivative_of_momentum_along_geodesic():
@@ -144,11 +151,10 @@ def test_covariant_time_derivative_of_momentum_along_geodesic():
         TangentPoint(np.array([1.0, 0.3]), np.array([0.3, 0.9])),
         config,
     )
-    samples = trajectory.curve_samples()
     values = np.stack(
-        [manifold.lower_index(chart, s.point.x, s.point.v) for s in samples]
+        [manifold.lower_index(chart, x, v) for x, v in zip(trajectory.xs, trajectory.vs)]
     )
-    dt_p = ef.covariant_time_derivative(chart, samples, values, ("l",))
+    dt_p = ef.covariant_time_derivative(chart, trajectory, values, ("l",))
     assert np.max(np.abs(dt_p)) < 1e-5
 
 
@@ -158,27 +164,27 @@ def test_covariant_time_derivative_equals_the_per_index_loop_it_replaced(name, v
     """D_t of components linear in t, whose dX/dt is about as large as the index terms, to 1e-14 relative."""
     chart = manifold.builtin_chart(name)
     rng = np.random.default_rng(7)
-    samples = verification.synthetic_curve_samples(chart, rng)
+    curve = verification.synthetic_curve_samples(chart, rng)
     shape = (chart.dim,) * len(variance)
     start, rate = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
-    values = np.stack([start + rate * s.t for s in samples])
-    got = ef.covariant_time_derivative(chart, samples, values, variance)
-    want = dt_oracle.covariant_time_derivative(chart, samples, values, variance)
+    values = np.stack([start + rate * t for t in curve.ts])
+    got = ef.covariant_time_derivative(chart, curve, values, variance)
+    want = dt_oracle.covariant_time_derivative(chart, curve, values, variance)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_time_derivative_needs_uniform_grid():
     chart = manifold.builtin_chart("euclidean2")
-    ts = [0.0, 0.1, 0.15, 0.4]
-    samples = [
-        CurveSample(t, TangentPoint(np.array([t, 0.0]), np.array([1.0, 0.0])))
-        for t in ts
-    ]
+    ts = np.array([0.0, 0.1, 0.15, 0.4])
+    xs = np.stack([ts, np.zeros(4)], axis=1)
+    vs = np.tile([1.0, 0.0], (4, 1))
     values = np.zeros((4, 2))
+    uneven = dynamics_newton.Trajectory(ts, xs, {"v": vs}, "completed")
+    one = dynamics_newton.Trajectory(ts[:1], xs[:1], {"v": vs[:1]}, "completed")
     with pytest.raises(InsufficientSamplesError):
-        ef.covariant_time_derivative(chart, samples, values, ("l",))
+        ef.covariant_time_derivative(chart, uneven, values, ("l",))
     with pytest.raises(InsufficientSamplesError):
-        ef.covariant_time_derivative(chart, samples[:1], values[:1], ("l",))
+        ef.covariant_time_derivative(chart, one, values[:1], ("l",))
 
 
 _F = "x1/2"

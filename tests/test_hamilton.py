@@ -6,7 +6,6 @@ import pathlib
 import re
 from collections import Counter
 
-import exports_oracle
 import force_oracle
 import guess_oracle
 import numpy as np
@@ -19,7 +18,7 @@ from test_expressions import _W_TREES
 from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
-from riemdyn import expression, manifold, verification
+from riemdyn import expression, manifold, normal_shift, verification
 from riemdyn import extended_fields as ef
 from riemdyn.errors import EvalDomainError, NonConvergenceError, NumericOverflowError
 from riemdyn.extended_fields import CotangentPoint, TangentPoint
@@ -214,7 +213,7 @@ def test_legendre_context_and_hamiltonian_hold_no_solver_settings():
         "lagrangian",
         "last_iterations",
     ]
-    assert [f.name for f in dataclasses.fields(dh.Hamiltonian)] == ["field", "second_fiber_fn"]
+    assert [f.name for f in dataclasses.fields(dh.Hamiltonian)] == ["field"]
     assert (dh._NEWTON_MAX_ITER, dh._NEWTON_TOLERANCE, dh._NEWTON_MAX_DAMPING) == (50, 1e-12, 20)
 
 
@@ -292,6 +291,17 @@ def test_modulus_lagrangian_has_zero_energy():
         assert abs(dh.energy_h(chart, lag, q)) < 1e-14
 
 
+def _closed_form_b(chart, lag, ham, state):
+    """B = d2H/dp dp in closed form: e^(2f) g^-1 for the quadratic families,
+    and symmetric_b_matrix at (x, dH/dp) for fiberwise-phi."""
+    if lag.family == "fiberwise-phi":
+        v = ham.field.fiber_partials_fn(chart, state)
+        return normal_shift.symmetric_b_matrix(chart, lag.profile, TangentPoint(state.x, v))
+    ginv = manifold.inverse_metric_at(chart, state.x)
+    f_expr = lag.params.get("f")
+    return ginv if f_expr is None else ef._conformal_factor(f_expr, state.x, 2.0) * ginv
+
+
 @pytest.mark.parametrize("family,params", _FAMILIES)
 def test_b_matrix_inverts_fiber_hessian(family, params):
     """Closed-form B, and the generic fallback's second differences of the
@@ -303,15 +313,15 @@ def test_b_matrix_inverts_fiber_hessian(family, params):
     generic = dh.hamiltonian_from_lagrangian(
         dh.LegendreContext(dataclasses.replace(lag, family="bespoke"))
     )
-    assert generic.second_fiber_fn is None and generic.field.fiber_partials_fn is None
+    assert generic.field.fiber_partials_fn is None
     rng = np.random.default_rng(43)
     eye = np.eye(chart.dim)
     for q in verification.sample_tangent_states(chart, 6, rng, min_speed=0.3):
         state = dh.legendre_forward(ctx, chart, q)
         a = dl.a_matrix(chart, lag, q)
-        b = exports_oracle.b_matrix(chart, ham, state)
+        b = _closed_form_b(chart, lag, ham, state)
         assert np.max(np.abs(a @ b - eye)) < 1e-10
-        assert np.max(np.abs(a @ exports_oracle.b_matrix(chart, generic, state) - eye)) < 1e-5
+        assert np.max(np.abs(a @ ef.fiber_hessian(chart, generic.field, state) - eye)) < 1e-5
 
 
 def test_generic_fallback_hamiltonian_matches_closed_form():

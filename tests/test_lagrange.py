@@ -20,7 +20,7 @@ from riemdyn.errors import (
     SingularMetricError,
     ZeroVelocityError,
 )
-from riemdyn.extended_fields import CurveSample, TangentPoint
+from riemdyn.extended_fields import TangentPoint
 
 _FAMILIES = list(verification._SYSTEMS.items())
 
@@ -192,17 +192,10 @@ def test_el_residual_flags_a_wrong_curve():
     chart = manifold.builtin_chart("euclidean2")
     lag = dl.kinetic_lagrangian()
     ts = np.linspace(0.0, 0.5, 51)
-    samples = [
-        CurveSample(
-            float(t),
-            TangentPoint(
-                np.array([np.cos(t), np.sin(t)]),
-                np.array([-np.sin(t), np.cos(t)]),
-            ),
-        )
-        for t in ts
-    ]
-    residual = dl.el_residual(chart, lag, samples)
+    xs = np.stack([np.cos(ts), np.sin(ts)], axis=1)
+    vs = np.stack([-np.sin(ts), np.cos(ts)], axis=1)
+    circle = dn.Trajectory(ts, xs, {"v": vs}, "completed")
+    residual = dl.el_residual(chart, lag, circle)
     assert np.max(np.abs(residual)) > 0.5
 
 
@@ -224,12 +217,11 @@ def test_classical_and_covariant_residuals_agree():
 def test_residuals_refuse_a_non_uniform_time_grid(residual):
     chart = manifold.builtin_chart("euclidean2")
     lag = dl.kinetic_lagrangian()
-    samples = [
-        CurveSample(t, TangentPoint(np.array([t, 0.0]), np.array([1.0, 0.0])))
-        for t in (0.0, 0.1, 0.15, 0.4)
-    ]
+    ts = np.array([0.0, 0.1, 0.15, 0.4])
+    xs = np.stack([ts, np.zeros(4)], axis=1)
+    line = dn.Trajectory(ts, xs, {"v": np.tile([1.0, 0.0], (4, 1))}, "completed")
     with pytest.raises(InsufficientSamplesError, match="uniformly"):
-        residual(chart, lag, samples)
+        residual(chart, lag, line)
 
 
 @pytest.mark.parametrize(
