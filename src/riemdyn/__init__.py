@@ -49,7 +49,6 @@ from .expression import (
     profile_expr,
 )
 from .manifold import (
-    FD_TOLERANCE,
     ManifoldChart,
     builtin_chart,
     christoffel_at,
@@ -73,7 +72,6 @@ from .extended_fields import (
     lowered_velocity_field,
     momentum_kinetic_scalar,
     spatial_gradient,
-    velocity_gradient,
     velocity_gradient_lowered,
     velocity_vector_field,
     x_partials,
@@ -86,7 +84,6 @@ from .dynamics_newton import (
     geodesic_system,
     integrate,
     integrate_ode,
-    newtonian_rhs,
     write_trajectory_csv,
 )
 from .normal_shift import (
@@ -94,9 +91,6 @@ from .normal_shift import (
     conformal_force_field,
     conformal_kinetic_profile,
     conformal_shift_profile,
-    force_conformal,
-    force_normal_shift,
-    force_spherical,
     h_function,
     kinetic_profile,
     normal_shift_force_field,

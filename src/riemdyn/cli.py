@@ -344,32 +344,32 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
         raise ConfigError(str(exc), pointer=pointer) from exc
 
 
-def build_lagrangian(system: dict, pointer: str = "/system", *, dim: int | None = None):
+def build_lagrangian(system: dict, *, dim: int | None = None):
     """The configured Lagrangian; dim, when given, bounds the coordinates its expressions use."""
-    return _lagrangian(_walk(system, _LAGRANGIAN, pointer, dim), pointer)
+    return _lagrangian(_walk(system, _LAGRANGIAN, "/system", dim))
 
 
-def _lagrangian(params: dict, pointer: str):
+def _lagrangian(params: dict):
     """The Lagrangian of a walked system; catalog_lagrangian passes over its kind."""
     try:
         return dynamics_lagrange.catalog_lagrangian(**params)
     except ValueError as exc:
-        raise ConfigError(str(exc), pointer=pointer) from exc
+        raise ConfigError(str(exc), pointer="/system") from exc
 
 
-def build_force(system: dict, pointer: str = "/system", *, dim: int | None = None):
-    """Force field plus an optional conserved-energy callback; dim, when given, bounds its coordinates."""
-    return _force(_walk(system, _NEWTON, pointer, dim)["force"], f"{pointer}/force")
+def build_force(system: dict):
+    """Force field plus an optional conserved-energy callback."""
+    return _force(_walk(system, _NEWTON, "/system")["force"])
 
 
-def _force(params: dict, pointer: str):
+def _force(params: dict):
     """The force field and energy callback of a walked force section."""
     build, parsers, energy = _FORCES[params["type"]]
     args = [params[key] for key in parsers if key in params]
     try:
         force = build(*args)
     except ValueError as exc:
-        raise ConfigError(str(exc), pointer=pointer) from exc
+        raise ConfigError(str(exc), pointer="/system/force") from exc
     return force, energy and functools.partial(energy, *args)
 
 
@@ -408,12 +408,12 @@ def cmd_simulate(args) -> int:
     q0 = TangentPoint(x0, initial["v"]) if "v" in initial else None
 
     if kind == "newton":
-        force, energy_fn = _force(system["force"], "/system/force")
+        force, energy_fn = _force(system["force"])
         run = functools.partial(
             dynamics_newton.integrate, chart, force, q0, config, energy_fn=energy_fn
         )
     elif kind == "lagrange":
-        lag = _lagrangian(system, "/system")
+        lag = _lagrangian(system)
         run = functools.partial(
             dynamics_lagrange.integrate_lagrangian,
             chart,
@@ -423,7 +423,7 @@ def cmd_simulate(args) -> int:
             energy_fn=lambda c, q: dynamics_hamilton.energy_h(c, lag, q),
         )
     else:
-        lag = _lagrangian(system, "/system")
+        lag = _lagrangian(system)
         ctx = dynamics_hamilton.LegendreContext(lag)
         ham = dynamics_hamilton.hamiltonian_from_lagrangian(ctx)
         if q0 is None:

@@ -282,9 +282,6 @@ class Hamiltonian:
     def value(self, chart: ManifoldChart, state: CotangentPoint) -> float:
         return float(self.field.eval_fn(chart, state))
 
-    def dx(self, chart: ManifoldChart, state: CotangentPoint) -> np.ndarray:
-        return extended_fields.x_partials(chart, self.field, state)
-
     def dp(self, chart: ManifoldChart, state: CotangentPoint) -> np.ndarray:
         return extended_fields.fiber_partials(chart, self.field, state)
 
@@ -469,9 +466,6 @@ class IdentityReport:
     worst_points: dict
     points_checked: int
 
-    def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
-
 
 def identity_suite(
     ctx: LegendreContext, chart: ManifoldChart, points: Sequence[TangentPoint]
@@ -524,28 +518,27 @@ def identity_suite(
         x, v = q.x, q.v
         lam = legendre_forward(ctx, chart, q)
 
+        # The momentum's spatial gradient and its fiber gradient, A, serve two identities each.
         dual = CotangentPoint(x, manifold.lower_index(chart, x, v))
-        grad_x = extended_fields.spatial_gradient(chart, p_field, q)
+        grad_p = extended_fields.spatial_gradient(chart, p_field, q)
         grad_y = extended_fields.spatial_gradient(chart, y_field, dual)
-        fib_x = extended_fields.velocity_gradient(chart, p_field, q)
+        a = a_matrix(chart, lag, q)
         fib_y = extended_fields.velocity_gradient_lowered(chart, y_field, dual)
         note(
             "duality_gradient_commutation",
             max(
-                float(np.max(np.abs(grad_y - grad_x))),
-                float(np.max(np.abs(fib_y - fib_x))),
+                float(np.max(np.abs(grad_y - grad_p))),
+                float(np.max(np.abs(fib_y - a))),
             ),
             index,
         )
 
-        a = a_matrix(chart, lag, q)
         hp = ham.dp(chart, lam)
         dh_dv = extended_fields.fiber_partials(chart, h_field, q)
         note("fiber_chain_rule", float(np.max(np.abs(dh_dv - a @ hp))), index)
 
         grad_h = extended_fields.spatial_gradient(chart, h_field, q)
         grad_h_ham = extended_fields.spatial_gradient(chart, ham.field, lam)
-        grad_p = extended_fields.spatial_gradient(chart, p_field, q)
         rhs = grad_h_ham + grad_p.T @ hp
         note("spatial_chain_rule", float(np.max(np.abs(grad_h - rhs))), index)
 

@@ -118,10 +118,6 @@ class Lagrangian:
     def value(self, chart: ManifoldChart, point: TangentPoint) -> float:
         return float(self.field.eval_fn(chart, point))
 
-    def dx(self, chart: ManifoldChart, point: TangentPoint) -> np.ndarray:
-        """Plain partials dL/dx^q at fixed velocity components."""
-        return extended_fields.x_partials(chart, self.field, point)
-
     def dv(self, chart: ManifoldChart, point: TangentPoint) -> np.ndarray:
         """Momentum covector P_k = dL/dv^k."""
         return extended_fields.fiber_partials(chart, self.field, point)
@@ -162,7 +158,8 @@ def _el_terms(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint)
     manifold.metric_at(chart, point.x)  # validates x once; the hooks read the record
     a = a_matrix(chart, lagrangian, point)
     mixed = extended_fields.x_partials(chart, momentum_field(lagrangian), point)
-    return lagrangian.dx(chart, point), lagrangian.dv(chart, point), mixed, a
+    dldx = extended_fields.x_partials(chart, lagrangian.field, point)
+    return dldx, lagrangian.dv(chart, point), mixed, a
 
 
 def force_from_lagrangian(

@@ -124,7 +124,6 @@ __all__ = [
     "Trajectory",
     "geodesic_system",
     "force_from_potential",
-    "newtonian_rhs",
     "integrate",
     "integrate_ode",
     "write_trajectory_csv",
@@ -174,16 +173,6 @@ def force_vector(chart: ManifoldChart, force: ForceField, point: TangentPoint) -
     if force.covariant:
         f = manifold.raise_index(chart, point.x, f)
     return f
-
-
-def newtonian_rhs(
-    chart: ManifoldChart, force: ForceField, point: TangentPoint
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dx/dt, dv/dt) at a tangent state.
-
-    dv/dt is _acceleration's, which integrate's right-hand side shares.
-    """
-    return point.v.copy(), np.array(_acceleration(chart, _nonzero(force), point.x, point.v))
 
 
 def _acceleration(chart, force, x, v) -> list[float]:

@@ -47,7 +47,6 @@ __all__ = [
     "evaluate",
     "evaluate_fiber",
     "evaluate_env",
-    "partial",
     "gradient",
     "FUNCTION_NAMES",
 ]
@@ -114,10 +113,6 @@ class ScalarExpr:
             m = re.fullmatch(r"x([1-9]\d*)", name)
             slots.append(int(m.group(1)) - 1 if m else -1 if name == "w" else -2)
         object.__setattr__(self, "_slots", tuple(slots))
-
-    def coordinate_indexes(self) -> tuple[int, ...]:
-        """0-based indexes of every x<k> variable referenced."""
-        return tuple(sorted(k for k in self._slots if k >= 0))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +287,16 @@ def _expr(root: Node, source: str) -> ScalarExpr:
     return ScalarExpr(root=root, source=source, variables=tuple(sorted(seen)))
 
 
+def _variable_offset(source: str, name: str) -> int:
+    """Offset of the first token of source that is the variable name, not a longer name or a function."""
+    tokens = _tokenize(source)
+    return next(
+        tok.start
+        for tok, after in zip(tokens, tokens[1:])
+        if tok.kind == "ident" and tok.text == name and after.text != "("
+    )
+
+
 def coordinate_expr(source: str | ScalarExpr, dim: int | None = None) -> ScalarExpr:
     """Parse an expression restricted to coordinate variables x1..xn; a ScalarExpr passes unchecked."""
     if isinstance(source, ScalarExpr):
@@ -302,13 +307,13 @@ def coordinate_expr(source: str | ScalarExpr, dim: int | None = None) -> ScalarE
         if m is None:
             raise ParseError(
                 f"variable {name!r} is not a coordinate (expected x1, x2, ...)",
-                offset=expr.source.find(name),
+                offset=_variable_offset(expr.source, name),
                 expected=("x<k>",),
             )
         if dim is not None and int(m.group(1)) > dim:
             raise ParseError(
                 f"variable {name!r} exceeds chart dimension {dim}",
-                offset=expr.source.find(name),
+                offset=_variable_offset(expr.source, name),
                 expected=tuple(f"x{k}" for k in range(1, dim + 1)),
             )
     return expr
@@ -326,7 +331,7 @@ def profile_expr(source: str | ScalarExpr, dim: int | None = None) -> ScalarExpr
         if m is None or (dim is not None and int(m.group(1)) > dim):
             raise ParseError(
                 f"variable {name!r} not allowed here (expected 'w' or x1..x{dim or 'n'})",
-                offset=expr.source.find(name),
+                offset=_variable_offset(expr.source, name),
                 expected=("w", "x<k>"),
             )
     return expr
@@ -932,11 +937,6 @@ def evaluate(expr: ScalarExpr, x) -> float:
 def evaluate_fiber(expr: ScalarExpr, x, w: float, *seeds: str) -> float:
     """Value, or exact partial by one or two named seeds, with x1..xn from x and "w" bound to w."""
     return _code(expr, seeds)(*_coord_args(expr, x, w))
-
-
-def partial(expr: ScalarExpr, x, q: int) -> float:
-    """Exact partial d/dx^q at x (q is 0-based, so q=0 means x1)."""
-    return _code(expr, (f"x{q + 1}",))(*_coord_args(expr, x))
 
 
 def gradient(expr: ScalarExpr, x, w: float | None = None, seed: str | None = None) -> list[float]:

@@ -67,7 +67,6 @@ __all__ = [
     "jet",
     "fiber_hessian",
     "spatial_gradient",
-    "velocity_gradient",
     "velocity_gradient_lowered",
     "covariant_time_derivative",
     "chain_rule_check",
@@ -191,7 +190,7 @@ def x_partials(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
 
 
 def fiber_partials(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
-    """dX/dv^b (or dX/dp_b), derivative axis last."""
+    """dX/dv^b (or dX/dp_b), derivative axis last: d/dv^q adds a lower axis and d/dp_q an upper one."""
     if field.fiber_partials_fn is not None:
         return np.asarray(field.fiber_partials_fn(chart, point), dtype=float)
     return expression._central_differences(
@@ -281,15 +280,6 @@ def spatial_gradient(chart: ManifoldChart, field: ExtendedField, point) -> np.nd
     return data
 
 
-def velocity_gradient(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
-    """Fiber derivative as a plain array.
-
-    Its axes are the field's upper axes, then its lower axes, then the new
-    axis last: d/dv^q adds a lower axis and d/dp_q an upper one.
-    """
-    return fiber_partials(chart, field, point)
-
-
 def velocity_gradient_lowered(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
     """Momentum-representation fiber derivative with the new index lowered, as a plain array.
 
@@ -372,7 +362,7 @@ def chain_rule_check(chart: ManifoldChart, field: ExtendedField, curve) -> np.nd
     residual = np.empty_like(lhs)
     for i, (point, accel) in enumerate(zip(points, accels)):
         rhs = np.einsum("...q,q->...", spatial_gradient(chart, field, point), point.v)
-        rhs = rhs + np.einsum("...b,b->...", velocity_gradient(chart, field, point), accel)
+        rhs = rhs + np.einsum("...b,b->...", fiber_partials(chart, field, point), accel)
         residual[i] = lhs[i] - rhs
     return residual
 

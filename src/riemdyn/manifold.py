@@ -70,11 +70,7 @@ __all__ = [
     "lower_index",
     "raise_index",
     "speed",
-    "FD_TOLERANCE",
 ]
-
-# Agreement tolerance between exact and finite-difference derivative routes.
-FD_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -575,18 +571,14 @@ def builtin_chart(name: str, **params) -> ManifoldChart:
     """Build a catalog chart by name.
 
     Accepts "euclidean" with a dim parameter and the sugar forms
-    "euclidean2", "euclidean3", ... A "rescale_f" parameter wraps any
-    base chart in a conformal rescale by that expression. An unknown name
-    raises ChartDomainError, and "conformally_flat" without "f" ValueError.
+    "euclidean2", "euclidean3", ... An unknown name raises
+    ChartDomainError, and "conformally_flat" without "f" ValueError.
+    conformal_rescale wraps any chart in a conformal rescale.
     """
-    rescale_f = params.pop("rescale_f", None)
     m = re.fullmatch(r"euclidean(\d+)", name)
     if m:
         name, params = "euclidean", dict(params, dim=int(m.group(1)))
     if name not in _CHART_BUILDERS:
         known = ", ".join(sorted(_CHART_BUILDERS))
         raise ChartDomainError(f"unknown chart {name!r} (known: {known})")
-    chart = _CHART_BUILDERS[name](params)
-    if rescale_f is not None:
-        chart = conformal_rescale(chart, rescale_f)
-    return chart
+    return _CHART_BUILDERS[name](params)

@@ -59,9 +59,6 @@ __all__ = [
     "projectors",
     "symmetric_a_matrix",
     "symmetric_b_matrix",
-    "force_spherical",
-    "force_normal_shift",
-    "force_conformal",
     "spherical_force_field",
     "normal_shift_force_field",
     "conformal_force_field",
@@ -214,89 +211,72 @@ def symmetric_b_matrix(
     return q_up / d2 + (w / d1) * p_up
 
 
-def force_spherical(
-    chart: ManifoldChart, profile: RadialProfile, point: TangentPoint
-) -> np.ndarray:
+def spherical_force_field(profile: RadialProfile) -> ForceField:
     """Covariant force F_r of a fiberwise symmetric Lagrangian system.
 
     F_r = -sum_s (grad_s T'/T'' - grad_s T/(|v| T'')) v^s v_r / |v|
           - |v| sum_s (grad_s T/T') (v^s v_r/|v|^2 - delta^s_r)
     """
-    w = velocity_modulus(chart, point)
-    x, v = point.x, point.v
-    d1 = profile.d_w(x, w)
-    d2 = profile.d2_w(x, w)
-    if abs(d1) < _DEGENERACY_TOL or abs(d2) < _DEGENERACY_TOL:
-        raise DegenerateLagrangianError(
-            f"profile {profile.name!r} is degenerate at |v|={w:.3e}"
-        )
-    grad_t = profile.x_partials(x, w)
-    grad_d1 = profile.x_partials_d_w(x, w)
-    v_low = manifold.lower_index(chart, x, v)
-    radial = float((grad_d1 / d2 - grad_t / (w * d2)) @ v)
-    out = -radial * v_low / w
-    tangential = float((grad_t / d1) @ v)
-    out = out - w * (tangential * v_low / (w * w) - grad_t / d1)
-    return out
 
+    def ev(chart, point):
+        w = velocity_modulus(chart, point)
+        x, v = point.x, point.v
+        d1 = profile.d_w(x, w)
+        d2 = profile.d2_w(x, w)
+        if abs(d1) < _DEGENERACY_TOL or abs(d2) < _DEGENERACY_TOL:
+            raise DegenerateLagrangianError(
+                f"profile {profile.name!r} is degenerate at |v|={w:.3e}"
+            )
+        grad_t = profile.x_partials(x, w)
+        grad_d1 = profile.x_partials_d_w(x, w)
+        v_low = manifold.lower_index(chart, x, v)
+        radial = float((grad_d1 / d2 - grad_t / (w * d2)) @ v)
+        out = -radial * v_low / w
+        tangential = float((grad_t / d1) @ v)
+        out = out - w * (tangential * v_low / (w * w) - grad_t / d1)
+        return out
 
-def force_normal_shift(
-    chart: ManifoldChart,
-    profile: RadialProfile,
-    point: TangentPoint,
-    h_fn: Callable[[float], float] | None = None,
-) -> np.ndarray:
-    """Covariant shift force from a profile W, with the h term when h_fn is given.
-
-    F_r = -|v| sum_s (grad_s W / W') (2 v^s v_r / |v|^2 - delta^s_r)
-          [+ (h(W)/W') v_r / |v|]
-    """
-    w = velocity_modulus(chart, point)
-    x, v = point.x, point.v
-    d1 = profile.d_w(x, w)
-    if abs(d1) < _DEGENERACY_TOL:
-        raise DegenerateWError(
-            f"shift profile {profile.name!r} has W'={d1:.3e} at |v|={w:.3e}"
-        )
-    grad_w = profile.x_partials(x, w)
-    v_low = manifold.lower_index(chart, x, v)
-    along = float((grad_w / d1) @ v)
-    out = -w * (2.0 * along * v_low / (w * w) - grad_w / d1)
-    if h_fn is not None:
-        out = out + (h_fn(profile.value(x, w)) / d1) * (v_low / w)
-    return out
-
-
-def force_conformal(chart: ManifoldChart, f, point: TangentPoint) -> np.ndarray:
-    """Covariant conformal force F_r = -|v|^2 grad_r f + 2 (grad f . v) v_r."""
-    f_expr = expression.coordinate_expr(f)
-    x, v = point.x, point.v
-    df = np.array(expression.gradient(f_expr, x))
-    g = manifold.metric_at(chart, x)
-    v_low = g @ v
-    w_sq = float(v @ v_low)
-    return -w_sq * df + 2.0 * float(df @ v) * v_low
-
-
-def spherical_force_field(profile: RadialProfile) -> ForceField:
-    return ForceField(
-        lambda chart, point: force_spherical(chart, profile, point),
-        covariant=True,
-    )
+    return ForceField(ev, covariant=True)
 
 
 def normal_shift_force_field(
     profile: RadialProfile, h_fn: Callable[[float], float] | None = None
 ) -> ForceField:
-    return ForceField(
-        lambda chart, point: force_normal_shift(chart, profile, point, h_fn),
-        covariant=True,
-    )
+    """Covariant shift force from a profile W, with the h term when h_fn is given.
+
+    F_r = -|v| sum_s (grad_s W / W') (2 v^s v_r / |v|^2 - delta^s_r)
+          [+ (h(W)/W') v_r / |v|]
+    """
+
+    def ev(chart, point):
+        w = velocity_modulus(chart, point)
+        x, v = point.x, point.v
+        d1 = profile.d_w(x, w)
+        if abs(d1) < _DEGENERACY_TOL:
+            raise DegenerateWError(
+                f"shift profile {profile.name!r} has W'={d1:.3e} at |v|={w:.3e}"
+            )
+        grad_w = profile.x_partials(x, w)
+        v_low = manifold.lower_index(chart, x, v)
+        along = float((grad_w / d1) @ v)
+        out = -w * (2.0 * along * v_low / (w * w) - grad_w / d1)
+        if h_fn is not None:
+            out = out + (h_fn(profile.value(x, w)) / d1) * (v_low / w)
+        return out
+
+    return ForceField(ev, covariant=True)
 
 
 def conformal_force_field(f) -> ForceField:
+    """Covariant conformal force F_r = -|v|^2 grad_r f + 2 (grad f . v) v_r."""
     f_expr = expression.coordinate_expr(f)
-    return ForceField(
-        lambda chart, point: force_conformal(chart, f_expr, point),
-        covariant=True,
-    )
+
+    def ev(chart, point):
+        x, v = point.x, point.v
+        df = np.array(expression.gradient(f_expr, x))
+        g = manifold.metric_at(chart, x)
+        v_low = g @ v
+        w_sq = float(v @ v_low)
+        return -w_sq * df + 2.0 * float(df @ v) * v_low
+
+    return ForceField(ev, covariant=True)

@@ -23,10 +23,11 @@ from riemdyn import expression, manifold, verification
 from riemdyn.dynamics_lagrange import Lagrangian, _hessian_det, a_matrix
 from riemdyn.expression import ScalarExpr
 from riemdyn.extended_fields import ExtendedField, TangentPoint, fiber_partials, x_partials
-from riemdyn.manifold import FD_TOLERANCE, ManifoldChart
+from riemdyn.manifold import ManifoldChart
 from riemdyn.normal_shift import RadialProfile
 
 __all__ = [
+    "FD_TOLERANCE",
     "check_analytic_partials",
     "potential_scalar",
     "metric_tensor_field",
@@ -42,6 +43,9 @@ __all__ = [
     "partial_and_second_env",
     "format_float",
 ]
+
+# Agreement tolerance between exact and finite-difference derivative routes.
+FD_TOLERANCE = 1e-6
 
 
 def check_analytic_partials(

@@ -95,11 +95,17 @@ def test_power_binds_tighter_than_unary_minus():
         ("(x1", 3, ("')'",)),
         ("1..2", 2, ("'*'", "'+'", "'-'", "'/'", "'^'", "end of input")),
         ("x1 + 1e400", 5, ("finite number",)),
+        # A refused variable is found as a token, not inside a function or a longer name.
+        ("exp(e)", 4, ("x<k>",)),
+        ("sin(x1)+sin(s)", 12, ("x<k>",)),
+        ("x1*ww+w", 6, ("x<k>",)),
+        ("x3x + x3", 6, ("x1", "x2")),
     ],
 )
 def test_parse_error_offsets(source, offset, expected_tokens):
+    """Each bad source through coordinate_expr over two coordinates: parse's errors come first."""
     with pytest.raises(ParseError) as info:
-        ex.parse(source)
+        ex.coordinate_expr(source, 2)
     assert info.value.offset == offset
     assert info.value.expected == expected_tokens
 
@@ -129,9 +135,8 @@ def test_partials_match_finite_differences(source):
         x = rng.uniform(0.3, 1.8, 2)
         first = ex._central_differences(lambda y: ex.evaluate(expr, y), x)
         second = ex._second_differences(lambda y: ex.evaluate(expr, y), x)
-        for q in range(2):
-            exact = ex.partial(expr, x, q)
-            assert abs(exact - first[q]) < 1e-6 * max(1.0, abs(exact))
+        for exact, fd in zip(ex.gradient(expr, x), first, strict=True):
+            assert abs(exact - fd) < 1e-6 * max(1.0, abs(exact))
         for q in range(2):
             for r in range(2):
                 exact = exports_oracle.second_partial(expr, x, q, r)
@@ -151,18 +156,16 @@ def test_second_partials_symmetric():
 def test_known_derivatives():
     expr = ex.parse("x1^2*x2")
     x = np.array([3.0, 2.0])
-    assert ex.partial(expr, x, 0) == 12.0
-    assert ex.partial(expr, x, 1) == 9.0
+    assert ex.gradient(expr, x) == [12.0, 9.0]
     assert exports_oracle.second_partial(expr, x, 0, 0) == 4.0
     assert exports_oracle.second_partial(expr, x, 0, 1) == 6.0
-    assert ex.gradient(expr, x) == [12.0, 9.0]
 
 
 def test_power_derivative_at_zero_base():
     # d/dx (x^3) at x = 0 exists and is 0; the hyper-dual path must not
     # divide by the base.
     expr = ex.parse("x1^3")
-    assert ex.partial(expr, np.array([0.0]), 0) == 0.0
+    assert ex.gradient(expr, np.array([0.0])) == [0.0]
     assert exports_oracle.second_partial(expr, np.array([0.0]), 0, 0) == 0.0
 
 
@@ -173,6 +176,16 @@ def test_coordinate_expr_rejects_foreign_variables():
         ex.coordinate_expr("x3", dim=2)
 
 
+@pytest.mark.parametrize(
+    "source, offset",
+    [("exp(e)", 4), ("sin(x1)+sin(s)", 12), ("x1*ww+w", 3), ("x3x + x3", 6), ("sin(sin)", 4)],
+)
+def test_profile_expr_error_offsets(source, offset):
+    with pytest.raises(ParseError) as info:
+        ex.profile_expr(source, 2)
+    assert info.value.offset == offset
+
+
 def test_profile_expr_allows_fiber_variable():
     expr = ex.profile_expr("x1*w^2")
     assert ex.evaluate_env(expr, {"x1": 2.0, "w": 3.0}) == 18.0
@@ -181,9 +194,6 @@ def test_profile_expr_allows_fiber_variable():
 def test_variables_collected_sorted():
     expr = ex.parse("x2 + x1*x10")
     assert expr.variables == ("x1", "x10", "x2")
-    # zero-based, matching the partial() axis convention
-    assert ex.parse("x1 + x2").coordinate_indexes() == (0, 1)
-    assert expr.coordinate_indexes() == (0, 1, 9)
 
 
 # ---------------------------------------------------------------------------

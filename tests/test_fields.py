@@ -76,7 +76,7 @@ def test_velocity_gradient_of_lowered_velocity():
     chart = manifold.builtin_chart("polar2d")
     field = ef.lowered_velocity_field()
     q = TangentPoint(np.array([2.0, 0.5]), np.array([1.0, 1.0]))
-    out = ef.velocity_gradient(chart, field, q)
+    out = ef.fiber_partials(chart, field, q)
     assert out.shape == (chart.dim, chart.dim)
     assert np.allclose(out, manifold.metric_at(chart, q.x), atol=1e-12)
 

@@ -43,7 +43,7 @@ def test_identity_suite_per_family(family, params, chart_name):
         "dual_energy",
         "opposite_spatial_gradients",
     }
-    assert report.max_residual() < 1e-6
+    assert max(report.residuals.values()) < 1e-6
 
 
 def test_legendre_inverse_conformal_oracle():
@@ -346,13 +346,18 @@ def test_generic_fallback_hamiltonian_does_not_depend_on_call_history():
         CotangentPoint(np.array([0.8, -0.5]), np.array([-1.1, 0.2])),
         CotangentPoint(np.array([1.5, 1.0]), np.array([0.05, 0.9])),
     ]
-    for part in ("value", "dp", "dx"):
+    parts = {
+        "value": lambda ham, at: ham.value(chart, at),
+        "dp": lambda ham, at: ham.dp(chart, at),
+        "dx": lambda ham, at: ef.x_partials(chart, ham.field, at),
+    }
+    for part, read in parts.items():
 
         def at_state(*before):
             ham = dh.hamiltonian_from_lagrangian(dh.LegendreContext(lag))
             for other in before:
-                getattr(ham, part)(chart, other)
-            return np.asarray(getattr(ham, part)(chart, state)).tobytes()
+                read(ham, other)
+            return np.asarray(read(ham, state)).tobytes()
 
         first = at_state()
         for other in others:
@@ -512,7 +517,7 @@ def test_energy_x_partials_take_one_pass_with_the_bits_of_the_separate_hooks(fam
         calls.clear()
         got = ef.x_partials(chart, h, point)
         assert len(calls) == 1
-        want = point.v @ force_oracle.mixed(chart, lag, point) - lag.dx(chart, point)
+        want = point.v @ force_oracle.mixed(chart, lag, point) - ef.x_partials(chart, lag.field, point)
         assert got.tobytes() == want.tobytes()
 
 

@@ -497,7 +497,7 @@ def test_each_tangent_leg_reads_the_metric_partials_once_per_right_hand_side(fam
     )
     lag = dl.catalog_lagrangian(family, **params)
     point = TangentPoint(np.array([1.1, 0.3]), np.array([0.4, -0.7]))
-    dn.newtonian_rhs(chart, dl.lagrangian_force_field(lag), point)
+    dn._flat_rhs(chart, dl.lagrangian_force_field(lag))(0.0, np.concatenate([point.x, point.v]))
     assert calls["metric_partials"] == 1
     calls.clear()
     config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 3e-3))

@@ -52,7 +52,7 @@ def test_spherical_force_matches_lagrangian_extraction(family, params, chart_nam
     lag = dl.catalog_lagrangian(family, **params)
     rng = np.random.default_rng(29)
     for point in verification.sample_tangent_states(chart, 8, rng, min_speed=0.3):
-        lowered = ns.force_spherical(chart, lag.profile, point)
+        lowered = ns.spherical_force_field(lag.profile).eval_fn(chart, point)
         raised = manifold.raise_index(chart, point.x, lowered)
         generic = dl.force_from_lagrangian(chart, lag, point)
         assert np.max(np.abs(raised - generic)) < 1e-10
@@ -66,8 +66,8 @@ def test_conformal_shift_profile_reduces_to_conformal_force(chart_name):
     shift = ns.conformal_shift_profile(f)
     rng = np.random.default_rng(17)
     for point in verification.sample_tangent_states(chart, 10, rng, min_speed=0.3):
-        via_shift = ns.force_normal_shift(chart, shift, point)
-        direct = ns.force_conformal(chart, f, point)
+        via_shift = ns.normal_shift_force_field(shift).eval_fn(chart, point)
+        direct = ns.conformal_force_field(f).eval_fn(chart, point)
         assert np.max(np.abs(via_shift - direct)) < 1e-12
 
 
@@ -75,8 +75,8 @@ def test_zero_h_term_changes_nothing():
     chart = manifold.builtin_chart("polar2d")
     profile = ns.conformal_shift_profile("x1/2")
     point = TangentPoint(np.array([1.5, 0.2]), np.array([0.4, -0.3]))
-    a = ns.force_normal_shift(chart, profile, point)
-    b = ns.force_normal_shift(chart, profile, point, h_fn=lambda w: 0.0)
+    a = ns.normal_shift_force_field(profile).eval_fn(chart, point)
+    b = ns.normal_shift_force_field(profile, h_fn=lambda w: 0.0).eval_fn(chart, point)
     assert np.array_equal(a, b)
 
 
@@ -86,10 +86,8 @@ def test_nonzero_h_term_pushes_along_velocity():
     point = TangentPoint(np.zeros(2), np.array([2.0, 0.0]))
     # With f = 0 the profile is W = w, so grad W = 0 and only the h term
     # survives: F_r = h(|v|) v_r / |v|.
-    force = ns.force_normal_shift(chart, profile, point, h_fn=lambda w: w * w)
+    force = ns.normal_shift_force_field(profile, h_fn=lambda w: w * w).eval_fn(chart, point)
     assert np.allclose(force, [4.0, 0.0], atol=1e-14)
-    field = ns.normal_shift_force_field(profile, h_fn=lambda w: w * w)
-    assert np.array_equal(field.eval_fn(chart, point), force)
 
 
 def test_zero_velocity_rejected():
@@ -106,7 +104,7 @@ def test_degenerate_shift_profile_rejected():
     flat_in_w = ns.profile_from_expression("x1 + 0*w")
     point = TangentPoint(np.array([0.5, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(DegenerateWError):
-        ns.force_normal_shift(chart, flat_in_w, point)
+        ns.normal_shift_force_field(flat_in_w).eval_fn(chart, point)
 
 
 def test_h_function_resolution():

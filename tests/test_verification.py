@@ -127,6 +127,39 @@ def test_a_planted_christoffel_fault_separates_the_newtonian_leg(family, chart_n
     assert gaps["lagrange_vs_hamilton"] <= 1e-13
 
 
+_CYCLIC_CURVED = [
+    pair for pair in verification._EL_PAIRS if pair[1] != "euclidean2" and verification._CYCLIC[pair]
+]
+
+
+@pytest.mark.parametrize("family,chart_name", _CYCLIC_CURVED)
+def test_a_planted_christoffel_fault_only_the_momentum_drift_sees(monkeypatch, family, chart_name):
+    """Gamma^1_01 and Gamma^1_10 scaled by 1 + 1e-6: the Newtonian p_2 drifts, while every gap passes.
+
+    On kinetic the Newtonian leg is a geodesic, whose speed drift sees the fault too.
+    """
+    builtin_chart = manifold.builtin_chart
+
+    def faulty(name, **params):
+        chart = builtin_chart(name, **params)
+        hook = chart.christoffel_fn
+
+        def christoffel(x):
+            gamma = hook(x)
+            gamma[1, 0, 1] *= 1.0 + 1e-6
+            gamma[1, 1, 0] *= 1.0 + 1e-6
+            return gamma
+
+        return dataclasses.replace(chart, christoffel_fn=christoffel)
+
+    monkeypatch.setattr(manifold, "builtin_chart", faulty)
+    monkeypatch.setattr(verification, "_EL_PAIRS", ((family, chart_name),))
+    checks = {c["name"].split("[")[0]: c for c in verification.run_suite("threeway", chart_name)["checks"]}
+    failed = {name for name, check in checks.items() if not check["pass"]}
+    assert failed == {"momentum_drift_newton"} | ({"speed_drift_geodesic"} if family == "kinetic" else set())
+    assert {"newton_vs_lagrange", "newton_vs_hamilton", "lagrange_vs_hamilton"} <= set(checks)
+
+
 def _scaled_term(hook, index):
     """hook with the index-th array of the tuple it returns scaled by 1 + 1e-6."""
 
