@@ -54,7 +54,6 @@ from .manifold import (
     christoffel_at,
     conformal_rescale,
     inverse_metric_at,
-    inverse_metric_partials_at,
     lower_index,
     metric_at,
     metric_partials_at,

@@ -23,10 +23,30 @@ genuinely independent construction. There are two closed forms:
 
 The fiberwise H solves phi'(z) = |p|/C(x) by a safeguarded Newton
 iteration that takes phi' and phi'' from one call per iterate of phi's
-compiled code, called with z directly, with no variable map.
-Both closed forms carry a jet hook, and hamilton_rhs reads dH/dp and dH/dx
-from one jet: each right-hand side inverts phi' once per state and reads
-neither phi nor U, which only the value of H needs.
+compiled code, called with z directly, with no variable map; a target
+that is not finite raises NumericOverflowError instead, so such a state
+ends a run non_finite.
+
+Both closed forms carry a jet hook that is one pass over Python floats,
+an extended_fields._FloatJet: g^-1 from inverse_metric_at, g^-1 p as
+numpy's g^-1 @ p and dg from metric_partials_at, each read once through
+.tolist(), and d(g^-1)/dx contracted with p by
+extended_fields._form_partials, one loop for both representations and any
+dimension. The fiberwise pass calls the compiled
+code of C and phi directly, each looked up once per field on first use.
+hamilton_rhs, which integrate_hamiltonian's right-hand side calls,
+validates x once with metric_at, hands x and p to the pass and builds one
+array from its lists; the right-hand side returns that array. Each
+right-hand side inverts phi' once per state and reads neither phi nor U,
+which only the value of H needs.
+
+The bits rule: where the numpy forms the pass replaced took their bits
+from einsum's summation order or from the product g^-1 @ p, the pass has
+the same bits. Where they came from a BLAS dot they moved once: p . g^-1 p
+in the fiberwise pass, and y . m y in the quadratic partials when f is
+set. numpy's 2-element dot fuses a multiply and an add where a float sum
+rounds each product, so only emulated FMA would keep those bits.
+tests/h_jet_oracle.py keeps the numpy forms.
 
 Canonical motion integrates dx/dt = dH/dp, dp/dt = -dH/dx in plain
 coordinates; the covariant form of the momentum equation differs by two
@@ -296,84 +316,125 @@ def _in_w(phi_expr, *pairs):
     return fn if phi_expr.variables else lambda w: fn()
 
 
-def _invert_phi_prime(phi_expr, target: float) -> float:
-    """Solve phi'(z) = target for z > 0, assuming phi' is increasing."""
-    slope = _in_w(phi_expr, ("w",))
-    slope_and_curvature = _in_w(phi_expr, ("w",), ("w", "w"))
-    lo, hi = 0.0, max(abs(target), 1.0)
-    for _ in range(200):
-        if slope(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise NonConvergenceError(f"could not bracket phi'(z) = {target!r}")
-    z = min(max(target, 1e-8), hi)
-    tol = 1e-14 * max(1.0, abs(target))
-    for _ in range(100):
-        fp, fpp = slope_and_curvature(z)
-        err = fp - target
-        if abs(err) <= tol:
-            return z
-        if err > 0.0:
-            hi = z
+def _phi_prime_inverse(phi_expr):
+    """The solver z(target) of phi'(z) = target for z > 0, assuming phi' is increasing.
+
+    It looks phi's compiled code for phi' and for (phi', phi'') up once, on
+    its first call, and keeps it.
+    """
+    codes = []
+
+    def invert(target: float) -> float:
+        if not codes:
+            codes.extend((_in_w(phi_expr, ("w",)), _in_w(phi_expr, ("w",), ("w", "w"))))
+        slope, slope_and_curvature = codes
+        lo, hi = 0.0, max(abs(target), 1.0)
+        for _ in range(200):
+            if slope(hi) >= target:
+                break
+            hi *= 2.0
         else:
-            lo = z
-        z_new = z - err / fpp if fpp > 0.0 else 0.5 * (lo + hi)
-        if not (lo < z_new < hi):
-            z_new = 0.5 * (lo + hi)
-        z = z_new
-    raise NonConvergenceError(f"phi' inversion stalled at z={z!r} for target {target!r}")
+            raise NonConvergenceError(f"could not bracket phi'(z) = {target!r}")
+        z = min(max(target, 1e-8), hi)
+        tol = 1e-14 * max(1.0, abs(target))
+        for _ in range(100):
+            fp, fpp = slope_and_curvature(z)
+            err = fp - target
+            if abs(err) <= tol:
+                return z
+            if err > 0.0:
+                hi = z
+            else:
+                lo = z
+            z_new = z - err / fpp if fpp > 0.0 else 0.5 * (lo + hi)
+            if not (lo < z_new < hi):
+                z_new = 0.5 * (lo + hi)
+            z = z_new
+        raise NonConvergenceError(f"phi' inversion stalled at z={z!r} for target {target!r}")
+
+    return invert
+
+
+def _coordinate_code(expr):
+    """expr's compiled code for its value and for each first partial, as a function of the chart dimension.
+
+    The code of each dimension is looked up once, on first use, and kept.
+    """
+    by_dim = {}
+
+    def codes(n: int):
+        found = by_dim.get(n)
+        if found is None:
+            gradient = [expression._code(expr, (f"x{q + 1}",)) for q in range(n)]
+            found = by_dim[n] = (expression._code(expr, ()), gradient)
+        return found
+
+    return codes
 
 
 def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
     """H for L = phi(C(x) |v|), via scalar inversion of phi'.
 
-    Each hook inverts phi' once; the jet hook inverts it once for both
-    partials and never evaluates phi, which only the value needs.
+    The partials are one pass over Python floats, the jet a _FloatJet:
+    g^-1 from inverse_metric_at, g^-1 p as numpy's g^-1 @ p and dg from
+    metric_partials_at, each read once through .tolist(); |p|^2 = p . g^-1 p
+    as a float sum; C and its
+    gradient, and phi' and phi'', from their compiled code, looked up on
+    first use. Each hook and the jet invert phi' once; the jet never
+    evaluates phi, which only the value needs. A target |p|/C(x) that is
+    not finite raises NumericOverflowError before the inversion.
     """
     phi_expr = lagrangian.params["phi"]
     c_expr = lagrangian.params["C"]
+    invert = _phi_prime_inverse(phi_expr)
+    c_codes = _coordinate_code(c_expr)
 
-    def pieces(chart, point):
-        x, p = point.x, point.p
+    def pieces(chart, x, p):
+        """(|p|, C(x), z), then what the partials read: g^-1, p, g^-1 p, C's arguments and gradient code."""
         ginv = manifold.inverse_metric_at(chart, x)
-        pm_sq = float(p @ ginv @ p)
-        pm = math.sqrt(max(pm_sq, 0.0))
+        ps, p_up = p.tolist(), (ginv @ p).tolist()
+        pm = math.sqrt(max(extended_fields._dot(ps, p_up), 0.0))
         if pm <= normal_shift.zero_velocity_floor(x):
             raise ZeroVelocityError(
                 f"momentum modulus {pm:.3e} is below the zero-velocity floor"
             )
-        c = expression.evaluate(c_expr, x)
+        value_code, gradient_code = c_codes(len(ps))
+        args = expression._coord_args(c_expr, x.tolist())
+        c = value_code(*args)
         if c <= 0.0:
             raise DegenerateLagrangianError(
                 f"C(x) = {c!r} must be positive for the fiberwise family"
             )
-        z = _invert_phi_prime(phi_expr, pm / c)
-        return ginv, pm, c, z
+        target = pm / c
+        if not math.isfinite(target):
+            raise NumericOverflowError(
+                f"|p|/C(x) = {pm!r}/{c!r} at {x!r} is not finite: it overflows the float range"
+            )
+        return pm, c, invert(target), ginv.tolist(), ps, p_up, args, gradient_code
 
-    def value(chart, point, ginv, pm, c, z):
+    def spatial(chart, x, pm, c, z, ginv, ps, p_up, args, gradient_code):
+        s = extended_fields._form_partials(manifold.metric_partials_at(chart, x).tolist(), ps, ginv)
+        cc = c * c
+        return [z * (0.5 * sq / pm / c - pm * code(*args) / cc) for sq, code in zip(s, gradient_code)]
+
+    def fiber(chart, x, pm, c, z, ginv, ps, p_up, args, gradient_code):
+        scale = z / c
+        return [scale * u / pm for u in p_up]
+
+    def value(chart, point):
+        pm, c, z = pieces(chart, point.x, point.p)[:3]
         phi_val = expression.evaluate_env(phi_expr, {"w": z})
         return np.array(z * (pm / c) - phi_val)
 
-    def spatial(chart, point, ginv, pm, c, z):
-        x, p = point.x, point.p
-        dginv = manifold.inverse_metric_partials_at(chart, x)
-        dpm = 0.5 * np.einsum("ijq,i,j->q", dginv, p, p) / pm
-        dc = np.array(expression.gradient(c_expr, x))
-        return z * (dpm / c - pm * dc / (c * c))
-
-    def fiber(chart, point, ginv, pm, c, z):
-        p_up = ginv @ point.p
-        return (z / c) * p_up / pm
-
     def hook(part):
-        return lambda chart, point: part(chart, point, *pieces(chart, point))
+        return lambda chart, point: np.array(part(chart, point.x, *pieces(chart, point.x, point.p)))
 
-    def jet(chart, point):
-        parts = pieces(chart, point)
-        return spatial(chart, point, *parts), fiber(chart, point, *parts)
+    def flat(chart, x, p):
+        parts = pieces(chart, x, p)
+        return spatial(chart, x, *parts), fiber(chart, x, *parts)
 
-    hooks = (hook(value), hook(spatial), hook(fiber))
+    jet = extended_fields._FloatJet(flat, "p")
+    hooks = (value, hook(spatial), hook(fiber))
     return ExtendedField((0, 0), "p", *hooks, name=f"H[{lagrangian.name}]", jet_fn=jet)
 
 
@@ -409,11 +470,21 @@ def hamilton_rhs(
     """Canonical equations dx/dt = dH/dp, dp/dt = -dH/dx, from one jet of H.
 
     The jet is the pair (dH/dx, dH/dp), so the value of H is never formed.
-    x is validated once, by metric_at; the hooks of H read its geometry record.
+    x is validated once, by metric_at; the jet reads its geometry record.
+    A closed-form H's jet is a float pass, called with x and p directly;
+    any other field's jet takes the state. Both rates are views of one new
+    array, [dx/dt, dp/dt], built by one np.array call, which
+    integrate_hamiltonian's right-hand side returns whole.
     """
-    manifold.metric_at(chart, state.x)
-    dx, dp = extended_fields.jet(chart, hamiltonian.field, state)
-    return dp, -dx
+    x, p = state.x, state.p
+    manifold.metric_at(chart, x)
+    jet = hamiltonian.field.jet_fn
+    if isinstance(jet, extended_fields._FloatJet):
+        dx, dp = jet.flat(chart, x, p)
+    else:
+        dx, dp = extended_fields.jet(chart, hamiltonian.field, state)
+    rates = np.array([*dp, *[-d for d in dx]])
+    return rates[: chart.dim], rates[chart.dim :]
 
 
 def covariant_momentum_residual(
@@ -441,12 +512,12 @@ def integrate_hamiltonian(
     config: IntegratorConfig,
 ) -> Trajectory:
     """Integrate the canonical equations from state0 over config.t_span; columns p and H."""
+
     n = chart.dim
 
     def rhs(t, y):
-        state = CotangentPoint(y[:n], y[n:])
-        dx, dp = hamilton_rhs(chart, hamiltonian, state)
-        return np.concatenate([dx, dp])
+        x_dot, _ = hamilton_rhs(chart, hamiltonian, CotangentPoint(y[:n], y[n:]))
+        return x_dot.base  # the one array of which both rates are views
 
     def diagnostics(x, p):
         return (hamiltonian.value(chart, CotangentPoint(x, p)),)

@@ -51,7 +51,8 @@ from .dynamics_newton import (
 )
 from .errors import NumericOverflowError, SingularAError
 from .extended_fields import ExtendedField, TangentPoint, _conformal_factor
-from .extended_fields import _fiber_correction, _index_terms, _quadratic_x_partials, _scaled
+from .extended_fields import _fiber_correction, _form_partials, _index_terms
+from .extended_fields import _quadratic_x_partials, _scaled
 from .manifold import ManifoldChart
 from .normal_shift import (
     RadialProfile,
@@ -267,7 +268,8 @@ def _quadratic_lagrangian(family: str, params: dict, profile: RadialProfile) -> 
 
     el_terms_fn reads g and dg once for dL/dx, P, A = e^(-2f) g and M[k, s] =
     e^(-2f) (d g_kj/dx^s v^j - 2 g_kj v^j df/dx^s); without f and U no
-    expression code runs. The name is the family followed by each
+    expression code runs. dL/dx comes from the field's own float pass, so
+    it equals its hook bit for bit. The name is the family followed by each
     expression's source in brackets.
     """
     f_expr, u_expr = params.get("f"), params.get("U")
@@ -283,10 +285,12 @@ def _quadratic_lagrangian(family: str, params: dict, profile: RadialProfile) -> 
         v_low = g @ v
         dgv = np.einsum("kjs,j->ks", dg, v)
         c = _conformal_factor(f_expr, x, -2.0)
-        df = None if f_expr is None else np.array(expression.gradient(f_expr, x))
+        df = None if f_expr is None else expression.gradient(f_expr, x)
         mixed = dgv if df is None else c * (dgv - 2.0 * np.outer(v_low, df))
-        dldx = _quadratic_x_partials(x, v, v_low, c, dg, df, u_expr, -1.0)
-        return dldx, _scaled(f_expr, v_low, c), mixed, _scaled(f_expr, g, c)
+        vs = v.tolist()
+        s = _form_partials(dg.tolist(), vs)
+        dldx = _quadratic_x_partials(x, vs, v_low.tolist(), c, s, df, u_expr, -1.0)
+        return np.array(dldx), _scaled(f_expr, v_low, c), mixed, _scaled(f_expr, g, c)
 
     return Lagrangian(
         field=extended_fields.kinetic_energy_scalar(f_expr, u_expr),

@@ -13,7 +13,8 @@ Values and exact first and mixed second partials are compiled once per
 expression and seed pair, on first use, into straight-line Python code:
 the forward-mode hyper-dual arithmetic unrolled over the tree by source
 transformation, with components that are always zero dropped, constant
-exponents resolved while compiling, and every domain check kept.
+exponents resolved while compiling, unread arithmetic left out, and every
+domain check kept.
 One function may return several seed pairs at once, as the phi' and
 phi'' pair that the fiberwise Hamiltonian's phi' inversion reads from one
 call. The hyper-dual tree walker these functions replace lives on in
@@ -518,8 +519,12 @@ def _pow_base_error(base: float) -> EvalDomainError:
 # earlier local instead (common subexpressions, across the seed pairs of
 # one function too), a run-time test already written unconditionally is
 # not written again, and a test on the seed literal or on a non-zero
-# constant divisor is decided while compiling. None of these changes a
-# result or the order of the checks.
+# constant divisor is decided while compiling. Last, _read_lines drops each
+# unconditional assignment that nothing reads and that cannot raise, float
+# arithmetic with no run-time divisor or a guarded math.pow call: the
+# derivative pairs of w^2/2 + w^4/10 no longer compute w^4 and the sums
+# toward the value they never return. None of these changes a result or
+# the order of the checks.
 
 _SEED = "1.0"
 _DERIV_AT_ZERO = "derivative of sqrt at zero"
@@ -879,21 +884,80 @@ class _Emitter:
         return self.power(u, v)
 
 
+# An unconditional line of the generated code that _read_lines may drop:
+# "tK = rhs", or the guarded math.pow call that pow_call writes on two lines.
+_ASSIGNMENT = re.compile(r"    (t\d+) = (.+)")
+_GUARDED_POW = re.compile(r"    except OverflowError: (t\d+) = _inf")
+_NAME = re.compile(r"[A-Za-z_]\w*")
+_RHS_TOKEN = re.compile(r"[A-Za-z_]\w*|\d+\.\d+|==|!=|<=|>=|\S")
+_ARITHMETIC = {"+", "-", "*", "/", "(", ")", "==", "!=", "<", ">", "<=", ">=", "if", "else"}
+
+
+def _cannot_raise(rhs: str, namespace: dict) -> bool:
+    """Whether rhs is float arithmetic that cannot raise: locals, constants and
+    literals under + - * and comparisons, dividing only by a non-zero constant."""
+    tokens = _RHS_TOKEN.findall(rhs)
+    for tok, after in zip(tokens, tokens[1:] + [""]):
+        if tok == "/":
+            if not (re.fullmatch(r"c\d+", after) and namespace[after] != 0.0):
+                return False
+        elif not (tok in _ARITHMETIC or re.fullmatch(r"[tvc]\d+|\d+\.\d+", tok)):
+            return False
+    return True
+
+
+def _read_lines(lines: list[str], results: list[str], namespace: dict) -> list[str]:
+    """lines without the unconditional assignments that nothing reads and that cannot raise.
+
+    Such an assignment is float arithmetic (_cannot_raise) or the guarded
+    math.pow call, whose base the run-time tests before it have already
+    checked. Every other line stays, every run-time test among them, in
+    its order; one backward pass finds what is read, the code being
+    straight-line but for forward branches.
+    """
+    read = set(_NAME.findall(", ".join(results)))
+    kept = []
+    drop_try = False
+    for line in reversed(lines):
+        if drop_try:  # the "try:" line of a guarded pow dropped below
+            drop_try = False
+            continue
+        pow_line = _GUARDED_POW.fullmatch(line)
+        if pow_line and pow_line.group(1) not in read:
+            drop_try = True
+            continue
+        assignment = _ASSIGNMENT.fullmatch(line)
+        if (
+            assignment
+            and assignment.group(1) not in read
+            and _cannot_raise(assignment.group(2), namespace)
+        ):
+            continue
+        kept.append(line)
+        read.update(_NAME.findall(line))
+    return kept[::-1]
+
+
+def _source(expr: ScalarExpr, pairs: tuple[tuple[str, ...], ...]) -> tuple[str, dict]:
+    """The generated source of _compile and the namespace it runs in."""
+    emitter = _Emitter(expr.variables)
+    results = [emitter.result(expr.root, *pair) for pair in pairs]
+    params = ", ".join(f"v{k}" for k in range(len(expr.variables)))
+    body = _read_lines(emitter.lines, results, emitter.namespace)
+    source = "\n".join([f"def compiled({params}):", *body, f"    return {', '.join(results)}", ""])
+    return source, emitter.namespace
+
+
 def _compile(expr: ScalarExpr, pairs: tuple[tuple[str, ...], ...]):
     """The function of expr's variables returning f, df/ds or d2f/dsdt of each seed pair.
 
     A pair holds no, one or two seeds. One pair gives a float, several a
     tuple in the order of pairs.
     """
-    emitter = _Emitter(expr.variables)
-    results = [emitter.result(expr.root, *pair) for pair in pairs]
-    params = ", ".join(f"v{k}" for k in range(len(expr.variables)))
-    source = "\n".join(
-        [f"def compiled({params}):", *emitter.lines, f"    return {', '.join(results)}", ""]
-    )
-    exec(compile(source, "<riemdyn.expression>", "exec"), emitter.namespace)
+    source, namespace = _source(expr, pairs)
+    exec(compile(source, "<riemdyn.expression>", "exec"), namespace)
     # Popped so the function and its globals do not form a reference cycle.
-    return emitter.namespace.pop("compiled")
+    return namespace.pop("compiled")
 
 
 def _code(expr: ScalarExpr, *pairs: tuple[str, ...]):

@@ -29,7 +29,10 @@ Derivatives, 2008): one jet_fn call, or x_partials and fiber_partials.
 spatial_gradient reads Gamma once, from the chart's geometry record,
 reads the value only for rank > 0, where the index terms need it, and
 takes both partials from one jet. The fiber correction is one matrix
-product and each index term one einsum, for any rank.
+product and each index term one einsum, for any rank. The quadratic
+scalars' jet is a _FloatJet, one pass over Python floats whose lists the
+canonical right-hand side reads directly; _form_partials is its one loop
+for d(g)/dx and d(g^-1)/dx contracted with the fiber, in einsum's order.
 
 A field without a hook gets its partials and its fiber Hessian from
 finite differences: x_partials, fiber_partials and fiber_hessian call
@@ -393,13 +396,105 @@ def _scaled(f_expr, a, c):
     return a if f_expr is None else c * a
 
 
-def _quadratic_x_partials(x, y, my, c, dm, df, u_expr, sign: float) -> np.ndarray:
-    """dX/dx^q of (1/2) c y . (m y) + s U from m y, c, dm/dx^q and df/dx^q (None without f)."""
-    out = 0.5 * np.einsum("ijq,i,j->q", dm, y, y)
+def _dot(a: list[float], b: list[float]) -> float:
+    """sum a_i b_i over Python floats, from +0.0 in index order, one rounding per product and per sum."""
+    s = 0.0
+    for ai, bi in zip(a, b):
+        s += ai * bi
+    return s
+
+
+def _form_partials(dg: list, y: list[float], ginv: list | None = None) -> list[float]:
+    """s_q = sum_ij (dm_ijq y_i) y_j for each q, over Python floats; dg nested as dg[a][b][q].
+
+    dm is dg itself without ginv, and d(g^-1)/dx^q = -(g^-1 dg_q g^-1) with
+    ginv, the rows of an inverse metric. The sums are numpy's einsum
+    orders, as in dynamics_newton._gamma_vv: s_q has the bits of
+    np.einsum("ijq,i,j->q", dm, y, y), and each entry of d(g^-1)/dx those
+    of -np.einsum("ia,abq,bj->ijq", ginv, dg, ginv), for any entries of dg
+    and y and any finite g^-1 without a zero row or column. One loop
+    serves both and any dimension; _form_sums skips the terms with a zero
+    factor, which leaves O(n^2) of the O(n^5) terms on a chart whose
+    metric is diagonal, as every builtin chart's is.
+    """
+    if ginv is None:
+        return _form_sums(dg, y, None, math.isfinite(sum(y)))
+    if math.isfinite(sum(y) + sum(map(sum, ginv))):
+        out = _form_sums(dg, y, ginv, True)
+        if math.isfinite(sum(out)):
+            return out
+    return _form_sums(dg, y, ginv, False)
+
+
+def _form_sums(dg: list, y: list[float], ginv: list | None, skip: bool) -> list[float]:
+    """_form_partials, leaving out each term with a zero factor when skip is true.
+
+    Such a term is +0.0 or -0.0 when its other factors are finite, and a sum
+    that starts at +0.0 never holds -0.0, so leaving it out changes no bit.
+    y and g^-1 are finite whenever _form_partials skips. It keeps the result
+    only if it is finite, which it is not when an entry of dg is infinite or
+    NaN, or a product overflows: g^-1 has no zero row or column, so such a
+    factor meets non-zero ones in a term that is kept.
+    """
+    entries = [
+        (a, b, q, v)
+        for a, plane in enumerate(dg)
+        for b, row in enumerate(plane)
+        if any(row) or not skip  # NaN is true
+        for q, v in enumerate(row)
+        if v != 0.0 or not skip
+    ]
+    if ginv is not None:
+        dm = {}  # (q, i, j) -> sum_ab (g^ia dg_abq) g^bj, its terms in (a, b) order
+        for a, b, q, dab in entries:
+            gb = ginv[b]
+            for i, gi in enumerate(ginv):
+                gia = gi[a]
+                if gia != 0.0 or not skip:
+                    t = gia * dab
+                    for j, gbj in enumerate(gb):
+                        if gbj != 0.0 or not skip:
+                            key = (q, i, j)
+                            dm[key] = dm.get(key, 0.0) + t * gbj
+        entries = [(i, j, q, -v) for (q, i, j), v in sorted(dm.items())]
+    out = [0.0] * len(y)
+    for i, j, q, d in entries:  # (i, j) in order for each q
+        out[q] += d * y[i] * y[j]
+    return out
+
+
+@dataclass(frozen=True)
+class _FloatJet:
+    """A jet hook that is one pass over Python floats.
+
+    flat(chart, x, fiber) takes the arrays x and fiber and returns the x
+    partials and the fiber partials as lists of floats. Called as a
+    jet_fn, with a point, the hook returns them as arrays; the canonical
+    right-hand side calls flat itself and builds its one array from the
+    lists.
+    """
+
+    flat: Callable[[ManifoldChart, np.ndarray, np.ndarray], tuple[list, list]]
+    rep: str
+
+    def __call__(self, chart: ManifoldChart, point) -> tuple[np.ndarray, np.ndarray]:
+        dx, dfib = self.flat(chart, point.x, point.v if self.rep == "v" else point.p)
+        return np.array(dx), np.array(dfib)
+
+
+def _quadratic_x_partials(x, y, my, c, s, df, u_expr, sign: float) -> list[float]:
+    """dX/dx^q of (1/2) c y . (m y) + sign U over Python floats.
+
+    From y, m y, c, the form partials s = _form_partials(...) and df/dx^q
+    (None without f): c (s_q / 2 + sign (y . m y) df_q) + sign dU/dx^q,
+    the factor c and the term in df only with f.
+    """
+    out = [0.5 * sq for sq in s]
     if df is not None:
-        out = c * (out + (sign * float(y @ my)) * df)
+        scale = sign * _dot(y, my)
+        out = [c * (o + scale * d) for o, d in zip(out, df)]
     if u_expr is not None:
-        out = out + sign * np.array(expression.gradient(u_expr, x))
+        out = [o + sign * d for o, d in zip(out, expression.gradient(u_expr, x))]
     return out
 
 
@@ -408,50 +503,55 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
 
     rep "v" is L: y = v, m = g, c = e^(-2f), s = -1. rep "p" is H: y = p,
     m = g^-1, c = e^(2f), s = +1. f and U are optional, and without them no
-    expression code runs. The hooks and the jet share the product m y; the
-    jet forms it once for both partials and never evaluates U.
+    expression code runs. The jet is a _FloatJet, one pass over Python
+    floats: m from metric_at or inverse_metric_at, m y as numpy's m @ y and
+    dg from metric_partials_at, each read once through .tolist(), and dm/dx
+    contracted with y by _form_partials, in numpy's einsum order. So
+    without f the jet has the bits of the numpy forms it replaced
+    (tests/h_jet_oracle.py); with f, y . m y is a float sum where it was a
+    BLAS dot and may differ in the last bit. The jet never evaluates U. The
+    value and the fiber partials alone keep their numpy forms, which their
+    callers, such as the Legendre inverse, read as arrays.
     """
     f_expr, u_expr = (None if e is None else expression.coordinate_expr(e) for e in (f, u))
     sign = -1.0 if rep == "v" else 1.0
 
-    def fiber_of(point):
-        return point.v if rep == "v" else point.p
-
-    def product(chart, point):
+    def matrix(chart, x):
         if rep == "v":
-            return manifold.metric_at(chart, point.x) @ point.v
-        return manifold.inverse_metric_at(chart, point.x) @ point.p
+            return manifold.metric_at(chart, x)
+        return manifold.inverse_metric_at(chart, x)
 
     def factor(x):
         return _conformal_factor(f_expr, x, 2.0 * sign)
 
-    def spatial(chart, point, my, c):
-        x = point.x
-        if rep == "v":
-            dm = manifold.metric_partials_at(chart, x)
-        else:
-            dm = manifold.inverse_metric_partials_at(chart, x)
-        df = None if f_expr is None else np.array(expression.gradient(f_expr, x))
-        return _quadratic_x_partials(x, fiber_of(point), my, c, dm, df, u_expr, sign)
+    def flat(chart, x, y):
+        m = matrix(chart, x)
+        my, c = (m @ y).tolist(), factor(x)
+        ys = y.tolist()
+        dg = manifold.metric_partials_at(chart, x).tolist()
+        s = _form_partials(dg, ys, None if rep == "v" else m.tolist())
+        df = None if f_expr is None else expression.gradient(f_expr, x)
+        dfib = my if f_expr is None else [c * v for v in my]
+        return _quadratic_x_partials(x, ys, my, c, s, df, u_expr, sign), dfib
+
+    def fiber_of(point):
+        return point.v if rep == "v" else point.p
 
     def ev(chart, point):
-        my, c = product(chart, point), factor(point.x)
-        out = 0.5 * c * float(fiber_of(point) @ my)
+        y = fiber_of(point)
+        my = matrix(chart, point.x) @ y
+        out = 0.5 * factor(point.x) * float(y @ my)
         if u_expr is not None:
             out += sign * expression.evaluate(u_expr, point.x)
         return np.array(out)
 
     def dx(chart, point):
-        return spatial(chart, point, product(chart, point), factor(point.x))
+        return np.array(flat(chart, point.x, fiber_of(point))[0])
 
     def dfib(chart, point):
-        return _scaled(f_expr, product(chart, point), factor(point.x))
+        return _scaled(f_expr, matrix(chart, point.x) @ fiber_of(point), factor(point.x))
 
-    def jet(chart, point):
-        my, c = product(chart, point), factor(point.x)
-        return spatial(chart, point, my, c), _scaled(f_expr, my, c)
-
-    return ExtendedField((0, 0), rep, ev, dx, dfib, name=name, jet_fn=jet)
+    return ExtendedField((0, 0), rep, ev, dx, dfib, name=name, jet_fn=_FloatJet(flat, rep))
 
 
 def kinetic_energy_scalar(f=None, u=None) -> ExtendedField:

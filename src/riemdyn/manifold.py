@@ -22,13 +22,12 @@ g^-1 and Gamma are computed on the first inverse_metric_at and
 christoffel_at call at that point and kept. So the queries that one
 right-hand side, Newton solve or line search makes at one x skip the
 domain test, the symmetrisation, the Cholesky factorisation and the
-repeated inverse and Christoffel work. metric_partials_at and
-inverse_metric_partials_at skip the domain test at the record's point;
-at any other x every query validates and computes as if there were no
-record, and stores nothing. One point per chart is kept, errors are never
-kept, and the returned metric, inverse and Christoffel array are
-read-only because the next call at the same point returns the same
-arrays. This is exact only because metric_fn, christoffel_fn and
+repeated inverse and Christoffel work. metric_partials_at skips the
+domain test at the record's point; at any other x every query validates
+and computes as if there were no record, and stores nothing. One point
+per chart is kept, errors are never kept, and the returned metric,
+inverse and Christoffel array are read-only because the next call at the
+same point returns the same arrays. This is exact only because metric_fn, christoffel_fn and
 domain_fn are pure functions of x.
 """
 
@@ -64,7 +63,6 @@ __all__ = [
     "check_point",
     "metric_at",
     "inverse_metric_at",
-    "inverse_metric_partials_at",
     "metric_partials_at",
     "christoffel_at",
     "lower_index",
@@ -297,13 +295,6 @@ def inverse_metric_at(chart: ManifoldChart, x) -> np.ndarray:
         ginv.flags.writeable = False
         last[2] = ginv
     return last[2]
-
-
-def inverse_metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:
-    """dginv[i, j, q] = d g^ij / d x^q = -(g^-1 (d g / d x^q) g^-1)^ij."""
-    ginv = inverse_metric_at(chart, x)
-    dg = metric_partials_at(chart, x)
-    return -np.einsum("ia,abq,bj->ijq", ginv, dg, ginv)
 
 
 def metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:

@@ -329,6 +329,47 @@ def test_simulate_refuses_an_initial_state_whose_energy_overflows(tmp_path, syst
     assert not (out / "energy.json").exists()
 
 
+def _fiberwise_overflow_config(out_dir, chart, phi, c, x, p):
+    return {
+        "schema": 1,
+        "chart": {"name": chart},
+        "system": {"kind": "hamilton", "family": "fiberwise-phi", "phi": phi, "C": c},
+        "integrator": {"method": "rk4", "dt": 1e-3, "t_span": [0.0, 0.01]},
+        "initial": {"x": x, "p": p},
+        "output": {"directory": str(out_dir), "basename": "fiberwise"},
+    }
+
+
+def test_simulate_refuses_a_start_whose_momentum_over_c_overflows(tmp_path):
+    """C = e^(-720 x1) is 2.7e-310 at x1 = 0.99, so |p|/C(x) is inf; the phi'
+    inversion used to stall there, reported as a Newton stall at z = inf."""
+    out = tmp_path / "out"
+    cfg = _fiberwise_overflow_config(
+        out, "euclidean2", "w^2/2 + w^4/10", "exp(-720*x1)", [0.99, 0.0], [0.5, 0.2]
+    )
+    done = _simulate_in_a_subprocess(tmp_path, cfg, PYTHONWARNINGS="error::RuntimeWarning")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr == (
+        "config error at /initial: |p|/C(x) = 0.5385164807134505/2.72203245711717e-310"
+        " at array([0.99, 0.  ]) is not finite: it overflows the float range\n"
+    )
+    assert not out.exists()
+
+
+def test_simulate_ends_a_run_whose_momentum_over_c_overflows_non_finite(tmp_path, capsys):
+    # On polar2d, with phi = w^2/2 and C = 1, dp_r/dt = p_theta^2 / r^3 = 2.5e307,
+    # so the second rk4 stage's p_r is 1.25e304 and its |p|^2 overflows.
+    out = tmp_path / "out"
+    cfg = _fiberwise_overflow_config(out, "polar2d", "w^2/2", "1", [1.0, 0.3], [0.0, 5e153])
+    assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 3
+    report = json.loads((out / "fiberwise.json").read_text())
+    assert report["status"] == "non_finite" and report["samples"] == 1
+    assert report["error_class"] == "NumericOverflowError"
+    assert report["error"].startswith("|p|/C(x) = inf/1.0 at array([")
+    assert f"error: {report['error']}" in capsys.readouterr().err
+
+
 def test_simulate_ends_a_run_whose_energy_overflows_and_writes_the_earlier_samples(
     tmp_path, capsys
 ):

@@ -534,3 +534,47 @@ def test_constant_powers_compile_without_the_runtime_helpers():
     ex.evaluate_env(variable, {"w": 0.7, "x1": 2.0})
     (fn,) = variable._code.values()
     assert "_pow_val" in fn.__code__.co_names
+
+
+def _unread_locals(source):
+    """The locals that generated source assigns and never reads."""
+    written, read = set(), set()
+    for line in source.splitlines():
+        target = re.match(r"\s*(?:try: |except OverflowError: )?(t\d+) = ", line)
+        if target:
+            written.add(target.group(1))
+            line = line[target.end() :]
+        read.update(re.findall(r"\bt\d+\b", line))
+    return written - read
+
+
+def test_the_phi_inversion_code_keeps_no_unread_local():
+    """The (w), (w, w) pair code of w^2/2 + w^4/10 computed w^4, with a pow call,
+    and three sums toward phi's value, which it never returns."""
+    source, _ = ex._source(ex.parse("w^2/2 + w^4/10"), (("w",), ("w", "w")))
+    assert _unread_locals(source) == set()
+    assert source.count("_pow(") == 3
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["w^2/2 + w^4/10", "sqrt(x1)*x2 + x1^1.5", "log(x1)/x2 - x2^-2", "(2.5 + w)^(3 + w*w)", "exp(-x1/4)"],
+)
+def test_dropping_unread_locals_keeps_every_run_time_test_in_order(source):
+    expr = ex.parse(source)
+    pairs = ((), *((name,) for name in expr.variables), tuple(expr.variables[:1] * 2))
+    emitter = ex._Emitter(expr.variables)
+    results = [emitter.result(expr.root, *pair) for pair in pairs]
+    kept = ex._read_lines(emitter.lines, results, emitter.namespace)
+
+    def tests(lines):
+        return [line for line in lines if re.match(r"\s*(if |else:|try: t\d+ = _pow_val)", line)]
+
+    assert tests(kept) == tests(emitter.lines)
+    # An unconditional local still unread is one whose right-hand side may
+    # raise, such as a run-time division; a branch's locals all stay.
+    unread = _unread_locals("\n".join(kept + [f"    return {', '.join(results)}"]))
+    for line in kept:
+        target = re.fullmatch(r"    (t\d+) = (.+)", line)
+        if target and target.group(1) in unread:
+            assert not ex._cannot_raise(target.group(2), emitter.namespace), line

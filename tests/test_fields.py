@@ -1,11 +1,14 @@
 """Extended fields: gradients, time derivatives, chains."""
 
 import dataclasses
+import math
 
 import dt_oracle
 import exports_oracle
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riemdyn import extended_fields as ef
 from riemdyn import dynamics_newton, manifold, normal_shift, verification
@@ -281,3 +284,45 @@ def test_fd_stencils_that_leave_the_chart_raise_on_both_x_routes():
     field = exports_oracle.as_extended_field(normal_shift.kinetic_profile())
     with pytest.raises(FDStepError, match="axis 0"):
         ef.x_partials(polar, field, TangentPoint(x, np.array([0.4, 0.2])))
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1.7e308]
+_ANY_FLOAT = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_SPECIAL), st.floats())
+# Finite entries of an inverse metric, zeros often, so that the skipped terms show.
+_INVERSE_ENTRY = st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _same_floats(got, want):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(_INVERSE_ENTRY, min_size=n * n, max_size=n * n),
+            st.lists(_ANY_FLOAT, min_size=n**3, max_size=n**3),
+            st.lists(_ANY_FLOAT, min_size=n, max_size=n),
+            st.booleans(),
+        )
+    )
+)
+def test_form_partials_have_the_bits_of_einsum_on_any_entries(drawn):
+    """For any dg and y, and any finite g^-1 without a zero row or column (every
+    inverse metric), diagonal or not, both reps sum in einsum's order."""
+    entries, dg, y, diagonal = drawn
+    n = len(y)
+    ginv = np.array(entries).reshape(n, n)
+    if diagonal:
+        ginv = np.diag(np.diag(ginv))
+    assume(ginv.any(axis=0).all() and ginv.any(axis=1).all())
+    dg = np.array(dg).reshape(n, n, n)
+    y = np.array(y)
+    with np.errstate(all="ignore"):
+        want_v = np.einsum("ijq,i,j->q", dg, y, y)
+        want_p = np.einsum("ijq,i,j->q", -np.einsum("ia,abq,bj->ijq", ginv, dg, ginv), y, y)
+    assert _same_floats(ef._form_partials(dg.tolist(), y.tolist()), want_v)
+    assert _same_floats(ef._form_partials(dg.tolist(), y.tolist(), ginv.tolist()), want_p)

@@ -8,6 +8,7 @@ from collections import Counter
 
 import force_oracle
 import guess_oracle
+import h_jet_oracle
 import numpy as np
 import phi_inverse_oracle
 import pytest
@@ -418,6 +419,101 @@ def test_cotangent_csv_layout(tmp_path):
     assert max(h_column) - min(h_column) < 1e-10
 
 
+# The charts of the float-pass oracle tests; every one has a diagonal metric.
+_JET_CHARTS = {
+    "euclidean2": lambda: manifold.builtin_chart("euclidean2"),
+    "polar2d": lambda: manifold.builtin_chart("polar2d"),
+    "sphere2d": lambda: manifold.builtin_chart("sphere2d"),
+    "hyperbolic_half_plane": lambda: manifold.builtin_chart("hyperbolic_half_plane"),
+    "euclidean3": lambda: manifold.builtin_chart("euclidean3"),
+    "conformally_flat3": lambda: manifold.builtin_chart("conformally_flat", dim=3, f="x1/3 + x2*x3/5"),
+    "sphere2d_rescaled": lambda: manifold.conformal_rescale(manifold.builtin_chart("sphere2d"), "x1/4 - x2/7"),
+}
+# Where a jet moved from the numpy form, each entry is within this many ulps
+# of the scale the oracle gives it: the sum of the absolute values of its terms.
+_JET_ULPS = 4
+
+
+def _jet_points(chart, rep, seed):
+    """Sampled cotangent states, or the tangent states with the same numbers for rep "v"."""
+    states = verification.sample_cotangent_states(chart, 25, np.random.default_rng(seed))
+    return states if rep == "p" else [TangentPoint(s.x, s.p) for s in states]
+
+
+def _quadratic_field(rep, f, u):
+    return ef.kinetic_energy_scalar(f, u) if rep == "v" else ef.momentum_kinetic_scalar(f, u)
+
+
+def _within_ulps(got, want, scale):
+    return bool(np.all(np.abs(got - want) <= _JET_ULPS * np.finfo(float).eps * scale))
+
+
+@pytest.mark.parametrize("u", [None, "sin(x1)*x2"])
+@pytest.mark.parametrize("rep", ["p", "v"])
+@pytest.mark.parametrize("chart_name", list(_JET_CHARTS))
+def test_the_quadratic_float_pass_without_f_has_the_bits_of_the_numpy_jet(chart_name, rep, u):
+    chart = _JET_CHARTS[chart_name]()
+    field = _quadratic_field(rep, None, u)
+    for point in _jet_points(chart, rep, 61):
+        want_dx, want_dfib, _ = h_jet_oracle.quadratic_jet(chart, rep, None, u, point)
+        dx, dfib = field.jet_fn(chart, point)
+        assert dx.tobytes() == want_dx.tobytes() and dfib.tobytes() == want_dfib.tobytes()
+
+
+@pytest.mark.parametrize("u", [None, "sin(x1)*x2"])
+@pytest.mark.parametrize("rep", ["p", "v"])
+@pytest.mark.parametrize("chart_name", list(_JET_CHARTS))
+def test_the_quadratic_float_pass_with_f_is_within_a_few_ulps_of_the_numpy_jet(chart_name, rep, u):
+    chart = _JET_CHARTS[chart_name]()
+    f = "x1/3 - x2/5"
+    field = _quadratic_field(rep, f, u)
+    for point in _jet_points(chart, rep, 67):
+        want_dx, want_dfib, scale = h_jet_oracle.quadratic_jet(chart, rep, f, u, point)
+        dx, dfib = field.jet_fn(chart, point)
+        assert _within_ulps(dx, want_dx, scale) and _within_ulps(dfib, want_dfib, np.abs(want_dfib))
+
+
+@pytest.mark.parametrize("chart_name", list(_JET_CHARTS))
+def test_the_fiberwise_float_pass_is_within_a_few_ulps_of_the_numpy_jet(chart_name):
+    chart = _JET_CHARTS[chart_name]()
+    phi, c = "w^2/2 + w^4/10", "exp(-x1/4)"
+    field = dh.hamiltonian_from_lagrangian(
+        dh.LegendreContext(dl.catalog_lagrangian("fiberwise-phi", phi=phi, C=c))
+    ).field
+    for state in _jet_points(chart, "p", 71):
+        want_dx, want_dp, scale = h_jet_oracle.fiberwise_jet(chart, phi, c, state)
+        dx, dp = field.jet_fn(chart, state)
+        assert _within_ulps(dx, want_dx, scale) and _within_ulps(dp, want_dp, np.abs(want_dp))
+
+
+def test_a_fiberwise_field_looks_its_compiled_code_up_on_first_use_only(monkeypatch):
+    """Building the field compiles nothing; a run looks up phi' and (phi', phi'')
+    and C's value and partials once each, and phi's value once per sample."""
+    lookups = Counter()
+    code = expression._code
+
+    def counted(expr, *pairs):
+        lookups[expr.source, pairs] += 1
+        return code(expr, *pairs)
+
+    monkeypatch.setattr(expression, "_code", counted)
+    ctx = dh.LegendreContext(dl.catalog_lagrangian("fiberwise-phi", phi="w^2/2 + w^4/10", C="exp(-x1/4)"))
+    ham = dh.hamiltonian_from_lagrangian(ctx)
+    assert not lookups
+    state0 = CotangentPoint(np.array([0.1, -0.2]), np.array([0.7, 0.4]))
+    config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 0.1), record_every=10)
+    trajectory = dh.integrate_hamiltonian(manifold.builtin_chart("euclidean2"), ham, state0, config)
+    assert trajectory.status == "completed" and len(trajectory.ts) == 11
+    assert lookups == {
+        ("w^2/2 + w^4/10", (("w",),)): 1,
+        ("w^2/2 + w^4/10", (("w",), ("w", "w"))): 1,
+        ("exp(-x1/4)", ((),)): 1,
+        ("exp(-x1/4)", (("x1",),)): 1,
+        ("exp(-x1/4)", (("x2",),)): 1,
+        ("w^2/2 + w^4/10", ((),)): 11,
+    }
+
+
 @pytest.mark.parametrize("chart_name", ["euclidean2", "polar2d", "sphere2d"])
 def test_fiberwise_jet_equals_the_separate_hooks_bit_for_bit(chart_name):
     chart = manifold.builtin_chart(chart_name)
@@ -527,6 +623,11 @@ def test_energy_x_partials_take_one_pass_with_the_bits_of_the_separate_hooks(fam
 _PHI_TARGETS = tuple(float(t) for t in np.logspace(-8.0, 6.0, 29)) + (0.77, 0.5, 3.0)
 
 
+def _invert_phi_prime(phi, target):
+    """The package's phi' inversion, by a solver built for phi."""
+    return dh._phi_prime_inverse(phi)(target)
+
+
 def _inversion(invert, phi, target):
     """The inverse as its bytes, or the error's type and message."""
     try:
@@ -544,7 +645,7 @@ def test_phi_inversion_matches_the_env_route_bit_for_bit(source):
     phi = expression.parse(source)
     for target in _PHI_TARGETS:
         want = _inversion(phi_inverse_oracle.invert_phi_prime, phi, target)
-        assert _inversion(dh._invert_phi_prime, phi, target) == want, (source, target)
+        assert _inversion(_invert_phi_prime, phi, target) == want, (source, target)
 
 
 def test_phi_inversion_refuses_as_the_env_route_does():
@@ -560,7 +661,7 @@ def test_phi_inversion_refuses_as_the_env_route_does():
         with pytest.raises(error, match=re.escape(message)) as raised:
             phi_inverse_oracle.invert_phi_prime(phi, target)
         with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
-            dh._invert_phi_prime(phi, target)
+            _invert_phi_prime(phi, target)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -569,7 +670,7 @@ def test_phi_inversion_matches_the_env_route_on_random_profiles(root):
     phi = expression._expr(root, expression._unparse(root))
     for target in _PHI_TARGETS[::4]:
         want = _inversion(phi_inverse_oracle.invert_phi_prime, phi, target)
-        assert _inversion(dh._invert_phi_prime, phi, target) == want, (phi.source, target)
+        assert _inversion(_invert_phi_prime, phi, target) == want, (phi.source, target)
 
 
 def test_phi_inversion_builds_no_variable_map(monkeypatch):
@@ -580,7 +681,7 @@ def test_phi_inversion_builds_no_variable_map(monkeypatch):
         raise AssertionError("expression._env_args was called")
 
     monkeypatch.setattr(expression, "_env_args", refuse)
-    assert dh._invert_phi_prime(phi, 0.77) == want
+    assert _invert_phi_prime(phi, 0.77) == want
 
 
 def test_the_readme_library_example_runs(capsys):
