@@ -27,16 +27,16 @@ compiled code, called with z directly, with no variable map; a target
 that is not finite raises NumericOverflowError instead, so such a state
 ends a run non_finite.
 
-Both closed forms carry a jet hook that is one pass over Python floats,
-an extended_fields._FloatJet: g^-1 from inverse_metric_at, g^-1 p as
-numpy's g^-1 @ p and dg from metric_partials_at, each read once through
+Both closed forms carry a jet that is one pass over Python floats
+returning lists: g^-1 from inverse_metric_at, g^-1 p as numpy's
+g^-1 @ p and dg from metric_partials_at, each read once through
 .tolist(), and d(g^-1)/dx contracted with p by
 extended_fields._form_partials, one loop for both representations and any
 dimension. The fiberwise pass calls the compiled
 code of C and phi directly, each looked up once per field on first use.
 hamilton_rhs, which integrate_hamiltonian's right-hand side calls,
-validates x once with metric_at, hands x and p to the pass and builds one
-array from its lists; the right-hand side returns that array. Each
+validates x once with metric_at, calls the jet with the state and builds
+one array from its lists; the right-hand side returns that array. Each
 right-hand side inverts phi' once per state and reads neither phi nor U,
 which only the value of H needs.
 
@@ -58,6 +58,7 @@ that cancellation for testing.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -316,8 +317,15 @@ def _in_w(phi_expr, *pairs):
     return fn if phi_expr.variables else lambda w: fn()
 
 
+_PHI_BISECTION_STEPS = 63  # each halves the floats in the bracket, of which there are < 2^63
+
+
 def _phi_prime_inverse(phi_expr):
     """The solver z(target) of phi'(z) = target for z > 0, assuming phi' is increasing.
+
+    After at most 200 doublings of the bracket, 100 Newton steps from z = target
+    (too few for w^2/2 + w^10/10 at 1e6) and then at most 63 bisection steps by
+    bit pattern decide every target, raising where no float meets the tolerance.
 
     It looks phi's compiled code for phi' and for (phi', phi'') up once, on
     its first call, and keeps it.
@@ -337,7 +345,7 @@ def _phi_prime_inverse(phi_expr):
             raise NonConvergenceError(f"could not bracket phi'(z) = {target!r}")
         z = min(max(target, 1e-8), hi)
         tol = 1e-14 * max(1.0, abs(target))
-        for _ in range(100):
+        for step in range(100 + _PHI_BISECTION_STEPS):
             fp, fpp = slope_and_curvature(z)
             err = fp - target
             if abs(err) <= tol:
@@ -347,7 +355,12 @@ def _phi_prime_inverse(phi_expr):
             else:
                 lo = z
             z_new = z - err / fpp if fpp > 0.0 else 0.5 * (lo + hi)
-            if not (lo < z_new < hi):
+            if step >= 99:  # the 100 Newton steps ran out: bisect the bracket by bit pattern
+                a, b = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+                z_new = struct.unpack("<d", struct.pack("<q", (a + b) // 2))[0]
+                if z_new in (lo, hi):
+                    break
+            elif not (lo < z_new < hi):
                 z_new = 0.5 * (lo + hi)
             z = z_new
         raise NonConvergenceError(f"phi' inversion stalled at z={z!r} for target {target!r}")
@@ -375,14 +388,13 @@ def _coordinate_code(expr):
 def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
     """H for L = phi(C(x) |v|), via scalar inversion of phi'.
 
-    The partials are one pass over Python floats, the jet a _FloatJet:
-    g^-1 from inverse_metric_at, g^-1 p as numpy's g^-1 @ p and dg from
+    The jet is one pass over Python floats returning two lists: g^-1 from
+    inverse_metric_at, g^-1 p as numpy's g^-1 @ p and dg from
     metric_partials_at, each read once through .tolist(); |p|^2 = p . g^-1 p
-    as a float sum; C and its
-    gradient, and phi' and phi'', from their compiled code, looked up on
-    first use. Each hook and the jet invert phi' once; the jet never
-    evaluates phi, which only the value needs. A target |p|/C(x) that is
-    not finite raises NumericOverflowError before the inversion.
+    as a float sum; C and its gradient, and phi' and phi'', from their
+    compiled code, looked up on first use. The fiber hook and the jet invert
+    phi' once each; the jet never evaluates phi, which only the value needs.
+    A target |p|/C(x) that is not finite raises NumericOverflowError first.
     """
     phi_expr = lagrangian.params["phi"]
     c_expr = lagrangian.params["C"]
@@ -412,12 +424,7 @@ def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
             )
         return pm, c, invert(target), ginv.tolist(), ps, p_up, args, gradient_code
 
-    def spatial(chart, x, pm, c, z, ginv, ps, p_up, args, gradient_code):
-        s = extended_fields._form_partials(manifold.metric_partials_at(chart, x).tolist(), ps, ginv)
-        cc = c * c
-        return [z * (0.5 * sq / pm / c - pm * code(*args) / cc) for sq, code in zip(s, gradient_code)]
-
-    def fiber(chart, x, pm, c, z, ginv, ps, p_up, args, gradient_code):
+    def fiber(pm, c, z, p_up):
         scale = z / c
         return [scale * u / pm for u in p_up]
 
@@ -426,16 +433,18 @@ def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
         phi_val = expression.evaluate_env(phi_expr, {"w": z})
         return np.array(z * (pm / c) - phi_val)
 
-    def hook(part):
-        return lambda chart, point: np.array(part(chart, point.x, *pieces(chart, point.x, point.p)))
+    def dp(chart, point):
+        pm, c, z, _, _, p_up = pieces(chart, point.x, point.p)[:6]
+        return np.array(fiber(pm, c, z, p_up))
 
-    def flat(chart, x, p):
-        parts = pieces(chart, x, p)
-        return spatial(chart, x, *parts), fiber(chart, x, *parts)
+    def jet(chart, point):
+        pm, c, z, ginv, ps, p_up, args, gradient_code = pieces(chart, point.x, point.p)
+        s = extended_fields._form_partials(manifold.metric_partials_at(chart, point.x).tolist(), ps, ginv)
+        cc = c * c
+        dx = [z * (0.5 * sq / pm / c - pm * code(*args) / cc) for sq, code in zip(s, gradient_code)]
+        return dx, fiber(pm, c, z, p_up)
 
-    jet = extended_fields._FloatJet(flat, "p")
-    hooks = (value, hook(spatial), hook(fiber))
-    return ExtendedField((0, 0), "p", *hooks, name=f"H[{lagrangian.name}]", jet_fn=jet)
+    return ExtendedField((0, 0), "p", value, fiber_partials_fn=dp, name=f"H[{lagrangian.name}]", jet_fn=jet)
 
 
 def hamiltonian_from_lagrangian(ctx: LegendreContext) -> Hamiltonian:
@@ -471,18 +480,14 @@ def hamilton_rhs(
 
     The jet is the pair (dH/dx, dH/dp), so the value of H is never formed.
     x is validated once, by metric_at; the jet reads its geometry record.
-    A closed-form H's jet is a float pass, called with x and p directly;
-    any other field's jet takes the state. Both rates are views of one new
-    array, [dx/dt, dp/dt], built by one np.array call, which
-    integrate_hamiltonian's right-hand side returns whole.
+    A field's jet_fn is called directly and its lists read as they are;
+    a field without one goes through extended_fields.jet. Both rates are
+    views of one new array, [dx/dt, dp/dt], built by one np.array call,
+    which integrate_hamiltonian's right-hand side returns whole.
     """
-    x, p = state.x, state.p
-    manifold.metric_at(chart, x)
+    manifold.metric_at(chart, state.x)
     jet = hamiltonian.field.jet_fn
-    if isinstance(jet, extended_fields._FloatJet):
-        dx, dp = jet.flat(chart, x, p)
-    else:
-        dx, dp = extended_fields.jet(chart, hamiltonian.field, state)
+    dx, dp = jet(chart, state) if jet is not None else extended_fields.jet(chart, hamiltonian.field, state)
     rates = np.array([*dp, *[-d for d in dx]])
     return rates[: chart.dim], rates[chart.dim :]
 

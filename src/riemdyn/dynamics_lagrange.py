@@ -51,7 +51,7 @@ from .dynamics_newton import (
 )
 from .errors import NumericOverflowError, SingularAError
 from .extended_fields import ExtendedField, TangentPoint, _conformal_factor
-from .extended_fields import _fiber_correction, _form_partials, _index_terms
+from .extended_fields import _covariant_gradient, _fiber_correction, _form_partials, _index_terms
 from .extended_fields import _quadratic_x_partials, _scaled
 from .manifold import ManifoldChart
 from .normal_shift import (
@@ -153,14 +153,13 @@ def _require_regular(a: np.ndarray, message: str) -> None:
 
 def _el_terms(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> tuple:
     """(dL/dx, P, M, A) at a state: one el_terms_fn call, else a_matrix, the
-    field's two partials and finite differences of P for M."""
+    field's jet and finite differences of P for M."""
     if lagrangian.el_terms_fn is not None:
         return lagrangian.el_terms_fn(chart, point)
     manifold.metric_at(chart, point.x)  # validates x once; the hooks read the record
     a = a_matrix(chart, lagrangian, point)
     mixed = extended_fields.x_partials(chart, momentum_field(lagrangian), point)
-    dldx = extended_fields.x_partials(chart, lagrangian.field, point)
-    return dldx, lagrangian.dv(chart, point), mixed, a
+    return (*extended_fields.jet(chart, lagrangian.field, point), mixed, a)
 
 
 def force_from_lagrangian(
@@ -194,17 +193,16 @@ def el_residual(chart: ManifoldChart, lagrangian: Lagrangian, trajectory: Trajec
     """Covariant Euler-Lagrange residual D_t P_k - grad_k L per sample.
 
     Zero (to discretization error) along true trajectories of the
-    system. Reads the trajectory's ts, xs and "v" column.
+    system. Reads the trajectory's ts, xs and "v" column, and one jet of L per sample.
     """
     points = extended_fields._curve_points(trajectory)
-    values = np.stack(
-        [extended_fields.fiber_partials(chart, lagrangian.field, q) for q in points]
-    )
+    jets = [extended_fields.jet(chart, lagrangian.field, q) for q in points]
+    values = np.stack([dfib for _, dfib in jets])
     dtp = extended_fields.covariant_time_derivative(chart, trajectory, values, ("l",))
     out = np.empty_like(dtp)
-    for i, q in enumerate(points):
-        grad_l = extended_fields.spatial_gradient(chart, lagrangian.field, q)
-        out[i] = dtp[i] - grad_l
+    for i, (q, (dx, dfib)) in enumerate(zip(points, jets)):
+        gamma = manifold.christoffel_at(chart, q.x)
+        out[i] = dtp[i] - _covariant_gradient(gamma, lagrangian.field, q.v, None, dx, dfib)
     return out
 
 
@@ -268,9 +266,9 @@ def _quadratic_lagrangian(family: str, params: dict, profile: RadialProfile) -> 
 
     el_terms_fn reads g and dg once for dL/dx, P, A = e^(-2f) g and M[k, s] =
     e^(-2f) (d g_kj/dx^s v^j - 2 g_kj v^j df/dx^s); without f and U no
-    expression code runs. dL/dx comes from the field's own float pass, so
-    it equals its hook bit for bit. The name is the family followed by each
-    expression's source in brackets.
+    expression code runs. dL/dx comes from the float pass of the field's
+    jet, so it equals the jet's x half bit for bit. The name is the family
+    followed by each expression's source in brackets.
     """
     f_expr, u_expr = params.get("f"), params.get("U")
 
@@ -326,10 +324,10 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
 
     phi is an expression in "w", C a positive coordinate expression.
     Value evaluation is defined everywhere, but derivative hooks raise
-    ZeroVelocityError below the zero-velocity floor. el_terms_fn forms |v|,
-    g v, T'', T' and the metric partials once for dL/dx, P, M and A, sharing
-    the formulas of dL/dx and P with the field's hooks and A's with
-    symmetric_a_matrix.
+    ZeroVelocityError below the zero-velocity floor. The jet forms |v|, T'
+    and g v once for dL/dx and P; el_terms_fn forms |v|, g v, T'', T' and
+    the metric partials once for dL/dx, P, M and A, sharing the formulas of
+    dL/dx and P with the jet and A's with symmetric_a_matrix.
     """
     phi_expr = expression.profile_expr(phi)
     c_expr = expression.coordinate_expr(c)
@@ -348,10 +346,11 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     def fiber(v_low, w, d1):
         return d1 * v_low / w
 
-    def dx(chart, point):
+    def jet(chart, point):
         w = velocity_modulus(chart, point)
+        d1 = profile.d_w(point.x, w)
         w_s = modulus_x_partials(manifold.metric_partials_at(chart, point.x), point.v, w)
-        return spatial(point.x, w, profile.d_w(point.x, w), w_s)
+        return spatial(point.x, w, d1, w_s), fiber(manifold.lower_index(chart, point.x, point.v), w, d1)
 
     def dfib(chart, point):
         w = velocity_modulus(chart, point)
@@ -372,7 +371,7 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
         return spatial(x, w, d1, w_s), fiber(v_low, w, d1), radial + geometric, a
 
     return Lagrangian(
-        field=ExtendedField((0, 0), "v", ev, dx, dfib, name=profile.name),
+        field=ExtendedField((0, 0), "v", ev, fiber_partials_fn=dfib, name=profile.name, jet_fn=jet),
         family="fiberwise-phi",
         params={"phi": phi_expr, "C": c_expr},
         second_fiber_fn=lambda chart, point: symmetric_a_matrix(chart, profile, point),

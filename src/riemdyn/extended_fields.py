@@ -25,14 +25,15 @@ column and, for chain_rule_check, an "accel" column holding D_t v.
 
 A jet is a field's first-order derivative at a point, its x partials and
 fiber partials without the value (Griewank & Walther, Evaluating
-Derivatives, 2008): one jet_fn call, or x_partials and fiber_partials.
-spatial_gradient reads Gamma once, from the chart's geometry record,
-reads the value only for rank > 0, where the index terms need it, and
-takes both partials from one jet. The fiber correction is one matrix
-product and each index term one einsum, for any rank. The quadratic
-scalars' jet is a _FloatJet, one pass over Python floats whose lists the
-canonical right-hand side reads directly; _form_partials is its one loop
-for d(g)/dx and d(g^-1)/dx contracted with the fiber, in einsum's order.
+Derivatives, 2008). jet_fn is a field's one first-order read, returning
+float sequences; jet makes them arrays, and x_partials reads the x hook,
+else the jet's x half, else finite differences. _covariant_gradient forms
+the covariant spatial derivative from a point's Gamma, value (for rank > 0)
+and jet, which spatial_gradient, el_residual and chain_rule_check each
+read once per point. The fiber correction is one matrix product and each
+index term one einsum, for any rank. The quadratic scalars' jet is one
+pass over Python floats; _form_partials is its one loop for d(g)/dx and
+d(g^-1)/dx contracted with the fiber, in einsum's order.
 
 A field without a hook gets its partials and its fiber Hessian from
 finite differences: x_partials, fiber_partials and fiber_hessian call
@@ -115,10 +116,10 @@ class ExtendedField:
     with upper axes first. The two optional partials callables return
     analytic derivatives with the derivative axis appended last; when
     absent, central finite differences of eval_fn are used. The optional
-    jet_fn returns the pair (x partials, fiber partials) from one call,
-    for a field whose two share costly work; each must equal what
-    x_partials_fn and fiber_partials_fn return at the point, and it
-    refuses every point that eval_fn refuses.
+    jet_fn returns the pair (x partials, fiber partials) from one call, as
+    float sequences; without x_partials_fn its x half stands in for one, its
+    fiber half must equal fiber_partials_fn's, and it refuses every point
+    that eval_fn refuses.
     """
 
     rank: tuple[int, int]
@@ -182,9 +183,11 @@ def _eval_components(chart: ManifoldChart, field: ExtendedField, point) -> np.nd
 
 
 def x_partials(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
-    """dX/dx^q at fixed fiber components, derivative axis last."""
+    """dX/dx^q at fixed fiber components, derivative axis last: the x hook, else the jet's x half, else FD."""
     if field.x_partials_fn is not None:
         return np.asarray(field.x_partials_fn(chart, point), dtype=float)
+    if field.jet_fn is not None:
+        return np.asarray(field.jet_fn(chart, point)[0], dtype=float)
     return expression._central_differences(
         lambda y: _eval_components(chart, field, _with_base(point, y)),
         manifold.check_point(chart, point.x),
@@ -202,7 +205,7 @@ def fiber_partials(chart: ManifoldChart, field: ExtendedField, point) -> np.ndar
 
 
 def jet(chart: ManifoldChart, field: ExtendedField, point) -> tuple[np.ndarray, np.ndarray]:
-    """(dX/dx^q, fiber partials) at point.
+    """(dX/dx^q, fiber partials) at point, as arrays.
 
     One jet_fn call when the field has one, otherwise x_partials and
     fiber_partials. The value is not part of a jet; _eval_components reads it.
@@ -266,6 +269,14 @@ def _index_terms(gamma: np.ndarray, data: np.ndarray, variance: Sequence[str]) -
     return out
 
 
+def _covariant_gradient(gamma: np.ndarray, field: ExtendedField, fiber, values, dx, dfib) -> np.ndarray:
+    """The covariant spatial derivative from a point's Gamma, fiber, value (read for rank > 0) and jet."""
+    data = dx + _fiber_correction(gamma, fiber, dfib, field.rep)
+    if field.variance:
+        data = data + _index_terms(gamma, values, field.variance)
+    return data
+
+
 def spatial_gradient(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
     """Covariant spatial derivative as a plain array.
 
@@ -276,11 +287,7 @@ def spatial_gradient(chart: ManifoldChart, field: ExtendedField, point) -> np.nd
     fiber = _fiber_of(field, point)
     gamma = manifold.christoffel_at(chart, point.x)
     values = None if field.rank == (0, 0) else _eval_components(chart, field, point)
-    dx, dfib = jet(chart, field, point)
-    data = dx + _fiber_correction(gamma, fiber, dfib, field.rep)
-    if values is not None:
-        data = data + _index_terms(gamma, values, field.variance)
-    return data
+    return _covariant_gradient(gamma, field, fiber, values, *jet(chart, field, point))
 
 
 def velocity_gradient_lowered(chart: ManifoldChart, field: ExtendedField, point) -> np.ndarray:
@@ -352,7 +359,7 @@ def chain_rule_check(chart: ManifoldChart, field: ExtendedField, curve) -> np.nd
     that column the check raises MissingAccelError. Returns an array of
     shape (len(curve.ts),) + component shape; a small residual confirms
     the two gradients and the curve data are mutually consistent.
-    Requires a v-rep field.
+    Requires a v-rep field. Each sample's value and jet are read once.
     """
     if field.rep != "v":
         raise ValueError("chain rule check runs on v-rep fields")
@@ -361,11 +368,12 @@ def chain_rule_check(chart: ManifoldChart, field: ExtendedField, curve) -> np.nd
         raise MissingAccelError('curve has no "accel" column of covariant accelerations')
     points = _curve_points(curve)
     values = np.stack([_eval_components(chart, field, point) for point in points], axis=0)
+    jets = [jet(chart, field, point) for point in points]
     lhs = covariant_time_derivative(chart, curve, values, field.variance)
     residual = np.empty_like(lhs)
-    for i, (point, accel) in enumerate(zip(points, accels)):
-        rhs = np.einsum("...q,q->...", spatial_gradient(chart, field, point), point.v)
-        rhs = rhs + np.einsum("...b,b->...", fiber_partials(chart, field, point), accel)
+    for i, (point, accel, (dx, dfib)) in enumerate(zip(points, accels, jets)):
+        grad = _covariant_gradient(manifold.christoffel_at(chart, point.x), field, point.v, values[i], dx, dfib)
+        rhs = np.einsum("...q,q->...", grad, point.v) + np.einsum("...b,b->...", dfib, accel)
         residual[i] = lhs[i] - rhs
     return residual
 
@@ -463,25 +471,6 @@ def _form_sums(dg: list, y: list[float], ginv: list | None, skip: bool) -> list[
     return out
 
 
-@dataclass(frozen=True)
-class _FloatJet:
-    """A jet hook that is one pass over Python floats.
-
-    flat(chart, x, fiber) takes the arrays x and fiber and returns the x
-    partials and the fiber partials as lists of floats. Called as a
-    jet_fn, with a point, the hook returns them as arrays; the canonical
-    right-hand side calls flat itself and builds its one array from the
-    lists.
-    """
-
-    flat: Callable[[ManifoldChart, np.ndarray, np.ndarray], tuple[list, list]]
-    rep: str
-
-    def __call__(self, chart: ManifoldChart, point) -> tuple[np.ndarray, np.ndarray]:
-        dx, dfib = self.flat(chart, point.x, point.v if self.rep == "v" else point.p)
-        return np.array(dx), np.array(dfib)
-
-
 def _quadratic_x_partials(x, y, my, c, s, df, u_expr, sign: float) -> list[float]:
     """dX/dx^q of (1/2) c y . (m y) + sign U over Python floats.
 
@@ -503,14 +492,14 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
 
     rep "v" is L: y = v, m = g, c = e^(-2f), s = -1. rep "p" is H: y = p,
     m = g^-1, c = e^(2f), s = +1. f and U are optional, and without them no
-    expression code runs. The jet is a _FloatJet, one pass over Python
-    floats: m from metric_at or inverse_metric_at, m y as numpy's m @ y and
+    expression code runs. The jet is one pass over Python floats returning
+    lists: m from metric_at or inverse_metric_at, m y as numpy's m @ y and
     dg from metric_partials_at, each read once through .tolist(), and dm/dx
     contracted with y by _form_partials, in numpy's einsum order. So
     without f the jet has the bits of the numpy forms it replaced
     (tests/h_jet_oracle.py); with f, y . m y is a float sum where it was a
     BLAS dot and may differ in the last bit. The jet never evaluates U. The
-    value and the fiber partials alone keep their numpy forms, which their
+    value and the fiber partials keep their numpy forms, which their
     callers, such as the Legendre inverse, read as arrays.
     """
     f_expr, u_expr = (None if e is None else expression.coordinate_expr(e) for e in (f, u))
@@ -524,7 +513,11 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
     def factor(x):
         return _conformal_factor(f_expr, x, 2.0 * sign)
 
-    def flat(chart, x, y):
+    def fiber_of(point):
+        return point.v if rep == "v" else point.p
+
+    def jet(chart, point):
+        x, y = point.x, fiber_of(point)
         m = matrix(chart, x)
         my, c = (m @ y).tolist(), factor(x)
         ys = y.tolist()
@@ -534,9 +527,6 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
         dfib = my if f_expr is None else [c * v for v in my]
         return _quadratic_x_partials(x, ys, my, c, s, df, u_expr, sign), dfib
 
-    def fiber_of(point):
-        return point.v if rep == "v" else point.p
-
     def ev(chart, point):
         y = fiber_of(point)
         my = matrix(chart, point.x) @ y
@@ -545,13 +535,10 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
             out += sign * expression.evaluate(u_expr, point.x)
         return np.array(out)
 
-    def dx(chart, point):
-        return np.array(flat(chart, point.x, fiber_of(point))[0])
-
     def dfib(chart, point):
         return _scaled(f_expr, matrix(chart, point.x) @ fiber_of(point), factor(point.x))
 
-    return ExtendedField((0, 0), rep, ev, dx, dfib, name=name, jet_fn=_FloatJet(flat, rep))
+    return ExtendedField((0, 0), rep, ev, fiber_partials_fn=dfib, name=name, jet_fn=jet)
 
 
 def kinetic_energy_scalar(f=None, u=None) -> ExtendedField:

@@ -215,9 +215,19 @@ def _angle_diff(a, b):
     return (a - b + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _charts_for(default_names, chart_name):
+def _charts_for(suite, default_names, chart_name, systems=()):
+    """(name, chart) for chart_name, or for each of default_names when it is None.
+
+    The rule for every suite: a chart without a coordinate x<k> that one of
+    systems names has no scenario of the suite, and NoScenarioError refuses it.
+    """
     names = default_names if chart_name is None else (chart_name,)
-    return [(name, manifold.builtin_chart(name)) for name in names]
+    charts = [(name, manifold.builtin_chart(name)) for name in names]
+    for (name, chart), (_, lag) in itertools.product(charts, systems):
+        for var in (v for e in lag.params.values() for v in e.variables if v != "w"):
+            if int(var[1:]) > chart.dim:
+                raise NoScenarioError(f"suite {suite!r} has no scenario on chart {name!r}: {lag.name} names {var}")
+    return charts
 
 
 # The catalog Lagrangians of the suites, in the order the suites run them.
@@ -231,11 +241,7 @@ _SYSTEMS = {
 
 def _systems(*families):
     """(family, Lagrangian) pairs of _SYSTEMS in table order, only the named families if any."""
-    return [
-        (family, dynamics_lagrange.catalog_lagrangian(family, **params))
-        for family, params in _SYSTEMS.items()
-        if not families or family in families
-    ]
+    return [(family, _system(family)) for family in _SYSTEMS if not families or family in families]
 
 
 def _system(family):
@@ -323,9 +329,10 @@ def suite_identities(chart_name=None, seed=0):
     """Structural identities between each Lagrangian and its Hamiltonian."""
     rng = np.random.default_rng(seed)
     checks = []
-    for name, chart in _charts_for(_IDENTITY_CHARTS, chart_name):
+    systems = _systems("kinetic", "kinetic-potential", "conformal-kinetic")
+    for name, chart in _charts_for("identities", _IDENTITY_CHARTS, chart_name, systems):
         states = sample_tangent_states(chart, 50, rng)
-        for family, lag in _systems("kinetic", "kinetic-potential", "conformal-kinetic"):
+        for family, lag in systems:
             ctx = dynamics_hamilton.LegendreContext(lag)
             report = dynamics_hamilton.identity_suite(ctx, chart, states)
             for identity, value in report.residuals.items():
@@ -390,7 +397,7 @@ def suite_chainrules(chart_name=None, seed=0):
         ("lowered_velocity", extended_fields.lowered_velocity_field()),
     ]
     checks = []
-    for name, chart in _charts_for(_IDENTITY_CHARTS, chart_name):
+    for name, chart in _charts_for("chainrules", _IDENTITY_CHARTS, chart_name):
         worst = {label: 0.0 for label, _ in fields}
         for _ in range(20):
             curve = synthetic_curve_samples(chart, rng)
@@ -480,7 +487,7 @@ def suite_projectors(chart_name=None, seed=0):
     rng = np.random.default_rng(seed)
     profiles = _systems("kinetic", "conformal-kinetic", "fiberwise-phi")
     checks = []
-    for name, chart in _charts_for(_IDENTITY_CHARTS, chart_name):
+    for name, chart in _charts_for("projectors", _IDENTITY_CHARTS, chart_name, profiles):
         states = sample_tangent_states(chart, 30, rng, min_speed=0.3)
         eye = np.eye(chart.dim)
         algebra = 0.0
@@ -517,8 +524,9 @@ def suite_legendre(chart_name=None, seed=0):
     """Legendre round trips and Newton iteration counts from cold starts."""
     rng = np.random.default_rng(seed)
     checks = []
-    for name, chart in _charts_for(_IDENTITY_CHARTS, chart_name):
-        for family, lag in _systems():
+    systems = _systems()
+    for name, chart in _charts_for("legendre", _IDENTITY_CHARTS, chart_name, systems):
+        for family, lag in systems:
             forward_gap = 0.0
             backward_gap = 0.0
             worst_iterations = 0
@@ -555,7 +563,7 @@ def suite_cancellation(chart_name=None, seed=0):
     rng = np.random.default_rng(seed)
     families = _systems("kinetic", "fiberwise-phi")
     checks = []
-    for name, chart in _charts_for(("polar2d", "sphere2d"), chart_name):
+    for name, chart in _charts_for("cancellation", ("polar2d", "sphere2d"), chart_name, families):
         states = sample_cotangent_states(chart, 50, rng, min_modulus=0.3)
         for family, lag in families:
             ctx = dynamics_hamilton.LegendreContext(lag)

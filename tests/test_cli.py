@@ -950,6 +950,23 @@ def test_a_negative_seed_is_refused_before_any_suite_runs(capsys, monkeypatch, s
     assert capsys.readouterr().err == "config error at --seed: seed -1 must be a non-negative integer\n"
 
 
+def test_a_chart_without_a_coordinate_of_a_suite_system_has_no_scenario_of_that_suite(capsys):
+    """identities' U = sin(x1) + x2^2/2 names x2, which euclidean1 lacks: the one suite
+    exits 2 and all leaves it out, with legendre, which runs the same U."""
+    assert cli.main(["verify", "--suite", "identities", "--chart", "euclidean1"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: suite 'identities' has no scenario on chart 'euclidean1': "
+        "kinetic-potential[sin(x1) + x2^2/2] names x2\n"
+    )
+    assert cli.main(["verify", "--suite", "all", "--chart", "euclidean1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    ran = {line.split()[1].split("/")[0] for line in out.splitlines() if line.startswith("PASS")}
+    assert ran == {"chainrules", "projectors", "cancellation"}
+    assert out.endswith("suite all: 12/12 checks passed\n")
+
+
 def test_all_skips_only_a_suite_without_a_scenario_on_the_chart(monkeypatch):
     def raising(error):
         def suite(chart_name, seed):
@@ -1018,6 +1035,25 @@ def legendre_config(tmp_path, phi="w^2/2 + w^4/10"):
         "system": {"kind": "hamilton", "family": "fiberwise-phi", "phi": phi, "C": "exp(-x1/4)"},
     }
     return write_config(tmp_path, cfg, "legendre.json")
+
+
+def test_a_fiberwise_run_whose_phi_prime_inversions_outlast_newton_completes(tmp_path, capsys):
+    """phi' = w + w^9 at |p|/C = 1e6: 100 Newton steps from z = 1e6 stall near z = 7.67,
+    and bisection of the bracket finishes every inversion."""
+    cfg = {
+        "schema": 1,
+        "chart": {"name": "euclidean2"},
+        "system": {"kind": "hamilton", "family": "fiberwise-phi", "phi": "w^2/2 + w^10/10", "C": "1"},
+        "integrator": {"method": "rk4", "dt": 1e-3, "t_span": [0.0, 0.1], "record_every": 10},
+        "initial": {"x": [0.1, 0.0], "p": [1e6, 0.0]},
+        "output": {"directory": str(tmp_path / "out"), "basename": "w10"},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["simulate", "-c", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "w10.json").read_text())
+    assert report["status"] == "completed" and report["samples"] == 11
 
 
 def test_legendre_cli_roundtrip(tmp_path, capsys):

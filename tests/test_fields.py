@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import dt_oracle
 import exports_oracle
@@ -131,6 +132,35 @@ def test_chain_rule_on_a_geodesic_leg(name):
         residual = ef.chain_rule_check(chart, field, curve)
         assert residual.shape[0] == len(leg.ts) == 251
         assert np.max(np.abs(residual)) <= verification.CHAIN_RULE_TOL
+
+
+def _counted(calls, name, hook):
+    """hook, counting its calls in calls[name]."""
+
+    def counted(chart, point):
+        calls[name] += 1
+        return hook(chart, point)
+
+    return counted
+
+
+@pytest.mark.parametrize("name", CHARTS)
+def test_chain_rule_check_reads_each_sample_once(name):
+    """One value, one x read and one fiber read per sample of a 61-sample curve."""
+    chart = manifold.builtin_chart(name)
+    curve = verification.synthetic_curve_samples(chart, np.random.default_rng(13))
+    assert len(curve.ts) == 61
+    plain = ef.velocity_vector_field()
+    calls = Counter()
+    field = dataclasses.replace(
+        plain,
+        eval_fn=_counted(calls, "eval", plain.eval_fn),
+        x_partials_fn=_counted(calls, "x", plain.x_partials_fn),
+        fiber_partials_fn=_counted(calls, "fiber", plain.fiber_partials_fn),
+    )
+    residual = ef.chain_rule_check(chart, field, curve)
+    assert calls == {"eval": 61, "x": 61, "fiber": 61}
+    assert residual.tobytes() == ef.chain_rule_check(chart, plain, curve).tobytes()
 
 
 def test_chain_rule_needs_accel():

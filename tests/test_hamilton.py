@@ -6,6 +6,7 @@ import pathlib
 import re
 from collections import Counter
 
+import exports_oracle
 import force_oracle
 import guess_oracle
 import h_jet_oracle
@@ -456,7 +457,7 @@ def test_the_quadratic_float_pass_without_f_has_the_bits_of_the_numpy_jet(chart_
     field = _quadratic_field(rep, None, u)
     for point in _jet_points(chart, rep, 61):
         want_dx, want_dfib, _ = h_jet_oracle.quadratic_jet(chart, rep, None, u, point)
-        dx, dfib = field.jet_fn(chart, point)
+        dx, dfib = ef.jet(chart, field, point)
         assert dx.tobytes() == want_dx.tobytes() and dfib.tobytes() == want_dfib.tobytes()
 
 
@@ -469,7 +470,7 @@ def test_the_quadratic_float_pass_with_f_is_within_a_few_ulps_of_the_numpy_jet(c
     field = _quadratic_field(rep, f, u)
     for point in _jet_points(chart, rep, 67):
         want_dx, want_dfib, scale = h_jet_oracle.quadratic_jet(chart, rep, f, u, point)
-        dx, dfib = field.jet_fn(chart, point)
+        dx, dfib = ef.jet(chart, field, point)
         assert _within_ulps(dx, want_dx, scale) and _within_ulps(dfib, want_dfib, np.abs(want_dfib))
 
 
@@ -482,7 +483,7 @@ def test_the_fiberwise_float_pass_is_within_a_few_ulps_of_the_numpy_jet(chart_na
     ).field
     for state in _jet_points(chart, "p", 71):
         want_dx, want_dp, scale = h_jet_oracle.fiberwise_jet(chart, phi, c, state)
-        dx, dp = field.jet_fn(chart, state)
+        dx, dp = ef.jet(chart, field, state)
         assert _within_ulps(dx, want_dx, scale) and _within_ulps(dp, want_dp, np.abs(want_dp))
 
 
@@ -520,11 +521,11 @@ def test_fiberwise_jet_equals_the_separate_hooks_bit_for_bit(chart_name):
     lag = dl.catalog_lagrangian("fiberwise-phi", phi="w^2/2 + w^4/10", C="exp(-x1/4)")
     ham = dh.hamiltonian_from_lagrangian(dh.LegendreContext(lag))
     field = ham.field
-    assert field.jet_fn is not None
+    assert field.jet_fn is not None and field.x_partials_fn is None
     rng = np.random.default_rng(31)
     for state in verification.sample_cotangent_states(chart, 8, rng):
-        dx, dp = field.jet_fn(chart, state)
-        assert np.array_equal(dx, field.x_partials_fn(chart, state))
+        dx, dp = ef.jet(chart, field, state)
+        assert np.array_equal(dx, ef.x_partials(chart, field, state))
         assert np.array_equal(dp, field.fiber_partials_fn(chart, state))
         x_dot, p_dot = dh.hamilton_rhs(chart, ham, state)
         assert np.array_equal(x_dot, dp) and np.array_equal(p_dot, -dx)
@@ -547,15 +548,37 @@ def test_quadratic_jets_equal_the_separate_hooks_bit_for_bit(chart_name, f, u, m
         for name in ("evaluate", "evaluate_env", "gradient"):
             monkeypatch.setattr(expression, name, refuse)
     for field, states in ((lag_field, tangent), (ham.field, cotangent)):
-        assert field.jet_fn is not None
+        assert field.jet_fn is not None and field.x_partials_fn is None
         for state in states:
-            dx, dfib = field.jet_fn(chart, state)
-            assert np.array_equal(dx, field.x_partials_fn(chart, state))
+            dx, dfib = ef.jet(chart, field, state)
+            assert np.array_equal(dx, ef.x_partials(chart, field, state))
             assert np.array_equal(dfib, field.fiber_partials_fn(chart, state))
     for state in cotangent:
-        dx, dp = ham.field.jet_fn(chart, state)
+        dx, dp = ef.jet(chart, ham.field, state)
         x_dot, p_dot = dh.hamilton_rhs(chart, ham, state)
         assert np.array_equal(x_dot, dp) and np.array_equal(p_dot, -dx)
+
+
+@pytest.mark.parametrize("family,params", _FAMILIES)
+@pytest.mark.parametrize("chart_name", ["polar2d", "sphere2d"])
+def test_x_partials_of_a_jet_only_field_are_the_x_half_of_its_jet(chart_name, family, params):
+    """The four closed-form scalars have no x hook: x_partials, and the _el_terms
+    fallback of a Lagrangian without el_terms_fn, read the x half of the jet."""
+    chart = manifold.builtin_chart(chart_name)
+    lag = dl.catalog_lagrangian(family, **params)
+    ham = dh.hamiltonian_from_lagrangian(dh.LegendreContext(lag))
+    bespoke = dataclasses.replace(lag, family="bespoke", el_terms_fn=None)
+    rng = np.random.default_rng(43)
+    tangent = verification.sample_tangent_states(chart, 6, rng)
+    cotangent = verification.sample_cotangent_states(chart, 6, rng)
+    for field, states in ((lag.field, tangent), (ham.field, cotangent)):
+        assert field.x_partials_fn is None and field.jet_fn is not None
+        for state in states:
+            want = ef.jet(chart, field, state)[0]
+            assert ef.x_partials(chart, field, state).tobytes() == want.tobytes()
+    for q in tangent:
+        want = ef.jet(chart, lag.field, q)[0]
+        assert dl._el_terms(chart, bespoke, q)[0].tobytes() == want.tobytes()
 
 
 def _counting(monkeypatch, *names):
@@ -661,6 +684,23 @@ def test_phi_inversion_refuses_as_the_env_route_does():
         with pytest.raises(error, match=re.escape(message)) as raised:
             phi_inverse_oracle.invert_phi_prime(phi, target)
         with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
+            _invert_phi_prime(phi, target)
+
+
+@pytest.mark.parametrize("target", [1e6, 1e30, 1e300])
+@pytest.mark.parametrize("source", ["w^2/2 + w^4/10", "w^2/2 + w^10/10"])
+def test_phi_inversion_converges_where_the_newton_steps_run_out(monkeypatch, source, target):
+    """From z = target Newton shrinks z by about 1 - 1/k per step where phi grows like
+    w^(k+1), so 100 steps fall short of every one of these roots but w^2/2 + w^4/10's
+    at 1e6; bisection of the bracket then finishes the inversion."""
+    phi = expression.parse(source)
+    z = _invert_phi_prime(phi, target)
+    assert abs(exports_oracle.partial_env(phi, {"w": z}, "w") - target) <= 1e-14 * target
+    monkeypatch.setattr(dh, "_PHI_BISECTION_STEPS", 0)
+    if (source, target) == ("w^2/2 + w^4/10", 1e6):
+        assert _invert_phi_prime(phi, target) == z
+    else:
+        with pytest.raises(NonConvergenceError, match="phi' inversion stalled"):
             _invert_phi_prime(phi, target)
 
 

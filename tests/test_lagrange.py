@@ -9,6 +9,7 @@ import exports_oracle
 import force_oracle
 import numpy as np
 import pytest
+from test_fields import _counted
 
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
@@ -197,6 +198,23 @@ def test_el_residual_flags_a_wrong_curve():
     circle = dn.Trajectory(ts, xs, {"v": vs}, "completed")
     residual = dl.el_residual(chart, lag, circle)
     assert np.max(np.abs(residual)) > 0.5
+
+
+@pytest.mark.parametrize("family", list(verification._SYSTEMS))
+def test_el_residual_reads_each_sample_jet_once(family):
+    """One jet of L per sample, whose fiber half is P, and no separate fiber-partials call."""
+    chart = manifold.builtin_chart("polar2d")
+    curve = verification.synthetic_curve_samples(chart, np.random.default_rng(17))
+    plain = verification._system(family)
+    calls = Counter()
+    field = dataclasses.replace(
+        plain.field,
+        jet_fn=_counted(calls, "jet", plain.field.jet_fn),
+        fiber_partials_fn=_counted(calls, "fiber", plain.field.fiber_partials_fn),
+    )
+    residual = dl.el_residual(chart, dataclasses.replace(plain, field=field), curve)
+    assert calls == {"jet": len(curve.ts)} and len(curve.ts) == 61
+    assert residual.tobytes() == dl.el_residual(chart, plain, curve).tobytes()
 
 
 def test_classical_and_covariant_residuals_agree():

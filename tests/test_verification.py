@@ -161,11 +161,11 @@ def test_a_planted_christoffel_fault_only_the_momentum_drift_sees(monkeypatch, f
 
 
 def _scaled_term(hook, index):
-    """hook with the index-th array of the tuple it returns scaled by 1 + 1e-6."""
+    """hook with the index-th term of the tuple it returns, an array or a list of floats, scaled by 1 + 1e-6."""
 
     def faulty(chart, point):
         terms = list(hook(chart, point))
-        terms[index] = terms[index] * (1.0 + 1e-6)
+        terms[index] = np.asarray(terms[index]) * (1.0 + 1e-6)
         return tuple(terms)
 
     return faulty
