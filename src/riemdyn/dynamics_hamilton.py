@@ -65,7 +65,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expression, extended_fields, manifold, normal_shift
-from .dynamics_lagrange import Lagrangian, _require_regular, a_matrix, momentum_field
+from .dynamics_lagrange import Lagrangian, _el_terms, _solve_regular, a_matrix, momentum_field
 from .dynamics_newton import IntegratorConfig, Trajectory, _integrate_split
 from .errors import (
     DegenerateLagrangianError,
@@ -122,7 +122,8 @@ def energy_field(lagrangian: Lagrangian) -> ExtendedField:
     dh/dv^r = A_rk v^k and dh/dx^s = v^k M[k, s] - dL/dx^s follow from
     differentiating h = v . dL/dv - L, so the hooks inherit whatever
     analytic structure the Lagrangian carries: dh/dx takes M and dL/dx
-    from one el_terms_fn pass, and dh/dv takes A from second_fiber_fn.
+    from one el_terms_fn pass, as the arrays of dynamics_lagrange._el_terms,
+    and dh/dv takes A from second_fiber_fn.
     Without el_terms_fn, dh/dx comes from finite differences of h.
     """
 
@@ -134,7 +135,7 @@ def energy_field(lagrangian: Lagrangian) -> ExtendedField:
     if lagrangian.el_terms_fn is not None:
 
         def dx_fn(chart, point):
-            dldx, _, mixed, _ = lagrangian.el_terms_fn(chart, point)
+            dldx, _, mixed, _ = _el_terms(chart, lagrangian, point)
             return point.v @ mixed - dldx
 
     if lagrangian.second_fiber_fn is not None:
@@ -229,6 +230,11 @@ def legendre_inverse(ctx: LegendreContext, chart: ManifoldChart, state: Cotangen
     21; for any other Lagrangian it may pick another scale, and Newton
     still has to reach the same tolerance.
 
+    Each Newton step solves A step = -r with dynamics_lagrange._solve_regular
+    in Python floats, A from a_matrix at the iterate, which refuses a
+    singular A with SingularAError: for the quadratic families A = e^(-2f) g
+    is diagonal on every builtin chart and the step has np.linalg.solve's
+    bits; for a fiberwise A it may differ from them in the last bits.
     Newton stops when |dL/dv - p|_inf <= 1e-12 * max(1, |p|_inf)
     (_NEWTON_TOLERANCE), takes at most 50 steps (_NEWTON_MAX_ITER) and
     halves each step at most 20 times (_NEWTON_MAX_DAMPING); otherwise it
@@ -252,14 +258,13 @@ def legendre_inverse(ctx: LegendreContext, chart: ManifoldChart, state: Cotangen
         raise NumericOverflowError(
             f"Legendre residual {r_norm!r} at the start velocity overflows the float range"
         )
+    message = "fiber Hessian singular during Legendre inversion (det {det:.3e})"
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         if r_norm <= tol:
             ctx.last_iterations = iteration - 1
             return TangentPoint(x, v)
         point = TangentPoint(x, v)
-        a = a_matrix(chart, lag, point)
-        _require_regular(a, "fiber Hessian singular during Legendre inversion (det {det:.3e})")
-        step = np.linalg.solve(a, -r)
+        step = np.array(_solve_regular(a_matrix(chart, lag, point).tolist(), (-r).tolist(), message))
         lam = 1.0
         for _ in range(_NEWTON_MAX_DAMPING + 1):
             try:
@@ -326,6 +331,11 @@ def _phi_prime_inverse(phi_expr):
     After at most 200 doublings of the bracket, 100 Newton steps from z = target
     (too few for w^2/2 + w^10/10 at 1e6) and then at most 63 bisection steps by
     bit pattern decide every target, raising where no float meets the tolerance.
+    When the bisection closes on two adjacent floats and phi's code gives inf
+    or NaN at the upper one, phi' overflowed short of the target (w^2/2 +
+    w^4/10 at 1.7e308), and NumericOverflowError names it, so such a state
+    ends a run non_finite; otherwise NonConvergenceError. Only that raise path
+    evaluates phi' once more.
 
     It looks phi's compiled code for phi' and for (phi', phi'') up once, on
     its first call, and keeps it.
@@ -359,6 +369,10 @@ def _phi_prime_inverse(phi_expr):
                 a, b = struct.unpack("<2q", struct.pack("<2d", lo, hi))
                 z_new = struct.unpack("<d", struct.pack("<q", (a + b) // 2))[0]
                 if z_new in (lo, hi):
+                    if not math.isfinite(slope(hi)):
+                        raise NumericOverflowError(
+                            f"phi'(z) overflows the float range at z={hi!r}, short of phi'(z) = {target!r}"
+                        )
                     break
             elif not (lo < z_new < hi):
                 z_new = 0.5 * (lo + hi)

@@ -14,11 +14,25 @@ handled in two equivalent shapes:
     with force F.
   * classical: A vdot = dL/dx - (d2L/dxdv) v in plain coordinates.
 
-Every solve with A is gated by _require_regular, which refuses an A that
-is singular by manifold's one rule, |det(A / |A|_max)| <= 1e-12, the rule
-metric_at applies to the metric, and an A with an infinite or NaN entry
-with NumericOverflowError, so such a run ends "non_finite". The solves
-themselves stay with np.linalg.solve, which sets the bits.
+Every solve with A is _solve_regular: one Gaussian elimination with
+partial pivoting over Python floats for any n, dividing by the pivots,
+whose pivots also give det(A / |A|_max), so A is factored once. It
+refuses an A that is singular by manifold's one rule, |det(A / |A|_max)|
+<= 1e-12, the rule metric_at applies to the metric, with SingularAError,
+and an A with an infinite or NaN entry with NumericOverflowError, so such
+a run ends "non_finite"; _require_regular applies the same rule without
+solving. For a diagonal A, as A = e^(-2f) g is on every builtin chart,
+the solution has np.linalg.solve's bits; for a general A, as the
+fiberwise family's, it may differ from them in the last bits, and it no
+longer depends on the host's BLAS.
+
+The classical right-hand side is one pass over Python floats: el_terms_fn
+returns lists, b = dL/dx - M v is formed in floats and _solve_regular gives
+vdot; _el_terms makes the lists arrays for the callers that read arrays.
+A float sum rounds each product where numpy's M @ v fused a multiply and
+an add, so where a row of M v sums two non-zero products (conformal-kinetic
+where f and g vary along different coordinates) vdot may move in the last
+bits; tests/rhs_oracle.py keeps the numpy composition.
 
 el_residual evaluates D_t P - grad L along recorded trajectories with
 covariant machinery and analytic hooks; classical_el_residual evaluates
@@ -51,8 +65,8 @@ from .dynamics_newton import (
 )
 from .errors import NumericOverflowError, SingularAError
 from .extended_fields import ExtendedField, TangentPoint, _conformal_factor
-from .extended_fields import _covariant_gradient, _fiber_correction, _form_partials, _index_terms
-from .extended_fields import _quadratic_x_partials, _scaled
+from .extended_fields import _covariant_gradient, _dot, _form_partials, _index_terms
+from .extended_fields import _metric_contractions, _quadratic_x_partials, _scaled
 from .manifold import ManifoldChart
 from .normal_shift import (
     RadialProfile,
@@ -88,11 +102,13 @@ class Lagrangian:
 
     field is the scalar extended field L itself (v representation).
     second_fiber_fn returns A_ij with shape (n, n). el_terms_fn returns
-    (dL/dx, P, M, A) from one pass over a state that starts with metric_at,
-    equal to what the field's partials and second_fiber_fn give; its M is
-    the momentum field's x partials. family and params identify catalog
-    members so the Hamiltonian side can attach closed forms; profile
-    carries the fiberwise symmetric reduction when one exists.
+    (dL/dx, P, M, A) as float sequences, M and A by row (the catalog's
+    passes return lists), from one pass over a state that starts with
+    metric_at, equal to what the field's partials and second_fiber_fn
+    give; its M is the momentum field's x partials. family and params
+    identify catalog members so the Hamiltonian side can attach closed
+    forms; profile carries the fiberwise symmetric reduction when one
+    exists.
     """
 
     field: ExtendedField
@@ -110,7 +126,7 @@ class Lagrangian:
             rank=(0, 1),
             rep="v",
             eval_fn=lambda chart, point: self.dv(chart, point),
-            x_partials_fn=None if terms is None else lambda chart, point: terms(chart, point)[2],
+            x_partials_fn=None if terms is None else lambda chart, point: np.array(terms(chart, point)[2]),
             fiber_partials_fn=self.second_fiber_fn,
             name=f"momentum[{self.name}]",
         )
@@ -136,26 +152,97 @@ def a_matrix(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) 
     return extended_fields.fiber_hessian(chart, lagrangian.field, point)
 
 
-def _hessian_det(a: np.ndarray) -> float:
-    """det(A / |A|_max) of a fiber Hessian; an infinite or NaN entry raises NumericOverflowError."""
-    size = manifold._sup_norm(a)
+def _eliminate(rows: list[list[float]], b: list[float]) -> tuple[list[list[float]], float]:
+    """Gaussian elimination with partial pivoting on [A | b], A a square matrix of nested Python floats.
+
+    Column k's pivot is the first entry of largest modulus on or below the
+    diagonal, as LAPACK's getrf picks it, and each multiplier is the entry
+    divided by the pivot, not multiplied by its reciprocal. Carrying b along
+    performs the forward substitution of an LU, term for term. Returns the
+    rows of [U | y] and det(A / |A|_max) = (+-1) prod_k (u_kk / |A|_max), the
+    sign that of the row swaps; det is 0.0 when a pivot is zero, and the
+    elimination then stops there. An infinite or NaN entry of A raises
+    NumericOverflowError before any arithmetic, as manifold._sup_norm finds
+    it, and so does an elimination that overflows, which only entries
+    within a factor 2^n of the float maximum can make: its det is not finite.
+    """
+    sizes = [abs(value) for row in rows for value in row]
+    total = sum(sizes)
+    size = max(sizes) if total == total else math.nan
     if not math.isfinite(size):
         raise NumericOverflowError(f"fiber Hessian has a non-finite entry ({size!r})")
-    return manifold._relative_det(a, size)
+    m = [[*row, bi] for row, bi in zip(rows, b)]
+    n = len(m)
+    det = 1.0
+    for k in range(n):
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        best, largest = k, abs(pivot)
+        for i in range(k + 1, n):
+            if abs(m[i][k]) > largest:
+                best, largest = i, abs(m[i][k])
+        if best != k:
+            pivot_row = m[best]
+            m[best] = m[k]
+            m[k] = pivot_row
+            pivot = pivot_row[k]
+            det = -det
+        if pivot == 0.0:
+            return m, 0.0
+        det *= pivot / size
+        for row in m[k + 1 :]:
+            f = row[k] / pivot
+            for j in range(k + 1, n + 1):
+                row[j] -= f * pivot_row[j]
+    if not math.isfinite(det):
+        raise NumericOverflowError(f"fiber Hessian's elimination overflows the float range (det {det!r})")
+    return m, det
+
+
+def _hessian_det(a: np.ndarray) -> float:
+    """det(A / |A|_max) of a fiber Hessian from _eliminate's pivots; NumericOverflowError as there."""
+    return _eliminate(a.tolist(), [0.0] * len(a))[1]
 
 
 def _require_regular(a: np.ndarray, message: str) -> None:
-    """Raise SingularAError when A is singular by manifold's rule; message is formatted with the keyword det."""
+    """Raise SingularAError when A is singular by manifold's rule; message is formatted with the keyword det.
+
+    _solve_regular's refusals without its solve: the tests hold the two to the same errors.
+    """
     det = _hessian_det(a)
     if manifold._singular(det):
         raise SingularAError(message.format(det=det))
 
 
+def _solve_regular(a: list[list[float]], b: list[float], message: str) -> list[float]:
+    """x solving A x = b over Python floats, for A and b as nested lists; A is factored once.
+
+    _eliminate's pivots give the singularity rule's det, so that A is
+    refused as _require_regular refuses it, with the same error and det;
+    back substitution then divides by U's diagonal, column by column from
+    the last, as LAPACK's getrs orders its updates. Every term is formed,
+    zeros included, so a signed zero comes out as numpy's does. For a
+    diagonal A the result has the bits of np.linalg.solve; for a general A
+    it may differ in the last bits, where numpy's kernel fuses a multiply
+    and an add.
+    """
+    m, det = _eliminate(a, b)
+    if manifold._singular(det):
+        raise SingularAError(message.format(det=det))
+    n = len(m)
+    x = [row[n] for row in m]
+    for k in range(n - 1, -1, -1):
+        xk = x[k] = x[k] / m[k][k]
+        for i in range(k):
+            x[i] -= m[i][k] * xk
+    return x
+
+
 def _el_terms(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> tuple:
-    """(dL/dx, P, M, A) at a state: one el_terms_fn call, else a_matrix, the
-    field's jet and finite differences of P for M."""
+    """(dL/dx, P, M, A) at a state as arrays: one el_terms_fn call, its lists
+    made arrays, else a_matrix, the field's jet and finite differences of P for M."""
     if lagrangian.el_terms_fn is not None:
-        return lagrangian.el_terms_fn(chart, point)
+        return tuple(map(np.array, lagrangian.el_terms_fn(chart, point)))
     manifold.metric_at(chart, point.x)  # validates x once; the hooks read the record
     a = a_matrix(chart, lagrangian, point)
     mixed = extended_fields.x_partials(chart, momentum_field(lagrangian), point)
@@ -170,16 +257,19 @@ def force_from_lagrangian(
     grad is the covariant spatial gradient, P the momentum covector
     field; the resulting Newtonian system reproduces the Euler-Lagrange
     motion of the Lagrangian. dL/dx, P, M and A come from one _el_terms
-    pass, and Gamma is read once for spatial_gradient's fiber and index terms.
+    pass. Gamma is read once, for the index term and for Gamma v, which
+    both fiber terms read (extended_fields._fiber_correction's -(X @ Gamma v)).
+    _solve_regular refuses a singular A and solves.
     Nothing in riemdyn calls it; it stays public for the Newtonian leg of
     perfbench/workloads.py's threeway_sphere workload.
     """
     dldx, p, mixed, a = _el_terms(chart, lagrangian, point)
-    _require_regular(a, "fiber Hessian is singular (det {det:.3e})")
     gamma, v = manifold.christoffel_at(chart, point.x), point.v
-    grad_l = dldx + _fiber_correction(gamma, v, p, "v")
-    grad_p = mixed + _fiber_correction(gamma, v, a, "v") + _index_terms(gamma, p, ("l",))
-    return np.linalg.solve(a, grad_l - grad_p @ v)
+    gv = gamma @ v  # gv[b, q] = Gamma^b_qa v^a, read by both fiber terms -(X @ gv)
+    grad_l = dldx - p @ gv
+    grad_p = mixed - a @ gv + _index_terms(gamma, p, ("l",))
+    b = (grad_l - grad_p @ v).tolist()
+    return np.array(_solve_regular(a.tolist(), b, "fiber Hessian is singular (det {det:.3e})"))
 
 
 def lagrangian_force_field(lagrangian: Lagrangian) -> ForceField:
@@ -245,16 +335,33 @@ def integrate_lagrangian(
     covariant force or touches Christoffel symbols, so it serves as an
     independent leg against the Newtonian reduction.
     """
+    return _tangent_run(chart, _classical_rhs(chart, lagrangian), q0, config, energy_fn)
+
+
+def _classical_rhs(chart: ManifoldChart, lagrangian: Lagrangian):
+    """integrate_lagrangian's right-hand side f(t, y) on the flat state y = (x, v): a new array each call.
+
+    One pass over Python floats: el_terms_fn's lists (a Lagrangian without
+    one reads _el_terms' arrays as lists), b = dL/dx - M v with each row of
+    M v a float sum in index order, then _solve_regular for vdot.
+    tests/rhs_oracle.py keeps the numpy composition it replaced.
+    """
     n = chart.dim
+    terms = lagrangian.el_terms_fn
+    if terms is None:
+
+        def terms(chart, point):
+            return [term.tolist() for term in _el_terms(chart, lagrangian, point)]
 
     def rhs(t, y):
         point = TangentPoint(y[:n], y[n:])
-        dldx, _, mixed, a = _el_terms(chart, lagrangian, point)
-        _require_regular(a, "fiber Hessian is singular (det {det:.3e}) during integration")
-        vdot = np.linalg.solve(a, dldx - mixed @ point.v)
-        return np.concatenate([point.v, vdot])
+        dldx, _, mixed, a = terms(chart, point)
+        v = point.v.tolist()
+        b = [d - _dot(row, v) for d, row in zip(dldx, mixed)]
+        vdot = _solve_regular(a, b, "fiber Hessian is singular (det {det:.3e}) during integration")
+        return np.array(v + vdot)
 
-    return _tangent_run(chart, rhs, q0, config, energy_fn)
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +371,13 @@ def integrate_lagrangian(
 def _quadratic_lagrangian(family: str, params: dict, profile: RadialProfile) -> Lagrangian:
     """L = (1/2) e^(-2f) g_ij v^i v^j - U with the optional f and U of params.
 
-    el_terms_fn reads g and dg once for dL/dx, P, A = e^(-2f) g and M[k, s] =
-    e^(-2f) (d g_kj/dx^s v^j - 2 g_kj v^j df/dx^s); without f and U no
-    expression code runs. dL/dx comes from the float pass of the field's
-    jet, so it equals the jet's x half bit for bit. The name is the family
-    followed by each expression's source in brackets.
+    el_terms_fn is one pass over Python floats returning lists: it reads g
+    and dg once each through .tolist(), forms g v as numpy's g @ v, and
+    gives dL/dx, P, A = e^(-2f) g and M[k, s] = e^(-2f) (d g_kj/dx^s v^j -
+    2 g_kj v^j df/dx^s), the contraction of dg with v in einsum's order;
+    without f and U no expression code runs. dL/dx comes from the float
+    pass of the field's jet, so it equals the jet's x half bit for bit. The
+    name is the family followed by each expression's source in brackets.
     """
     f_expr, u_expr = params.get("f"), params.get("U")
 
@@ -277,18 +386,19 @@ def _quadratic_lagrangian(family: str, params: dict, profile: RadialProfile) -> 
         return _scaled(f_expr, g, _conformal_factor(f_expr, point.x, -2.0))
 
     def terms(chart, point):
-        x, v = point.x, point.v
+        x = point.x
         g = manifold.metric_at(chart, x)
-        dg = manifold.metric_partials_at(chart, x)
-        v_low = g @ v
-        dgv = np.einsum("kjs,j->ks", dg, v)
+        rows, v_low = g.tolist(), (g @ point.v).tolist()
+        dg = manifold.metric_partials_at(chart, x).tolist()
+        vs = point.v.tolist()
+        s, mixed = _metric_contractions(dg, vs)
+        if f_expr is None:
+            return _quadratic_x_partials(x, vs, v_low, 1.0, s, None, u_expr, -1.0), v_low, mixed, rows
         c = _conformal_factor(f_expr, x, -2.0)
-        df = None if f_expr is None else expression.gradient(f_expr, x)
-        mixed = dgv if df is None else c * (dgv - 2.0 * np.outer(v_low, df))
-        vs = v.tolist()
-        s = _form_partials(dg.tolist(), vs)
-        dldx = _quadratic_x_partials(x, vs, v_low.tolist(), c, s, df, u_expr, -1.0)
-        return np.array(dldx), _scaled(f_expr, v_low, c), mixed, _scaled(f_expr, g, c)
+        df = expression.gradient(f_expr, x)
+        dldx = _quadratic_x_partials(x, vs, v_low, c, s, df, u_expr, -1.0)
+        mixed = [[c * (m - 2.0 * (u * d)) for m, d in zip(row, df)] for row, u in zip(mixed, v_low)]
+        return dldx, [c * u for u in v_low], mixed, [[c * entry for entry in row] for row in rows]
 
     return Lagrangian(
         field=extended_fields.kinetic_energy_scalar(f_expr, u_expr),
@@ -326,8 +436,10 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     Value evaluation is defined everywhere, but derivative hooks raise
     ZeroVelocityError below the zero-velocity floor. The jet forms |v|, T'
     and g v once for dL/dx and P; el_terms_fn forms |v|, g v, T'', T' and
-    the metric partials once for dL/dx, P, M and A, sharing the formulas of
-    dL/dx and P with the jet and A's with symmetric_a_matrix.
+    the metric partials once for dL/dx, P, M and A. Both are passes over
+    Python floats returning lists, which share the formulas of dL/dx and P,
+    and A's with symmetric_a_matrix; each entry is formed as numpy's
+    elementwise and einsum forms of the same expression would form it.
     """
     phi_expr = expression.profile_expr(phi)
     c_expr = expression.coordinate_expr(c)
@@ -337,38 +449,45 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
         w = manifold.speed(chart, point.x, point.v)
         return np.array(profile.value(point.x, w))
 
-    def modulus_x_partials(dg, v, w):
-        return np.einsum("ijs,i,j->s", dg, v, v) / (2.0 * w)
+    def modulus_x_partials(form, w):
+        return [s / (2.0 * w) for s in form]
 
     def spatial(x, w, d1, w_s):
-        return profile.x_partials(x, w) + d1 * w_s
+        return [t + d1 * u for t, u in zip(expression.gradient(profile.expr, x, w), w_s)]
 
     def fiber(v_low, w, d1):
-        return d1 * v_low / w
+        return [d1 * u / w for u in v_low]
 
     def jet(chart, point):
+        x = point.x
         w = velocity_modulus(chart, point)
-        d1 = profile.d_w(point.x, w)
-        w_s = modulus_x_partials(manifold.metric_partials_at(chart, point.x), point.v, w)
-        return spatial(point.x, w, d1, w_s), fiber(manifold.lower_index(chart, point.x, point.v), w, d1)
+        d1 = profile.d_w(x, w)
+        dg = manifold.metric_partials_at(chart, x).tolist()
+        w_s = modulus_x_partials(_form_partials(dg, point.v.tolist()), w)
+        return spatial(x, w, d1, w_s), fiber(manifold.lower_index(chart, x, point.v).tolist(), w, d1)
 
     def dfib(chart, point):
         w = velocity_modulus(chart, point)
-        v_low = manifold.lower_index(chart, point.x, point.v)
+        v_low = manifold.lower_index(chart, point.x, point.v).tolist()
         return fiber(v_low, w, profile.d_w(point.x, w))
 
     def terms(chart, point):
-        x, v = point.x, point.v
+        x = point.x
         g = manifold.metric_at(chart, x)
         w = velocity_modulus(chart, point)
-        d2, d1, xd = profile.d2_w(x, w), profile.d_w(x, w), profile.x_partials_d_w(x, w)
-        dg = manifold.metric_partials_at(chart, x)
-        w_s = modulus_x_partials(dg, v, w)
-        v_low = g @ v
-        radial = np.outer(v_low / w, xd + d2 * w_s)
-        geometric = d1 * (np.einsum("kjs,j->ks", dg, v) / w - np.outer(v_low, w_s) / (w * w))
-        a = _a_from(g, v_low, w, d2, d1)
-        return spatial(x, w, d1, w_s), fiber(v_low, w, d1), radial + geometric, a
+        d2, d1 = profile.d2_w(x, w), profile.d_w(x, w)
+        xd = expression.gradient(profile.expr, x, w, "w")
+        rows, v_low = g.tolist(), (g @ point.v).tolist()
+        dg = manifold.metric_partials_at(chart, x).tolist()
+        vs = point.v.tolist()
+        form, dgv = _metric_contractions(dg, vs)
+        w_s = modulus_x_partials(form, w)
+        ww = w * w
+        mixed = [
+            [(u / w) * (t + d2 * s) + d1 * (m / w - u * s / ww) for m, t, s in zip(row, xd, w_s)]
+            for row, u in zip(dgv, v_low)
+        ]
+        return spatial(x, w, d1, w_s), fiber(v_low, w, d1), mixed, _a_from(rows, v_low, w, d2, d1)
 
     return Lagrangian(
         field=ExtendedField((0, 0), "v", ev, fiber_partials_fn=dfib, name=profile.name, jet_fn=jet),

@@ -450,11 +450,13 @@ def _pow_deriv_coeff(a: float, r: float, order: int) -> float:
 
 
 def _overflow_to_inf(fn):
+    """fn with an OverflowError turned into an infinity of fn's sign: a's for sinh, + for exp and cosh."""
+
     def value(a: float) -> float:
         try:
             return fn(a)
         except OverflowError:
-            return math.inf
+            return math.copysign(math.inf, a) if fn is math.sinh else math.inf
 
     return value
 
@@ -539,16 +541,14 @@ _CALLS = {
     "exp": ("_exp_val", "{f}", "{f}"),
     "log": ("_log_val", "1.0 / {a}", "-1.0 / _nonzero_product({a}, {a})"),
     "sqrt": ("_sqrt_val", "0.5 / {f}", "-0.25 / _nonzero_product({f}, {a})"),
-    "cosh": ("_cosh_val", "_sinh({a})", "{f}"),
-    "sinh": ("_sinh_val", "_cosh({a})", "{f}"),
+    "cosh": ("_cosh_val", "_sinh_val({a})", "{f}"),
+    "sinh": ("_sinh_val", "_cosh_val({a})", "{f}"),
 }
 
 _RUNTIME = {
     "_sin": math.sin,
     "_cos": math.cos,
     "_tan": math.tan,
-    "_sinh": math.sinh,
-    "_cosh": math.cosh,
     "_exp_val": _overflow_to_inf(math.exp),
     "_cosh_val": _overflow_to_inf(math.cosh),
     "_sinh_val": _overflow_to_inf(math.sinh),

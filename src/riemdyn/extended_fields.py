@@ -33,7 +33,9 @@ and jet, which spatial_gradient, el_residual and chain_rule_check each
 read once per point. The fiber correction is one matrix product and each
 index term one einsum, for any rank. The quadratic scalars' jet is one
 pass over Python floats; _form_partials is its one loop for d(g)/dx and
-d(g^-1)/dx contracted with the fiber, in einsum's order.
+d(g^-1)/dx contracted with the fiber, in einsum's order, and
+_metric_contractions gives the Lagrangians' Euler-Lagrange passes the same
+form partials and d(g)/dx . v from one scan.
 
 A field without a hook gets its partials and its fiber Hessian from
 finite differences: x_partials, fiber_partials and fiber_hessian call
@@ -469,6 +471,28 @@ def _form_sums(dg: list, y: list[float], ginv: list | None, skip: bool) -> list[
     for i, j, q, d in entries:  # (i, j) in order for each q
         out[q] += d * y[i] * y[j]
     return out
+
+
+def _metric_contractions(dg: list, y: list[float]) -> tuple[list[float], list[list[float]]]:
+    """(s, dgy) from one scan of dg over Python floats; dg nested as dg[k][j][q].
+
+    s_q = sum_kj dg_kjq y_k y_j has the bits of _form_partials(dg, y), and
+    dgy[k][q] = sum_j dg_kjq y_j those of np.einsum("kjq,j->kq", dg, y):
+    each sum runs in index order from +0.0. As in _form_sums, a term whose
+    dg entry is zero is left out when y is finite, which changes no bit.
+    """
+    skip = math.isfinite(sum(y))
+    s = [0.0] * len(y)
+    dgy = []
+    for yk, plane in zip(y, dg):
+        row = [0.0] * len(y)
+        for yj, entries in zip(y, plane):
+            for q, d in enumerate(entries):
+                if d != 0.0 or not skip:
+                    row[q] += d * yj
+                    s[q] += d * yk * yj
+        dgy.append(row)
+    return s, dgy
 
 
 def _quadratic_x_partials(x, y, my, c, s, df, u_expr, sign: float) -> list[float]:

@@ -173,7 +173,7 @@ _SINGULAR_DET = 1e-12
 
 
 def _singular(det: float) -> bool:
-    """The singularity rule on det(M / |M|_max), from _cholesky_det or _relative_det."""
+    """The singularity rule on det(M / |M|_max), from _cholesky_det or dynamics_lagrange's elimination."""
     return abs(det) <= _SINGULAR_DET
 
 
@@ -212,22 +212,6 @@ def _cholesky_det(rows: list[list[float]], scale: float) -> float | None:
         factor.append(li)
         det *= d * d / scale
     return det
-
-
-def _relative_det(a: np.ndarray, scale: float) -> float:
-    """det(A / scale) of a square A of finite entries, scale = |A|_max; 0.0 for a zero A.
-
-    The closed forms in Python floats for n <= 2, about 15 times faster than
-    np.linalg.det on a 2 x 2, and np.linalg.det(A / scale) for n >= 3.
-    """
-    if scale == 0.0:
-        return 0.0
-    if a.shape[0] == 1:
-        return a.item() / scale
-    if a.shape[0] == 2:
-        (p, q), (r, t) = a.tolist()
-        return (p / scale) * (t / scale) - (q / scale) * (r / scale)
-    return float(np.linalg.det(a / scale))
 
 
 def metric_at(chart: ManifoldChart, x) -> np.ndarray:

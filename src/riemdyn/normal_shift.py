@@ -185,13 +185,22 @@ def symmetric_a_matrix(
     """Closed-form fiber Hessian A_ij = T'' Q_ij + (T'/|v|) P_ij (lower indexes)."""
     w = velocity_modulus(chart, point)
     g = manifold.metric_at(chart, point.x)
-    return _a_from(g, g @ point.v, w, profile.d2_w(point.x, w), profile.d_w(point.x, w))
+    d2, d1 = profile.d2_w(point.x, w), profile.d_w(point.x, w)
+    return np.array(_a_from(g.tolist(), (g @ point.v).tolist(), w, d2, d1))
 
 
-def _a_from(g: np.ndarray, v_low: np.ndarray, w: float, d2: float, d1: float) -> np.ndarray:
-    """A_ij = T'' Q_ij + (T'/|v|) P_ij from g, v_low = g v, w = |v|, T'' and T'."""
-    q_low = np.outer(v_low, v_low) / (w * w)
-    return d2 * q_low + (d1 / w) * (g - q_low)
+def _a_from(g: list, v_low: list[float], w: float, d2: float, d1: float) -> list[list[float]]:
+    """A_ij = T'' Q_ij + (T'/|v|) P_ij in Python floats, from g's rows, v_low = g v, w = |v|, T'' and T'.
+
+    Q_ij = v_i v_j / |v|^2 and P_ij = g_ij - Q_ij, each entry formed as
+    numpy's elementwise forms of the same expression would form it.
+    """
+    ww, scale = w * w, d1 / w
+    out = []
+    for g_i, v_i in zip(g, v_low):
+        q_i = [v_i * v_j / ww for v_j in v_low]
+        out.append([d2 * q + scale * (g_ij - q) for g_ij, q in zip(g_i, q_i)])
+    return out
 
 
 def symmetric_b_matrix(

@@ -44,7 +44,7 @@ def _call_val(func: str, a: float) -> float:
     try:
         return getattr(math, func)(a)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, a) if func == "sinh" else math.inf
 
 
 def _eval(node: Node, env: Mapping[str, float]) -> float:
@@ -165,9 +165,9 @@ def _hd_call(func: str, u: _HD) -> _HD:
         d2 = -0.25 / _nonzero_product(val, a) if both_seeds else 0.0
         return _hd_chain(u, val, 0.5 / val, d2)
     if func == "cosh":
-        return _hd_chain(u, val, math.sinh(a), val)
+        return _hd_chain(u, val, _call_val("sinh", a), val)
     if func == "sinh":
-        return _hd_chain(u, val, math.cosh(a), val)
+        return _hd_chain(u, val, _call_val("cosh", a), val)
     raise EvalDomainError(f"unknown function {func!r}")
 
 

@@ -2,17 +2,19 @@
 
 Each iterate evaluates phi' (and phi'') with exports_oracle's partial_env
 and partial_and_second_env, so every call builds a variable map; after 100
-Newton steps the iterates bisect the bracket by bit pattern. The package
-calls phi's compiled code directly; the tests require the same z, bit for
-bit, and the same errors.
+Newton steps the iterates bisect the bracket by bit pattern, and a bracket
+that closes where phi' overflows short of the target raises
+NumericOverflowError. The package calls phi's compiled code directly; the
+tests require the same z, bit for bit, and the same errors.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import exports_oracle
-from riemdyn.errors import NonConvergenceError
+from riemdyn.errors import NonConvergenceError, NumericOverflowError
 
 __all__ = ["invert_phi_prime"]
 
@@ -43,6 +45,10 @@ def invert_phi_prime(phi_expr, target: float) -> float:
             a, b = struct.unpack("<2q", struct.pack("<2d", lo, hi))
             z_new = struct.unpack("<d", struct.pack("<q", (a + b) // 2))[0]
             if z_new in (lo, hi):
+                if not math.isfinite(exports_oracle.partial_env(phi_expr, {"w": hi}, "w")):
+                    raise NumericOverflowError(
+                        f"phi'(z) overflows the float range at z={hi!r}, short of phi'(z) = {target!r}"
+                    )
                 break
         elif not (lo < z_new < hi):
             z_new = 0.5 * (lo + hi)

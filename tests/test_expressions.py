@@ -9,8 +9,8 @@ import exports_oracle
 import hyperdual_oracle as oracle
 import numpy as np
 import pytest
+from expression_strategies import TREES, W_TREES
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from riemdyn import expression as ex
 from riemdyn.errors import EvalDomainError, ParseError, UnboundVariableError
@@ -350,24 +350,11 @@ def _nodes(node):
             yield from _nodes(child)
 
 
-_LEAVES = st.one_of(
-    st.sampled_from([ex.Var("x1"), ex.Var("x2")]),
-    st.floats(min_value=0.0, max_value=10.0).map(lambda v: ex.Num(abs(v))),
-)
-_TREES = st.recursive(
-    _LEAVES,
-    lambda sub: st.one_of(
-        sub.map(ex.Unary),
-        st.builds(ex.Binary, st.sampled_from("+-*/^"), sub, sub),
-        st.builds(ex.Call, st.sampled_from(ex.FUNCTION_NAMES), sub),
-    ),
-    max_leaves=6,
-)
 _PROPERTY_POINTS = ({"x1": 0.7, "x2": 1.3}, {"x1": -1.5, "x2": 0.4}, {"x1": 0.0, "x2": 2.0})
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(_TREES)
+@given(TREES)
 def test_round_trip_keeps_compiled_derivatives(root):
     seen = set()
     ex._collect_variables(root, seen)
@@ -395,25 +382,11 @@ def test_round_trip_keeps_compiled_derivatives(root):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(_TREES, _TREES)
+@given(TREES, TREES)
 def test_substitute_reparses_for_random_trees(outer, inner):
     expr, part = (ex._expr(root, ex._unparse(root)) for root in (outer, inner))
     composed = ex.substitute(expr, {"x1": part})
     assert ex.parse(composed.source).root == composed.root
-
-
-_W_TREES = st.recursive(
-    st.one_of(
-        st.just(ex.Var("w")),
-        st.floats(min_value=0.0, max_value=10.0).map(lambda v: ex.Num(abs(v))),
-    ),
-    lambda sub: st.one_of(
-        sub.map(ex.Unary),
-        st.builds(ex.Binary, st.sampled_from("+-*/^"), sub, sub),
-        st.builds(ex.Call, st.sampled_from(ex.FUNCTION_NAMES), sub),
-    ),
-    max_leaves=6,
-)
 
 
 def _outcome(fn, *args):
@@ -429,7 +402,7 @@ def _bits(value: float) -> bytes:
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(_W_TREES)
+@given(W_TREES)
 def test_partial_and_second_equal_the_separate_calls_bit_for_bit(root):
     expr = ex._expr(root, ex._unparse(root))
     for w in (0.7, -1.5, 0.0, 2.5):
@@ -517,6 +490,19 @@ def test_a_first_partial_leaves_out_a_power_curvature_that_is_singular_at_zero(s
     assert _bits(exports_oracle.partial_env(expr, env, "w")) == _bits(0.0)
     with pytest.raises(EvalDomainError, match="is singular at zero"):
         exports_oracle.second_partial_env(expr, env, "w", "w")
+
+
+@pytest.mark.parametrize("a, value, slope", [(1e3, math.inf, math.inf), (-1e3, -math.inf, math.inf)])
+def test_sinh_and_its_slope_overflow_to_infinities_of_their_sign(a, value, slope):
+    """sinh is odd and cosh even, in values and in the slopes each gives the
+    other; an overflow in a slope is an infinity too, not an OverflowError."""
+    env = {"x1": a}
+    for source, want, want_slope in (("sinh(x1)", value, slope), ("cosh(x1)", math.inf, value)):
+        expr = ex.parse(source)
+        assert ex.evaluate_env(expr, env) == want
+        assert exports_oracle.partial_env(expr, env, "x1") == want_slope
+        assert oracle.partial_env(expr, env, "x1") == want_slope
+        assert oracle.evaluate_env(expr, env) == want
 
 
 def test_constant_powers_compile_without_the_runtime_helpers():

@@ -15,7 +15,7 @@ import phi_inverse_oracle
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_expressions import _W_TREES
+from expression_strategies import W_TREES
 
 from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
@@ -687,6 +687,17 @@ def test_phi_inversion_refuses_as_the_env_route_does():
             _invert_phi_prime(phi, target)
 
 
+def test_phi_inversion_names_an_overflow_short_of_the_target():
+    """phi' = w + 2 w^3/5 of w^2/2 + w^4/10 turns inf in its compiled code below the
+    root of phi'(z) = 1.7e308; the bisection closes there, and both routes name the
+    overflow, so such a state ends a run non_finite, not singular."""
+    phi = expression.parse("w^2/2 + w^4/10")
+    message = "phi'(z) overflows the float range at z=3.5553731598732904e+102, short of phi'(z) = 1.7e+308"
+    for invert in (phi_inverse_oracle.invert_phi_prime, _invert_phi_prime):
+        with pytest.raises(NumericOverflowError, match=f"^{re.escape(message)}$"):
+            invert(phi, 1.7e308)
+
+
 @pytest.mark.parametrize("target", [1e6, 1e30, 1e300])
 @pytest.mark.parametrize("source", ["w^2/2 + w^4/10", "w^2/2 + w^10/10"])
 def test_phi_inversion_converges_where_the_newton_steps_run_out(monkeypatch, source, target):
@@ -705,7 +716,7 @@ def test_phi_inversion_converges_where_the_newton_steps_run_out(monkeypatch, sou
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(_W_TREES)
+@given(W_TREES)
 def test_phi_inversion_matches_the_env_route_on_random_profiles(root):
     phi = expression._expr(root, expression._unparse(root))
     for target in _PHI_TARGETS[::4]:

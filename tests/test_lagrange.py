@@ -9,19 +9,27 @@ import exports_oracle
 import force_oracle
 import numpy as np
 import pytest
+import rhs_oracle
+from expression_strategies import TREES
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_fields import _counted
 
+from riemdyn import dynamics_hamilton as dh
 from riemdyn import dynamics_lagrange as dl
 from riemdyn import dynamics_newton as dn
-from riemdyn import expression, extended_fields, manifold, verification
+from riemdyn import expression, extended_fields, manifold, normal_shift, verification
 from riemdyn.errors import (
+    EvalDomainError,
+    ForceSingularError,
     InsufficientSamplesError,
+    NonConvergenceError,
     NumericOverflowError,
     SingularAError,
     SingularMetricError,
     ZeroVelocityError,
 )
-from riemdyn.extended_fields import TangentPoint
+from riemdyn.extended_fields import CotangentPoint, TangentPoint
 
 _FAMILIES = list(verification._SYSTEMS.items())
 
@@ -389,6 +397,128 @@ def test_require_regular_refuses_what_the_numpy_route_refuses(n):
     assert min(outcomes[k] for k in ("non-finite", "singular", "regular")) >= 15, outcomes
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_float_solve_has_numpys_bits_on_diagonal_matrices(n):
+    """A = e^(-2f) g of every quadratic family is diagonal on every builtin chart.
+
+    20,000 diagonal A, entries of either sign within a factor e^3 of a scale
+    from 1e-8 to 1e8, and right-hand sides with +0.0 and -0.0 among their
+    entries: _solve_regular gives np.linalg.solve's bits, signed zeros included.
+    """
+    rng = np.random.default_rng(90 + n)
+    count = 20_000
+    scales = 10.0 ** rng.uniform(-8.0, 8.0, size=(count, 1))
+    signs = rng.choice([-1.0, 1.0], size=(count, n))
+    a = np.zeros((count, n, n))
+    a[:, range(n), range(n)] = scales * signs * np.exp(rng.uniform(-3.0, 3.0, size=(count, n)))
+    b = rng.normal(size=(count, n))
+    b[rng.random(size=b.shape) < 0.1] = 0.0
+    b[rng.random(size=b.shape) < 0.1] = -0.0
+    want = np.linalg.solve(a, b[..., None])[..., 0]
+    got = [dl._solve_regular(rows, column, "det {det}") for rows, column in zip(a.tolist(), b.tolist())]
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_metric_contractions_have_einsums_bits(n):
+    """On dense dg, as a metric that is not diagonal has, with zero and signed-zero
+    entries: s has _form_partials' bits and dgy np.einsum("kjq,j->kq")'s, and with a
+    non-finite y no term is skipped."""
+    rng = np.random.default_rng(60 + n)
+    for trial in range(2000):
+        dg = rng.normal(size=(n, n, n))
+        dg[rng.random(size=dg.shape) < 0.3] = 0.0
+        dg[rng.random(size=dg.shape) < 0.1] = -0.0
+        y = rng.normal(size=n)
+        y[rng.random(size=n) < 0.2] = -0.0
+        if trial % 10 == 0:
+            y[rng.integers(n)] = math.inf
+        s, dgy = extended_fields._metric_contractions(dg.tolist(), y.tolist())
+        want_s = np.array(extended_fields._form_partials(dg.tolist(), y.tolist()))
+        with np.errstate(invalid="ignore"):
+            want_dgy = np.einsum("kjq,j->kq", dg, y)
+        assert np.array(s).tobytes() == want_s.tobytes()
+        assert np.array(dgy).tobytes() == want_dgy.tobytes()
+
+
+# The fiberwise A = T'' Q + (T'/|v|) P against np.linalg.solve: over the
+# 20,000 draws of the test below, the worst gap relative to the largest
+# entry of the solution was 2.2e-15 at n = 2 and 3.0e-15 at n = 3 (about
+# a third and about three fifths of the draws moved), where numpy's kernel
+# fuses multiplies and adds that the LU rounds apart. The bound is about
+# 5 times the larger.
+_FIBERWISE_SOLVE_GAP = 1.5e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_float_solve_agrees_with_numpy_on_fiberwise_hessians(n):
+    """A from normal_shift._a_from on a diagonal g, v normal, T' within e of 1
+    and T''/(T'/|v|) within e^2 of 1, so that A is symmetric positive definite."""
+    rng = np.random.default_rng(95 + n)
+    rows, columns = [], []
+    for _ in range(20_000):
+        g = np.exp(rng.uniform(-1.0, 1.0, size=n))
+        v = rng.normal(size=n)
+        v_low = (g * v).tolist()
+        w = math.sqrt(float(v @ (g * v)))
+        d1 = math.exp(rng.uniform(-1.0, 1.0))
+        d2 = d1 / w * math.exp(rng.uniform(-2.0, 2.0))
+        rows.append(normal_shift._a_from(np.diag(g).tolist(), v_low, w, d2, d1))
+        columns.append(rng.normal(size=n).tolist())
+    want = np.linalg.solve(np.array(rows), np.array(columns)[..., None])[..., 0]
+    got = np.array([dl._solve_regular(a, b, "det {det}") for a, b in zip(rows, columns)])
+    gap = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+    assert np.max(gap) <= _FIBERWISE_SOLVE_GAP
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_elimination_det_is_numpys_det_of_the_normalised_matrix(n):
+    """The pivots' det(A / |A|_max), sign included, for general A, rows swapped or not."""
+    rng = np.random.default_rng(85 + n)
+    swapped = 0
+    for _ in range(2000):
+        a = rng.normal(size=(n, n))
+        scale = float(np.max(np.abs(a)))
+        want = float(np.linalg.det(a / scale))
+        assert dl._hessian_det(a) == pytest.approx(want, rel=1e-12, abs=1e-15), a.tolist()
+        swapped += n > 1 and abs(a[0, 0]) < np.max(np.abs(a[:, 0]))
+    assert n == 1 or swapped > 500
+
+
+def _refusal(call):
+    """None, or the type and message of what call raises."""
+    try:
+        call()
+    except (SingularAError, NumericOverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_float_solve_refuses_as_require_regular_does(n):
+    """The same refusals, error classes and det in the message: every kind of M at
+    every scale, and the drawn matrices of the refusal test above, NaN and infinite
+    entries among them."""
+    scales = [10.0**k for k in range(-8, 9)] + [3.3e-7, 7.1e5]
+    matrices = [c * np.array(m) for _, m in _KINDS_OF_M[n] for c in scales]
+    rng = np.random.default_rng(70 + n)
+    specials = [math.nan, math.inf, -math.inf, 0.0, 1.0, 1e-6]
+    for _ in range(1000):
+        a = rng.normal(size=(n, n))
+        if rng.random() < 0.3:
+            a[rng.integers(n)] = 2.0 * a[rng.integers(n)]
+        for index in rng.choice(n * n, rng.integers(0, n * n + 1), replace=False):
+            a.flat[index] = specials[rng.integers(len(specials))]
+        matrices.append(a)
+    outcomes = Counter()
+    message = "fiber Hessian is singular (det {det:.3e})"
+    for a in matrices:
+        want = _refusal(lambda: dl._require_regular(a, message))
+        assert _refusal(lambda: dl._solve_regular(a.tolist(), [1.0] * n, message)) == want, a.tolist()
+        outcomes[want[0].__name__ if want else "solved"] += 1
+    assert min(outcomes[k] for k in ("NumericOverflowError", "SingularAError", "solved")) >= 15, outcomes
+
+
 @pytest.mark.parametrize(
     "a",
     [
@@ -406,6 +536,16 @@ def test_a_non_finite_fiber_hessian_raises_numeric_overflow(a):
             dl._require_regular(np.array(a), "det {det}")
 
 
+def test_a_fiber_hessian_whose_elimination_overflows_raises_numeric_overflow():
+    """Finite entries near the float maximum: 1.7e308 + 1.7e308 overflows in the
+    elimination, so its det is not finite, and the rule and the solve both refuse."""
+    a = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
+    with pytest.raises(NumericOverflowError, match="elimination overflows"):
+        dl._require_regular(a, "det {det}")
+    with pytest.raises(NumericOverflowError, match="elimination overflows"):
+        dl._solve_regular(a.tolist(), [1.0, 1.0], "det {det}")
+
+
 _QUADRATIC = _FAMILIES[:3]
 
 
@@ -419,11 +559,14 @@ _QUADRATIC = _FAMILIES[:3]
         ("sphere2d", {}),
         ("hyperbolic_half_plane", {}),
         ("conformally_flat", {"f": "x2/3"}),
+        ("conformally_flat", {"dim": 3, "f": "x2/3"}),
     ],
 )
 def test_the_quadratic_pass_equals_the_separate_hooks_bit_for_bit(
     family, params, chart_name, chart_params
 ):
+    """The float pass's lists equal, bit for bit, the separate hooks and the
+    numpy pass it replaced (tests/rhs_oracle.py), entry by entry."""
     chart = manifold.builtin_chart(chart_name, **chart_params)
     lag = dl.catalog_lagrangian(family, **params)
     rng = np.random.default_rng(17)
@@ -436,10 +579,18 @@ def test_the_quadratic_pass_equals_the_separate_hooks_bit_for_bit(
             mixed,
             dl.a_matrix(chart, lag, point),
         ]
-        got = lag.el_terms_fn(chart, point)
-        assert [term.tobytes() for term in got] == [term.tobytes() for term in separate]
+        got = [np.array(term).tobytes() for term in lag.el_terms_fn(chart, point)]
+        assert got == [term.tobytes() for term in separate]
+        assert got == [term.tobytes() for term in rhs_oracle.el_terms(chart, lag, point)]
         momentum_dx = extended_fields.x_partials(chart, dl.momentum_field(lag), point)
         assert momentum_dx.tobytes() == mixed.tobytes()
+
+
+# The fiberwise force against numpy's solve: relative to the largest entry,
+# the worst gap over 2,048 states (seeds 1 to 5 and 19) on these four charts
+# was 3.2e-16, for the catalog Lagrangian and the hookless one alike. The
+# bound is about 6 times that.
+_FIBERWISE_FORCE_GAP = 2e-15
 
 
 @pytest.mark.parametrize("family,params", _FAMILIES)
@@ -448,7 +599,10 @@ def test_the_quadratic_pass_equals_the_separate_hooks_bit_for_bit(
 )
 def test_the_force_equals_the_composition_it_replaced_bit_for_bit(family, params, chart_name):
     """The catalog Lagrangian, and the same field with none of the Lagrangian's
-    own hooks, so that A and M come from finite differences of its partials."""
+    own hooks, so that A and M come from finite differences of its partials.
+    The fiberwise A is a general symmetric matrix, where _solve_regular's LU
+    may round otherwise than numpy's solve: those rows are held to
+    _FIBERWISE_FORCE_GAP relative to the largest entry, every other row to its bits."""
     chart = manifold.builtin_chart(chart_name)
     lag = dl.catalog_lagrangian(family, **params)
     hookless = dl.Lagrangian(field=lag.field, family="custom", name="hookless")
@@ -456,7 +610,134 @@ def test_the_force_equals_the_composition_it_replaced_bit_for_bit(family, params
     for point in verification.sample_tangent_states(chart, 6, rng, min_speed=0.3):
         for each in (lag, hookless):
             want = force_oracle.force(chart, each, point)
-            assert dl.force_from_lagrangian(chart, each, point).tobytes() == want.tobytes()
+            got = dl.force_from_lagrangian(chart, each, point)
+            if family == "fiberwise-phi":
+                assert np.max(np.abs(got - want)) <= _FIBERWISE_FORCE_GAP * np.max(np.abs(want))
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
+# Every builtin chart, conformally_flat in dimensions 2 and 3, and a rescale by f of polar2d.
+_ORACLE_CHARTS = {
+    "euclidean2": lambda: manifold.builtin_chart("euclidean2"),
+    "euclidean3": lambda: manifold.builtin_chart("euclidean3"),
+    "polar2d": lambda: manifold.builtin_chart("polar2d"),
+    "sphere2d": lambda: manifold.builtin_chart("sphere2d"),
+    "hyperbolic_half_plane": lambda: manifold.builtin_chart("hyperbolic_half_plane"),
+    "conformally_flat2": lambda: manifold.builtin_chart("conformally_flat", f="x2/3"),
+    "conformally_flat3": lambda: manifold.builtin_chart("conformally_flat", dim=3, f="x2/3"),
+    "polar2d_rescaled": lambda: manifold.conformal_rescale(manifold.builtin_chart("polar2d"), "x1/4"),
+}
+
+
+# The classical right-hand side against its numpy composition, where they
+# may round apart: relative to the largest entry of the oracle's vdot, the
+# worst gap over 200 states (seeds 0 to 4) of each family on each chart of
+# _ORACLE_CHARTS was 7.4e-16. The bound is about 5 times that.
+_CLASSICAL_RHS_GAP = 4e-15
+
+
+@pytest.mark.parametrize("family,params", _FAMILIES)
+@pytest.mark.parametrize("chart_name", list(_ORACLE_CHARTS))
+def test_the_classical_rhs_equals_the_numpy_composition(family, params, chart_name):
+    """Bit for bit where A is diagonal and no row of M v sums two non-zero
+    products, as for the kinetic and kinetic-potential families on every chart
+    here; elsewhere numpy's M @ v and solve fuse a multiply and an add that the
+    float pass rounds apart, and the gap is held to _CLASSICAL_RHS_GAP: the
+    fiberwise family, and conformal-kinetic where f and the metric vary along
+    different coordinates."""
+    chart = _ORACLE_CHARTS[chart_name]()
+    lag = dl.catalog_lagrangian(family, **params)
+    got_rhs, want_rhs = dl._classical_rhs(chart, lag), rhs_oracle.classical_rhs(chart, lag)
+    rng = np.random.default_rng(31)
+    for point in verification.sample_tangent_states(chart, 6, rng, min_speed=0.3):
+        y = np.concatenate([point.x, point.v])
+        got, want = got_rhs(0.0, y), want_rhs(0.0, y)
+        mixed = rhs_oracle.el_terms(chart, lag, point)[2]
+        fused = family == "fiberwise-phi" or np.count_nonzero(mixed * point.v, axis=1).max() > 1
+        assert not (fused and family in ("kinetic", "kinetic-potential"))
+        if fused:
+            vdot = want[chart.dim :]
+            assert np.max(np.abs(got - want)) <= _CLASSICAL_RHS_GAP * np.max(np.abs(vdot))
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_no_route_calls_numpys_solve(monkeypatch):
+    """The classical leg, the force of the Newtonian leg and the Legendre
+    inverse's Newton steps all solve with _solve_regular."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve was called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    chart = manifold.builtin_chart("polar2d")
+    config = dn.IntegratorConfig(method="rk4", dt=1e-3, t_span=(0.0, 0.02))
+    q0 = TangentPoint(*verification._STARTS["polar2d"])
+    for family, lag in verification._systems():
+        assert dl.integrate_lagrangian(chart, lag, q0, config).status == "completed"
+        assert dn.integrate(chart, dl.lagrangian_force_field(lag), q0, config).status == "completed"
+        ctx = dh.LegendreContext(lag)
+        state = dh.legendre_forward(ctx, chart, q0)
+        v = dh.legendre_inverse(ctx, chart, CotangentPoint(state.x, 1.5 * state.p)).v
+        assert ctx.last_iterations > 0 or family in ("kinetic", "kinetic-potential"), family
+        assert np.max(np.abs(lag.dv(chart, TangentPoint(q0.x, v)) - 1.5 * state.p)) <= 1e-12
+
+
+# The three right-hand sides at random states of random Lagrangians: over
+# 3,000 draws of the test below the worst relative gap was 6.5e-14, in dH/dp
+# against v; the classical and Newtonian accelerations differed by at most
+# 1.1e-14. The tolerance is about 15 times the worst.
+_THREE_RHS_TOL = 1e-12
+
+# Where the drawn expressions refuse a state: a domain error or an overflow
+# in an expression, C(x) <= 0, a singular A, or a phi' inversion that fails.
+_REFUSALS = (EvalDomainError, NumericOverflowError, SingularAError, ForceSingularError, NonConvergenceError)
+
+
+def _gap(got, want, *scales):
+    """|got - want|_inf relative to the largest |want|_inf and |scale|_inf; 0.0 where got equals want."""
+    gap = float(np.max(np.abs(got - want)))
+    return gap and gap / max(float(np.max(np.abs(s))) for s in (want, *scales))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(["kinetic-potential", "conformal-kinetic", "fiberwise-phi"]),
+    TREES,
+    st.sampled_from(["euclidean2", "polar2d", "sphere2d", "hyperbolic_half_plane", "conformally_flat2"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_three_right_hand_sides_agree_on_random_lagrangians(family, root, chart_name, seed):
+    """A drawn expression e is U, f = e/4 or C = exp(e/5) of its family, at a state drawn
+    in the chart's sample box. The classical acceleration equals that of the family's
+    own Newtonian force in FAMILIES, which reads Gamma, where lagrangian_force_field
+    would cancel it; and at p = lambda(x, v) hamilton_rhs's dx/dt is v and its dp/dt,
+    -dH/dx, is M v + A vdot. A state is assumed away only where the package refuses it,
+    where a result is not finite, or where |p|_inf is outside (1e-150, 1e150): there
+    p . dg^-1 . p underflows or overflows before the closed-form H's factor e^(2f) scales it."""
+    source = expression._unparse(root)
+    params = {"U": source} if family == "kinetic-potential" else {"f": f"({source})/4"}
+    if family == "fiberwise-phi":
+        params = {"phi": "w^2/2 + w^4/10", "C": f"exp(({source})/5)"}
+    chart = _ORACLE_CHARTS[chart_name]()
+    point = verification.sample_tangent_states(chart, 1, np.random.default_rng(seed), min_speed=0.3)[0]
+    y = np.concatenate([point.x, point.v])
+    try:
+        lag = dl.catalog_lagrangian(family, **params)
+        classical = dl._classical_rhs(chart, lag)(0.0, y)[2:]
+        newtonian = dn._flat_rhs(chart, dl.FAMILIES[family][2](lag))(0.0, y)[2:]
+        p = lag.dv(chart, point)
+        ham = dh.hamiltonian_from_lagrangian(dh.LegendreContext(lag))
+        dx, dp = dh.hamilton_rhs(chart, ham, CotangentPoint(point.x, p))
+        dldx, _, mixed, a = dl._el_terms(chart, lag, point)
+    except _REFUSALS:
+        assume(False)
+    assume(1e-150 < np.max(np.abs(p)) < 1e150)
+    assume(all(np.all(np.isfinite(t)) for t in (classical, newtonian, dx, dp, mixed, a)))
+    assert _gap(classical, newtonian) <= _THREE_RHS_TOL
+    assert _gap(dx, point.v) <= _THREE_RHS_TOL
+    assert _gap(dp, mixed @ point.v + a @ classical, mixed @ point.v, dldx) <= _THREE_RHS_TOL
 
 
 @pytest.mark.parametrize("chart_name", ["polar2d", "sphere2d"])
