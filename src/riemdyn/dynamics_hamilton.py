@@ -106,9 +106,29 @@ class LegendreContext:
     last_iterations: int = 0
 
 
+def _fiber_passes(lagrangian: Lagrangian):
+    """(dL/dv, A) at a tangent point as float lists: the Lagrangian's hooks, called directly.
+
+    A Lagrangian without a hook reads extended_fields.fiber_partials or
+    fiber_hessian there, made lists at this boundary.
+    """
+    dv, hessian = lagrangian.field.fiber_partials_fn, lagrangian.second_fiber_fn
+    if dv is None:
+
+        def dv(chart, point):
+            return extended_fields.fiber_partials(chart, lagrangian.field, point).tolist()
+
+    if hessian is None:
+
+        def hessian(chart, point):
+            return extended_fields.fiber_hessian(chart, lagrangian.field, point).tolist()
+
+    return dv, hessian
+
+
 def legendre_forward(ctx: LegendreContext, chart: ManifoldChart, q: TangentPoint) -> CotangentPoint:
-    """Map (x, v) to (x, p) with p_k = dL/dv^k."""
-    return CotangentPoint(q.x, ctx.lagrangian.dv(chart, q))
+    """Map (x, v) to (x, p) with p_k = dL/dv^k, built from the fiber hook's list."""
+    return CotangentPoint(q.x, _fiber_passes(ctx.lagrangian)[0](chart, q))
 
 
 def energy_h(chart: ManifoldChart, lagrangian: Lagrangian, q: TangentPoint) -> float:
@@ -146,28 +166,52 @@ def energy_field(lagrangian: Lagrangian) -> ExtendedField:
     return ExtendedField((0, 0), "v", ev, dx_fn, dfib_fn, name=f"h[{lagrangian.name}]")
 
 
-# The cold start's scale grid, as Python floats: the guess is s * g^-1 p for one s here.
+# The cold start's scale grid, as Python floats: the guess is s * g^-1 p for one s here,
+# or for one s past either end, where the walk steps on at the grid's ratio 10^(1/5).
 _GUESS_SCALES = np.geomspace(1e-2, 1e2, 21).tolist()
 _GUESS_START = 10  # s = 1
 
 
-def _default_velocity_guess(
-    ctx: LegendreContext, chart: ManifoldChart, x: np.ndarray, p: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The raised momentum g^-1 p, rescaled to the grid scale of least residual.
+def _guess_scale(i: int) -> float | None:
+    """The walk's scale at index i: _GUESS_SCALES[i] on the grid, 10^((i - 10)/5) past it.
 
-    Returns the velocity and its residual vector r = dL/dv(v) - p, so that
-    Newton starts from r without evaluating dL/dv again; r is None when
-    every scale is refused or g^-1 p is zero, and the velocity is then the
-    raw g^-1 p.
+    None where that power leaves the float range, overflowing or rounding to 0.
+    """
+    if 0 <= i < len(_GUESS_SCALES):
+        return _GUESS_SCALES[i]
+    try:
+        scale = 10.0 ** ((i - _GUESS_START) / 5)
+    except OverflowError:
+        return None
+    return scale if scale > 0.0 else None
+
+
+def _default_velocity_guess(
+    direction: list[float], residual, tol: float
+) -> tuple[list[float], list[float] | None]:
+    """The raised momentum g^-1 p, rescaled to the walk's scale of least residual.
+
+    direction is g^-1 p and residual(v) the list dL/dv(v) - p, both over
+    Python floats. Returns the velocity and its residual, so that Newton
+    starts from r without evaluating dL/dv again; r is None when every
+    scale is refused or g^-1 p is zero, and the velocity is then the raw
+    g^-1 p.
 
     The residual at scale s is |dL/dv(s g^-1 p) - p|_inf; a scale where dL/dv
     raises ZeroVelocityError counts as infinite. Scale 1 is evaluated first,
     and when its residual is <= tol it is returned at once: the start already
     solves, and Newton returns it with 0 iterations. Otherwise the choice is
-    the lowest-index minimum over _GUESS_SCALES, found by a walk that starts
-    at s = 1, moves up while the residual does not rise and, if it never fell
-    there, down while it does not rise, evaluating each scale at most once.
+    the lowest-index minimum of a walk that starts at s = 1, moves up while
+    the residual does not rise and, if it never fell there, down while it
+    does not rise, evaluating each scale at most once. On the grid,
+    _GUESS_SCALES from 1e-2 to 1e2, that is the grid's lowest-index minimum
+    whenever the walk stops inside it. Where the residual still does not
+    rise at an end of the grid, the walk steps on past it at the grid's ratio
+    (_guess_scale), and stops at the first scale past the grid whose residual
+    rises, is refused by dL/dv or is not finite, or where the scale leaves the
+    float range. So phi = w^2/2 + w^10/10 at |p| = 1e6, whose root lies near
+    s = 4.6e-6, starts there and not at s = 1e-2, from which Newton did not
+    converge in 50 steps.
 
     Without the early stop the walk finds the scan's minimum when the
     residual is unimodal on the grid, as it is for every catalog family:
@@ -186,29 +230,35 @@ def _default_velocity_guess(
     stop at another scale than a full scan would, and Newton still has to
     reach the same tolerance.
     """
-    direction = manifold.raise_index(chart, x, p)
-    if manifold._sup_norm(direction) == 0.0:
+    if manifold._max_abs(direction) == 0.0:
         return direction, None
-    tried = {}  # index -> (residual norm, velocity, residual vector)
+    tried = {}  # index -> (residual norm, velocity, residual)
 
-    def residual(i):
+    def norm(i):
         if i not in tried:
-            v = _GUESS_SCALES[i] * direction
-            try:
-                r = ctx.lagrangian.dv(chart, TangentPoint(x, v)) - p
-                tried[i] = (manifold._sup_norm(r), v, r)
-            except ZeroVelocityError:
-                tried[i] = (math.inf, direction, None)
+            tried[i] = (math.inf, direction, None)
+            scale = _guess_scale(i)
+            if scale is not None:
+                v = [scale * d for d in direction]
+                try:
+                    r = residual(v)
+                    tried[i] = (manifold._max_abs(r), v, r)
+                except ZeroVelocityError:
+                    pass
         return tried[i][0]
 
+    def onward(i, j):
+        """Whether the walk steps from index i to j: j's residual does not rise, and is finite past the grid."""
+        return norm(j) <= norm(i) and (0 <= j < len(_GUESS_SCALES) or norm(j) < math.inf)
+
     best = i = _GUESS_START
-    if residual(best) > tol:
-        while i + 1 < len(_GUESS_SCALES) and residual(i + 1) <= residual(i):
+    if norm(best) > tol:
+        while onward(i, i + 1):
             i += 1
-            if residual(i) < residual(best):
+            if norm(i) < norm(best):
                 best = i
         if best == _GUESS_START:
-            while best > 0 and residual(best - 1) <= residual(best):
+            while onward(best, best - 1):
                 best -= 1
     return tried[best][1:]
 
@@ -216,44 +266,68 @@ def _default_velocity_guess(
 def legendre_inverse(ctx: LegendreContext, chart: ManifoldChart, state: CotangentPoint) -> TangentPoint:
     """Solve dL/dv = p for v by damped Newton with the fiber Hessian.
 
+    One pass over Python floats. x is fixed for the whole inversion:
+    inverse_metric_at validates it once and reads g^-1, which raises p to
+    the start direction g^-1 p as float sums, each in index order from +0.0
+    (numpy's g^-1 @ p on a diagonal metric, as every builtin chart's is).
+    Every residual and fiber Hessian is then a direct call of the
+    Lagrangian's hooks, fiber_partials_fn and second_fiber_fn, at a
+    TangentPoint of x; the catalog's hooks read what depends on x alone,
+    the rows of g and the conformal factor, once per point
+    (extended_fields._per_point), and the fiberwise A reuses |v|, g v and
+    T' of the residual at its iterate. A Lagrangian without a hook reads
+    fiber_partials or fiber_hessian, made lists (_fiber_passes). The residuals, their
+    sup norms, the Newton steps and the damped update v + lam step are float
+    lists, and one TangentPoint holds the result. tests/legendre_oracle.py
+    keeps the numpy loop this replaced; on the diagonal metrics of the
+    builtin charts the two give the same v and iteration count, bit for bit.
+
     There is no warm start: the result depends only on the Lagrangian,
     the chart and the state, never on what was inverted before. Newton
     starts from the cold start: the raised momentum g^-1 p times the
     scale of least residual on a fixed 21-point grid from 1e-2 to 1e2,
-    found by a walk from scale 1 (see _default_velocity_guess). The walk
+    found by a walk from scale 1 that steps on past either end of the grid
+    while the residual still falls (see _default_velocity_guess). The walk
     takes the tolerance, stops at scale 1 when that already solves, and
     hands over the residual at the scale it picks, so Newton does not
     evaluate dL/dv there again. For the catalog families the residual is
     unimodal along that ray, so the walk picks the scale a full scan of
-    the grid would, with 1 residual for the quadratic families without f
-    and 3 to 8 for the others on the legendre suite's states, instead of
-    21; for any other Lagrangian it may pick another scale, and Newton
-    still has to reach the same tolerance.
+    the grid would whenever the minimum lies inside it, with 1 residual for
+    the quadratic families without f and 3 to 8 for the others on the
+    legendre suite's states, instead of 21; for any other Lagrangian it may
+    pick another scale, and Newton still has to reach the same tolerance.
 
     Each Newton step solves A step = -r with dynamics_lagrange._solve_regular
-    in Python floats, A from a_matrix at the iterate, which refuses a
-    singular A with SingularAError: for the quadratic families A = e^(-2f) g
-    is diagonal on every builtin chart and the step has np.linalg.solve's
-    bits; for a fiberwise A it may differ from them in the last bits.
-    Newton stops when |dL/dv - p|_inf <= 1e-12 * max(1, |p|_inf)
-    (_NEWTON_TOLERANCE), takes at most 50 steps (_NEWTON_MAX_ITER) and
-    halves each step at most 20 times (_NEWTON_MAX_DAMPING); otherwise it
-    raises NonConvergenceError. A start residual that is infinite or NaN
-    raises NumericOverflowError. Iteration counts land in
-    ctx.last_iterations.
+    in Python floats, which refuses a singular A with SingularAError: for the
+    quadratic families A = e^(-2f) g is diagonal on every builtin chart and
+    the step has np.linalg.solve's bits; for a fiberwise A it may differ from
+    them in the last bits. Newton stops when |dL/dv - p|_inf <= 1e-12 *
+    max(1, |p|_inf) (_NEWTON_TOLERANCE), takes at most 50 steps
+    (_NEWTON_MAX_ITER) and halves each step at most 20 times
+    (_NEWTON_MAX_DAMPING); otherwise it raises NonConvergenceError. A start
+    residual that is infinite or NaN raises NumericOverflowError. Iteration
+    counts land in ctx.last_iterations.
     """
-    lag = ctx.lagrangian
-    x = manifold.check_point(chart, state.x)
-    p = state.p
+    x = state.x
+    ps = state.p.tolist()
+    dv, hessian = _fiber_passes(ctx.lagrangian)
 
-    def residual(v_try):
-        return lag.dv(chart, TangentPoint(x, v_try)) - p
+    def point(v):
+        """TangentPoint(x, v) for the float list v, without the dataclass's conversion of x, a float array."""
+        at = object.__new__(TangentPoint)
+        object.__setattr__(at, "x", x)
+        object.__setattr__(at, "v", np.array(v))
+        return at
 
-    tol = _NEWTON_TOLERANCE * max(1.0, manifold._sup_norm(p))
-    v, r = _default_velocity_guess(ctx, chart, x, p, tol)
+    def residual(v):
+        return [a - b for a, b in zip(dv(chart, point(v)), ps)]
+
+    tol = _NEWTON_TOLERANCE * max(1.0, manifold._max_abs(ps))
+    direction = [extended_fields._dot(row, ps) for row in manifold.inverse_metric_at(chart, x).tolist()]
+    v, r = _default_velocity_guess(direction, residual, tol)
     if r is None:
         r = residual(v)
-    r_norm = manifold._sup_norm(r)
+    r_norm = manifold._max_abs(r)
     if not math.isfinite(r_norm):
         raise NumericOverflowError(
             f"Legendre residual {r_norm!r} at the start velocity overflows the float range"
@@ -263,16 +337,16 @@ def legendre_inverse(ctx: LegendreContext, chart: ManifoldChart, state: Cotangen
         if r_norm <= tol:
             ctx.last_iterations = iteration - 1
             return TangentPoint(x, v)
-        point = TangentPoint(x, v)
-        step = np.array(_solve_regular(a_matrix(chart, lag, point).tolist(), (-r).tolist(), message))
+        step = _solve_regular(hessian(chart, point(v)), [-ri for ri in r], message)
         lam = 1.0
         for _ in range(_NEWTON_MAX_DAMPING + 1):
+            v_try = [vi + lam * si for vi, si in zip(v, step)]
             try:
-                r_new = residual(v + lam * step)
+                r_new = residual(v_try)
             except ZeroVelocityError:
                 lam *= 0.5
                 continue
-            r_new_norm = manifold._sup_norm(r_new)
+            r_new_norm = manifold._max_abs(r_new)
             if r_new_norm < r_norm or r_new_norm <= tol:
                 break
             lam *= 0.5
@@ -282,8 +356,7 @@ def legendre_inverse(ctx: LegendreContext, chart: ManifoldChart, state: Cotangen
                 residual=r_norm,
                 iterations=iteration,
             )
-        v = v + lam * step
-        r, r_norm = r_new, r_new_norm
+        v, r, r_norm = v_try, r_new, r_new_norm
     if r_norm <= tol:
         ctx.last_iterations = _NEWTON_MAX_ITER
         return TangentPoint(x, v)
@@ -449,7 +522,7 @@ def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
 
     def dp(chart, point):
         pm, c, z, _, _, p_up = pieces(chart, point.x, point.p)[:6]
-        return np.array(fiber(pm, c, z, p_up))
+        return fiber(pm, c, z, p_up)
 
     def jet(chart, point):
         pm, c, z, ginv, ps, p_up, args, gradient_code = pieces(chart, point.x, point.p)

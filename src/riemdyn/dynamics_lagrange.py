@@ -66,16 +66,17 @@ from .dynamics_newton import (
 from .errors import NumericOverflowError, SingularAError
 from .extended_fields import ExtendedField, TangentPoint, _conformal_factor
 from .extended_fields import _covariant_gradient, _dot, _form_partials, _index_terms
-from .extended_fields import _metric_contractions, _quadratic_x_partials, _scaled
+from .extended_fields import _metric_contractions, _per_point, _quadratic_x_partials
 from .manifold import ManifoldChart
 from .normal_shift import (
     RadialProfile,
     _a_from,
+    _above_floor,
     conformal_kinetic_profile,
     kinetic_profile,
     phi_profile,
-    symmetric_a_matrix,
     velocity_modulus,
+    zero_velocity_floor,
 )
 
 __all__ = [
@@ -381,9 +382,17 @@ def _quadratic_lagrangian(family: str, params: dict, profile: RadialProfile) -> 
     """
     f_expr, u_expr = params.get("f"), params.get("U")
 
+    def hessian_at(chart, x):
+        rows = manifold.metric_at(chart, x).tolist()
+        if f_expr is None:
+            return rows
+        c = _conformal_factor(f_expr, x, -2.0)
+        return [[c * entry for entry in row] for row in rows]
+
+    hessian = _per_point(hessian_at)
+
     def second_fiber(chart, point):
-        g = manifold.metric_at(chart, point.x)
-        return _scaled(f_expr, g, _conformal_factor(f_expr, point.x, -2.0))
+        return [[*row] for row in hessian(chart, point.x)]
 
     def terms(chart, point):
         x = point.x
@@ -429,6 +438,12 @@ def conformal_kinetic_lagrangian(f) -> Lagrangian:
     return _quadratic_lagrangian("conformal-kinetic", {"f": f_expr}, profile)
 
 
+def _fiberwise_point(chart: ManifoldChart, x: np.ndarray) -> tuple:
+    """What the fiberwise fiber hooks read at x alone: g, its rows, the zero-velocity floor and x as floats."""
+    g = manifold.metric_at(chart, x)
+    return g, g.tolist(), zero_velocity_floor(x), x.tolist()
+
+
 def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     """L = phi(C(x) |v|), singular on the zero section.
 
@@ -466,10 +481,27 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
         w_s = modulus_x_partials(_form_partials(dg, point.v.tolist()), w)
         return spatial(x, w, d1, w_s), fiber(manifold.lower_index(chart, x, point.v).tolist(), w, d1)
 
+    at_point = _per_point(_fiberwise_point)
+
+    def first_order_at(chart, x, v):
+        """(|v|, g's rows, g v, x as floats, T'): |v| by numpy's v @ g @ v, as manifold.speed
+        forms it, whose fused multiply and add a float sum would round otherwise; g v as
+        float sums, numpy's g @ v on a diagonal metric."""
+        g, rows, floor, xs = at_point(chart, x)
+        w = _above_floor(manifold._modulus(g, x, v), floor)
+        vs = v.tolist()
+        return w, rows, [_dot(row, vs) for row in rows], xs, profile.d_w(xs, w)
+
+    # Kept for the last state: a Newton iterate's fiber Hessian follows its residual.
+    first_order = _per_point(first_order_at)
+
     def dfib(chart, point):
-        w = velocity_modulus(chart, point)
-        v_low = manifold.lower_index(chart, point.x, point.v).tolist()
-        return fiber(v_low, w, profile.d_w(point.x, w))
+        w, _, v_low, _, d1 = first_order(chart, point.x, point.v)
+        return fiber(v_low, w, d1)
+
+    def second_fiber(chart, point):
+        w, rows, v_low, xs, d1 = first_order(chart, point.x, point.v)
+        return _a_from(rows, v_low, w, profile.d2_w(xs, w), d1)
 
     def terms(chart, point):
         x = point.x
@@ -493,7 +525,7 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
         field=ExtendedField((0, 0), "v", ev, fiber_partials_fn=dfib, name=profile.name, jet_fn=jet),
         family="fiberwise-phi",
         params={"phi": phi_expr, "C": c_expr},
-        second_fiber_fn=lambda chart, point: symmetric_a_matrix(chart, profile, point),
+        second_fiber_fn=second_fiber,
         profile=profile,
         name=f"fiberwise[{profile.name}]",
         el_terms_fn=terms,

@@ -401,9 +401,26 @@ def _conformal_factor(f_expr, x, scale: float) -> float:
     return factor
 
 
-def _scaled(f_expr, a, c):
-    """c a for the conformal factor c of f; a itself, not copied, when there is no f."""
-    return a if f_expr is None else c * a
+def _per_point(compute):
+    """compute(chart, *arrays), kept for the last chart and array contents it was computed at.
+
+    A fiber hook reads what depends on x alone through this, such as the
+    rows of g and the conformal factor, so that the calls one Legendre
+    inversion makes at its fixed x compute them once, as the chart's
+    geometry record keeps the metric. compute must be a pure function of the
+    chart and the arrays; what it raises is not kept, and what it returns is
+    shared by every call at that point, so nothing may write to it.
+    """
+    last = [None, None, None]  # chart, the arrays' bytes, value
+
+    def at(chart, *arrays):
+        key = [a.tobytes() for a in arrays]
+        if last[1] != key or last[0] is not chart:
+            value = compute(chart, *arrays)
+            last[:] = chart, key, value
+        return last[2]
+
+    return at
 
 
 def _dot(a: list[float], b: list[float]) -> float:
@@ -523,8 +540,10 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
     without f the jet has the bits of the numpy forms it replaced
     (tests/h_jet_oracle.py); with f, y . m y is a float sum where it was a
     BLAS dot and may differ in the last bit. The jet never evaluates U. The
-    value and the fiber partials keep their numpy forms, which their
-    callers, such as the Legendre inverse, read as arrays.
+    fiber partials hook returns a list, c (m y) with m y as float sums in
+    index order (numpy's m @ y on a diagonal metric), reading the rows of m
+    and c once per point (_per_point); fiber_partials makes it an array.
+    The value keeps its numpy form.
     """
     f_expr, u_expr = (None if e is None else expression.coordinate_expr(e) for e in (f, u))
     sign = -1.0 if rep == "v" else 1.0
@@ -559,8 +578,14 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
             out += sign * expression.evaluate(u_expr, point.x)
         return np.array(out)
 
+    # The rows of m and the factor c at a point, read once per point (_per_point).
+    fiber_data = _per_point(lambda chart, x: (matrix(chart, x).tolist(), factor(x)))
+
     def dfib(chart, point):
-        return _scaled(f_expr, matrix(chart, point.x) @ fiber_of(point), factor(point.x))
+        rows, c = fiber_data(chart, point.x)
+        ys = fiber_of(point).tolist()
+        my = [_dot(row, ys) for row in rows]
+        return my if f_expr is None else [c * u for u in my]
 
     return ExtendedField((0, 0), rep, ev, fiber_partials_fn=dfib, name=name, jet_fn=jet)
 

@@ -154,12 +154,17 @@ def _checked(chart: ManifoldChart, x) -> np.ndarray:
 
 
 def _sup_norm(a: np.ndarray) -> float:
-    """float(abs(a).max()) over a.ravel().tolist() in Python floats, without numpy's call overhead.
+    """float(abs(a).max()) over a.ravel().tolist() in Python floats, without numpy's call overhead."""
+    return _max_abs(a.ravel().tolist())
+
+
+def _max_abs(values: list[float]) -> float:
+    """The largest |value| of a non-empty list of Python floats, as _sup_norm gives it for an array.
 
     NaN when any entry is NaN, wherever it sits, as abs(a).max() gives; max
     alone keeps a NaN only in first place, so the sum decides.
     """
-    sizes = [*map(abs, a.ravel().tolist())]
+    sizes = [*map(abs, values)]
     total = sum(sizes)
     return max(sizes) if total == total else math.nan
 
@@ -335,7 +340,12 @@ def raise_index(chart: ManifoldChart, x, covector) -> np.ndarray:
 def speed(chart: ManifoldChart, x, v) -> float:
     """Metric modulus |v| = sqrt(g_ij v^i v^j)."""
     v = np.asarray(v, dtype=float)
-    sq = float(v @ metric_at(chart, x) @ v)
+    return _modulus(metric_at(chart, x), x, v)
+
+
+def _modulus(g: np.ndarray, x, v: np.ndarray) -> float:
+    """sqrt(v . g v) from the metric g at x, by numpy's v @ g @ v; NegativeNormError below 0."""
+    sq = float(v @ g @ v)
     if sq < 0.0:
         raise NegativeNormError(f"squared norm {sq!r} is negative at {x!r}")
     return math.sqrt(sq)

@@ -159,8 +159,12 @@ def zero_velocity_floor(x: np.ndarray) -> float:
 
 def velocity_modulus(chart: ManifoldChart, point: TangentPoint) -> float:
     """Metric modulus |v|, rejecting near-zero velocities."""
-    w = manifold.speed(chart, point.x, point.v)
-    if w <= zero_velocity_floor(point.x):
+    return _above_floor(manifold.speed(chart, point.x, point.v), zero_velocity_floor(point.x))
+
+
+def _above_floor(w: float, floor: float) -> float:
+    """The modulus w, or ZeroVelocityError where it is at or below the zero-velocity floor."""
+    if w <= floor:
         raise ZeroVelocityError(
             f"velocity modulus {w:.3e} is below the zero-velocity floor"
         )

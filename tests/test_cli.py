@@ -1028,11 +1028,11 @@ def test_verify_suite_passes_and_writes_report(tmp_path, capsys):
     assert all(check["pass"] for check in report["checks"])
 
 
-def legendre_config(tmp_path, phi="w^2/2 + w^4/10"):
+def legendre_config(tmp_path, phi="w^2/2 + w^4/10", c="exp(-x1/4)"):
     cfg = {
         "schema": 1,
         "chart": {"name": "euclidean2"},
-        "system": {"kind": "hamilton", "family": "fiberwise-phi", "phi": phi, "C": "exp(-x1/4)"},
+        "system": {"kind": "hamilton", "family": "fiberwise-phi", "phi": phi, "C": c},
     }
     return write_config(tmp_path, cfg, "legendre.json")
 
@@ -1066,6 +1066,26 @@ def test_legendre_cli_roundtrip(tmp_path, capsys):
     assert inverse["v"] == pytest.approx([0.8, 0.2], abs=1e-9)
     assert inverse["h"] == pytest.approx(forward["h"], abs=1e-12)
     assert inverse["iterations"] >= 1
+
+
+def test_legendre_inverts_a_momentum_whose_cold_start_lies_below_the_grid(tmp_path, capsys):
+    """phi' = w + w^9 at |p| = 1e6 is solved by |v| = 4.64, at the scale 4.6e-6 of g^-1 p.
+    The cold-start walk steps on past the grid's end, 1e-2, while the residual falls;
+    from 1e-2 Newton did not converge in 50 steps (exit 4, residual 9.580e+12)."""
+    cfg = legendre_config(tmp_path, phi="w^2/2 + w^10/10", c="1")
+    argv = ["legendre", "-c", cfg, "--direction", "inverse", "--state", "0.1,0;1e6,0"]
+    outputs = []
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    result = json.loads(outputs[0])
+    assert result["v"][0] == pytest.approx(4.6416, abs=1e-4) and result["v"][1] == 0.0
+    assert result["iterations"] <= 5
 
 
 def test_legendre_singular_hessian_exit_code(tmp_path, capsys):
