@@ -402,7 +402,7 @@ def _conformal_factor(f_expr, x, scale: float) -> float:
 
 
 def _per_point(compute):
-    """compute(chart, *arrays), kept for the last chart and array contents it was computed at.
+    """compute(chart, x) or compute(chart, x, v), kept for the last chart and coordinates it was computed at.
 
     A fiber hook reads what depends on x alone through this, such as the
     rows of g and the conformal factor, so that the calls one Legendre
@@ -413,10 +413,10 @@ def _per_point(compute):
     """
     last = [None, None, None]  # chart, the arrays' bytes, value
 
-    def at(chart, *arrays):
-        key = [a.tobytes() for a in arrays]
+    def at(chart, x, v=None):
+        key = x.tobytes() if v is None else (x.tobytes(), v.tobytes())
         if last[1] != key or last[0] is not chart:
-            value = compute(chart, *arrays)
+            value = compute(chart, x) if v is None else compute(chart, x, v)
             last[:] = chart, key, value
         return last[2]
 

@@ -276,14 +276,31 @@ def metric_at(chart: ManifoldChart, x) -> np.ndarray:
 
 
 def inverse_metric_at(chart: ManifoldChart, x) -> np.ndarray:
-    """np.linalg.inv of metric_at(chart, x), read-only and kept in the chart's geometry record."""
+    """np.linalg.inv of metric_at(chart, x), read-only and kept in the chart's geometry record.
+
+    A diagonal metric whose reciprocals are finite, as every builtin chart's
+    is, is inverted entry by entry over Python floats: np.linalg.inv gives
+    it the same bits, 1 / g_ii on the diagonal and +0.0 off it.
+    """
     g = metric_at(chart, x)
     last = chart._last  # metric_at has just stored or found x there
     if last[2] is None:
-        ginv = np.linalg.inv(g)
+        ginv = _diagonal_inverse(g.tolist())
+        ginv = np.linalg.inv(g) if ginv is None else np.array(ginv)
         ginv.flags.writeable = False
         last[2] = ginv
     return last[2]
+
+
+def _diagonal_inverse(rows: list[list[float]]) -> list[list[float]] | None:
+    """The rows of M^-1 for a diagonal M with finite reciprocals, else None."""
+    inverse = []
+    for i, row in enumerate(rows):
+        reciprocal = 1.0 / row[i]
+        if any(row[:i]) or any(row[i + 1 :]) or not math.isfinite(reciprocal):
+            return None
+        inverse.append([0.0] * i + [reciprocal] + [0.0] * (len(row) - i - 1))
+    return inverse
 
 
 def metric_partials_at(chart: ManifoldChart, x) -> np.ndarray:

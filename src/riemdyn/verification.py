@@ -131,15 +131,23 @@ def _inner_box(chart):
 
 def sample_tangent_states(chart, count, rng, min_speed=0.2):
     """Uniform states in the chart's sample box with |v| >= min_speed."""
+    return list(itertools.islice(_tangent_states(chart, rng, min_speed), count))
+
+
+def _tangent_states(chart, rng, min_speed):
+    """sample_tangent_states' draws one at a time, without end.
+
+    Each draw's |v| validates its x, so the chart's geometry record holds
+    the state just drawn: a caller that maps each state before drawing the
+    next reads its metric without validating x again, and consumes rng in
+    the same order as from the list.
+    """
     lo, hi = _inner_box(chart)
-    states = []
-    while len(states) < count:
+    while True:
         x = rng.uniform(lo, hi)
         v = rng.uniform(-1.5, 1.5, chart.dim)
-        if manifold.speed(chart, x, v) < min_speed:
-            continue
-        states.append(TangentPoint(x, v))
-    return states
+        if not manifold.speed(chart, x, v) < min_speed:
+            yield TangentPoint(x, v)
 
 
 def sample_cotangent_states(chart, count, rng, min_modulus=0.2):
@@ -531,13 +539,13 @@ def suite_legendre(chart_name=None, seed=0):
             backward_gap = 0.0
             worst_iterations = 0
             ctx = dynamics_hamilton.LegendreContext(lag)
-            for state in sample_tangent_states(chart, 100, rng, min_speed=0.3):
+            for state in itertools.islice(_tangent_states(chart, rng, 0.3), 100):
                 image = dynamics_hamilton.legendre_forward(ctx, chart, state)
                 back = dynamics_hamilton.legendre_inverse(ctx, chart, image)
-                forward_gap = max(forward_gap, float(np.max(np.abs(back.v - state.v))))
+                forward_gap = max(forward_gap, manifold._sup_norm(back.v - state.v))
                 worst_iterations = max(worst_iterations, ctx.last_iterations)
                 again = dynamics_hamilton.legendre_forward(ctx, chart, back)
-                backward_gap = max(backward_gap, float(np.max(np.abs(again.p - image.p))))
+                backward_gap = max(backward_gap, manifold._sup_norm(again.p - image.p))
             checks.append(
                 _check(
                     f"roundtrip_v_to_v[{family},{name}]", forward_gap, LEGENDRE_ROUNDTRIP_TOL

@@ -9,7 +9,8 @@ the two agree only where the walk's minimum lies inside the grid. On the
 diagonal metrics of the builtin charts the tests require the same v and
 iteration count bit for bit.
 
-fiber_hooks keeps the numpy forms of the catalog's fiber hooks, which now
+g^-1 is np.linalg.inv of the metric here, where the package reads
+manifold.inverse_metric_at. fiber_hooks keeps the numpy forms of the catalog's fiber hooks, which now
 return lists: dL/dv (and the quadratic H's dH/dp) as m @ y times the
 conformal factor, the fiberwise dL/dv from lower_index, and A as the factor
 times g or, for fiberwise-phi, symmetric_a_matrix.
@@ -35,7 +36,7 @@ _GUESS_START = 10  # s = 1
 
 def default_velocity_guess(ctx, chart, x, p, tol):
     """(velocity, residual vector or None): the walk over GUESS_SCALES from scale 1."""
-    direction = manifold.raise_index(chart, x, p)
+    direction = np.linalg.inv(manifold.metric_at(chart, x)) @ p
     if manifold._sup_norm(direction) == 0.0:
         return direction, None
     tried = {}  # index -> (residual norm, velocity, residual vector)
@@ -138,7 +139,7 @@ def fiber_hooks(chart, lag, point):
     if f is not None:
         c = _conformal_factor(f, x, -2.0)
         dv, a = c * dv, c * a
-    ham = manifold.inverse_metric_at(chart, x) @ dv
+    ham = np.linalg.inv(g) @ dv
     if f is not None:
         ham = _conformal_factor(f, x, 2.0) * ham
     return dv, a, ham

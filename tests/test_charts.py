@@ -259,6 +259,35 @@ def test_inverse_metric_is_read_only_and_kept_with_the_metric():
     assert np.array_equal(ginv_y, np.linalg.inv(manifold.metric_at(chart, y)))
 
 
+def _diagonal_chart(scale):
+    """A 3-dimensional chart whose metric hook gives diag(scale e^x1, scale e^x2, scale e^x3)."""
+    return manifold.ManifoldChart(
+        "diagonal", 3, lambda x: np.diag(scale * np.exp(x)), sample_box=np.array([[-4.0, 4.0]] * 3)
+    )
+
+
+def test_inverse_metric_has_the_bits_of_np_linalg_inv():
+    """A diagonal metric is inverted entry by entry, with the bits np.linalg.inv gives
+    it; a dense metric, or a diagonal one whose reciprocals overflow, goes to
+    np.linalg.inv itself."""
+    charts = [builtin_chart(name) for name in CHART_NAMES]
+    charts += [builtin_chart("conformally_flat", dim=2, f="x1 - x2^2/3"), _diagonal_chart(1.0)]
+    for chart in charts:
+        for x in sample_points(chart, 200, seed=5):
+            ginv = manifold.inverse_metric_at(chart, x)
+            assert ginv.tobytes() == np.linalg.inv(manifold.metric_at(chart, x)).tobytes()
+    x = np.array([0.3, -0.2])
+    dense = manifold.ManifoldChart("dense", 2, lambda y: np.array([[2.0, 0.5], [0.5, 1.0]]))
+    assert manifold._diagonal_inverse(manifold.metric_at(dense, x).tolist()) is None
+    assert manifold.inverse_metric_at(dense, x).tobytes() == np.linalg.inv(manifold.metric_at(dense, x)).tobytes()
+    tiny = _diagonal_chart(1e-310)
+    x = np.zeros(3)
+    assert manifold._diagonal_inverse(manifold.metric_at(tiny, x).tolist()) is None
+    with np.errstate(all="ignore"):
+        want = np.linalg.inv(manifold.metric_at(tiny, x))
+        assert manifold.inverse_metric_at(tiny, x).tobytes() == want.tobytes()
+
+
 def test_derivative_queries_validate_any_point_but_the_memo():
     polar = builtin_chart("polar2d")
     stripped = exports_oracle.strip_analytic(polar)

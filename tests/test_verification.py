@@ -221,3 +221,17 @@ def test_three_legs_refuses_a_family_without_a_newtonian_force():
     with pytest.raises(ValueError, match="bespoke"):
         verification.three_legs(chart, lag, q0, config)
 
+
+
+@pytest.mark.parametrize("chart_name", ["euclidean2", "polar2d", "sphere2d"])
+def test_lazy_tangent_draws_are_the_listed_states_and_leave_each_in_the_geometry_record(chart_name):
+    """The legendre suite maps each state as it is drawn: the states are those of
+    sample_tangent_states from the same seed, in the same order, and each draw
+    leaves its x in the chart's geometry record, so mapping it validates nothing."""
+    chart = manifold.builtin_chart(chart_name)
+    want = verification.sample_tangent_states(chart, 40, np.random.default_rng(3), min_speed=0.3)
+    draws = verification._tangent_states(chart, np.random.default_rng(3), 0.3)
+    for state in want:
+        got = next(draws)
+        assert got.x.tobytes() == state.x.tobytes() and got.v.tobytes() == state.v.tobytes()
+        assert manifold._record(chart, got.x) is not None
