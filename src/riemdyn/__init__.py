@@ -97,7 +97,6 @@ from .normal_shift import (
     profile_from_expression,
     projectors,
     spherical_force_field,
-    symmetric_a_matrix,
     symmetric_b_matrix,
     zero_velocity_floor,
 )

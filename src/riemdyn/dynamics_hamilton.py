@@ -28,25 +28,30 @@ that is not finite raises NumericOverflowError instead, so such a state
 ends a run non_finite.
 
 Both closed forms carry a jet that is one pass over Python floats
-returning lists: g^-1 from inverse_metric_at, g^-1 p as numpy's
-g^-1 @ p and dg from metric_partials_at, each read once through
-.tolist(), and d(g^-1)/dx contracted with p by
-extended_fields._form_partials, one loop for both representations and any
-dimension. The fiberwise pass calls the compiled
-code of C and phi directly, each looked up once per field on first use.
+returning lists: u = g^-1 p as numpy's g^-1 @ p, with g^-1 from
+inverse_metric_at, and dg from metric_partials_at, each read once through
+.tolist(). p . d(g^-1)/dx^q . p is 0.0 - u . d(g)/dx^q . u, since
+d(g^-1) = -g^-1 d(g) g^-1: extended_fields._metric_contractions contracts
+dg with u, the one contraction of dg with a fiber vector, which the
+Lagrangian passes use with v, for any dimension. The fiberwise pass calls
+the compiled code of C and phi directly, each looked up once per field on
+first use.
 hamilton_rhs, which integrate_hamiltonian's right-hand side calls,
 validates x once with metric_at, calls the jet with the state and builds
 one array from its lists; the right-hand side returns that array. Each
 right-hand side inverts phi' once per state and reads neither phi nor U,
 which only the value of H needs.
 
-The bits rule: where the numpy forms the pass replaced took their bits
-from einsum's summation order or from the product g^-1 @ p, the pass has
-the same bits. Where they came from a BLAS dot they moved once: p . g^-1 p
-in the fiberwise pass, and y . m y in the quadratic partials when f is
-set. numpy's 2-element dot fuses a multiply and an add where a float sum
-rounds each product, so only emulated FMA would keep those bits.
-tests/h_jet_oracle.py keeps the numpy forms.
+The bits rule: the pass keeps the bits of g^-1 @ p, which are the
+quadratic H's fiber partials without f. The numpy forms it replaced
+summed d(g^-1)/dx = -g^-1 dg g^-1 before contracting it with p, where
+the pass sums dg against u = g^-1 p, so dH/dx may differ from them in the
+last bits on a curved chart; on a flat one dg = 0, and 0.0 - t keeps each
+contraction +0.0, as theirs was. p . g^-1 p in the fiberwise pass, and
+y . m y in the quadratic partials when f is set, are float sums where
+numpy's 2-element dot fuses a multiply and an add. tests/h_jet_oracle.py
+keeps the numpy forms, and the tests hold the pass within a few ulps of
+them.
 
 Canonical motion integrates dx/dt = dH/dp, dp/dt = -dH/dx in plain
 coordinates; the covariant form of the momentum equation differs by two
@@ -475,11 +480,12 @@ def _coordinate_code(expr):
 def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
     """H for L = phi(C(x) |v|), via scalar inversion of phi'.
 
-    The jet is one pass over Python floats returning two lists: g^-1 from
-    inverse_metric_at, g^-1 p as numpy's g^-1 @ p and dg from
-    metric_partials_at, each read once through .tolist(); |p|^2 = p . g^-1 p
-    as a float sum; C and its gradient, and phi' and phi'', from their
-    compiled code, looked up on first use. The fiber hook and the jet invert
+    The jet is one pass over Python floats returning two lists: u = g^-1 p
+    as numpy's g^-1 @ p, with g^-1 from inverse_metric_at, and dg from
+    metric_partials_at, each read once through .tolist(); |p|^2 = p . u as a
+    float sum; dH/dx's p . d(g^-1)/dx . p as 0.0 - u . dg . u from
+    extended_fields._metric_contractions; C and its gradient, and phi' and
+    phi'', from their compiled code, looked up on first use. The fiber hook and the jet invert
     phi' once each; the jet never evaluates phi, which only the value needs.
     A target |p|/C(x) that is not finite raises NumericOverflowError first.
     """
@@ -489,7 +495,7 @@ def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
     c_codes = _coordinate_code(c_expr)
 
     def pieces(chart, x, p):
-        """(|p|, C(x), z), then what the partials read: g^-1, p, g^-1 p, C's arguments and gradient code."""
+        """(|p|, C(x), z), then what the partials read: g^-1 p, C's arguments and gradient code."""
         ginv = manifold.inverse_metric_at(chart, x)
         ps, p_up = p.tolist(), (ginv @ p).tolist()
         pm = math.sqrt(max(extended_fields._dot(ps, p_up), 0.0))
@@ -509,7 +515,7 @@ def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
             raise NumericOverflowError(
                 f"|p|/C(x) = {pm!r}/{c!r} at {x!r} is not finite: it overflows the float range"
             )
-        return pm, c, invert(target), ginv.tolist(), ps, p_up, args, gradient_code
+        return pm, c, invert(target), p_up, args, gradient_code
 
     def fiber(pm, c, z, p_up):
         scale = z / c
@@ -521,12 +527,13 @@ def _fiberwise_h_field(lagrangian: Lagrangian) -> ExtendedField:
         return np.array(z * (pm / c) - phi_val)
 
     def dp(chart, point):
-        pm, c, z, _, _, p_up = pieces(chart, point.x, point.p)[:6]
+        pm, c, z, p_up = pieces(chart, point.x, point.p)[:4]
         return fiber(pm, c, z, p_up)
 
     def jet(chart, point):
-        pm, c, z, ginv, ps, p_up, args, gradient_code = pieces(chart, point.x, point.p)
-        s = extended_fields._form_partials(manifold.metric_partials_at(chart, point.x).tolist(), ps, ginv)
+        pm, c, z, p_up, args, gradient_code = pieces(chart, point.x, point.p)
+        dg = manifold.metric_partials_at(chart, point.x).tolist()
+        s = [0.0 - t for t in extended_fields._metric_contractions(dg, p_up)[0]]
         cc = c * c
         dx = [z * (0.5 * sq / pm / c - pm * code(*args) / cc) for sq, code in zip(s, gradient_code)]
         return dx, fiber(pm, c, z, p_up)

@@ -20,11 +20,10 @@ whose pivots also give det(A / |A|_max), so A is factored once. It
 refuses an A that is singular by manifold's one rule, |det(A / |A|_max)|
 <= 1e-12, the rule metric_at applies to the metric, with SingularAError,
 and an A with an infinite or NaN entry with NumericOverflowError, so such
-a run ends "non_finite"; _require_regular applies the same rule without
-solving. For a diagonal A, as A = e^(-2f) g is on every builtin chart,
-the solution has np.linalg.solve's bits; for a general A, as the
-fiberwise family's, it may differ from them in the last bits, and it no
-longer depends on the host's BLAS.
+a run ends "non_finite". For a diagonal A, as A = e^(-2f) g is on every
+builtin chart, the solution has np.linalg.solve's bits; for a general A,
+as the fiberwise family's, it may differ from them in the last bits, and
+it no longer depends on the host's BLAS.
 
 The classical right-hand side is one pass over Python floats: el_terms_fn
 returns lists, b = dL/dx - M v is formed in floats and _solve_regular gives
@@ -65,8 +64,8 @@ from .dynamics_newton import (
 )
 from .errors import NumericOverflowError, SingularAError
 from .extended_fields import ExtendedField, TangentPoint, _conformal_factor
-from .extended_fields import _covariant_gradient, _dot, _form_partials, _index_terms
-from .extended_fields import _metric_contractions, _per_point, _quadratic_x_partials
+from .extended_fields import _covariant_gradient, _dot, _index_terms, _metric_contractions
+from .extended_fields import _per_point, _quadratic_x_partials
 from .manifold import ManifoldChart
 from .normal_shift import (
     RadialProfile,
@@ -200,26 +199,11 @@ def _eliminate(rows: list[list[float]], b: list[float]) -> tuple[list[list[float
     return m, det
 
 
-def _hessian_det(a: np.ndarray) -> float:
-    """det(A / |A|_max) of a fiber Hessian from _eliminate's pivots; NumericOverflowError as there."""
-    return _eliminate(a.tolist(), [0.0] * len(a))[1]
-
-
-def _require_regular(a: np.ndarray, message: str) -> None:
-    """Raise SingularAError when A is singular by manifold's rule; message is formatted with the keyword det.
-
-    _solve_regular's refusals without its solve: the tests hold the two to the same errors.
-    """
-    det = _hessian_det(a)
-    if manifold._singular(det):
-        raise SingularAError(message.format(det=det))
-
-
 def _solve_regular(a: list[list[float]], b: list[float], message: str) -> list[float]:
     """x solving A x = b over Python floats, for A and b as nested lists; A is factored once.
 
-    _eliminate's pivots give the singularity rule's det, so that A is
-    refused as _require_regular refuses it, with the same error and det;
+    _eliminate's pivots give the singularity rule's det, so that a
+    singular A is refused with SingularAError and that det whatever b is;
     back substitution then divides by U's diagonal, column by column from
     the last, as LAPACK's getrs orders its updates. Every term is formed,
     zeros included, so a signed zero comes out as numpy's does. For a
@@ -453,7 +437,7 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
     and g v once for dL/dx and P; el_terms_fn forms |v|, g v, T'', T' and
     the metric partials once for dL/dx, P, M and A. Both are passes over
     Python floats returning lists, which share the formulas of dL/dx and P,
-    and A's with symmetric_a_matrix; each entry is formed as numpy's
+    and A's with normal_shift._a_from; each entry is formed as numpy's
     elementwise and einsum forms of the same expression would form it.
     """
     phi_expr = expression.profile_expr(phi)
@@ -478,7 +462,7 @@ def fiberwise_phi_lagrangian(phi, c="1") -> Lagrangian:
         w = velocity_modulus(chart, point)
         d1 = profile.d_w(x, w)
         dg = manifold.metric_partials_at(chart, x).tolist()
-        w_s = modulus_x_partials(_form_partials(dg, point.v.tolist()), w)
+        w_s = modulus_x_partials(_metric_contractions(dg, point.v.tolist())[0], w)
         return spatial(x, w, d1, w_s), fiber(manifold.lower_index(chart, x, point.v).tolist(), w, d1)
 
     at_point = _per_point(_fiberwise_point)

@@ -69,13 +69,14 @@ s starts at +0.0 and adds a_j * k_j stage by stage, zero weights
 included: the order of a Python sum over the stage arrays, so the results
 are bit-identical to tests/dp_oracle.py, the array form it keeps as the
 oracle; a matrix product would round differently. The norm scales each
-error by atol + rtol * max(|y|, |y5|), with np.maximum's NaN rule, and
-sums the squares in np.add.reduce's pairwise order, so it has the bits of
-the numpy expression it replaced; the sums are statements of bounded
-depth, so the source compiles for any m. There is no FSAL reuse: every
-attempt evaluates all seven stages, the first on the very state object
-that in_domain accepted, by which perfbench/spans.py counts attempted
-steps.
+error by atol + rtol * max(|y|, |y5|) and sums the squares as one running
+sum from +0.0 in component order, the order of tests/dp_oracle.py's
+reference norm; eight terms go to a statement, so the source compiles for
+any m. Below 8 components that is also np.add.reduce's order; from 8 on
+numpy sums pairwise, and the two may differ in the last bits. There is no
+FSAL reuse: every attempt evaluates all seven stages, the first on the
+very state object that in_domain accepted, by which perfbench/spans.py
+counts attempted steps.
 """
 
 from __future__ import annotations
@@ -347,45 +348,19 @@ def _dp_source(m: int) -> str:
         stage = ", ".join(weighted(_DP_A[i], c) for c in comps)
         lines.append(f"    {names(f'k{i}_')} = f(t + {_DP_C[i]!r} * dt, array([{stage}])).tolist()")
     for c in comps:
-        # np.maximum(|y|, |y5|), NaN from either side included.
+        # max(|y|, |y5|); a NaN |y| makes u and q NaN whichever is taken.
         lines += [
             f"    u{c} = {weighted(_DP_B5, c)}",
             f"    a = abs(y{c})",
             f"    b = abs(u{c})",
-            f"    q{c} = (u{c} - ({weighted(_DP_B4, c)})) / (atol + rtol * (a if a >= b or a != a else b))",
+            f"    q{c} = (u{c} - ({weighted(_DP_B4, c)})) / (atol + rtol * (a if a >= b else b))",
         ]
-    total = _add_reduce_source([f"q{c} * q{c}" for c in comps], lines, "s")
-    lines += [f"    return array([{', '.join(f'u{c}' for c in comps)}]), sqrt({total} / {m})", ""]
+    # The squares' running sum from +0.0, eight terms to a statement, so the source compiles for any m.
+    for i in range(0, m, 8):
+        terms = "".join(f" + q{c} * q{c}" for c in comps[i : i + 8])
+        lines.append(f"    s = {'s' if i else '0.0'}{terms}")
+    lines += [f"    return array([{', '.join(f'u{c}' for c in comps)}]), sqrt(s / {m})", ""]
     return "\n".join(lines)
-
-
-def _add_reduce_source(terms: list[str], lines: list[str], name: str) -> str:
-    """Append statements summing terms in np.add.reduce's order; returns the sum's source.
-
-    That is numpy's pairwise sum. Below 8 terms it is one sum from +0.0.
-    Up to 128 terms, eight accumulators take every 8th term, are combined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the rest are
-    added one by one. Above 128 it is the sum of two halves, the first a
-    multiple of 8 long. Every expression is one statement of bounded
-    depth, so the source compiles for any number of terms. The reduction's
-    own +0.0 start is left out: it does not change a sum of squares.
-    """
-    n = len(terms)
-    if n < 8:
-        return "(0.0" + "".join(f" + {term}" for term in terms) + ")"
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        left = _add_reduce_source(terms[:half], lines, name + "l")
-        right = _add_reduce_source(terms[half:], lines, name + "r")
-        lines.append(f"    {name} = {left} + {right}")
-        return name
-    r = [f"{name}_{j}" for j in range(8)]
-    whole = n - n % 8
-    lines += [f"    {r[j]} = {terms[j]}" for j in range(8)]
-    lines += [f"    {r[j]} += {terms[i + j]}" for i in range(8, whole, 8) for j in range(8)]
-    lines.append(f"    {name} = (({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))")
-    lines += [f"    {name} += {term}" for term in terms[whole:]]
-    return name
 
 
 class RunStatus(str):

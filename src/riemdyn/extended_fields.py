@@ -32,10 +32,11 @@ the covariant spatial derivative from a point's Gamma, value (for rank > 0)
 and jet, which spatial_gradient, el_residual and chain_rule_check each
 read once per point. The fiber correction is one matrix product and each
 index term one einsum, for any rank. The quadratic scalars' jet is one
-pass over Python floats; _form_partials is its one loop for d(g)/dx and
-d(g^-1)/dx contracted with the fiber, in einsum's order, and
-_metric_contractions gives the Lagrangians' Euler-Lagrange passes the same
-form partials and d(g)/dx . v from one scan.
+pass over Python floats. _metric_contractions is every contraction of
+d(g)/dx with a fiber vector, one scan of dg for any dimension: the L jets
+and Euler-Lagrange passes contract it with v, and the H jets with the
+raised momentum u = g^-1 p, since p . d(g^-1)/dx^q . p = -u . d(g)/dx^q . u
+by d(g^-1) = -g^-1 d(g) g^-1.
 
 A field without a hook gets its partials and its fiber Hessian from
 finite differences: x_partials, fiber_partials and fiber_hessian call
@@ -431,72 +432,17 @@ def _dot(a: list[float], b: list[float]) -> float:
     return s
 
 
-def _form_partials(dg: list, y: list[float], ginv: list | None = None) -> list[float]:
-    """s_q = sum_ij (dm_ijq y_i) y_j for each q, over Python floats; dg nested as dg[a][b][q].
-
-    dm is dg itself without ginv, and d(g^-1)/dx^q = -(g^-1 dg_q g^-1) with
-    ginv, the rows of an inverse metric. The sums are numpy's einsum
-    orders, as in dynamics_newton._gamma_vv: s_q has the bits of
-    np.einsum("ijq,i,j->q", dm, y, y), and each entry of d(g^-1)/dx those
-    of -np.einsum("ia,abq,bj->ijq", ginv, dg, ginv), for any entries of dg
-    and y and any finite g^-1 without a zero row or column. One loop
-    serves both and any dimension; _form_sums skips the terms with a zero
-    factor, which leaves O(n^2) of the O(n^5) terms on a chart whose
-    metric is diagonal, as every builtin chart's is.
-    """
-    if ginv is None:
-        return _form_sums(dg, y, None, math.isfinite(sum(y)))
-    if math.isfinite(sum(y) + sum(map(sum, ginv))):
-        out = _form_sums(dg, y, ginv, True)
-        if math.isfinite(sum(out)):
-            return out
-    return _form_sums(dg, y, ginv, False)
-
-
-def _form_sums(dg: list, y: list[float], ginv: list | None, skip: bool) -> list[float]:
-    """_form_partials, leaving out each term with a zero factor when skip is true.
-
-    Such a term is +0.0 or -0.0 when its other factors are finite, and a sum
-    that starts at +0.0 never holds -0.0, so leaving it out changes no bit.
-    y and g^-1 are finite whenever _form_partials skips. It keeps the result
-    only if it is finite, which it is not when an entry of dg is infinite or
-    NaN, or a product overflows: g^-1 has no zero row or column, so such a
-    factor meets non-zero ones in a term that is kept.
-    """
-    entries = [
-        (a, b, q, v)
-        for a, plane in enumerate(dg)
-        for b, row in enumerate(plane)
-        if any(row) or not skip  # NaN is true
-        for q, v in enumerate(row)
-        if v != 0.0 or not skip
-    ]
-    if ginv is not None:
-        dm = {}  # (q, i, j) -> sum_ab (g^ia dg_abq) g^bj, its terms in (a, b) order
-        for a, b, q, dab in entries:
-            gb = ginv[b]
-            for i, gi in enumerate(ginv):
-                gia = gi[a]
-                if gia != 0.0 or not skip:
-                    t = gia * dab
-                    for j, gbj in enumerate(gb):
-                        if gbj != 0.0 or not skip:
-                            key = (q, i, j)
-                            dm[key] = dm.get(key, 0.0) + t * gbj
-        entries = [(i, j, q, -v) for (q, i, j), v in sorted(dm.items())]
-    out = [0.0] * len(y)
-    for i, j, q, d in entries:  # (i, j) in order for each q
-        out[q] += d * y[i] * y[j]
-    return out
-
-
 def _metric_contractions(dg: list, y: list[float]) -> tuple[list[float], list[list[float]]]:
     """(s, dgy) from one scan of dg over Python floats; dg nested as dg[k][j][q].
 
-    s_q = sum_kj dg_kjq y_k y_j has the bits of _form_partials(dg, y), and
-    dgy[k][q] = sum_j dg_kjq y_j those of np.einsum("kjq,j->kq", dg, y):
-    each sum runs in index order from +0.0. As in _form_sums, a term whose
-    dg entry is zero is left out when y is finite, which changes no bit.
+    s_q = sum_kj (dg_kjq y_k) y_j has the bits of np.einsum("kjq,k,j->q",
+    dg, y, y), and dgy[k][q] = sum_j dg_kjq y_j those of
+    np.einsum("kjq,j->kq", dg, y): each sum runs in index order from +0.0.
+    A term whose dg entry is zero is left out when y is finite: it is +0.0
+    or -0.0, and a sum that starts at +0.0 never holds -0.0, so no bit
+    changes. With an infinite or NaN entry of y every term is formed, so
+    every s_q is NaN or infinite; an infinite or NaN entry of dg is never
+    left out, so it makes its s_q so.
     """
     skip = math.isfinite(sum(y))
     s = [0.0] * len(y)
@@ -515,7 +461,7 @@ def _metric_contractions(dg: list, y: list[float]) -> tuple[list[float], list[li
 def _quadratic_x_partials(x, y, my, c, s, df, u_expr, sign: float) -> list[float]:
     """dX/dx^q of (1/2) c y . (m y) + sign U over Python floats.
 
-    From y, m y, c, the form partials s = _form_partials(...) and df/dx^q
+    From y, m y, c, the form partials s_q = y . (dm/dx^q) y and df/dx^q
     (None without f): c (s_q / 2 + sign (y . m y) df_q) + sign dU/dx^q,
     the factor c and the term in df only with f.
     """
@@ -534,12 +480,16 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
     rep "v" is L: y = v, m = g, c = e^(-2f), s = -1. rep "p" is H: y = p,
     m = g^-1, c = e^(2f), s = +1. f and U are optional, and without them no
     expression code runs. The jet is one pass over Python floats returning
-    lists: m from metric_at or inverse_metric_at, m y as numpy's m @ y and
-    dg from metric_partials_at, each read once through .tolist(), and dm/dx
-    contracted with y by _form_partials, in numpy's einsum order. So
-    without f the jet has the bits of the numpy forms it replaced
-    (tests/h_jet_oracle.py); with f, y . m y is a float sum where it was a
-    BLAS dot and may differ in the last bit. The jet never evaluates U. The
+    lists: m y as numpy's m @ y, with m from metric_at or
+    inverse_metric_at, and dg from metric_partials_at, each read once
+    through .tolist(), and the form partials from _metric_contractions: dg
+    contracted with v for L, and 0.0 minus dg contracted with u = g^-1 p,
+    the m y already formed, for H. 0.0 - t keeps a zero contraction +0.0,
+    as on a flat chart. So L's jet without f has the bits of the numpy form
+    it replaced (tests/h_jet_oracle.py). H's x partials, summed over u where
+    the numpy form summed d(g^-1)/dx, and, with f, y . m y, a float sum
+    where it was a BLAS dot, may differ in the last bits. The jet never
+    evaluates U. The
     fiber partials hook returns a list, c (m y) with m y as float sums in
     index order (numpy's m @ y on a diagonal metric), reading the rows of m
     and c once per point (_per_point); fiber_partials makes it an array.
@@ -561,11 +511,12 @@ def _quadratic_scalar(rep: str, f, u, name: str) -> ExtendedField:
 
     def jet(chart, point):
         x, y = point.x, fiber_of(point)
-        m = matrix(chart, x)
-        my, c = (m @ y).tolist(), factor(x)
+        my, c = (matrix(chart, x) @ y).tolist(), factor(x)
         ys = y.tolist()
         dg = manifold.metric_partials_at(chart, x).tolist()
-        s = _form_partials(dg, ys, None if rep == "v" else m.tolist())
+        s = _metric_contractions(dg, ys if rep == "v" else my)[0]
+        if rep == "p":
+            s = [0.0 - t for t in s]  # p . d(g^-1)/dx . p = -u . dg . u
         df = None if f_expr is None else expression.gradient(f_expr, x)
         dfib = my if f_expr is None else [c * v for v in my]
         return _quadratic_x_partials(x, ys, my, c, s, df, u_expr, sign), dfib

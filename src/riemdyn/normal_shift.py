@@ -57,7 +57,6 @@ __all__ = [
     "zero_velocity_floor",
     "velocity_modulus",
     "projectors",
-    "symmetric_a_matrix",
     "symmetric_b_matrix",
     "spherical_force_field",
     "normal_shift_force_field",
@@ -181,16 +180,6 @@ def projectors(chart: ManifoldChart, point: TangentPoint) -> tuple[np.ndarray, n
     q = np.outer(point.v, v_low) / (w * w)
     p = np.eye(chart.dim) - q
     return q, p
-
-
-def symmetric_a_matrix(
-    chart: ManifoldChart, profile: RadialProfile, point: TangentPoint
-) -> np.ndarray:
-    """Closed-form fiber Hessian A_ij = T'' Q_ij + (T'/|v|) P_ij (lower indexes)."""
-    w = velocity_modulus(chart, point)
-    g = manifold.metric_at(chart, point.x)
-    d2, d1 = profile.d2_w(point.x, w), profile.d_w(point.x, w)
-    return np.array(_a_from(g.tolist(), (g @ point.v).tolist(), w, d2, d1))
 
 
 def _a_from(g: list, v_low: list[float], w: float, d2: float, d1: float) -> list[list[float]]:

@@ -3,11 +3,14 @@
 The package generates one straight-line step per state length, which
 combines the seven stages in Python floats: per component, a sum that
 starts at +0.0 and adds a_j * k_j stage by stage, and then the RMS error
-norm with np.add.reduce's order of summation. This is the array form it
-matches, unchanged: each combination is a Python ``sum`` over a generator
-of coefficient-times-stage array products, which adds in that same order,
-and the norm is the numpy expression the driver once evaluated on y5 - y4.
-The tests require the two to agree bit for bit.
+norm, its squares summed from +0.0 in component order. This is the array
+form it matches: each combination is a Python ``sum`` over a generator of
+coefficient-times-stage array products, which adds in that same order,
+and error_norm sums the squares of the scaled error left to right. The
+tests require the two to agree bit for bit. numpy_error_norm is the numpy
+expression the integrator once evaluated on y5 - y4, kept unchanged as a
+second reference: np.add.reduce sums pairwise from 8 terms on, so it may
+differ from error_norm in the last bits there.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dp_step", "dp_step_and_norm", "error_norm", "scaled_error"]
+__all__ = ["dp_step", "dp_step_and_norm", "error_norm", "numpy_error_norm", "scaled_error"]
 
 # Dormand-Prince 5(4) tableau; the first error row is the 5th-order
 # propagated solution, the second the embedded 4th-order estimate.
@@ -53,6 +56,15 @@ def scaled_error(y, y5, err, atol, rtol):
 
 
 def error_norm(y, y5, err, atol, rtol):
+    """RMS of the scaled error, its squares summed from +0.0 left to right."""
+    q = scaled_error(y, y5, err, atol, rtol)
+    total = 0.0
+    for square in (q * q).tolist():
+        total += square
+    return math.sqrt(total / q.size)
+
+
+def numpy_error_norm(y, y5, err, atol, rtol):
     """RMS of the scaled error: np.mean's sum and division."""
     q = scaled_error(y, y5, err, atol, rtol)
     return math.sqrt(float(np.add.reduce(q * q)) / q.size)

@@ -3,8 +3,8 @@
 check_analytic_partials compares a field's analytic partials with finite
 differences; potential_scalar and metric_tensor_field are test fields;
 unparse prints an expression back to source; second_partial is the exact
-second partial by two coordinates; regularity classifies the fiber
-Hessian of L; strip_analytic and as_extended_field drop the analytic
+second partial by two coordinates; hessian_det is the determinant the
+singularity rule reads, and regularity classifies the fiber Hessian of L; strip_analytic and as_extended_field drop the analytic
 hooks of a chart and of a profile; elapsed_run times a suite;
 partial_env, second_partial_env and partial_and_second_env are exact
 partials by named variables; format_float prints a float as the CSV
@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from riemdyn import expression, manifold, verification
-from riemdyn.dynamics_lagrange import Lagrangian, _hessian_det, a_matrix
+from riemdyn.dynamics_lagrange import Lagrangian, _eliminate, a_matrix
 from riemdyn.expression import ScalarExpr
 from riemdyn.extended_fields import ExtendedField, TangentPoint, fiber_partials, x_partials
 from riemdyn.manifold import ManifoldChart
@@ -33,6 +33,7 @@ __all__ = [
     "metric_tensor_field",
     "unparse",
     "second_partial",
+    "hessian_det",
     "RegularityReport",
     "regularity",
     "strip_analytic",
@@ -117,6 +118,11 @@ def second_partial(expr: ScalarExpr, x, q: int, r: int) -> float:
     return expression.evaluate_fiber(expr, x, None, f"x{q + 1}", f"x{r + 1}")
 
 
+def hessian_det(a: np.ndarray) -> float:
+    """det(A / |A|_max) of a fiber Hessian from dynamics_lagrange._eliminate's pivots; NumericOverflowError as there."""
+    return _eliminate(a.tolist(), [0.0] * len(a))[1]
+
+
 @dataclasses.dataclass(frozen=True)
 class RegularityReport:
     """Determinant and spectrum summary of the fiber Hessian at a state.
@@ -135,14 +141,14 @@ class RegularityReport:
 def regularity(chart: ManifoldChart, lagrangian: Lagrangian, point: TangentPoint) -> RegularityReport:
     """Classify the fiber Hessian at a state as regular / positive definite.
 
-    is_regular is the decision of _require_regular, and is_positive that of
+    is_regular is the decision of dynamics_lagrange._solve_regular, and is_positive that of
     metric_at's test on the symmetric part of A: a Cholesky factor, and
     regular by the same rule. Both are decided on A / |A|_max, so A and c A
     get the same decisions; of the report, only min_abs_eig scales with c.
     An A with an infinite or NaN entry raises NumericOverflowError.
     """
     a = a_matrix(chart, lagrangian, point)
-    det = _hessian_det(a)
+    det = hessian_det(a)
     rows = manifold._symmetric_rows(a.tolist())
     definite = manifold._cholesky_det(rows, max(abs(value) for row in rows for value in row))
     return RegularityReport(

@@ -2,7 +2,8 @@
 
 force_from_lagrangian takes dL/dx, P, M and A from one pass per state and
 forms the two covariant gradients itself. This is the composition it
-replaced, unchanged: a_matrix and its determinant test, one
+replaced: a_matrix and its determinant test, here the package's rule
+through _solve_regular with a zero right-hand side, one
 spatial_gradient of L and one of the momentum field, and a solve. M has
 one source in the package, that pass, so the closed forms of M that the
 quadratic and the fiberwise families once computed alone are kept here
@@ -22,7 +23,7 @@ def force(chart, lagrangian, point):
     """F solving A F = grad L - (grad P) . v, as force_from_lagrangian computed it."""
     a = dynamics_lagrange.a_matrix(chart, lagrangian, point)
     message = "fiber Hessian is singular (det {det:.3e})"
-    dynamics_lagrange._require_regular(a, message)
+    dynamics_lagrange._solve_regular(a.tolist(), [0.0] * len(a), message)
     grad_l = extended_fields.spatial_gradient(chart, lagrangian.field, point)
     momentum = dynamics_lagrange.momentum_field(lagrangian)
     grad_p = extended_fields.spatial_gradient(chart, momentum, point)

@@ -5,12 +5,14 @@ numpy composition that pass replaced, unchanged: g^-1 @ p with g^-1 from
 np.linalg.inv, the BLAS dots
 p @ g^-1 @ p and y @ (m y), d(g^-1)/dx = -einsum("ia,abq,bj->ijq"), the
 einsum contraction with y and the array arithmetic after it. The tests
-require the quadratic jets without f to agree bit for bit, and every
+require the quadratic L jet without f to agree bit for bit, and every
 other jet to within a few ulps: a float sum rounds once per term where
-numpy's 2-element dot fuses a multiply and an add. Each jet comes with
-the scale of its x partials, the sum of the absolute values of the terms
-each one adds, since a term that moves by an ulp moves the partial by
-that much however much the terms cancel.
+numpy's 2-element dot fuses a multiply and an add, and the package's H
+jets contract dg with u = g^-1 p where this form sums d(g^-1)/dx first.
+Each jet comes with the scale of its x partials, the sum of the absolute
+values of the terms each one adds, since a term that moves by an ulp
+moves the partial by that much however much the terms cancel;
+raised_form_scale is that scale for the terms of -u . dg . u / 2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import phi_inverse_oracle
 from riemdyn import expression, manifold, normal_shift
 from riemdyn.errors import DegenerateLagrangianError, ZeroVelocityError
 
-__all__ = ["inverse_metric_partials", "quadratic_jet", "fiberwise_jet"]
+__all__ = ["inverse_metric_partials", "raised_form_scale", "quadratic_jet", "fiberwise_jet"]
 
 
 def inverse_metric_partials(chart, x) -> np.ndarray:
@@ -31,6 +33,12 @@ def inverse_metric_partials(chart, x) -> np.ndarray:
     ginv = np.linalg.inv(manifold.metric_at(chart, x))
     dg = manifold.metric_partials_at(chart, x)
     return -np.einsum("ia,abq,bj->ijq", ginv, dg, ginv)
+
+
+def raised_form_scale(chart, x, p) -> np.ndarray:
+    """(1/2) sum_ab |dg_abq| |u_a| |u_b| for each q, with u = g^-1 p."""
+    u = np.abs(np.linalg.inv(manifold.metric_at(chart, x)) @ p)
+    return 0.5 * np.einsum("abq,a,b->q", np.abs(manifold.metric_partials_at(chart, x)), u, u)
 
 
 def quadratic_jet(chart, rep, f, u, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,8 +13,9 @@ dynamics_lagrange's classical right-hand side is one pass over Python
 floats: el_terms_fn's lists, a float M v and dynamics_lagrange._solve_regular.
 classical_rhs is the numpy composition it replaced, unchanged: el_terms,
 the numpy passes of the catalog families (force_oracle keeps their M),
-then _require_regular, np.linalg.solve(A, dL/dx - M @ v) and
-np.concatenate. A float sum rounds each product where numpy's M @ v fuses
+then the singularity rule (_solve_regular with a zero right-hand side),
+np.linalg.solve(A, dL/dx - M @ v) and np.concatenate. The form partials
+s = dg(v, v) come from np.einsum, not from the package's contraction. A float sum rounds each product where numpy's M @ v fuses
 a multiply and an add, and the LU rounds where numpy's kernel fuses, so
 the two agree bit for bit only where A is diagonal and no row of M v sums
 two non-zero products.
@@ -62,7 +63,7 @@ def _quadratic_terms(chart, lagrangian, point):
     c = extended_fields._conformal_factor(f_expr, x, -2.0)
     df = None if f_expr is None else expression.gradient(f_expr, x)
     vs = v.tolist()
-    s = extended_fields._form_partials(dg.tolist(), vs)
+    s = np.einsum("ijq,i,j->q", dg, v, v).tolist()
     dldx = extended_fields._quadratic_x_partials(x, vs, v_low.tolist(), c, s, df, u_expr, -1.0)
     mixed = force_oracle.quadratic_mixed(chart, f_expr, point)
     scaled = (lambda a: a) if f_expr is None else (lambda a: c * a)
@@ -100,7 +101,7 @@ def classical_rhs(chart, lagrangian):
         point = TangentPoint(y[:n], y[n:])
         dldx, _, mixed, a = el_terms(chart, lagrangian, point)
         message = "fiber Hessian is singular (det {det:.3e}) during integration"
-        dynamics_lagrange._require_regular(a, message)
+        dynamics_lagrange._solve_regular(a.tolist(), [0.0] * n, message)
         vdot = np.linalg.solve(a, dldx - mixed @ point.v)
         return np.concatenate([point.v, vdot])
 

@@ -340,9 +340,11 @@ def _same_floats(got, want):
         )
     )
 )
-def test_form_partials_have_the_bits_of_einsum_on_any_entries(drawn):
-    """For any dg and y, and any finite g^-1 without a zero row or column (every
-    inverse metric), diagonal or not, both reps sum in einsum's order."""
+def test_the_metric_contractions_have_einsums_bits_and_carry_non_finite_entries(drawn):
+    """For any dg and y, s sums in einsum's order. Contracted with a raised
+    momentum u = g^-1 p, any finite g^-1 without a zero row or column (every
+    inverse metric), diagonal or not: an infinite or NaN entry of p makes every
+    dH/dx^q = 0.0 - s_q non-finite, and one of dg[:, :, q] makes dH/dx^q so."""
     entries, dg, y, diagonal = drawn
     n = len(y)
     ginv = np.array(entries).reshape(n, n)
@@ -350,9 +352,12 @@ def test_form_partials_have_the_bits_of_einsum_on_any_entries(drawn):
         ginv = np.diag(np.diag(ginv))
     assume(ginv.any(axis=0).all() and ginv.any(axis=1).all())
     dg = np.array(dg).reshape(n, n, n)
-    y = np.array(y)
+    p = np.array(y)
     with np.errstate(all="ignore"):
-        want_v = np.einsum("ijq,i,j->q", dg, y, y)
-        want_p = np.einsum("ijq,i,j->q", -np.einsum("ia,abq,bj->ijq", ginv, dg, ginv), y, y)
-    assert _same_floats(ef._form_partials(dg.tolist(), y.tolist()), want_v)
-    assert _same_floats(ef._form_partials(dg.tolist(), y.tolist(), ginv.tolist()), want_p)
+        want = np.einsum("ijq,i,j->q", dg, p, p)
+        u = ginv @ p
+    assert _same_floats(ef._metric_contractions(dg.tolist(), p.tolist())[0], want)
+    dh_dx = [0.0 - t for t in ef._metric_contractions(dg.tolist(), u.tolist())[0]]
+    for q in range(n):
+        if not (np.isfinite(p).all() and np.isfinite(dg[:, :, q]).all()):
+            assert not math.isfinite(dh_dx[q])

@@ -607,12 +607,20 @@ def _within_ulps(got, want, scale):
 @pytest.mark.parametrize("rep", ["p", "v"])
 @pytest.mark.parametrize("chart_name", list(_JET_CHARTS))
 def test_the_quadratic_float_pass_without_f_has_the_bits_of_the_numpy_jet(chart_name, rep, u):
+    """Bit for bit, but for H's x partials: the pass sums -u . dg . u / 2 where the
+    numpy form summed p . d(g^-1)/dx . p / 2, so they are held within a few ulps
+    of a scale that covers the terms of both."""
     chart = _JET_CHARTS[chart_name]()
     field = _quadratic_field(rep, None, u)
     for point in _jet_points(chart, rep, 61):
-        want_dx, want_dfib, _ = h_jet_oracle.quadratic_jet(chart, rep, None, u, point)
+        want_dx, want_dfib, scale = h_jet_oracle.quadratic_jet(chart, rep, None, u, point)
         dx, dfib = ef.jet(chart, field, point)
-        assert dx.tobytes() == want_dx.tobytes() and dfib.tobytes() == want_dfib.tobytes()
+        assert dfib.tobytes() == want_dfib.tobytes()
+        if rep == "v":
+            assert dx.tobytes() == want_dx.tobytes()
+        else:
+            raised = h_jet_oracle.raised_form_scale(chart, point.x, point.p)
+            assert _within_ulps(dx, want_dx, np.maximum(scale, raised))
 
 
 @pytest.mark.parametrize("u", [None, "sin(x1)*x2"])

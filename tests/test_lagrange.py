@@ -69,6 +69,11 @@ def test_regularity_classification():
     assert not report.is_regular
 
 
+def _require_regular(a, message):
+    """The singularity rule alone: _solve_regular with a zero right-hand side, whose refusals are the rule's."""
+    dl._solve_regular(a.tolist(), [0.0] * len(a), message)
+
+
 # What c M gets for every c, by kind of M: (metric_at accepts it as a metric,
 # _require_regular accepts it as a fiber Hessian, regularity's is_regular, is_positive).
 _DECISIONS = {
@@ -114,7 +119,7 @@ def _decisions(m):
     else:
         metric = True
     try:
-        dl._require_regular(m, "det {det}")
+        _require_regular(m, "det {det}")
     except SingularAError:
         regular = False
     else:
@@ -299,7 +304,7 @@ def test_an_overflowing_conformal_lagrangian_raises_numeric_overflow():
         lag.value(chart, TangentPoint(np.array([1.5, 0.0]), v))
     a = dl.a_matrix(chart, lag, TangentPoint(np.array([1.0, 0.0]), v))
     assert a[0, 0] == pytest.approx(math.exp(600.0))
-    dl._require_regular(a, "det {det}")
+    _require_regular(a, "det {det}")
     assert exports_oracle.regularity(chart, lag, TangentPoint(np.array([1.0, 0.0]), v)).det_a == 1.0
 
 
@@ -330,7 +335,7 @@ def test_require_regular_crosses_its_tolerance_once(n, m, sign):
     for ulps in range(-40, 41):
         a = _near_the_tolerance(n, m, sign, ulps)
         try:
-            dl._require_regular(a, "det {det}")
+            _require_regular(a, "det {det}")
         except SingularAError:
             refused.append(True)
         else:
@@ -347,10 +352,10 @@ def test_a_one_by_one_fiber_hessian_is_singular_only_at_zero(m, sign):
     regular down to the least subnormal, and only the 0 they underflow to is refused."""
     a = sign * m
     while a != 0.0:
-        dl._require_regular(np.array([[a]]), "det {det}")
+        _require_regular(np.array([[a]]), "det {det}")
         a *= 0.5
     with pytest.raises(SingularAError, match="det 0.0"):
-        dl._require_regular(np.array([[a]]), "det {det}")
+        _require_regular(np.array([[a]]), "det {det}")
 
 
 def _numpy_route_det(a):
@@ -379,11 +384,11 @@ def test_require_regular_refuses_what_the_numpy_route_refuses(n):
             a.flat[index] = specials[rng.integers(len(specials))]
         if not np.all(np.isfinite(a)):
             with pytest.raises(NumericOverflowError, match="non-finite entry"):
-                dl._require_regular(a, "det {det}")
+                _require_regular(a, "det {det}")
             outcomes["non-finite"] += 1
             continue
         try:
-            dl._require_regular(a, "det {det}")
+            _require_regular(a, "det {det}")
         except SingularAError:
             refuses = True
         else:
@@ -422,8 +427,8 @@ def test_the_float_solve_has_numpys_bits_on_diagonal_matrices(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_the_metric_contractions_have_einsums_bits(n):
     """On dense dg, as a metric that is not diagonal has, with zero and signed-zero
-    entries: s has _form_partials' bits and dgy np.einsum("kjq,j->kq")'s, and with a
-    non-finite y no term is skipped."""
+    entries: s has np.einsum("kjq,k,j->q")'s bits and dgy np.einsum("kjq,j->kq")'s,
+    and with a non-finite y no term is skipped."""
     rng = np.random.default_rng(60 + n)
     for trial in range(2000):
         dg = rng.normal(size=(n, n, n))
@@ -434,8 +439,8 @@ def test_the_metric_contractions_have_einsums_bits(n):
         if trial % 10 == 0:
             y[rng.integers(n)] = math.inf
         s, dgy = extended_fields._metric_contractions(dg.tolist(), y.tolist())
-        want_s = np.array(extended_fields._form_partials(dg.tolist(), y.tolist()))
         with np.errstate(invalid="ignore"):
+            want_s = np.einsum("kjq,k,j->q", dg, y, y)
             want_dgy = np.einsum("kjq,j->kq", dg, y)
         assert np.array(s).tobytes() == want_s.tobytes()
         assert np.array(dgy).tobytes() == want_dgy.tobytes()
@@ -480,7 +485,7 @@ def test_the_elimination_det_is_numpys_det_of_the_normalised_matrix(n):
         a = rng.normal(size=(n, n))
         scale = float(np.max(np.abs(a)))
         want = float(np.linalg.det(a / scale))
-        assert dl._hessian_det(a) == pytest.approx(want, rel=1e-12, abs=1e-15), a.tolist()
+        assert exports_oracle.hessian_det(a) == pytest.approx(want, rel=1e-12, abs=1e-15), a.tolist()
         swapped += n > 1 and abs(a[0, 0]) < np.max(np.abs(a[:, 0]))
     assert n == 1 or swapped > 500
 
@@ -496,9 +501,9 @@ def _refusal(call):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_the_float_solve_refuses_as_require_regular_does(n):
-    """The same refusals, error classes and det in the message: every kind of M at
-    every scale, and the drawn matrices of the refusal test above, NaN and infinite
-    entries among them."""
+    """The same refusals, error classes and det in the message, whatever the
+    right-hand side: every kind of M at every scale, and the drawn matrices of
+    the refusal test above, NaN and infinite entries among them."""
     scales = [10.0**k for k in range(-8, 9)] + [3.3e-7, 7.1e5]
     matrices = [c * np.array(m) for _, m in _KINDS_OF_M[n] for c in scales]
     rng = np.random.default_rng(70 + n)
@@ -513,7 +518,7 @@ def test_the_float_solve_refuses_as_require_regular_does(n):
     outcomes = Counter()
     message = "fiber Hessian is singular (det {det:.3e})"
     for a in matrices:
-        want = _refusal(lambda: dl._require_regular(a, message))
+        want = _refusal(lambda: _require_regular(a, message))
         assert _refusal(lambda: dl._solve_regular(a.tolist(), [1.0] * n, message)) == want, a.tolist()
         outcomes[want[0].__name__ if want else "solved"] += 1
     assert min(outcomes[k] for k in ("NumericOverflowError", "SingularAError", "solved")) >= 15, outcomes
@@ -533,7 +538,7 @@ def test_a_non_finite_fiber_hessian_raises_numeric_overflow(a):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericOverflowError, match="non-finite entry"):
-            dl._require_regular(np.array(a), "det {det}")
+            _require_regular(np.array(a), "det {det}")
 
 
 def test_a_fiber_hessian_whose_elimination_overflows_raises_numeric_overflow():
@@ -541,7 +546,7 @@ def test_a_fiber_hessian_whose_elimination_overflows_raises_numeric_overflow():
     elimination, so its det is not finite, and the rule and the solve both refuse."""
     a = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])
     with pytest.raises(NumericOverflowError, match="elimination overflows"):
-        dl._require_regular(a, "det {det}")
+        _require_regular(a, "det {det}")
     with pytest.raises(NumericOverflowError, match="elimination overflows"):
         dl._solve_regular(a.tolist(), [1.0, 1.0], "det {det}")
 
